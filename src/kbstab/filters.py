@@ -7,9 +7,17 @@ same explicit Euler step as the simulated paths,
     P' = P + [Lam(f) + Lam(f)^T + Q_tuned - P S P] dt,
 
 where the mean functional ``L`` and Riccati functional ``Lam`` select the
-filter variant. After every step the covariance is symmetrized and its
-eigenvalues clamped at zero, a floating-point guard the exact-arithmetic
-theory does not need.
+filter variant. When both functionals use one rule, as the ``ukf``, ``gh``
+and ``adf`` configs of :func:`make_filter_config` do, both terms come from
+one square root of ``P`` and one evaluation of the field (for ``adf``, of
+the field and its Jacobian) at the shared sigma points.
+
+After every step the covariance is symmetrized and checked with a batched
+Cholesky factorization. Only a path whose symmetrized matrix is not
+numerically positive definite, so that its factorization fails, has its
+eigenvalues clamped at zero. The guard is a floating-point safeguard the
+exact-arithmetic theory does not need; on well-posed runs it never fires,
+and the step then makes no eigendecomposition for it.
 
 All stepping code is written over a leading batch axis; single-path entry
 points wrap a batch of one, so ensemble runs are arithmetically identical
@@ -25,11 +33,15 @@ from .models import DiscreteModel
 from .functionals import (
     MeanFunctional,
     RiccatiFunctional,
+    _clamp_psd,
+    eval_drift_batch,
     eval_mean_batch,
     eval_riccati_cont_batch,
     eval_riccati_disc_batch,
     mean_functional,
+    reference_rule,
     riccati_functional,
+    shares_sigma_points,
 )
 from .quadrature import default_unscented_kappa, gauss_hermite_rule, unscented_rule
 
@@ -80,8 +92,9 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
         mean = mean_functional("ekf")
         ric = riccati_functional("ekf", time)
     elif kind == "adf":
-        mean = mean_functional("adf", dim=d)
-        ric = riccati_functional("adf", time, dim=d)
+        rule = reference_rule(d)
+        mean = mean_functional("adf", rule=rule)
+        ric = riccati_functional("adf", time, rule=rule)
     else:
         if kind == "ukf":
             rule = unscented_rule(d, default_unscented_kappa(d) if kappa is None else kappa)
@@ -109,12 +122,30 @@ class FilterTrajectory:
     trace_P: np.ndarray
 
 
+def _is_pd(M):
+    """Whether a Cholesky factorization of ``M`` (or of every matrix in a stack) succeeds."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _clamp_psd_batch(P):
+    """Symmetrize a stack of matrices, clamping only the paths that need it.
+
+    One batched Cholesky factorization usually accepts the whole stack, and
+    the symmetrized stack is returned as it is. Otherwise each matrix is
+    factored on its own, and those that fail are eigen-clamped together in
+    one call. Whether a path is clamped thus depends on its own matrix
+    alone, never on the batch it was grouped with.
+    """
     sym = 0.5 * (P + np.swapaxes(P, -1, -2))
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    if _is_pd(sym):
+        return sym
+    failing = [b for b, M in enumerate(sym) if not _is_pd(M)]
+    sym[failing] = _clamp_psd(sym[failing])
+    return sym
 
 
 def _kb_step_batch(model, config, HtRinv, x, P, dY, dt):
@@ -122,14 +153,19 @@ def _kb_step_batch(model, config, HtRinv, x, P, dY, dt):
 
     Returns ``(x_new, P_new, K, bad)`` where ``bad`` flags paths whose step
     produced non-finite values; their outputs are placeholders that callers
-    must discard (the eigensolver used for clamping cannot digest NaNs).
+    must discard (the PSD guard cannot digest NaNs). ``P_new`` is the
+    symmetrized raw update, eigen-clamped at zero only on paths whose
+    Cholesky factorization fails (see :func:`_clamp_psd_batch`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = eval_mean_batch(config.mean_fn, model.f, x, P)
+        if shares_sigma_points(config.mean_fn, config.riccati_fn):
+            mean, lam = eval_drift_batch(config.mean_fn, config.riccati_fn, model.f, x, P, jac=model.jac_f)
+        else:
+            mean = eval_mean_batch(config.mean_fn, model.f, x, P)
+            lam = eval_riccati_cont_batch(config.riccati_fn, model.f, x, P, jac=model.jac_f)
         K = P @ HtRinv
         innov = dY - (x @ model.H.T) * dt
         x_new = x + mean * dt + np.einsum("bij,bj->bi", K, innov)
-        lam = eval_riccati_cont_batch(config.riccati_fn, model.f, x, P, jac=model.jac_f)
         Pdot = lam + np.swapaxes(lam, -1, -2) + config.Q_tuned - P @ model.S @ P
         P_raw = P + Pdot * dt
     bad = ~(np.all(np.isfinite(x_new), axis=1) & np.all(np.isfinite(P_raw), axis=(1, 2)))

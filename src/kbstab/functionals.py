@@ -122,22 +122,39 @@ def _as_batch(x, P):
     return x, P, single
 
 
-def _sigma_eval(rule, g, x, P):
-    """Field values at the transformed sigma points; returns (values, sqrtP)."""
+def _sigma_points(rule, x, P):
+    """Transformed points ``x + xi sqrt(P)^T`` (B, n, d) and the symmetric root ``sqrt(P)``."""
     sqrtP = _sqrt_psd_stack(0.5 * (P + np.swapaxes(P, -1, -2)))
-    pts = x[:, None, :] + np.einsum("bij,pj->bpi", sqrtP, rule.points)
+    return x[:, None, :] + rule.points @ np.swapaxes(sqrtP, -1, -2), sqrtP
+
+
+def _field_at(g, pts):
     vals = np.asarray(g(pts), dtype=float)
     if vals.shape != pts.shape:
         raise ValueError("field returned an unexpected shape (fields must be vectorized)")
-    return vals, sqrtP
+    return vals
+
+
+def _jacobian_term(rule, jac, pts, P):
+    """``adf`` Riccati term: the rule average of the Jacobian at ``pts``, times ``P``."""
+    if jac is None:
+        raise ValueError("adf riccati functional requires the Jacobian")
+    J = np.asarray(jac(pts), dtype=float)
+    B, n, d = pts.shape
+    return (rule.weights @ J.reshape(B, n, d * d)).reshape(B, d, d) @ P
+
+
+def _stein_term(rule, vals, sqrtP):
+    """``sigma`` Riccati term in Stein form, ``vals^T (w xi) sqrt(P)``."""
+    return np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ sqrtP
 
 
 def eval_mean_batch(F, g, x, P):
     """Batched mean functional over states ``x`` (B, d) with covariances ``P`` (B, d, d)."""
     if F.kind == "ekf":
         return np.asarray(g(x), dtype=float)
-    vals, _ = _sigma_eval(F.rule, g, x, P)
-    return np.einsum("p,bpi->bi", F.rule.weights, vals)
+    pts, _ = _sigma_points(F.rule, x, P)
+    return F.rule.weights @ _field_at(g, pts)
 
 
 def eval_mean(F, g, x, P):
@@ -157,16 +174,38 @@ def eval_riccati_cont_batch(F, g, x, P, jac=None):
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
         return np.asarray(jac(x), dtype=float) @ P
+    pts, sqrtP = _sigma_points(F.rule, x, P)
     if F.kind == "adf":
-        if jac is None:
-            raise ValueError("adf riccati functional requires the Jacobian")
-        sqrtP = _sqrt_psd_stack(0.5 * (P + np.swapaxes(P, -1, -2)))
-        pts = x[:, None, :] + np.einsum("bij,pj->bpi", sqrtP, F.rule.points)
-        J = np.asarray(jac(pts), dtype=float)
-        return np.einsum("p,bpij->bij", F.rule.weights, J) @ P
-    vals, sqrtP = _sigma_eval(F.rule, g, x, P)
-    cross = np.einsum("p,bpi,pj->bij", F.rule.weights, vals, F.rule.points)
-    return cross @ sqrtP
+        return _jacobian_term(F.rule, jac, pts, P)
+    return _stein_term(F.rule, _field_at(g, pts), sqrtP)
+
+
+def eval_drift_batch(mean_fn, riccati_fn, g, x, P, jac=None):
+    """Mean and continuous Riccati functionals from one set of sigma points.
+
+    Equal to ``eval_mean_batch(mean_fn, ...)`` and
+    ``eval_riccati_cont_batch(riccati_fn, ...)`` up to rounding, at the cost
+    of one square root of ``P`` and one field evaluation: both functionals
+    must be rule-based and share one rule. Returns ``(mean, lam)``.
+    """
+    if not shares_sigma_points(mean_fn, riccati_fn):
+        raise ValueError("mean and riccati functionals do not share a sigma-point rule")
+    rule = riccati_fn.rule
+    pts, sqrtP = _sigma_points(rule, x, P)
+    vals = _field_at(g, pts)
+    mean = rule.weights @ vals
+    if riccati_fn.kind == "adf":
+        del vals  # released before the d times larger Jacobian stack is built
+        return mean, _jacobian_term(rule, jac, pts, P)
+    return mean, _stein_term(rule, vals, sqrtP)
+
+
+def shares_sigma_points(mean_fn, riccati_fn):
+    """Whether both functionals evaluate at the same rule's sigma points."""
+    a, b = mean_fn.rule, riccati_fn.rule
+    if a is None or b is None:
+        return False
+    return a is b or (np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights))
 
 
 def eval_riccati_cont(F, g, x, P, jac=None):
@@ -184,10 +223,10 @@ def eval_riccati_cont(F, g, x, P, jac=None):
     return out[0] if single else out
 
 
-def _clamp_psd(M, floor=-1e-12):
+def _clamp_psd(M):
+    """Symmetrize and set negative eigenvalues to zero."""
     sym = 0.5 * (M + np.swapaxes(M, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
-    vals = np.where(vals < floor, floor, vals)
     vals = np.clip(vals, 0.0, None)
     out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
@@ -199,8 +238,9 @@ def eval_riccati_disc_batch(F, g, x, P, jac=None):
             raise ValueError("ekf riccati functional requires the Jacobian")
         J = np.asarray(jac(x), dtype=float)
         return _clamp_psd(J @ P @ np.swapaxes(J, -1, -2))
-    vals, _ = _sigma_eval(F.rule, g, x, P)
-    m = np.einsum("p,bpi->bi", F.rule.weights, vals)
+    pts, _ = _sigma_points(F.rule, x, P)
+    vals = _field_at(g, pts)
+    m = F.rule.weights @ vals
     dev = vals - m[:, None, :]
     cov = np.einsum("p,bpi,bpj->bij", F.rule.weights, dev, dev)
     return _clamp_psd(cov)

@@ -157,11 +157,14 @@ class SimulatedPath:
             raise ValueError("times, states and measurements must have equal row counts")
 
 
-def _path_noise(model, seed, path_index, n_steps, scale_state, scale_meas):
-    """Initial state and pre-scaled noise arrays for one path."""
-    sqrt_sigma0 = matrix_sqrt(model.Sigma0)
-    sqrt_q = matrix_sqrt(model.Q)
-    sqrt_r = matrix_sqrt(model.R)
+def _noise_roots(model):
+    """Symmetric square roots of ``Sigma0``, ``Q`` and ``R``, taken once per batch."""
+    return matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
+
+
+def _path_noise(model, roots, seed, path_index, n_steps, scale_state, scale_meas):
+    """Initial state and pre-scaled noise arrays for one path (``roots`` from :func:`_noise_roots`)."""
+    sqrt_sigma0, sqrt_q, sqrt_r = roots
     g0 = _stream(seed, path_index, _ROLE_INIT)
     g1 = _stream(seed, path_index, _ROLE_STATE)
     g2 = _stream(seed, path_index, _ROLE_MEAS)
@@ -198,8 +201,9 @@ def simulate_paths(model, dt, horizon, seed, n_paths, first_path=0):
     x0 = np.empty((B, dx))
     wq = np.empty((B, n, dx))
     vr = np.empty((B, n, dy))
+    roots = _noise_roots(model)
     for p in range(B):
-        x0[p], wq[p], vr[p] = _path_noise(model, seed, first_path + p, n, sdt, sdt)
+        x0[p], wq[p], vr[p] = _path_noise(model, roots, seed, first_path + p, n, sdt, sdt)
 
     times = np.arange(n + 1) * dt
     states = np.full((B, n + 1, dx), np.nan)
@@ -242,8 +246,9 @@ def simulate_discrete_paths(model, steps, seed, n_paths, first_path=0):
     x0 = np.empty((B, dx))
     wq = np.empty((B, steps, dx))
     vr = np.empty((B, steps, dy))
+    roots = _noise_roots(model)
     for p in range(B):
-        x0[p], wq[p], vr[p] = _path_noise(model, seed, first_path + p, steps, 1.0, 1.0)
+        x0[p], wq[p], vr[p] = _path_noise(model, roots, seed, first_path + p, steps, 1.0, 1.0)
 
     times = np.arange(steps + 1, dtype=float)
     states = np.full((B, steps + 1, dx), np.nan)

@@ -15,8 +15,9 @@ from kbstab import (
     simulate_path,
 )
 from kbstab.errors import DegenerateCovarianceError
-from kbstab.filters import FilterConfig
-from kbstab.functionals import mean_functional, riccati_functional
+from kbstab.filters import FilterConfig, _clamp_psd_batch, run_continuous_ensemble
+from kbstab.functionals import _clamp_psd, mean_functional, riccati_functional
+from kbstab.models import SimulatedPath, simulate_paths
 
 
 def scalar_model(a=-1.0, q=1.0, h=1.0, r=1.0):
@@ -113,6 +114,112 @@ class TestRunContinuousFilter:
             cert = fig1_result.certificates[kind]
             assert cert.lambda_P == pytest.approx(2.552, abs=1e-3)
             assert fig1_result.max_trace_P[kind] <= cert.lambda_P + 1e-6
+
+
+def mixed_psd_batch(rng):
+    """An indefinite, a singular PSD and a positive definite 3x3 matrix, slightly asymmetric."""
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    indefinite = Q @ np.diag([-0.5, 1.0, 2.0]) @ Q.T
+    V = rng.standard_normal((3, 2))
+    singular = V @ V.T
+    G = rng.standard_normal((3, 3))
+    definite = G @ G.T + 0.1 * np.eye(3)
+    stack = np.stack([indefinite, singular, definite])
+    return stack + 1e-13 * rng.standard_normal(stack.shape)
+
+
+def counting(fn, counter, key):
+    def wrapped(*args, **kwargs):
+        counter[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestPsdGuard:
+    def test_clamps_failing_members_only(self, rng, monkeypatch):
+        P_raw = mixed_psd_batch(rng)
+        calls = {"eigh": 0}
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
+        out = _clamp_psd_batch(P_raw)
+        assert calls["eigh"] == 1
+        # a matrix rebuilt from clipped eigenpairs is PSD up to a few ulps
+        for M in out[:2]:
+            assert np.array_equal(M, M.T)
+            assert np.linalg.eigvalsh(M)[0] >= -4 * np.finfo(float).eps * np.abs(M).max()
+        assert np.array_equal(out[0], _clamp_psd(P_raw[0]))
+        assert np.array_equal(out[1], _clamp_psd(P_raw[1]))
+        definite = P_raw[2]
+        assert np.array_equal(out[2], 0.5 * (definite + definite.T))
+
+    def test_member_output_independent_of_batch(self, rng):
+        P_raw = mixed_psd_batch(rng)
+        out = _clamp_psd_batch(P_raw)
+        for b in range(3):
+            assert np.array_equal(out[b], _clamp_psd_batch(P_raw[b:b + 1])[0])
+        assert np.array_equal(out[::-1], _clamp_psd_batch(P_raw[::-1]))
+
+    def test_definite_batch_needs_no_eigendecomposition(self, rng, monkeypatch):
+        calls = {"eigh": 0}
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
+        G = rng.standard_normal((50, 3, 3))
+        P_raw = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(3)
+        out = _clamp_psd_batch(P_raw)
+        assert calls["eigh"] == 0
+        assert np.array_equal(out, 0.5 * (P_raw + np.swapaxes(P_raw, 1, 2)))
+
+
+def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7):
+    model = builtin_contractive3d()
+    times, states, incr, diverged = simulate_paths(model, dt, horizon, seed, n_paths)
+    assert np.all(diverged < 0)
+    return model, times, states, incr
+
+
+class TestGrouping:
+    @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh"])
+    def test_ensemble_independent_of_grouping(self, kind):
+        model, times, states, incr = fig1_like_paths(6, horizon=1.0, dt=0.02)
+        config = make_filter_config(kind, model)
+        cp = [10, 50]
+        whole = run_continuous_ensemble(model, config, states, incr, 0.02, cp)
+        parts = [run_continuous_ensemble(model, config, states[s], incr[s], 0.02, cp)
+                 for s in (slice(0, 2), slice(2, 6))]
+        for name in ("err_sq", "trace_max", "checkpoint_err_sq", "diverged"):
+            joined = np.concatenate([getattr(r, name) for r in parts])
+            assert np.array_equal(getattr(whole, name), joined), name
+        for p in (0, 4):
+            path = SimulatedPath(dt=0.02, times=times, states=states[p],
+                                 measurement_increments=incr[p], seed=7, path_index=p)
+            traj = run_continuous_filter(path, model, config)
+            err_sq = np.sum((states[p] - traj.estimates) ** 2, axis=1)
+            assert np.array_equal(whole.err_sq[p], err_sq)
+            assert whole.trace_max[p] == traj.trace_P.max()
+
+
+class TestStepCost:
+    """Decompositions and field evaluations made by the batched filter step."""
+
+    def run_counted(self, kind, monkeypatch, n_paths=40, steps=100):
+        model, _, states, incr = fig1_like_paths(n_paths, horizon=steps * 0.01)
+        calls = {"eigh": 0, "field": 0}
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
+        model.f = counting(model.f, calls, "field")
+        config = make_filter_config(kind, model)
+        run = run_continuous_ensemble(model, config, states, incr, 0.01)
+        assert np.all(run.diverged < 0)
+        return calls, steps
+
+    def test_ekf_step_makes_no_eigendecomposition(self, monkeypatch):
+        calls, steps = self.run_counted("ekf", monkeypatch)
+        assert calls["eigh"] == 0
+        assert calls["field"] == steps
+
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch):
+        calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
+        assert calls["eigh"] == steps
+        assert calls["field"] == steps
 
 
 class TestFilterConfig:

@@ -13,6 +13,8 @@ from kbstab import (
     unscented_rule,
 )
 from kbstab.errors import IndefiniteMatrixError
+from kbstab.filters import make_filter_config
+from kbstab.functionals import eval_drift_batch, eval_mean_batch, eval_riccati_cont_batch, shares_sigma_points
 from kbstab.models import builtin_contractive3d, builtin_integrated_velocity
 from kbstab.matrix_measures import spectral_norm
 
@@ -155,6 +157,61 @@ class TestRiccatiContinuous:
         F = riccati_functional("ekf", "disc")
         with pytest.raises(ValueError):
             eval_riccati_cont(F, lambda x: x, np.zeros(2), np.eye(2), jac=lambda x: np.zeros(x.shape[:-1] + (2, 2)))
+
+
+def random_psd_batch(rng, B, d):
+    """Random PSD stack over several scales, with every third member singular."""
+    G = rng.standard_normal((B, d, d))
+    G[::3, :, 0] = 0.0
+    P = G @ np.swapaxes(G, 1, 2)
+    return P * np.exp(rng.uniform(np.log(1e-3), np.log(3.0), B))[:, None, None]
+
+
+def reference_drift(F_mean, F_ric, g, jac, x, P):
+    """Path-by-path loop over the sigma points, rooting P by eigendecomposition."""
+    w, xi = F_mean.rule.weights, F_ric.rule.points
+    means, lams = [], []
+    for xb, Pb in zip(x, P):
+        vals, vecs = np.linalg.eigh(Pb)
+        root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        mean, cross, jbar = np.zeros(len(xb)), np.zeros_like(Pb), np.zeros_like(Pb)
+        for wi, xii in zip(w, xi):
+            z = xb + root @ xii
+            gz = g(z)
+            mean += wi * gz
+            cross += wi * np.outer(gz, xii)
+            if F_ric.kind == "adf":
+                jbar += wi * jac(z)
+        means.append(mean)
+        lams.append(jbar @ Pb if F_ric.kind == "adf" else cross @ root)
+    return np.array(means), np.array(lams)
+
+
+class TestSharedDriftEvaluation:
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_matches_separate_functionals(self, kind, rng):
+        model = builtin_contractive3d()
+        config = make_filter_config(kind, model)
+        Fm, Fr = config.mean_fn, config.riccati_fn
+        assert shares_sigma_points(Fm, Fr)
+        x = rng.uniform(-2.0, 2.0, (12, 3))
+        P = random_psd_batch(rng, 12, 3)
+        mean, lam = eval_drift_batch(Fm, Fr, model.f, x, P, jac=model.jac_f)
+        assert np.abs(mean - eval_mean_batch(Fm, model.f, x, P)).max() <= 1e-12
+        assert np.abs(lam - eval_riccati_cont_batch(Fr, model.f, x, P, jac=model.jac_f)).max() <= 1e-12
+        ref_mean, ref_lam = reference_drift(Fm, Fr, model.f, model.jac_f, x, P)
+        assert np.abs(mean - ref_mean).max() <= 1e-12
+        assert np.abs(lam - ref_lam).max() <= 1e-12
+
+    def test_unshared_rules_rejected(self):
+        model = builtin_contractive3d()
+        ekf = make_filter_config("ekf", model)
+        Fm = mean_functional("sigma", rule=unscented_rule(3))
+        Fr = riccati_functional("sigma", "cont", rule=gauss_hermite_rule(3, 3))
+        x, P = np.zeros((1, 3)), np.eye(3)[None]
+        for pair in ((ekf.mean_fn, ekf.riccati_fn), (Fm, Fr)):
+            with pytest.raises(ValueError):
+                eval_drift_batch(*pair, model.f, x, P, jac=model.jac_f)
 
 
 class TestRiccatiDiscrete:

@@ -111,8 +111,8 @@ class TestRunExperiment:
 
 class TestWorkers:
     def test_worker_count_does_not_change_results(self, tmp_path):
-        spec1 = small_spec(trajectories=50, workers=1)
-        spec4 = small_spec(trajectories=50, workers=4)
+        spec1 = small_spec(trajectories=50, workers=1, filters=("ekf", "ukf", "gh"))
+        spec4 = small_spec(trajectories=50, workers=4, filters=("ekf", "ukf", "gh"))
         r1, r4 = run_experiment(spec1), run_experiment(spec4)
         for kind in spec1.filters:
             assert np.array_equal(r1.empirical_mse[kind], r4.empirical_mse[kind])
