@@ -147,6 +147,13 @@ def _bound_curve(cert, times):
     return np.array([continuous_mse_bound(cert, t) for t in times])
 
 
+def _exceedance_row(cert, err_sq, t, delta):
+    """Concentration threshold at ``max(t, T)`` and the share of ``err_sq`` meeting it."""
+    thr = continuous_concentration_threshold(cert, max(t, cert.T), delta)
+    return {"t": float(t), "delta": float(delta), "threshold": float(thr),
+            "frequency": float((err_sq >= thr).mean()), "limit": math.exp(-delta)}
+
+
 def run_experiment(spec, model=None, certificates=None, configs=None):
     """Run the Monte Carlo experiment described by ``spec``.
 
@@ -252,13 +259,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             if t < cert.T and not cert.asymptotic:
                 continue
             for delta in spec.deltas:
-                thr = continuous_concentration_threshold(cert, max(t, cert.T), delta)
-                freq = float((cps[:, i] >= thr).mean())
-                exceedance.append({
-                    "filter": kind, "t": float(t), "delta": float(delta),
-                    "threshold": float(thr), "frequency": freq,
-                    "limit": math.exp(-delta),
-                })
+                exceedance.append({"filter": kind, **_exceedance_row(cert, cps[:, i], t, delta)})
 
     result = ExperimentResult(
         spec=spec,
@@ -308,15 +309,10 @@ def concentration_check(result, certificate, t_list, delta_list, kind=None):
             raise ValueError(f"t = {t} is not a retained checkpoint")
         i = int(match[0])
         for delta in delta_list:
-            thr = continuous_concentration_threshold(certificate, max(t, certificate.T), delta)
-            freq = float((cps[:, i] >= thr).mean())
-            limit = math.exp(-delta)
-            slack = 3.0 * math.sqrt(limit * (1.0 - limit) / n)
-            rows.append({
-                "t": float(t), "delta": float(delta), "threshold": float(thr),
-                "frequency": freq, "limit": limit,
-                "passed": bool(freq <= limit + slack),
-            })
+            row = _exceedance_row(certificate, cps[:, i], t, delta)
+            slack = 3.0 * math.sqrt(row["limit"] * (1.0 - row["limit"]) / n)
+            row["passed"] = bool(row["frequency"] <= row["limit"] + slack)
+            rows.append(row)
     return rows
 
 

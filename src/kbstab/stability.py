@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import pattern_search
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
 from .models import velocity_log_lipschitz
@@ -255,13 +254,15 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
     return (q_min / d) / (math.sqrt(q_min * s_max / d + n_f**2) - n_f)
 
 
-def required_inflation(model, target_lambda, m_f=None, n_f=None, rel_tol=1e-6):
+def required_inflation(model, target_lambda, m_f=None, n_f=None):
     """Smallest isotropic tuned noise ``q I`` inducing the contraction target.
 
-    Solves for the least ``q >= 0`` with
-    ``inflation_mineig_bound(q I) >= (M(f) + target_lambda) / s`` by
-    bisection; returns the matrix ``q I``. When the drift is already
-    contractive enough the requirement is vacuous and ``q = 0``.
+    With ``Q~ = q I`` and ``S = s I``, :func:`inflation_mineig_bound`
+    simplifies to ``(sqrt(q s / d + N(f)^2) + N(f)) / s``, which increases
+    with ``q``. It reaches ``t = (M(f) + target_lambda) / s`` exactly when
+    ``q >= d t (s t - 2 N(f))``, so the least such ``q`` is
+    ``d t max(0, s t - 2 N(f))``; returns the matrix ``q I``. When the drift
+    is already contractive enough the requirement is vacuous and ``q = 0``.
     """
     if m_f is None:
         m_f = model.known_M_f
@@ -274,60 +275,34 @@ def required_inflation(model, target_lambda, m_f=None, n_f=None, rel_tol=1e-6):
     target = (float(m_f) + float(target_lambda)) / s
     if target <= 0:
         return np.zeros((d, d))
-
-    def gap(q):
-        return inflation_mineig_bound(model, q * np.eye(d), n_f=n_f) - target
-
-    hi = 1.0
-    while gap(hi) < 0:
-        hi *= 2.0
-        if hi > 1e18:
-            raise NoCertificateError("no finite inflation reaches the contraction target",
-                                     hypothesis="inflation target")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi * np.eye(d)
+    if n_f is None:
+        n_f = model.known_N_f
+    if n_f is None:
+        raise ValueError("need N(f): pass n_f or attach known_N_f to the model")
+    return d * target * max(0.0, s * target - 2.0 * float(n_f)) * np.eye(d)
 
 
-def _velocity_box_sup_mu(a1, a2, s, p11_lo, p11_up, c12, g_lo, g_hi, grid):
+def _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, g_lo):
     """sup of mu(J - P S) over the admissible (P11, P12, g') box.
 
-    Uses the closed-form largest eigenvalue of the symmetrized 2x2 matrix
-    [[a1 - s P11, (a2 - s P12)/2], [., -g']] on a dense grid, then sharpens
-    the incumbent with one deterministic pattern-search pass.
+    The largest eigenvalue of the symmetrized matrix ``[[A, B], [B, C]]``
+    with ``A = a1 - s P11``, ``B = (a2 - s P12)/2``, ``C = -g'`` is
+    ``(A + C)/2 + sqrt(((A - C)/2)^2 + B^2)``: nondecreasing in ``A`` and in
+    ``C``, and a function of ``B^2``. So the supremum takes ``P11 = p11_lo``,
+    ``g' = g_lo`` and the end of ``P12 in [0, c12]`` farther from
+    ``a2 / s``, whatever the upper ends of the other two intervals are.
     """
-    P11 = np.linspace(p11_lo, p11_up, grid)[:, None, None]
-    P12 = np.linspace(0.0, c12, grid)[None, :, None]
-    G = np.linspace(g_lo, g_hi, grid)[None, None, :]
-    A = a1 - s * P11
-    B = 0.5 * (a2 - s * P12)
-    C = -G
-    vals = 0.5 * (A + C) + np.sqrt((0.5 * (A - C)) ** 2 + B**2)
-    flat = int(np.argmax(vals))
-    i, j, k = np.unravel_index(flat, vals.shape)
-    x0 = np.array([
-        np.linspace(p11_lo, p11_up, grid)[i],
-        np.linspace(0.0, c12, grid)[j],
-        np.linspace(g_lo, g_hi, grid)[k],
-    ])
-
-    def objective(p):
-        a = a1 - s * p[0]
-        b = 0.5 * (a2 - s * p[1])
-        c = -p[2]
-        return 0.5 * (a + c) + math.sqrt((0.5 * (a - c)) ** 2 + b * b)
-
-    best, _ = pattern_search(objective, x0, [p11_lo, 0.0, g_lo], [p11_up, c12, g_hi], steps=50)
-    return max(best, float(vals.max()))
+    a = a1 - s * p11_lo
+    b = 0.5 * max(a2, s * c12 - a2)
+    c = -g_lo
+    return 0.5 * (a + c) + math.sqrt((0.5 * (a - c)) ** 2 + b * b)
 
 
-def integrated_velocity_certificate(model, config=None, kind="ekf", grid=200,
-                                    lambda12_grid=200, Q_tuned=None):
+# Number of cross-term rates lambda_12 the velocity certificate tries.
+_LAMBDA12_SWEEP = 200
+
+
+def integrated_velocity_certificate(model, config=None, kind="ekf", Q_tuned=None):
     """Certificate for the integrated-velocity model via element-wise bounds.
 
     Derivation: the hidden-component variance satisfies a linear comparison
@@ -335,17 +310,18 @@ def integrated_velocity_certificate(model, config=None, kind="ekf", grid=200,
     cross-term contraction rate ``lambda_12`` the cross covariance is
     bounded by ``C12 = a2 C22 / lambda_12`` and the measured-component
     variance by a closed interval. The certified rate is the negative
-    supremum of ``mu(J - P S)`` over that box (dense grid plus one local
-    refinement pass). ``lambda_12`` is swept over its admissible range and
-    the sweep keeps the smallest value attaining the maximal rate, which is
-    the most conservative cross-term hypothesis.
+    supremum of ``mu(J - P S)`` over that box, which is attained at a corner
+    and computed in closed form (:func:`_velocity_box_sup_mu`).
+    ``lambda_12`` is swept over its admissible range and the sweep keeps the
+    smallest value attaining the maximal rate, which is the most
+    conservative cross-term hypothesis.
 
     The symmetric part of ``J - P S`` has ``-g'`` on its diagonal, so
     ``mu(J - P S) >= -g'`` at every point and the rate never exceeds
     ``inf g' = lg``. When ``s C12 <= 2 a2`` (``s = h^2 / r``) the supremum
     sits at the corner ``P11 = p11_lo``, ``P12 = 0``, ``g' = lg``, and the
     rate equals ``(sigma + lg)/2 - sqrt(((sigma - lg)/2)^2 + a2^2/4)`` with
-    ``sigma = sqrt(s q1 + a1^2)``.
+    ``sigma = sqrt(s q1 + a1^2)``; otherwise the corner has ``P12 = C12``.
 
     All constants are limiting values: the certificate is flagged
     asymptotic, with settle time set by the explicit exponential rates
@@ -355,7 +331,7 @@ def integrated_velocity_certificate(model, config=None, kind="ekf", grid=200,
         raise ValueError("this certificate is specific to the integrated-velocity model")
     p = model.params
     a1, a2, h, r = p["a1"], p["a2"], p["h"], p["r"]
-    lg, g_hi = p["lg"], p["sup_gprime"]
+    lg = p["lg"]
     if lg <= 0:
         raise NoCertificateError("the hidden-component slope must be bounded below by a positive constant",
                                  hypothesis="hidden-component monotonicity")
@@ -371,31 +347,23 @@ def integrated_velocity_certificate(model, config=None, kind="ekf", grid=200,
     c22 = q2_t / (2.0 * lg)
     p11_lo = (a1 + math.sqrt(s * q1_t + a1 * a1)) / s
     lam12_hi = lg + math.sqrt(s * q1_t + a1 * a1)
-    lam12_values = np.linspace(lam12_hi / (lambda12_grid + 1),
-                               lam12_hi * lambda12_grid / (lambda12_grid + 1),
-                               lambda12_grid)
+    n = _LAMBDA12_SWEEP
+    lam12_values = np.linspace(lam12_hi / (n + 1), lam12_hi * n / (n + 1), n)
 
-    def box_for(lam12):
-        c12 = a2 * c22 / lam12
-        p11_up = (a1 + math.sqrt(s * (q1_t + 2.0 * a2 * c12) + a1 * a1)) / s
-        return c12, p11_up
-
-    # Sweep on a coarse box grid; the final rate is recomputed on the full grid.
-    best_lam, best_lam12 = -np.inf, None
+    lam, best_lam12 = -np.inf, None
     for lam12 in lam12_values:
-        c12, p11_up = box_for(lam12)
-        sup_mu = _velocity_box_sup_mu(a1, a2, s, p11_lo, p11_up, c12, lg, g_hi, grid=32)
-        lam = -sup_mu
-        if lam > best_lam + 1e-9:
-            best_lam, best_lam12 = lam, lam12
-    c12, p11_up = box_for(best_lam12)
-    lam = -_velocity_box_sup_mu(a1, a2, s, p11_lo, p11_up, c12, lg, g_hi, grid=grid)
+        c12 = a2 * c22 / lam12
+        rate = -_velocity_box_sup_mu(a1, a2, s, p11_lo, c12, lg)
+        if rate > lam + 1e-9:
+            lam, best_lam12 = rate, lam12
     if lam <= 0:
         raise NoCertificateError(
             "no positive contraction rate over the covariance box; "
             "consider inflating the measured-component noise",
             hypothesis="contraction rate",
         )
+    c12 = a2 * c22 / best_lam12
+    p11_up = (a1 + math.sqrt(s * (q1_t + 2.0 * a2 * c12) + a1 * a1)) / s
     lambda_P = p11_up + c22
 
     M_f, N_f = velocity_log_lipschitz(model)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from kbstab import (
 from kbstab.errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from kbstab.filters import _kb_step_batch
 from kbstab.models import simulate_paths
-from kbstab.stability import DiscreteCertificate
+from kbstab.stability import DiscreteCertificate, _velocity_box_sup_mu
 
 
 class TestBeta:
@@ -179,7 +181,32 @@ class TestInflation:
                                mu0=np.zeros(1), Sigma0=np.eye(1))
         model.known_M_f, model.known_N_f = 1.0, 0.0
         q = required_inflation(model, target_lambda=1.0)
-        assert q[0, 0] == pytest.approx(4.0, rel=1e-5)
+        assert q[0, 0] == pytest.approx(4.0, rel=1e-12)
+
+    def test_required_inflation_expanding_drift_vacuous(self):
+        # M = N = 1, s = 1: the floor (sqrt(q + 1) + 1) never drops below 2,
+        # above the target 1.5 at every q, so no inflation is needed
+        model = builtin_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1))
+        q = required_inflation(model, target_lambda=0.5)
+        assert np.all(q == 0.0)
+
+    def test_required_inflation_meets_target_exactly(self, rng):
+        signs = {"stable": 0, "unstable": 0}
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            A = rng.normal(size=(d, d)) + rng.uniform(-2.0, 1.0) * np.eye(d)
+            h, r = rng.uniform(0.3, 2.0), rng.uniform(0.05, 2.0)
+            model = builtin_linear(A, Q=np.eye(d), H=h * np.eye(d), R=r * np.eye(d))
+            M, N, s = model.known_M_f, model.known_N_f, model.s_scalar()
+            signs["unstable" if M > 0 else "stable"] += 1
+            # keeps the target above the drift's own floor (s t > 2 N), so q > 0
+            target_lambda = 2.0 * max(N, 0.0) + max(M, 0.0) - M + rng.uniform(0.2, 2.0)
+            q = required_inflation(model, target_lambda)
+            assert q[0, 0] > 0.0
+            assert np.array_equal(q, q[0, 0] * np.eye(d))
+            target = (M + target_lambda) / s
+            assert inflation_mineig_bound(model, q) == pytest.approx(target, rel=1e-12)
+        assert min(signs.values()) >= 5
 
     def test_required_inflation_self_consistent(self):
         model = builtin_contractive3d()
@@ -210,6 +237,49 @@ class TestIntegratedVelocityCertificate:
             cert = integrated_velocity_certificate(model)
             assert p["h"] ** 2 / p["r"] * cert.details["C12"] <= 2.0 * p["a2"]
             assert cert.lam == pytest.approx(velocity_corner_rate(p), abs=1e-8)
+
+    def test_box_supremum_matches_eigvalsh_search(self, rng):
+        # independent oracle: the largest eigenvalue of the symmetric part of
+        # J - P S, searched over the box's 8 corners and seeded interior points
+        far_end = 0
+        for _ in range(60):
+            a1, a2 = rng.uniform(-1.0, 0.5), rng.uniform(0.05, 3.0)
+            q1, q2, h, r = rng.uniform(0.01, 1.0, size=4)
+            p = builtin_integrated_velocity(a1=a1, a2=a2, q1=q1, q2=q2, h=h, r=r).params
+            lg, g_hi = p["lg"], p["sup_gprime"]
+            s = h * h / r
+            c22 = q2 / (2.0 * lg)
+            p11_lo = (a1 + math.sqrt(s * q1 + a1 * a1)) / s
+            lam12_hi = lg + math.sqrt(s * q1 + a1 * a1)
+            for frac in (0.002, 0.02, rng.uniform(0.05, 1.0)):
+                c12 = a2 * c22 / (frac * lam12_hi)
+                p11_up = (a1 + math.sqrt(s * (q1 + 2.0 * a2 * c12) + a1 * a1)) / s
+                lo, hi = np.array([p11_lo, 0.0, lg]), np.array([p11_up, c12, g_hi])
+                corners = np.array(list(itertools.product(*zip(lo, hi))))
+                points = np.concatenate([corners, rng.uniform(lo, hi, size=(512, 3))])
+                P11, P12, G = points.T
+                sym = np.zeros((len(points), 2, 2))
+                sym[:, 0, 0] = a1 - s * P11
+                sym[:, 0, 1] = sym[:, 1, 0] = 0.5 * (a2 - s * P12)
+                sym[:, 1, 1] = -G
+                mu = np.linalg.eigvalsh(sym)[:, -1]
+                sup = _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, lg)
+                assert sup == pytest.approx(mu[:8].max(), rel=1e-12, abs=1e-12)
+                assert mu.max() <= sup + 1e-12
+                far_end += s * c12 > 2.0 * a2
+        # the P12 = C12 end is the maximum in a good share of the boxes
+        assert far_end >= 30
+
+    def test_certificate_allocates_little(self):
+        # the supremum is closed-form: no dense box grid may come back
+        model = builtin_integrated_velocity()
+        tracemalloc.start()
+        try:
+            integrated_velocity_certificate(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trace_bound_holds_on_simulation(self):
         model = builtin_integrated_velocity()
