@@ -1,10 +1,15 @@
 """Stability-certified nonlinear Kalman and Kalman-Bucy filtering.
 
-The package couples a generalized filter family (point-evaluation,
-assumed-density, and sigma-point variants over a common functional
-interface) with a priori stability certificates: time-uniform mean-square
-error bounds and exponential concentration thresholds, in continuous and
-discrete time, validated by seeded Monte Carlo experiments.
+The package couples a generalized filter family with a priori stability
+certificates: time-uniform mean-square error bounds and exponential
+concentration thresholds, in continuous and discrete time, validated by
+seeded Monte Carlo experiments.
+
+The filters share one functional interface with two kinds, point
+evaluation (``ekf``) and sigma-point expectations (``ukf``, ``gh``). The
+assumed-density filter ``adf`` is the sigma-point kind on a high-order
+Gauss-Hermite reference rule: by Stein's identity its Jacobian average is
+a sum of field values at the sigma points.
 """
 
 from ._version import __version__

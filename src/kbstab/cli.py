@@ -323,6 +323,11 @@ def cmd_validate(args):
     opts = _merged_options(args)
     preset = opts.pop("preset", None)
     seed = opts.pop("seed", 0)
+    if preset:
+        try:
+            preset_spec(preset)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     checks = validation_suite(seed=seed, preset=preset)
     report = {"checks": [c.to_dict() for c in checks], "all_pass": all(c.passed for c in checks)}
     print(json.dumps(report, indent=2, sort_keys=True))

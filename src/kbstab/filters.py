@@ -7,10 +7,10 @@ same explicit Euler step as the simulated paths,
     P' = P + [Lam(f) + Lam(f)^T + Q_tuned - P S P] dt,
 
 where the mean functional ``L`` and Riccati functional ``Lam`` select the
-filter variant. When both functionals use one rule, as the ``ukf``, ``gh``
-and ``adf`` configs of :func:`make_filter_config` do, both terms come from
-one square root of ``P`` and one evaluation of the field (for ``adf``, of
-the field and its Jacobian) at the shared sigma points.
+filter variant: both ``ekf``, or both on one sigma-point rule (unscented
+for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for ``adf``). A
+rule-based step takes both terms from one square root of ``P`` and one
+field evaluation at the shared points, with no Jacobian (Stein's identity).
 
 After every step the covariance is symmetrized and checked with a batched
 Cholesky factorization. Only a path whose symmetrized matrix is not
@@ -33,7 +33,6 @@ from .models import DiscreteModel
 from .functionals import (
     MeanFunctional,
     RiccatiFunctional,
-    _clamp_psd,
     eval_drift_batch,
     eval_mean_batch,
     eval_riccati_cont_batch,
@@ -43,7 +42,7 @@ from .functionals import (
     riccati_functional,
     shares_sigma_points,
 )
-from .quadrature import default_unscented_kappa, gauss_hermite_rule, unscented_rule
+from .quadrature import _clamp_psd, default_unscented_kappa, gauss_hermite_rule, unscented_rule
 
 FILTER_KINDS = ("ekf", "ukf", "adf", "gh")
 
@@ -52,7 +51,7 @@ _DEGENERATE_TRACE = 1e-14
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter variant plus tuning: functionals, tuned noise, and initial pair."""
+    """Filter variant plus tuning: functionals (both ``ekf`` or on one rule), tuned noise, initial pair."""
 
     mean_fn: MeanFunctional
     riccati_fn: RiccatiFunctional
@@ -69,10 +68,9 @@ class FilterConfig:
                 raise ValueError(f"{name} must be square")
             if np.linalg.eigvalsh(0.5 * (M + M.T))[0] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        ekf_mean = self.mean_fn.kind == "ekf"
-        ekf_ric = self.riccati_fn.kind == "ekf"
-        if ekf_mean != ekf_ric:
-            raise ValueError("mean and riccati functionals must both be ekf or both quadrature-based")
+        both_ekf = self.mean_fn.kind == self.riccati_fn.kind == "ekf"
+        if not (both_ekf or shares_sigma_points(self.mean_fn, self.riccati_fn)):
+            raise ValueError("mean and riccati functionals must both be ekf or share one sigma-point rule")
         object.__setattr__(self, "Q_tuned", 0.5 * (Q + Q.T))
         object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
         object.__setattr__(self, "x0_hat", x0)
@@ -89,19 +87,16 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
     d = model.dim_x
     time = "disc" if isinstance(model, DiscreteModel) else "cont"
     if kind == "ekf":
-        mean = mean_functional("ekf")
-        ric = riccati_functional("ekf", time)
-    elif kind == "adf":
-        rule = reference_rule(d)
-        mean = mean_functional("adf", rule=rule)
-        ric = riccati_functional("adf", time, rule=rule)
+        rule = None
+    elif kind == "ukf":
+        rule = unscented_rule(d, default_unscented_kappa(d) if kappa is None else kappa)
+    elif kind == "gh":
+        rule = gauss_hermite_rule(d, gh_order)
     else:
-        if kind == "ukf":
-            rule = unscented_rule(d, default_unscented_kappa(d) if kappa is None else kappa)
-        else:
-            rule = gauss_hermite_rule(d, gh_order)
-        mean = mean_functional("sigma", rule=rule)
-        ric = riccati_functional("sigma", time, rule=rule)
+        rule = reference_rule(d)
+    functional = "ekf" if rule is None else "sigma"
+    mean = mean_functional(functional, rule=rule)
+    ric = riccati_functional(functional, time, rule=rule)
     return FilterConfig(
         mean_fn=mean,
         riccati_fn=ric,
@@ -158,11 +153,11 @@ def _kb_step_batch(model, config, HtRinv, x, P, dY, dt):
     Cholesky factorization fails (see :func:`_clamp_psd_batch`).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if shares_sigma_points(config.mean_fn, config.riccati_fn):
-            mean, lam = eval_drift_batch(config.mean_fn, config.riccati_fn, model.f, x, P, jac=model.jac_f)
-        else:
+        if config.mean_fn.kind == "ekf":
             mean = eval_mean_batch(config.mean_fn, model.f, x, P)
             lam = eval_riccati_cont_batch(config.riccati_fn, model.f, x, P, jac=model.jac_f)
+        else:
+            mean, lam = eval_drift_batch(config.mean_fn, config.riccati_fn, model.f, x, P)
         K = P @ HtRinv
         innov = dY - (x @ model.H.T) * dt
         x_new = x + mean * dt + np.einsum("bij,bj->bi", K, innov)

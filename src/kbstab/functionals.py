@@ -2,15 +2,19 @@
 
 Every filter in this library is defined by a pair of parametrized linear
 functionals: a mean functional that produces the drift estimate and a
-Riccati functional that produces the covariance propagation term. Three
+Riccati functional that produces the covariance propagation term. Two
 families are provided:
 
 * ``ekf``: point evaluation ``g(x)`` and Jacobian-based propagation.
-* ``adf``: Gaussian expectations, realized numerically with a fixed
-  high-order Gauss-Hermite reference rule (exact Gaussian integrals are
-  rarely available in closed form).
-* ``sigma``: user-supplied sigma-point rule; the covariance term uses the
-  Gaussian integration-by-parts identity so only field values are needed.
+* ``sigma``: Gaussian expectations over a sigma-point rule. For
+  ``X ~ N(m, P)`` Stein's identity gives ``E[J_g(X)] P = E[g(X) (X - m)^T]``,
+  so the covariance term is computed from field values alone, at the same
+  points as the mean.
+
+The Gaussian assumed-density filter is the ``sigma`` family on the fixed
+high-order Gauss-Hermite rule of :func:`reference_rule`: exact Gaussian
+integrals are rarely available in closed form, and by Stein's identity its
+Jacobian average is the integral the sigma-point path already computes.
 
 All fields must be vectorized: ``g`` maps ``(..., d)`` to ``(..., d)`` and
 ``jac`` maps ``(..., d)`` to ``(..., d, d)``.
@@ -22,14 +26,20 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndefiniteMatrixError
-from .quadrature import CubatureRule, _sqrt_psd_stack, check_degree_two_exactness, gauss_hermite_rule
+from .quadrature import (
+    CubatureRule,
+    _clamp_psd,
+    _sqrt_psd_stack,
+    check_degree_two_exactness,
+    gauss_hermite_rule,
+)
 
-MEAN_KINDS = ("ekf", "adf", "sigma")
+MEAN_KINDS = ("ekf", "sigma")
 TIME_KINDS = ("cont", "disc")
 
 
 def reference_rule(dim):
-    """High-order Gauss-Hermite rule backing the assumed-density variants."""
+    """High-order Gauss-Hermite rule of the assumed-density (``adf``) filter."""
     if dim <= 3:
         order = 10
     elif dim <= 5:
@@ -39,32 +49,30 @@ def reference_rule(dim):
     return gauss_hermite_rule(dim, order)
 
 
-def _validate_rule(rule):
-    report = check_degree_two_exactness(rule, tol=1e-8)
-    if not report.passed:
-        raise ValueError("rule fails the degree-two exactness check")
-    if rule.has_negative_weights:
-        raise ValueError("rules with negative weights are not admissible here")
-    return rule
+def _check_functional(role, kind, rule):
+    """An ``ekf`` functional takes no rule; a ``sigma`` one needs an admissible rule."""
+    if kind not in MEAN_KINDS:
+        raise ValueError(f"unknown {role} functional kind {kind!r}")
+    if kind == "ekf" and rule is not None:
+        raise ValueError("ekf functional takes no rule")
+    if kind != "ekf" and rule is None:
+        raise ValueError("sigma functional requires a rule")
+    if rule is not None:
+        if not check_degree_two_exactness(rule, tol=1e-8).passed:
+            raise ValueError("rule fails the degree-two exactness check")
+        if rule.has_negative_weights:
+            raise ValueError("rules with negative weights are not admissible here")
 
 
 @dataclass(frozen=True)
 class MeanFunctional:
-    """Drift-estimate functional; ``kind`` is one of ``ekf``, ``adf``, ``sigma``."""
+    """Drift-estimate functional; ``kind`` is ``ekf`` or ``sigma``."""
 
     kind: str
     rule: Optional[CubatureRule] = None
 
     def __post_init__(self):
-        if self.kind not in MEAN_KINDS:
-            raise ValueError(f"unknown mean functional kind {self.kind!r}")
-        if self.kind == "ekf":
-            if self.rule is not None:
-                raise ValueError("ekf functional takes no rule")
-        else:
-            if self.rule is None:
-                raise ValueError(f"{self.kind} functional requires a rule")
-            _validate_rule(self.rule)
+        _check_functional("mean", self.kind, self.rule)
 
 
 @dataclass(frozen=True)
@@ -76,35 +84,19 @@ class RiccatiFunctional:
     rule: Optional[CubatureRule] = None
 
     def __post_init__(self):
-        if self.kind not in MEAN_KINDS:
-            raise ValueError(f"unknown riccati functional kind {self.kind!r}")
+        _check_functional("riccati", self.kind, self.rule)
         if self.time not in TIME_KINDS:
             raise ValueError("time must be 'cont' or 'disc'")
-        if self.kind == "ekf":
-            if self.rule is not None:
-                raise ValueError("ekf functional takes no rule")
-        else:
-            if self.rule is None:
-                raise ValueError(f"{self.kind} functional requires a rule")
-            _validate_rule(self.rule)
 
 
-def mean_functional(kind, dim=None, rule=None):
-    """Build a :class:`MeanFunctional`; ``adf`` resolves its reference rule from ``dim``."""
-    if kind == "adf" and rule is None:
-        if dim is None:
-            raise ValueError("adf functional needs dim to build its reference rule")
-        rule = reference_rule(dim)
-    return MeanFunctional(kind=kind, rule=None if kind == "ekf" else rule)
+def mean_functional(kind, rule=None):
+    """Build a :class:`MeanFunctional`; ``sigma`` needs a rule, ``ekf`` takes none."""
+    return MeanFunctional(kind=kind, rule=rule)
 
 
-def riccati_functional(kind, time, dim=None, rule=None):
+def riccati_functional(kind, time, rule=None):
     """Build a :class:`RiccatiFunctional` analogous to :func:`mean_functional`."""
-    if kind == "adf" and rule is None:
-        if dim is None:
-            raise ValueError("adf functional needs dim to build its reference rule")
-        rule = reference_rule(dim)
-    return RiccatiFunctional(kind=kind, time=time, rule=None if kind == "ekf" else rule)
+    return RiccatiFunctional(kind=kind, time=time, rule=rule)
 
 
 def _as_batch(x, P):
@@ -135,17 +127,8 @@ def _field_at(g, pts):
     return vals
 
 
-def _jacobian_term(rule, jac, pts, P):
-    """``adf`` Riccati term: the rule average of the Jacobian at ``pts``, times ``P``."""
-    if jac is None:
-        raise ValueError("adf riccati functional requires the Jacobian")
-    J = np.asarray(jac(pts), dtype=float)
-    B, n, d = pts.shape
-    return (rule.weights @ J.reshape(B, n, d * d)).reshape(B, d, d) @ P
-
-
 def _stein_term(rule, vals, sqrtP):
-    """``sigma`` Riccati term in Stein form, ``vals^T (w xi) sqrt(P)``."""
+    """Riccati term in Stein form, ``vals^T (w xi) sqrt(P)``, the rule's ``E[J_g(X)] P``."""
     return np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ sqrtP
 
 
@@ -175,29 +158,25 @@ def eval_riccati_cont_batch(F, g, x, P, jac=None):
             raise ValueError("ekf riccati functional requires the Jacobian")
         return np.asarray(jac(x), dtype=float) @ P
     pts, sqrtP = _sigma_points(F.rule, x, P)
-    if F.kind == "adf":
-        return _jacobian_term(F.rule, jac, pts, P)
     return _stein_term(F.rule, _field_at(g, pts), sqrtP)
 
 
-def eval_drift_batch(mean_fn, riccati_fn, g, x, P, jac=None):
+def eval_drift_batch(mean_fn, riccati_fn, g, x, P):
     """Mean and continuous Riccati functionals from one set of sigma points.
 
     Equal to ``eval_mean_batch(mean_fn, ...)`` and
     ``eval_riccati_cont_batch(riccati_fn, ...)`` up to rounding, at the cost
     of one square root of ``P`` and one field evaluation: both functionals
-    must be rule-based and share one rule. Returns ``(mean, lam)``.
+    must be rule-based and share one rule. No Jacobian is needed, for the
+    ``adf`` reference rule either, because the Riccati term is the rule's
+    Stein form of ``E[J_g(X)] P``. Returns ``(mean, lam)``.
     """
     if not shares_sigma_points(mean_fn, riccati_fn):
         raise ValueError("mean and riccati functionals do not share a sigma-point rule")
     rule = riccati_fn.rule
     pts, sqrtP = _sigma_points(rule, x, P)
     vals = _field_at(g, pts)
-    mean = rule.weights @ vals
-    if riccati_fn.kind == "adf":
-        del vals  # released before the d times larger Jacobian stack is built
-        return mean, _jacobian_term(rule, jac, pts, P)
-    return mean, _stein_term(rule, vals, sqrtP)
+    return rule.weights @ vals, _stein_term(rule, vals, sqrtP)
 
 
 def shares_sigma_points(mean_fn, riccati_fn):
@@ -211,25 +190,17 @@ def shares_sigma_points(mean_fn, riccati_fn):
 def eval_riccati_cont(F, g, x, P, jac=None):
     """Continuous-time Riccati functional.
 
-    ``ekf`` returns ``J_g(x) P``, ``adf`` the rule average of the Jacobian
-    times ``P``, and ``sigma`` the integration-by-parts form
-    ``sum_i w_i g(x + sqrt(P) xi_i) xi_i^T sqrt(P)``. All coincide with
-    ``A P`` for affine ``g(z) = A z + b``.
+    ``ekf`` returns ``J_g(x) P`` and ``sigma`` the Stein form
+    ``sum_i w_i g(x + sqrt(P) xi_i) xi_i^T sqrt(P)``, which by Stein's
+    identity is the rule's estimate of ``E[J_g(X)] P`` for ``X ~ N(x, P)``:
+    on the ``adf`` reference rule it replaces a Jacobian average over the
+    same points. Both coincide with ``A P`` for affine ``g(z) = A z + b``.
     """
     if F.time != "cont":
         raise ValueError("functional is not a continuous-time variant")
     x, P, single = _as_batch(x, P)
     out = eval_riccati_cont_batch(F, g, x, P, jac=jac)
     return out[0] if single else out
-
-
-def _clamp_psd(M):
-    """Symmetrize and set negative eigenvalues to zero."""
-    sym = 0.5 * (M + np.swapaxes(M, -1, -2))
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def eval_riccati_disc_batch(F, g, x, P, jac=None):

@@ -1,4 +1,4 @@
-"""Unit sigma-point rules, Gauss-Hermite tensor rules, and matrix square roots.
+"""Unit sigma-point rules, Gauss-Hermite tensor rules, and the PSD root and clamp.
 
 A cubature rule here is a set of unit sigma-points and weights approximating
 expectations against a standard Gaussian. The rules constructed by this
@@ -93,12 +93,21 @@ def gauss_hermite_rule(dim, order):
     return CubatureRule(dim=dim, points=points.reshape(-1, dim), weights=w)
 
 
-def _sqrt_psd_stack(P, floor=0.0):
-    """Symmetric square root of stacked PSD matrices, clamping eigenvalues."""
+def _sqrt_psd_stack(P):
+    """Symmetric square root of stacked PSD matrices, clamping eigenvalues at zero."""
     vals, vecs = np.linalg.eigh(P)
-    root = np.sqrt(np.clip(vals, floor, None))
+    root = np.sqrt(np.clip(vals, 0.0, None))
     S = (vecs * root[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     return 0.5 * (S + np.swapaxes(S, -1, -2))
+
+
+def _clamp_psd(M):
+    """Symmetrize stacked matrices and set their negative eigenvalues to zero."""
+    sym = 0.5 * (M + np.swapaxes(M, -1, -2))
+    vals, vecs = np.linalg.eigh(sym)
+    vals = np.clip(vals, 0.0, None)
+    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def matrix_sqrt(P, sym_tol=1e-10, eig_floor=-1e-10):

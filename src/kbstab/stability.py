@@ -235,8 +235,11 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
     For fully observed models, inflating the tuned noise floor pushes the
     smallest eigenvalue of the filter covariance up towards
 
-        (lambda_min(Q~)/d) / (sqrt(lambda_min(Q~) lambda_max(S)/d + N(f)^2) - N(f)).
+        (q/d) / (sqrt(q s/d + N(f)^2) - N(f)) = (sqrt(q s/d + N(f)^2) + N(f)) / s,
 
+    ``q = lambda_min(Q~)``, ``s = lambda_max(S)``; the second form is used
+    when ``N(f) > 0``, where the first cancels. If ``s = 0`` and
+    ``N(f) >= 0`` the floor is unbounded and :class:`ValueError` is raised.
     This is the long-run limit; transient terms with model-dependent
     prefactors are dropped, so treat the value as asymptotic.
     """
@@ -251,7 +254,12 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
         raise ValueError("Q_tuned must be positive definite")
     d = model.dim_x
     s_max = float(np.linalg.eigvalsh(model.S)[-1])
-    return (q_min / d) / (math.sqrt(q_min * s_max / d + n_f**2) - n_f)
+    if s_max <= 0 and n_f >= 0:
+        raise ValueError("the eigenvalue floor is unbounded: S = 0 (no observation) and N(f) >= 0")
+    root = math.sqrt(q_min * s_max / d + n_f**2)
+    if n_f > 0:
+        return (root + n_f) / s_max
+    return (q_min / d) / (root - n_f)
 
 
 def required_inflation(model, target_lambda, m_f=None, n_f=None):

@@ -124,6 +124,20 @@ class TestValidate:
         assert "concentration[fig1,ukf]" in names
         assert all(c.passed for c in checks if c.name.startswith("concentration"))
 
+    def test_unknown_preset_is_config_error(self, capsys, monkeypatch, tmp_path):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "validation_suite", lambda **kw: ran.append(kw) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig9"}))
+        for argv in (["validate", "--preset", "paper"], ["validate", "--config", str(cfg)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error:")
+            assert captured.out == ""
+        assert ran == []
+
     def test_exit_codes(self, capsys, monkeypatch):
         import kbstab.cli as cli
 

@@ -16,8 +16,9 @@ from kbstab import (
 )
 from kbstab.errors import DegenerateCovarianceError
 from kbstab.filters import FilterConfig, _clamp_psd_batch, run_continuous_ensemble
-from kbstab.functionals import _clamp_psd, mean_functional, riccati_functional
+from kbstab.functionals import mean_functional, reference_rule, riccati_functional
 from kbstab.models import SimulatedPath, simulate_paths
+from kbstab.quadrature import _clamp_psd, gauss_hermite_rule, unscented_rule
 
 
 def scalar_model(a=-1.0, q=1.0, h=1.0, r=1.0):
@@ -177,7 +178,7 @@ def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7):
 
 
 class TestGrouping:
-    @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh"])
+    @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh", "adf"])
     def test_ensemble_independent_of_grouping(self, kind):
         model, times, states, incr = fig1_like_paths(6, horizon=1.0, dt=0.02)
         config = make_filter_config(kind, model)
@@ -198,13 +199,14 @@ class TestGrouping:
 
 
 class TestStepCost:
-    """Decompositions and field evaluations made by the batched filter step."""
+    """Decompositions, field and Jacobian evaluations made by the batched filter step."""
 
     def run_counted(self, kind, monkeypatch, n_paths=40, steps=100):
         model, _, states, incr = fig1_like_paths(n_paths, horizon=steps * 0.01)
-        calls = {"eigh": 0, "field": 0}
+        calls = {"eigh": 0, "field": 0, "jac": 0}
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
         model.f = counting(model.f, calls, "field")
+        model.jac_f = counting(model.jac_f, calls, "jac")
         config = make_filter_config(kind, model)
         run = run_continuous_ensemble(model, config, states, incr, 0.01)
         assert np.all(run.diverged < 0)
@@ -214,19 +216,27 @@ class TestStepCost:
         calls, steps = self.run_counted("ekf", monkeypatch)
         assert calls["eigh"] == 0
         assert calls["field"] == steps
+        assert calls["jac"] == steps
 
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch):
         calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
         assert calls["eigh"] == steps
         assert calls["field"] == steps
+        assert calls["jac"] == 0
 
 
 class TestFilterConfig:
     def test_mixed_variants_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig(mean_fn=mean_functional("ekf"),
-                         riccati_fn=riccati_functional("adf", "cont", dim=2),
+                         riccati_fn=riccati_functional("sigma", "cont", rule=reference_rule(2)),
+                         Q_tuned=np.eye(2), x0_hat=np.zeros(2), P0=np.eye(2))
+
+    def test_different_rules_rejected(self):
+        with pytest.raises(ValueError):
+            FilterConfig(mean_fn=mean_functional("sigma", rule=unscented_rule(2)),
+                         riccati_fn=riccati_functional("sigma", "cont", rule=gauss_hermite_rule(2, 3)),
                          Q_tuned=np.eye(2), x0_hat=np.zeros(2), P0=np.eye(2))
 
     def test_indefinite_tuning_rejected(self):

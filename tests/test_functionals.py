@@ -14,7 +14,13 @@ from kbstab import (
 )
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.filters import make_filter_config
-from kbstab.functionals import eval_drift_batch, eval_mean_batch, eval_riccati_cont_batch, shares_sigma_points
+from kbstab.functionals import (
+    eval_drift_batch,
+    eval_mean_batch,
+    eval_riccati_cont_batch,
+    reference_rule,
+    shares_sigma_points,
+)
 from kbstab.models import builtin_contractive3d, builtin_integrated_velocity
 from kbstab.matrix_measures import spectral_norm
 
@@ -29,10 +35,18 @@ def affine_field(A, b):
     return f
 
 
+def jacobian_average(jac, rule, x, P):
+    """Oracle ``sum_i w_i J(x + sqrt(P) xi_i) P``: the rule's estimate of ``E[J(X)] P``."""
+    vals, vecs = np.linalg.eigh(P)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    J = np.asarray(jac(x + rule.points @ root), dtype=float)
+    return np.einsum("p,pij->ij", rule.weights, J) @ P
+
+
 def all_mean_variants(dim):
     return [
         mean_functional("ekf"),
-        mean_functional("adf", dim=dim),
+        mean_functional("sigma", rule=reference_rule(dim)),
         mean_functional("sigma", rule=unscented_rule(dim)),
         mean_functional("sigma", rule=gauss_hermite_rule(dim, 3)),
     ]
@@ -52,7 +66,7 @@ class TestEvalMean:
                 assert np.allclose(eval_mean(F, g, x, P), A @ x + b, atol=1e-9)
 
     def test_scalar_square_under_adf(self):
-        F = mean_functional("adf", dim=1)
+        F = mean_functional("sigma", rule=reference_rule(1))
 
         def g(z):
             return z**2
@@ -127,9 +141,8 @@ class TestRiccatiContinuous:
         G = rng.standard_normal((d, d))
         P = G @ G.T
         x = rng.standard_normal(d)
-        for kind in ("ekf", "adf", "sigma"):
-            F = riccati_functional(kind, "cont", dim=d,
-                                   rule=None if kind != "sigma" else unscented_rule(d))
+        for kind, rule in (("ekf", None), ("sigma", reference_rule(d)), ("sigma", unscented_rule(d))):
+            F = riccati_functional(kind, "cont", rule=rule)
             out = eval_riccati_cont(F, g, x, P, jac=jac)
             assert np.abs(out - A @ P).max() <= 1e-8
 
@@ -141,17 +154,37 @@ class TestRiccatiContinuous:
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_sigma_vs_adf_cross_oracle(self, rng):
-        # measured cross-rule gap on this drift peaks near 0.06 at unit scale
+        # measured gap of the unscented Stein term to the GH10 Jacobian
+        # average on this drift peaks near 0.06 at unit scale
         model = builtin_contractive3d()
         sig = riccati_functional("sigma", "cont", rule=unscented_rule(3))
-        adf = riccati_functional("adf", "cont", dim=3)
         for _ in range(5):
             x = rng.uniform(-1, 1, 3)
             G = 0.5 * rng.standard_normal((3, 3))
             P = G @ G.T + 0.05 * np.eye(3)
             a = eval_riccati_cont(sig, model.f, x, P)
-            b = eval_riccati_cont(adf, model.f, x, P, jac=model.jac_f)
+            b = jacobian_average(model.jac_f, gauss_hermite_rule(3, 10), x, P)
             assert np.abs(a - b).max() <= 0.08
+
+    def test_adf_matches_high_order_jacobian_average(self, rng):
+        # Stein's identity E[J(X)] P = E[f(X) (X - m)^T]: the adf Riccati term
+        # on its GH10 rule tracks a GH16 Jacobian average at tr P = 1, with x
+        # from the assumption checks' default box, and no worse than the
+        # GH10 Jacobian average it replaces
+        model = builtin_contractive3d()
+        adf = make_filter_config("adf", model).riccati_fn
+        ref, oracle_rule = gauss_hermite_rule(3, 10), gauss_hermite_rule(3, 16)
+        stein_err, jac_err = 0.0, 0.0
+        for _ in range(200):
+            x = rng.uniform(-5, 5, 3)
+            G = rng.standard_normal((3, 3))
+            P = G @ G.T
+            P /= np.trace(P)
+            oracle = jacobian_average(model.jac_f, oracle_rule, x, P)
+            stein_err = max(stein_err, np.abs(eval_riccati_cont(adf, model.f, x, P) - oracle).max())
+            jac_err = max(jac_err, np.abs(jacobian_average(model.jac_f, ref, x, P) - oracle).max())
+        assert stein_err <= 2e-3
+        assert stein_err <= jac_err
 
     def test_variant_mismatch_rejected(self):
         F = riccati_functional("ekf", "disc")
@@ -167,23 +200,20 @@ def random_psd_batch(rng, B, d):
     return P * np.exp(rng.uniform(np.log(1e-3), np.log(3.0), B))[:, None, None]
 
 
-def reference_drift(F_mean, F_ric, g, jac, x, P):
+def reference_drift(F_mean, F_ric, g, x, P):
     """Path-by-path loop over the sigma points, rooting P by eigendecomposition."""
     w, xi = F_mean.rule.weights, F_ric.rule.points
     means, lams = [], []
     for xb, Pb in zip(x, P):
         vals, vecs = np.linalg.eigh(Pb)
         root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-        mean, cross, jbar = np.zeros(len(xb)), np.zeros_like(Pb), np.zeros_like(Pb)
+        mean, cross = np.zeros(len(xb)), np.zeros_like(Pb)
         for wi, xii in zip(w, xi):
-            z = xb + root @ xii
-            gz = g(z)
+            gz = g(xb + root @ xii)
             mean += wi * gz
             cross += wi * np.outer(gz, xii)
-            if F_ric.kind == "adf":
-                jbar += wi * jac(z)
         means.append(mean)
-        lams.append(jbar @ Pb if F_ric.kind == "adf" else cross @ root)
+        lams.append(cross @ root)
     return np.array(means), np.array(lams)
 
 
@@ -196,10 +226,10 @@ class TestSharedDriftEvaluation:
         assert shares_sigma_points(Fm, Fr)
         x = rng.uniform(-2.0, 2.0, (12, 3))
         P = random_psd_batch(rng, 12, 3)
-        mean, lam = eval_drift_batch(Fm, Fr, model.f, x, P, jac=model.jac_f)
+        mean, lam = eval_drift_batch(Fm, Fr, model.f, x, P)
         assert np.abs(mean - eval_mean_batch(Fm, model.f, x, P)).max() <= 1e-12
-        assert np.abs(lam - eval_riccati_cont_batch(Fr, model.f, x, P, jac=model.jac_f)).max() <= 1e-12
-        ref_mean, ref_lam = reference_drift(Fm, Fr, model.f, model.jac_f, x, P)
+        assert np.abs(lam - eval_riccati_cont_batch(Fr, model.f, x, P)).max() <= 1e-12
+        ref_mean, ref_lam = reference_drift(Fm, Fr, model.f, x, P)
         assert np.abs(mean - ref_mean).max() <= 1e-12
         assert np.abs(lam - ref_lam).max() <= 1e-12
 
@@ -211,7 +241,7 @@ class TestSharedDriftEvaluation:
         x, P = np.zeros((1, 3)), np.eye(3)[None]
         for pair in ((ekf.mean_fn, ekf.riccati_fn), (Fm, Fr)):
             with pytest.raises(ValueError):
-                eval_drift_batch(*pair, model.f, x, P, jac=model.jac_f)
+                eval_drift_batch(*pair, model.f, x, P)
 
 
 class TestRiccatiDiscrete:
@@ -226,9 +256,8 @@ class TestRiccatiDiscrete:
         G = rng.standard_normal((d, d))
         P = G @ G.T
         x = rng.standard_normal(d)
-        for kind in ("ekf", "adf", "sigma"):
-            F = riccati_functional(kind, "disc", dim=d,
-                                   rule=None if kind != "sigma" else unscented_rule(d))
+        for kind, rule in (("ekf", None), ("sigma", reference_rule(d)), ("sigma", unscented_rule(d))):
+            F = riccati_functional(kind, "disc", rule=rule)
             out = eval_riccati_disc(F, g, x, P, jac=jac)
             assert np.abs(out - A @ P @ A.T).max() <= 1e-8
 

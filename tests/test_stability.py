@@ -170,6 +170,22 @@ class TestInflation:
         min_eig = np.linalg.eigvalsh(P)[:, 0].min()
         assert floor <= min_eig + 1e-9
 
+    @pytest.mark.parametrize("q", [1e-10, 1e-14, 1e-17])
+    def test_expanding_drift_floor_without_cancellation(self, q):
+        # N = s = d = 1: the floor is 1 + sqrt(1 + q), also where q is far
+        # below the roundoff of N^2
+        model = builtin_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1))
+        floor = inflation_mineig_bound(model, q * np.eye(1))
+        assert floor == pytest.approx(1.0 + math.sqrt(1.0 + q), rel=1e-15)
+
+    def test_unobserved_expanding_drift_rejected(self):
+        for a in (0.0, 1.0):
+            model = builtin_linear(a * np.eye(1), Q=np.eye(1), H=np.zeros((1, 1)), R=np.eye(1))
+            with pytest.raises(ValueError, match="unbounded"):
+                inflation_mineig_bound(model, np.eye(1))
+        contracting = builtin_linear(-np.eye(1), Q=np.eye(1), H=np.zeros((1, 1)), R=np.eye(1))
+        assert inflation_mineig_bound(contracting, 4.0 * np.eye(1)) == pytest.approx(2.0, rel=1e-15)
+
     def test_required_inflation_vacuous(self):
         model = builtin_contractive3d()
         q = required_inflation(model, target_lambda=0.1)
