@@ -334,18 +334,24 @@ def cmd_validate(args):
     return 0 if report["all_pass"] else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="kbstab", description=__doc__)
+    parser = _Parser(prog="kbstab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kbstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, presets=("fig1", "fig2")):
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--model", help="model name: contractive3d | integrated_velocity | linear")
         p.add_argument("--filter", action="append", choices=("ekf", "ukf", "adf", "gh"),
                        help="filter kind (repeatable)")
-        p.add_argument("--preset", choices=("fig1", "fig2", "paper"),
-                       help="pinned benchmark preset")
+        p.add_argument("--preset", choices=presets, help="pinned benchmark preset")
         p.add_argument("--trajectories", type=int)
         p.add_argument("--dt", type=float)
         p.add_argument("--horizon", type=float)
@@ -354,7 +360,7 @@ def build_parser():
         p.add_argument("--out", help="output directory")
 
     p_cert = sub.add_parser("certify", help="construct and print a stability certificate")
-    add_common(p_cert)
+    add_common(p_cert, presets=("fig1", "fig2", "paper"))
     p_cert.set_defaults(func=cmd_certify)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment and export results")
@@ -368,9 +374,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

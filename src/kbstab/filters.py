@@ -8,9 +8,10 @@ same explicit Euler step as the simulated paths,
 
 where the mean functional ``L`` and Riccati functional ``Lam`` select the
 filter variant: both ``ekf``, or both on one sigma-point rule (unscented
-for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for ``adf``). A
-rule-based step takes both terms from one square root of ``P`` and one
-field evaluation at the shared points, with no Jacobian (Stein's identity).
+for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for ``adf``). The
+discrete filter predicts ``(L(f), Lam(f) + Q_tuned)`` and then updates.
+A rule-based step takes both terms from one square root of ``P`` and one
+field evaluation at the shared points, with no Jacobian.
 
 After every step the covariance is symmetrized and checked with a batched
 Cholesky factorization. Only a path whose symmetrized matrix is not
@@ -19,9 +20,9 @@ eigenvalues clamped at zero. The guard is a floating-point safeguard the
 exact-arithmetic theory does not need; on well-posed runs it never fires,
 and the step then makes no eigendecomposition for it.
 
-All stepping code is written over a leading batch axis; single-path entry
-points wrap a batch of one, so ensemble runs are arithmetically identical
-to path-by-path runs regardless of how paths are grouped.
+One batched step serves both time models and one loop runs it; ensemble,
+single-path (a batch of one with a recorder) and one-step entry points
+wrap them, so results do not depend on how paths are grouped.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError, DivergenceError
-from .models import DiscreteModel
 from .functionals import (
     MeanFunctional,
     RiccatiFunctional,
@@ -85,7 +85,6 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r} (choose from {FILTER_KINDS})")
     d = model.dim_x
-    time = "disc" if isinstance(model, DiscreteModel) else "cont"
     if kind == "ekf":
         rule = None
     elif kind == "ukf":
@@ -96,7 +95,7 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
         rule = reference_rule(d)
     functional = "ekf" if rule is None else "sigma"
     mean = mean_functional(functional, rule=rule)
-    ric = riccati_functional(functional, time, rule=rule)
+    ric = riccati_functional(functional, model.time, rule=rule)
     return FilterConfig(
         mean_fn=mean,
         riccati_fn=ric,
@@ -143,33 +142,59 @@ def _clamp_psd_batch(P):
     return sym
 
 
-def _kb_step_batch(model, config, HtRinv, x, P, dY, dt):
-    """One Euler step of the estimate/covariance pair over a batch.
+def _check_time(time, model, config):
+    if model.time != time or config.riccati_fn.time != time:
+        raise ValueError(f"need a {time!r} model and riccati functional, got {model.time!r} and "
+                         f"{config.riccati_fn.time!r}")
 
-    Returns ``(x_new, P_new, K, bad)`` where ``bad`` flags paths whose step
-    produced non-finite values; their outputs are placeholders that callers
-    must discard (the PSD guard cannot digest NaNs). ``P_new`` is the
-    symmetrized raw update, eigen-clamped at zero only on paths whose
-    Cholesky factorization fails (see :func:`_clamp_psd_batch`).
+
+def _drift(model, config, x, P):
+    """Mean and Riccati terms of one step: ``ekf`` point terms, or one shared rule evaluation."""
+    mean_fn, riccati_fn = config.mean_fn, config.riccati_fn
+    if mean_fn.kind != "ekf":
+        return eval_drift_batch(mean_fn, riccati_fn, model.f, x, P)
+    riccati = eval_riccati_cont_batch if riccati_fn.time == "cont" else eval_riccati_disc_batch
+    return eval_mean_batch(mean_fn, model.f, x, P), riccati(riccati_fn, model.f, x, P, jac=model.jac_f)
+
+
+def _update_batch(model, x_pred, P_pred, y):
+    """Batched update ``(x, P, K)``; ``K`` solves ``(H P H^T + R) K^T = H P``, ``P`` is unsymmetrized."""
+    H = model.H
+    HP = H @ P_pred
+    try:
+        K = np.swapaxes(np.linalg.solve(HP @ H.T + model.R, HP), -1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("singular innovation covariance (is R positive definite?)") from exc
+    x = x_pred + np.einsum("bij,bj->bi", K, y - x_pred @ H.T)
+    return x, (np.eye(model.dim_x) - K @ H) @ P_pred, K
+
+
+def _kb_step_batch(model, config, HtRinv, x, P, obs, dt):
+    """One filter step over a batch, for either time model.
+
+    A continuous model takes the Euler step on the increments ``obs``; a
+    discrete model predicts and updates on the measurements ``obs`` and
+    ignores ``HtRinv`` and ``dt``. Returns ``(x_new, P_new, K, bad)`` where ``K`` is the gain applied and
+    ``bad`` flags paths whose step produced non-finite values; their outputs
+    are placeholders that callers must discard (the PSD guard cannot digest
+    NaNs). ``P_new`` is the symmetrized raw update, eigen-clamped at zero
+    only on paths whose Cholesky factorization fails.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.mean_fn.kind == "ekf":
-            mean = eval_mean_batch(config.mean_fn, model.f, x, P)
-            lam = eval_riccati_cont_batch(config.riccati_fn, model.f, x, P, jac=model.jac_f)
+        mean, lam = _drift(model, config, x, P)
+        if model.time == "cont":
+            K = P @ HtRinv
+            innov = obs - (x @ model.H.T) * dt
+            x_new = x + mean * dt + np.einsum("bij,bj->bi", K, innov)
+            Pdot = lam + np.swapaxes(lam, -1, -2) + config.Q_tuned - P @ model.S @ P
+            P_raw = P + Pdot * dt
         else:
-            mean, lam = eval_drift_batch(config.mean_fn, config.riccati_fn, model.f, x, P)
-        K = P @ HtRinv
-        innov = dY - (x @ model.H.T) * dt
-        x_new = x + mean * dt + np.einsum("bij,bj->bi", K, innov)
-        Pdot = lam + np.swapaxes(lam, -1, -2) + config.Q_tuned - P @ model.S @ P
-        P_raw = P + Pdot * dt
+            x_new, P_raw, K = _update_batch(model, mean, lam + config.Q_tuned, obs)
     bad = ~(np.all(np.isfinite(x_new), axis=1) & np.all(np.isfinite(P_raw), axis=(1, 2)))
     if bad.any():
-        eye = np.eye(P.shape[-1])
-        P_raw = np.where(bad[:, None, None], eye, P_raw)
+        P_raw = np.where(bad[:, None, None], np.eye(P.shape[-1]), P_raw)
         x_new = np.where(bad[:, None], 0.0, x_new)
-    P_new = _clamp_psd_batch(P_raw)
-    return x_new, P_new, K, bad
+    return x_new, _clamp_psd_batch(P_raw), K, bad
 
 
 def kalman_bucy_step(state, dY, dt, model, config):
@@ -181,17 +206,38 @@ def kalman_bucy_step(state, dY, dt, model, config):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x, P = state
-    x = np.asarray(x, dtype=float)[None, :]
-    P = np.asarray(P, dtype=float)[None, :, :]
+    _check_time("cont", model, config)
+    x, P, dY = (np.asarray(a, dtype=float)[None] for a in (*state, dY))
     HtRinv = np.linalg.solve(model.R, model.H).T
-    dY = np.asarray(dY, dtype=float)[None, :]
     x_new, P_new, _, bad = _kb_step_batch(model, config, HtRinv, x, P, dY, dt)
     if bad[0]:
         raise DivergenceError("filter state became non-finite")
     if float(np.trace(P_new[0])) < _DEGENERATE_TRACE:
         raise DegenerateCovarianceError("covariance trace collapsed below threshold")
     return x_new[0], P_new[0]
+
+
+def discrete_predict(state, model, config):
+    """Prediction step: propagate the mean and covariance one model step.
+
+    Returns ``(x_pred, P_pred)`` with ``P_pred = Lam(f) + Q_tuned``, which is
+    positive definite because ``Q_tuned`` is.
+    """
+    _check_time("disc", model, config)
+    x, P = (np.asarray(a, dtype=float)[None] for a in state)
+    mean, lam = _drift(model, config, x, P)
+    return mean[0], lam[0] + config.Q_tuned
+
+
+def discrete_update(pred, y, model):
+    """Measurement update from the predictive pair ``pred = (x_pred, P_pred)``.
+
+    Returns ``(x, P, K)`` as the discrete filter step computes them, with
+    ``P`` through the same PSD guard.
+    """
+    x_pred, P_pred, y = (np.asarray(a, dtype=float)[None] for a in (*pred, y))
+    x, P, K = _update_batch(model, x_pred, P_pred, y)
+    return x[0], _clamp_psd_batch(P)[0], K[0]
 
 
 @dataclass
@@ -209,134 +255,100 @@ class EnsembleRun:
     diverged: np.ndarray
 
 
-def run_continuous_ensemble(model, config, states, increments, dt, checkpoint_idx=None):
-    """Run the filter over a batch of simulated paths.
+def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None):
+    """The time-step loop of both time models (see :func:`run_continuous_ensemble`).
 
-    ``states`` (B, n+1, d) are the true states used only to record errors;
-    ``increments`` row ``k >= 1`` is consumed to advance from ``k-1`` to
-    ``k``. Paths that turn non-finite are frozen and reported, not raised.
+    A path is also frozen when its covariance trace collapses or its true
+    state turns non-finite. While every path is alive the step's outputs
+    are taken as they are, with no masked copies. ``record(k, x, P, K)``,
+    if given, sees the raw outputs of every step.
     """
+    _check_time(time, model, config)
     B, n_plus_1, d = states.shape
-    n = n_plus_1 - 1
     if d != model.dim_x:
         raise ValueError("path dimension does not match the model")
     checkpoint_idx = np.asarray([] if checkpoint_idx is None else checkpoint_idx, dtype=int)
-    HtRinv = np.linalg.solve(model.R, model.H).T
+    HtRinv = np.linalg.solve(model.R, model.H).T if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P = np.tile(config.P0, (B, 1, 1))
-    err_sq = np.full((B, n + 1), np.nan)
+    err_sq = np.full((B, n_plus_1), np.nan)
     err_sq[:, 0] = np.sum((states[:, 0] - x) ** 2, axis=1)
     trace_max = np.einsum("bii->b", P).copy()
-    diverged = np.full(B, -1, dtype=int)
     alive = np.all(np.isfinite(states[:, 0]), axis=1)
-    diverged[~alive] = 0
-    for k in range(1, n + 1):
-        x_new, P_new, _, bad = _kb_step_batch(model, config, HtRinv, x, P, increments[:, k], dt)
-        finite = ~bad & np.all(np.isfinite(states[:, k]), axis=1)
+    diverged = np.where(alive, -1, 0)
+    for k in range(1, n_plus_1):
+        if not alive.any():
+            break
+        x_new, P_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, obs[:, k], dt)
+        if record is not None:
+            record(k, x_new, P_new, K)
         tr = np.einsum("bii->b", P_new)
-        ok = alive & finite & (tr >= _DEGENERATE_TRACE)
+        ok = alive & ~bad & np.all(np.isfinite(states[:, k]), axis=1) & (tr >= _DEGENERATE_TRACE)
+        if ok.all():
+            x, P = x_new, P_new
+            err_sq[:, k] = np.sum((states[:, k] - x) ** 2, axis=1)
+            np.maximum(trace_max, tr, out=trace_max)
+            continue
         diverged[alive & ~ok] = k
         alive = ok
         x = np.where(alive[:, None], x_new, x)
         P = np.where(alive[:, None, None], P_new, P)
         err_sq[alive, k] = np.sum((states[alive, k] - x[alive]) ** 2, axis=1)
         trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
-    cp = err_sq[:, checkpoint_idx] if checkpoint_idx.size else np.empty((B, 0))
-    return EnsembleRun(err_sq=err_sq, trace_max=trace_max, checkpoint_err_sq=cp, diverged=diverged)
+    return EnsembleRun(err_sq=err_sq, trace_max=trace_max, checkpoint_err_sq=err_sq[:, checkpoint_idx],
+                       diverged=diverged)
+
+
+def run_continuous_ensemble(model, config, states, increments, dt, checkpoint_idx=None):
+    """Run the continuous filter over a batch of simulated paths.
+
+    ``states`` (B, n+1, d) are the true states used only to record errors;
+    ``increments`` row ``k >= 1`` is consumed to advance from ``k-1`` to
+    ``k``. Paths that turn non-finite are frozen and reported, not raised.
+    """
+    return _run("cont", model, config, states, increments, dt, checkpoint_idx)
+
+
+def run_discrete_ensemble(model, config, states, measurements, checkpoint_idx=None):
+    """Discrete analogue of :func:`run_continuous_ensemble`; ``measurements`` row ``k`` is ``Y_k``."""
+    return _run("disc", model, config, states, measurements, 1.0, checkpoint_idx)
+
+
+def _filter_path(time, path, model, config):
+    """Run the loop on one path, recording its trajectory; raises where an ensemble would freeze it."""
+    n_plus_1, d = path.states.shape
+    est = np.empty((n_plus_1, d))
+    cov = np.empty((n_plus_1, d, d))
+    gains = np.zeros((n_plus_1, d, model.dim_y))
+    est[0], cov[0] = config.x0_hat, config.P0
+
+    def record(k, x, P, K):
+        est[k], cov[k], gains[k] = x[0], P[0], K[0]
+
+    run = _run(time, model, config, path.states[None], path.measurement_increments[None], path.dt,
+               record=record)
+    k = int(run.diverged[0])
+    if k >= 0 and float(np.trace(cov[k])) < _DEGENERATE_TRACE:
+        raise DegenerateCovarianceError(f"covariance collapsed at step {k}", step=k)
+    if k >= 0:
+        raise DivergenceError(f"filter diverged at step {k}", step=k)
+    return FilterTrajectory(times=path.times.copy(), estimates=est, covariances=cov, gains=gains,
+                            trace_P=np.trace(cov, axis1=1, axis2=2))
 
 
 def run_continuous_filter(path, model, config):
-    """Filter a single simulated path, recording the full trajectory."""
-    states = path.states[None, :, :]
-    incr = path.measurement_increments[None, :, :]
-    n = path.states.shape[0] - 1
-    HtRinv = np.linalg.solve(model.R, model.H).T
-    x = config.x0_hat[None, :].copy()
-    P = config.P0[None, :, :].copy()
-    d = model.dim_x
-    est = np.empty((n + 1, d))
-    cov = np.empty((n + 1, d, d))
-    gains = np.empty((n + 1, d, model.dim_y))
-    est[0], cov[0] = x[0], P[0]
-    gains[0] = P[0] @ HtRinv
-    for k in range(1, n + 1):
-        x, P, K, bad = _kb_step_batch(model, config, HtRinv, x, P, incr[:, k], path.dt)
-        if bad[0]:
-            raise DivergenceError(f"filter diverged at step {k}", step=k)
-        if float(np.trace(P[0])) < _DEGENERATE_TRACE:
-            raise DegenerateCovarianceError(f"covariance collapsed at step {k}", step=k)
-        est[k], cov[k] = x[0], P[0]
-        gains[k] = P[0] @ HtRinv
-    return FilterTrajectory(
-        times=path.times.copy(),
-        estimates=est,
-        covariances=cov,
-        gains=gains,
-        trace_P=np.trace(cov, axis1=1, axis2=2),
-    )
+    """Filter a single simulated path, recording the full trajectory.
 
-
-# ---------------------------------------------------------------------------
-# Discrete-time filter
-
-
-def discrete_predict(state, model, config):
-    """Prediction step: propagate the mean and covariance one model step.
-
-    Returns ``(x_pred, P_pred)`` with ``P_pred = Lam(f) + Q_tuned``, which is
-    positive definite because ``Q_tuned`` is.
+    ``gains[k]`` is the Kalman gain ``P_k H^T R^{-1}`` at time ``k``.
     """
-    x, P = state
-    x = np.asarray(x, dtype=float)[None, :]
-    P = np.asarray(P, dtype=float)[None, :, :]
-    if config.riccati_fn.time != "disc":
-        raise ValueError("config holds a continuous-time riccati functional")
-    mean = eval_mean_batch(config.mean_fn, model.f, x, P)
-    lam = eval_riccati_disc_batch(config.riccati_fn, model.f, x, P, jac=model.jac_f)
-    P_pred = lam[0] + config.Q_tuned
-    return mean[0], 0.5 * (P_pred + P_pred.T)
-
-
-def discrete_update(pred, y, model):
-    """Measurement update from the predictive pair ``pred = (x_pred, P_pred)``.
-
-    Returns ``(x, P, K)``. The gain solves the symmetric innovation system
-    ``(H P H^T + R) K^T = H P`` instead of forming an explicit inverse.
-    """
-    x_pred, P_pred = pred
-    x_pred = np.asarray(x_pred, dtype=float).ravel()
-    P_pred = np.asarray(P_pred, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    H, R = model.H, model.R
-    innov_cov = H @ P_pred @ H.T + R
-    try:
-        K = np.linalg.solve(innov_cov, H @ P_pred).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular innovation covariance (is R positive definite?)") from exc
-    x = x_pred + K @ (y - H @ x_pred)
-    P = (np.eye(model.dim_x) - K @ H) @ P_pred
-    return x, 0.5 * (P + P.T), K
+    traj = _filter_path("cont", path, model, config)
+    traj.gains = traj.covariances @ np.linalg.solve(model.R, model.H).T
+    return traj
 
 
 def run_discrete_filter(path, model, config):
-    """Iterate predict/update over a discrete path (measurement rows 1..n)."""
-    n = path.states.shape[0] - 1
-    d, dy = model.dim_x, model.dim_y
-    est = np.empty((n + 1, d))
-    cov = np.empty((n + 1, d, d))
-    gains = np.zeros((n + 1, d, dy))
-    x, P = config.x0_hat.copy(), config.P0.copy()
-    est[0], cov[0] = x, P
-    for k in range(1, n + 1):
-        pred = discrete_predict((x, P), model, config)
-        x, P, K = discrete_update(pred, path.measurement_increments[k], model)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(P))):
-            raise DivergenceError(f"filter diverged at step {k}", step=k)
-        est[k], cov[k], gains[k] = x, P, K
-    return FilterTrajectory(
-        times=path.times.copy(),
-        estimates=est,
-        covariances=cov,
-        gains=gains,
-        trace_P=np.trace(cov, axis1=1, axis2=2),
-    )
+    """Iterate predict/update over a discrete path (measurement rows 1..n).
+
+    ``gains[k]`` is the gain of the update at step ``k``; row 0 is zero.
+    """
+    return _filter_path("disc", path, model, config)

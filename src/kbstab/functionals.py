@@ -28,7 +28,6 @@ import numpy as np
 from .errors import IndefiniteMatrixError
 from .quadrature import (
     CubatureRule,
-    _clamp_psd,
     _sqrt_psd_stack,
     check_degree_two_exactness,
     gauss_hermite_rule,
@@ -127,11 +126,6 @@ def _field_at(g, pts):
     return vals
 
 
-def _stein_term(rule, vals, sqrtP):
-    """Riccati term in Stein form, ``vals^T (w xi) sqrt(P)``, the rule's ``E[J_g(X)] P``."""
-    return np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ sqrtP
-
-
 def eval_mean_batch(F, g, x, P):
     """Batched mean functional over states ``x`` (B, d) with covariances ``P`` (B, d, d)."""
     if F.kind == "ekf":
@@ -157,26 +151,38 @@ def eval_riccati_cont_batch(F, g, x, P, jac=None):
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
         return np.asarray(jac(x), dtype=float) @ P
-    pts, sqrtP = _sigma_points(F.rule, x, P)
-    return _stein_term(F.rule, _field_at(g, pts), sqrtP)
+    return _rule_terms(F, g, x, P)[1]
+
+
+def _rule_terms(F, g, x, P):
+    """Mean and ``F``'s Riccati term from one square root of ``P`` and one field evaluation.
+
+    The continuous term is the Stein form ``vals^T (w xi) sqrt(P)``, the
+    rule's ``E[J_g(X)] P``; the discrete one is the symmetrized weighted
+    covariance of the propagated points.
+    """
+    rule = F.rule
+    pts, sqrtP = _sigma_points(rule, x, P)
+    vals = _field_at(g, pts)
+    mean = rule.weights @ vals
+    if F.time == "cont":
+        return mean, np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ sqrtP
+    dev = vals - mean[:, None, :]
+    cov = (np.swapaxes(dev, -1, -2) * rule.weights) @ dev
+    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
 def eval_drift_batch(mean_fn, riccati_fn, g, x, P):
-    """Mean and continuous Riccati functionals from one set of sigma points.
+    """Mean and Riccati functionals (of ``riccati_fn``'s time kind) from one set of sigma points.
 
-    Equal to ``eval_mean_batch(mean_fn, ...)`` and
-    ``eval_riccati_cont_batch(riccati_fn, ...)`` up to rounding, at the cost
-    of one square root of ``P`` and one field evaluation: both functionals
-    must be rule-based and share one rule. No Jacobian is needed, for the
-    ``adf`` reference rule either, because the Riccati term is the rule's
-    Stein form of ``E[J_g(X)] P``. Returns ``(mean, lam)``.
+    Equal to the separate batch functionals, at the cost of one square root
+    of ``P`` and one field evaluation; both functionals must share one rule.
+    No Jacobian is needed, for the ``adf`` reference rule either. Returns
+    ``(mean, lam)``.
     """
     if not shares_sigma_points(mean_fn, riccati_fn):
         raise ValueError("mean and riccati functionals do not share a sigma-point rule")
-    rule = riccati_fn.rule
-    pts, sqrtP = _sigma_points(rule, x, P)
-    vals = _field_at(g, pts)
-    return rule.weights @ vals, _stein_term(rule, vals, sqrtP)
+    return _rule_terms(riccati_fn, g, x, P)
 
 
 def shares_sigma_points(mean_fn, riccati_fn):
@@ -208,13 +214,9 @@ def eval_riccati_disc_batch(F, g, x, P, jac=None):
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
         J = np.asarray(jac(x), dtype=float)
-        return _clamp_psd(J @ P @ np.swapaxes(J, -1, -2))
-    pts, _ = _sigma_points(F.rule, x, P)
-    vals = _field_at(g, pts)
-    m = F.rule.weights @ vals
-    dev = vals - m[:, None, :]
-    cov = np.einsum("p,bpi,bpj->bij", F.rule.weights, dev, dev)
-    return _clamp_psd(cov)
+        JPJt = J @ P @ np.swapaxes(J, -1, -2)
+        return 0.5 * (JPJt + np.swapaxes(JPJt, -1, -2))
+    return _rule_terms(F, g, x, P)[1]
 
 
 def eval_riccati_disc(F, g, x, P, jac=None):
@@ -222,7 +224,8 @@ def eval_riccati_disc(F, g, x, P, jac=None):
 
     ``ekf`` returns ``J_g(x) P J_g(x)^T``; the quadrature variants return the
     weighted covariance of the propagated sigma points. The output is
-    symmetrized and eigenvalue-clamped to be positive semidefinite.
+    symmetrized, and positive semidefinite by construction up to rounding
+    (a congruence of ``P``, or positive weights), so it is not clamped.
     """
     if F.time != "disc":
         raise ValueError("functional is not a discrete-time variant")

@@ -6,7 +6,10 @@ measurements,
     dX = f(X) dt + Q^{1/2} dW,      dY = H X dt + R^{1/2} dV,
 
 simulated by Euler-Maruyama. Discrete models follow the analogous recursion
-``X_k = f(X_{k-1}) + Q^{1/2} W_k``, ``Y_k = H X_k + R^{1/2} V_k``.
+``X_k = f(X_{k-1}) + Q^{1/2} W_k``, ``Y_k = H X_k + R^{1/2} V_k``. Both
+are keyword-only dataclasses on one base, told apart by their class
+attribute ``time`` (``"cont"`` or ``"disc"``), and both are simulated by
+one loop that branches on it only for the state and measurement lines.
 
 All drift and Jacobian callables must be vectorized over leading batch
 dimensions. Randomness comes from counter-based Philox streams keyed by
@@ -45,13 +48,12 @@ def _check_spsd(name, M, dim):
     return 0.5 * (M + M.T)
 
 
-@dataclass
-class ContinuousModel:
-    """Continuous-time diffusion model with linear measurements.
+@dataclass(kw_only=True)
+class _Model:
+    """Fields and checks shared by both time models; ``time`` names the kind.
 
-    ``known_M_f`` / ``known_N_f`` hold externally supplied log-Lipschitz
-    constants of the drift and ``known_jf_norm`` its Lipschitz constant;
-    certificates use them with analytic provenance when present.
+    ``known_jf_norm`` holds an externally supplied Lipschitz constant of the
+    drift; certificates use it with analytic provenance when present.
     """
 
     dim_x: int
@@ -63,8 +65,6 @@ class ContinuousModel:
     R: np.ndarray
     mu0: np.ndarray
     Sigma0: np.ndarray
-    known_M_f: Optional[float] = None
-    known_N_f: Optional[float] = None
     known_jf_norm: Optional[float] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
@@ -77,9 +77,6 @@ class ContinuousModel:
         if self.H.shape != (self.dim_y, self.dim_x):
             raise ValueError(f"H must have shape {(self.dim_y, self.dim_x)}")
         self.mu0 = np.asarray(self.mu0, dtype=float).reshape(self.dim_x)
-        if self.known_M_f is not None and self.known_N_f is not None:
-            if self.known_N_f > self.known_M_f:
-                raise ValueError("known_N_f must not exceed known_M_f")
         self._S = None
 
     @property
@@ -102,35 +99,30 @@ class ContinuousModel:
         return None
 
 
-@dataclass
-class DiscreteModel:
-    """Discrete-time recursion with per-step Gaussian noise."""
+@dataclass(kw_only=True)
+class ContinuousModel(_Model):
+    """Continuous-time diffusion model with linear measurements.
 
-    dim_x: int
-    dim_y: int
-    f: Callable
-    jac_f: Callable
-    Q: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
-    mu0: np.ndarray
-    Sigma0: np.ndarray
-    known_jf_norm: Optional[float] = None
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
+    ``known_M_f`` / ``known_N_f`` hold externally supplied log-Lipschitz
+    constants of the drift, used like ``known_jf_norm``.
+    """
+
+    time = "cont"
+    known_M_f: Optional[float] = None
+    known_N_f: Optional[float] = None
 
     def __post_init__(self):
-        self.Q = _check_spsd("Q", self.Q, self.dim_x)
-        self.R = _check_spsd("R", self.R, self.dim_y)
-        self.Sigma0 = _check_spsd("Sigma0", self.Sigma0, self.dim_x)
-        self.H = np.asarray(self.H, dtype=float)
-        if self.H.shape != (self.dim_y, self.dim_x):
-            raise ValueError(f"H must have shape {(self.dim_y, self.dim_x)}")
-        self.mu0 = np.asarray(self.mu0, dtype=float).reshape(self.dim_x)
-        self._S = None
+        super().__post_init__()
+        if self.known_M_f is not None and self.known_N_f is not None:
+            if self.known_N_f > self.known_M_f:
+                raise ValueError("known_N_f must not exceed known_M_f")
 
-    S = ContinuousModel.S
-    s_scalar = ContinuousModel.s_scalar
+
+@dataclass(kw_only=True)
+class DiscreteModel(_Model):
+    """Discrete-time recursion with per-step Gaussian noise."""
+
+    time = "disc"
 
 
 @dataclass(frozen=True)
@@ -157,23 +149,6 @@ class SimulatedPath:
             raise ValueError("times, states and measurements must have equal row counts")
 
 
-def _noise_roots(model):
-    """Symmetric square roots of ``Sigma0``, ``Q`` and ``R``, taken once per batch."""
-    return matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
-
-
-def _path_noise(model, roots, seed, path_index, n_steps, scale_state, scale_meas):
-    """Initial state and pre-scaled noise arrays for one path (``roots`` from :func:`_noise_roots`)."""
-    sqrt_sigma0, sqrt_q, sqrt_r = roots
-    g0 = _stream(seed, path_index, _ROLE_INIT)
-    g1 = _stream(seed, path_index, _ROLE_STATE)
-    g2 = _stream(seed, path_index, _ROLE_MEAS)
-    x0 = model.mu0 + sqrt_sigma0 @ g0.standard_normal(model.dim_x)
-    wq = scale_state * g1.standard_normal((n_steps, model.dim_x)) @ sqrt_q
-    vr = scale_meas * g2.standard_normal((n_steps, model.dim_y)) @ sqrt_r
-    return x0, wq, vr
-
-
 def _steps_for(dt, horizon):
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -183,6 +158,53 @@ def _steps_for(dt, horizon):
     if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be an integer multiple of dt")
     return n
+
+
+def _simulate(model, time, n, dt, seed, n_paths, first_path):
+    """The simulation loop of both time models: ``(states, measurements, diverged)``.
+
+    A continuous model takes Euler-Maruyama steps of size ``dt`` and records
+    measurement increments; a discrete model iterates its recursion and
+    records ``Y_k = H X_k + R^{1/2} V_k``. Only the state and measurement
+    lines of the loop differ.
+    """
+    if model.time != time:
+        raise ValueError(f"expected a {time!r} model, got a {model.time!r} one")
+    B, dx, dy = n_paths, model.dim_x, model.dim_y
+    scale = math.sqrt(dt) if time == "cont" else 1.0
+    x0 = np.empty((B, dx))
+    wq = np.empty((B, n, dx))
+    vr = np.empty((B, n, dy))
+    # noise roots once per batch; each path draws from its own three streams
+    sqrt_sigma0, sqrt_q, sqrt_r = matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
+    for p in range(B):
+        g0, g1, g2 = (_stream(seed, first_path + p, role) for role in (_ROLE_INIT, _ROLE_STATE, _ROLE_MEAS))
+        x0[p] = model.mu0 + sqrt_sigma0 @ g0.standard_normal(dx)
+        wq[p] = scale * g1.standard_normal((n, dx)) @ sqrt_q
+        vr[p] = scale * g2.standard_normal((n, dy)) @ sqrt_r
+
+    states = np.full((B, n + 1, dx), np.nan)
+    meas = np.zeros((B, n + 1, dy))
+    diverged = np.full(B, -1, dtype=int)
+    states[:, 0] = x0
+    alive = np.all(np.isfinite(x0), axis=1)
+    diverged[~alive] = 0
+    Ht = model.H.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            xk = states[:, k]
+            if time == "cont":
+                xn = xk + np.asarray(model.f(xk), dtype=float) * dt + wq[:, k]
+                yn = xk @ Ht * dt + vr[:, k]
+            else:
+                xn = np.asarray(model.f(xk), dtype=float) + wq[:, k]
+                yn = xn @ Ht + vr[:, k]
+            ok = alive & np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1)
+            diverged[alive & ~ok] = k + 1
+            alive = ok
+            states[alive, k + 1] = xn[alive]
+            meas[alive, k + 1] = yn[alive]
+    return states, meas, diverged
 
 
 def simulate_paths(model, dt, horizon, seed, n_paths, first_path=0):
@@ -196,89 +218,36 @@ def simulate_paths(model, dt, horizon, seed, n_paths, first_path=0):
     account for them explicitly.
     """
     n = _steps_for(dt, horizon)
-    B, dx, dy = n_paths, model.dim_x, model.dim_y
-    sdt = math.sqrt(dt)
-    x0 = np.empty((B, dx))
-    wq = np.empty((B, n, dx))
-    vr = np.empty((B, n, dy))
-    roots = _noise_roots(model)
-    for p in range(B):
-        x0[p], wq[p], vr[p] = _path_noise(model, roots, seed, first_path + p, n, sdt, sdt)
-
-    times = np.arange(n + 1) * dt
-    states = np.full((B, n + 1, dx), np.nan)
-    incr = np.zeros((B, n + 1, dy))
-    diverged = np.full(B, -1, dtype=int)
-    states[:, 0] = x0
-    alive = np.all(np.isfinite(x0), axis=1)
-    diverged[~alive] = 0
-    Ht = model.H.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            xk = states[:, k]
-            xn = xk + np.asarray(model.f(xk), dtype=float) * dt + wq[:, k]
-            yk = xk @ Ht * dt + vr[:, k]
-            ok = alive & np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yk), axis=1)
-            newly_dead = alive & ~ok
-            diverged[newly_dead] = k + 1
-            alive = ok
-            states[alive, k + 1] = xn[alive]
-            incr[alive, k + 1] = yk[alive]
-    return times, states, incr, diverged
-
-
-def simulate_path(model, dt, horizon, seed, path_index=0):
-    """Simulate a single path; raises :class:`DivergenceError` on blow-up."""
-    times, states, incr, diverged = simulate_paths(model, dt, horizon, seed, 1, first_path=path_index)
-    if diverged[0] >= 0:
-        raise DivergenceError(f"state became non-finite at step {diverged[0]}", step=int(diverged[0]))
-    return SimulatedPath(
-        dt=float(dt), times=times, states=states[0], measurement_increments=incr[0],
-        seed=int(seed), path_index=int(path_index), kind="continuous",
-    )
+    states, incr, diverged = _simulate(model, "cont", n, dt, seed, n_paths, first_path)
+    return np.arange(n + 1) * dt, states, incr, diverged
 
 
 def simulate_discrete_paths(model, steps, seed, n_paths, first_path=0):
     """Discrete analogue of :func:`simulate_paths` (unit noise scaling)."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    B, dx, dy = n_paths, model.dim_x, model.dim_y
-    x0 = np.empty((B, dx))
-    wq = np.empty((B, steps, dx))
-    vr = np.empty((B, steps, dy))
-    roots = _noise_roots(model)
-    for p in range(B):
-        x0[p], wq[p], vr[p] = _path_noise(model, roots, seed, first_path + p, steps, 1.0, 1.0)
+    states, meas, diverged = _simulate(model, "disc", steps, 1.0, seed, n_paths, first_path)
+    return np.arange(steps + 1, dtype=float), states, meas, diverged
 
-    times = np.arange(steps + 1, dtype=float)
-    states = np.full((B, steps + 1, dx), np.nan)
-    meas = np.zeros((B, steps + 1, dy))
-    diverged = np.full(B, -1, dtype=int)
-    states[:, 0] = x0
-    alive = np.all(np.isfinite(x0), axis=1)
-    diverged[~alive] = 0
-    Ht = model.H.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            xn = np.asarray(model.f(states[:, k]), dtype=float) + wq[:, k]
-            yn = xn @ Ht + vr[:, k]
-            ok = alive & np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1)
-            diverged[alive & ~ok] = k + 1
-            alive = ok
-            states[alive, k + 1] = xn[alive]
-            meas[alive, k + 1] = yn[alive]
-    return times, states, meas, diverged
+
+def _one_path(batch, dt, seed, path_index, kind):
+    times, states, meas, diverged = batch
+    if diverged[0] >= 0:
+        raise DivergenceError(f"state became non-finite at step {diverged[0]}", step=int(diverged[0]))
+    return SimulatedPath(dt=float(dt), times=times, states=states[0], measurement_increments=meas[0],
+                         seed=int(seed), path_index=int(path_index), kind=kind)
+
+
+def simulate_path(model, dt, horizon, seed, path_index=0):
+    """Simulate a single path; raises :class:`DivergenceError` on blow-up."""
+    batch = simulate_paths(model, dt, horizon, seed, 1, first_path=path_index)
+    return _one_path(batch, dt, seed, path_index, "continuous")
 
 
 def simulate_discrete_path(model, steps, seed, path_index=0):
     """Simulate one discrete path; raises :class:`DivergenceError` on blow-up."""
-    times, states, meas, diverged = simulate_discrete_paths(model, steps, seed, 1, first_path=path_index)
-    if diverged[0] >= 0:
-        raise DivergenceError(f"state became non-finite at step {diverged[0]}", step=int(diverged[0]))
-    return SimulatedPath(
-        dt=1.0, times=times, states=states[0], measurement_increments=meas[0],
-        seed=int(seed), path_index=int(path_index), kind="discrete",
-    )
+    batch = simulate_discrete_paths(model, steps, seed, 1, first_path=path_index)
+    return _one_path(batch, 1.0, seed, path_index, "discrete")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kbstab import export_result, preset_spec, run_experiment
+from kbstab import DiscreteModel, export_result, preset_spec, run_experiment
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,27 @@ def fig1_export(fig1_result, tmp_path_factory):
 @pytest.fixture(scope="session")
 def fig2_result():
     return run_experiment(preset_spec("fig2", workers=1))
+
+
+@pytest.fixture(scope="session")
+def discrete_sine():
+    """Builds the fully observed 2-d recursion ``f(x) = 0.5 x + 0.2 sin x``.
+
+    ``H = I``, ``R = 0.5 I``, ``Q = 0.1 I``, ``Sigma0 = I``; the Jacobian is
+    diagonal with entries in ``[0.3, 0.7]``, so ``||J_f|| <= 0.7``.
+    """
+    def build():
+        def f(x):
+            return 0.5 * x + 0.2 * np.sin(x)
+
+        def jac(x):
+            return (0.5 + 0.2 * np.cos(x))[..., :, None] * np.eye(2)
+
+        return DiscreteModel(dim_x=2, dim_y=2, f=f, jac_f=jac, Q=0.1 * np.eye(2), H=np.eye(2),
+                             R=0.5 * np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2),
+                             known_jf_norm=0.7, name="discrete_sine")
+
+    return build
 
 
 @pytest.fixture

@@ -99,6 +99,30 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 1
 
 
+class TestUsageErrors:
+    """Malformed flags exit 1 with a config error; exit 2 stays reserved for failed checks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--filter", "pf"],
+        ["simulate", "--trajectories", "abc"],
+        ["simulate", "--preset", "paper"],
+        ["validate", "--preset", "paper"],
+        [],
+    ])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.out == ""
+
+    def test_paper_preset_offered_only_to_certify(self, capsys):
+        for command, offered in (("certify", True), ("simulate", False), ("validate", False)):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            assert ("paper" in capsys.readouterr().out) == offered, command
+
+
 class TestValidate:
     def test_corrupted_rule_fails_suite(self):
         rule = unscented_rule(2)

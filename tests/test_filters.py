@@ -15,9 +15,9 @@ from kbstab import (
     simulate_path,
 )
 from kbstab.errors import DegenerateCovarianceError
-from kbstab.filters import FilterConfig, _clamp_psd_batch, run_continuous_ensemble
+from kbstab.filters import FilterConfig, _clamp_psd_batch, run_continuous_ensemble, run_discrete_ensemble
 from kbstab.functionals import mean_functional, reference_rule, riccati_functional
-from kbstab.models import SimulatedPath, simulate_paths
+from kbstab.models import SimulatedPath, simulate_discrete_paths, simulate_paths
 from kbstab.quadrature import _clamp_psd, gauss_hermite_rule, unscented_rule
 
 
@@ -177,6 +177,12 @@ def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7):
     return model, times, states, incr
 
 
+def discrete_paths(model, n_paths, steps, seed=7):
+    times, states, meas, diverged = simulate_discrete_paths(model, steps, seed, n_paths)
+    assert np.all(diverged < 0)
+    return times, states, meas
+
+
 class TestGrouping:
     @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh", "adf"])
     def test_ensemble_independent_of_grouping(self, kind):
@@ -196,6 +202,47 @@ class TestGrouping:
             err_sq = np.sum((states[p] - traj.estimates) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
             assert whole.trace_max[p] == traj.trace_P.max()
+
+    @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh", "adf"])
+    def test_discrete_ensemble_independent_of_grouping(self, kind, discrete_sine):
+        model = discrete_sine()
+        times, states, meas = discrete_paths(model, 6, steps=40)
+        config = make_filter_config(kind, model)
+        cp = [5, 40]
+        whole = run_discrete_ensemble(model, config, states, meas, cp)
+        parts = [run_discrete_ensemble(model, config, states[s], meas[s], cp)
+                 for s in (slice(0, 2), slice(2, 6))]
+        for name in ("err_sq", "trace_max", "checkpoint_err_sq", "diverged"):
+            joined = np.concatenate([getattr(r, name) for r in parts])
+            assert np.array_equal(getattr(whole, name), joined), name
+        for p in range(6):
+            path = SimulatedPath(dt=1.0, times=times, states=states[p],
+                                 measurement_increments=meas[p], seed=7, path_index=p,
+                                 kind="discrete")
+            traj = run_discrete_filter(path, model, config)
+            err_sq = np.sum((states[p] - traj.estimates) ** 2, axis=1)
+            assert np.array_equal(whole.err_sq[p], err_sq)
+            assert whole.trace_max[p] == traj.trace_P.max()
+
+
+class TestFrozenPaths:
+    """The loop's masked branch, which runs once any path of the batch has died."""
+
+    @pytest.mark.parametrize("kind", ["ekf", "ukf"])
+    def test_dead_truth_freezes_only_its_path(self, kind):
+        model, _, states, incr = fig1_like_paths(5, horizon=0.6, dt=0.02)
+        states = states.copy()
+        states[2, 12:] = np.nan
+        config = make_filter_config(kind, model)
+        cp = [10, 20, 30]
+        run = run_continuous_ensemble(model, config, states, incr, 0.02, cp)
+        assert run.diverged.tolist() == [-1, -1, 12, -1, -1]
+        assert np.all(np.isnan(run.err_sq[2, 12:]))
+        for p in range(5):
+            alone = run_continuous_ensemble(model, config, states[p:p + 1], incr[p:p + 1], 0.02, cp)
+            for name in ("err_sq", "trace_max", "checkpoint_err_sq", "diverged"):
+                assert np.array_equal(getattr(run, name)[p], getattr(alone, name)[0],
+                                      equal_nan=name != "diverged"), (p, name)
 
 
 class TestStepCost:
@@ -225,6 +272,31 @@ class TestStepCost:
         assert calls["field"] == steps
         assert calls["jac"] == 0
 
+    def run_counted_discrete(self, kind, monkeypatch, model, n_paths=40, steps=30):
+        _, states, meas = discrete_paths(model, n_paths, steps)
+        calls = {"eigh": 0, "field": 0, "jac": 0}
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
+        model.f = counting(model.f, calls, "field")
+        model.jac_f = counting(model.jac_f, calls, "jac")
+        config = make_filter_config(kind, model)
+        run = run_discrete_ensemble(model, config, states, meas)
+        assert np.all(run.diverged < 0)
+        return calls, steps
+
+    def test_discrete_ekf_step_makes_no_eigendecomposition(self, monkeypatch, discrete_sine):
+        calls, steps = self.run_counted_discrete("ekf", monkeypatch, discrete_sine())
+        assert calls["eigh"] == 0
+        assert calls["field"] == steps
+        assert calls["jac"] == steps
+
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_discrete_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch,
+                                                                         discrete_sine):
+        calls, steps = self.run_counted_discrete(kind, monkeypatch, discrete_sine(), n_paths=8, steps=20)
+        assert calls["eigh"] == steps
+        assert calls["field"] == steps
+        assert calls["jac"] == 0
+
 
 class TestFilterConfig:
     def test_mixed_variants_rejected(self):
@@ -244,6 +316,15 @@ class TestFilterConfig:
             FilterConfig(mean_fn=mean_functional("ekf"),
                          riccati_fn=riccati_functional("ekf", "cont"),
                          Q_tuned=np.diag([1.0, 0.0]), x0_hat=np.zeros(2), P0=np.eye(2))
+
+    def test_time_kind_mismatch_rejected(self, discrete_sine):
+        discrete = discrete_sine()
+        continuous = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError):
+            discrete_predict((np.zeros(2), np.eye(2)), discrete, make_filter_config("ukf", continuous))
+        with pytest.raises(ValueError):
+            kalman_bucy_step((np.zeros(2), np.eye(2)), np.zeros(2), 0.01, continuous,
+                             make_filter_config("ekf", discrete))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

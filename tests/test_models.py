@@ -3,6 +3,7 @@ import pytest
 
 from kbstab import (
     ContinuousModel,
+    DiscreteModel,
     builtin_contractive3d,
     builtin_discrete_linear,
     builtin_integrated_velocity,
@@ -108,6 +109,23 @@ class TestModelValidation:
             ContinuousModel(dim_x=2, dim_y=1, f=lambda x: x, jac_f=lambda x: x,
                             Q=np.eye(2), H=np.eye(2), R=np.eye(1), mu0=np.zeros(2),
                             Sigma0=np.eye(2))
+
+    def test_fields_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            ContinuousModel(2, 1, lambda x: x, lambda x: x, np.eye(2), np.eye(1, 2), np.eye(1),
+                            np.zeros(2), np.eye(2))
+
+    def test_time_kind_is_a_class_attribute(self):
+        assert ContinuousModel.time == builtin_contractive3d().time == "cont"
+        assert DiscreteModel.time == builtin_discrete_linear(
+            np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1)).time == "disc"
+
+    def test_simulators_reject_the_other_time_kind(self):
+        discrete = builtin_discrete_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1))
+        with pytest.raises(ValueError):
+            simulate_paths(discrete, dt=0.1, horizon=1.0, seed=0, n_paths=2)
+        with pytest.raises(ValueError):
+            simulate_discrete_paths(builtin_contractive3d(), steps=3, seed=0, n_paths=2)
 
 
 class TestContinuousSimulation:

@@ -30,8 +30,8 @@ from kbstab import (
     required_inflation,
 )
 from kbstab.errors import NoCertificateError, NotContractiveError, NotFullyObservedError
-from kbstab.filters import _kb_step_batch
-from kbstab.models import simulate_paths
+from kbstab.filters import _kb_step_batch, run_discrete_ensemble
+from kbstab.models import simulate_discrete_paths, simulate_paths
 from kbstab.stability import DiscreteCertificate, _velocity_box_sup_mu
 
 
@@ -458,19 +458,89 @@ class TestDiscreteBoundMonteCarlo:
         cert = discrete_certificate(model, config, "ekf", lambda_P_pred=p_pred * 1.01,
                                     lambda_P_upd=p_pred * 1.01, lambda_d=1.0)
 
-        from kbstab import run_discrete_filter, simulate_discrete_path
-
         steps, n_paths = 30, 200
-        err_sq = np.empty((n_paths, steps + 1))
-        for p in range(n_paths):
-            path = simulate_discrete_path(model, steps=steps, seed=42, path_index=p)
-            traj = run_discrete_filter(path, model, config)
-            err_sq[p] = np.sum((path.states - traj.estimates) ** 2, axis=1)
+        _, states, meas, _ = simulate_discrete_paths(model, steps, seed=42, n_paths=n_paths)
+        err_sq = run_discrete_ensemble(model, config, states, meas).err_sq
         emp = err_sq.mean(axis=0)
         se = err_sq.std(axis=0, ddof=1) / np.sqrt(n_paths)
         for k in range(steps + 1):
             bound = discrete_mse_bound(cert, model.mu0, config.x0_hat, model.Sigma0, k)
             assert emp[k] <= bound + 3.0 * se[k], k
+
+
+def discrete_linear_model():
+    return builtin_discrete_linear(0.7 * np.eye(2), Q=0.1 * np.eye(2), H=np.eye(2), R=0.5 * np.eye(2))
+
+
+@pytest.fixture(scope="module")
+def discrete_ensemble_paths(discrete_sine):
+    paths = {}
+    for name, build in (("linear", discrete_linear_model), ("sine", discrete_sine)):
+        model = build()
+        _, states, meas, diverged = simulate_discrete_paths(model, 50, seed=2024, n_paths=2000)
+        assert np.all(diverged < 0)
+        paths[name] = (model, states, meas)
+    return paths
+
+
+@pytest.fixture(scope="module", params=list(itertools.product(["linear", "sine"], ["ekf", "ukf", "gh"])),
+                ids=lambda p: "-".join(p))
+def discrete_run(request, discrete_ensemble_paths):
+    """Certificate and ensemble run of one model and filter kind (see the class docstring)."""
+    name, kind = request.param
+    model, states, meas = discrete_ensemble_paths[name]
+    config = make_filter_config(kind, model)
+    jf = model.known_jf_norm
+    lambda_P_upd = max(np.trace(model.R), np.trace(model.Sigma0))
+    lambda_P_pred = jf**2 * lambda_P_upd + np.trace(model.Q)
+    cert = discrete_certificate(model, config, kind, lambda_P_pred=lambda_P_pred,
+                                lambda_P_upd=lambda_P_upd, lambda_d=1.0)
+    run = run_discrete_ensemble(model, config, states, meas)
+    assert np.all(run.diverged < 0)
+    return model, config, cert, run
+
+
+class TestDiscreteCertificateEnsemble:
+    """The discrete certificate against 2000 filtered paths of 50 steps.
+
+    Both models have ``H = I``, ``R = 0.5 I``, ``Q = 0.1 I``, ``Sigma0 = I``
+    and ``||J_f|| <= jf = 0.7``. Trace bounds, for every variant:
+
+    * The update gives ``P_upd = (P_pred^-1 + R^-1)^-1 <= R`` when
+      ``H = I``, and ``P_0 = Sigma0``, so
+      ``lambda_P_upd = max(tr R, tr Sigma0) = 2``.
+    * ``ekf`` predicts ``J P J^T + Q``, with ``tr(J P J^T) <= jf^2 tr P``.
+      A rule with positive weights predicts the weighted covariance of the
+      propagated points plus ``Q``. Its trace is at most the weighted mean
+      of ``||f(x_i) - f(x)||^2 <= jf^2 ||x_i - x||^2``, and by degree-two
+      exactness that mean is ``jf^2 tr P``. Hence
+      ``lambda_P_pred = jf^2 lambda_P_upd + tr Q``.
+    * ``I - K = R (P_pred + R)^-1`` has norm at most 1 for ``R = r I``, so
+      ``lambda_d = 1`` and ``lambda_df = jf``.
+    """
+
+    def test_trace_stays_under_update_bound(self, discrete_run):
+        _, _, cert, run = discrete_run
+        assert run.trace_max.max() <= cert.lambda_P_upd
+
+    def test_bound_dominates_mse(self, discrete_run):
+        model, config, cert, run = discrete_run
+        n = run.err_sq.shape[0]
+        mse = run.err_sq.mean(axis=0)
+        se = run.err_sq.std(axis=0, ddof=1) / math.sqrt(n)
+        for k in range(run.err_sq.shape[1]):
+            bound = discrete_mse_bound(cert, model.mu0, config.x0_hat, model.Sigma0, k)
+            assert mse[k] <= bound + 3.0 * se[k], k
+
+    def test_exceedance_within_concentration_limit(self, discrete_run):
+        model, config, cert, run = discrete_run
+        n = run.err_sq.shape[0]
+        for k, delta in itertools.product((10, 50), (0.5, 1.0, 2.0, 3.0)):
+            thr = discrete_concentration_threshold(cert, model.mu0, config.x0_hat, model.Sigma0,
+                                                   k, delta)
+            frequency = float((run.err_sq[:, k] >= thr).mean())
+            limit = math.exp(-delta)
+            assert frequency <= limit + 3.0 * math.sqrt(limit * (1.0 - limit) / n), (k, delta)
 
 
 class TestNaiveComparison:
