@@ -17,16 +17,20 @@ from ._version import __version__
 from .errors import CertificateError, ConfigError, ExperimentDivergenceError
 from .filters import make_filter_config
 from .functionals import check_assumption_continuous, check_assumption_discrete, mean_functional
-from .harness import ExperimentSpec, concentration_check, export_result, preset_spec, run_experiment
+from .harness import (
+    ExperimentSpec,
+    build_model,
+    certificate_for,
+    claim_time,
+    concentration_check,
+    export_result,
+    preset_spec,
+    run_experiment,
+)
 from .matrix_measures import log_norm_mu, log_norm_nu, spectral_norm
 from .models import builtin_contractive3d, builtin_integrated_velocity, velocity_log_lipschitz
 from .quadrature import check_degree_two_exactness, gauss_hermite_rule, unscented_rule
-from .stability import (
-    chi_square_moment_bound,
-    contractive_certificate,
-    gronwall_continuous,
-    integrated_velocity_certificate,
-)
+from .stability import chi_square_moment_bound, gronwall_continuous
 
 _CONFIG_KEYS = {
     "model", "model_params", "filter", "filters", "preset", "trajectories",
@@ -87,38 +91,20 @@ def _spec_from_options(opts):
 
 def cmd_certify(args):
     opts = _merged_options(args)
-    out = opts.pop("out", None)
-    preset = opts.pop("preset", None)
-    model_name = opts.pop("model", None)
-    kinds = opts.pop("filters", ["ekf"])
-    kind = kinds[0]
-    params = opts.pop("model_params", {})
-    if model_name is None:
-        model_name = "integrated_velocity" if preset == "fig2" else "contractive3d"
     # --preset paper pins the benchmark parameters, which are the defaults.
+    if opts.get("preset") == "paper":
+        del opts["preset"]
+    spec, out = _spec_from_options(opts)
+    kind = spec.filters[0]
     try:
-        if model_name == "contractive3d":
-            model = builtin_contractive3d()
-        elif model_name == "integrated_velocity":
-            model = builtin_integrated_velocity(**params)
-        else:
-            raise ConfigError(
-                f"certify supports contractive3d and integrated_velocity, not {model_name!r}")
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-
-    config = make_filter_config(kind, model)
-    try:
-        if model.name == "integrated_velocity":
-            cert = integrated_velocity_certificate(model, config, kind=kind)
-        else:
-            cert = contractive_certificate(model, config, kind)
+        model = build_model(spec)
+        cert = certificate_for(model, make_filter_config(kind, model), kind)
     except CertificateError as exc:
         print(f"certificate unavailable: failed hypothesis: {exc.hypothesis}")
         print(f"  {exc}")
         return 2
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"certificate for model={model.name} filter={kind}")
     print(cert.format_text())
     if out:
@@ -143,6 +129,10 @@ def cmd_simulate(args):
         avg = result.time_averaged_mse[kind]
         dom = result.bound_dominates[kind]
         verdict = "no certificate" if dom is None else ("bound holds" if dom else "BOUND VIOLATED")
+        checked = spec.domination_from
+        claimed = checked if dom is None else claim_time(result.certificates[kind], checked)
+        if claimed > checked:
+            verdict += f", checked from t = {checked:.3g}, claimed from t = {claimed:.3g}"
         print(f"{kind}: time-averaged MSE = {avg:.6g} ({verdict}, "
               f"diverged {result.divergence_counts[kind]}/{spec.trajectories})")
     for warning in result.warnings:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .errors import CertificateError, ExperimentDivergenceError
+from .errors import ExperimentDivergenceError
 from .filters import make_filter_config, run_continuous_ensemble
 from .models import builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
 from .stability import (
@@ -128,28 +128,37 @@ class ExperimentResult:
     warnings: list
 
 
-def _auto_certificate(model, config, kind, warnings):
-    try:
-        if model.name == "integrated_velocity":
-            return integrated_velocity_certificate(model, config, kind=kind)
-        return contractive_certificate(model, config, kind)
-    except (CertificateError, ValueError) as exc:
-        warnings.append(f"no certificate for {kind}: {exc}")
-        return None
+def certificate_for(model, config, kind):
+    """The certificate of ``kind`` on ``model``, as ``certify`` prints it.
+
+    Integrated-velocity models get the limiting velocity certificate, every
+    other model the contractive one. Raises :class:`CertificateError` (a
+    :class:`ValueError`) when the model does not meet its hypotheses.
+    """
+    if model.name == "integrated_velocity":
+        return integrated_velocity_certificate(model, config, kind=kind)
+    return contractive_certificate(model, config, kind)
+
+
+def claim_time(cert, t):
+    """The time whose certificate values stand for a check at time ``t``.
+
+    A certificate claims its bounds from the settle time ``T`` on. Checks
+    before ``T`` use the values at ``T``, so no check window is shortened;
+    this is the one place that reads ``T``.
+    """
+    return max(t, cert.T)
 
 
 def _bound_curve(cert, times):
     if cert is None:
         return None
-    if cert.asymptotic:
-        # Limiting certificate: the exported curve is the flat long-run bound.
-        return np.full(times.shape, cert.mse_asymptote)
-    return np.array([continuous_mse_bound(cert, t) for t in times])
+    return np.array([continuous_mse_bound(cert, claim_time(cert, t)) for t in times])
 
 
 def _exceedance_row(cert, err_sq, t, delta):
-    """Concentration threshold at ``max(t, T)`` and the share of ``err_sq`` meeting it."""
-    thr = continuous_concentration_threshold(cert, max(t, cert.T), delta)
+    """Concentration threshold at ``claim_time(cert, t)`` and the share of ``err_sq`` meeting it."""
+    thr = continuous_concentration_threshold(cert, claim_time(cert, t), delta)
     return {"t": float(t), "delta": float(delta), "threshold": float(thr),
             "frequency": float((err_sq >= thr).mean()), "limit": math.exp(-delta)}
 
@@ -180,14 +189,15 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         configs = {kind: make_filter_config(kind, model) for kind in spec.filters}
     elif set(configs) != set(spec.filters):
         raise ValueError("configs must cover exactly the spec's filter kinds")
-    certs = {}
+    certs = dict.fromkeys(spec.filters)
     for kind in spec.filters:
         if certificates and kind in certificates:
             certs[kind] = certificates[kind]
         elif spec.certificate == "auto":
-            certs[kind] = _auto_certificate(model, configs[kind], kind, warnings)
-        else:
-            certs[kind] = None
+            try:
+                certs[kind] = certificate_for(model, configs[kind], kind)
+            except ValueError as exc:
+                warnings.append(f"no certificate for {kind}: {exc}")
 
     chunks = np.array_split(np.arange(spec.trajectories), min(spec.workers, spec.trajectories))
     chunks = [c for c in chunks if c.size]
@@ -211,7 +221,9 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         chunk_results = [process(c) for c in chunks]
 
     empirical, stderr, bounds, averages, traces = {}, {}, {}, {}, {}
-    cp_err, div_counts, alive_counts, dominates = {}, {}, {}, {}
+    cp_err, div_counts, alive_counts = {}, {}, {}
+    dominates = dict.fromkeys(spec.filters)
+    exceedance = []
     for kind in spec.filters:
         err = np.concatenate([r[kind][0] for r in chunk_results], axis=0)
         trmax = np.concatenate([r[kind][1] for r in chunk_results])
@@ -229,7 +241,6 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             stderr[kind] = np.full(times.shape, np.nan)
             averages[kind] = float("nan")
             traces[kind] = float("nan")
-            dominates[kind] = None
             continue
         mse = err[alive].mean(axis=0)
         second = (err[alive] ** 2).mean(axis=0)
@@ -241,25 +252,14 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         window = times >= avg_from
         averages[kind] = float(mse[window].mean())
         traces[kind] = float(trmax[alive].max())
-        if bounds[kind] is not None:
-            start = max(spec.domination_from, cert.T if not cert.asymptotic else spec.domination_from)
-            sel = times >= start
-            dominates[kind] = bool(np.all(mse[sel] <= bounds[kind][sel] + 3.0 * se[sel]))
-        else:
-            dominates[kind] = None
-
-    exceedance = []
-    for kind in spec.filters:
-        cert = certs[kind]
-        if cert is None or alive_counts[kind] == 0:
+        if cert is None:
             continue
-        alive_mask = np.concatenate([r[kind][3] for r in chunk_results]) < 0
-        cps = cp_err[kind][alive_mask]
+        sel = times >= spec.domination_from
+        dominates[kind] = bool(np.all(mse[sel] <= bounds[kind][sel] + 3.0 * se[sel]))
         for i, t in enumerate(cp_times):
-            if t < cert.T and not cert.asymptotic:
-                continue
+            err_t = cps[alive, i]
             for delta in spec.deltas:
-                exceedance.append({"filter": kind, **_exceedance_row(cert, cps[:, i], t, delta)})
+                exceedance.append({"filter": kind, **_exceedance_row(cert, err_t, t, delta)})
 
     result = ExperimentResult(
         spec=spec,

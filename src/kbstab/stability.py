@@ -69,6 +69,8 @@ class ContinuousCertificate:
             raise ValueError("need lam > 0, lambda_P > 0, T >= 0")
         if self.C_lambda < 0 or self.C_T < 0 or self.e_T_sq < 0:
             raise ValueError("C_lambda, C_T and e_T_sq must be nonnegative")
+        if self.asymptotic and (self.C_T or self.e_T_sq):
+            raise ValueError("an asymptotic certificate has C_T = e_T_sq = 0")
 
     @property
     def mse_asymptote(self):

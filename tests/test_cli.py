@@ -32,6 +32,32 @@ class TestCertify:
         assert code == 2
         assert "failed hypothesis" in out
 
+    @staticmethod
+    def _linear_config(tmp_path, **params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "linear", "model_params": params}))
+        return str(cfg)
+
+    def test_contractive_linear_config(self, tmp_path, capsys):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        cfg = self._linear_config(tmp_path, A=[[-1.0, 0.0], [0.0, -1.0]], Q=eye, H=eye, R=eye)
+        assert main(["certify", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "model=linear" in out
+        assert "lambda           1.0\n" in out
+
+    def test_expanding_linear_config(self, tmp_path, capsys):
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        cfg = self._linear_config(tmp_path, A=[[0.5, 0.0], [0.0, 0.5]], Q=eye, H=eye, R=eye)
+        assert main(["certify", "--config", cfg]) == 2
+        assert "failed hypothesis: contractivity" in capsys.readouterr().out
+
+    def test_linear_without_params(self, tmp_path, capsys):
+        assert main(["certify", "--config", self._linear_config(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_writes_certificate_file(self, tmp_path, capsys):
         code = main(["certify", "--model", "contractive3d", "--filter", "ukf",
                      "--out", str(tmp_path)])
@@ -56,6 +82,16 @@ class TestSimulate:
         assert code == 0
         assert "time-averaged MSE" in out
         assert "bound holds" in out
+        assert "claimed from" not in out
+
+    def test_summary_line_names_claim_window(self, capsys):
+        # the velocity certificate claims its bound from T = 7.68 on, and the
+        # run checks it from domination_from = 1 against its value at T
+        code = main(["simulate", "--model", "integrated_velocity", "--filter", "ekf",
+                     "--trajectories", "5", "--dt", "0.05", "--horizon", "1.0", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "bound holds, checked from t = 1, claimed from t = 7.68," in out
 
     def test_divergence_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,12 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from kbstab import (
+    ContinuousCertificate,
     ExperimentSpec,
     builtin_linear,
     concentration_check,
+    continuous_concentration_threshold,
+    continuous_mse_bound,
+    contractive_certificate,
     export_result,
     make_filter_config,
     preset_spec,
@@ -107,6 +112,46 @@ class TestRunExperiment:
         # 3 standard errors of a log variance ratio with 19 dof per side
         slack = 3.0 * np.sqrt(4.0 / 19.0)
         assert np.log(2.0) - slack <= np.log(ratio) <= np.log(2.0) + slack
+
+
+class TestValidityWindow:
+    """Before its settle time ``T`` a certificate's values at ``T`` stand in."""
+
+    def test_settle_time_inside_run(self):
+        spec = small_spec(domination_from=0.0)
+        model = build_model(spec)
+        contractive = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        cert = dataclasses.replace(contractive, T=0.5)
+        result = run_experiment(spec, certificates={"ekf": cert})
+        curve, times = result.bound_curve["ekf"], result.times
+        before = times <= cert.T
+        assert before.sum() > 1
+        assert np.all(curve[before] == continuous_mse_bound(cert, cert.T))
+        assert np.array_equal(curve[~before],
+                              [continuous_mse_bound(cert, t) for t in times[~before]])
+        rows = result.exceedance
+        assert len(rows) == len(result.checkpoint_times) * len(spec.deltas)
+        assert rows[0]["t"] == 0.0
+        for row in rows:
+            assert row["threshold"] == continuous_concentration_threshold(
+                cert, max(row["t"], cert.T), row["delta"])
+
+    def test_domination_judged_from_domination_from(self):
+        # flat level 0.5 from T = 2 on: the run's errors peak above it near
+        # t = 1.2 but meet it at T, so only the spec's window sees a violation
+        spec = small_spec(domination_from=0.0)
+        cert = ContinuousCertificate(lam=1.0, lambda_P=10.0, T=2.0, C_lambda=0.0, u=1.0,
+                                     rho=-1.0, C_T=0.0, e_T_sq=0.0, provenance="user")
+        result = run_experiment(spec, certificates={"ekf": cert})
+        mse, se = result.empirical_mse["ekf"], result.mse_stderr["ekf"]
+        curve, times = result.bound_curve["ekf"], result.times
+
+        def holds(start):
+            sel = times >= start
+            return bool(np.all(mse[sel] <= curve[sel] + 3.0 * se[sel]))
+
+        assert holds(cert.T) and not holds(spec.domination_from)
+        assert result.bound_dominates["ekf"] is False
 
 
 class TestWorkers:

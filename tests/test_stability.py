@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -123,6 +124,12 @@ class TestContinuousBounds:
         cert = self._cert(T=1.0)
         with pytest.raises(ValueError):
             continuous_mse_bound(cert, 0.5)
+
+    def test_asymptotic_has_no_transient(self):
+        cert = self._cert(T=5.0, C_T=0.0, e_T_sq=0.0, asymptotic=True)
+        for kw in ({"e_T_sq": 0.03}, {"C_T": 0.2}):
+            with pytest.raises(ValueError):
+                dataclasses.replace(cert, **kw)
 
     def test_threshold_vanishes_with_delta(self):
         cert = self._cert(u=2.0)
