@@ -153,18 +153,40 @@ class TestRiccatiContinuous:
         expected = np.array([[-3.0, 0.0, -2.0], [-1.0, -1.0, -1.0], [-1.0, 0.0, -2.0]])
         assert np.allclose(out, expected, atol=1e-12)
 
+    def test_unscented_stein_term_exact_on_quadratics(self, rng):
+        # for g(z) = A z + b + [z^T B_k z]_k the Jacobian is affine, so
+        # E[J_g(X)] P = J_g(x) P; a symmetric degree-two rule reproduces it
+        # for every root of P, up to roundoff
+        for d in (2, 3, 4):
+            F = riccati_functional("sigma", "cont", rule=unscented_rule(d))
+            for _ in range(10):
+                A, b = rng.standard_normal((d, d)), rng.standard_normal(d)
+                B = rng.standard_normal((d, d, d))
+
+                def g(z):
+                    return z @ A.T + b + np.einsum("...i,kij,...j->...k", z, B, z)
+
+                x = rng.standard_normal(d)
+                G = rng.standard_normal((d, d))
+                P = G @ G.T + 0.1 * np.eye(d)
+                expected = (A + np.einsum("j,kji->ki", x, B + np.swapaxes(B, 1, 2))) @ P
+                out = eval_riccati_cont(F, g, x, P)
+                assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_sigma_vs_adf_cross_oracle(self, rng):
-        # measured gap of the unscented Stein term to the GH10 Jacobian
-        # average on this drift peaks near 0.06 at unit scale
+        # typical gap of the unscented Stein term to the GH10 Jacobian average
+        # on this drift at unit scale: the median over 1000 draws is near
+        # 0.05; single draws reach 0.6, so no per-draw bound is asserted
         model = builtin_contractive3d()
         sig = riccati_functional("sigma", "cont", rule=unscented_rule(3))
-        for _ in range(5):
-            x = rng.uniform(-1, 1, 3)
-            G = 0.5 * rng.standard_normal((3, 3))
-            P = G @ G.T + 0.05 * np.eye(3)
-            a = eval_riccati_cont(sig, model.f, x, P)
-            b = jacobian_average(model.jac_f, gauss_hermite_rule(3, 10), x, P)
-            assert np.abs(a - b).max() <= 0.08
+        oracle_rule = gauss_hermite_rule(3, 10)
+        x = rng.uniform(-1, 1, (1000, 3))
+        G = 0.5 * rng.standard_normal((1000, 3, 3))
+        P = G @ np.swapaxes(G, 1, 2) + 0.05 * np.eye(3)
+        stein = eval_riccati_cont_batch(sig, model.f, x, P)
+        gaps = [np.abs(stein[i] - jacobian_average(model.jac_f, oracle_rule, x[i], P[i])).max()
+                for i in range(len(x))]
+        assert np.median(gaps) <= 0.08
 
     def test_adf_matches_high_order_jacobian_average(self, rng):
         # Stein's identity E[J(X)] P = E[f(X) (X - m)^T]: the adf Riccati term
