@@ -10,15 +10,17 @@ where the mean functional ``L`` and Riccati functional ``Lam`` select the
 filter variant: both ``ekf``, or both on one sigma-point rule (unscented
 for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for ``adf``). The
 discrete filter predicts ``(L(f), Lam(f) + Q_tuned)`` and then updates.
-A rule-based step takes both terms from one square root of ``P`` and one
-field evaluation at the shared points, with no Jacobian.
+A rule-based step takes both terms from one field evaluation at the
+points ``x + L xi``, with no Jacobian, where ``L L^T = P`` is any root.
 
 After every step the covariance is symmetrized and checked with a batched
 Cholesky factorization. Only a path whose symmetrized matrix is not
 numerically positive definite, so that its factorization fails, has its
 eigenvalues clamped at zero. The guard is a floating-point safeguard the
-exact-arithmetic theory does not need; on well-posed runs it never fires,
-and the step then makes no eigendecomposition for it.
+exact-arithmetic theory does not need; on well-posed runs it never fires.
+Its factor, or the clamp's eigen-root, is the next step's sigma-point
+root, so a well-posed step makes one Cholesky factorization and no
+eigendecomposition.
 
 One batched step serves both time models and one loop runs it; ensemble,
 single-path (a batch of one with a recorder) and one-step entry points
@@ -42,7 +44,7 @@ from .functionals import (
     riccati_functional,
     shares_sigma_points,
 )
-from .quadrature import _clamp_psd, default_unscented_kappa, gauss_hermite_rule, unscented_rule
+from .quadrature import _psd_root, default_unscented_kappa, gauss_hermite_rule, unscented_rule
 
 FILTER_KINDS = ("ekf", "ukf", "adf", "gh")
 
@@ -116,43 +118,17 @@ class FilterTrajectory:
     trace_P: np.ndarray
 
 
-def _is_pd(M):
-    """Whether a Cholesky factorization of ``M`` (or of every matrix in a stack) succeeds."""
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _clamp_psd_batch(P):
-    """Symmetrize a stack of matrices, clamping only the paths that need it.
-
-    One batched Cholesky factorization usually accepts the whole stack, and
-    the symmetrized stack is returned as it is. Otherwise each matrix is
-    factored on its own, and those that fail are eigen-clamped together in
-    one call. Whether a path is clamped thus depends on its own matrix
-    alone, never on the batch it was grouped with.
-    """
-    sym = 0.5 * (P + np.swapaxes(P, -1, -2))
-    if _is_pd(sym):
-        return sym
-    failing = [b for b, M in enumerate(sym) if not _is_pd(M)]
-    sym[failing] = _clamp_psd(sym[failing])
-    return sym
-
-
 def _check_time(time, model, config):
     if model.time != time or config.riccati_fn.time != time:
         raise ValueError(f"need a {time!r} model and riccati functional, got {model.time!r} and "
                          f"{config.riccati_fn.time!r}")
 
 
-def _drift(model, config, x, P):
-    """Mean and Riccati terms of one step: ``ekf`` point terms, or one shared rule evaluation."""
+def _drift(model, config, x, P, L=None):
+    """Mean and Riccati terms of one step: ``ekf`` point terms, or one rule evaluation at roots ``L``."""
     mean_fn, riccati_fn = config.mean_fn, config.riccati_fn
     if mean_fn.kind != "ekf":
-        return eval_drift_batch(mean_fn, riccati_fn, model.f, x, P)
+        return eval_drift_batch(mean_fn, riccati_fn, model.f, x, P, root=L)
     riccati = eval_riccati_cont_batch if riccati_fn.time == "cont" else eval_riccati_disc_batch
     return eval_mean_batch(mean_fn, model.f, x, P), riccati(riccati_fn, model.f, x, P, jac=model.jac_f)
 
@@ -169,19 +145,21 @@ def _update_batch(model, x_pred, P_pred, y):
     return x, (np.eye(model.dim_x) - K @ H) @ P_pred, K
 
 
-def _kb_step_batch(model, config, HtRinv, x, P, obs, dt):
+def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
     """One filter step over a batch, for either time model.
 
     A continuous model takes the Euler step on the increments ``obs``; a
     discrete model predicts and updates on the measurements ``obs`` and
-    ignores ``HtRinv`` and ``dt``. Returns ``(x_new, P_new, K, bad)`` where ``K`` is the gain applied and
-    ``bad`` flags paths whose step produced non-finite values; their outputs
-    are placeholders that callers must discard (the PSD guard cannot digest
-    NaNs). ``P_new`` is the symmetrized raw update, eigen-clamped at zero
-    only on paths whose Cholesky factorization fails.
+    ignores ``HtRinv`` and ``dt``; ``L`` roots the sigma points (``None``:
+    root ``P`` here). Returns ``(x_new, P_new, L_new, K, bad)`` where ``K``
+    is the gain applied and ``bad`` flags paths whose step produced
+    non-finite values; their outputs are placeholders that callers must
+    discard (the PSD guard cannot digest NaNs). ``P_new`` is the symmetrized
+    raw update, eigen-clamped at zero only on paths whose Cholesky
+    factorization fails, and ``L_new`` the guard's root of it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, lam = _drift(model, config, x, P)
+        mean, lam = _drift(model, config, x, P, L)
         if model.time == "cont":
             K = P @ HtRinv
             innov = obs - (x @ model.H.T) * dt
@@ -194,7 +172,8 @@ def _kb_step_batch(model, config, HtRinv, x, P, obs, dt):
     if bad.any():
         P_raw = np.where(bad[:, None, None], np.eye(P.shape[-1]), P_raw)
         x_new = np.where(bad[:, None], 0.0, x_new)
-    return x_new, _clamp_psd_batch(P_raw), K, bad
+    P_new, L_new = _psd_root(P_raw)
+    return x_new, P_new, L_new, K, bad
 
 
 def kalman_bucy_step(state, dY, dt, model, config):
@@ -209,7 +188,7 @@ def kalman_bucy_step(state, dY, dt, model, config):
     _check_time("cont", model, config)
     x, P, dY = (np.asarray(a, dtype=float)[None] for a in (*state, dY))
     HtRinv = np.linalg.solve(model.R, model.H).T
-    x_new, P_new, _, bad = _kb_step_batch(model, config, HtRinv, x, P, dY, dt)
+    x_new, P_new, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, dY, dt)
     if bad[0]:
         raise DivergenceError("filter state became non-finite")
     if float(np.trace(P_new[0])) < _DEGENERATE_TRACE:
@@ -237,7 +216,7 @@ def discrete_update(pred, y, model):
     """
     x_pred, P_pred, y = (np.asarray(a, dtype=float)[None] for a in (*pred, y))
     x, P, K = _update_batch(model, x_pred, P_pred, y)
-    return x[0], _clamp_psd_batch(P)[0], K[0]
+    return x[0], _psd_root(P)[0][0], K[0]
 
 
 @dataclass
@@ -260,8 +239,9 @@ def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None)
 
     A path is also frozen when its covariance trace collapses or its true
     state turns non-finite. While every path is alive the step's outputs
-    are taken as they are, with no masked copies. ``record(k, x, P, K)``,
-    if given, sees the raw outputs of every step.
+    are taken as they are, with no masked copies. ``L``, the guard's root
+    of ``P``, is carried with it. ``record(k, x, P, K)``, if given, sees
+    the raw outputs of every step.
     """
     _check_time(time, model, config)
     B, n_plus_1, d = states.shape
@@ -270,22 +250,23 @@ def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None)
     checkpoint_idx = np.asarray([] if checkpoint_idx is None else checkpoint_idx, dtype=int)
     HtRinv = np.linalg.solve(model.R, model.H).T if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
-    P = np.tile(config.P0, (B, 1, 1))
+    P, L = _psd_root(np.tile(config.P0, (B, 1, 1)))
     err_sq = np.full((B, n_plus_1), np.nan)
     err_sq[:, 0] = np.sum((states[:, 0] - x) ** 2, axis=1)
     trace_max = np.einsum("bii->b", P).copy()
-    alive = np.all(np.isfinite(states[:, 0]), axis=1)
+    truth_ok = np.all(np.isfinite(states), axis=2)
+    alive = truth_ok[:, 0]
     diverged = np.where(alive, -1, 0)
     for k in range(1, n_plus_1):
         if not alive.any():
             break
-        x_new, P_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, obs[:, k], dt)
+        x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs[:, k], dt)
         if record is not None:
             record(k, x_new, P_new, K)
         tr = np.einsum("bii->b", P_new)
-        ok = alive & ~bad & np.all(np.isfinite(states[:, k]), axis=1) & (tr >= _DEGENERATE_TRACE)
+        ok = alive & ~bad & truth_ok[:, k] & (tr >= _DEGENERATE_TRACE)
         if ok.all():
-            x, P = x_new, P_new
+            x, P, L = x_new, P_new, L_new
             err_sq[:, k] = np.sum((states[:, k] - x) ** 2, axis=1)
             np.maximum(trace_max, tr, out=trace_max)
             continue
@@ -293,6 +274,7 @@ def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None)
         alive = ok
         x = np.where(alive[:, None], x_new, x)
         P = np.where(alive[:, None, None], P_new, P)
+        L = np.where(alive[:, None, None], L_new, L)
         err_sq[alive, k] = np.sum((states[alive, k] - x[alive]) ** 2, axis=1)
         trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
     return EnsembleRun(err_sq=err_sq, trace_max=trace_max, checkpoint_err_sq=err_sq[:, checkpoint_idx],

@@ -6,10 +6,11 @@ Riccati functional that produces the covariance propagation term. Two
 families are provided:
 
 * ``ekf``: point evaluation ``g(x)`` and Jacobian-based propagation.
-* ``sigma``: Gaussian expectations over a sigma-point rule. For
-  ``X ~ N(m, P)`` Stein's identity gives ``E[J_g(X)] P = E[g(X) (X - m)^T]``,
-  so the covariance term is computed from field values alone, at the same
-  points as the mean.
+* ``sigma``: Gaussian expectations over a sigma-point rule at ``x + L xi``
+  for any root ``L L^T = P``: the Cholesky factor, or the clamp's
+  eigen-root where it fails. For ``X ~ N(m, P)`` Stein's identity gives
+  ``E[J_g(X)] P = E[g(X) (X - m)^T]``, so the covariance term is computed
+  from field values alone, at the same points as the mean.
 
 The Gaussian assumed-density filter is the ``sigma`` family on the fixed
 high-order Gauss-Hermite rule of :func:`reference_rule`: exact Gaussian
@@ -26,12 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndefiniteMatrixError
-from .quadrature import (
-    CubatureRule,
-    _sqrt_psd_stack,
-    check_degree_two_exactness,
-    gauss_hermite_rule,
-)
+from .quadrature import CubatureRule, _psd_root, check_degree_two_exactness, gauss_hermite_rule
 
 MEAN_KINDS = ("ekf", "sigma")
 TIME_KINDS = ("cont", "disc")
@@ -113,10 +109,9 @@ def _as_batch(x, P):
     return x, P, single
 
 
-def _sigma_points(rule, x, P):
-    """Transformed points ``x + xi sqrt(P)^T`` (B, n, d) and the symmetric root ``sqrt(P)``."""
-    sqrtP = _sqrt_psd_stack(0.5 * (P + np.swapaxes(P, -1, -2)))
-    return x[:, None, :] + rule.points @ np.swapaxes(sqrtP, -1, -2), sqrtP
+def _sigma_points(rule, x, L):
+    """Transformed points ``x + xi L^T`` (B, n, d) for roots ``L L^T = P``."""
+    return x[:, None, :] + rule.points @ np.swapaxes(L, -1, -2)
 
 
 def _field_at(g, pts):
@@ -130,15 +125,15 @@ def eval_mean_batch(F, g, x, P):
     """Batched mean functional over states ``x`` (B, d) with covariances ``P`` (B, d, d)."""
     if F.kind == "ekf":
         return np.asarray(g(x), dtype=float)
-    pts, _ = _sigma_points(F.rule, x, P)
-    return F.rule.weights @ _field_at(g, pts)
+    return F.rule.weights @ _field_at(g, _sigma_points(F.rule, x, _psd_root(P)[1]))
 
 
 def eval_mean(F, g, x, P):
     """Evaluate the mean functional at a single state / covariance pair.
 
     Point evaluation ``g(x)`` for ``ekf``; a weighted sigma-point sum
-    ``sum_i w_i g(x + sqrt(P) xi_i)`` otherwise. Exactly reproduces ``g(x)``
+    ``sum_i w_i g(x + L xi_i)`` otherwise, for any root ``L L^T = P`` (the
+    Cholesky factor, or the clamp's eigen-root). Exactly reproduces ``g(x)``
     for affine fields regardless of ``P``.
     """
     x, P, single = _as_batch(x, P)
@@ -151,38 +146,38 @@ def eval_riccati_cont_batch(F, g, x, P, jac=None):
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
         return np.asarray(jac(x), dtype=float) @ P
-    return _rule_terms(F, g, x, P)[1]
+    return _rule_terms(F, g, x, _psd_root(P)[1])[1]
 
 
-def _rule_terms(F, g, x, P):
-    """Mean and ``F``'s Riccati term from one square root of ``P`` and one field evaluation.
+def _rule_terms(F, g, x, L):
+    """Mean and ``F``'s Riccati term from one root ``L L^T = P`` and one field evaluation.
 
-    The continuous term is the Stein form ``vals^T (w xi) sqrt(P)``, the
-    rule's ``E[J_g(X)] P``; the discrete one is the symmetrized weighted
+    The continuous term is the Stein form ``vals^T (w xi) L^T``, the rule's
+    ``E[J_g(X)] P``; the discrete one is the symmetrized weighted
     covariance of the propagated points.
     """
     rule = F.rule
-    pts, sqrtP = _sigma_points(rule, x, P)
-    vals = _field_at(g, pts)
+    vals = _field_at(g, _sigma_points(rule, x, L))
     mean = rule.weights @ vals
     if F.time == "cont":
-        return mean, np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ sqrtP
+        return mean, np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ np.swapaxes(L, -1, -2)
     dev = vals - mean[:, None, :]
     cov = (np.swapaxes(dev, -1, -2) * rule.weights) @ dev
     return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
 
 
-def eval_drift_batch(mean_fn, riccati_fn, g, x, P):
+def eval_drift_batch(mean_fn, riccati_fn, g, x, P, root=None):
     """Mean and Riccati functionals (of ``riccati_fn``'s time kind) from one set of sigma points.
 
-    Equal to the separate batch functionals, at the cost of one square root
-    of ``P`` and one field evaluation; both functionals must share one rule.
-    No Jacobian is needed, for the ``adf`` reference rule either. Returns
+    Equal to the separate batch functionals, at the cost of one root of
+    ``P`` (none if the caller passes its roots ``L L^T = P`` as ``root``)
+    and one field evaluation; both functionals must share one rule. No
+    Jacobian is needed, for the ``adf`` reference rule either. Returns
     ``(mean, lam)``.
     """
     if not shares_sigma_points(mean_fn, riccati_fn):
         raise ValueError("mean and riccati functionals do not share a sigma-point rule")
-    return _rule_terms(riccati_fn, g, x, P)
+    return _rule_terms(riccati_fn, g, x, _psd_root(P)[1] if root is None else root)
 
 
 def shares_sigma_points(mean_fn, riccati_fn):
@@ -197,10 +192,11 @@ def eval_riccati_cont(F, g, x, P, jac=None):
     """Continuous-time Riccati functional.
 
     ``ekf`` returns ``J_g(x) P`` and ``sigma`` the Stein form
-    ``sum_i w_i g(x + sqrt(P) xi_i) xi_i^T sqrt(P)``, which by Stein's
-    identity is the rule's estimate of ``E[J_g(X)] P`` for ``X ~ N(x, P)``:
-    on the ``adf`` reference rule it replaces a Jacobian average over the
-    same points. Both coincide with ``A P`` for affine ``g(z) = A z + b``.
+    ``sum_i w_i g(x + L xi_i) xi_i^T L^T`` for any root ``L L^T = P`` (the
+    Cholesky factor, or the clamp's eigen-root), which by Stein's identity
+    is the rule's estimate of ``E[J_g(X)] P`` for ``X ~ N(x, P)``: on the
+    ``adf`` reference rule it replaces a Jacobian average over the same
+    points. Both coincide with ``A P`` for affine ``g(z) = A z + b``.
     """
     if F.time != "cont":
         raise ValueError("functional is not a continuous-time variant")
@@ -216,7 +212,7 @@ def eval_riccati_disc_batch(F, g, x, P, jac=None):
         J = np.asarray(jac(x), dtype=float)
         JPJt = J @ P @ np.swapaxes(J, -1, -2)
         return 0.5 * (JPJt + np.swapaxes(JPJt, -1, -2))
-    return _rule_terms(F, g, x, P)[1]
+    return _rule_terms(F, g, x, _psd_root(P)[1])[1]
 
 
 def eval_riccati_disc(F, g, x, P, jac=None):

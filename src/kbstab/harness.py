@@ -9,6 +9,7 @@ the wall-clock time, never a single output byte.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -94,17 +95,19 @@ def preset_spec(name, **overrides):
 
 
 def build_model(spec):
-    """Instantiate the spec's model by name."""
-    params = dict(spec.model_params)
-    if spec.model == "contractive3d":
-        if params:
-            raise ValueError("contractive3d takes no parameters")
-        return builtin_contractive3d()
-    if spec.model == "integrated_velocity":
-        return builtin_integrated_velocity(**params)
-    if spec.model == "linear":
-        return builtin_linear(**params)
-    raise ValueError(f"unknown model {spec.model!r}; custom models go through the library API")
+    """Instantiate the spec's model by name, naming any missing or unknown ``model_params`` key."""
+    builder = {"contractive3d": builtin_contractive3d, "integrated_velocity": builtin_integrated_velocity,
+               "linear": builtin_linear}.get(spec.model)
+    if builder is None:
+        raise ValueError(f"unknown model {spec.model!r}; custom models go through the library API")
+    accepted = inspect.signature(builder).parameters
+    missing = [name for name, p in accepted.items() if p.default is p.empty and name not in spec.model_params]
+    unknown = sorted(set(spec.model_params) - set(accepted))
+    problems = [f"{what} {', '.join(keys)}" for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
+    if problems:
+        raise ValueError(f"model_params for {spec.model!r}: {'; '.join(problems)} "
+                         f"(accepted: {', '.join(accepted) or 'none'})")
+    return builder(**spec.model_params)
 
 
 @dataclass

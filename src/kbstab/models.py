@@ -166,7 +166,7 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     A continuous model takes Euler-Maruyama steps of size ``dt`` and records
     measurement increments; a discrete model iterates its recursion and
     records ``Y_k = H X_k + R^{1/2} V_k``. Only the state and measurement
-    lines of the loop differ.
+    lines of the loop differ. While every path is alive, rows are written whole.
     """
     if model.time != time:
         raise ValueError(f"expected a {time!r} model, got a {model.time!r} one")
@@ -199,11 +199,12 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
             else:
                 xn = np.asarray(model.f(xk), dtype=float) + wq[:, k]
                 yn = xn @ Ht + vr[:, k]
-            ok = alive & np.all(np.isfinite(xn), axis=1) & np.all(np.isfinite(yn), axis=1)
+            ok = alive & np.all(np.isfinite(np.concatenate((xn, yn), axis=1)), axis=1)
             diverged[alive & ~ok] = k + 1
             alive = ok
-            states[alive, k + 1] = xn[alive]
-            meas[alive, k + 1] = yn[alive]
+            rows = slice(None) if ok.all() else ok
+            states[rows, k + 1] = xn[rows]
+            meas[rows, k + 1] = yn[rows]
     return states, meas, diverged
 
 

@@ -3,7 +3,8 @@
 A cubature rule here is a set of unit sigma-points and weights approximating
 expectations against a standard Gaussian. The rules constructed by this
 module integrate every polynomial of total degree at most two exactly, the
-property the filter stability theory relies on.
+property the filter stability theory relies on, for ``N(x, P)`` at the
+points ``x + L xi`` with any root ``L L^T = P`` (:func:`_psd_root`).
 """
 
 import itertools
@@ -93,21 +94,37 @@ def gauss_hermite_rule(dim, order):
     return CubatureRule(dim=dim, points=points.reshape(-1, dim), weights=w)
 
 
-def _sqrt_psd_stack(P):
-    """Symmetric square root of stacked PSD matrices, clamping eigenvalues at zero."""
-    vals, vecs = np.linalg.eigh(P)
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    S = (vecs * root[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
-
-
 def _clamp_psd(M):
-    """Symmetrize stacked matrices and set their negative eigenvalues to zero."""
+    """Symmetrize stacked matrices and set their negative eigenvalues to zero; also return roots.
+
+    The roots ``V diag(sqrt(max(lam, 0)))`` come from the same eigendecomposition.
+    """
     sym = 0.5 * (M + np.swapaxes(M, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
     vals = np.clip(vals, 0.0, None)
     out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2)), vecs * np.sqrt(vals)[..., None, :]
+
+
+def _psd_root(P):
+    """Symmetrize a stack of matrices and return it with a root ``L L^T = P`` of each member.
+
+    ``L`` is the Cholesky factor; matrices whose factorization fails are
+    eigen-clamped by :func:`_clamp_psd`, which gives their root. Whether a
+    member is clamped depends on its own matrix alone, never on its batch.
+    """
+    sym = 0.5 * (P + np.swapaxes(P, -1, -2))
+    try:
+        return sym, np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        L, failing = np.empty_like(sym), []
+    for b, M in enumerate(sym):
+        try:
+            L[b] = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            failing.append(b)
+    sym[failing], L[failing] = _clamp_psd(sym[failing])
+    return sym, L
 
 
 def matrix_sqrt(P, sym_tol=1e-10, eig_floor=-1e-10):
@@ -123,10 +140,11 @@ def matrix_sqrt(P, sym_tol=1e-10, eig_floor=-1e-10):
     scale = max(1.0, float(np.abs(P).max()))
     if np.abs(P - P.T).max() > sym_tol * scale:
         raise ValueError("matrix is not symmetric to tolerance")
-    vals = np.linalg.eigvalsh(0.5 * (P + P.T))
+    vals, vecs = np.linalg.eigh(0.5 * (P + P.T))
     if vals[0] < eig_floor * scale:
         raise IndefiniteMatrixError(f"matrix has eigenvalue {vals[0]:.3e}, not positive semidefinite")
-    return _sqrt_psd_stack(0.5 * (P + P.T))
+    S = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    return 0.5 * (S + S.T)
 
 
 @dataclass(frozen=True)

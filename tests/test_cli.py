@@ -135,6 +135,29 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 1
 
 
+class TestModelParams:
+    """Missing or unknown ``model_params`` keys are config errors that name the keys."""
+
+    @pytest.mark.parametrize("command", ["certify", "simulate"])
+    @pytest.mark.parametrize("model, params, named", [
+        ("linear", {}, ["A", "Q", "H", "R"]),
+        ("linear", {"A": [[-1.0]], "Q": [[1.0]], "H": [[1.0]]}, ["missing R"]),
+        ("integrated_velocity", {"a2": 1.0, "nonsense": 1.0}, ["unknown nonsense"]),
+        ("contractive3d", {"q": 1.0}, ["unknown q"]),
+    ])
+    def test_keys_named(self, command, model, params, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "model_params": params,
+                                   "trajectories": 2, "dt": 0.05, "horizon": 0.5}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: model_params")
+        for text in named:
+            assert text in captured.err
+        assert "Traceback" not in captured.err and "positional argument" not in captured.err
+        assert "unexpected keyword" not in captured.err
+
+
 class TestUsageErrors:
     """Malformed flags exit 1 with a config error; exit 2 stays reserved for failed checks."""
 

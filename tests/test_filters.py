@@ -15,10 +15,10 @@ from kbstab import (
     simulate_path,
 )
 from kbstab.errors import DegenerateCovarianceError
-from kbstab.filters import FilterConfig, _clamp_psd_batch, run_continuous_ensemble, run_discrete_ensemble
+from kbstab.filters import FilterConfig, _kb_step_batch, run_continuous_ensemble, run_discrete_ensemble
 from kbstab.functionals import mean_functional, reference_rule, riccati_functional
 from kbstab.models import SimulatedPath, simulate_discrete_paths, simulate_paths
-from kbstab.quadrature import _clamp_psd, gauss_hermite_rule, unscented_rule
+from kbstab.quadrature import _clamp_psd, _psd_root, gauss_hermite_rule, unscented_rule
 
 
 def scalar_model(a=-1.0, q=1.0, h=1.0, r=1.0):
@@ -142,32 +142,42 @@ class TestPsdGuard:
         P_raw = mixed_psd_batch(rng)
         calls = {"eigh": 0}
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
-        out = _clamp_psd_batch(P_raw)
+        out, L = _psd_root(P_raw)
         assert calls["eigh"] == 1
         # a matrix rebuilt from clipped eigenpairs is PSD up to a few ulps
         for M in out[:2]:
             assert np.array_equal(M, M.T)
             assert np.linalg.eigvalsh(M)[0] >= -4 * np.finfo(float).eps * np.abs(M).max()
-        assert np.array_equal(out[0], _clamp_psd(P_raw[0]))
-        assert np.array_equal(out[1], _clamp_psd(P_raw[1]))
+        for b in range(2):
+            clamped, root = _clamp_psd(P_raw[b])
+            assert np.array_equal(out[b], clamped)
+            assert np.array_equal(L[b], root)
         definite = P_raw[2]
         assert np.array_equal(out[2], 0.5 * (definite + definite.T))
+        assert np.array_equal(L[2], np.linalg.cholesky(out[2]))
+        # every member's root reproduces the returned matrix
+        assert np.abs(L @ np.swapaxes(L, 1, 2) - out).max() <= 1e-12 * np.abs(out).max()
 
     def test_member_output_independent_of_batch(self, rng):
         P_raw = mixed_psd_batch(rng)
-        out = _clamp_psd_batch(P_raw)
+        out, L = _psd_root(P_raw)
         for b in range(3):
-            assert np.array_equal(out[b], _clamp_psd_batch(P_raw[b:b + 1])[0])
-        assert np.array_equal(out[::-1], _clamp_psd_batch(P_raw[::-1]))
+            alone, root = _psd_root(P_raw[b:b + 1])
+            assert np.array_equal(out[b], alone[0])
+            assert np.array_equal(L[b], root[0])
+        rev, rev_L = _psd_root(P_raw[::-1])
+        assert np.array_equal(out[::-1], rev)
+        assert np.array_equal(L[::-1], rev_L)
 
     def test_definite_batch_needs_no_eigendecomposition(self, rng, monkeypatch):
         calls = {"eigh": 0}
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
         G = rng.standard_normal((50, 3, 3))
         P_raw = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(3)
-        out = _clamp_psd_batch(P_raw)
+        out, L = _psd_root(P_raw)
         assert calls["eigh"] == 0
         assert np.array_equal(out, 0.5 * (P_raw + np.swapaxes(P_raw, 1, 2)))
+        assert np.array_equal(L, np.linalg.cholesky(out))
 
 
 def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7):
@@ -246,14 +256,23 @@ class TestFrozenPaths:
 
 
 class TestStepCost:
-    """Decompositions, field and Jacobian evaluations made by the batched filter step."""
+    """Decompositions, field and Jacobian evaluations made by the batched filter step.
+
+    A run makes one Cholesky factorization more than it has steps: the
+    initial factor of ``P0``.
+    """
+
+    def count_calls(self, model, monkeypatch):
+        calls = {"cholesky": 0, "eigh": 0, "field": 0, "jac": 0}
+        for name in ("cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), calls, name))
+        model.f = counting(model.f, calls, "field")
+        model.jac_f = counting(model.jac_f, calls, "jac")
+        return calls
 
     def run_counted(self, kind, monkeypatch, n_paths=40, steps=100):
         model, _, states, incr = fig1_like_paths(n_paths, horizon=steps * 0.01)
-        calls = {"eigh": 0, "field": 0, "jac": 0}
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
-        model.f = counting(model.f, calls, "field")
-        model.jac_f = counting(model.jac_f, calls, "jac")
+        calls = self.count_calls(model, monkeypatch)
         config = make_filter_config(kind, model)
         run = run_continuous_ensemble(model, config, states, incr, 0.01)
         assert np.all(run.diverged < 0)
@@ -261,6 +280,7 @@ class TestStepCost:
 
     def test_ekf_step_makes_no_eigendecomposition(self, monkeypatch):
         calls, steps = self.run_counted("ekf", monkeypatch)
+        assert calls["cholesky"] == steps + 1
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == steps
@@ -268,16 +288,39 @@ class TestStepCost:
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch):
         calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
-        assert calls["eigh"] == steps
+        assert calls["cholesky"] == steps + 1
+        assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == 0
 
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_clamped_path_carries_its_eigen_root(self, kind, monkeypatch):
+        # path 1 starts far out along x1, where -P S P dt outweighs P: its
+        # Euler update is indefinite there and the guard clamps it
+        model = builtin_contractive3d()
+        config = make_filter_config(kind, model)
+        HtRinv = np.linalg.solve(model.R, model.H).T
+        x = np.zeros((3, 3))
+        P = np.tile(0.1 * np.eye(3), (3, 1, 1))
+        P[1] = np.diag([2000.0, 1.0, 1.0])
+        L = np.linalg.cholesky(P)
+        obs = np.zeros((3, 3))
+        calls = self.count_calls(model, monkeypatch)
+        x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
+        assert not bad.any()
+        assert calls["eigh"] == 1
+        assert np.linalg.eigvalsh(P[1])[0] <= 1e-12
+        assert np.abs(L @ np.swapaxes(L, 1, 2) - P).max() <= 1e-12
+        factored = calls["cholesky"]
+        x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
+        assert not bad.any()
+        assert calls["eigh"] == 1
+        assert calls["cholesky"] == factored + 1
+        assert calls["field"] == 2
+
     def run_counted_discrete(self, kind, monkeypatch, model, n_paths=40, steps=30):
         _, states, meas = discrete_paths(model, n_paths, steps)
-        calls = {"eigh": 0, "field": 0, "jac": 0}
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
-        model.f = counting(model.f, calls, "field")
-        model.jac_f = counting(model.jac_f, calls, "jac")
+        calls = self.count_calls(model, monkeypatch)
         config = make_filter_config(kind, model)
         run = run_discrete_ensemble(model, config, states, meas)
         assert np.all(run.diverged < 0)
@@ -285,6 +328,7 @@ class TestStepCost:
 
     def test_discrete_ekf_step_makes_no_eigendecomposition(self, monkeypatch, discrete_sine):
         calls, steps = self.run_counted_discrete("ekf", monkeypatch, discrete_sine())
+        assert calls["cholesky"] == steps + 1
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == steps
@@ -293,7 +337,8 @@ class TestStepCost:
     def test_discrete_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch,
                                                                          discrete_sine):
         calls, steps = self.run_counted_discrete(kind, monkeypatch, discrete_sine(), n_paths=8, steps=20)
-        assert calls["eigh"] == steps
+        assert calls["cholesky"] == steps + 1
+        assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == 0
 

@@ -22,6 +22,7 @@ from kbstab.functionals import (
     shares_sigma_points,
 )
 from kbstab.models import builtin_contractive3d, builtin_integrated_velocity
+from kbstab.quadrature import _psd_root
 from kbstab.matrix_measures import spectral_norm
 
 
@@ -223,19 +224,19 @@ def random_psd_batch(rng, B, d):
 
 
 def reference_drift(F_mean, F_ric, g, x, P):
-    """Path-by-path loop over the sigma points, rooting P by eigendecomposition."""
+    """Path-by-path loop over the sigma points, rooting each P on its own with the shared helper."""
     w, xi = F_mean.rule.weights, F_ric.rule.points
     means, lams = [], []
     for xb, Pb in zip(x, P):
-        vals, vecs = np.linalg.eigh(Pb)
-        root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        root = _psd_root(Pb[None])[1][0]
+        assert np.abs(root @ root.T - Pb).max() <= 1e-12 * np.abs(Pb).max()
         mean, cross = np.zeros(len(xb)), np.zeros_like(Pb)
         for wi, xii in zip(w, xi):
             gz = g(xb + root @ xii)
             mean += wi * gz
             cross += wi * np.outer(gz, xii)
         means.append(mean)
-        lams.append(cross @ root)
+        lams.append(cross @ root.T)
     return np.array(means), np.array(lams)
 
 
@@ -249,6 +250,8 @@ class TestSharedDriftEvaluation:
         x = rng.uniform(-2.0, 2.0, (12, 3))
         P = random_psd_batch(rng, 12, 3)
         mean, lam = eval_drift_batch(Fm, Fr, model.f, x, P)
+        held = eval_drift_batch(Fm, Fr, model.f, x, P, root=_psd_root(P)[1])
+        assert np.array_equal(mean, held[0]) and np.array_equal(lam, held[1])
         assert np.abs(mean - eval_mean_batch(Fm, model.f, x, P)).max() <= 1e-12
         assert np.abs(lam - eval_riccati_cont_batch(Fr, model.f, x, P)).max() <= 1e-12
         ref_mean, ref_lam = reference_drift(Fm, Fr, model.f, x, P)

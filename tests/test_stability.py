@@ -172,7 +172,7 @@ class TestInflation:
         x = np.tile(config.x0_hat, (100, 1))
         P = np.tile(config.P0, (100, 1, 1))
         for k in range(1, states.shape[1]):
-            x, P, _, bad = _kb_step_batch(model, config, HtRinv, x, P, incr[:, k], 0.01)
+            x, P, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, incr[:, k], 0.01)
             assert not bad.any()
         min_eig = np.linalg.eigvalsh(P)[:, 0].min()
         assert floor <= min_eig + 1e-9
@@ -314,7 +314,7 @@ class TestIntegratedVelocityCertificate:
         P = np.tile(config.P0, (50, 1, 1))
         worst = 0.0
         for k in range(1, states.shape[1]):
-            x, P, _, bad = _kb_step_batch(model, config, HtRinv, x, P, incr[:, k], 0.01)
+            x, P, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, incr[:, k], 0.01)
             assert not bad.any()
             if k * 0.01 >= cert.T:
                 worst = max(worst, float(np.einsum("bii->b", P).max()))
