@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 malformed config or flags, 2 certificate or
 validation failure, 3 runtime divergence. All stochastic output is fully
-determined by ``--seed``; ``--workers`` never changes results.
+determined by ``--seed``. ``--workers`` is accepted and has no effect: a run
+is one batch on one thread.
 """
 
 import argparse
@@ -37,9 +38,10 @@ _CONFIG_KEYS = {
     "dt", "horizon", "seed", "workers", "out", "deltas", "checkpoint_every",
     "average_from", "domination_from", "certificate",
 }
+_VALIDATE_KEYS = {"preset", "seed"}
 
 
-def _load_config(path):
+def _load_config(path, accepted):
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -48,27 +50,20 @@ def _load_config(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    unknown = sorted(set(raw) - accepted)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)} "
+                          f"(accepted: {', '.join(sorted(accepted))})")
     return raw
 
 
-def _merged_options(args):
+def _merged_options(args, accepted=_CONFIG_KEYS):
     """Config file first, then command-line flags override field by field."""
-    opts = _load_config(args.config) if args.config else {}
+    opts = _load_config(args.config, accepted) if args.config else {}
     if "filter" in opts:
         opts["filters"] = [opts.pop("filter")]
-    flag_map = {
-        "model": args.model,
-        "preset": args.preset,
-        "trajectories": args.trajectories,
-        "dt": args.dt,
-        "horizon": args.horizon,
-        "seed": args.seed,
-        "workers": args.workers,
-        "out": args.out,
-    }
+    flag_map = {key: getattr(args, key, None)
+                for key in ("model", "preset", "trajectories", "dt", "horizon", "seed", "workers", "out")}
     if getattr(args, "filter", None):
         flag_map["filters"] = list(args.filter)
     for key, value in flag_map.items():
@@ -310,7 +305,7 @@ def validation_suite(seed=0, samples=10000, rules=None, preset=None, moment_draw
 
 
 def cmd_validate(args):
-    opts = _merged_options(args)
+    opts = _merged_options(args, _VALIDATE_KEYS)
     preset = opts.pop("preset", None)
     seed = opts.pop("seed", 0)
     if preset:
@@ -338,23 +333,26 @@ def build_parser():
 
     def add_common(p, presets=("fig1", "fig2")):
         p.add_argument("--config", help="JSON config file; flags override its fields")
+        p.add_argument("--preset", choices=presets, help="pinned benchmark preset")
+        p.add_argument("--seed", type=int)
+
+    def add_run(p, presets=("fig1", "fig2")):
+        add_common(p, presets)
         p.add_argument("--model", help="model name: contractive3d | integrated_velocity | linear")
         p.add_argument("--filter", action="append", choices=("ekf", "ukf", "adf", "gh"),
                        help="filter kind (repeatable)")
-        p.add_argument("--preset", choices=presets, help="pinned benchmark preset")
         p.add_argument("--trajectories", type=int)
         p.add_argument("--dt", type=float)
         p.add_argument("--horizon", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
+        p.add_argument("--workers", type=int, help="accepted (at least 1) and has no effect")
         p.add_argument("--out", help="output directory")
 
     p_cert = sub.add_parser("certify", help="construct and print a stability certificate")
-    add_common(p_cert, presets=("fig1", "fig2", "paper"))
+    add_run(p_cert, presets=("fig1", "fig2", "paper"))
     p_cert.set_defaults(func=cmd_certify)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment and export results")
-    add_common(p_sim)
+    add_run(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="run the property suite")

@@ -223,18 +223,16 @@ def discrete_update(pred, y, model):
 class EnsembleRun:
     """Batched filter output kept by the Monte Carlo harness.
 
-    ``err_sq`` holds squared estimation errors per path and time point,
-    ``checkpoint_err_sq`` the same restricted to checkpoint indices;
+    ``err_sq`` holds squared estimation errors per path and time point;
     ``diverged[p]`` is the first bad step of path ``p`` or -1.
     """
 
     err_sq: np.ndarray
     trace_max: np.ndarray
-    checkpoint_err_sq: np.ndarray
     diverged: np.ndarray
 
 
-def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None):
+def _run(time, model, config, states, obs, dt, record=None):
     """The time-step loop of both time models (see :func:`run_continuous_ensemble`).
 
     A path is also frozen when its covariance trace collapses or its true
@@ -247,7 +245,6 @@ def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None)
     B, n_plus_1, d = states.shape
     if d != model.dim_x:
         raise ValueError("path dimension does not match the model")
-    checkpoint_idx = np.asarray([] if checkpoint_idx is None else checkpoint_idx, dtype=int)
     HtRinv = np.linalg.solve(model.R, model.H).T if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P, L = _psd_root(np.tile(config.P0, (B, 1, 1)))
@@ -277,23 +274,22 @@ def _run(time, model, config, states, obs, dt, checkpoint_idx=None, record=None)
         L = np.where(alive[:, None, None], L_new, L)
         err_sq[alive, k] = np.sum((states[alive, k] - x[alive]) ** 2, axis=1)
         trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
-    return EnsembleRun(err_sq=err_sq, trace_max=trace_max, checkpoint_err_sq=err_sq[:, checkpoint_idx],
-                       diverged=diverged)
+    return EnsembleRun(err_sq=err_sq, trace_max=trace_max, diverged=diverged)
 
 
-def run_continuous_ensemble(model, config, states, increments, dt, checkpoint_idx=None):
+def run_continuous_ensemble(model, config, states, increments, dt):
     """Run the continuous filter over a batch of simulated paths.
 
     ``states`` (B, n+1, d) are the true states used only to record errors;
     ``increments`` row ``k >= 1`` is consumed to advance from ``k-1`` to
     ``k``. Paths that turn non-finite are frozen and reported, not raised.
     """
-    return _run("cont", model, config, states, increments, dt, checkpoint_idx)
+    return _run("cont", model, config, states, increments, dt)
 
 
-def run_discrete_ensemble(model, config, states, measurements, checkpoint_idx=None):
+def run_discrete_ensemble(model, config, states, measurements):
     """Discrete analogue of :func:`run_continuous_ensemble`; ``measurements`` row ``k`` is ``Y_k``."""
-    return _run("disc", model, config, states, measurements, 1.0, checkpoint_idx)
+    return _run("disc", model, config, states, measurements, 1.0)
 
 
 def _filter_path(time, path, model, config):

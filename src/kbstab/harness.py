@@ -1,18 +1,16 @@
 """Seeded Monte Carlo experiments: ensemble simulation, empirical mean-square
 error curves, bound domination and concentration validation, CSV export.
 
-Experiments are deterministic functions of their spec. Paths are simulated
-from counter-based streams keyed by path index, filters run vectorized over
-contiguous path chunks (one per worker), and reductions happen on fully
-assembled per-path arrays in path order, so the worker count changes only
-the wall-clock time, never a single output byte.
+Experiments are deterministic functions of their spec. All paths are
+simulated in one batch from counter-based streams keyed by path index, each
+filter runs once, vectorized over that batch, and reductions happen on the
+per-path arrays in path order. Results depend on no grouping of the paths.
 """
 
 import dataclasses
 import inspect
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -35,7 +33,11 @@ DIVERGENCE_LIMIT = 0.01
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of a Monte Carlo experiment."""
+    """Declarative description of a Monte Carlo experiment.
+
+    ``workers`` is validated (at least 1) but has no effect: every run is
+    one batch on the calling thread.
+    """
 
     model: str = "contractive3d"
     model_params: dict = field(default_factory=dict)
@@ -202,36 +204,18 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             except ValueError as exc:
                 warnings.append(f"no certificate for {kind}: {exc}")
 
-    chunks = np.array_split(np.arange(spec.trajectories), min(spec.workers, spec.trajectories))
-    chunks = [c for c in chunks if c.size]
-
-    def process(chunk):
-        _, states, incr, sim_div = simulate_paths(
-            model, spec.dt, spec.horizon, spec.seed, n_paths=chunk.size, first_path=int(chunk[0])
-        )
-        out = {}
-        for kind in spec.filters:
-            run = run_continuous_ensemble(model, configs[kind], states, incr, spec.dt, cp_idx)
-            # A path that died in simulation counts as diverged for every filter.
-            div = np.where(sim_div >= 0, sim_div, run.diverged)
-            out[kind] = (run.err_sq, run.trace_max, run.checkpoint_err_sq, div)
-        return out
-
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            chunk_results = list(pool.map(process, chunks))
-    else:
-        chunk_results = [process(c) for c in chunks]
+    _, states, incr, sim_div = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
 
     empirical, stderr, bounds, averages, traces = {}, {}, {}, {}, {}
     cp_err, div_counts, alive_counts = {}, {}, {}
     dominates = dict.fromkeys(spec.filters)
     exceedance = []
     for kind in spec.filters:
-        err = np.concatenate([r[kind][0] for r in chunk_results], axis=0)
-        trmax = np.concatenate([r[kind][1] for r in chunk_results])
-        cps = np.concatenate([r[kind][2] for r in chunk_results], axis=0)
-        div = np.concatenate([r[kind][3] for r in chunk_results])
+        run = run_continuous_ensemble(model, configs[kind], states, incr, spec.dt)
+        err = run.err_sq
+        cps = err[:, cp_idx]
+        # A path that died in simulation counts as diverged for every filter.
+        div = np.where(sim_div >= 0, sim_div, run.diverged)
         alive = div < 0
         n_alive = int(alive.sum())
         cert = certs[kind]
@@ -254,7 +238,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         avg_from = spec.average_from if spec.average_from <= times[-1] else 0.0
         window = times >= avg_from
         averages[kind] = float(mse[window].mean())
-        traces[kind] = float(trmax[alive].max())
+        traces[kind] = float(run.trace_max[alive].max())
         if cert is None:
             continue
         sel = times >= spec.domination_from

@@ -167,12 +167,27 @@ class TestUsageErrors:
         ["simulate", "--preset", "paper"],
         ["validate", "--preset", "paper"],
         [],
+        # validate takes only --config, --preset and --seed
+        ["validate", "--model", "nonsense"],
+        ["validate", "--filter", "gh"],
+        ["validate", "--trajectories", "5"],
+        ["validate", "--dt", "-7"],
+        ["validate", "--horizon", "1.0"],
+        ["validate", "--workers", "0"],
+        ["validate", "--out", "results"],
+        ["validate", "--trajectories", "5", "--dt", "-7", "--model", "nonsense", "--filter", "gh",
+         "--workers", "0", "--out", "results"],
     ])
-    def test_usage_error_is_config_error(self, argv, capsys):
+    def test_usage_error_is_config_error(self, argv, capsys, monkeypatch):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "validation_suite", lambda **kw: ran.append(kw) or [])
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert captured.out == ""
+        assert ran == []
 
     def test_paper_preset_offered_only_to_certify(self, capsys):
         for command, offered in (("certify", True), ("simulate", False), ("validate", False)):
@@ -220,6 +235,36 @@ class TestValidate:
             assert captured.err.startswith("config error:")
             assert captured.out == ""
         assert ran == []
+
+    @pytest.mark.parametrize("config, key", [
+        ({"model": "contractive3d"}, "model"),
+        ({"seed": 3, "trajectories": 5}, "trajectories"),
+        ({"preset": "fig1", "workers": 2}, "workers"),
+        ({"out": "results"}, "out"),
+    ])
+    def test_run_config_keys_rejected(self, config, key, capsys, monkeypatch, tmp_path):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "validation_suite", lambda **kw: ran.append(kw) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert f"unknown config keys: {key} " in captured.err
+        assert captured.out == ""
+        assert ran == []
+
+    def test_config_preset_and_seed_accepted(self, capsys, monkeypatch, tmp_path):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "validation_suite", lambda **kw: ran.append(kw) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig2", "seed": 4}))
+        assert main(["validate", "--config", str(cfg), "--seed", "5"]) == 0
+        assert ran == [{"seed": 5, "preset": "fig2"}]
 
     def test_exit_codes(self, capsys, monkeypatch):
         import kbstab.cli as cli

@@ -198,11 +198,10 @@ class TestGrouping:
     def test_ensemble_independent_of_grouping(self, kind):
         model, times, states, incr = fig1_like_paths(6, horizon=1.0, dt=0.02)
         config = make_filter_config(kind, model)
-        cp = [10, 50]
-        whole = run_continuous_ensemble(model, config, states, incr, 0.02, cp)
-        parts = [run_continuous_ensemble(model, config, states[s], incr[s], 0.02, cp)
+        whole = run_continuous_ensemble(model, config, states, incr, 0.02)
+        parts = [run_continuous_ensemble(model, config, states[s], incr[s], 0.02)
                  for s in (slice(0, 2), slice(2, 6))]
-        for name in ("err_sq", "trace_max", "checkpoint_err_sq", "diverged"):
+        for name in ("err_sq", "trace_max", "diverged"):
             joined = np.concatenate([getattr(r, name) for r in parts])
             assert np.array_equal(getattr(whole, name), joined), name
         for p in (0, 4):
@@ -218,11 +217,10 @@ class TestGrouping:
         model = discrete_sine()
         times, states, meas = discrete_paths(model, 6, steps=40)
         config = make_filter_config(kind, model)
-        cp = [5, 40]
-        whole = run_discrete_ensemble(model, config, states, meas, cp)
-        parts = [run_discrete_ensemble(model, config, states[s], meas[s], cp)
+        whole = run_discrete_ensemble(model, config, states, meas)
+        parts = [run_discrete_ensemble(model, config, states[s], meas[s])
                  for s in (slice(0, 2), slice(2, 6))]
-        for name in ("err_sq", "trace_max", "checkpoint_err_sq", "diverged"):
+        for name in ("err_sq", "trace_max", "diverged"):
             joined = np.concatenate([getattr(r, name) for r in parts])
             assert np.array_equal(getattr(whole, name), joined), name
         for p in range(6):
@@ -244,13 +242,12 @@ class TestFrozenPaths:
         states = states.copy()
         states[2, 12:] = np.nan
         config = make_filter_config(kind, model)
-        cp = [10, 20, 30]
-        run = run_continuous_ensemble(model, config, states, incr, 0.02, cp)
+        run = run_continuous_ensemble(model, config, states, incr, 0.02)
         assert run.diverged.tolist() == [-1, -1, 12, -1, -1]
         assert np.all(np.isnan(run.err_sq[2, 12:]))
         for p in range(5):
-            alone = run_continuous_ensemble(model, config, states[p:p + 1], incr[p:p + 1], 0.02, cp)
-            for name in ("err_sq", "trace_max", "checkpoint_err_sq", "diverged"):
+            alone = run_continuous_ensemble(model, config, states[p:p + 1], incr[p:p + 1], 0.02)
+            for name in ("err_sq", "trace_max", "diverged"):
                 assert np.array_equal(getattr(run, name)[p], getattr(alone, name)[0],
                                       equal_nan=name != "diverged"), (p, name)
 

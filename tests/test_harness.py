@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kbstab import (
     preset_spec,
     run_experiment,
 )
+from kbstab import harness
 from kbstab.errors import ExperimentDivergenceError
 from kbstab.harness import build_model
 
@@ -167,6 +169,33 @@ class TestWorkers:
         export_result(r4, d4)
         assert (d1 / "mse.csv").read_bytes() == (d4 / "mse.csv").read_bytes()
         assert (d1 / "exceedance.csv").read_bytes() == (d4 / "exceedance.csv").read_bytes()
+        # experiment.json echoes the spec, so it differs in spec.workers and nowhere else
+        m1, m4 = (json.loads((d / "experiment.json").read_text()) for d in (d1, d4))
+        assert (m1["spec"].pop("workers"), m4["spec"].pop("workers")) == (1, 4)
+        assert m1 == m4
+
+    def test_one_batch_on_the_calling_thread(self, monkeypatch):
+        calls = {"simulate": 0, "ensemble": [], "threads": 0}
+        simulate, ensemble, start = (harness.simulate_paths, harness.run_continuous_ensemble,
+                                     threading.Thread.start)
+
+        def count_simulate(*args, **kwargs):
+            calls["simulate"] += 1
+            return simulate(*args, **kwargs)
+
+        def count_ensemble(model, config, *args, **kwargs):
+            calls["ensemble"].append(config.mean_fn.kind)
+            return ensemble(model, config, *args, **kwargs)
+
+        def count_start(thread):
+            calls["threads"] += 1
+            return start(thread)
+
+        monkeypatch.setattr(harness, "simulate_paths", count_simulate)
+        monkeypatch.setattr(harness, "run_continuous_ensemble", count_ensemble)
+        monkeypatch.setattr(threading.Thread, "start", count_start)
+        run_experiment(small_spec(workers=4, filters=("ekf", "ukf")))
+        assert calls == {"simulate": 1, "ensemble": ["ekf", "sigma"], "threads": 0}
 
 
 class TestConcentrationCheck:
