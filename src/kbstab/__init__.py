@@ -5,11 +5,12 @@ certificates: time-uniform mean-square error bounds and exponential
 concentration thresholds, in continuous and discrete time, validated by
 seeded Monte Carlo experiments.
 
-The filters share one functional interface with two kinds, point
-evaluation (``ekf``) and sigma-point expectations (``ukf``, ``gh``). The
-assumed-density filter ``adf`` is the sigma-point kind on a high-order
-Gauss-Hermite reference rule: by Stein's identity its Jacobian average is
-a sum of field values at the sigma points.
+Each filter is one functional of two kinds, point evaluation (``ekf``) or
+sigma-point expectations (``ukf``, ``gh``), which gives both its mean and
+its covariance term in either time model. The assumed-density filter
+``adf`` is the sigma-point kind on a high-order Gauss-Hermite reference
+rule: by Stein's identity its Jacobian average is a sum of field values
+at the sigma points.
 """
 
 from ._version import __version__
@@ -42,15 +43,12 @@ from .quadrature import (
 )
 from .functionals import (
     AssumptionCheckReport,
-    MeanFunctional,
-    RiccatiFunctional,
+    Functional,
     check_assumption_continuous,
     check_assumption_discrete,
     eval_mean,
     eval_riccati_cont,
     eval_riccati_disc,
-    mean_functional,
-    riccati_functional,
 )
 from .models import (
     ContinuousModel,

@@ -17,11 +17,12 @@ import numpy as np
 from ._version import __version__
 from .errors import CertificateError, ConfigError, ExperimentDivergenceError
 from .filters import make_filter_config
-from .functionals import check_assumption_continuous, check_assumption_discrete, mean_functional
+from .functionals import Functional, check_assumption_continuous, check_assumption_discrete
 from .harness import (
     ExperimentSpec,
     build_model,
     certificate_for,
+    check_seed,
     claim_time,
     concentration_check,
     export_result,
@@ -29,7 +30,7 @@ from .harness import (
     run_experiment,
 )
 from .matrix_measures import log_norm_mu, log_norm_nu, spectral_norm
-from .models import builtin_contractive3d, builtin_integrated_velocity, velocity_log_lipschitz
+from .models import builtin_contractive3d, builtin_integrated_velocity, philox, velocity_log_lipschitz
 from .quadrature import check_degree_two_exactness, gauss_hermite_rule, unscented_rule
 from .stability import chi_square_moment_bound, gronwall_continuous
 
@@ -90,24 +91,30 @@ def cmd_certify(args):
     if opts.get("preset") == "paper":
         del opts["preset"]
     spec, out = _spec_from_options(opts)
-    kind = spec.filters[0]
     try:
         model = build_model(spec)
-        cert = certificate_for(model, make_filter_config(kind, model), kind)
-    except CertificateError as exc:
-        print(f"certificate unavailable: failed hypothesis: {exc.hypothesis}")
-        print(f"  {exc}")
-        return 2
+        configs = {kind: make_filter_config(kind, model) for kind in spec.filters}
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    print(f"certificate for model={model.name} filter={kind}")
-    print(cert.format_text())
-    if out:
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "certificate.json").write_text(cert.to_json() + "\n")
-        print(f"wrote {path / 'certificate.json'}")
-    return 0
+    code = 0
+    for kind, config in configs.items():
+        try:
+            cert = certificate_for(model, config, kind)
+        except CertificateError as exc:
+            print(f"certificate unavailable: failed hypothesis: {exc.hypothesis}")
+            print(f"  {exc}")
+            code = 2
+            continue
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        print(f"certificate for model={model.name} filter={kind}")
+        print(cert.format_text())
+        if out:
+            path = Path(out) / f"certificate_{kind}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(cert.to_json() + "\n")
+            print(f"wrote {path}")
+    return code
 
 
 def cmd_simulate(args):
@@ -167,7 +174,7 @@ def _exactness_checks(rules):
 
 
 def _matrix_inequality_checks(seed, count=10000, dim=4):
-    gen = np.random.Generator(np.random.Philox(key=[seed, 10]))
+    gen = philox(seed, 10)
     A = gen.standard_normal((count, dim, dim))
     B = gen.standard_normal((count, dim, dim))
     x = gen.standard_normal((count, dim))
@@ -204,12 +211,11 @@ def _assumption_checks(seed, samples):
     ]
     for name, f, jac, dim, m_g, n_g in drifts:
         variants = [
-            ("ekf", mean_functional("ekf")),
-            ("ut", mean_functional("sigma", rule=unscented_rule(dim))),
-            ("gh3", mean_functional("sigma", rule=gauss_hermite_rule(dim, 3))),
+            ("ekf", Functional("ekf")),
+            ("ut", Functional("sigma", unscented_rule(dim))),
+            ("gh3", Functional("sigma", gauss_hermite_rule(dim, 3))),
         ]
-        jf = float(np.max(spectral_norm(jac(np.random.Generator(
-            np.random.Philox(key=[seed, 11])).uniform(-6, 6, size=(4096, dim))))))
+        jf = float(np.max(spectral_norm(jac(philox(seed, 11).uniform(-6, 6, size=(4096, dim))))))
         for label, F in variants:
             rep = check_assumption_continuous(F, f, m_g, n_g, samples=samples, seed=seed, dim=dim)
             out.append(_check(
@@ -223,7 +229,7 @@ def _assumption_checks(seed, samples):
 
 
 def _gronwall_check(seed, count=100):
-    gen = np.random.Generator(np.random.Philox(key=[seed, 12]))
+    gen = philox(seed, 12)
     ok = True
     worst = -np.inf
     for _ in range(count):
@@ -243,7 +249,7 @@ def _gronwall_check(seed, count=100):
 
 
 def _moment_bound_check(seed, draws=10**6, dim=3):
-    gen = np.random.Generator(np.random.Philox(key=[seed, 13]))
+    gen = philox(seed, 13)
     m = np.array([0.5, -1.0, 0.25])[:dim]
     A = gen.standard_normal((dim, dim))
     P = A @ A.T / dim
@@ -307,12 +313,12 @@ def validation_suite(seed=0, samples=10000, rules=None, preset=None, moment_draw
 def cmd_validate(args):
     opts = _merged_options(args, _VALIDATE_KEYS)
     preset = opts.pop("preset", None)
-    seed = opts.pop("seed", 0)
-    if preset:
-        try:
+    try:
+        seed = check_seed(opts.pop("seed", 0))
+        if preset:
             preset_spec(preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     checks = validation_suite(seed=seed, preset=preset)
     report = {"checks": [c.to_dict() for c in checks], "all_pass": all(c.passed for c in checks)}
     print(json.dumps(report, indent=2, sort_keys=True))

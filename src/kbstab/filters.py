@@ -6,12 +6,13 @@ same explicit Euler step as the simulated paths,
     x' = x + L(f) dt + P H^T R^{-1} (dY - H x dt)
     P' = P + [Lam(f) + Lam(f)^T + Q_tuned - P S P] dt,
 
-where the mean functional ``L`` and Riccati functional ``Lam`` select the
-filter variant: both ``ekf``, or both on one sigma-point rule (unscented
-for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for ``adf``). The
-discrete filter predicts ``(L(f), Lam(f) + Q_tuned)`` and then updates.
-A rule-based step takes both terms from one field evaluation at the
-points ``x + L xi``, with no Jacobian, where ``L L^T = P`` is any root.
+where the mean term ``L`` and the Riccati term ``Lam`` come from the
+filter's one functional: ``ekf`` point evaluation, or one sigma-point rule
+(unscented for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for
+``adf``). The discrete filter predicts ``(L(f), Lam(f) + Q_tuned)`` and
+then updates. The model alone says which time model runs. A rule-based
+step takes both terms from one field evaluation at the points
+``x + L xi``, with no Jacobian, where ``L L^T = P`` is any root.
 
 After every step the covariance is symmetrized and checked with a batched
 Cholesky factorization. Only a path whose symmetrized matrix is not
@@ -33,16 +34,12 @@ import numpy as np
 
 from .errors import DegenerateCovarianceError, DivergenceError
 from .functionals import (
-    MeanFunctional,
-    RiccatiFunctional,
+    Functional,
     eval_drift_batch,
     eval_mean_batch,
     eval_riccati_cont_batch,
     eval_riccati_disc_batch,
-    mean_functional,
     reference_rule,
-    riccati_functional,
-    shares_sigma_points,
 )
 from .quadrature import _psd_root, default_unscented_kappa, gauss_hermite_rule, unscented_rule
 
@@ -53,10 +50,9 @@ _DEGENERATE_TRACE = 1e-14
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter variant plus tuning: functionals (both ``ekf`` or on one rule), tuned noise, initial pair."""
+    """Filter variant plus tuning: the functional, tuned noise, initial pair."""
 
-    mean_fn: MeanFunctional
-    riccati_fn: RiccatiFunctional
+    functional: Functional
     Q_tuned: np.ndarray
     x0_hat: np.ndarray
     P0: np.ndarray
@@ -70,9 +66,6 @@ class FilterConfig:
                 raise ValueError(f"{name} must be square")
             if np.linalg.eigvalsh(0.5 * (M + M.T))[0] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        both_ekf = self.mean_fn.kind == self.riccati_fn.kind == "ekf"
-        if not (both_ekf or shares_sigma_points(self.mean_fn, self.riccati_fn)):
-            raise ValueError("mean and riccati functionals must both be ekf or share one sigma-point rule")
         object.__setattr__(self, "Q_tuned", 0.5 * (Q + Q.T))
         object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
         object.__setattr__(self, "x0_hat", x0)
@@ -95,12 +88,8 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
         rule = gauss_hermite_rule(d, gh_order)
     else:
         rule = reference_rule(d)
-    functional = "ekf" if rule is None else "sigma"
-    mean = mean_functional(functional, rule=rule)
-    ric = riccati_functional(functional, model.time, rule=rule)
     return FilterConfig(
-        mean_fn=mean,
-        riccati_fn=ric,
+        functional=Functional("ekf" if rule is None else "sigma", rule),
         Q_tuned=model.Q if Q_tuned is None else Q_tuned,
         x0_hat=model.mu0 if x0_hat is None else x0_hat,
         P0=model.Sigma0 if P0 is None else P0,
@@ -118,19 +107,18 @@ class FilterTrajectory:
     trace_P: np.ndarray
 
 
-def _check_time(time, model, config):
-    if model.time != time or config.riccati_fn.time != time:
-        raise ValueError(f"need a {time!r} model and riccati functional, got {model.time!r} and "
-                         f"{config.riccati_fn.time!r}")
+def _check_time(time, model):
+    if model.time != time:
+        raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
 
 
 def _drift(model, config, x, P, L=None):
-    """Mean and Riccati terms of one step: ``ekf`` point terms, or one rule evaluation at roots ``L``."""
-    mean_fn, riccati_fn = config.mean_fn, config.riccati_fn
-    if mean_fn.kind != "ekf":
-        return eval_drift_batch(mean_fn, riccati_fn, model.f, x, P, root=L)
-    riccati = eval_riccati_cont_batch if riccati_fn.time == "cont" else eval_riccati_disc_batch
-    return eval_mean_batch(mean_fn, model.f, x, P), riccati(riccati_fn, model.f, x, P, jac=model.jac_f)
+    """Mean and Riccati terms of one step in the model's time: ``ekf`` point terms, or one rule evaluation."""
+    F = config.functional
+    if F.kind != "ekf":
+        return eval_drift_batch(F, model.time, model.f, x, P, root=L)
+    riccati = eval_riccati_cont_batch if model.time == "cont" else eval_riccati_disc_batch
+    return eval_mean_batch(F, model.f, x, P), riccati(F, model.f, x, P, jac=model.jac_f)
 
 
 def _update_batch(model, x_pred, P_pred, y):
@@ -185,7 +173,7 @@ def kalman_bucy_step(state, dY, dt, model, config):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _check_time("cont", model, config)
+    _check_time("cont", model)
     x, P, dY = (np.asarray(a, dtype=float)[None] for a in (*state, dY))
     HtRinv = np.linalg.solve(model.R, model.H).T
     x_new, P_new, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, dY, dt)
@@ -202,7 +190,7 @@ def discrete_predict(state, model, config):
     Returns ``(x_pred, P_pred)`` with ``P_pred = Lam(f) + Q_tuned``, which is
     positive definite because ``Q_tuned`` is.
     """
-    _check_time("disc", model, config)
+    _check_time("disc", model)
     x, P = (np.asarray(a, dtype=float)[None] for a in state)
     mean, lam = _drift(model, config, x, P)
     return mean[0], lam[0] + config.Q_tuned
@@ -241,7 +229,7 @@ def _run(time, model, config, states, obs, dt, record=None):
     of ``P``, is carried with it. ``record(k, x, P, K)``, if given, sees
     the raw outputs of every step.
     """
-    _check_time(time, model, config)
+    _check_time(time, model)
     B, n_plus_1, d = states.shape
     if d != model.dim_x:
         raise ValueError("path dimension does not match the model")

@@ -1,9 +1,10 @@
-"""Mean and covariance-propagation functionals of the generalized filter family.
+"""The Gaussian expectation rule that defines each filter of the generalized family.
 
-Every filter in this library is defined by a pair of parametrized linear
-functionals: a mean functional that produces the drift estimate and a
-Riccati functional that produces the covariance propagation term. Two
-families are provided:
+Every filter in this library is defined by one parametrized linear
+functional, a :class:`Functional`. It gives both the drift estimate (the
+mean term) and the covariance propagation (the Riccati term), in
+continuous and in discrete time; which time model runs is the model's
+choice, not the functional's. Two kinds are provided:
 
 * ``ekf``: point evaluation ``g(x)`` and Jacobian-based propagation.
 * ``sigma``: Gaussian expectations over a sigma-point rule at ``x + L xi``
@@ -12,7 +13,7 @@ families are provided:
   ``E[J_g(X)] P = E[g(X) (X - m)^T]``, so the covariance term is computed
   from field values alone, at the same points as the mean.
 
-The Gaussian assumed-density filter is the ``sigma`` family on the fixed
+The Gaussian assumed-density filter is the ``sigma`` kind on the fixed
 high-order Gauss-Hermite rule of :func:`reference_rule`: exact Gaussian
 integrals are rarely available in closed form, and by Stein's identity its
 Jacobian average is the integral the sigma-point path already computes.
@@ -27,10 +28,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndefiniteMatrixError
+from .models import philox
 from .quadrature import CubatureRule, _psd_root, check_degree_two_exactness, gauss_hermite_rule
 
-MEAN_KINDS = ("ekf", "sigma")
-TIME_KINDS = ("cont", "disc")
+FUNCTIONAL_KINDS = ("ekf", "sigma")
 
 
 def reference_rule(dim):
@@ -44,54 +45,30 @@ def reference_rule(dim):
     return gauss_hermite_rule(dim, order)
 
 
-def _check_functional(role, kind, rule):
-    """An ``ekf`` functional takes no rule; a ``sigma`` one needs an admissible rule."""
-    if kind not in MEAN_KINDS:
-        raise ValueError(f"unknown {role} functional kind {kind!r}")
-    if kind == "ekf" and rule is not None:
-        raise ValueError("ekf functional takes no rule")
-    if kind != "ekf" and rule is None:
-        raise ValueError("sigma functional requires a rule")
-    if rule is not None:
-        if not check_degree_two_exactness(rule, tol=1e-8).passed:
-            raise ValueError("rule fails the degree-two exactness check")
-        if rule.has_negative_weights:
-            raise ValueError("rules with negative weights are not admissible here")
-
-
 @dataclass(frozen=True)
-class MeanFunctional:
-    """Drift-estimate functional; ``kind`` is ``ekf`` or ``sigma``."""
+class Functional:
+    """One filter's expectation rule: ``ekf`` takes no rule, ``sigma`` an admissible one.
+
+    The same functional gives the mean and the Riccati term in either time
+    model. An admissible rule is exact to degree two and has no negative
+    weights.
+    """
 
     kind: str
     rule: Optional[CubatureRule] = None
 
     def __post_init__(self):
-        _check_functional("mean", self.kind, self.rule)
-
-
-@dataclass(frozen=True)
-class RiccatiFunctional:
-    """Covariance-propagation functional with a continuous or discrete form."""
-
-    kind: str
-    time: str
-    rule: Optional[CubatureRule] = None
-
-    def __post_init__(self):
-        _check_functional("riccati", self.kind, self.rule)
-        if self.time not in TIME_KINDS:
-            raise ValueError("time must be 'cont' or 'disc'")
-
-
-def mean_functional(kind, rule=None):
-    """Build a :class:`MeanFunctional`; ``sigma`` needs a rule, ``ekf`` takes none."""
-    return MeanFunctional(kind=kind, rule=rule)
-
-
-def riccati_functional(kind, time, rule=None):
-    """Build a :class:`RiccatiFunctional` analogous to :func:`mean_functional`."""
-    return RiccatiFunctional(kind=kind, time=time, rule=rule)
+        if self.kind not in FUNCTIONAL_KINDS:
+            raise ValueError(f"unknown functional kind {self.kind!r}")
+        if self.kind == "ekf" and self.rule is not None:
+            raise ValueError("ekf functional takes no rule")
+        if self.kind != "ekf" and self.rule is None:
+            raise ValueError("sigma functional requires a rule")
+        if self.rule is not None:
+            if not check_degree_two_exactness(self.rule, tol=1e-8).passed:
+                raise ValueError("rule fails the degree-two exactness check")
+            if self.rule.has_negative_weights:
+                raise ValueError("rules with negative weights are not admissible here")
 
 
 def _as_batch(x, P):
@@ -146,46 +123,33 @@ def eval_riccati_cont_batch(F, g, x, P, jac=None):
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
         return np.asarray(jac(x), dtype=float) @ P
-    return _rule_terms(F, g, x, _psd_root(P)[1])[1]
+    return eval_drift_batch(F, "cont", g, x, P)[1]
 
 
-def _rule_terms(F, g, x, L):
-    """Mean and ``F``'s Riccati term from one root ``L L^T = P`` and one field evaluation.
+def eval_drift_batch(F, time, g, x, P, root=None):
+    """Mean and Riccati term of a ``sigma`` functional in ``time`` from one set of sigma points.
 
-    The continuous term is the Stein form ``vals^T (w xi) L^T``, the rule's
-    ``E[J_g(X)] P``; the discrete one is the symmetrized weighted
-    covariance of the propagated points.
+    Equal to the separate batch functionals, at the cost of one root of
+    ``P`` (none if the caller passes its roots ``L L^T = P`` as ``root``)
+    and one field evaluation. No Jacobian is needed, for the ``adf``
+    reference rule either. The continuous (``"cont"``) term is the Stein
+    form ``vals^T (w xi) L^T``, the rule's ``E[J_g(X)] P``; the discrete
+    (``"disc"``) one is the symmetrized weighted covariance of the
+    propagated points. Returns ``(mean, lam)``.
     """
+    if F.kind == "ekf":
+        raise ValueError("the ekf functional has no sigma points; evaluate its mean and Riccati terms apart")
+    if time not in ("cont", "disc"):
+        raise ValueError(f"time must be 'cont' or 'disc', got {time!r}")
     rule = F.rule
+    L = _psd_root(P)[1] if root is None else root
     vals = _field_at(g, _sigma_points(rule, x, L))
     mean = rule.weights @ vals
-    if F.time == "cont":
+    if time == "cont":
         return mean, np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ np.swapaxes(L, -1, -2)
     dev = vals - mean[:, None, :]
     cov = (np.swapaxes(dev, -1, -2) * rule.weights) @ dev
     return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
-
-
-def eval_drift_batch(mean_fn, riccati_fn, g, x, P, root=None):
-    """Mean and Riccati functionals (of ``riccati_fn``'s time kind) from one set of sigma points.
-
-    Equal to the separate batch functionals, at the cost of one root of
-    ``P`` (none if the caller passes its roots ``L L^T = P`` as ``root``)
-    and one field evaluation; both functionals must share one rule. No
-    Jacobian is needed, for the ``adf`` reference rule either. Returns
-    ``(mean, lam)``.
-    """
-    if not shares_sigma_points(mean_fn, riccati_fn):
-        raise ValueError("mean and riccati functionals do not share a sigma-point rule")
-    return _rule_terms(riccati_fn, g, x, _psd_root(P)[1] if root is None else root)
-
-
-def shares_sigma_points(mean_fn, riccati_fn):
-    """Whether both functionals evaluate at the same rule's sigma points."""
-    a, b = mean_fn.rule, riccati_fn.rule
-    if a is None or b is None:
-        return False
-    return a is b or (np.array_equal(a.points, b.points) and np.array_equal(a.weights, b.weights))
 
 
 def eval_riccati_cont(F, g, x, P, jac=None):
@@ -198,8 +162,6 @@ def eval_riccati_cont(F, g, x, P, jac=None):
     ``adf`` reference rule it replaces a Jacobian average over the same
     points. Both coincide with ``A P`` for affine ``g(z) = A z + b``.
     """
-    if F.time != "cont":
-        raise ValueError("functional is not a continuous-time variant")
     x, P, single = _as_batch(x, P)
     out = eval_riccati_cont_batch(F, g, x, P, jac=jac)
     return out[0] if single else out
@@ -212,7 +174,7 @@ def eval_riccati_disc_batch(F, g, x, P, jac=None):
         J = np.asarray(jac(x), dtype=float)
         JPJt = J @ P @ np.swapaxes(J, -1, -2)
         return 0.5 * (JPJt + np.swapaxes(JPJt, -1, -2))
-    return _rule_terms(F, g, x, _psd_root(P)[1])[1]
+    return eval_drift_batch(F, "disc", g, x, P)[1]
 
 
 def eval_riccati_disc(F, g, x, P, jac=None):
@@ -223,8 +185,6 @@ def eval_riccati_disc(F, g, x, P, jac=None):
     symmetrized, and positive semidefinite by construction up to rounding
     (a congruence of ``P``, or positive weights), so it is not clamped.
     """
-    if F.time != "disc":
-        raise ValueError("functional is not a discrete-time variant")
     x, P, single = _as_batch(x, P)
     out = eval_riccati_disc_batch(F, g, x, P, jac=jac)
     return out[0] if single else out
@@ -246,7 +206,7 @@ class AssumptionCheckReport:
 
 def _sample_inputs(dim, samples, seed, box):
     """Deterministic (x, x_alt, P) triples spanning small and large scales."""
-    gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, 0]))
+    gen = philox(seed, 0)
     lo, hi = float(box[0]), float(box[1])
     width = hi - lo
     x_alt = gen.uniform(lo, hi, size=(samples, dim))

@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -29,6 +30,13 @@ from .stability import (
 )
 
 DIVERGENCE_LIMIT = 0.01
+
+
+def check_seed(seed):
+    """``seed`` as an int; a bool or a number that is not integral is a ``ValueError``."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,7 @@ class ExperimentSpec:
             raise ValueError("workers must be at least 1")
         if self.certificate not in ("auto", "none"):
             raise ValueError("certificate must be 'auto' or 'none'")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "filters", tuple(self.filters))
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 

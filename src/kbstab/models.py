@@ -14,7 +14,8 @@ one loop that branches on it only for the state and measurement lines.
 All drift and Jacobian callables must be vectorized over leading batch
 dimensions. Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index, role)`` so that any subset of paths can be generated in
-any order, or in parallel, with bit-identical results.
+any order, or in parallel, with bit-identical results. :func:`philox` builds
+every seeded generator of the package.
 """
 
 import math
@@ -29,9 +30,13 @@ from .quadrature import matrix_sqrt
 _ROLE_INIT, _ROLE_STATE, _ROLE_MEAS = 0, 1, 2
 
 
-def _stream(seed, path_index, role):
-    key = [int(seed) % 2**64, (int(path_index) * 4 + role) % 2**64]
-    return np.random.Generator(np.random.Philox(key=key))
+def philox(*words):
+    """A generator on the Philox stream keyed by the integers ``words``, each taken mod ``2**64``.
+
+    The key is a ``uint64`` array: numpy turns a list holding an int at or
+    above ``2**63`` into float64, which would merge neighbouring seeds.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([int(w) % 2**64 for w in words], dtype=np.uint64)))
 
 
 def _check_spsd(name, M, dim):
@@ -142,7 +147,6 @@ class SimulatedPath:
     measurement_increments: np.ndarray
     seed: int
     path_index: int = 0
-    kind: str = "continuous"
 
     def __post_init__(self):
         if not (len(self.times) == len(self.states) == len(self.measurement_increments)):
@@ -178,7 +182,7 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     # noise roots once per batch; each path draws from its own three streams
     sqrt_sigma0, sqrt_q, sqrt_r = matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
     for p in range(B):
-        g0, g1, g2 = (_stream(seed, first_path + p, role) for role in (_ROLE_INIT, _ROLE_STATE, _ROLE_MEAS))
+        g0, g1, g2 = (philox(seed, (first_path + p) * 4 + role) for role in (_ROLE_INIT, _ROLE_STATE, _ROLE_MEAS))
         x0[p] = model.mu0 + sqrt_sigma0 @ g0.standard_normal(dx)
         wq[p] = scale * g1.standard_normal((n, dx)) @ sqrt_q
         vr[p] = scale * g2.standard_normal((n, dy)) @ sqrt_r
@@ -231,24 +235,24 @@ def simulate_discrete_paths(model, steps, seed, n_paths, first_path=0):
     return np.arange(steps + 1, dtype=float), states, meas, diverged
 
 
-def _one_path(batch, dt, seed, path_index, kind):
+def _one_path(batch, dt, seed, path_index):
     times, states, meas, diverged = batch
     if diverged[0] >= 0:
         raise DivergenceError(f"state became non-finite at step {diverged[0]}", step=int(diverged[0]))
     return SimulatedPath(dt=float(dt), times=times, states=states[0], measurement_increments=meas[0],
-                         seed=int(seed), path_index=int(path_index), kind=kind)
+                         seed=int(seed), path_index=int(path_index))
 
 
 def simulate_path(model, dt, horizon, seed, path_index=0):
     """Simulate a single path; raises :class:`DivergenceError` on blow-up."""
     batch = simulate_paths(model, dt, horizon, seed, 1, first_path=path_index)
-    return _one_path(batch, dt, seed, path_index, "continuous")
+    return _one_path(batch, dt, seed, path_index)
 
 
 def simulate_discrete_path(model, steps, seed, path_index=0):
     """Simulate one discrete path; raises :class:`DivergenceError` on blow-up."""
     batch = simulate_discrete_paths(model, steps, seed, 1, first_path=path_index)
-    return _one_path(batch, 1.0, seed, path_index, "discrete")
+    return _one_path(batch, 1.0, seed, path_index)
 
 
 # ---------------------------------------------------------------------------

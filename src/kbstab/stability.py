@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
-from .models import velocity_log_lipschitz
+from .models import philox, velocity_log_lipschitz
 
 E = math.e
 
@@ -417,7 +417,7 @@ def integrated_velocity_certificate(model, config=None, kind="ekf", Q_tuned=None
 def _sample_gain_deviation(model, lambda_P_pred, samples, seed):
     """Empirical sup of ||I - K H|| over PSD predictive covariances with bounded trace."""
     d = model.dim_x
-    gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, 1]))
+    gen = philox(seed, 1)
     G = gen.standard_normal((samples, d, d))
     P = G @ np.swapaxes(G, 1, 2)
     tr = np.einsum("bii->b", P)

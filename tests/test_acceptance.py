@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 from kbstab import (
+    Functional,
     builtin_contractive3d,
     builtin_discrete_linear,
     builtin_integrated_velocity,
@@ -25,7 +26,6 @@ from kbstab import (
     log_norm_mu,
     log_norm_nu,
     make_filter_config,
-    mean_functional,
     naive_vs_filter,
     preset_spec,
     run_continuous_filter,
@@ -209,7 +209,7 @@ class TestCriterion6PropertySuites:
         for name, model, m, n, d in [("contractive3d", c3, c3.known_M_f, c3.known_N_f, 3),
                                      ("velocity", iv, m_iv, n_iv, 2)]:
             for rule_name, rule in [("ut", unscented_rule(d)), ("gh", gauss_hermite_rule(d, 3))]:
-                F = mean_functional("sigma", rule=rule)
+                F = Functional("sigma", rule)
                 rep = check_assumption_continuous(F, model.f, m, n, samples=10000, seed=0, dim=d)
                 cases.append((f"{name}/{rule_name}", rep.passed, rep.worst_violation))
         ok = all(p for _, p, _ in cases)

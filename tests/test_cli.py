@@ -62,8 +62,21 @@ class TestCertify:
         code = main(["certify", "--model", "contractive3d", "--filter", "ukf",
                      "--out", str(tmp_path)])
         assert code == 0
-        cert = json.loads((tmp_path / "certificate.json").read_text())
+        cert = json.loads((tmp_path / "certificate_ukf.json").read_text())
         assert cert["C_lambda"] == pytest.approx(4.867, abs=1e-3)
+
+    def test_certifies_every_filter_in_order(self, tmp_path, capsys):
+        assert main(["certify", "--preset", "fig1", "--filter", "ekf"]) == 0
+        ekf_only = capsys.readouterr().out
+        assert main(["certify", "--preset", "fig1", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines() if line.startswith("certificate for")]
+        assert headers == ["certificate for model=contractive3d filter=ekf",
+                           "certificate for model=contractive3d filter=ukf"]
+        assert out.startswith(ekf_only)
+        for kind, c_lambda in (("ekf", 0.0), ("ukf", 4.867)):
+            cert = json.loads((tmp_path / f"certificate_{kind}.json").read_text())
+            assert cert["C_lambda"] == pytest.approx(c_lambda, abs=1e-3)
 
 
 class TestSimulate:
@@ -195,6 +208,26 @@ class TestUsageErrors:
                 main([command, "--help"])
             assert exc.value.code == 0
             assert ("paper" in capsys.readouterr().out) == offered, command
+
+
+class TestSeeds:
+    """A seed that is not an integer is a config error, not a traceback or a silent truncation."""
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, 2.0, None])
+    @pytest.mark.parametrize("command", ["validate", "simulate", "certify"])
+    def test_non_integer_seed_rejected(self, command, seed, capsys, monkeypatch, tmp_path):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "validation_suite", lambda **kw: ran.append(kw) or [])
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: ran.append(spec))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: seed must be an integer")
+        assert captured.out == ""
+        assert ran == []
 
 
 class TestValidate:

@@ -16,9 +16,9 @@ from kbstab import (
 )
 from kbstab.errors import DegenerateCovarianceError
 from kbstab.filters import FilterConfig, _kb_step_batch, run_continuous_ensemble, run_discrete_ensemble
-from kbstab.functionals import mean_functional, reference_rule, riccati_functional
+from kbstab.functionals import Functional
 from kbstab.models import SimulatedPath, simulate_discrete_paths, simulate_paths
-from kbstab.quadrature import _clamp_psd, _psd_root, gauss_hermite_rule, unscented_rule
+from kbstab.quadrature import _clamp_psd, _psd_root
 
 
 def scalar_model(a=-1.0, q=1.0, h=1.0, r=1.0):
@@ -225,8 +225,7 @@ class TestGrouping:
             assert np.array_equal(getattr(whole, name), joined), name
         for p in range(6):
             path = SimulatedPath(dt=1.0, times=times, states=states[p],
-                                 measurement_increments=meas[p], seed=7, path_index=p,
-                                 kind="discrete")
+                                 measurement_increments=meas[p], seed=7, path_index=p)
             traj = run_discrete_filter(path, model, config)
             err_sq = np.sum((states[p] - traj.estimates) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
@@ -341,32 +340,23 @@ class TestStepCost:
 
 
 class TestFilterConfig:
-    def test_mixed_variants_rejected(self):
-        with pytest.raises(ValueError):
-            FilterConfig(mean_fn=mean_functional("ekf"),
-                         riccati_fn=riccati_functional("sigma", "cont", rule=reference_rule(2)),
-                         Q_tuned=np.eye(2), x0_hat=np.zeros(2), P0=np.eye(2))
-
-    def test_different_rules_rejected(self):
-        with pytest.raises(ValueError):
-            FilterConfig(mean_fn=mean_functional("sigma", rule=unscented_rule(2)),
-                         riccati_fn=riccati_functional("sigma", "cont", rule=gauss_hermite_rule(2, 3)),
-                         Q_tuned=np.eye(2), x0_hat=np.zeros(2), P0=np.eye(2))
-
     def test_indefinite_tuning_rejected(self):
         with pytest.raises(ValueError):
-            FilterConfig(mean_fn=mean_functional("ekf"),
-                         riccati_fn=riccati_functional("ekf", "cont"),
-                         Q_tuned=np.diag([1.0, 0.0]), x0_hat=np.zeros(2), P0=np.eye(2))
+            FilterConfig(functional=Functional("ekf"), Q_tuned=np.diag([1.0, 0.0]),
+                         x0_hat=np.zeros(2), P0=np.eye(2))
 
     def test_time_kind_mismatch_rejected(self, discrete_sine):
+        # a config has no time kind; the model's must match the entry point's
         discrete = discrete_sine()
         continuous = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError):
-            discrete_predict((np.zeros(2), np.eye(2)), discrete, make_filter_config("ukf", continuous))
+            discrete_predict((np.zeros(2), np.eye(2)), continuous, make_filter_config("ukf", continuous))
         with pytest.raises(ValueError):
-            kalman_bucy_step((np.zeros(2), np.eye(2)), np.zeros(2), 0.01, continuous,
+            kalman_bucy_step((np.zeros(2), np.eye(2)), np.zeros(2), 0.01, discrete,
                              make_filter_config("ekf", discrete))
+        states, meas = np.zeros((1, 3, 2)), np.zeros((1, 3, 2))
+        with pytest.raises(ValueError):
+            run_continuous_ensemble(discrete, make_filter_config("ekf", discrete), states, meas, 0.01)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,20 @@
+import functools
+
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from kbstab import (
+    Functional,
     check_assumption_continuous,
     check_assumption_discrete,
     eval_mean,
     eval_riccati_cont,
     eval_riccati_disc,
     gauss_hermite_rule,
-    mean_functional,
-    riccati_functional,
     unscented_rule,
 )
 from kbstab.errors import IndefiniteMatrixError
@@ -18,8 +23,8 @@ from kbstab.functionals import (
     eval_drift_batch,
     eval_mean_batch,
     eval_riccati_cont_batch,
+    eval_riccati_disc_batch,
     reference_rule,
-    shares_sigma_points,
 )
 from kbstab.models import builtin_contractive3d, builtin_integrated_velocity
 from kbstab.quadrature import _psd_root
@@ -44,30 +49,19 @@ def jacobian_average(jac, rule, x, P):
     return np.einsum("p,pij->ij", rule.weights, J) @ P
 
 
-def all_mean_variants(dim):
-    return [
-        mean_functional("ekf"),
-        mean_functional("sigma", rule=reference_rule(dim)),
-        mean_functional("sigma", rule=unscented_rule(dim)),
-        mean_functional("sigma", rule=gauss_hermite_rule(dim, 3)),
-    ]
+@functools.lru_cache(maxsize=None)
+def all_functionals(dim):
+    return (
+        Functional("ekf"),
+        Functional("sigma", reference_rule(dim)),
+        Functional("sigma", unscented_rule(dim)),
+        Functional("sigma", gauss_hermite_rule(dim, 3)),
+    )
 
 
 class TestEvalMean:
-    def test_affine_exactness_all_variants(self, rng):
-        d = 3
-        A = rng.standard_normal((d, d))
-        b = rng.standard_normal(d)
-        g = affine_field(A, b)
-        for F in all_mean_variants(d):
-            for _ in range(5):
-                x = rng.standard_normal(d)
-                G = rng.standard_normal((d, d))
-                P = G @ G.T
-                assert np.allclose(eval_mean(F, g, x, P), A @ x + b, atol=1e-9)
-
     def test_scalar_square_under_adf(self):
-        F = mean_functional("sigma", rule=reference_rule(1))
+        F = Functional("sigma", reference_rule(1))
 
         def g(z):
             return z**2
@@ -79,8 +73,8 @@ class TestEvalMean:
         # the third drift component is strongly nonlinear at unit scale; the
         # reference rule puts the gap of the 7-point transform at 0.064
         model = builtin_contractive3d()
-        ut = mean_functional("sigma", rule=unscented_rule(3))
-        ref = mean_functional("sigma", rule=gauss_hermite_rule(3, 10))
+        ut = Functional("sigma", unscented_rule(3))
+        ref = Functional("sigma", gauss_hermite_rule(3, 10))
         x, P = np.zeros(3), np.eye(3)
         diff = eval_mean(ut, model.f, x, P) - eval_mean(ref, model.f, x, P)
         assert np.abs(diff).max() <= 0.07
@@ -101,7 +95,7 @@ class TestEvalMean:
         def combo(x):
             return al * g1(x) + be * g2(x)
 
-        F = mean_functional("sigma", rule=unscented_rule(d))
+        F = Functional("sigma", unscented_rule(d))
         x = rng.standard_normal(d)
         G = rng.standard_normal((d, d))
         P = G @ G.T
@@ -112,7 +106,7 @@ class TestEvalMean:
     def test_parameter_lipschitz_on_smooth_drift(self, rng):
         # small input perturbations move the output proportionally
         model = builtin_contractive3d()
-        F = mean_functional("sigma", rule=unscented_rule(3))
+        F = Functional("sigma", unscented_rule(3))
         x, P = rng.standard_normal(3), np.eye(3)
         base = eval_mean(F, model.f, x, P)
         for eps in (1e-4, 1e-5):
@@ -124,32 +118,15 @@ class TestEvalMean:
             assert np.linalg.norm(moved_p - base) <= 50 * np.linalg.norm(dP)
 
     def test_indefinite_covariance_rejected(self):
-        F = mean_functional("sigma", rule=unscented_rule(2))
+        F = Functional("sigma", unscented_rule(2))
         with pytest.raises((IndefiniteMatrixError, ValueError)):
             eval_mean(F, lambda x: x, np.zeros(2), np.diag([1.0, -0.5]))
 
 
 class TestRiccatiContinuous:
-    def test_affine_gives_AP(self, rng):
-        d = 3
-        A = rng.standard_normal((d, d))
-        b = rng.standard_normal(d)
-        g = affine_field(A, b)
-
-        def jac(x):
-            return np.broadcast_to(A, x.shape[:-1] + (d, d))
-
-        G = rng.standard_normal((d, d))
-        P = G @ G.T
-        x = rng.standard_normal(d)
-        for kind, rule in (("ekf", None), ("sigma", reference_rule(d)), ("sigma", unscented_rule(d))):
-            F = riccati_functional(kind, "cont", rule=rule)
-            out = eval_riccati_cont(F, g, x, P, jac=jac)
-            assert np.abs(out - A @ P).max() <= 1e-8
-
     def test_ekf_at_origin_is_jacobian(self):
         model = builtin_contractive3d()
-        F = riccati_functional("ekf", "cont")
+        F = Functional("ekf")
         out = eval_riccati_cont(F, model.f, np.zeros(3), np.eye(3), jac=model.jac_f)
         expected = np.array([[-3.0, 0.0, -2.0], [-1.0, -1.0, -1.0], [-1.0, 0.0, -2.0]])
         assert np.allclose(out, expected, atol=1e-12)
@@ -159,7 +136,7 @@ class TestRiccatiContinuous:
         # E[J_g(X)] P = J_g(x) P; a symmetric degree-two rule reproduces it
         # for every root of P, up to roundoff
         for d in (2, 3, 4):
-            F = riccati_functional("sigma", "cont", rule=unscented_rule(d))
+            F = Functional("sigma", unscented_rule(d))
             for _ in range(10):
                 A, b = rng.standard_normal((d, d)), rng.standard_normal(d)
                 B = rng.standard_normal((d, d, d))
@@ -179,7 +156,7 @@ class TestRiccatiContinuous:
         # on this drift at unit scale: the median over 1000 draws is near
         # 0.05; single draws reach 0.6, so no per-draw bound is asserted
         model = builtin_contractive3d()
-        sig = riccati_functional("sigma", "cont", rule=unscented_rule(3))
+        sig = Functional("sigma", unscented_rule(3))
         oracle_rule = gauss_hermite_rule(3, 10)
         x = rng.uniform(-1, 1, (1000, 3))
         G = 0.5 * rng.standard_normal((1000, 3, 3))
@@ -195,7 +172,7 @@ class TestRiccatiContinuous:
         # from the assumption checks' default box, and no worse than the
         # GH10 Jacobian average it replaces
         model = builtin_contractive3d()
-        adf = make_filter_config("adf", model).riccati_fn
+        adf = make_filter_config("adf", model).functional
         ref, oracle_rule = gauss_hermite_rule(3, 10), gauss_hermite_rule(3, 16)
         stein_err, jac_err = 0.0, 0.0
         for _ in range(200):
@@ -209,11 +186,6 @@ class TestRiccatiContinuous:
         assert stein_err <= 2e-3
         assert stein_err <= jac_err
 
-    def test_variant_mismatch_rejected(self):
-        F = riccati_functional("ekf", "disc")
-        with pytest.raises(ValueError):
-            eval_riccati_cont(F, lambda x: x, np.zeros(2), np.eye(2), jac=lambda x: np.zeros(x.shape[:-1] + (2, 2)))
-
 
 def random_psd_batch(rng, B, d):
     """Random PSD stack over several scales, with every third member singular."""
@@ -223,9 +195,9 @@ def random_psd_batch(rng, B, d):
     return P * np.exp(rng.uniform(np.log(1e-3), np.log(3.0), B))[:, None, None]
 
 
-def reference_drift(F_mean, F_ric, g, x, P):
+def reference_drift(F, g, x, P):
     """Path-by-path loop over the sigma points, rooting each P on its own with the shared helper."""
-    w, xi = F_mean.rule.weights, F_ric.rule.points
+    w, xi = F.rule.weights, F.rule.points
     means, lams = [], []
     for xb, Pb in zip(x, P):
         root = _psd_root(Pb[None])[1][0]
@@ -244,50 +216,73 @@ class TestSharedDriftEvaluation:
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_matches_separate_functionals(self, kind, rng):
         model = builtin_contractive3d()
-        config = make_filter_config(kind, model)
-        Fm, Fr = config.mean_fn, config.riccati_fn
-        assert shares_sigma_points(Fm, Fr)
+        F = make_filter_config(kind, model).functional
         x = rng.uniform(-2.0, 2.0, (12, 3))
         P = random_psd_batch(rng, 12, 3)
-        mean, lam = eval_drift_batch(Fm, Fr, model.f, x, P)
-        held = eval_drift_batch(Fm, Fr, model.f, x, P, root=_psd_root(P)[1])
+        mean, lam = eval_drift_batch(F, "cont", model.f, x, P)
+        held = eval_drift_batch(F, "cont", model.f, x, P, root=_psd_root(P)[1])
         assert np.array_equal(mean, held[0]) and np.array_equal(lam, held[1])
-        assert np.abs(mean - eval_mean_batch(Fm, model.f, x, P)).max() <= 1e-12
-        assert np.abs(lam - eval_riccati_cont_batch(Fr, model.f, x, P)).max() <= 1e-12
-        ref_mean, ref_lam = reference_drift(Fm, Fr, model.f, x, P)
+        assert np.abs(mean - eval_mean_batch(F, model.f, x, P)).max() <= 1e-12
+        assert np.abs(lam - eval_riccati_cont_batch(F, model.f, x, P)).max() <= 1e-12
+        ref_mean, ref_lam = reference_drift(F, model.f, x, P)
         assert np.abs(mean - ref_mean).max() <= 1e-12
         assert np.abs(lam - ref_lam).max() <= 1e-12
 
     def test_unshared_rules_rejected(self):
+        # the ekf functional has no sigma points to share
         model = builtin_contractive3d()
-        ekf = make_filter_config("ekf", model)
-        Fm = mean_functional("sigma", rule=unscented_rule(3))
-        Fr = riccati_functional("sigma", "cont", rule=gauss_hermite_rule(3, 3))
+        F = make_filter_config("ekf", model).functional
         x, P = np.zeros((1, 3)), np.eye(3)[None]
-        for pair in ((ekf.mean_fn, ekf.riccati_fn), (Fm, Fr)):
+        for time in ("cont", "disc"):
             with pytest.raises(ValueError):
-                eval_drift_batch(*pair, model.f, x, P)
+                eval_drift_batch(F, time, model.f, x, P)
+
+
+@st.composite
+def affine_cases(draw):
+    """``(A, b, x, P)`` with ``d`` in 1..4 and ``P = G G^T`` of any rank."""
+    d = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, d))
+
+    def entries(shape, bound):
+        return draw(arrays(float, shape, elements=st.floats(-bound, bound)))
+
+    G = entries((d, rank), 2.0)
+    return entries((d, d), 3.0), entries(d, 3.0), entries(d, 3.0), G @ G.T
+
+
+class TestAffineExactness:
+    @settings(derandomize=True, deadline=None)
+    @given(affine_cases())
+    def test_one_functional_is_exact_on_affine_fields(self, case):
+        # every functional reproduces an affine field g(z) = A z + b: mean
+        # A x + b, continuous term A P, discrete term A P A^T; the shared
+        # sigma-point evaluation equals the separate evaluators bit for bit
+        A, b, x, P = case
+        d = len(x)
+        g = affine_field(A, b)
+
+        def jac(z):
+            return np.broadcast_to(A, z.shape[:-1] + (d, d))
+
+        for F in all_functionals(d):
+            assert np.abs(eval_mean(F, g, x, P) - (A @ x + b)).max() <= 1e-9
+            assert np.abs(eval_riccati_cont(F, g, x, P, jac=jac) - A @ P).max() <= 1e-8
+            assert np.abs(eval_riccati_disc(F, g, x, P, jac=jac) - A @ P @ A.T).max() <= 1e-8
+            xb, Pb = x[None], P[None]
+            for time, riccati in (("cont", eval_riccati_cont_batch), ("disc", eval_riccati_disc_batch)):
+                if F.kind == "ekf":
+                    with pytest.raises(ValueError):
+                        eval_drift_batch(F, time, g, xb, Pb)
+                    continue
+                mean, lam = eval_drift_batch(F, time, g, xb, Pb)
+                assert np.array_equal(mean, eval_mean_batch(F, g, xb, Pb))
+                assert np.array_equal(lam, riccati(F, g, xb, Pb))
 
 
 class TestRiccatiDiscrete:
-    def test_affine_gives_APAt(self, rng):
-        d = 2
-        A = rng.standard_normal((d, d))
-        g = affine_field(A, np.zeros(d))
-
-        def jac(x):
-            return np.broadcast_to(A, x.shape[:-1] + (d, d))
-
-        G = rng.standard_normal((d, d))
-        P = G @ G.T
-        x = rng.standard_normal(d)
-        for kind, rule in (("ekf", None), ("sigma", reference_rule(d)), ("sigma", unscented_rule(d))):
-            F = riccati_functional(kind, "disc", rule=rule)
-            out = eval_riccati_disc(F, g, x, P, jac=jac)
-            assert np.abs(out - A @ P @ A.T).max() <= 1e-8
-
     def test_identity_map(self):
-        F = riccati_functional("sigma", "disc", rule=unscented_rule(2))
+        F = Functional("sigma", unscented_rule(2))
         P = np.diag([1.0, 2.0])
         out = eval_riccati_disc(F, lambda x: x, np.zeros(2), P)
         assert np.allclose(out, P, atol=1e-10)
@@ -295,8 +290,8 @@ class TestRiccatiDiscrete:
     def test_ut_vs_gh8_on_velocity_drift(self, rng):
         # propagated-covariance differences peak near 0.17 at this input scale
         model = builtin_integrated_velocity()
-        ut = riccati_functional("sigma", "disc", rule=unscented_rule(2))
-        gh = riccati_functional("sigma", "disc", rule=gauss_hermite_rule(2, 8))
+        ut = Functional("sigma", unscented_rule(2))
+        gh = Functional("sigma", gauss_hermite_rule(2, 8))
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
             G = 0.3 * rng.standard_normal((2, 2))
@@ -307,7 +302,7 @@ class TestRiccatiDiscrete:
 
     def test_output_is_psd_symmetric(self, rng):
         model = builtin_integrated_velocity()
-        F = riccati_functional("sigma", "disc", rule=unscented_rule(2))
+        F = Functional("sigma", unscented_rule(2))
         for _ in range(10):
             G = rng.standard_normal((2, 2))
             P = G @ G.T
@@ -321,14 +316,14 @@ class TestAssumptionChecks:
         def g(z):
             return np.sin(z)
 
-        F = mean_functional("ekf")
+        F = Functional("ekf")
         report = check_assumption_continuous(F, g, 1.0, -1.0, samples=5000, seed=0, dim=1)
         assert report.c_g_used == 0.0
         assert report.passed
 
     def test_ut_on_contractive3d(self):
         model = builtin_contractive3d()
-        F = mean_functional("sigma", rule=unscented_rule(3))
+        F = Functional("sigma", unscented_rule(3))
         report = check_assumption_continuous(
             F, model.f, model.known_M_f, model.known_N_f, samples=10000, seed=0)
         assert report.passed
@@ -340,7 +335,7 @@ class TestAssumptionChecks:
         def g(z):
             return -0.4 * np.cos(5.0 * z)
 
-        F = mean_functional("sigma", rule=unscented_rule(1, 2.0))
+        F = Functional("sigma", unscented_rule(1, 2.0))
         ok = check_assumption_continuous(F, g, 2.0, -2.0, samples=10000, seed=0, box=(-2, 2))
         assert ok.passed
         low = check_assumption_continuous(
@@ -352,13 +347,13 @@ class TestAssumptionChecks:
         def g(z):
             return np.tanh(z)
 
-        F = mean_functional("ekf")
+        F = Functional("ekf")
         report = check_assumption_discrete(F, g, 1.0, samples=5000, seed=0, dim=1)
         assert report.passed and report.c_g_used == 0.0
 
     def test_discrete_ut_on_velocity_drift(self, rng):
         model = builtin_integrated_velocity()
-        F = mean_functional("sigma", rule=unscented_rule(2))
+        F = Functional("sigma", unscented_rule(2))
         jf = float(np.max(spectral_norm(model.jac_f(rng.uniform(-8, 8, size=(4096, 2))))))
         report = check_assumption_discrete(F, model.f, jf, samples=10000, seed=1)
         assert report.passed
@@ -367,12 +362,12 @@ class TestAssumptionChecks:
         A = np.array([[0.3, 0.1], [0.0, -0.4]])
         g = affine_field(A, rng.standard_normal(2))
         jf = float(np.linalg.norm(A, 2))
-        for F in all_mean_variants(2):
+        for F in all_functionals(2):
             report = check_assumption_discrete(F, g, jf, samples=2000, seed=2, c_g=0.0, dim=2)
             assert report.passed
 
     def test_bad_constants_rejected(self):
-        F = mean_functional("ekf")
+        F = Functional("ekf")
         with pytest.raises(ValueError):
             check_assumption_continuous(F, lambda x: x, -1.0, 1.0, dim=1)
         with pytest.raises(ValueError):

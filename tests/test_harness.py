@@ -184,7 +184,7 @@ class TestWorkers:
             return simulate(*args, **kwargs)
 
         def count_ensemble(model, config, *args, **kwargs):
-            calls["ensemble"].append(config.mean_fn.kind)
+            calls["ensemble"].append(config.functional.kind)
             return ensemble(model, config, *args, **kwargs)
 
         def count_start(thread):

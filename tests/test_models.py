@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from kbstab import (
     velocity_g_prime,
 )
 from kbstab.errors import DivergenceError
-from kbstab.models import simulate_discrete_paths, simulate_paths, velocity_log_lipschitz
+from kbstab.models import philox, simulate_discrete_paths, simulate_paths, velocity_log_lipschitz
 
 
 def central_difference_jacobian(f, x, eps=1e-6):
@@ -149,6 +151,20 @@ class TestContinuousSimulation:
         b = simulate_path(model, dt=0.05, horizon=1.0, seed=42)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.measurement_increments, b.measurement_increments)
+
+    @pytest.mark.parametrize("seeds", [(-1, -2), (2**63, 2**63 + 1)])
+    def test_seeds_outside_int64_do_not_collide(self, seeds):
+        # seeds are taken mod 2**64 and keyed as uint64 words, never through float64
+        model = builtin_contractive3d()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = (simulate_paths(model, dt=0.05, horizon=0.5, seed=s, n_paths=2)[1] for s in seeds)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("key", [(7, 1), (1, 3998), (0, 10), (2**63 - 1, 3)])
+    def test_int64_seeds_keep_their_streams(self, key):
+        assert np.array_equal(philox(*key).bit_generator.random_raw(8),
+                              np.random.Philox(key=list(key)).random_raw(8))
 
     def test_batch_rows_match_single_paths(self):
         # chunking must never change a path: compare batch simulation
