@@ -59,7 +59,46 @@ def all_functionals(dim):
     )
 
 
+@st.composite
+def affine_cases(draw):
+    """``(A, b, x, P)`` with ``d`` in 1..4 and ``P = G G^T`` of any rank."""
+    d = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, d))
+
+    def entries(shape, bound):
+        return draw(arrays(float, shape, elements=st.floats(-bound, bound)))
+
+    G = entries((d, rank), 2.0)
+    return entries((d, d), 3.0), entries(d, 3.0), entries(d, 3.0), G @ G.T
+
+
+def affine_jac(A):
+    def jac(z):
+        return np.broadcast_to(A, z.shape[:-1] + A.shape)
+
+    return jac
+
+
 class TestEvalMean:
+    @settings(derandomize=True, deadline=None)
+    @given(affine_cases())
+    def test_affine_exactness_all_variants(self, case):
+        # every functional reproduces the mean A x + b of an affine field; the
+        # shared sigma-point evaluation equals the separate evaluators bit for bit
+        A, b, x, P = case
+        g = affine_field(A, b)
+        xb, Pb = x[None], P[None]
+        for F in all_functionals(len(x)):
+            assert np.abs(eval_mean(F, g, x, P) - (A @ x + b)).max() <= 1e-9
+            for time, riccati in (("cont", eval_riccati_cont_batch), ("disc", eval_riccati_disc_batch)):
+                if F.kind == "ekf":
+                    with pytest.raises(ValueError):
+                        eval_drift_batch(F, time, g, xb, Pb)
+                    continue
+                mean, lam = eval_drift_batch(F, time, g, xb, Pb)
+                assert np.array_equal(mean, eval_mean_batch(F, g, xb, Pb))
+                assert np.array_equal(lam, riccati(F, g, xb, Pb))
+
     def test_scalar_square_under_adf(self):
         F = Functional("sigma", reference_rule(1))
 
@@ -124,6 +163,15 @@ class TestEvalMean:
 
 
 class TestRiccatiContinuous:
+    @settings(derandomize=True, deadline=None)
+    @given(affine_cases())
+    def test_affine_gives_AP(self, case):
+        A, b, x, P = case
+        g = affine_field(A, b)
+        for F in all_functionals(len(x)):
+            out = eval_riccati_cont(F, g, x, P, jac=affine_jac(A))
+            assert np.abs(out - A @ P).max() <= 1e-8
+
     def test_ekf_at_origin_is_jacobian(self):
         model = builtin_contractive3d()
         F = Functional("ekf")
@@ -238,49 +286,16 @@ class TestSharedDriftEvaluation:
                 eval_drift_batch(F, time, model.f, x, P)
 
 
-@st.composite
-def affine_cases(draw):
-    """``(A, b, x, P)`` with ``d`` in 1..4 and ``P = G G^T`` of any rank."""
-    d = draw(st.integers(1, 4))
-    rank = draw(st.integers(0, d))
-
-    def entries(shape, bound):
-        return draw(arrays(float, shape, elements=st.floats(-bound, bound)))
-
-    G = entries((d, rank), 2.0)
-    return entries((d, d), 3.0), entries(d, 3.0), entries(d, 3.0), G @ G.T
-
-
-class TestAffineExactness:
+class TestRiccatiDiscrete:
     @settings(derandomize=True, deadline=None)
     @given(affine_cases())
-    def test_one_functional_is_exact_on_affine_fields(self, case):
-        # every functional reproduces an affine field g(z) = A z + b: mean
-        # A x + b, continuous term A P, discrete term A P A^T; the shared
-        # sigma-point evaluation equals the separate evaluators bit for bit
+    def test_affine_gives_APAt(self, case):
         A, b, x, P = case
-        d = len(x)
         g = affine_field(A, b)
+        for F in all_functionals(len(x)):
+            out = eval_riccati_disc(F, g, x, P, jac=affine_jac(A))
+            assert np.abs(out - A @ P @ A.T).max() <= 1e-8
 
-        def jac(z):
-            return np.broadcast_to(A, z.shape[:-1] + (d, d))
-
-        for F in all_functionals(d):
-            assert np.abs(eval_mean(F, g, x, P) - (A @ x + b)).max() <= 1e-9
-            assert np.abs(eval_riccati_cont(F, g, x, P, jac=jac) - A @ P).max() <= 1e-8
-            assert np.abs(eval_riccati_disc(F, g, x, P, jac=jac) - A @ P @ A.T).max() <= 1e-8
-            xb, Pb = x[None], P[None]
-            for time, riccati in (("cont", eval_riccati_cont_batch), ("disc", eval_riccati_disc_batch)):
-                if F.kind == "ekf":
-                    with pytest.raises(ValueError):
-                        eval_drift_batch(F, time, g, xb, Pb)
-                    continue
-                mean, lam = eval_drift_batch(F, time, g, xb, Pb)
-                assert np.array_equal(mean, eval_mean_batch(F, g, xb, Pb))
-                assert np.array_equal(lam, riccati(F, g, xb, Pb))
-
-
-class TestRiccatiDiscrete:
     def test_identity_map(self):
         F = Functional("sigma", unscented_rule(2))
         P = np.diag([1.0, 2.0])
