@@ -22,7 +22,7 @@ from .harness import (
     ExperimentSpec,
     build_model,
     certificate_for,
-    check_seed,
+    check_integer,
     claim_time,
     concentration_check,
     export_result,
@@ -76,12 +76,15 @@ def _merged_options(args, accepted=_CONFIG_KEYS):
 def _spec_from_options(opts):
     out = opts.pop("out", None)
     preset = opts.pop("preset", None)
-    if "filters" in opts:
-        opts["filters"] = tuple(opts["filters"])
     try:
         spec = preset_spec(preset, **opts) if preset else ExperimentSpec(**opts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if out is not None:
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except (TypeError, OSError) as exc:
+            raise ConfigError(f"cannot use {out!r} as the output directory: {exc}") from exc
     return spec, out
 
 
@@ -101,7 +104,8 @@ def cmd_certify(args):
         try:
             cert = certificate_for(model, config, kind)
         except CertificateError as exc:
-            print(f"certificate unavailable: failed hypothesis: {exc.hypothesis}")
+            which = f" for filter={kind}" if len(configs) > 1 else ""
+            print(f"certificate unavailable{which}: failed hypothesis: {exc.hypothesis}")
             print(f"  {exc}")
             code = 2
             continue
@@ -111,7 +115,6 @@ def cmd_certify(args):
         print(cert.format_text())
         if out:
             path = Path(out) / f"certificate_{kind}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(cert.to_json() + "\n")
             print(f"wrote {path}")
     return code
@@ -314,7 +317,7 @@ def cmd_validate(args):
     opts = _merged_options(args, _VALIDATE_KEYS)
     preset = opts.pop("preset", None)
     try:
-        seed = check_seed(opts.pop("seed", 0))
+        seed = check_integer("seed", opts.pop("seed", 0))
         if preset:
             preset_spec(preset)
     except ValueError as exc:
@@ -340,29 +343,31 @@ def build_parser():
     def add_common(p, presets=("fig1", "fig2")):
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--preset", choices=presets, help="pinned benchmark preset")
-        p.add_argument("--seed", type=int)
 
-    def add_run(p, presets=("fig1", "fig2")):
-        add_common(p, presets)
+    def add_model(p):
         p.add_argument("--model", help="model name: contractive3d | integrated_velocity | linear")
         p.add_argument("--filter", action="append", choices=("ekf", "ukf", "adf", "gh"),
                        help="filter kind (repeatable)")
-        p.add_argument("--trajectories", type=int)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--workers", type=int, help="accepted (at least 1) and has no effect")
         p.add_argument("--out", help="output directory")
 
     p_cert = sub.add_parser("certify", help="construct and print a stability certificate")
-    add_run(p_cert, presets=("fig1", "fig2", "paper"))
+    add_common(p_cert, presets=("fig1", "fig2", "paper"))
+    add_model(p_cert)
     p_cert.set_defaults(func=cmd_certify)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment and export results")
-    add_run(p_sim)
+    add_common(p_sim)
+    add_model(p_sim)
+    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--trajectories", type=int)
+    p_sim.add_argument("--dt", type=float)
+    p_sim.add_argument("--horizon", type=float)
+    p_sim.add_argument("--workers", type=int, help="accepted (at least 1) and has no effect")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="run the property suite")
     add_common(p_val)
+    p_val.add_argument("--seed", type=int)
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -32,11 +32,15 @@ from .stability import (
 DIVERGENCE_LIMIT = 0.01
 
 
-def check_seed(seed):
-    """``seed`` as an int; a bool or a number that is not integral is a ``ValueError``."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
+def check_integer(name, value):
+    """``value`` as an int; a bool or a number that is not integral is a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(value):
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -63,15 +67,25 @@ class ExperimentSpec:
     preset: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("trajectories", "workers", "seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        for name in ("dt", "horizon", "checkpoint_every", "average_from", "domination_from"):
+            if not _finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.trajectories < 1:
             raise ValueError("trajectories must be at least 1")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("need dt > 0 and horizon >= dt")
+        if self.checkpoint_every <= 0:
+            raise ValueError("checkpoint_every must be positive")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.certificate not in ("auto", "none"):
             raise ValueError("certificate must be 'auto' or 'none'")
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        if isinstance(self.filters, str) or not self.filters:
+            raise ValueError(f"filters must be a nonempty list of filter kinds, got {self.filters!r}")
+        if not (isinstance(self.deltas, (list, tuple)) and all(_finite(d) and d > 0 for d in self.deltas)):
+            raise ValueError(f"deltas must be a list of positive finite numbers, got {self.deltas!r}")
         object.__setattr__(self, "filters", tuple(self.filters))
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 

@@ -329,6 +329,8 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
     nonlinearity :func:`velocity_g`, whose slope bounds are attached for
     certificate construction. Only ``h x1`` is measured.
     """
+    if not all(map(math.isfinite, (a1, a2, q1, q2, h, r))):
+        raise ValueError("a1, a2, q1, q2, h and r must be finite")
     if a2 <= 0 or q1 <= 0 or q2 <= 0 or r <= 0:
         raise ValueError("a2, q1, q2 and r must be positive")
     if h == 0:
@@ -379,8 +381,13 @@ def velocity_log_lipschitz(model):
     return float(M), float(N)
 
 
-def _linear_field(A):
+def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):
+    """A ``cls`` model with drift ``A x``; ``known`` adds exact drift constants."""
     A = np.asarray(A, dtype=float)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A must be finite")
+    d = A.shape[0]
+    H = np.asarray(H, dtype=float)
 
     def f(x):
         return x @ A.T
@@ -388,7 +395,9 @@ def _linear_field(A):
     def jac(x):
         return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
-    return f, jac
+    return cls(dim_x=d, dim_y=H.shape[0], f=f, jac_f=jac, Q=Q, H=H, R=R,
+               mu0=np.zeros(d) if mu0 is None else mu0, Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
+               known_jf_norm=float(np.linalg.norm(A, 2)), name=name, params={"A": A}, **known)
 
 
 def builtin_linear(A, Q, H, R, mu0=None, Sigma0=None):
@@ -398,46 +407,11 @@ def builtin_linear(A, Q, H, R, mu0=None, Sigma0=None):
     automatically.
     """
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    H = np.asarray(H, dtype=float)
-    f, jac = _linear_field(A)
-    sym = 0.5 * (A + A.T)
-    vals = np.linalg.eigvalsh(sym)
-    return ContinuousModel(
-        dim_x=d,
-        dim_y=H.shape[0],
-        f=f,
-        jac_f=jac,
-        Q=Q,
-        H=H,
-        R=R,
-        mu0=np.zeros(d) if mu0 is None else mu0,
-        Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
-        known_M_f=float(vals[-1]),
-        known_N_f=float(vals[0]),
-        known_jf_norm=float(np.linalg.norm(A, 2)),
-        name="linear",
-        params={"A": A},
-    )
+    vals = np.linalg.eigvalsh(0.5 * (A + A.T))
+    return _linear_model(ContinuousModel, A, Q, H, R, mu0, Sigma0, "linear",
+                         known_M_f=float(vals[-1]), known_N_f=float(vals[0]))
 
 
 def builtin_discrete_linear(A, Q, H, R, mu0=None, Sigma0=None):
     """Discrete linear recursion ``X_k = A X_{k-1} + Q^{1/2} W_k``."""
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    H = np.asarray(H, dtype=float)
-    f, jac = _linear_field(A)
-    return DiscreteModel(
-        dim_x=d,
-        dim_y=H.shape[0],
-        f=f,
-        jac_f=jac,
-        Q=Q,
-        H=H,
-        R=R,
-        mu0=np.zeros(d) if mu0 is None else mu0,
-        Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
-        known_jf_norm=float(np.linalg.norm(A, 2)),
-        name="discrete_linear",
-        params={"A": A},
-    )
+    return _linear_model(DiscreteModel, A, Q, H, R, mu0, Sigma0, "discrete_linear")

@@ -162,6 +162,25 @@ def _resolve_drift_constants(model, m_f=None, n_f=None, box=None, budget=4096):
     return est.m_hat, est.n_hat, "empirical"
 
 
+def _consistency_tail(model, kind, lam, lambda_P, M_f, N_f):
+    """``(C_lambda, u, rho)`` of a continuous certificate with rate ``lam``.
+
+    The consistency constant ``C_lambda`` is zero for the point-evaluation
+    filter and ``max(0, -lam - N(f) + tr(S) lambda_P)`` for the
+    quadrature-based ones; ``rho = M(f) + ||S|| lambda_P``.
+    """
+    tr_S = float(np.trace(model.S))
+    if kind == "ekf":
+        C_lambda = 0.0
+    elif N_f is None:
+        raise ValueError("quadrature-based certificate needs N(f); none available")
+    else:
+        C_lambda = max(0.0, -lam - float(N_f) + tr_S * lambda_P)
+    u = float(np.trace(model.Q)) + 2.0 * C_lambda * lambda_P + tr_S * lambda_P**2
+    rho = M_f + float(np.linalg.norm(model.S, 2)) * lambda_P
+    return C_lambda, u, rho
+
+
 def contractive_certificate(model, config, kind, m_f=None, n_f=None, box=None, budget=4096):
     """Certificate for contractive, fully observed models.
 
@@ -178,24 +197,14 @@ def contractive_certificate(model, config, kind, m_f=None, n_f=None, box=None, b
     if s is None or s <= 0:
         raise NotFullyObservedError("S = H^T R^-1 H is not a positive multiple of the identity")
 
-    ekf_like = kind == "ekf"
     lam = -M_f
     tr_P0 = float(np.trace(config.P0))
     tr_Qt = float(np.trace(config.Q_tuned))
     lambda_P = tr_P0 + tr_Qt / (2.0 * lam)
-    tr_S = float(np.trace(model.S))
-    if ekf_like:
-        C_lambda = 0.0
-    else:
-        if N_f is None:
-            raise ValueError("quadrature-based certificate needs N(f); none available")
-        C_lambda = max(0.0, -lam - float(N_f) + tr_S * lambda_P)
-    tr_Q = float(np.trace(model.Q))
-    u = tr_Q + 2.0 * C_lambda * lambda_P + tr_S * lambda_P**2
+    C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P, M_f, N_f)
     d = model.dim_x
     mean_gap = model.mu0 - config.x0_hat
     e_T_sq = float(mean_gap @ mean_gap + np.trace(model.Sigma0))
-    rho = M_f + float(np.linalg.norm(model.S, 2)) * lambda_P
     # T = 0, so the pre-settle moment-growth factor is not needed.
     C_T = 4.0 * (float(mean_gap @ mean_gap) + float(np.linalg.norm(model.Sigma0, 2)) * (d + 2))
     return ContinuousCertificate(
@@ -209,7 +218,7 @@ def contractive_certificate(model, config, kind, m_f=None, n_f=None, box=None, b
         e_T_sq=e_T_sq,
         provenance=provenance,
         asymptotic=False,
-        details={"kind": "ekf" if ekf_like else "quadrature", "s": s, "M_f": M_f,
+        details={"kind": "ekf" if kind == "ekf" else "quadrature", "s": s, "M_f": M_f,
                  "N_f": None if N_f is None else float(N_f)},
     )
 
@@ -231,6 +240,14 @@ def continuous_concentration_threshold(cert, t, delta):
     return level * beta(delta)
 
 
+def _supplied_or_known(value, model, arg, attr):
+    """``value`` if given, else the model's ``attr``, as a float."""
+    value = getattr(model, attr) if value is None else value
+    if value is None:
+        raise ValueError(f"need {arg}: pass it or attach {attr} to the model")
+    return float(value)
+
+
 def inflation_mineig_bound(model, Q_tuned, n_f=None):
     """Limiting lower bound on the smallest covariance eigenvalue.
 
@@ -245,11 +262,7 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
     This is the long-run limit; transient terms with model-dependent
     prefactors are dropped, so treat the value as asymptotic.
     """
-    if n_f is None:
-        n_f = model.known_N_f
-    if n_f is None:
-        raise ValueError("need N(f): pass n_f or attach known_N_f to the model")
-    n_f = float(n_f)
+    n_f = _supplied_or_known(n_f, model, "n_f", "known_N_f")
     Q_tuned = np.asarray(Q_tuned, dtype=float)
     q_min = float(np.linalg.eigvalsh(0.5 * (Q_tuned + Q_tuned.T))[0])
     if q_min <= 0:
@@ -274,22 +287,16 @@ def required_inflation(model, target_lambda, m_f=None, n_f=None):
     ``d t max(0, s t - 2 N(f))``; returns the matrix ``q I``. When the drift
     is already contractive enough the requirement is vacuous and ``q = 0``.
     """
-    if m_f is None:
-        m_f = model.known_M_f
-    if m_f is None:
-        raise ValueError("need M(f): pass m_f or attach known_M_f to the model")
+    m_f = _supplied_or_known(m_f, model, "m_f", "known_M_f")
     s = model.s_scalar()
     if s is None or s <= 0:
         raise NotFullyObservedError("required_inflation needs S = s I with s > 0")
     d = model.dim_x
-    target = (float(m_f) + float(target_lambda)) / s
+    target = (m_f + float(target_lambda)) / s
     if target <= 0:
         return np.zeros((d, d))
-    if n_f is None:
-        n_f = model.known_N_f
-    if n_f is None:
-        raise ValueError("need N(f): pass n_f or attach known_N_f to the model")
-    return d * target * max(0.0, s * target - 2.0 * float(n_f)) * np.eye(d)
+    n_f = _supplied_or_known(n_f, model, "n_f", "known_N_f")
+    return d * target * max(0.0, s * target - 2.0 * n_f) * np.eye(d)
 
 
 def _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, g_lo):
@@ -308,33 +315,43 @@ def _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, g_lo):
     return 0.5 * (a + c) + math.sqrt((0.5 * (a - c)) ** 2 + b * b)
 
 
-# Number of cross-term rates lambda_12 the velocity certificate tries.
-_LAMBDA12_SWEEP = 200
-
-
-def integrated_velocity_certificate(model, config=None, kind="ekf", Q_tuned=None):
+def integrated_velocity_certificate(model, config=None, kind="ekf"):
     """Certificate for the integrated-velocity model via element-wise bounds.
 
-    Derivation: the hidden-component variance satisfies a linear comparison
-    inequality giving the limit ``C22 = q2 / (2 lg)``; for each admissible
-    cross-term contraction rate ``lambda_12`` the cross covariance is
-    bounded by ``C12 = a2 C22 / lambda_12`` and the measured-component
-    variance by a closed interval. The certified rate is the negative
-    supremum of ``mu(J - P S)`` over that box, which is attained at a corner
-    and computed in closed form (:func:`_velocity_box_sup_mu`).
-    ``lambda_12`` is swept over its admissible range and the sweep keeps the
-    smallest value attaining the maximal rate, which is the most
-    conservative cross-term hypothesis.
+    The tuned noise ``diag(q1, q2)`` and ``P0`` come from ``config``
+    (``None``: the model's ``Q`` and ``Sigma0``, as in the default config).
 
-    The symmetric part of ``J - P S`` has ``-g'`` on its diagonal, so
-    ``mu(J - P S) >= -g'`` at every point and the rate never exceeds
-    ``inf g' = lg``. When ``s C12 <= 2 a2`` (``s = h^2 / r``) the supremum
-    sits at the corner ``P11 = p11_lo``, ``P12 = 0``, ``g' = lg``, and the
-    rate equals ``(sigma + lg)/2 - sqrt(((sigma - lg)/2)^2 + a2^2/4)`` with
-    ``sigma = sqrt(s q1 + a1^2)``; otherwise the corner has ``P12 = C12``.
+    Derivation: the hidden-component variance satisfies a linear comparison
+    inequality giving the limit ``C22 = q2 / (2 lg)``. With ``s = h^2 / r``
+    and ``sigma = sqrt(s q1 + a1^2)``, the measured-component variance is at
+    least ``p11_lo = (a1 + sigma) / s``, so the cross covariance decays at
+    rate at least ``lam12_hi = lg + sigma``. For a cross-term rate
+    ``lambda_12`` strictly below that, in ``(0, lam12_hi)``, it is bounded
+    by ``C12 = a2 C22 / lambda_12``, and ``P11`` by
+    ``p11_up = (a1 + sqrt(s (q1 + 2 a2 C12) + a1^2)) / s``. The rate is
+    minus the supremum of ``mu(J - P S)`` over that box, a corner value in
+    closed form (:func:`_velocity_box_sup_mu`). It never exceeds
+    ``inf g' = lg``, since ``-g'`` is on the diagonal of the symmetric part.
+
+    Choice of ``lambda_12``: the supremum depends on it only through
+    ``b = max(a2, s C12 - a2) / 2``, which falls as ``lambda_12`` grows
+    until ``s C12 = 2 a2``, that is ``lambda_12 = s C22 / 2``, and stays at
+    ``a2 / 2`` from there. So the rate is nondecreasing in ``lambda_12`` and
+    flat from ``s C22 / 2`` on. A larger ``lambda_12`` asks more of the
+    cross term, so the certificate takes the least one that does best:
+
+    * if ``s C22 / 2 < lam12_hi``, ``lambda_12 = s C22 / 2`` and
+      ``C12 = 2 a2 / s``, formed directly so that ``b = a2 / 2`` is not left
+      to rounding. The supremum is then at ``P11 = p11_lo``, ``P12 = 0``,
+      ``g' = lg``: the rate is
+      ``(sigma + lg)/2 - sqrt(((sigma - lg)/2)^2 + a2^2/4)``.
+    * otherwise the rate rises up to the open end, where its supremum is
+      not attained, and ``lambda_12 = (200/201) lam12_hi``. The corner
+      value's slope in ``b`` lies in ``[0, 1)``, so this gives up at most
+      ``s a2 C22 / (400 lam12_hi)`` of the rate the open end approaches.
 
     All constants are limiting values: the certificate is flagged
-    asymptotic, with settle time set by the explicit exponential rates
+    asymptotic, with settle time set by the rates ``2 lg`` and ``lambda_12``
     decaying to 1% of their initial size.
     """
     if model.name != "integrated_velocity":
@@ -346,46 +363,36 @@ def integrated_velocity_certificate(model, config=None, kind="ekf", Q_tuned=None
         raise NoCertificateError("the hidden-component slope must be bounded below by a positive constant",
                                  hypothesis="hidden-component monotonicity")
     s = h * h / r
-    Qt = model.Q if Q_tuned is None else np.asarray(Q_tuned, dtype=float)
+    Qt = model.Q if config is None else config.Q_tuned
+    P0 = model.Sigma0 if config is None else config.P0
     q1_t, q2_t = float(Qt[0, 0]), float(Qt[1, 1])
     if np.abs(Qt - np.diag([q1_t, q2_t])).max() > 1e-12:
         raise ValueError("the tuned noise must be diagonal for this certificate")
-    P0 = model.Sigma0 if config is None else config.P0
     if P0[0, 1] < 0:
         raise ValueError("the initial cross covariance must be nonnegative")
 
     c22 = q2_t / (2.0 * lg)
-    p11_lo = (a1 + math.sqrt(s * q1_t + a1 * a1)) / s
-    lam12_hi = lg + math.sqrt(s * q1_t + a1 * a1)
-    n = _LAMBDA12_SWEEP
-    lam12_values = np.linspace(lam12_hi / (n + 1), lam12_hi * n / (n + 1), n)
-
-    lam, best_lam12 = -np.inf, None
-    for lam12 in lam12_values:
+    sigma = math.sqrt(s * q1_t + a1 * a1)
+    p11_lo = (a1 + sigma) / s
+    lam12_hi = lg + sigma
+    if 0.5 * s * c22 < lam12_hi:
+        lam12, c12 = 0.5 * s * c22, 2.0 * a2 / s
+    else:
+        lam12 = lam12_hi * 200.0 / 201.0
         c12 = a2 * c22 / lam12
-        rate = -_velocity_box_sup_mu(a1, a2, s, p11_lo, c12, lg)
-        if rate > lam + 1e-9:
-            lam, best_lam12 = rate, lam12
+    lam = -_velocity_box_sup_mu(a1, a2, s, p11_lo, c12, lg)
     if lam <= 0:
         raise NoCertificateError(
             "no positive contraction rate over the covariance box; "
             "consider inflating the measured-component noise",
             hypothesis="contraction rate",
         )
-    c12 = a2 * c22 / best_lam12
     p11_up = (a1 + math.sqrt(s * (q1_t + 2.0 * a2 * c12) + a1 * a1)) / s
     lambda_P = p11_up + c22
 
     M_f, N_f = velocity_log_lipschitz(model)
-    tr_S = s  # S = diag(s, 0)
-    if kind == "ekf":
-        C_lambda = 0.0
-    else:
-        C_lambda = max(0.0, -lam - N_f + tr_S * lambda_P)
-    tr_Q = float(np.trace(model.Q))
-    u = tr_Q + 2.0 * C_lambda * lambda_P + tr_S * lambda_P**2
-    rho = M_f + s * lambda_P
-    settle = math.log(100.0) / min(2.0 * lg, best_lam12)
+    C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P, M_f, N_f)
+    settle = math.log(100.0) / min(2.0 * lg, lam12)
     return ContinuousCertificate(
         lam=lam,
         lambda_P=lambda_P,
@@ -399,7 +406,7 @@ def integrated_velocity_certificate(model, config=None, kind="ekf", Q_tuned=None
         asymptotic=True,
         details={
             "kind": kind,
-            "lambda_12": float(best_lam12),
+            "lambda_12": lam12,
             "C22": c22,
             "C12": c12,
             "P11_interval": (p11_lo, p11_up),
@@ -487,9 +494,8 @@ def discrete_mse_bound(cert, mu0, x0_hat, Sigma0, k):
     """Mean-square error bound after ``k`` discrete steps."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    mu0 = np.asarray(mu0, dtype=float).ravel()
-    x0_hat = np.asarray(x0_hat, dtype=float).ravel()
-    init = float((mu0 - x0_hat) @ (mu0 - x0_hat)) + float(np.trace(np.asarray(Sigma0)))
+    gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
+    init = float(gap @ gap) + float(np.trace(np.asarray(Sigma0)))
     per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
     return cert.lambda_df ** (2 * k) * init + per_step / (1.0 - cert.lambda_df**2)
 
@@ -500,9 +506,8 @@ def discrete_concentration_threshold(cert, mu0, x0_hat, Sigma0, k, delta):
         raise ValueError("k must be nonnegative")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    mu0 = np.asarray(mu0, dtype=float).ravel()
-    x0_hat = np.asarray(x0_hat, dtype=float).ravel()
-    init = float(np.linalg.norm(mu0 - x0_hat)) + math.sqrt(float(np.linalg.norm(np.asarray(Sigma0), 2)))
+    gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
+    init = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(np.asarray(Sigma0), 2)))
     tail = (math.sqrt(cert.u_d) + cert.eta) / (1.0 - cert.lambda_df)
     return 4.0 * beta(delta) * (cert.lambda_df**k * init + tail) ** 2
 

@@ -5,8 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kbstab import DiscreteModel, export_result, preset_spec, run_experiment
+
+# Every property test draws the same examples on every run.
+settings.register_profile("kbstab", derandomize=True, deadline=None)
+settings.load_profile("kbstab")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbstab.cli import CheckResult, main, validation_suite
 from kbstab.quadrature import CubatureRule, unscented_rule
@@ -30,7 +37,16 @@ class TestCertify:
         code = main(["certify", "--config", str(cfg)])
         out = capsys.readouterr().out
         assert code == 2
-        assert "failed hypothesis" in out
+        assert out.splitlines()[0] == "certificate unavailable: failed hypothesis: contraction rate"
+
+    def test_failed_hypothesis_names_each_filter(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "integrated_velocity",
+                                   "model_params": {"a2": 10.0, "r": 5.0}, "filters": ["ekf", "ukf"]}))
+        assert main(["certify", "--config", str(cfg)]) == 2
+        heads = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+        assert heads == [f"certificate unavailable for filter={kind}: failed hypothesis: contraction rate"
+                         for kind in ("ekf", "ukf")]
 
     @staticmethod
     def _linear_config(tmp_path, **params):
@@ -98,13 +114,13 @@ class TestSimulate:
         assert "claimed from" not in out
 
     def test_summary_line_names_claim_window(self, capsys):
-        # the velocity certificate claims its bound from T = 7.68 on, and the
+        # the velocity certificate claims its bound from T = 7.71 on, and the
         # run checks it from domination_from = 1 against its value at T
         code = main(["simulate", "--model", "integrated_velocity", "--filter", "ekf",
                      "--trajectories", "5", "--dt", "0.05", "--horizon", "1.0", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "bound holds, checked from t = 1, claimed from t = 7.68," in out
+        assert "bound holds, checked from t = 1, claimed from t = 7.71," in out
 
     def test_divergence_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -190,6 +206,13 @@ class TestUsageErrors:
         ["validate", "--out", "results"],
         ["validate", "--trajectories", "5", "--dt", "-7", "--model", "nonsense", "--filter", "gh",
          "--workers", "0", "--out", "results"],
+        # certify reads no run flags
+        ["certify", "--trajectories", "5"],
+        ["certify", "--dt", "0.1"],
+        ["certify", "--horizon", "1.0"],
+        ["certify", "--workers", "2"],
+        ["certify", "--seed", "3"],
+        ["certify", "--filter", "ekf", "--filter", "ukf", "--trajectories", "5", "--dt", "3", "--workers", "3"],
     ])
     def test_usage_error_is_config_error(self, argv, capsys, monkeypatch):
         import kbstab.cli as cli
@@ -208,6 +231,104 @@ class TestUsageErrors:
                 main([command, "--help"])
             assert exc.value.code == 0
             assert ("paper" in capsys.readouterr().out) == offered, command
+
+
+class TestRunValues:
+    """Run values that cannot describe a run are config errors naming the field, before any work."""
+
+    @pytest.mark.parametrize("config, field", [
+        ({"horizon": math.inf}, "horizon"),
+        ({"horizon": math.nan}, "horizon"),
+        ({"dt": math.inf}, "dt"),
+        ({"dt": -math.inf}, "dt"),
+        ({"checkpoint_every": 0}, "checkpoint_every"),
+        ({"checkpoint_every": -0.5}, "checkpoint_every"),
+        ({"checkpoint_every": math.inf}, "checkpoint_every"),
+        ({"deltas": [1.0, 0.0]}, "deltas"),
+        ({"deltas": [-1.0]}, "deltas"),
+        ({"trajectories": 2.5}, "trajectories"),
+        ({"filters": []}, "filters"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_rejected(self, command, config, field, capsys, monkeypatch, tmp_path):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: ran.append(spec))
+        monkeypatch.setattr(cli, "certificate_for", lambda *args: ran.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {field} ")
+        assert captured.out == ""
+        assert ran == []
+
+    def test_infinite_horizon_flag(self, capsys):
+        assert main(["simulate", "--horizon", "inf"]) == 1
+        assert capsys.readouterr().err.startswith("config error: horizon must be a finite number")
+
+    def test_output_path_through_a_file(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        assert main(["certify", "--out", str(tmp_path / "file" / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot use")
+
+
+NAN, INF = math.nan, math.inf
+LINEAR = {"A": [[-1.0]], "Q": [[1.0]], "H": [[1.0]], "R": [[1.0]]}
+# Per config key: values valid in any config, and values that are invalid,
+# non-finite or wrongly typed in any config. Valid runs stay small: at most
+# 3 trajectories over a horizon of at most 0.2.
+FUZZ_VALUES = {
+    "model": (["contractive3d", "integrated_velocity"], ["linear", "nonsense", 3, None, ["linear"]]),
+    "model_params": ([{}], [{"a2": -1.0}, {"a2": NAN}, {"a2": INF}, {"a2": "x"}, LINEAR,
+                            {**LINEAR, "A": [[NAN]]}, "x", [1], None]),
+    "filter": (["ekf", "gh"], ["pf", 3, None, ["ekf"]]),
+    "filters": ([["ekf"], ["ukf", "adf"], ["gh", "ekf"]], [[], ["pf"], "ekf", 3, None, [["ekf"]]]),
+    "preset": (["fig1", "fig2", None], ["fig9", 1, ["fig1"]]),
+    "trajectories": ([1, 3], [0, -2, NAN, INF, 2.5, "3", None, True]),
+    "dt": ([0.05, 0.1], [0.0, -0.1, NAN, INF, -INF, "0.1", None, [0.1]]),
+    "horizon": ([0.1, 0.2], [0.001, -1.0, NAN, INF, "1", None]),
+    "seed": ([0, 7, -3, 2**70], [1.5, NAN, INF, "abc", None, True]),
+    "workers": ([1, 2], [0, -1, NAN, INF, 1.5, "2", None]),
+    "deltas": ([[0.5, 1.0], [2.0], []], [[0.0], [-1.0], [NAN], [INF], "abc", 3, [None], None]),
+    "checkpoint_every": ([0.1, 0.2], [0.0, -0.5, NAN, INF, "0.1", None]),
+    "average_from": ([0.0, 0.1, 5.0, -1.0], [NAN, INF, "x", None]),
+    "domination_from": ([0.0, 0.1, 5.0, -1.0], [NAN, -INF, "x", None]),
+    "certificate": (["auto", "none"], ["maybe", 1, None]),
+    "out": (["out", None], ["file/out", 3, ["out"]]),
+}
+# Always set, so that no preset's 1000 paths over 10 time units can run.
+ALWAYS = ["trajectories", "horizon"]
+
+
+@pytest.mark.parametrize("bad_key", [None, *sorted(FUZZ_VALUES)])
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_fuzzed_config_files(command, bad_key, data):
+    # a config file of valid values, with at most one key (bad_key) set to a
+    # bad value: a bad file ends in a config error on stderr (exit 1) and
+    # never a traceback, a good one in exit 0, 2 or 3
+    optional = sorted(set(FUZZ_VALUES) - set(ALWAYS))
+    keys = sorted(data.draw(st.sets(st.sampled_from(optional)))) + ALWAYS
+    config = {key: data.draw(st.sampled_from(FUZZ_VALUES[key][0])) for key in keys}
+    if bad_key:
+        config[bad_key] = data.draw(st.sampled_from(FUZZ_VALUES[bad_key][1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "file").write_text("")
+        if isinstance(config.get("out"), str):
+            config["out"] = str(Path(tmp) / config["out"])
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg)])
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("config error:") == (code == 1)
+    # a "filter" key replaces "filters", bad or not
+    rejected = bad_key is not None and not (bad_key == "filters" and "filter" in config)
+    assert code == 1 if rejected else code in (0, 2, 3)
 
 
 class TestSeeds:

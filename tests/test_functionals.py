@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -80,7 +80,6 @@ def affine_jac(A):
 
 
 class TestEvalMean:
-    @settings(derandomize=True, deadline=None)
     @given(affine_cases())
     def test_affine_exactness_all_variants(self, case):
         # every functional reproduces the mean A x + b of an affine field; the
@@ -163,7 +162,6 @@ class TestEvalMean:
 
 
 class TestRiccatiContinuous:
-    @settings(derandomize=True, deadline=None)
     @given(affine_cases())
     def test_affine_gives_AP(self, case):
         A, b, x, P = case
@@ -287,7 +285,6 @@ class TestSharedDriftEvaluation:
 
 
 class TestRiccatiDiscrete:
-    @settings(derandomize=True, deadline=None)
     @given(affine_cases())
     def test_affine_gives_APAt(self, case):
         A, b, x, P = case

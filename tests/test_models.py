@@ -95,6 +95,11 @@ class TestIntegratedVelocity:
             builtin_integrated_velocity(h=0.0)
         with pytest.raises(ValueError):
             builtin_integrated_velocity(r=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                builtin_integrated_velocity(a1=bad)
+            with pytest.raises(ValueError, match="A must be finite"):
+                builtin_linear([[bad]], Q=np.eye(1), H=np.eye(1), R=np.eye(1))
 
 
 class TestModelValidation:

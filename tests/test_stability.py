@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kbstab import (
     ContinuousCertificate,
@@ -32,7 +34,8 @@ from kbstab import (
 )
 from kbstab.errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from kbstab.filters import _kb_step_batch, run_discrete_ensemble
-from kbstab.models import simulate_discrete_paths, simulate_paths
+from kbstab.harness import certificate_for
+from kbstab.models import VELOCITY_G_PRIME_MIN, simulate_discrete_paths, simulate_paths
 from kbstab.stability import DiscreteCertificate, _velocity_box_sup_mu
 
 
@@ -193,6 +196,19 @@ class TestInflation:
         contracting = builtin_linear(-np.eye(1), Q=np.eye(1), H=np.zeros((1, 1)), R=np.eye(1))
         assert inflation_mineig_bound(contracting, 4.0 * np.eye(1)) == pytest.approx(2.0, rel=1e-15)
 
+    def test_drift_constants_passed_or_attached(self):
+        bare = dataclasses.replace(builtin_contractive3d(), known_M_f=None, known_N_f=None)
+        with pytest.raises(ValueError, match="need n_f"):
+            inflation_mineig_bound(bare, np.eye(3))
+        with pytest.raises(ValueError, match="need m_f"):
+            required_inflation(bare, target_lambda=1.0)
+        with pytest.raises(ValueError, match="need n_f"):
+            required_inflation(bare, target_lambda=1.0, m_f=0.5)
+        model = builtin_contractive3d()
+        assert inflation_mineig_bound(bare, np.eye(3), n_f=model.known_N_f) == inflation_mineig_bound(model, np.eye(3))
+        assert np.array_equal(required_inflation(bare, 1.0, m_f=model.known_M_f, n_f=model.known_N_f),
+                              required_inflation(model, 1.0))
+
     def test_required_inflation_vacuous(self):
         model = builtin_contractive3d()
         q = required_inflation(model, target_lambda=0.1)
@@ -240,7 +256,65 @@ class TestInflation:
         assert achieved <= target * (1 + 1e-4)
 
 
+@st.composite
+def velocity_params(draw, attained):
+    """Integrated-velocity parameters that get a certificate, in one ``lambda_12`` regime.
+
+    ``a1``, ``q1``, ``h`` and ``r`` span the ranges of the eigvalsh box test.
+    ``q2`` sets ``k = s C22 / (lg + sigma)``: below 2 the best rate is
+    attained at ``lambda_12 = s C22 / 2``, from 2 on it is not. ``a2`` is a
+    fraction of the largest value whose corner rate is still positive:
+    ``b^2 < sigma lg`` with ``b = (a2 / 2) max(1, (201/200) k - 1)``.
+    """
+    a1, q1, h, r = (draw(st.floats(lo, hi)) for lo, hi in ((-1.0, 0.5), (0.01, 1.0), (0.01, 1.0), (0.01, 1.0)))
+    s, lg = h * h / r, VELOCITY_G_PRIME_MIN
+    sigma = math.sqrt(s * q1 + a1 * a1)
+    k = draw(st.floats(0.02, 1.98) if attained else st.floats(2.01, 4.0))
+    a2 = draw(st.floats(0.05, 0.95)) * 2.0 * math.sqrt(sigma * lg) / max(1.0, 1.005 * k - 1.0)
+    return dict(a1=a1, a2=a2, q1=q1, q2=2.0 * lg * k * (lg + sigma) / s, h=h, r=r)
+
+
 class TestIntegratedVelocityCertificate:
+    @pytest.mark.parametrize("attained", [True, False])
+    @given(data=st.data())
+    def test_lambda12_is_best_on_a_dense_sweep(self, attained, data):
+        # the rate is -sup mu at the reported (lambda_12, C12); no point of a
+        # 2000-point sweep up to lambda_12 beats it, and where the best rate is
+        # attained no point of the whole range does
+        p = data.draw(velocity_params(attained))
+        cert = integrated_velocity_certificate(builtin_integrated_velocity(**p))
+        a1, a2, lg = p["a1"], p["a2"], VELOCITY_G_PRIME_MIN
+        s = p["h"] ** 2 / p["r"]
+        sigma = math.sqrt(s * p["q1"] + a1 * a1)
+        p11_lo, lam12_hi = (a1 + sigma) / s, lg + sigma
+        lam12, c12, c22 = (cert.details[key] for key in ("lambda_12", "C12", "C22"))
+        assert lam12 == pytest.approx(0.5 * s * c22 if attained else lam12_hi * 200 / 201, rel=1e-12)
+        assert 0.0 < lam12 < lam12_hi
+        assert c12 == pytest.approx(a2 * c22 / lam12, rel=1e-12)
+        assert cert.lam == -_velocity_box_sup_mu(a1, a2, s, p11_lo, c12, lg)
+        grid = np.linspace(0.0, lam12_hi, 2002)[1:-1]
+        rates = np.array([-_velocity_box_sup_mu(a1, a2, s, p11_lo, a2 * c22 / lam, lg) for lam in grid])
+        assert rates[grid <= lam12].max(initial=-np.inf) <= cert.lam + 1e-12
+        if attained:
+            assert rates.max() <= cert.lam + 1e-9
+            # and lambda_12 is the least value attaining it
+            assert (rates[grid < 0.999 * lam12] < cert.lam).all()
+        else:
+            # the open end gives up at most the docstring's margin
+            assert rates.max() <= cert.lam + s * a2 * c22 / (400.0 * lam12_hi) + 1e-12
+
+    def test_tuning_comes_from_the_config(self):
+        # Q_tuned = 4 Q on the default model is the default config of the
+        # model with q1 = q2 = 0.2, through the harness's certificate choice
+        model = builtin_integrated_velocity()
+        tuned = certificate_for(model, make_filter_config("ekf", model, Q_tuned=4.0 * model.Q), "ekf")
+        ref_model = builtin_integrated_velocity(q1=0.2, q2=0.2)
+        ref = certificate_for(ref_model, make_filter_config("ekf", ref_model), "ekf")
+        assert (tuned.lam, tuned.lambda_P) == (ref.lam, ref.lambda_P)
+        for key in ("C22", "C12", "lambda_12"):
+            assert tuned.details[key] == ref.details[key]
+        assert tuned.lambda_P > integrated_velocity_certificate(model).lambda_P
+
     def test_certificate_fields(self):
         model = builtin_integrated_velocity()
         cert = integrated_velocity_certificate(model, kind="ekf")
