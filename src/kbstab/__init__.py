@@ -85,6 +85,7 @@ from .stability import (
     discrete_certificate,
     discrete_concentration_threshold,
     discrete_mse_bound,
+    gaussian_norm_moment,
     gronwall_continuous,
     gronwall_discrete,
     inflation_mineig_bound,

@@ -32,7 +32,7 @@ from .harness import (
 from .matrix_measures import log_norm_mu, log_norm_nu, spectral_norm
 from .models import builtin_contractive3d, builtin_integrated_velocity, philox, velocity_log_lipschitz
 from .quadrature import check_degree_two_exactness, gauss_hermite_rule, unscented_rule
-from .stability import chi_square_moment_bound, gronwall_continuous
+from .stability import chi_square_moment_bound, gaussian_norm_moment, gronwall_continuous
 
 _CONFIG_KEYS = {
     "model", "model_params", "filter", "filters", "preset", "trajectories",
@@ -232,50 +232,41 @@ def _assumption_checks(seed, samples):
 
 
 def _gronwall_check(seed, count=100):
-    gen = philox(seed, 12)
-    ok = True
-    worst = -np.inf
-    for _ in range(count):
-        alpha = -gen.uniform(0.1, 3.0)
-        beta_c = gen.uniform(0.0, 2.0)
-        x0 = gen.uniform(0.0, 5.0)
-        dt, n = 1e-3, 2000
-        x = x0
-        for k in range(1, n + 1):
-            x = x + dt * (alpha * x + beta_c)
-            env = gronwall_continuous(x0, alpha, beta_c, k * dt)
-            gap = x - env
-            worst = max(worst, gap)
-            if gap > 10 * dt:
-                ok = False
-    return [_check("gronwall.euler_domination", ok, f"worst overshoot {worst:.2e}")]
+    alpha, beta_c, x0 = philox(seed, 12).uniform([0.1, 0.0, 0.0], [3.0, 2.0, 5.0], size=(count, 3)).T
+    alpha = -alpha
+    dt, n = 1e-3, 2000
+    x = np.empty((count, n + 1))
+    x[:, 0] = x0
+    for k in range(n):
+        x[:, k + 1] = x[:, k] + dt * (alpha * x[:, k] + beta_c)
+    env = gronwall_continuous(x0[:, None], alpha[:, None], beta_c[:, None], np.arange(1, n + 1) * dt)
+    gap = x[:, 1:] - env
+    return [_check("gronwall.euler_domination", np.all(gap <= 10 * dt),
+                   f"worst overshoot {gap.max():.2e}")]
 
 
-def _moment_bound_check(seed, draws=10**6, dim=3):
-    gen = philox(seed, 13)
-    m = np.array([0.5, -1.0, 0.25])[:dim]
-    A = gen.standard_normal((dim, dim))
-    P = A @ A.T / dim
-    X = m + gen.standard_normal((draws, dim)) @ np.linalg.cholesky(P).T
-    nrm2 = np.einsum("bi,bi->b", X, X)
+def _moment_bound_check(seed, dim=3):
+    """Compare exact Gaussian norm moments with ``chi_square_moment_bound``.
+
+    For ``X ~ N(m, P)``, ``E[||X||^{2n}]`` comes from the cumulants
+    ``kappa_j = 2^{j-1} (j-1)! (tr P^j + j m^T P^{j-1} m)`` of ``||X||^2``
+    (``gaussian_norm_moment``), so the check carries no sampling error. It
+    covers ``n = 1, 2, 3`` for one mean with a random ``P`` and for the
+    standard normal.
+    """
+    A = philox(seed, 13).standard_normal((dim, dim))
+    cases = [("", np.array([0.5, -1.0, 0.25])[:dim], A @ A.T / dim), ("zero-mean ", 0, np.eye(dim))]
     ok, details = True, []
-    for n in (1, 2, 3):
-        emp = float(np.mean(nrm2**n)) ** (1.0 / n)
-        bnd = chi_square_moment_bound(m, P, n)
-        ok &= emp <= bnd
-        details.append(f"n={n}: {emp:.3g} <= {bnd:.3g}")
-    X0 = gen.standard_normal((draws, dim))
-    nrm2 = np.einsum("bi,bi->b", X0, X0)
-    for n in (1, 2, 3):
-        emp = float(np.mean(nrm2**n)) ** (1.0 / n)
-        bnd = chi_square_moment_bound(0, np.eye(dim), n)
-        ok &= emp <= bnd
-        details.append(f"zero-mean n={n}: {emp:.3g} <= {bnd:.3g}")
+    for label, m, P in cases:
+        for n in (1, 2, 3):
+            exact = gaussian_norm_moment(m, P, n) ** (1.0 / n)
+            bnd = chi_square_moment_bound(m, P, n)
+            ok &= exact <= bnd
+            details.append(f"{label}n={n}: {exact:.3g} <= {bnd:.3g}")
     return [_check("gaussian.moment_bound", ok, "; ".join(details))]
 
 
-def validation_suite(seed=0, samples=10000, rules=None, preset=None, moment_draws=10**6,
-                     preset_overrides=None):
+def validation_suite(seed=0, samples=10000, rules=None, preset=None, preset_overrides=None):
     """Assemble and run the full property suite; returns CheckResults.
 
     ``rules`` replaces the default exactness battery (used to inject
@@ -293,7 +284,7 @@ def validation_suite(seed=0, samples=10000, rules=None, preset=None, moment_draw
     checks += _matrix_inequality_checks(seed, count=10000)
     checks += _assumption_checks(seed, samples)
     checks += _gronwall_check(seed)
-    checks += _moment_bound_check(seed, draws=moment_draws)
+    checks += _moment_bound_check(seed)
     if preset:
         spec = preset_spec(preset, **(preset_overrides or {}))
         result = run_experiment(spec)

@@ -84,6 +84,9 @@ class ExperimentSpec:
             raise ValueError("certificate must be 'auto' or 'none'")
         if isinstance(self.filters, str) or not self.filters:
             raise ValueError(f"filters must be a nonempty list of filter kinds, got {self.filters!r}")
+        repeated = [kind for i, kind in enumerate(self.filters) if kind in self.filters[:i]]
+        if repeated:
+            raise ValueError(f"filters name {repeated[0]!r} more than once: {list(self.filters)!r}")
         if not (isinstance(self.deltas, (list, tuple)) and all(_finite(d) and d > 0 for d in self.deltas)):
             raise ValueError(f"deltas must be a list of positive finite numbers, got {self.deltas!r}")
         object.__setattr__(self, "filters", tuple(self.filters))

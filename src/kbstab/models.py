@@ -82,6 +82,8 @@ class _Model:
         if self.H.shape != (self.dim_y, self.dim_x):
             raise ValueError(f"H must have shape {(self.dim_y, self.dim_x)}")
         self.mu0 = np.asarray(self.mu0, dtype=float).reshape(self.dim_x)
+        if not np.all(np.isfinite(self.mu0)):
+            raise ValueError("mu0 must be finite")
         self._S = None
 
     @property

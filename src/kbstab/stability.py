@@ -577,14 +577,27 @@ def naive_vs_filter(model, c_f=0.0):
 def gronwall_continuous(x0, alpha, beta_const, t):
     """Envelope for ``x' <= alpha x + beta``: ``x0 e^{at} - (1 - e^{at}) b/a``.
 
-    At ``alpha = 0`` the limit ``x0 + beta t`` is returned.
+    At ``alpha = 0`` the limit ``x0 + beta t`` is returned. The arguments
+    broadcast against each other; with array arguments the limit is taken
+    cell by cell and an array is returned, otherwise a float.
     """
-    if t < 0:
+    scalar = (int, float, np.number)
+    if (isinstance(x0, scalar) and isinstance(alpha, scalar)
+            and isinstance(beta_const, scalar) and isinstance(t, scalar)):
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        if alpha == 0.0:
+            return x0 + beta_const * t
+        eat = math.exp(alpha * t)
+        return x0 * eat - (1.0 - eat) * beta_const / alpha
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
-    if alpha == 0.0:
-        return x0 + beta_const * t
-    eat = math.exp(alpha * t)
-    return x0 * eat - (1.0 - eat) * beta_const / alpha
+    x0, alpha, beta_const, t = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                     for v in (x0, alpha, beta_const, t)))
+    zero = alpha == 0.0
+    eat = np.exp(alpha * t)
+    ramp = np.divide((eat - 1.0) * beta_const, alpha, out=beta_const * t, where=~zero)
+    return x0 * eat + ramp
 
 
 def gronwall_discrete(x0, alpha, beta_const, k):
@@ -609,6 +622,36 @@ def bernstein_threshold(alpha_param, delta):
     return alpha_param * beta(delta)
 
 
+def _gaussian_law(m, P):
+    """Mean vector and covariance matrix of ``N(m, P)``; ``m = 0`` means the zero vector."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    m = np.zeros(P.shape[0]) if np.isscalar(m) and m == 0 else np.asarray(m, dtype=float).ravel()
+    return m, P
+
+
+def gaussian_norm_moment(m, P, n):
+    """Exact ``E[||X||^{2n}]`` for Gaussian ``X ~ N(m, P)`` and integer ``n >= 1``.
+
+    ``||X||^2`` has cumulants ``kappa_j = 2^{j-1} (j-1)! (tr P^j + j m^T P^{j-1} m)``
+    (Mathai & Provost, *Quadratic Forms in Random Variables*, 1992), and the
+    moments follow from ``mu_k = sum_{i<k} C(k-1, i) kappa_{i+1} mu_{k-1-i}``
+    with ``mu_0 = 1``: ``mu_1 = kappa_1``, ``mu_2 = kappa_2 + kappa_1^2``,
+    ``mu_3 = kappa_3 + 3 kappa_2 kappa_1 + kappa_1^3``.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    m, P = _gaussian_law(m, P)
+    kappa, Pj = [], np.eye(P.shape[0])
+    for j in range(1, n + 1):
+        m_quad = float(m @ Pj @ m)
+        Pj = Pj @ P
+        kappa.append(2 ** (j - 1) * math.factorial(j - 1) * (float(np.trace(Pj)) + j * m_quad))
+    mu = [1.0]
+    for k in range(1, n + 1):
+        mu.append(sum(math.comb(k - 1, i) * kappa[i] * mu[k - 1 - i] for i in range(k)))
+    return mu[n]
+
+
 def chi_square_moment_bound(m, P, n):
     """Upper bound on ``E[||X||^{2n}]^{1/n}`` for Gaussian ``X ~ N(m, P)``.
 
@@ -617,9 +660,8 @@ def chi_square_moment_bound(m, P, n):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    m, P = _gaussian_law(m, P)
     d = P.shape[0]
-    m = np.zeros(d) if np.isscalar(m) and m == 0 else np.asarray(m, dtype=float).ravel()
     p_norm = float(np.linalg.norm(P, 2))
     if float(m @ m) == 0.0:
         return p_norm * (d + 2) * n

@@ -264,6 +264,31 @@ class TestRunValues:
         assert captured.out == ""
         assert ran == []
 
+    @pytest.mark.parametrize("command", ["simulate", "certify"])
+    def test_repeated_filter_rejected(self, command, capsys, monkeypatch, tmp_path):
+        import kbstab.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: ran.append(spec))
+        monkeypatch.setattr(cli, "certificate_for", lambda *args: ran.append(args))
+        argv = [command, "--filter", "ukf", "--filter", "ekf", "--filter", "ukf", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: filters name 'ukf' more than once")
+        assert captured.out == ""
+        assert ran == []
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_initial_mean_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "linear", "trajectories": 2, "horizon": 0.1,
+                                   "model_params": {**LINEAR, "mu0": [math.nan]}}))
+        for command in ("simulate", "certify"):
+            assert main([command, "--config", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: mu0 must be finite")
+            assert captured.out == ""
+
     def test_infinite_horizon_flag(self, capsys):
         assert main(["simulate", "--horizon", "inf"]) == 1
         assert capsys.readouterr().err.startswith("config error: horizon must be a finite number")
@@ -355,21 +380,28 @@ class TestValidate:
     def test_corrupted_rule_fails_suite(self):
         rule = unscented_rule(2)
         bad = CubatureRule(dim=2, points=rule.points, weights=rule.weights * 1.1)
-        checks = validation_suite(samples=500, moment_draws=10**4,
-                                  rules=[("ok", rule), ("bad", bad)])
+        checks = validation_suite(samples=500, rules=[("ok", rule), ("bad", bad)])
         by_name = {c.name: c for c in checks}
         assert not by_name["exactness[bad]"].passed
         assert by_name["exactness[ok]"].passed
         assert any(not c.passed for c in checks)
 
     def test_reduced_suite_passes(self):
-        checks = validation_suite(samples=2000, moment_draws=10**5)
+        checks = validation_suite(samples=2000)
         failures = [c.name for c in checks if not c.passed]
         assert failures == []
 
+    def test_lemma_check_details_at_seed_7(self):
+        by_name = {c.name: c for c in validation_suite(seed=7)}
+        assert by_name["gronwall.euler_domination"].detail == "worst overshoot 3.33e-04"
+        assert by_name["gaussian.moment_bound"].detail == (
+            "n=1: 4.97 <= 55.4; n=2: 6.63 <= 105; n=3: 8.43 <= 156; zero-mean n=1: 3 <= 5; "
+            "zero-mean n=2: 3.87 <= 10; zero-mean n=3: 4.72 <= 15")
+        assert by_name["gronwall.euler_domination"].passed and by_name["gaussian.moment_bound"].passed
+
     def test_preset_concentration_check_appended(self):
         checks = validation_suite(
-            samples=500, moment_draws=10**4, preset="fig1",
+            samples=500, preset="fig1",
             preset_overrides=dict(trajectories=60, horizon=3.0, dt=0.02))
         names = [c.name for c in checks]
         assert "concentration[fig1,ekf]" in names

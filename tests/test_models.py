@@ -111,6 +111,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             builtin_linear(np.eye(2), Q=np.diag([1.0, -1.0]), H=np.eye(2), R=np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="mu0 must be finite"):
+            builtin_linear(np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2), mu0=[0.0, bad])
+        with pytest.raises(ValueError, match="mu0 must be finite"):
+            builtin_discrete_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=[bad])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ContinuousModel(dim_x=2, dim_y=1, f=lambda x: x, jac_f=lambda x: x,

@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kbstab import (
     ContinuousCertificate,
@@ -23,6 +25,7 @@ from kbstab import (
     discrete_certificate,
     discrete_concentration_threshold,
     discrete_mse_bound,
+    gaussian_norm_moment,
     gronwall_continuous,
     gronwall_discrete,
     inflation_mineig_bound,
@@ -675,6 +678,37 @@ class TestGronwall:
         with pytest.raises(ValueError):
             gronwall_discrete(1.0, -0.1, 1.0, 3)
 
+    def test_array_envelope_matches_scalar_calls(self, rng):
+        # alpha = 0 cells included; broadcasting a (40, 1) column against t
+        alpha = np.concatenate([-rng.uniform(0.1, 3.0, 20), rng.uniform(0.1, 2.0, 10), np.zeros(10)])[:, None]
+        b = rng.uniform(0.0, 2.0, (40, 1))
+        x0 = rng.uniform(0.0, 5.0, (40, 1))
+        t = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 30)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = gronwall_continuous(x0, alpha, b, t)
+        assert env.shape == (40, 31)
+        scalar = np.array([[gronwall_continuous(float(x0[i, 0]), float(alpha[i, 0]), float(b[i, 0]), float(tj))
+                            for tj in t] for i in range(40)])
+        # The two paths differ only where np.exp and math.exp round e^{alpha t}
+        # differently, by an error of at most 1e-15 of the terms the formula adds.
+        eat = np.exp(alpha * t)
+        scale = eat * (x0 + np.divide(b, np.abs(alpha), out=b * t, where=alpha != 0))
+        assert np.all(np.abs(env - scalar) <= 1e-15 * scale)
+        np.testing.assert_array_equal(env[30:], x0[30:] + b[30:] * t)
+
+    def test_scalar_call_returns_a_float(self):
+        assert type(gronwall_continuous(1.0, -0.5, 2.0, 0.3)) is float
+        assert gronwall_continuous(1.0, -0.5, 2.0, 0.3) == 1.0 * math.exp(-0.15) - (
+            1.0 - math.exp(-0.15)) * 2.0 / -0.5
+
+    @pytest.mark.parametrize("t", [-1e-12, [0.0, 1.0, -2.0], np.array([[1.0], [-0.5]])])
+    def test_negative_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            gronwall_continuous(np.ones(2), -1.0, 1.0, t)
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            gronwall_continuous(1.0, -1.0, 1.0, np.min(t))
+
     def test_euler_trajectories_stay_below_envelope(self, rng):
         dt, n = 1e-3, 2000
         for _ in range(100):
@@ -685,6 +719,15 @@ class TestGronwall:
             for k in range(1, n + 1):
                 x = x + dt * (alpha * x + b)
                 assert x <= gronwall_continuous(x0, alpha, b, k * dt) + 10 * dt
+
+
+@st.composite
+def gaussian_laws(draw):
+    """``(m, P)`` with ``d`` in 1..6 and ``P = G G^T`` of any rank; ``m`` may be the scalar 0."""
+    d = draw(st.integers(1, 6))
+    G = draw(arrays(float, (d, draw(st.integers(0, d))), elements=st.floats(-3.0, 3.0)))
+    m = draw(st.one_of(st.just(0), arrays(float, d, elements=st.floats(-3.0, 3.0))))
+    return m, G @ G.T
 
 
 class TestMomentUtilities:
@@ -707,6 +750,34 @@ class TestMomentUtilities:
         assert emp4 == pytest.approx(15.0, rel=0.02)
         assert emp4 <= bound
         assert bound == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_gaussian_norm_moment_chi_square(self, d):
+        # E[(chi^2_d)^n] = d (d+2) ... (d+2n-2)
+        assert gaussian_norm_moment(0, np.eye(d), 1) == d
+        assert gaussian_norm_moment(0, np.eye(d), 2) == d * (d + 2)
+        assert gaussian_norm_moment(0, np.eye(d), 3) == d * (d + 2) * (d + 4)
+        assert gaussian_norm_moment(0, np.eye(d), 4) == d * (d + 2) * (d + 4) * (d + 6)
+
+    @pytest.mark.parametrize("rank", [3, 1])
+    def test_gaussian_norm_moment_monte_carlo(self, rng, rank):
+        m = rng.standard_normal(3)
+        G = rng.standard_normal((3, rank))
+        X = m + rng.standard_normal((10**6, rank)) @ G.T
+        nrm2 = np.einsum("bi,bi->b", X, X)
+        for n in (1, 2, 3):
+            sample = nrm2**n
+            stderr = sample.std() / math.sqrt(sample.size)
+            assert abs(gaussian_norm_moment(m, G @ G.T, n) - sample.mean()) <= 5 * stderr, n
+
+    def test_gaussian_norm_moment_domain(self):
+        with pytest.raises(ValueError):
+            gaussian_norm_moment(0, np.eye(2), 0)
+
+    @given(gaussian_laws(), st.integers(1, 3))
+    def test_chi_square_bound_dominates_exact_moment(self, law, n):
+        m, P = law
+        assert chi_square_moment_bound(m, P, n) >= gaussian_norm_moment(m, P, n) ** (1.0 / n)
 
     def test_moment_growth_pure_exponential(self):
         val = moment_growth_bound(2.0, 0.5, 0.0, 3, 1.0)
