@@ -25,7 +25,11 @@ eigendecomposition.
 
 One batched step serves both time models and one loop runs it; ensemble,
 single-path (a batch of one with a recorder) and one-step entry points
-wrap them, so results do not depend on how paths are grouped.
+wrap them, so results do not depend on how paths are grouped. The loop
+reads paths time-major, as the simulators store them, and writes the
+squared errors time-major before handing them back as ``(paths, steps + 1)``.
+The step checks finiteness on the whole batch first and looks at single
+paths only when that check fails.
 """
 
 from dataclasses import dataclass
@@ -156,8 +160,10 @@ def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
             P_raw = P + Pdot * dt
         else:
             x_new, P_raw, K = _update_batch(model, mean, lam + config.Q_tuned, obs)
-    bad = ~(np.all(np.isfinite(x_new), axis=1) & np.all(np.isfinite(P_raw), axis=(1, 2)))
-    if bad.any():
+    if np.isfinite(x_new).all() and np.isfinite(P_raw).all():
+        bad = np.zeros(len(x_new), dtype=bool)
+    else:
+        bad = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(P_raw).all(axis=(1, 2)))
         P_raw = np.where(bad[:, None, None], np.eye(P.shape[-1]), P_raw)
         x_new = np.where(bad[:, None], 0.0, x_new)
     P_new, L_new = _psd_root(P_raw)
@@ -227,42 +233,48 @@ def _run(time, model, config, states, obs, dt, record=None):
     state turns non-finite. While every path is alive the step's outputs
     are taken as they are, with no masked copies. ``L``, the guard's root
     of ``P``, is carried with it. ``record(k, x, P, K)``, if given, sees
-    the raw outputs of every step.
+    the raw outputs of every step. The loop runs time-major: ``states`` and
+    ``obs`` are read as ``(n+1, B, d)``, which is free for the views the
+    simulators return and one copy otherwise.
     """
     _check_time(time, model)
     B, n_plus_1, d = states.shape
     if d != model.dim_x:
         raise ValueError("path dimension does not match the model")
+    states = np.ascontiguousarray(states.transpose(1, 0, 2))
+    obs = np.ascontiguousarray(obs.transpose(1, 0, 2))
     HtRinv = np.linalg.solve(model.R, model.H).T if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P, L = _psd_root(np.tile(config.P0, (B, 1, 1)))
-    err_sq = np.full((B, n_plus_1), np.nan)
-    err_sq[:, 0] = np.sum((states[:, 0] - x) ** 2, axis=1)
+    err_sq = np.full((n_plus_1, B), np.nan)
+    err_sq[0] = np.sum((states[0] - x) ** 2, axis=1)
     trace_max = np.einsum("bii->b", P).copy()
-    truth_ok = np.all(np.isfinite(states), axis=2)
-    alive = truth_ok[:, 0]
+    truth_ok = np.isfinite(states).all(axis=2)
+    alive = truth_ok[0]
     diverged = np.where(alive, -1, 0)
-    for k in range(1, n_plus_1):
-        if not alive.any():
-            break
-        x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs[:, k], dt)
-        if record is not None:
-            record(k, x_new, P_new, K)
-        tr = np.einsum("bii->b", P_new)
-        ok = alive & ~bad & truth_ok[:, k] & (tr >= _DEGENERATE_TRACE)
-        if ok.all():
-            x, P, L = x_new, P_new, L_new
-            err_sq[:, k] = np.sum((states[:, k] - x) ** 2, axis=1)
-            np.maximum(trace_max, tr, out=trace_max)
-            continue
-        diverged[alive & ~ok] = k
-        alive = ok
-        x = np.where(alive[:, None], x_new, x)
-        P = np.where(alive[:, None, None], P_new, P)
-        L = np.where(alive[:, None, None], L_new, L)
-        err_sq[alive, k] = np.sum((states[alive, k] - x[alive]) ** 2, axis=1)
-        trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
-    return EnsembleRun(err_sq=err_sq, trace_max=trace_max, diverged=diverged)
+    # a finite estimate far from the truth has a squared error of inf, not a warning
+    with np.errstate(over="ignore"):
+        for k in range(1, n_plus_1):
+            if not alive.any():
+                break
+            x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs[k], dt)
+            if record is not None:
+                record(k, x_new, P_new, K)
+            tr = np.einsum("bii->b", P_new)
+            ok = alive & ~bad & truth_ok[k] & (tr >= _DEGENERATE_TRACE)
+            if ok.all():
+                x, P, L = x_new, P_new, L_new
+                err_sq[k] = np.sum((states[k] - x) ** 2, axis=1)
+                np.maximum(trace_max, tr, out=trace_max)
+                continue
+            diverged[alive & ~ok] = k
+            alive = ok
+            x = np.where(alive[:, None], x_new, x)
+            P = np.where(alive[:, None, None], P_new, P)
+            L = np.where(alive[:, None, None], L_new, L)
+            err_sq[k, alive] = np.sum((states[k, alive] - x[alive]) ** 2, axis=1)
+            trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
+    return EnsembleRun(err_sq=np.ascontiguousarray(err_sq.T), trace_max=trace_max, diverged=diverged)
 
 
 def run_continuous_ensemble(model, config, states, increments, dt):

@@ -15,7 +15,14 @@ All drift and Jacobian callables must be vectorized over leading batch
 dimensions. Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index, role)`` so that any subset of paths can be generated in
 any order, or in parallel, with bit-identical results. :func:`philox` builds
-every seeded generator of the package.
+every seeded generator of the package; a simulation builds one and re-keys
+it for each stream, which gives the same numbers as a fresh generator.
+
+The loop keeps its paths time-major, ``(steps + 1, paths, dim)``, so each
+step reads and writes contiguous rows, and checks a step's finiteness on the
+whole batch first, looking at single paths only when that check fails. The
+public functions return the usual ``(paths, steps + 1, dim)`` shape, as
+transposed views of that storage.
 """
 
 import math
@@ -30,13 +37,31 @@ from .quadrature import matrix_sqrt
 _ROLE_INIT, _ROLE_STATE, _ROLE_MEAS = 0, 1, 2
 
 
-def philox(*words):
-    """A generator on the Philox stream keyed by the integers ``words``, each taken mod ``2**64``.
+def _philox_key(*words):
+    """The Philox key of the integers ``words``, each taken mod ``2**64``.
 
     The key is a ``uint64`` array: numpy turns a list holding an int at or
     above ``2**63`` into float64, which would merge neighbouring seeds.
     """
-    return np.random.Generator(np.random.Philox(key=np.array([int(w) % 2**64 for w in words], dtype=np.uint64)))
+    return np.array([int(w) % 2**64 for w in words], dtype=np.uint64)
+
+
+def philox(*words):
+    """A generator on the Philox stream keyed by the integers ``words`` (see :func:`_philox_key`)."""
+    return np.random.Generator(np.random.Philox(key=_philox_key(*words)))
+
+
+def _rekey(gen, seed, stream):
+    """Move the Philox generator ``gen`` to the start of the stream of ``philox(seed, stream)``.
+
+    A Philox stream is a pure function of its key and counter, so setting
+    the key, a zero counter and an empty buffer yields the numbers a fresh
+    generator would, without building one.
+    """
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": [0, 0, 0, 0], "key": _philox_key(seed, stream)},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _check_spsd(name, M, dim):
@@ -172,46 +197,55 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     A continuous model takes Euler-Maruyama steps of size ``dt`` and records
     measurement increments; a discrete model iterates its recursion and
     records ``Y_k = H X_k + R^{1/2} V_k``. Only the state and measurement
-    lines of the loop differ. While every path is alive, rows are written whole.
+    lines of the loop differ. Arrays are time-major, ``(n+1, B, d)``, so a
+    step reads and writes contiguous rows. While every path is alive and
+    finite, rows are written whole after one finiteness check of the batch.
     """
     if model.time != time:
         raise ValueError(f"expected a {time!r} model, got a {model.time!r} one")
     B, dx, dy = n_paths, model.dim_x, model.dim_y
     scale = math.sqrt(dt) if time == "cont" else 1.0
     x0 = np.empty((B, dx))
-    wq = np.empty((B, n, dx))
-    vr = np.empty((B, n, dy))
-    # noise roots once per batch; each path draws from its own three streams
+    wq = np.empty((n, B, dx))
+    vr = np.empty((n, B, dy))
+    # noise roots once per batch; each path draws from its own three streams,
+    # all through one generator re-keyed per stream
     sqrt_sigma0, sqrt_q, sqrt_r = matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
+    gen = philox(seed, 0)
     for p in range(B):
-        g0, g1, g2 = (philox(seed, (first_path + p) * 4 + role) for role in (_ROLE_INIT, _ROLE_STATE, _ROLE_MEAS))
-        x0[p] = model.mu0 + sqrt_sigma0 @ g0.standard_normal(dx)
-        wq[p] = scale * g1.standard_normal((n, dx)) @ sqrt_q
-        vr[p] = scale * g2.standard_normal((n, dy)) @ sqrt_r
+        stream = (first_path + p) * 4
+        x0[p] = model.mu0 + sqrt_sigma0 @ _rekey(gen, seed, stream + _ROLE_INIT).standard_normal(dx)
+        wq[:, p] = scale * _rekey(gen, seed, stream + _ROLE_STATE).standard_normal((n, dx)) @ sqrt_q
+        vr[:, p] = scale * _rekey(gen, seed, stream + _ROLE_MEAS).standard_normal((n, dy)) @ sqrt_r
 
-    states = np.full((B, n + 1, dx), np.nan)
-    meas = np.zeros((B, n + 1, dy))
+    states = np.full((n + 1, B, dx), np.nan)
+    meas = np.zeros((n + 1, B, dy))
     diverged = np.full(B, -1, dtype=int)
-    states[:, 0] = x0
-    alive = np.all(np.isfinite(x0), axis=1)
+    states[0] = x0
+    alive = np.isfinite(x0).all(axis=1)
     diverged[~alive] = 0
+    every = alive.all()
     Ht = model.H.T
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            xk = states[:, k]
+            xk = states[k]
             if time == "cont":
-                xn = xk + np.asarray(model.f(xk), dtype=float) * dt + wq[:, k]
-                yn = xk @ Ht * dt + vr[:, k]
+                xn = xk + np.asarray(model.f(xk), dtype=float) * dt + wq[k]
+                yn = xk @ Ht * dt + vr[k]
             else:
-                xn = np.asarray(model.f(xk), dtype=float) + wq[:, k]
-                yn = xn @ Ht + vr[:, k]
-            ok = alive & np.all(np.isfinite(np.concatenate((xn, yn), axis=1)), axis=1)
+                xn = np.asarray(model.f(xk), dtype=float) + wq[k]
+                yn = xn @ Ht + vr[k]
+            if every and np.isfinite(xn).all() and np.isfinite(yn).all():
+                states[k + 1] = xn
+                meas[k + 1] = yn
+                continue
+            ok = alive & np.isfinite(xn).all(axis=1) & np.isfinite(yn).all(axis=1)
             diverged[alive & ~ok] = k + 1
             alive = ok
-            rows = slice(None) if ok.all() else ok
-            states[rows, k + 1] = xn[rows]
-            meas[rows, k + 1] = yn[rows]
-    return states, meas, diverged
+            every = False
+            states[k + 1, ok] = xn[ok]
+            meas[k + 1, ok] = yn[ok]
+    return states.transpose(1, 0, 2), meas.transpose(1, 0, 2), diverged
 
 
 def simulate_paths(model, dt, horizon, seed, n_paths, first_path=0):

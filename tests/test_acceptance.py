@@ -20,6 +20,7 @@ from kbstab import (
     chi_square_moment_bound,
     export_result,
     gauss_hermite_rule,
+    gaussian_norm_moment,
     gronwall_continuous,
     integrated_velocity_certificate,
     log_lipschitz_estimate,
@@ -238,30 +239,30 @@ class TestCriterion6PropertySuites:
         assert verdict("6 log-norms", ok, "subadditivity, sandwich, trace on 10000 samples")
 
     def test_gronwall_envelopes(self):
+        # 100 Euler trajectories stepped together against one array envelope
         rng = np.random.default_rng(7)
         dt, n = 1e-3, 2000
-        worst = -np.inf
-        for _ in range(100):
-            alpha = -rng.uniform(0.1, 3.0)
-            b = rng.uniform(0.0, 2.0)
-            x = x0 = rng.uniform(0.0, 5.0)
-            for k in range(1, n + 1):
-                x = x + dt * (alpha * x + b)
-                worst = max(worst, x - gronwall_continuous(x0, alpha, b, k * dt))
+        neg_alpha, b, x0 = rng.uniform([0.1, 0.0, 0.0], [3.0, 2.0, 5.0], size=(100, 3)).T
+        alpha = -neg_alpha
+        x, path = x0, np.empty((100, n))
+        for k in range(n):
+            x = x + dt * (alpha * x + b)
+            path[:, k] = x
+        env = gronwall_continuous(x0[:, None], alpha[:, None], b[:, None], np.arange(1, n + 1) * dt)
+        worst = float(np.max(path - env))
         ok = worst <= 10 * dt
         assert verdict("6 gronwall", ok, f"worst Euler overshoot {worst:.2e}")
 
     def test_gaussian_moment_bound(self):
+        # exact moments of ||X||^2 from its cumulants, so no sampling error
         rng = np.random.default_rng(11)
         m = np.array([0.4, -0.8, 0.1])
         G = rng.standard_normal((3, 3))
         P = G @ G.T / 3
-        X = m + rng.standard_normal((10**6, 3)) @ np.linalg.cholesky(P).T
-        n2 = np.einsum("bi,bi->b", X, X)
         ok = True
         details = []
         for n in (1, 2, 3):
-            emp = float(np.mean(n2**n)) ** (1.0 / n)
+            emp = gaussian_norm_moment(m, P, n) ** (1.0 / n)
             bnd = chi_square_moment_bound(m, P, n)
             ok &= emp <= bnd
             details.append(f"n={n} {emp:.3g}<={bnd:.3g}")

@@ -251,6 +251,53 @@ class TestFrozenPaths:
                                       equal_nan=name != "diverged"), (p, name)
 
 
+    @pytest.mark.parametrize("kind", ["ekf", "ukf"])
+    def test_nonfinite_filter_step_freezes_only_its_path(self, kind):
+        # a measurement spike throws path 2's estimate to about 1e200 at step
+        # 12; the drift's squares overflow at step 13 while the truth stays finite
+        model, _, states, incr = fig1_like_paths(5, horizon=0.6, dt=0.02)
+        incr = incr.copy()
+        incr[2, 12] = 1e200
+        config = make_filter_config(kind, model)
+        run = run_continuous_ensemble(model, config, states, incr, 0.02)
+        assert np.all(np.isfinite(states))
+        assert run.diverged.tolist() == [-1, -1, 13, -1, -1]
+        assert run.err_sq[2, 12] == np.inf and np.all(np.isnan(run.err_sq[2, 13:]))
+        for p in range(5):
+            alone = run_continuous_ensemble(model, config, states[p:p + 1], incr[p:p + 1], 0.02)
+            for name in ("err_sq", "trace_max", "diverged"):
+                assert np.array_equal(getattr(run, name)[p], getattr(alone, name)[0],
+                                      equal_nan=name != "diverged"), (p, name)
+
+
+class TestTimeMajorInputs:
+    """The loop reads paths time-major: the simulators' views are used as they
+    are, other layouts are copied once, and the output does not depend on which."""
+
+    @pytest.mark.parametrize("kind", ["ekf", "ukf"])
+    def test_continuous_views_and_copies_agree(self, kind):
+        model, _, states, incr = fig1_like_paths(6, horizon=0.4, dt=0.02)
+        assert not states.flags.c_contiguous
+        config = make_filter_config(kind, model)
+        views = run_continuous_ensemble(model, config, states, incr, 0.02)
+        copies = run_continuous_ensemble(model, config, np.ascontiguousarray(states), np.ascontiguousarray(incr),
+                                         0.02)
+        for name in ("err_sq", "trace_max", "diverged"):
+            assert np.array_equal(getattr(views, name), getattr(copies, name)), name
+        assert views.err_sq.shape == (6, 21) and views.err_sq.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", ["ekf", "ukf"])
+    def test_discrete_views_and_copies_agree(self, kind, discrete_sine):
+        model = discrete_sine()
+        _, states, meas = discrete_paths(model, 6, steps=20)
+        config = make_filter_config(kind, model)
+        views = run_discrete_ensemble(model, config, states, meas)
+        copies = run_discrete_ensemble(model, config, np.ascontiguousarray(states), np.ascontiguousarray(meas))
+        for name in ("err_sq", "trace_max", "diverged"):
+            assert np.array_equal(getattr(views, name), getattr(copies, name)), name
+        assert views.err_sq.shape == (6, 21) and views.err_sq.flags.c_contiguous
+
+
 class TestStepCost:
     """Decompositions, field and Jacobian evaluations made by the batched filter step.
 

@@ -16,7 +16,8 @@ from kbstab import (
     velocity_g_prime,
 )
 from kbstab.errors import DivergenceError
-from kbstab.models import philox, simulate_discrete_paths, simulate_paths, velocity_log_lipschitz
+from kbstab.models import _rekey, philox, simulate_discrete_paths, simulate_paths, velocity_log_lipschitz
+from kbstab.quadrature import matrix_sqrt
 
 
 def central_difference_jacobian(f, x, eps=1e-6):
@@ -27,6 +28,23 @@ def central_difference_jacobian(f, x, eps=1e-6):
         e[j] = eps
         J[:, j] = (f(x + e) - f(x - e)) / (2 * eps)
     return J
+
+
+def assert_rows_are_single_runs(batch, single):
+    """A diverged path is finite before its step, NaN (and unmeasured) from it, and
+    ``single(p)`` raises at that step; every other row equals ``single(p)``."""
+    _, states, meas, diverged = batch
+    for p, k in enumerate(diverged):
+        if k >= 0:
+            with pytest.raises(DivergenceError) as info:
+                single(p)
+            assert info.value.step == k
+            assert np.all(np.isfinite(states[p, :k])) and np.all(np.isnan(states[p, k:]))
+            assert np.all(meas[p, k:] == 0.0)
+        else:
+            path = single(p)
+            np.testing.assert_array_equal(path.states, states[p])
+            np.testing.assert_array_equal(path.measurement_increments, meas[p])
 
 
 class TestContractive3d:
@@ -201,6 +219,17 @@ class TestContinuousSimulation:
             simulate_path(model, dt=1.0, horizon=60.0, seed=0)
         assert info.value.step is not None
 
+    def test_paths_diverging_at_different_steps(self):
+        # x' = x - x^3 under Euler steps of 0.1: paths started far out
+        # overflow, each at its own step, and the rest settle
+        model = ContinuousModel(dim_x=1, dim_y=1, f=lambda x: x - x**3, jac_f=lambda x: (1 - 3 * x**2)[..., None],
+                                Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=np.zeros(1), Sigma0=25.0 * np.eye(1))
+        batch = simulate_paths(model, dt=0.1, horizon=2.0, seed=3, n_paths=12)
+        diverged = batch[3]
+        assert len(set(diverged[diverged >= 0].tolist())) >= 3
+        assert np.any(diverged < 0)
+        assert_rows_are_single_runs(batch, lambda p: simulate_path(model, dt=0.1, horizon=2.0, seed=3, path_index=p))
+
     def test_invalid_grid_rejected(self):
         model = builtin_contractive3d()
         with pytest.raises(ValueError):
@@ -234,3 +263,78 @@ class TestDiscreteSimulation:
         b = simulate_discrete_path(model, steps=20, seed=11)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.measurement_increments, b.measurement_increments)
+
+
+    def test_measurement_overflow_freezes_its_path_for_good(self):
+        # negative paths grow tenfold a step until H x overflows while the
+        # state is still finite; fmin maps the frozen NaN state to a finite
+        # value, which must not bring the path back
+        model = DiscreteModel(dim_x=1, dim_y=1, f=lambda x: np.fmin(10.0 * x, 1e4),
+                              jac_f=lambda x: np.where(10.0 * x < 1e4, 10.0, 0.0)[..., None],
+                              Q=np.eye(1), H=1e300 * np.eye(1), R=np.eye(1), mu0=np.zeros(1), Sigma0=np.eye(1))
+        batch = simulate_discrete_paths(model, steps=15, seed=2, n_paths=10)
+        diverged = batch[3]
+        assert sorted(set(diverged[diverged >= 0].tolist())) == [8, 9]
+        assert_rows_are_single_runs(batch, lambda p: simulate_discrete_path(model, steps=15, seed=2, path_index=p))
+
+class TestStreamContract:
+    """Path ``p`` of a batch starting at ``first_path`` draws from the stream
+    ``philox(seed, 4 (first_path + p) + role)``: role 0 its initial state,
+    role 1 its state noise and role 2 its measurement noise, each from the
+    start of its stream."""
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 1])
+    @pytest.mark.parametrize("first_path", [0, 5])
+    def test_rows_come_from_fresh_keyed_streams(self, seed, first_path):
+        # zero drift and H = 0 leave the noise rows readable from the paths;
+        # dim 3 leaves words in the generator's buffer after each draw
+        Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        R, Sigma0, mu0 = np.array([[0.3]]), np.diag([0.5, 1.0, 2.0]), np.array([0.5, -1.0, 2.0])
+        zero, H = np.zeros((3, 3)), np.zeros((1, 3))
+        cont = builtin_linear(zero, Q=Q, H=H, R=R, mu0=mu0, Sigma0=Sigma0)
+        disc = builtin_discrete_linear(zero, Q=Q, H=H, R=R, mu0=mu0, Sigma0=Sigma0)
+        sqrt_q, sqrt_r, sqrt_s0 = matrix_sqrt(Q), matrix_sqrt(R), matrix_sqrt(Sigma0)
+        n, paths = 5, 3
+        # two simulations in a row, each over several streams
+        _, xc, yc, _ = simulate_paths(cont, dt=0.25, horizon=n * 0.25, seed=seed, n_paths=paths,
+                                      first_path=first_path)
+        _, xd, yd, _ = simulate_discrete_paths(disc, n, seed, paths, first_path=first_path)
+        for p in range(paths):
+            g_init, g_state, g_meas = (philox(seed, 4 * (first_path + p) + role) for role in range(3))
+            x0 = mu0 + sqrt_s0 @ g_init.standard_normal(3)
+            z_state, z_meas = g_state.standard_normal((n, 3)), g_meas.standard_normal((n, 1))
+            # continuous rows: x_k = x_{k-1} + sqrt(dt) w_k, y_k = sqrt(dt) v_k
+            np.testing.assert_array_equal(xc[p], np.cumsum(np.vstack([x0, 0.5 * z_state @ sqrt_q]), axis=0))
+            np.testing.assert_array_equal(yc[p, 1:], 0.5 * z_meas @ sqrt_r)
+            # discrete rows: x_k = w_k, y_k = v_k
+            np.testing.assert_array_equal(xd[p, 0], x0)
+            np.testing.assert_array_equal(xd[p, 1:], z_state @ sqrt_q)
+            np.testing.assert_array_equal(yd[p, 1:], z_meas @ sqrt_r)
+
+    def test_rekey_forgets_counter_and_buffer(self):
+        gen = philox(3, 8)
+        gen.standard_normal(5)
+        gen.integers(0, 2**32, dtype=np.uint32)
+        state = gen.bit_generator.state
+        assert state["state"]["counter"][0] > 0 and state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        fresh = philox(9, 2)
+        _rekey(gen, 9, 2)
+        np.testing.assert_array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
+                                      fresh.integers(0, 2**32, size=5, dtype=np.uint32))
+        np.testing.assert_array_equal(gen.standard_normal(7), fresh.standard_normal(7))
+
+    @pytest.mark.parametrize("n_paths", [1, 4, 40])
+    def test_one_generator_per_simulation(self, n_paths, monkeypatch):
+        built = []
+        real = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        simulate_paths(builtin_contractive3d(), dt=0.05, horizon=0.5, seed=7, n_paths=n_paths)
+        assert len(built) == 1
+        simulate_discrete_paths(builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2)),
+                                steps=5, seed=7, n_paths=n_paths)
+        assert len(built) == 2

@@ -710,15 +710,16 @@ class TestGronwall:
             gronwall_continuous(1.0, -1.0, 1.0, np.min(t))
 
     def test_euler_trajectories_stay_below_envelope(self, rng):
+        # 100 trajectories stepped together; row i draws alpha, b, x0 as one scalar loop would
         dt, n = 1e-3, 2000
-        for _ in range(100):
-            alpha = -rng.uniform(0.1, 3.0)
-            b = rng.uniform(0.0, 2.0)
-            x0 = rng.uniform(0.0, 5.0)
-            x = x0
-            for k in range(1, n + 1):
-                x = x + dt * (alpha * x + b)
-                assert x <= gronwall_continuous(x0, alpha, b, k * dt) + 10 * dt
+        neg_alpha, b, x0 = rng.uniform([0.1, 0.0, 0.0], [3.0, 2.0, 5.0], size=(100, 3)).T
+        alpha = -neg_alpha
+        x, path = x0, np.empty((100, n))
+        for k in range(n):
+            x = x + dt * (alpha * x + b)
+            path[:, k] = x
+        env = gronwall_continuous(x0[:, None], alpha[:, None], b[:, None], np.arange(1, n + 1) * dt)
+        assert np.all(path <= env + 10 * dt)
 
 
 @st.composite
