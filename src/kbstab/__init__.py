@@ -97,7 +97,6 @@ from .stability import (
 from .harness import (
     ExperimentResult,
     ExperimentSpec,
-    concentration_check,
     export_result,
     preset_spec,
     run_experiment,

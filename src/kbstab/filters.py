@@ -54,7 +54,7 @@ _DEGENERATE_TRACE = 1e-14
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter variant plus tuning: the functional, tuned noise, initial pair."""
+    """Filter variant plus tuning: the functional, tuned noise, initial pair, all finite and of one size."""
 
     functional: Functional
     Q_tuned: np.ndarray
@@ -65,14 +65,23 @@ class FilterConfig:
         Q = np.asarray(self.Q_tuned, dtype=float)
         P0 = np.asarray(self.P0, dtype=float)
         x0 = np.asarray(self.x0_hat, dtype=float).ravel()
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0_hat must be finite")
         for name, M in (("Q_tuned", Q), ("P0", P0)):
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError(f"{name} must be square")
+            if M.shape != (x0.size, x0.size):
+                raise ValueError(f"{name} must have shape {(x0.size, x0.size)} like x0_hat, got {M.shape}")
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} must be finite")
             if np.linalg.eigvalsh(0.5 * (M + M.T))[0] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
         object.__setattr__(self, "Q_tuned", 0.5 * (Q + Q.T))
         object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
         object.__setattr__(self, "x0_hat", x0)
+
+    def check_dim(self, dim):
+        """Raise a ``ValueError`` naming the fields unless the tuning has the model size ``dim``."""
+        if self.x0_hat.size != dim:
+            raise ValueError(f"x0_hat, Q_tuned and P0 have size {self.x0_hat.size}, not dim_x = {dim}")
 
 
 def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=None, gh_order=3):
@@ -92,12 +101,14 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
         rule = gauss_hermite_rule(d, gh_order)
     else:
         rule = reference_rule(d)
-    return FilterConfig(
+    config = FilterConfig(
         functional=Functional("ekf" if rule is None else "sigma", rule),
         Q_tuned=model.Q if Q_tuned is None else Q_tuned,
         x0_hat=model.mu0 if x0_hat is None else x0_hat,
         P0=model.Sigma0 if P0 is None else P0,
     )
+    config.check_dim(d)
+    return config
 
 
 @dataclass

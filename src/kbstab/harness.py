@@ -140,7 +140,12 @@ def build_model(spec):
 
 @dataclass
 class ExperimentResult:
-    """Everything an experiment produced, in path-index-deterministic form."""
+    """Everything an experiment produced, in path-index-deterministic form.
+
+    ``exceedance`` holds one row per filter, checkpoint and delta, counted
+    over the paths that never diverged: ``filter``, ``t``, ``delta``,
+    ``threshold``, ``frequency``, ``limit`` and its verdict ``passed``.
+    """
 
     spec: ExperimentSpec
     times: np.ndarray
@@ -188,10 +193,18 @@ def _bound_curve(cert, times):
 
 
 def _exceedance_row(cert, err_sq, t, delta):
-    """Concentration threshold at ``claim_time(cert, t)`` and the share of ``err_sq`` meeting it."""
+    """Threshold at ``claim_time(cert, t)``, the share of ``err_sq`` meeting it, and its verdict.
+
+    The row passes when that share stays within ``exp(-delta)`` plus three
+    binomial standard errors over the ``len(err_sq)`` paths it counts. This
+    is the one place that judges an exceedance.
+    """
     thr = continuous_concentration_threshold(cert, claim_time(cert, t), delta)
+    frequency = float((err_sq >= thr).mean())
+    limit = math.exp(-delta)
+    slack = 3.0 * math.sqrt(limit * (1.0 - limit) / len(err_sq))
     return {"t": float(t), "delta": float(delta), "threshold": float(thr),
-            "frequency": float((err_sq >= thr).mean()), "limit": math.exp(-delta)}
+            "frequency": frequency, "limit": limit, "passed": frequency <= limit + slack}
 
 
 def run_experiment(spec, model=None, certificates=None, configs=None):
@@ -230,7 +243,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             except ValueError as exc:
                 warnings.append(f"no certificate for {kind}: {exc}")
 
-    _, states, incr, sim_div = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
+    _, states, incr, _ = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
 
     empirical, stderr, bounds, averages, traces = {}, {}, {}, {}, {}
     cp_err, div_counts, alive_counts = {}, {}, {}
@@ -240,9 +253,9 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         run = run_continuous_ensemble(model, configs[kind], states, incr, spec.dt)
         err = run.err_sq
         cps = err[:, cp_idx]
-        # A path that died in simulation counts as diverged for every filter.
-        div = np.where(sim_div >= 0, sim_div, run.diverged)
-        alive = div < 0
+        # the loop freezes a path whose simulated truth turns non-finite, so
+        # a path that died in simulation has diverged for every filter
+        alive = run.diverged < 0
         n_alive = int(alive.sum())
         cert = certs[kind]
         bounds[kind] = _bound_curve(cert, times)
@@ -297,36 +310,6 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             f"{worst:.1%} of paths diverged (limit {DIVERGENCE_LIMIT:.0%})", result=result
         )
     return result
-
-
-def concentration_check(result, certificate, t_list, delta_list, kind=None):
-    """Exceedance frequencies against certificate thresholds at checkpoints.
-
-    For each requested time (which must be a retained checkpoint) and delta,
-    reports the fraction of paths whose squared error met the threshold and
-    whether it stays within ``exp(-delta)`` plus three binomial standard
-    errors. Returns a list of row dicts.
-    """
-    if kind is None:
-        if len(result.spec.filters) != 1:
-            raise ValueError("several filters were run: pass kind explicitly")
-        kind = result.spec.filters[0]
-    cps = result.checkpoint_err_sq[kind]
-    alive = ~np.isnan(cps).any(axis=1)
-    cps = cps[alive]
-    n = cps.shape[0]
-    rows = []
-    for t in t_list:
-        match = np.nonzero(np.abs(result.checkpoint_times - t) <= 1e-9)[0]
-        if match.size == 0:
-            raise ValueError(f"t = {t} is not a retained checkpoint")
-        i = int(match[0])
-        for delta in delta_list:
-            row = _exceedance_row(certificate, cps[:, i], t, delta)
-            slack = 3.0 * math.sqrt(row["limit"] * (1.0 - row["limit"]) / n)
-            row["passed"] = bool(row["frequency"] <= row["limit"] + slack)
-            rows.append(row)
-    return rows
 
 
 def _fmt(x):

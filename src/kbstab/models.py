@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivergenceError
-from .quadrature import matrix_sqrt
+from .quadrature import _check_psd, matrix_sqrt
 
 _ROLE_INIT, _ROLE_STATE, _ROLE_MEAS = 0, 1, 2
 
@@ -68,13 +68,7 @@ def _check_spsd(name, M, dim):
     M = np.asarray(M, dtype=float)
     if M.shape != (dim, dim):
         raise ValueError(f"{name} must have shape {(dim, dim)}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} must be finite")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(M)[0] < -1e-10 * scale:
-        raise ValueError(f"{name} must be positive semidefinite")
+    _check_psd(name, M)
     return 0.5 * (M + M.T)
 
 

@@ -127,22 +127,34 @@ def _psd_root(P):
     return sym, L
 
 
-def matrix_sqrt(P, sym_tol=1e-10, eig_floor=-1e-10):
+def _check_psd(name, M):
+    """``eigh`` of the symmetrized square ``M``, which must be finite, symmetric and PSD, naming ``name``.
+
+    With ``s = max(1, max |M_ij|)``, asymmetry up to ``1e-10 s`` and eigenvalues down to
+    ``-1e-10 s`` are rounding noise; an indefinite ``M`` raises :class:`IndefiniteMatrixError`.
+    """
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} must be finite")
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.T).max() > 1e-10 * scale:
+        raise ValueError(f"{name} must be symmetric")
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    if vals[0] < -1e-10 * scale:
+        raise IndefiniteMatrixError(f"{name} must be positive semidefinite, has eigenvalue {vals[0]:.3e}")
+    return vals, vecs
+
+
+def matrix_sqrt(P):
     """Symmetric positive-semidefinite square root via eigendecomposition.
 
-    Eigenvalues in ``[eig_floor, 0)`` are treated as rounding noise and
-    clamped to zero; anything below ``eig_floor`` raises
+    Eigenvalues in ``[-1e-10 s, 0)``, ``s = max(1, max |P_ij|)``, are
+    rounding noise and clamped to zero; anything below raises
     :class:`IndefiniteMatrixError`.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("expected a single square matrix")
-    scale = max(1.0, float(np.abs(P).max()))
-    if np.abs(P - P.T).max() > sym_tol * scale:
-        raise ValueError("matrix is not symmetric to tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (P + P.T))
-    if vals[0] < eig_floor * scale:
-        raise IndefiniteMatrixError(f"matrix has eigenvalue {vals[0]:.3e}, not positive semidefinite")
+    vals, vecs = _check_psd("matrix", P)
     S = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (S + S.T)
 

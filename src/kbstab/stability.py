@@ -190,6 +190,7 @@ def contractive_certificate(model, config, kind, m_f=None, n_f=None, box=None, b
     zero for the point-evaluation filter and
     ``-lam - N(f) + tr(S) lambda_P`` for the quadrature-based ones.
     """
+    config.check_dim(model.dim_x)
     M_f, N_f, provenance = _resolve_drift_constants(model, m_f, n_f, box, budget)
     if M_f >= 0:
         raise NotContractiveError(f"drift is not contractive: M(f) = {M_f:.6g} >= 0")
@@ -363,6 +364,8 @@ def integrated_velocity_certificate(model, config=None, kind="ekf"):
         raise NoCertificateError("the hidden-component slope must be bounded below by a positive constant",
                                  hypothesis="hidden-component monotonicity")
     s = h * h / r
+    if config is not None:
+        config.check_dim(model.dim_x)
     Qt = model.Q if config is None else config.Q_tuned
     P0 = model.Sigma0 if config is None else config.P0
     q1_t, q2_t = float(Qt[0, 0]), float(Qt[1, 1])
@@ -451,11 +454,7 @@ def discrete_certificate(model, config, kind, lambda_P_pred, lambda_P_upd,
     override it with analytic provenance. Fails when the contraction factor
     ``lambda_df = ||J_f|| lambda_d`` is not below one.
     """
-    if jf_norm is None:
-        jf_norm = model.known_jf_norm
-    if jf_norm is None:
-        raise ValueError("need the drift Lipschitz constant: pass jf_norm or attach known_jf_norm")
-    jf_norm = float(jf_norm)
+    jf_norm = _supplied_or_known(jf_norm, model, "jf_norm", "known_jf_norm")
     if lambda_P_pred <= 0 or lambda_P_upd <= 0:
         raise ValueError("covariance trace bounds must be positive")
     if lambda_d is None:
@@ -676,9 +675,10 @@ def moment_growth_bound(x0_pow, alpha, beta_const, n, t, t0=0.0):
         x_t^{1/n} <= x_{t0}^{1/n} e^{alpha (t - t0)}
                      + (beta n / alpha) (e^{alpha (t - t0)} - 1),
 
-    returned raised to the n-th power. Used to grow moment bounds up to the
-    settle time inside the concentration construction; ``alpha = 0`` is
-    rejected.
+    returned raised to the n-th power; ``alpha = 0`` is rejected. No
+    certificate here calls it: the contractive one settles at ``T = 0`` and
+    the velocity one is a limiting certificate, so neither grows a moment
+    bound up to a settle time.
     """
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")

@@ -23,7 +23,7 @@ class TestCertify:
         assert "C_lambda         0.0" in out
 
     def test_velocity_preset(self, capsys):
-        code = main(["certify", "--model", "integrated_velocity", "--preset", "paper"])
+        code = main(["certify", "--model", "integrated_velocity"])
         out = capsys.readouterr().out
         assert code == 0
         assert "lambda_12" in out
@@ -213,6 +213,8 @@ class TestUsageErrors:
         ["certify", "--workers", "2"],
         ["certify", "--seed", "3"],
         ["certify", "--filter", "ekf", "--filter", "ukf", "--trajectories", "5", "--dt", "3", "--workers", "3"],
+        # no preset is called paper
+        ["certify", "--preset", "paper"],
     ])
     def test_usage_error_is_config_error(self, argv, capsys, monkeypatch):
         import kbstab.cli as cli
@@ -226,11 +228,12 @@ class TestUsageErrors:
         assert ran == []
 
     def test_paper_preset_offered_only_to_certify(self, capsys):
-        for command, offered in (("certify", True), ("simulate", False), ("validate", False)):
+        # "paper" is no preset, and no subcommand offers it
+        for command in ("certify", "simulate", "validate"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--help"])
             assert exc.value.code == 0
-            assert ("paper" in capsys.readouterr().out) == offered, command
+            assert "paper" not in capsys.readouterr().out, command
 
 
 class TestRunValues:

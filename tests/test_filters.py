@@ -409,6 +409,31 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             make_filter_config("pf", builtin_contractive3d())
 
+    @pytest.mark.parametrize("field, value", [
+        ("Q_tuned", np.eye(2)),
+        ("P0", np.eye(4)),
+        ("x0_hat", np.zeros(2)),
+    ])
+    def test_wrong_size_tuning_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_filter_config("ekf", builtin_contractive3d(), **{field: value})
+
+    def test_consistent_tuning_of_the_wrong_model_size_rejected(self):
+        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 2, not dim_x = 3"):
+            make_filter_config("ukf", builtin_contractive3d(), Q_tuned=np.eye(2), x0_hat=np.zeros(2),
+                               P0=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tuning_rejected(self, bad):
+        with pytest.raises(ValueError, match="x0_hat must be finite"):
+            make_filter_config("ekf", builtin_contractive3d(), x0_hat=[0.0, bad, 0.0])
+        for field in ("Q_tuned", "P0"):
+            M = np.eye(2)
+            M[0, 1] = M[1, 0] = bad
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                FilterConfig(functional=Functional("ekf"), **{"Q_tuned": np.eye(2), "P0": np.eye(2),
+                                                               field: M}, x0_hat=np.zeros(2))
+
 
 class TestDiscretePredictUpdate:
     def test_identity_drift_adds_tuning(self):

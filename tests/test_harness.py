@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import threading
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from kbstab import (
     ContinuousCertificate,
+    ContinuousModel,
     ExperimentSpec,
     builtin_linear,
-    concentration_check,
     continuous_concentration_threshold,
     continuous_mse_bound,
     contractive_certificate,
@@ -20,7 +21,9 @@ from kbstab import (
 )
 from kbstab import harness
 from kbstab.errors import ExperimentDivergenceError
+from kbstab.filters import run_continuous_ensemble
 from kbstab.harness import build_model
+from kbstab.models import simulate_paths
 
 
 def small_spec(**kw):
@@ -199,43 +202,51 @@ class TestWorkers:
 
 
 class TestConcentrationCheck:
+    """Every exceedance row carries its verdict, counted over the paths that never diverged."""
+
     def test_rows_and_pass(self):
-        spec = small_spec(trajectories=60, horizon=3.0)
-        result = run_experiment(spec)
-        cert = result.certificates["ekf"]
-        rows = concentration_check(result, cert, [1.0, 3.0], [0.5, 2.0])
+        result = run_experiment(small_spec(trajectories=60, horizon=3.0, deltas=(0.5, 2.0)))
+        rows = [r for r in result.exceedance if r["t"] in (1.0, 3.0)]
         assert len(rows) == 4
         for row in rows:
             assert 0.0 <= row["frequency"] <= 1.0
             assert row["passed"]
 
     def test_vacuous_delta(self):
-        spec = small_spec(trajectories=30, horizon=2.0)
-        result = run_experiment(spec)
-        cert = result.certificates["ekf"]
-        rows = concentration_check(result, cert, [2.0], [0.01])
-        assert rows[0]["frequency"] <= 1.0 and rows[0]["passed"]
+        result = run_experiment(small_spec(trajectories=30, horizon=2.0, deltas=(0.01,)))
+        (row,) = [r for r in result.exceedance if r["t"] == 2.0]
+        assert row["frequency"] <= 1.0 and row["passed"]
 
     def test_large_delta_zero_frequency(self):
-        spec = small_spec(trajectories=30, horizon=2.0)
-        result = run_experiment(spec)
-        cert = result.certificates["ekf"]
-        rows = concentration_check(result, cert, [2.0], [30.0])
-        assert rows[0]["frequency"] == 0.0
+        result = run_experiment(small_spec(trajectories=30, horizon=2.0, deltas=(30.0,)))
+        (row,) = [r for r in result.exceedance if r["t"] == 2.0]
+        assert row["frequency"] == 0.0
 
-    def test_unretained_time_rejected(self):
-        result = run_experiment(small_spec())
-        cert = result.certificates["ekf"]
-        with pytest.raises(ValueError):
-            concentration_check(result, cert, [0.77], [1.0])
-
-    def test_needs_kind_when_ambiguous(self):
-        result = run_experiment(small_spec(filters=("ekf", "ukf")))
-        cert = result.certificates["ekf"]
-        with pytest.raises(ValueError):
-            concentration_check(result, cert, [1.0], [1.0])
-        rows = concentration_check(result, cert, [1.0], [1.0], kind="ekf")
-        assert rows
+    def test_rows_count_only_paths_that_never_diverged(self):
+        # a cubic drift blows most paths up; 6 of them diverge after the last
+        # checkpoint (t = 2) and must not be counted there either
+        model = ContinuousModel(dim_x=1, dim_y=1, f=lambda x: x**3, jac_f=lambda x: 3 * x[..., None] ** 2,
+                                Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=np.zeros(1),
+                                Sigma0=0.5 * np.eye(1), name="cubic")
+        config = make_filter_config("ekf", model)
+        cert = contractive_certificate(model, config, "ekf", m_f=-1.0, n_f=-1.0)
+        spec = small_spec(dt=0.01, horizon=2.3, trajectories=400)
+        with pytest.raises(ExperimentDivergenceError) as exc:
+            run_experiment(spec, model=model, certificates={"ekf": cert})
+        result = exc.value.result
+        _, states, incr, _ = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
+        alive = run_continuous_ensemble(model, config, states, incr, spec.dt).diverged < 0
+        cps = result.checkpoint_err_sq["ekf"]
+        assert alive.sum() == 22 and (~np.isnan(cps).any(axis=1)).sum() == 28
+        assert len(result.exceedance) == len(result.checkpoint_times) * len(spec.deltas)
+        for row in result.exceedance:
+            i = list(result.checkpoint_times).index(row["t"])
+            frequency = float((cps[alive, i] >= row["threshold"]).mean())
+            assert row["frequency"] == frequency
+            slack = 3.0 * math.sqrt(row["limit"] * (1.0 - row["limit"]) / 22)
+            assert row["passed"] == (frequency <= row["limit"] + slack)
+        (cell,) = [r for r in result.exceedance if r["t"] == 2.0 and r["delta"] == 1.0]
+        assert cell["frequency"] == 0.0 and cell["passed"]
 
 
 class TestExport:

@@ -15,7 +15,7 @@ from kbstab import (
     velocity_g,
     velocity_g_prime,
 )
-from kbstab.errors import DivergenceError
+from kbstab.errors import DivergenceError, IndefiniteMatrixError
 from kbstab.models import _rekey, philox, simulate_discrete_paths, simulate_paths, velocity_log_lipschitz
 from kbstab.quadrature import matrix_sqrt
 
@@ -126,7 +126,7 @@ class TestModelValidation:
             builtin_linear(np.eye(2), Q=np.array([[1.0, 0.2], [0.0, 1.0]]), H=np.eye(2), R=np.eye(2))
 
     def test_indefinite_covariance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IndefiniteMatrixError, match="Q must be positive semidefinite"):
             builtin_linear(np.eye(2), Q=np.diag([1.0, -1.0]), H=np.eye(2), R=np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

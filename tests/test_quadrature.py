@@ -107,6 +107,17 @@ class TestMatrixSqrt:
         with pytest.raises(ValueError):
             matrix_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            matrix_sqrt(np.diag([1.0, bad]))
+
+    def test_tolerances_scale_with_the_entries(self):
+        # the eigenvalue floor is -1e-10 times the largest entry: -1e-6 here
+        assert matrix_sqrt(np.diag([1e4, -5e-7]))[1, 1] == 0.0
+        with pytest.raises(IndefiniteMatrixError):
+            matrix_sqrt(np.diag([1e4, -5e-5]))
+
 
 class TestExactnessChecker:
     def test_scaled_weights_fail(self):

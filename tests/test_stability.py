@@ -36,7 +36,8 @@ from kbstab import (
     required_inflation,
 )
 from kbstab.errors import NoCertificateError, NotContractiveError, NotFullyObservedError
-from kbstab.filters import _kb_step_batch, run_discrete_ensemble
+from kbstab.filters import FilterConfig, _kb_step_batch, run_discrete_ensemble
+from kbstab.functionals import Functional
 from kbstab.harness import certificate_for
 from kbstab.models import VELOCITY_G_PRIME_MIN, simulate_discrete_paths, simulate_paths
 from kbstab.stability import DiscreteCertificate, _velocity_box_sup_mu
@@ -99,6 +100,22 @@ class TestContractiveCertificate:
                                        box=[[-6, 6]] * 3, budget=1024)
         assert cert.provenance == "empirical"
         assert cert.lam == pytest.approx(0.5947, abs=0.02)
+
+
+class TestCertificateTuningSize:
+    """Both continuous builders reject a config whose tuning does not fit the model."""
+
+    @staticmethod
+    def config(d):
+        return FilterConfig(functional=Functional("ekf"), Q_tuned=np.eye(d), x0_hat=np.zeros(d), P0=np.eye(d))
+
+    def test_contractive(self):
+        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 2, not dim_x = 3"):
+            contractive_certificate(builtin_contractive3d(), self.config(2), "ekf")
+
+    def test_integrated_velocity(self):
+        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
+            integrated_velocity_certificate(builtin_integrated_velocity(), self.config(3))
 
 
 class TestContinuousBounds:
