@@ -14,14 +14,14 @@ then updates. The model alone says which time model runs. A rule-based
 step takes both terms from one field evaluation at the points
 ``x + L xi``, with no Jacobian, where ``L L^T = P`` is any root.
 
-After every step the covariance is symmetrized and checked with a batched
-Cholesky factorization. Only a path whose symmetrized matrix is not
-numerically positive definite, so that its factorization fails, has its
-eigenvalues clamped at zero. The guard is a floating-point safeguard the
-exact-arithmetic theory does not need; on well-posed runs it never fires.
-Its factor, or the clamp's eigen-root, is the next step's sigma-point
-root, so a well-posed step makes one Cholesky factorization and no
-eigendecomposition.
+``Q_tuned``, ``P0`` and ``R`` (through the model's cached ``H^T R^{-1}``)
+must pass the one covariance check as positive definite. After every step
+the covariance is symmetrized and checked with a batched Cholesky
+factorization; a path whose factorization fails has its eigenvalues clamped
+at zero. This guard is a floating-point safeguard the exact-arithmetic
+theory does not need; on well-posed runs it never fires. Its factor, or the
+clamp's eigen-root, is the next step's sigma-point root, so a well-posed
+step makes one Cholesky factorization and no eigendecomposition.
 
 One batched step serves both time models and one loop runs it; ensemble,
 single-path (a batch of one with a recorder) and one-step entry points
@@ -45,7 +45,7 @@ from .functionals import (
     eval_riccati_disc_batch,
     reference_rule,
 )
-from .quadrature import _psd_root, default_unscented_kappa, gauss_hermite_rule, unscented_rule
+from .quadrature import _check_psd, _psd_root, default_unscented_kappa, gauss_hermite_rule, unscented_rule
 
 FILTER_KINDS = ("ekf", "ukf", "adf", "gh")
 
@@ -54,7 +54,7 @@ _DEGENERATE_TRACE = 1e-14
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter variant plus tuning: the functional, tuned noise, initial pair, all finite and of one size."""
+    """Filter variant plus tuning of one size: the functional, finite ``x0_hat``, positive definite ``Q_tuned``, ``P0``."""
 
     functional: Functional
     Q_tuned: np.ndarray
@@ -70,12 +70,7 @@ class FilterConfig:
         for name, M in (("Q_tuned", Q), ("P0", P0)):
             if M.shape != (x0.size, x0.size):
                 raise ValueError(f"{name} must have shape {(x0.size, x0.size)} like x0_hat, got {M.shape}")
-            if not np.all(np.isfinite(M)):
-                raise ValueError(f"{name} must be finite")
-            if np.linalg.eigvalsh(0.5 * (M + M.T))[0] <= 0.0:
-                raise ValueError(f"{name} must be positive definite")
-        object.__setattr__(self, "Q_tuned", 0.5 * (Q + Q.T))
-        object.__setattr__(self, "P0", 0.5 * (P0 + P0.T))
+            object.__setattr__(self, name, _check_psd(name, M, definite=True))
         object.__setattr__(self, "x0_hat", x0)
 
     def check_dim(self, dim):
@@ -192,8 +187,7 @@ def kalman_bucy_step(state, dY, dt, model, config):
         raise ValueError("dt must be positive")
     _check_time("cont", model)
     x, P, dY = (np.asarray(a, dtype=float)[None] for a in (*state, dY))
-    HtRinv = np.linalg.solve(model.R, model.H).T
-    x_new, P_new, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, dY, dt)
+    x_new, P_new, _, _, bad = _kb_step_batch(model, config, model.HtRinv, x, P, None, dY, dt)
     if bad[0]:
         raise DivergenceError("filter state became non-finite")
     if float(np.trace(P_new[0])) < _DEGENERATE_TRACE:
@@ -254,7 +248,7 @@ def _run(time, model, config, states, obs, dt, record=None):
         raise ValueError("path dimension does not match the model")
     states = np.ascontiguousarray(states.transpose(1, 0, 2))
     obs = np.ascontiguousarray(obs.transpose(1, 0, 2))
-    HtRinv = np.linalg.solve(model.R, model.H).T if time == "cont" else None
+    HtRinv = model.HtRinv if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P, L = _psd_root(np.tile(config.P0, (B, 1, 1)))
     err_sq = np.full((n_plus_1, B), np.nan)
@@ -331,7 +325,7 @@ def run_continuous_filter(path, model, config):
     ``gains[k]`` is the Kalman gain ``P_k H^T R^{-1}`` at time ``k``.
     """
     traj = _filter_path("cont", path, model, config)
-    traj.gains = traj.covariances @ np.linalg.solve(model.R, model.H).T
+    traj.gains = traj.covariances @ model.HtRinv
     return traj
 
 

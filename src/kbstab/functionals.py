@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndefiniteMatrixError
 from .models import philox
-from .quadrature import CubatureRule, _psd_root, check_degree_two_exactness, gauss_hermite_rule
+from .quadrature import CubatureRule, _check_psd, _psd_root, check_degree_two_exactness, gauss_hermite_rule
 
 FUNCTIONAL_KINDS = ("ekf", "sigma")
 
@@ -80,10 +79,7 @@ def _as_batch(x, P):
         P = P[None, :, :]
     if P.shape != (x.shape[0], x.shape[1], x.shape[1]):
         raise ValueError("P must have shape (d, d) matching x")
-    scale = max(1.0, float(np.abs(P).max()))
-    if float(np.linalg.eigvalsh(0.5 * (P + np.swapaxes(P, -1, -2)))[..., 0].min()) < -1e-10 * scale:
-        raise IndefiniteMatrixError("covariance must be positive semidefinite")
-    return x, P, single
+    return x, _check_psd("P", P), single
 
 
 def _sigma_points(rule, x, L):

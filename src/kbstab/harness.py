@@ -67,6 +67,8 @@ class ExperimentSpec:
     preset: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.model_params, dict):
+            raise ValueError(f"model_params must be an object of keyword arguments, got {self.model_params!r}")
         for name in ("trajectories", "workers", "seed"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         for name in ("dt", "horizon", "checkpoint_every", "average_from", "domination_from"):
@@ -123,7 +125,7 @@ def preset_spec(name, **overrides):
 
 
 def build_model(spec):
-    """Instantiate the spec's model by name, naming any missing or unknown ``model_params`` key."""
+    """Instantiate the spec's model by name; a ``ValueError`` names ``model_params`` when a key is missing or unknown or a value has the wrong type."""
     builder = {"contractive3d": builtin_contractive3d, "integrated_velocity": builtin_integrated_velocity,
                "linear": builtin_linear}.get(spec.model)
     if builder is None:
@@ -135,7 +137,10 @@ def build_model(spec):
     if problems:
         raise ValueError(f"model_params for {spec.model!r}: {'; '.join(problems)} "
                          f"(accepted: {', '.join(accepted) or 'none'})")
-    return builder(**spec.model_params)
+    try:
+        return builder(**spec.model_params)
+    except TypeError as exc:
+        raise ValueError(f"model_params for {spec.model!r}: {exc}") from exc
 
 
 @dataclass

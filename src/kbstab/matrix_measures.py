@@ -11,7 +11,6 @@ certificates.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._search import pattern_search
 from .errors import KbstabError
@@ -91,6 +90,8 @@ def _box_array(box):
 
 
 def _sobol_points(dim, budget):
+    from scipy.stats import qmc  # here, not at module level: it is most of `import kbstab`
+
     # Sobol' sequences balance best at power-of-two sizes.
     m = max(1, int(np.ceil(np.log2(max(budget, 2)))))
     sampler = qmc.Sobol(d=dim, scramble=False)

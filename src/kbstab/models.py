@@ -11,6 +11,10 @@ are keyword-only dataclasses on one base, told apart by their class
 attribute ``time`` (``"cont"`` or ``"disc"``), and both are simulated by
 one loop that branches on it only for the state and measurement lines.
 
+``Q``, ``R`` and ``Sigma0`` must pass :func:`~kbstab.quadrature._check_psd`
+(so ``R = 0`` simulates noiseless measurements); ``R`` must also be positive
+definite where the cached ``HtRinv = H^T R^{-1}``, used by ``S`` and every gain, is formed.
+
 All drift and Jacobian callables must be vectorized over leading batch
 dimensions. Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index, role)`` so that any subset of paths can be generated in
@@ -27,6 +31,7 @@ transposed views of that storage.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,14 +69,6 @@ def _rekey(gen, seed, stream):
     return gen
 
 
-def _check_spsd(name, M, dim):
-    M = np.asarray(M, dtype=float)
-    if M.shape != (dim, dim):
-        raise ValueError(f"{name} must have shape {(dim, dim)}")
-    _check_psd(name, M)
-    return 0.5 * (M + M.T)
-
-
 @dataclass(kw_only=True)
 class _Model:
     """Fields and checks shared by both time models; ``time`` names the kind.
@@ -94,27 +91,28 @@ class _Model:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.Q = _check_spsd("Q", self.Q, self.dim_x)
-        self.R = _check_spsd("R", self.R, self.dim_y)
-        self.Sigma0 = _check_spsd("Sigma0", self.Sigma0, self.dim_x)
+        for name, dim in (("Q", self.dim_x), ("R", self.dim_y), ("Sigma0", self.dim_x)):
+            M = np.asarray(getattr(self, name), dtype=float)
+            if M.shape != (dim, dim):
+                raise ValueError(f"{name} must have shape {(dim, dim)}")
+            setattr(self, name, _check_psd(name, M))
         self.H = np.asarray(self.H, dtype=float)
         if self.H.shape != (self.dim_y, self.dim_x):
             raise ValueError(f"H must have shape {(self.dim_y, self.dim_x)}")
         self.mu0 = np.asarray(self.mu0, dtype=float).reshape(self.dim_x)
         if not np.all(np.isfinite(self.mu0)):
             raise ValueError("mu0 must be finite")
-        self._S = None
 
-    @property
+    @cached_property
+    def HtRinv(self):
+        """``H^T R^{-1}`` (cached), the one place ``R`` is inverted; ``R`` must be positive definite."""
+        return np.linalg.solve(_check_psd("R", self.R, definite=True), self.H).T
+
+    @cached_property
     def S(self):
         """Information-rate matrix ``H^T R^{-1} H`` (cached)."""
-        if self._S is None:
-            if np.linalg.eigvalsh(self.R)[0] <= 0.0:
-                raise ValueError("R must be positive definite to form H^T R^-1 H")
-            HtRinv = np.linalg.solve(self.R, self.H).T
-            S = HtRinv @ self.H
-            self._S = 0.5 * (S + S.T)
-        return self._S
+        S = self.HtRinv @ self.H
+        return 0.5 * (S + S.T)
 
     def s_scalar(self, tol=1e-10):
         """Return ``s`` if ``S = s I`` to tolerance, else ``None``."""

@@ -1,10 +1,12 @@
-"""Unit sigma-point rules, Gauss-Hermite tensor rules, and the PSD root and clamp.
+"""Unit sigma-point rules, Gauss-Hermite tensor rules, the covariance check, and the PSD root and clamp.
 
 A cubature rule here is a set of unit sigma-points and weights approximating
 expectations against a standard Gaussian. The rules constructed by this
 module integrate every polynomial of total degree at most two exactly, the
 property the filter stability theory relies on, for ``N(x, P)`` at the
-points ``x + L xi`` with any root ``L L^T = P`` (:func:`_psd_root`).
+points ``x + L xi`` with any root ``L L^T = P`` (:func:`_psd_root`, the filter
+step's guard, which repairs its state). :func:`_check_psd` judges, and rejects,
+every covariance argument the library takes.
 """
 
 import itertools
@@ -127,34 +129,36 @@ def _psd_root(P):
     return sym, L
 
 
-def _check_psd(name, M):
-    """``eigh`` of the symmetrized square ``M``, which must be finite, symmetric and PSD, naming ``name``.
+def _check_psd(name, M, definite=False):
+    """The symmetrized ``M``, a square matrix or a stack, each finite, symmetric and PSD, naming ``name``.
 
-    With ``s = max(1, max |M_ij|)``, asymmetry up to ``1e-10 s`` and eigenvalues down to
-    ``-1e-10 s`` are rounding noise; an indefinite ``M`` raises :class:`IndefiniteMatrixError`.
+    The library's one covariance check. Per matrix, with ``s = max(1, max |M_ij|)``, asymmetry up to
+    ``1e-10 s`` and eigenvalues down to ``-1e-10 s`` (above zero with ``definite``) are allowed.
     """
+    M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} must be finite")
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+    if np.any(np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError(f"{name} must be symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if vals[0] < -1e-10 * scale:
-        raise IndefiniteMatrixError(f"{name} must be positive semidefinite, has eigenvalue {vals[0]:.3e}")
-    return vals, vecs
+    sym = 0.5 * (M + np.swapaxes(M, -1, -2))
+    low = np.linalg.eigvalsh(sym)[..., 0]
+    if np.any(low <= 0.0 if definite else low < -1e-10 * scale):
+        kind = "definite" if definite else "semidefinite"
+        raise IndefiniteMatrixError(f"{name} must be positive {kind}, has eigenvalue {np.min(low):.3e}")
+    return sym
 
 
 def matrix_sqrt(P):
     """Symmetric positive-semidefinite square root via eigendecomposition.
 
-    Eigenvalues in ``[-1e-10 s, 0)``, ``s = max(1, max |P_ij|)``, are
-    rounding noise and clamped to zero; anything below raises
-    :class:`IndefiniteMatrixError`.
+    ``P`` must pass :func:`_check_psd`; its eigenvalues in ``[-1e-10 s, 0)``
+    are rounding noise and clamped to zero.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("expected a single square matrix")
-    vals, vecs = _check_psd("matrix", P)
+    vals, vecs = np.linalg.eigh(_check_psd("matrix", P))
     S = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (S + S.T)
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
 from .models import philox, velocity_log_lipschitz
+from .quadrature import _check_psd
 
 E = math.e
 
@@ -264,10 +265,7 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
     prefactors are dropped, so treat the value as asymptotic.
     """
     n_f = _supplied_or_known(n_f, model, "n_f", "known_N_f")
-    Q_tuned = np.asarray(Q_tuned, dtype=float)
-    q_min = float(np.linalg.eigvalsh(0.5 * (Q_tuned + Q_tuned.T))[0])
-    if q_min <= 0:
-        raise ValueError("Q_tuned must be positive definite")
+    q_min = float(np.linalg.eigvalsh(_check_psd("Q_tuned", Q_tuned, definite=True))[0])
     d = model.dim_x
     s_max = float(np.linalg.eigvalsh(model.S)[-1])
     if s_max <= 0 and n_f >= 0:
@@ -450,10 +448,12 @@ def discrete_certificate(model, config, kind, lambda_P_pred, lambda_P_upd,
     The caller supplies trace bounds for the predictive and updated
     covariances (analytic where available, empirical otherwise). The gain
     deviation ``lambda_d`` defaults to ``max(1, sup ||I - K H||)`` sampled
-    over the admissible covariance set, flagged empirical; pass a value to
-    override it with analytic provenance. Fails when the contraction factor
-    ``lambda_df = ||J_f|| lambda_d`` is not below one.
+    over the admissible covariance set, flagged empirical; a value passed
+    overrides it with provenance ``user``. Fails when the contraction factor
+    ``lambda_df = ||J_f|| lambda_d`` is not below one. ``config`` must have
+    the model's size, and ``R`` must be positive definite.
     """
+    config.check_dim(model.dim_x)
     jf_norm = _supplied_or_known(jf_norm, model, "jf_norm", "known_jf_norm")
     if lambda_P_pred <= 0 or lambda_P_upd <= 0:
         raise ValueError("covariance trace bounds must be positive")
@@ -469,7 +469,7 @@ def discrete_certificate(model, config, kind, lambda_P_pred, lambda_P_upd,
             f"lambda_df = ||J_f|| lambda_d = {lambda_df:.6g} >= 1: error recursion is not a contraction",
             hypothesis="lambda_df < 1",
         )
-    R_inv_norm = float(np.linalg.norm(np.linalg.inv(model.R), 2))
+    R_inv_norm = float(np.linalg.norm(np.linalg.inv(_check_psd("R", model.R, definite=True)), 2))
     kappa = lambda_P_pred * float(np.linalg.norm(model.H, 2)) * R_inv_norm
     if c_f is None:
         c_f = 0.0 if kind == "ekf" else jf_norm
@@ -494,7 +494,7 @@ def discrete_mse_bound(cert, mu0, x0_hat, Sigma0, k):
     if k < 0:
         raise ValueError("k must be nonnegative")
     gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
-    init = float(gap @ gap) + float(np.trace(np.asarray(Sigma0)))
+    init = float(gap @ gap) + float(np.trace(_check_psd("Sigma0", Sigma0)))
     per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
     return cert.lambda_df ** (2 * k) * init + per_step / (1.0 - cert.lambda_df**2)
 
@@ -506,7 +506,7 @@ def discrete_concentration_threshold(cert, mu0, x0_hat, Sigma0, k, delta):
     if delta <= 0:
         raise ValueError("delta must be positive")
     gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
-    init = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(np.asarray(Sigma0), 2)))
+    init = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(_check_psd("Sigma0", Sigma0), 2)))
     tail = (math.sqrt(cert.u_d) + cert.eta) / (1.0 - cert.lambda_df)
     return 4.0 * beta(delta) * (cert.lambda_df**k * init + tail) ** 2
 
@@ -623,7 +623,7 @@ def bernstein_threshold(alpha_param, delta):
 
 def _gaussian_law(m, P):
     """Mean vector and covariance matrix of ``N(m, P)``; ``m = 0`` means the zero vector."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    P = _check_psd("P", np.atleast_2d(P))
     m = np.zeros(P.shape[0]) if np.isscalar(m) and m == 0 else np.asarray(m, dtype=float).ravel()
     return m, P
 

@@ -165,7 +165,7 @@ class TestSimulate:
 
 
 class TestModelParams:
-    """Missing or unknown ``model_params`` keys are config errors that name the keys."""
+    """A ``model_params`` that is no object, misses or adds a key, or has a wrong-typed value is a config error naming it."""
 
     @pytest.mark.parametrize("command", ["certify", "simulate"])
     @pytest.mark.parametrize("model, params, named", [
@@ -173,6 +173,9 @@ class TestModelParams:
         ("linear", {"A": [[-1.0]], "Q": [[1.0]], "H": [[1.0]]}, ["missing R"]),
         ("integrated_velocity", {"a2": 1.0, "nonsense": 1.0}, ["unknown nonsense"]),
         ("contractive3d", {"q": 1.0}, ["unknown q"]),
+        ("integrated_velocity", [1], ["[1]"]),
+        ("integrated_velocity", None, ["None"]),
+        ("integrated_velocity", {"a1": "x"}, ["'integrated_velocity'", "not str"]),
     ])
     def test_keys_named(self, command, model, params, named, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -291,6 +294,19 @@ class TestRunValues:
             captured = capsys.readouterr()
             assert captured.err.startswith("config error: mu0 must be finite")
             assert captured.out == ""
+
+    def test_singular_measurement_noise_named_alike(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "linear", "trajectories": 2, "horizon": 0.1,
+                                   "model_params": {**LINEAR, "R": [[0.0]]}}))
+        errors = []
+        for command in ("simulate", "certify"):
+            assert main([command, "--config", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0].startswith("config error: R must be positive definite")
+        assert errors[0] == errors[1]
 
     def test_infinite_horizon_flag(self, capsys):
         assert main(["simulate", "--horizon", "inf"]) == 1

@@ -14,7 +14,7 @@ from kbstab import (
     simulate_discrete_path,
     simulate_path,
 )
-from kbstab.errors import DegenerateCovarianceError
+from kbstab.errors import DegenerateCovarianceError, IndefiniteMatrixError
 from kbstab.filters import FilterConfig, _kb_step_batch, run_continuous_ensemble, run_discrete_ensemble
 from kbstab.functionals import Functional
 from kbstab.models import SimulatedPath, simulate_discrete_paths, simulate_paths
@@ -392,6 +392,15 @@ class TestFilterConfig:
             FilterConfig(functional=Functional("ekf"), Q_tuned=np.diag([1.0, 0.0]),
                          x0_hat=np.zeros(2), P0=np.eye(2))
 
+    @pytest.mark.parametrize("field, value", [
+        ("Q_tuned", [[1.0, 0.5], [0.0, 1.0]]),
+        ("P0", [[1.0, 0.3], [-0.3, 1.0]]),
+    ])
+    def test_asymmetric_tuning_rejected(self, field, value):
+        model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match=f"{field} must be symmetric"):
+            make_filter_config("ekf", model, **{field: value})
+
     def test_time_kind_mismatch_rejected(self, discrete_sine):
         # a config has no time kind; the model's must match the entry point's
         discrete = discrete_sine()
@@ -433,6 +442,24 @@ class TestFilterConfig:
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 FilterConfig(functional=Functional("ekf"), **{"Q_tuned": np.eye(2), "P0": np.eye(2),
                                                                field: M}, x0_hat=np.zeros(2))
+
+
+class TestSingularMeasurementNoise:
+    """A singular ``R`` simulates, but every continuous entry point that forms ``R^-1`` names it."""
+
+    @pytest.mark.parametrize("entry", ["filter", "ensemble", "step"])
+    def test_R_named(self, entry):
+        model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.diag([1.0, 0.0]))
+        config = make_filter_config("ekf", model)
+        path = simulate_path(model, 0.01, 0.05, seed=0)
+        run = {
+            "filter": lambda: run_continuous_filter(path, model, config),
+            "ensemble": lambda: run_continuous_ensemble(model, config, path.states[None],
+                                                        path.measurement_increments[None], 0.01),
+            "step": lambda: kalman_bucy_step((np.zeros(2), np.eye(2)), np.zeros(2), 0.01, model, config),
+        }[entry]
+        with pytest.raises(IndefiniteMatrixError, match="R must be positive definite"):
+            run()
 
 
 class TestDiscretePredictUpdate:

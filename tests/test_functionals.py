@@ -161,6 +161,24 @@ class TestEvalMean:
             eval_mean(F, lambda x: x, np.zeros(2), np.diag([1.0, -0.5]))
 
 
+class TestCovarianceArgument:
+    """The single-pair evaluators judge ``P`` with the library's one covariance check."""
+
+    @pytest.mark.parametrize("evaluate", [eval_mean, eval_riccati_cont, eval_riccati_disc])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, evaluate, bad):
+        F = Functional("sigma", unscented_rule(2))
+        with pytest.raises(ValueError, match="P must be finite"):
+            evaluate(F, lambda x: x, np.zeros(2), np.diag([1.0, bad]))
+
+    def test_stack_members_judged_each_on_its_own_scale(self):
+        # one batch-wide scale of 1e6 would pass the second member's -1e-5 as rounding noise
+        F = Functional("sigma", unscented_rule(2))
+        P = np.stack([1e6 * np.eye(2), np.diag([1.0, -1e-5])])
+        with pytest.raises(IndefiniteMatrixError, match="P must be positive semidefinite"):
+            eval_mean(F, lambda x: x, np.zeros((2, 2)), P)
+
+
 class TestRiccatiContinuous:
     @given(affine_cases())
     def test_affine_gives_AP(self, case):

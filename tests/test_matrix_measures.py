@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kbstab
 from kbstab import log_lipschitz_estimate, log_norm_mu, log_norm_nu, spectral_norm
 from kbstab.models import builtin_contractive3d, velocity_g_prime
 
@@ -124,3 +130,13 @@ class TestLogLipschitzEstimate:
 
         with pytest.raises(Exception):
             log_lipschitz_estimate(jac, [[-1, 1]], budget=16)
+
+
+def test_import_loads_no_scipy():
+    # scipy.stats costs about a second to import; only the box= path of
+    # log_lipschitz_estimate needs it, so importing the package must not load it
+    src = str(Path(kbstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, kbstab, kbstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -35,7 +35,7 @@ from kbstab import (
     naive_vs_filter,
     required_inflation,
 )
-from kbstab.errors import NoCertificateError, NotContractiveError, NotFullyObservedError
+from kbstab.errors import IndefiniteMatrixError, NoCertificateError, NotContractiveError, NotFullyObservedError
 from kbstab.filters import FilterConfig, _kb_step_batch, run_discrete_ensemble
 from kbstab.functionals import Functional
 from kbstab.harness import certificate_for
@@ -103,7 +103,7 @@ class TestContractiveCertificate:
 
 
 class TestCertificateTuningSize:
-    """Both continuous builders reject a config whose tuning does not fit the model."""
+    """Every certificate builder rejects a config whose tuning does not fit the model."""
 
     @staticmethod
     def config(d):
@@ -116,6 +116,11 @@ class TestCertificateTuningSize:
     def test_integrated_velocity(self):
         with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
             integrated_velocity_certificate(builtin_integrated_velocity(), self.config(3))
+
+    def test_discrete(self):
+        model = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
+            discrete_certificate(model, self.config(3), "ekf", lambda_P_pred=1.0, lambda_P_upd=1.0)
 
 
 class TestContinuousBounds:
@@ -215,6 +220,11 @@ class TestInflation:
                 inflation_mineig_bound(model, np.eye(1))
         contracting = builtin_linear(-np.eye(1), Q=np.eye(1), H=np.zeros((1, 1)), R=np.eye(1))
         assert inflation_mineig_bound(contracting, 4.0 * np.eye(1)) == pytest.approx(2.0, rel=1e-15)
+
+    def test_asymmetric_tuning_rejected(self):
+        model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match="Q_tuned must be symmetric"):
+            inflation_mineig_bound(model, [[1.0, 0.5], [0.0, 1.0]])
 
     def test_drift_constants_passed_or_attached(self):
         bare = dataclasses.replace(builtin_contractive3d(), known_M_f=None, known_N_f=None)
@@ -452,6 +462,12 @@ class TestDiscreteCertificate:
         with pytest.raises(NoCertificateError):
             discrete_certificate(model, config, "ekf", lambda_P_pred=5.0, lambda_P_upd=5.0)
 
+    def test_singular_R_named(self):
+        model = self._model(d=2, r=0.0)
+        with pytest.raises(IndefiniteMatrixError, match="R must be positive definite"):
+            discrete_certificate(model, make_filter_config("ekf", model), "ekf",
+                                 lambda_P_pred=1.0, lambda_P_upd=1.0)
+
     def test_gain_shrinks_with_measurement_noise(self):
         model = self._model(r=1e6)
         config = make_filter_config("ekf", model)
@@ -533,6 +549,14 @@ class TestDiscreteBounds:
                                                k=10**6, delta=2.0)
         expected = 4.0 * beta(2.0) * ((math.sqrt(4.0) + 1.0) / 0.5) ** 2
         assert val == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("bound", [
+        lambda cert, S0: discrete_mse_bound(cert, np.zeros(1), np.zeros(1), S0, k=1),
+        lambda cert, S0: discrete_concentration_threshold(cert, np.zeros(1), np.zeros(1), S0, k=1, delta=1.0),
+    ], ids=["mse", "threshold"])
+    def test_indefinite_initial_covariance_rejected(self, bound):
+        with pytest.raises(IndefiniteMatrixError, match="Sigma0 must be positive semidefinite"):
+            bound(self._cert(), np.array([[-5.0]]))
 
     def test_worked_case_value(self):
         cert = self._cert(lambda_df=0.5, u_d=2.0)
@@ -787,6 +811,11 @@ class TestMomentUtilities:
             sample = nrm2**n
             stderr = sample.std() / math.sqrt(sample.size)
             assert abs(gaussian_norm_moment(m, G @ G.T, n) - sample.mean()) <= 5 * stderr, n
+
+    @pytest.mark.parametrize("moment", [gaussian_norm_moment, chi_square_moment_bound])
+    def test_indefinite_covariance_rejected(self, moment):
+        with pytest.raises(IndefiniteMatrixError, match="P must be positive semidefinite"):
+            moment(0, np.diag([1.0, -1.0]), 2)
 
     def test_gaussian_norm_moment_domain(self):
         with pytest.raises(ValueError):
