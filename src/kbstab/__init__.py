@@ -17,8 +17,6 @@ from ._version import __version__
 from .errors import (
     CertificateError,
     ConfigError,
-    DegenerateCovarianceError,
-    DivergenceError,
     ExperimentDivergenceError,
     IndefiniteMatrixError,
     KbstabError,
@@ -53,30 +51,24 @@ from .functionals import (
 from .models import (
     ContinuousModel,
     DiscreteModel,
-    SimulatedPath,
     builtin_contractive3d,
     builtin_discrete_linear,
     builtin_integrated_velocity,
     builtin_linear,
-    simulate_discrete_path,
-    simulate_path,
+    simulate_discrete_paths,
+    simulate_paths,
     velocity_g,
     velocity_g_prime,
 )
 from .filters import (
     FilterConfig,
-    FilterTrajectory,
-    discrete_predict,
-    discrete_update,
-    kalman_bucy_step,
     make_filter_config,
-    run_continuous_filter,
-    run_discrete_filter,
+    run_continuous_ensemble,
+    run_discrete_ensemble,
 )
 from .stability import (
     ContinuousCertificate,
     DiscreteCertificate,
-    bernstein_threshold,
     beta,
     chi_square_moment_bound,
     continuous_concentration_threshold,
@@ -87,10 +79,8 @@ from .stability import (
     discrete_mse_bound,
     gaussian_norm_moment,
     gronwall_continuous,
-    gronwall_discrete,
     inflation_mineig_bound,
     integrated_velocity_certificate,
-    moment_growth_bound,
     naive_vs_filter,
     required_inflation,
 )

@@ -5,25 +5,6 @@ class KbstabError(Exception):
     """Base class for library-specific errors."""
 
 
-class DivergenceError(KbstabError, RuntimeError):
-    """A simulated state or filter estimate became non-finite.
-
-    Carries the step index at which the blow-up was detected.
-    """
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
-
-class DegenerateCovarianceError(KbstabError, RuntimeError):
-    """A filter covariance lost rank entirely (trace below threshold)."""
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
-
 class IndefiniteMatrixError(KbstabError, ValueError):
     """A matrix required to be positive semidefinite is indefinite."""
 

@@ -23,10 +23,11 @@ theory does not need; on well-posed runs it never fires. Its factor, or the
 clamp's eigen-root, is the next step's sigma-point root, so a well-posed
 step makes one Cholesky factorization and no eigendecomposition.
 
-One batched step serves both time models and one loop runs it; ensemble,
-single-path (a batch of one with a recorder) and one-step entry points
-wrap them, so results do not depend on how paths are grouped. The loop
-reads paths time-major, as the simulators store them, and writes the
+One batched step serves both time models and one loop runs it. The
+ensemble calls :func:`run_continuous_ensemble` and
+:func:`run_discrete_ensemble` are the only entry points; one path is a
+batch of one, and results do not depend on how paths are grouped. The
+loop reads paths time-major, as the simulators store them, and writes the
 squared errors time-major before handing them back as ``(paths, steps + 1)``.
 The step checks finiteness on the whole batch first and looks at single
 paths only when that check fails.
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovarianceError, DivergenceError
 from .functionals import (
     Functional,
     eval_drift_batch,
@@ -106,22 +106,6 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
     return config
 
 
-@dataclass
-class FilterTrajectory:
-    """Recorded output of a single-path filter run."""
-
-    times: np.ndarray
-    estimates: np.ndarray
-    covariances: np.ndarray
-    gains: np.ndarray
-    trace_P: np.ndarray
-
-
-def _check_time(time, model):
-    if model.time != time:
-        raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
-
-
 def _drift(model, config, x, P, L=None):
     """Mean and Riccati terms of one step in the model's time: ``ekf`` point terms, or one rule evaluation."""
     F = config.functional
@@ -176,48 +160,6 @@ def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
     return x_new, P_new, L_new, K, bad
 
 
-def kalman_bucy_step(state, dY, dt, model, config):
-    """Advance one continuous filter step from ``state = (x_hat, P)``.
-
-    Returns the updated pair. Raises :class:`DivergenceError` if the step
-    produces non-finite values and :class:`DegenerateCovarianceError` if the
-    covariance loses rank entirely.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_time("cont", model)
-    x, P, dY = (np.asarray(a, dtype=float)[None] for a in (*state, dY))
-    x_new, P_new, _, _, bad = _kb_step_batch(model, config, model.HtRinv, x, P, None, dY, dt)
-    if bad[0]:
-        raise DivergenceError("filter state became non-finite")
-    if float(np.trace(P_new[0])) < _DEGENERATE_TRACE:
-        raise DegenerateCovarianceError("covariance trace collapsed below threshold")
-    return x_new[0], P_new[0]
-
-
-def discrete_predict(state, model, config):
-    """Prediction step: propagate the mean and covariance one model step.
-
-    Returns ``(x_pred, P_pred)`` with ``P_pred = Lam(f) + Q_tuned``, which is
-    positive definite because ``Q_tuned`` is.
-    """
-    _check_time("disc", model)
-    x, P = (np.asarray(a, dtype=float)[None] for a in state)
-    mean, lam = _drift(model, config, x, P)
-    return mean[0], lam[0] + config.Q_tuned
-
-
-def discrete_update(pred, y, model):
-    """Measurement update from the predictive pair ``pred = (x_pred, P_pred)``.
-
-    Returns ``(x, P, K)`` as the discrete filter step computes them, with
-    ``P`` through the same PSD guard.
-    """
-    x_pred, P_pred, y = (np.asarray(a, dtype=float)[None] for a in (*pred, y))
-    x, P, K = _update_batch(model, x_pred, P_pred, y)
-    return x[0], _psd_root(P)[0][0], K[0]
-
-
 @dataclass
 class EnsembleRun:
     """Batched filter output kept by the Monte Carlo harness.
@@ -242,10 +184,14 @@ def _run(time, model, config, states, obs, dt, record=None):
     ``obs`` are read as ``(n+1, B, d)``, which is free for the views the
     simulators return and one copy otherwise.
     """
-    _check_time(time, model)
+    if model.time != time:
+        raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
     B, n_plus_1, d = states.shape
     if d != model.dim_x:
         raise ValueError("path dimension does not match the model")
+    if obs.shape != (B, n_plus_1, model.dim_y):
+        name = "increments" if time == "cont" else "measurements"
+        raise ValueError(f"{name} must have shape {(B, n_plus_1, model.dim_y)} to match states, got {obs.shape}")
     states = np.ascontiguousarray(states.transpose(1, 0, 2))
     obs = np.ascontiguousarray(obs.transpose(1, 0, 2))
     HtRinv = model.HtRinv if time == "cont" else None
@@ -288,50 +234,13 @@ def run_continuous_ensemble(model, config, states, increments, dt):
     ``states`` (B, n+1, d) are the true states used only to record errors;
     ``increments`` row ``k >= 1`` is consumed to advance from ``k-1`` to
     ``k``. Paths that turn non-finite are frozen and reported, not raised.
+    ``dt`` must be positive and finite.
     """
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return _run("cont", model, config, states, increments, dt)
 
 
 def run_discrete_ensemble(model, config, states, measurements):
     """Discrete analogue of :func:`run_continuous_ensemble`; ``measurements`` row ``k`` is ``Y_k``."""
     return _run("disc", model, config, states, measurements, 1.0)
-
-
-def _filter_path(time, path, model, config):
-    """Run the loop on one path, recording its trajectory; raises where an ensemble would freeze it."""
-    n_plus_1, d = path.states.shape
-    est = np.empty((n_plus_1, d))
-    cov = np.empty((n_plus_1, d, d))
-    gains = np.zeros((n_plus_1, d, model.dim_y))
-    est[0], cov[0] = config.x0_hat, config.P0
-
-    def record(k, x, P, K):
-        est[k], cov[k], gains[k] = x[0], P[0], K[0]
-
-    run = _run(time, model, config, path.states[None], path.measurement_increments[None], path.dt,
-               record=record)
-    k = int(run.diverged[0])
-    if k >= 0 and float(np.trace(cov[k])) < _DEGENERATE_TRACE:
-        raise DegenerateCovarianceError(f"covariance collapsed at step {k}", step=k)
-    if k >= 0:
-        raise DivergenceError(f"filter diverged at step {k}", step=k)
-    return FilterTrajectory(times=path.times.copy(), estimates=est, covariances=cov, gains=gains,
-                            trace_P=np.trace(cov, axis1=1, axis2=2))
-
-
-def run_continuous_filter(path, model, config):
-    """Filter a single simulated path, recording the full trajectory.
-
-    ``gains[k]`` is the Kalman gain ``P_k H^T R^{-1}`` at time ``k``.
-    """
-    traj = _filter_path("cont", path, model, config)
-    traj.gains = traj.covariances @ model.HtRinv
-    return traj
-
-
-def run_discrete_filter(path, model, config):
-    """Iterate predict/update over a discrete path (measurement rows 1..n).
-
-    ``gains[k]`` is the gain of the update at step ``k``; row 0 is zero.
-    """
-    return _filter_path("disc", path, model, config)

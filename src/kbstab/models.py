@@ -25,8 +25,10 @@ it for each stream, which gives the same numbers as a fresh generator.
 The loop keeps its paths time-major, ``(steps + 1, paths, dim)``, so each
 step reads and writes contiguous rows, and checks a step's finiteness on the
 whole batch first, looking at single paths only when that check fails. The
-public functions return the usual ``(paths, steps + 1, dim)`` shape, as
-transposed views of that storage.
+batch simulators :func:`simulate_paths` and :func:`simulate_discrete_paths`
+are the only entry points; they return the usual ``(paths, steps + 1, dim)``
+shape, as transposed views of that storage. One path ``p`` is the batch of
+one with ``first_path=p``, bit for bit the row of any batch that holds it.
 """
 
 import math
@@ -36,7 +38,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivergenceError
 from .quadrature import _check_psd, matrix_sqrt
 
 _ROLE_INIT, _ROLE_STATE, _ROLE_MEAS = 0, 1, 2
@@ -149,29 +150,6 @@ class DiscreteModel(_Model):
     time = "disc"
 
 
-@dataclass(frozen=True)
-class SimulatedPath:
-    """One simulated trajectory with its measurement record.
-
-    Row ``k`` of ``states`` is the state at ``times[k]``. Row ``k >= 1`` of
-    ``measurement_increments`` holds the measurement increment accumulated
-    over ``[times[k-1], times[k])`` for continuous models, or the direct
-    measurement ``Y_k`` for discrete models; row 0 is zero (no information
-    is available at the initial time) so that every array has equal length.
-    """
-
-    dt: float
-    times: np.ndarray
-    states: np.ndarray
-    measurement_increments: np.ndarray
-    seed: int
-    path_index: int = 0
-
-    def __post_init__(self):
-        if not (len(self.times) == len(self.states) == len(self.measurement_increments)):
-            raise ValueError("times, states and measurements must have equal row counts")
-
-
 def _steps_for(dt, horizon):
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -261,26 +239,6 @@ def simulate_discrete_paths(model, steps, seed, n_paths, first_path=0):
         raise ValueError("steps must be at least 1")
     states, meas, diverged = _simulate(model, "disc", steps, 1.0, seed, n_paths, first_path)
     return np.arange(steps + 1, dtype=float), states, meas, diverged
-
-
-def _one_path(batch, dt, seed, path_index):
-    times, states, meas, diverged = batch
-    if diverged[0] >= 0:
-        raise DivergenceError(f"state became non-finite at step {diverged[0]}", step=int(diverged[0]))
-    return SimulatedPath(dt=float(dt), times=times, states=states[0], measurement_increments=meas[0],
-                         seed=int(seed), path_index=int(path_index))
-
-
-def simulate_path(model, dt, horizon, seed, path_index=0):
-    """Simulate a single path; raises :class:`DivergenceError` on blow-up."""
-    batch = simulate_paths(model, dt, horizon, seed, 1, first_path=path_index)
-    return _one_path(batch, dt, seed, path_index)
-
-
-def simulate_discrete_path(model, steps, seed, path_index=0):
-    """Simulate one discrete path; raises :class:`DivergenceError` on blow-up."""
-    batch = simulate_discrete_paths(model, steps, seed, 1, first_path=path_index)
-    return _one_path(batch, 1.0, seed, path_index)
 
 
 # ---------------------------------------------------------------------------

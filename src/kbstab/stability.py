@@ -265,8 +265,11 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
     prefactors are dropped, so treat the value as asymptotic.
     """
     n_f = _supplied_or_known(n_f, model, "n_f", "known_N_f")
-    q_min = float(np.linalg.eigvalsh(_check_psd("Q_tuned", Q_tuned, definite=True))[0])
     d = model.dim_x
+    Q_tuned = np.asarray(Q_tuned, dtype=float)
+    if Q_tuned.shape != (d, d):
+        raise ValueError(f"Q_tuned must have shape {(d, d)} like the model, got {Q_tuned.shape}")
+    q_min = float(np.linalg.eigvalsh(_check_psd("Q_tuned", Q_tuned, definite=True))[0])
     s_max = float(np.linalg.eigvalsh(model.S)[-1])
     if s_max <= 0 and n_f >= 0:
         raise ValueError("the eigenvalue floor is unbounded: S = 0 (no observation) and N(f) >= 0")
@@ -599,32 +602,12 @@ def gronwall_continuous(x0, alpha, beta_const, t):
     return x0 * eat + ramp
 
 
-def gronwall_discrete(x0, alpha, beta_const, k):
-    """Envelope for ``x_k <= alpha x_{k-1} + beta`` with ``0 <= alpha < 1``."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    if beta_const < 0:
-        raise ValueError("beta_const must be nonnegative")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return alpha**k * x0 + beta_const * (1.0 - alpha**k) / (1.0 - alpha)
-
-
-def bernstein_threshold(alpha_param, delta):
-    """Threshold ``alpha e (sqrt(2 delta) + delta)`` of the moment-based tail bound.
-
-    Valid for nonnegative variables with ``E[X^n] <= n^n alpha^n``: the
-    probability of exceeding the threshold is at most ``exp(-delta)``.
-    """
-    if alpha_param <= 0:
-        raise ValueError("alpha_param must be positive")
-    return alpha_param * beta(delta)
-
-
 def _gaussian_law(m, P):
     """Mean vector and covariance matrix of ``N(m, P)``; ``m = 0`` means the zero vector."""
     P = _check_psd("P", np.atleast_2d(P))
     m = np.zeros(P.shape[0]) if np.isscalar(m) and m == 0 else np.asarray(m, dtype=float).ravel()
+    if m.size != P.shape[0]:
+        raise ValueError(f"m must have size {P.shape[0]} like P, got {m.size}")
     return m, P
 
 
@@ -665,25 +648,3 @@ def chi_square_moment_bound(m, P, n):
     if float(m @ m) == 0.0:
         return p_norm * (d + 2) * n
     return 4.0 * (float(m @ m) + p_norm * (d + 2) * n)
-
-
-def moment_growth_bound(x0_pow, alpha, beta_const, n, t, t0=0.0):
-    """Envelope of the n-th moment differential inequality.
-
-    For nonnegative ``x`` with ``x' <= alpha n x + beta n^2 x^{1 - 1/n}``,
-
-        x_t^{1/n} <= x_{t0}^{1/n} e^{alpha (t - t0)}
-                     + (beta n / alpha) (e^{alpha (t - t0)} - 1),
-
-    returned raised to the n-th power; ``alpha = 0`` is rejected. No
-    certificate here calls it: the contractive one settles at ``T = 0`` and
-    the velocity one is a limiting certificate, so neither grows a moment
-    bound up to a settle time.
-    """
-    if alpha == 0.0:
-        raise ValueError("alpha must be nonzero")
-    if beta_const < 0 or n < 1 or t < t0 or x0_pow < 0:
-        raise ValueError("need beta_const >= 0, n >= 1, t >= t0, x0_pow >= 0")
-    eat = math.exp(alpha * (t - t0))
-    root = x0_pow ** (1.0 / n) * eat + (beta_const * n / alpha) * (eat - 1.0)
-    return root**n

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from kbstab import DiscreteModel, export_result, preset_spec, run_experiment
+from kbstab.filters import _run
 
 # Every property test draws the same examples on every run.
 settings.register_profile("kbstab", derandomize=True, deadline=None)
@@ -50,6 +51,23 @@ def discrete_sine():
                              known_jf_norm=0.7, name="discrete_sine")
 
     return build
+
+
+@pytest.fixture
+def record_filter():
+    """Runs the filter loop on a batch, recording each step: ``(run, x, P, K)``.
+
+    ``x``, ``P`` and ``K`` are time-major, ``(steps + 1, paths, ...)``. Row 0
+    holds ``x0_hat``, ``P0`` and a zero gain; row ``k`` the step's raw
+    output and the gain it applied.
+    """
+    def record(model, config, states, obs, dt=1.0):
+        B = len(states)
+        rows = [(np.tile(config.x0_hat, (B, 1)), np.tile(config.P0, (B, 1, 1)), np.zeros((B, model.dim_x, model.dim_y)))]
+        run = _run(model.time, model, config, states, obs, dt, record=lambda k, *step: rows.append(step))
+        return (run, *map(np.stack, zip(*rows)))
+
+    return record
 
 
 @pytest.fixture

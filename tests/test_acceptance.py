@@ -29,9 +29,8 @@ from kbstab import (
     make_filter_config,
     naive_vs_filter,
     preset_spec,
-    run_continuous_filter,
     run_experiment,
-    simulate_path,
+    simulate_paths,
     unscented_rule,
     check_degree_two_exactness,
 )
@@ -163,29 +162,29 @@ def linear_model():
 
 
 class TestCriterion5LinearOracle:
-    def test_all_variants_coincide(self, linear_model):
-        path = simulate_path(linear_model, dt=0.01, horizon=2.0, seed=15)
-        trajs = {
-            kind: run_continuous_filter(path, linear_model, make_filter_config(kind, linear_model))
+    def test_all_variants_coincide(self, linear_model, record_filter):
+        _, states, incr, _ = simulate_paths(linear_model, dt=0.01, horizon=2.0, seed=15, n_paths=1)
+        estimates = {
+            kind: record_filter(linear_model, make_filter_config(kind, linear_model), states, incr, 0.01)[1]
             for kind in ("ekf", "ukf", "adf", "gh")
         }
         worst = 0.0
-        kinds = list(trajs)
+        kinds = list(estimates)
         for i in range(len(kinds)):
             for j in range(i + 1, len(kinds)):
-                gap = np.abs(trajs[kinds[i]].estimates - trajs[kinds[j]].estimates).max()
+                gap = np.abs(estimates[kinds[i]] - estimates[kinds[j]]).max()
                 worst = max(worst, float(gap))
         ok = worst <= 1e-8
         assert verdict("5 variants", ok, f"worst pairwise estimate gap {worst:.2e}")
 
-    def test_riccati_converges_to_algebraic_solution(self, linear_model):
+    def test_riccati_converges_to_algebraic_solution(self, linear_model, record_filter):
         A = linear_model.params["A"]
         # independent steady-state solve
         P_inf = scipy.linalg.solve_continuous_are(A.T, linear_model.H.T, linear_model.Q,
                                                   linear_model.R)
-        path = simulate_path(linear_model, dt=1e-3, horizon=20.0, seed=16)
-        traj = run_continuous_filter(path, linear_model, make_filter_config("ekf", linear_model))
-        gap = float(np.abs(traj.covariances[-1] - P_inf).max())
+        _, states, incr, _ = simulate_paths(linear_model, dt=1e-3, horizon=20.0, seed=16, n_paths=1)
+        _, _, P, _ = record_filter(linear_model, make_filter_config("ekf", linear_model), states, incr, 1e-3)
+        gap = float(np.abs(P[-1, 0] - P_inf).max())
         ok = gap <= 1e-3
         assert verdict("5 riccati", ok, f"terminal gap to algebraic solution {gap:.2e}")
 

@@ -5,19 +5,19 @@ from kbstab import (
     builtin_contractive3d,
     builtin_discrete_linear,
     builtin_linear,
-    discrete_predict,
-    discrete_update,
-    kalman_bucy_step,
     make_filter_config,
-    run_continuous_filter,
-    run_discrete_filter,
-    simulate_discrete_path,
-    simulate_path,
 )
-from kbstab.errors import DegenerateCovarianceError, IndefiniteMatrixError
-from kbstab.filters import FilterConfig, _kb_step_batch, run_continuous_ensemble, run_discrete_ensemble
+from kbstab.errors import IndefiniteMatrixError
+from kbstab.filters import (
+    FilterConfig,
+    _drift,
+    _kb_step_batch,
+    _update_batch,
+    run_continuous_ensemble,
+    run_discrete_ensemble,
+)
 from kbstab.functionals import Functional
-from kbstab.models import SimulatedPath, simulate_discrete_paths, simulate_paths
+from kbstab.models import simulate_discrete_paths, simulate_paths
 from kbstab.quadrature import _clamp_psd, _psd_root
 
 
@@ -26,25 +26,39 @@ def scalar_model(a=-1.0, q=1.0, h=1.0, r=1.0):
                           mu0=np.zeros(1), Sigma0=np.eye(1))
 
 
+def one_path(model, dt, horizon, seed):
+    """States and increments of path 0, as a batch of one."""
+    _, states, incr, diverged = simulate_paths(model, dt, horizon, seed, 1)
+    assert diverged[0] < 0
+    return states, incr
+
+
+def kb_step(model, config, x, P, dY, dt):
+    """One continuous step of a single state through the batched step."""
+    x_new, P_new, _, _, bad = _kb_step_batch(model, config, model.HtRinv, x[None], P[None], None, dY[None], dt)
+    assert not bad[0]
+    return x_new[0], P_new[0]
+
+
 class TestKalmanBucyStep:
-    def test_scalar_riccati_fixed_point(self):
+    def test_scalar_riccati_fixed_point(self, record_filter):
         # dX = -X dt + dW, dY = X dt + dV: the stationary covariance solves
         # -2P + 1 - P^2 = 0, i.e. P = sqrt(2) - 1
         model = scalar_model()
-        path = simulate_path(model, dt=1e-3, horizon=20.0, seed=0)
+        states, incr = one_path(model, dt=1e-3, horizon=20.0, seed=0)
         config = make_filter_config("ekf", model)
-        traj = run_continuous_filter(path, model, config)
-        assert traj.covariances[-1, 0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
+        _, _, P, _ = record_filter(model, config, states, incr, 1e-3)
+        assert P[-1, 0, 0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
-    def test_variants_coincide_on_linear_model(self, rng):
+    def test_variants_coincide_on_linear_model(self, rng, record_filter):
         A = np.array([[-1.0, 0.3], [0.0, -0.8]])
         model = builtin_linear(A, Q=np.eye(2), H=np.eye(2), R=2.0 * np.eye(2),
                                mu0=np.zeros(2), Sigma0=0.1 * np.eye(2))
-        path = simulate_path(model, dt=0.01, horizon=2.0, seed=4)
-        ekf = run_continuous_filter(path, model, make_filter_config("ekf", model))
-        ukf = run_continuous_filter(path, model, make_filter_config("ukf", model))
-        assert np.abs(ekf.estimates - ukf.estimates).max() <= 1e-8
-        assert np.abs(ekf.covariances - ukf.covariances).max() <= 1e-8
+        states, incr = one_path(model, dt=0.01, horizon=2.0, seed=4)
+        _, x_ekf, P_ekf, _ = record_filter(model, make_filter_config("ekf", model), states, incr, 0.01)
+        _, x_ukf, P_ukf, _ = record_filter(model, make_filter_config("ukf", model), states, incr, 0.01)
+        assert np.abs(x_ekf - x_ukf).max() <= 1e-8
+        assert np.abs(P_ekf - P_ukf).max() <= 1e-8
 
     def test_zero_innovation_keeps_estimate(self):
         model = builtin_linear(np.zeros((2, 2)), Q=np.eye(2), H=np.eye(2), R=np.eye(2),
@@ -54,7 +68,7 @@ class TestKalmanBucyStep:
         P = np.eye(2)
         dt = 0.01
         dY = model.H @ x * dt
-        x_new, _ = kalman_bucy_step((x, P), dY, dt, model, config)
+        x_new, _ = kb_step(model, config, x, P, dY, dt)
         assert np.allclose(x_new, x, atol=1e-14)
 
     def test_no_measurements_reduces_to_open_loop(self):
@@ -66,47 +80,51 @@ class TestKalmanBucyStep:
         x = np.array([0.4, -0.1, 0.2])
         P = 0.5 * np.eye(3)
         dt = 0.01
-        x_new, _ = kalman_bucy_step((x, P), np.zeros(3), dt, open_loop, config)
+        x_new, _ = kb_step(open_loop, config, x, P, np.zeros(3), dt)
         assert np.allclose(x_new, x + open_loop.f(x) * dt, atol=1e-14)
 
     def test_covariance_collapse_detected(self):
+        # one Euler step from P0 = 1 with r = 1e-6 overshoots to a negative P,
+        # which the guard clamps to zero: the path is frozen at step 1
         model = scalar_model(r=1e-6)
         config = make_filter_config("ekf", model)
-        with pytest.raises(DegenerateCovarianceError):
-            kalman_bucy_step((np.zeros(1), np.eye(1)), np.zeros(1), 0.01, model, config)
+        run = run_continuous_ensemble(model, config, np.zeros((1, 2, 1)), np.zeros((1, 2, 1)), 0.01)
+        assert run.diverged.tolist() == [1]
 
     def test_bad_dt_rejected(self):
         model = scalar_model()
         config = make_filter_config("ekf", model)
-        with pytest.raises(ValueError):
-            kalman_bucy_step((np.zeros(1), np.eye(1)), np.zeros(1), 0.0, model, config)
+        for dt in (0.0, -0.01, np.nan, np.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                run_continuous_ensemble(model, config, np.zeros((1, 2, 1)), np.zeros((1, 2, 1)), dt)
 
 
 class TestRunContinuousFilter:
-    def test_reproducible(self):
+    def test_reproducible(self, record_filter):
         model = builtin_contractive3d()
-        path = simulate_path(model, dt=0.02, horizon=1.0, seed=5)
+        states, incr = one_path(model, dt=0.02, horizon=1.0, seed=5)
         config = make_filter_config("ukf", model)
-        a = run_continuous_filter(path, model, config)
-        b = run_continuous_filter(path, model, config)
-        assert np.array_equal(a.estimates, b.estimates)
+        _, a, _, _ = record_filter(model, config, states, incr, 0.02)
+        _, b, _, _ = record_filter(model, config, states, incr, 0.02)
+        assert np.array_equal(a, b)
 
-    def test_covariances_stay_symmetric_psd(self):
+    def test_covariances_stay_symmetric_psd(self, record_filter):
         model = builtin_contractive3d()
-        path = simulate_path(model, dt=0.01, horizon=3.0, seed=6)
+        states, incr = one_path(model, dt=0.01, horizon=3.0, seed=6)
         for kind in ("ekf", "ukf"):
-            traj = run_continuous_filter(path, model, make_filter_config(kind, model))
-            sym_gap = np.abs(traj.covariances - np.swapaxes(traj.covariances, 1, 2)).max()
+            _, _, P, _ = record_filter(model, make_filter_config(kind, model), states, incr, 0.01)
+            sym_gap = np.abs(P - np.swapaxes(P, -1, -2)).max()
             assert sym_gap <= 1e-9
-            eigs = np.linalg.eigvalsh(traj.covariances)
+            eigs = np.linalg.eigvalsh(P)
             assert eigs.min() >= -1e-12
-            assert np.all(np.isfinite(traj.trace_P))
+            assert np.all(np.isfinite(np.trace(P, axis1=-2, axis2=-1)))
 
-    def test_gains_recorded(self):
+    def test_gains_recorded(self, record_filter):
+        # the gain step k applies is P_{k-1} H^T R^{-1}
         model = scalar_model(r=4.0)
-        path = simulate_path(model, dt=0.1, horizon=1.0, seed=1)
-        traj = run_continuous_filter(path, model, make_filter_config("ekf", model))
-        assert np.allclose(traj.gains[:, 0, 0], traj.covariances[:, 0, 0] / 4.0)
+        states, incr = one_path(model, dt=0.1, horizon=1.0, seed=1)
+        _, _, P, K = record_filter(model, make_filter_config("ekf", model), states, incr, 0.1)
+        assert np.allclose(K[1:, 0, 0, 0], P[:-1, 0, 0, 0] / 4.0)
 
     def test_benchmark_trace_stays_under_certificate(self, fig1_result):
         # every path of the full benchmark run keeps tr(P_t) below the
@@ -195,8 +213,8 @@ def discrete_paths(model, n_paths, steps, seed=7):
 
 class TestGrouping:
     @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh", "adf"])
-    def test_ensemble_independent_of_grouping(self, kind):
-        model, times, states, incr = fig1_like_paths(6, horizon=1.0, dt=0.02)
+    def test_ensemble_independent_of_grouping(self, kind, record_filter):
+        model, _, states, incr = fig1_like_paths(6, horizon=1.0, dt=0.02)
         config = make_filter_config(kind, model)
         whole = run_continuous_ensemble(model, config, states, incr, 0.02)
         parts = [run_continuous_ensemble(model, config, states[s], incr[s], 0.02)
@@ -205,17 +223,15 @@ class TestGrouping:
             joined = np.concatenate([getattr(r, name) for r in parts])
             assert np.array_equal(getattr(whole, name), joined), name
         for p in (0, 4):
-            path = SimulatedPath(dt=0.02, times=times, states=states[p],
-                                 measurement_increments=incr[p], seed=7, path_index=p)
-            traj = run_continuous_filter(path, model, config)
-            err_sq = np.sum((states[p] - traj.estimates) ** 2, axis=1)
+            _, x, P, _ = record_filter(model, config, states[p:p + 1], incr[p:p + 1], 0.02)
+            err_sq = np.sum((states[p] - x[:, 0]) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
-            assert whole.trace_max[p] == traj.trace_P.max()
+            assert whole.trace_max[p] == np.trace(P[:, 0], axis1=1, axis2=2).max()
 
     @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh", "adf"])
-    def test_discrete_ensemble_independent_of_grouping(self, kind, discrete_sine):
+    def test_discrete_ensemble_independent_of_grouping(self, kind, discrete_sine, record_filter):
         model = discrete_sine()
-        times, states, meas = discrete_paths(model, 6, steps=40)
+        _, states, meas = discrete_paths(model, 6, steps=40)
         config = make_filter_config(kind, model)
         whole = run_discrete_ensemble(model, config, states, meas)
         parts = [run_discrete_ensemble(model, config, states[s], meas[s])
@@ -224,12 +240,10 @@ class TestGrouping:
             joined = np.concatenate([getattr(r, name) for r in parts])
             assert np.array_equal(getattr(whole, name), joined), name
         for p in range(6):
-            path = SimulatedPath(dt=1.0, times=times, states=states[p],
-                                 measurement_increments=meas[p], seed=7, path_index=p)
-            traj = run_discrete_filter(path, model, config)
-            err_sq = np.sum((states[p] - traj.estimates) ** 2, axis=1)
+            _, x, P, _ = record_filter(model, config, states[p:p + 1], meas[p:p + 1])
+            err_sq = np.sum((states[p] - x[:, 0]) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
-            assert whole.trace_max[p] == traj.trace_P.max()
+            assert whole.trace_max[p] == np.trace(P[:, 0], axis1=1, axis2=2).max()
 
 
 class TestFrozenPaths:
@@ -296,6 +310,17 @@ class TestTimeMajorInputs:
         for name in ("err_sq", "trace_max", "diverged"):
             assert np.array_equal(getattr(views, name), getattr(copies, name)), name
         assert views.err_sq.shape == (6, 21) and views.err_sq.flags.c_contiguous
+
+
+class TestObservationShape:
+    """The measurement record must be ``(paths, steps + 1, dim_y)`` like the states."""
+
+    @pytest.mark.parametrize("cut", ["short", "mis-sized", "mis-batched"])
+    def test_named_shape_error(self, cut):
+        model, _, states, incr = fig1_like_paths(4, horizon=0.2, dt=0.02)
+        bad = {"short": incr[:, :-1], "mis-sized": incr[..., :2], "mis-batched": incr[:3]}[cut]
+        with pytest.raises(ValueError, match=r"increments must have shape \(4, 11, 3\) to match states"):
+            run_continuous_ensemble(model, make_filter_config("ekf", model), states, bad, 0.02)
 
 
 class TestStepCost:
@@ -405,12 +430,9 @@ class TestFilterConfig:
         # a config has no time kind; the model's must match the entry point's
         discrete = discrete_sine()
         continuous = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
-        with pytest.raises(ValueError):
-            discrete_predict((np.zeros(2), np.eye(2)), continuous, make_filter_config("ukf", continuous))
-        with pytest.raises(ValueError):
-            kalman_bucy_step((np.zeros(2), np.eye(2)), np.zeros(2), 0.01, discrete,
-                             make_filter_config("ekf", discrete))
         states, meas = np.zeros((1, 3, 2)), np.zeros((1, 3, 2))
+        with pytest.raises(ValueError):
+            run_discrete_ensemble(continuous, make_filter_config("ukf", continuous), states, meas)
         with pytest.raises(ValueError):
             run_continuous_ensemble(discrete, make_filter_config("ekf", discrete), states, meas, 0.01)
 
@@ -448,18 +470,29 @@ class TestSingularMeasurementNoise:
     """A singular ``R`` simulates, but every continuous entry point that forms ``R^-1`` names it."""
 
     @pytest.mark.parametrize("entry", ["filter", "ensemble", "step"])
-    def test_R_named(self, entry):
+    def test_R_named(self, entry, record_filter):
         model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.diag([1.0, 0.0]))
         config = make_filter_config("ekf", model)
-        path = simulate_path(model, 0.01, 0.05, seed=0)
+        states, incr = one_path(model, 0.01, 0.05, seed=0)
         run = {
-            "filter": lambda: run_continuous_filter(path, model, config),
-            "ensemble": lambda: run_continuous_ensemble(model, config, path.states[None],
-                                                        path.measurement_increments[None], 0.01),
-            "step": lambda: kalman_bucy_step((np.zeros(2), np.eye(2)), np.zeros(2), 0.01, model, config),
+            "filter": lambda: record_filter(model, config, states, incr, 0.01),
+            "ensemble": lambda: run_continuous_ensemble(model, config, states, incr, 0.01),
+            "step": lambda: kb_step(model, config, np.zeros(2), np.eye(2), np.zeros(2), 0.01),
         }[entry]
         with pytest.raises(IndefiniteMatrixError, match="R must be positive definite"):
             run()
+
+
+def predict(model, config, x, P):
+    """Discrete prediction ``(L(f), Lam(f) + Q_tuned)`` of a single state."""
+    mean, lam = _drift(model, config, x[None], P[None])
+    return mean[0], lam[0] + config.Q_tuned
+
+
+def update(model, x_pred, P_pred, y):
+    """Discrete update ``(x, P, K)`` of a single predictive pair."""
+    x, P, K = _update_batch(model, x_pred[None], P_pred[None], y[None])
+    return x[0], P[0], K[0]
 
 
 class TestDiscretePredictUpdate:
@@ -469,7 +502,7 @@ class TestDiscretePredictUpdate:
         config = make_filter_config("ekf", model)
         x = np.array([1.0, 2.0])
         P = np.diag([0.5, 1.5])
-        x_pred, P_pred = discrete_predict((x, P), model, config)
+        x_pred, P_pred = predict(model, config, x, P)
         assert np.allclose(x_pred, x)
         assert np.allclose(P_pred, P + 0.3 * np.eye(2))
 
@@ -482,7 +515,7 @@ class TestDiscretePredictUpdate:
         P = G @ G.T + 0.1 * np.eye(2)
         for kind in ("ekf", "ukf", "adf", "gh"):
             config = make_filter_config(kind, model)
-            x_pred, P_pred = discrete_predict((x, P), model, config)
+            x_pred, P_pred = predict(model, config, x, P)
             assert np.allclose(x_pred, A @ x, atol=1e-9)
             assert np.allclose(P_pred, A @ P @ A.T + 0.2 * np.eye(2), atol=1e-8)
 
@@ -490,7 +523,7 @@ class TestDiscretePredictUpdate:
         model = builtin_discrete_linear(np.eye(2), Q=np.eye(2), H=np.eye(2), R=1e-12 * np.eye(2),
                                         mu0=np.zeros(2), Sigma0=np.eye(2))
         y = np.array([3.0, -1.0])
-        x, P, K = discrete_update((np.zeros(2), np.eye(2)), y, model)
+        x, P, K = update(model, np.zeros(2), np.eye(2), y)
         assert np.abs(x - y).max() <= 1e-6
         assert np.allclose(K, np.eye(2), atol=1e-6)
 
@@ -499,7 +532,7 @@ class TestDiscretePredictUpdate:
                                         mu0=np.zeros(2), Sigma0=np.eye(2))
         x_pred = np.array([0.5, 0.5])
         P_pred = np.diag([2.0, 3.0])
-        x, P, K = discrete_update((x_pred, P_pred), np.array([9.0, 9.0]), model)
+        x, P, K = update(model, x_pred, P_pred, np.array([9.0, 9.0]))
         assert np.array_equal(x, x_pred)
         assert np.allclose(P, P_pred)
         assert np.all(K == 0.0)
@@ -507,23 +540,23 @@ class TestDiscretePredictUpdate:
     def test_scalar_update_numbers(self):
         model = builtin_discrete_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1),
                                         mu0=np.zeros(1), Sigma0=np.eye(1))
-        x, P, K = discrete_update((np.zeros(1), np.eye(1)), np.array([2.0]), model)
+        x, P, K = update(model, np.zeros(1), np.eye(1), np.array([2.0]))
         assert K[0, 0] == pytest.approx(0.5)
         assert x[0] == pytest.approx(1.0)
         assert P[0, 0] == pytest.approx(0.5)
 
 
 class TestDiscreteFilterOracle:
-    def test_matches_textbook_kalman_filter(self, rng):
+    def test_matches_textbook_kalman_filter(self, rng, record_filter):
         # closed-form linear Kalman recursion with explicit inverses as oracle
         A = np.array([[0.9, 0.1], [0.0, 0.8]])
         Q = np.diag([0.2, 0.1])
         H = np.array([[1.0, 0.0]])
         R = np.array([[0.5]])
         model = builtin_discrete_linear(A, Q=Q, H=H, R=R, mu0=np.zeros(2), Sigma0=np.eye(2))
-        path = simulate_discrete_path(model, steps=100, seed=3)
+        _, states, meas = discrete_paths(model, 1, steps=100, seed=3)
         config = make_filter_config("ekf", model)
-        traj = run_discrete_filter(path, model, config)
+        _, est, cov, _ = record_filter(model, config, states, meas)
 
         x, P = np.zeros(2), np.eye(2)
         for k in range(1, 101):
@@ -531,18 +564,18 @@ class TestDiscreteFilterOracle:
             P_pred = A @ P @ A.T + Q
             S = H @ P_pred @ H.T + R
             K = P_pred @ H.T @ np.linalg.inv(S)
-            y = path.measurement_increments[k]
+            y = meas[0, k]
             x = x_pred + K @ (y - H @ x_pred)
             P = (np.eye(2) - K @ H) @ P_pred
-            assert np.abs(traj.estimates[k] - x).max() <= 1e-10
-            assert np.abs(traj.covariances[k] - P).max() <= 1e-10
+            assert np.abs(est[k, 0] - x).max() <= 1e-10
+            assert np.abs(cov[k, 0] - P).max() <= 1e-10
 
-    def test_quadrature_variants_match_on_linear_model(self):
+    def test_quadrature_variants_match_on_linear_model(self, record_filter):
         A = 0.7 * np.eye(2)
         model = builtin_discrete_linear(A, Q=0.1 * np.eye(2), H=np.eye(2), R=np.eye(2),
                                         mu0=np.zeros(2), Sigma0=np.eye(2))
-        path = simulate_discrete_path(model, steps=50, seed=8)
-        base = run_discrete_filter(path, model, make_filter_config("ekf", model))
+        _, states, meas = discrete_paths(model, 1, steps=50, seed=8)
+        _, base, _, _ = record_filter(model, make_filter_config("ekf", model), states, meas)
         for kind in ("ukf", "gh"):
-            traj = run_discrete_filter(path, model, make_filter_config(kind, model))
-            assert np.abs(traj.estimates - base.estimates).max() <= 1e-8
+            _, est, _, _ = record_filter(model, make_filter_config(kind, model), states, meas)
+            assert np.abs(est - base).max() <= 1e-8

@@ -10,13 +10,13 @@ from kbstab import (
     builtin_discrete_linear,
     builtin_integrated_velocity,
     builtin_linear,
-    simulate_discrete_path,
-    simulate_path,
+    simulate_discrete_paths,
+    simulate_paths,
     velocity_g,
     velocity_g_prime,
 )
-from kbstab.errors import DivergenceError, IndefiniteMatrixError
-from kbstab.models import _rekey, philox, simulate_discrete_paths, simulate_paths, velocity_log_lipschitz
+from kbstab.errors import IndefiniteMatrixError
+from kbstab.models import _rekey, philox, velocity_log_lipschitz
 from kbstab.quadrature import matrix_sqrt
 
 
@@ -30,21 +30,30 @@ def central_difference_jacobian(f, x, eps=1e-6):
     return J
 
 
+def one_path(model, dt, horizon, seed, path_index=0):
+    """Path ``path_index`` alone: ``(states, increments, diverged)`` of the batch of one."""
+    _, states, incr, diverged = simulate_paths(model, dt, horizon, seed, 1, first_path=path_index)
+    return states[0], incr[0], int(diverged[0])
+
+
+def one_discrete_path(model, steps, seed, path_index=0):
+    """Discrete analogue of :func:`one_path`."""
+    _, states, meas, diverged = simulate_discrete_paths(model, steps, seed, 1, first_path=path_index)
+    return states[0], meas[0], int(diverged[0])
+
+
 def assert_rows_are_single_runs(batch, single):
     """A diverged path is finite before its step, NaN (and unmeasured) from it, and
-    ``single(p)`` raises at that step; every other row equals ``single(p)``."""
+    ``single(p)`` reports that step; every row equals ``single(p)``."""
     _, states, meas, diverged = batch
     for p, k in enumerate(diverged):
+        alone, alone_meas, alone_diverged = single(p)
+        assert alone_diverged == k
         if k >= 0:
-            with pytest.raises(DivergenceError) as info:
-                single(p)
-            assert info.value.step == k
             assert np.all(np.isfinite(states[p, :k])) and np.all(np.isnan(states[p, k:]))
             assert np.all(meas[p, k:] == 0.0)
-        else:
-            path = single(p)
-            np.testing.assert_array_equal(path.states, states[p])
-            np.testing.assert_array_equal(path.measurement_increments, meas[p])
+        np.testing.assert_array_equal(alone, states[p])
+        np.testing.assert_array_equal(alone_meas, meas[p])
 
 
 class TestContractive3d:
@@ -164,8 +173,8 @@ class TestContinuousSimulation:
     def test_zero_noise_zero_drift_is_constant(self):
         model = builtin_linear(np.zeros((1, 1)), Q=np.zeros((1, 1)), H=np.eye(1),
                                R=np.eye(1), mu0=np.array([2.5]), Sigma0=np.zeros((1, 1)))
-        path = simulate_path(model, dt=0.1, horizon=2.0, seed=0)
-        assert np.allclose(path.states, 2.5)
+        states, _, _ = one_path(model, dt=0.1, horizon=2.0, seed=0)
+        assert np.allclose(states, 2.5)
 
     def test_ou_stationary_variance(self):
         model = builtin_linear(np.array([[-1.0]]), Q=np.eye(1), H=np.eye(1), R=np.eye(1),
@@ -177,10 +186,10 @@ class TestContinuousSimulation:
 
     def test_bit_identical_reruns(self):
         model = builtin_contractive3d()
-        a = simulate_path(model, dt=0.05, horizon=1.0, seed=42)
-        b = simulate_path(model, dt=0.05, horizon=1.0, seed=42)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.measurement_increments, b.measurement_increments)
+        a = one_path(model, dt=0.05, horizon=1.0, seed=42)
+        b = one_path(model, dt=0.05, horizon=1.0, seed=42)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("seeds", [(-1, -2), (2**63, 2**63 + 1)])
     def test_seeds_outside_int64_do_not_collide(self, seeds):
@@ -202,22 +211,22 @@ class TestContinuousSimulation:
         model = builtin_contractive3d()
         _, states, incr, _ = simulate_paths(model, dt=0.05, horizon=1.0, seed=9, n_paths=8)
         for p in range(8):
-            single = simulate_path(model, dt=0.05, horizon=1.0, seed=9, path_index=p)
-            assert np.array_equal(single.states, states[p])
-            assert np.array_equal(single.measurement_increments, incr[p])
+            single_states, single_incr, _ = one_path(model, dt=0.05, horizon=1.0, seed=9, path_index=p)
+            assert np.array_equal(single_states, states[p])
+            assert np.array_equal(single_incr, incr[p])
 
     def test_measurement_row0_is_placeholder(self):
         model = builtin_contractive3d()
-        path = simulate_path(model, dt=0.1, horizon=1.0, seed=3)
-        assert np.all(path.measurement_increments[0] == 0.0)
-        assert len(path.times) == len(path.states) == len(path.measurement_increments)
+        times, states, incr, _ = simulate_paths(model, dt=0.1, horizon=1.0, seed=3, n_paths=1)
+        assert np.all(incr[0, 0] == 0.0)
+        assert len(times) == states.shape[1] == incr.shape[1]
 
     def test_divergence_raises_with_step(self):
+        # a blow-up is reported as the step it happened at, not raised
         model = builtin_linear(np.array([[1e8]]), Q=np.eye(1), H=np.eye(1), R=np.eye(1),
                                mu0=np.ones(1), Sigma0=np.zeros((1, 1)))
-        with pytest.raises(DivergenceError) as info:
-            simulate_path(model, dt=1.0, horizon=60.0, seed=0)
-        assert info.value.step is not None
+        _, _, step = one_path(model, dt=1.0, horizon=60.0, seed=0)
+        assert step > 0
 
     def test_paths_diverging_at_different_steps(self):
         # x' = x - x^3 under Euler steps of 0.1: paths started far out
@@ -228,14 +237,14 @@ class TestContinuousSimulation:
         diverged = batch[3]
         assert len(set(diverged[diverged >= 0].tolist())) >= 3
         assert np.any(diverged < 0)
-        assert_rows_are_single_runs(batch, lambda p: simulate_path(model, dt=0.1, horizon=2.0, seed=3, path_index=p))
+        assert_rows_are_single_runs(batch, lambda p: one_path(model, dt=0.1, horizon=2.0, seed=3, path_index=p))
 
     def test_invalid_grid_rejected(self):
         model = builtin_contractive3d()
         with pytest.raises(ValueError):
-            simulate_path(model, dt=-0.1, horizon=1.0, seed=0)
+            one_path(model, dt=-0.1, horizon=1.0, seed=0)
         with pytest.raises(ValueError):
-            simulate_path(model, dt=0.3, horizon=1.0, seed=0)  # not a multiple
+            one_path(model, dt=0.3, horizon=1.0, seed=0)  # not a multiple
 
 
 class TestDiscreteSimulation:
@@ -243,9 +252,9 @@ class TestDiscreteSimulation:
         model = builtin_discrete_linear(np.eye(2), Q=np.zeros((2, 2)), H=np.eye(2),
                                         R=np.zeros((2, 2)), mu0=np.array([1.0, -2.0]),
                                         Sigma0=np.zeros((2, 2)))
-        path = simulate_discrete_path(model, steps=5, seed=0)
-        assert np.allclose(path.states, [1.0, -2.0])
-        assert np.allclose(path.measurement_increments[1:], [1.0, -2.0])
+        states, meas, _ = one_discrete_path(model, steps=5, seed=0)
+        assert np.allclose(states, [1.0, -2.0])
+        assert np.allclose(meas[1:], [1.0, -2.0])
 
     def test_zero_map_gives_iid_noise(self):
         Q = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -259,10 +268,10 @@ class TestDiscreteSimulation:
     def test_deterministic_under_seed(self):
         model = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2),
                                         mu0=np.zeros(2), Sigma0=np.eye(2))
-        a = simulate_discrete_path(model, steps=20, seed=11)
-        b = simulate_discrete_path(model, steps=20, seed=11)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.measurement_increments, b.measurement_increments)
+        a = one_discrete_path(model, steps=20, seed=11)
+        b = one_discrete_path(model, steps=20, seed=11)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
     def test_measurement_overflow_freezes_its_path_for_good(self):
@@ -275,7 +284,7 @@ class TestDiscreteSimulation:
         batch = simulate_discrete_paths(model, steps=15, seed=2, n_paths=10)
         diverged = batch[3]
         assert sorted(set(diverged[diverged >= 0].tolist())) == [8, 9]
-        assert_rows_are_single_runs(batch, lambda p: simulate_discrete_path(model, steps=15, seed=2, path_index=p))
+        assert_rows_are_single_runs(batch, lambda p: one_discrete_path(model, steps=15, seed=2, path_index=p))
 
 class TestStreamContract:
     """Path ``p`` of a batch starting at ``first_path`` draws from the stream

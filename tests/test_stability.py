@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from kbstab import (
     ContinuousCertificate,
-    bernstein_threshold,
     beta,
     builtin_contractive3d,
     builtin_discrete_linear,
@@ -27,11 +26,9 @@ from kbstab import (
     discrete_mse_bound,
     gaussian_norm_moment,
     gronwall_continuous,
-    gronwall_discrete,
     inflation_mineig_bound,
     integrated_velocity_certificate,
     make_filter_config,
-    moment_growth_bound,
     naive_vs_filter,
     required_inflation,
 )
@@ -225,6 +222,11 @@ class TestInflation:
         model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError, match="Q_tuned must be symmetric"):
             inflation_mineig_bound(model, [[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("Q_tuned", [np.eye(2), np.eye(4), np.ones(3)])
+    def test_wrong_size_tuning_rejected(self, Q_tuned):
+        with pytest.raises(ValueError, match=r"Q_tuned must have shape \(3, 3\)"):
+            inflation_mineig_bound(builtin_contractive3d(), Q_tuned)
 
     def test_drift_constants_passed_or_attached(self):
         bare = dataclasses.replace(builtin_contractive3d(), known_M_f=None, known_N_f=None)
@@ -710,15 +712,6 @@ class TestGronwall:
     def test_continuous_zero_rate(self):
         assert gronwall_continuous(1.0, 0.0, 2.0, 3.0) == pytest.approx(7.0)
 
-    def test_discrete_geometric_limit(self):
-        assert gronwall_discrete(0.0, 0.5, 1.0, 80) == pytest.approx(2.0)
-
-    def test_discrete_alpha_domain(self):
-        with pytest.raises(ValueError):
-            gronwall_discrete(1.0, 1.0, 1.0, 3)
-        with pytest.raises(ValueError):
-            gronwall_discrete(1.0, -0.1, 1.0, 3)
-
     def test_array_envelope_matches_scalar_calls(self, rng):
         # alpha = 0 cells included; broadcasting a (40, 1) column against t
         alpha = np.concatenate([-rng.uniform(0.1, 3.0, 20), rng.uniform(0.1, 2.0, 10), np.zeros(10)])[:, None]
@@ -774,12 +767,9 @@ def gaussian_laws(draw):
 
 class TestMomentUtilities:
     def test_bernstein_value(self):
-        assert bernstein_threshold(1.0, 1.0) == pytest.approx(math.e * (math.sqrt(2) + 1))
-        assert bernstein_threshold(1.0, 1.0) == pytest.approx(6.5625, abs=1e-3)
-
-    def test_bernstein_domain(self):
-        with pytest.raises(ValueError):
-            bernstein_threshold(0.0, 1.0)
+        # the moment-based tail threshold at unit scale is beta(delta)
+        assert beta(1.0) == pytest.approx(math.e * (math.sqrt(2) + 1))
+        assert beta(1.0) == pytest.approx(6.5625, abs=1e-3)
 
     def test_chi_square_scalar(self):
         assert chi_square_moment_bound(0, np.eye(1), 1) == pytest.approx(3.0)
@@ -817,6 +807,12 @@ class TestMomentUtilities:
         with pytest.raises(IndefiniteMatrixError, match="P must be positive semidefinite"):
             moment(0, np.diag([1.0, -1.0]), 2)
 
+    @pytest.mark.parametrize("moment", [gaussian_norm_moment, chi_square_moment_bound])
+    @pytest.mark.parametrize("m", [np.ones(2), np.zeros(2), np.ones(4)])
+    def test_mean_of_the_wrong_size_rejected(self, moment, m):
+        with pytest.raises(ValueError, match="m must have size 3 like P"):
+            moment(m, np.eye(3), 1)
+
     def test_gaussian_norm_moment_domain(self):
         with pytest.raises(ValueError):
             gaussian_norm_moment(0, np.eye(2), 0)
@@ -825,26 +821,3 @@ class TestMomentUtilities:
     def test_chi_square_bound_dominates_exact_moment(self, law, n):
         m, P = law
         assert chi_square_moment_bound(m, P, n) >= gaussian_norm_moment(m, P, n) ** (1.0 / n)
-
-    def test_moment_growth_pure_exponential(self):
-        val = moment_growth_bound(2.0, 0.5, 0.0, 3, 1.0)
-        assert val == pytest.approx(2.0 * math.exp(3 * 0.5))
-
-    def test_moment_growth_matches_gronwall_at_order_one(self, rng):
-        for _ in range(20):
-            alpha = rng.uniform(-2, 2)
-            if abs(alpha) < 1e-3:
-                continue
-            b = rng.uniform(0, 2)
-            x0 = rng.uniform(0, 3)
-            t = rng.uniform(0, 4)
-            assert moment_growth_bound(x0, alpha, b, 1, t) == pytest.approx(
-                gronwall_continuous(x0, alpha, b, t), rel=1e-10)
-
-    def test_moment_growth_limit(self):
-        val = moment_growth_bound(0.0, -1.0, 1.0, 2, 200.0)
-        assert val == pytest.approx(4.0, rel=1e-9)
-
-    def test_moment_growth_zero_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            moment_growth_bound(1.0, 0.0, 1.0, 2, 1.0)
