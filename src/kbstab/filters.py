@@ -139,14 +139,21 @@ def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
     discard (the PSD guard cannot digest NaNs). ``P_new`` is the symmetrized
     raw update, eigen-clamped at zero only on paths whose Cholesky
     factorization fails, and ``L_new`` the guard's root of it.
+
+    The products of ``P`` with the fixed ``HtRinv`` and ``S`` run as one
+    2-D GEMM over the ``B d`` rows of the batch: a stacked matmul pays
+    per member, and each row's result is the same either way.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean, lam = _drift(model, config, x, P, L)
         if model.time == "cont":
-            K = P @ HtRinv
+            B, d = P.shape[:2]
+            P_rows = P.reshape(B * d, d)
+            K = (P_rows @ HtRinv).reshape(B, d, -1)
             innov = obs - (x @ model.H.T) * dt
             x_new = x + mean * dt + np.einsum("bij,bj->bi", K, innov)
-            Pdot = lam + np.swapaxes(lam, -1, -2) + config.Q_tuned - P @ model.S @ P
+            PS = (P_rows @ model.S).reshape(B, d, d)
+            Pdot = lam + np.swapaxes(lam, -1, -2) + config.Q_tuned - PS @ P
             P_raw = P + Pdot * dt
         else:
             x_new, P_raw, K = _update_batch(model, mean, lam + config.Q_tuned, obs)

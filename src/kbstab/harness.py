@@ -11,7 +11,6 @@ import dataclasses
 import inspect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -21,7 +20,14 @@ import numpy as np
 from ._version import __version__
 from .errors import ExperimentDivergenceError
 from .filters import make_filter_config, run_continuous_ensemble
-from .models import builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
+from .models import (
+    _finite,
+    builtin_contractive3d,
+    builtin_integrated_velocity,
+    builtin_linear,
+    check_integer,
+    simulate_paths,
+)
 from .stability import (
     continuous_concentration_threshold,
     continuous_mse_bound,
@@ -30,17 +36,6 @@ from .stability import (
 )
 
 DIVERGENCE_LIMIT = 0.01
-
-
-def check_integer(name, value):
-    """``value`` as an int; a bool or a number that is not integral is a ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _finite(value):
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -69,19 +64,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if not isinstance(self.model_params, dict):
             raise ValueError(f"model_params must be an object of keyword arguments, got {self.model_params!r}")
-        for name in ("trajectories", "workers", "seed"):
-            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        for name, low in (("trajectories", 1), ("workers", 1), ("seed", None)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
         for name in ("dt", "horizon", "checkpoint_every", "average_from", "domination_from"):
             if not _finite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.trajectories < 1:
-            raise ValueError("trajectories must be at least 1")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("need dt > 0 and horizon >= dt")
         if self.checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.certificate not in ("auto", "none"):
             raise ValueError("certificate must be 'auto' or 'none'")
         if isinstance(self.filters, str) or not self.filters:

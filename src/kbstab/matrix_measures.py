@@ -25,27 +25,26 @@ def _validated_square(A):
     return A
 
 
-def log_norm_mu(A):
-    """Logarithmic norm ``0.5 * lambda_max(A + A^T)``.
+def log_norm_range(A):
+    """Lower and upper logarithmic norms ``(nu(A), mu(A))`` from one spectrum of ``A + A^T``.
 
-    Coincides with the largest eigenvalue when ``A`` is symmetric. Accepts
-    stacked matrices with shape ``(..., d, d)`` and returns matching leading
-    dimensions.
+    Accepts stacked matrices with shape ``(..., d, d)`` and returns arrays
+    with matching leading dimensions (floats for one matrix).
     """
     A = _validated_square(A)
-    sym = A + np.swapaxes(A, -1, -2)
-    vals = np.linalg.eigvalsh(sym)
-    out = 0.5 * vals[..., -1]
-    return float(out) if out.ndim == 0 else out
+    vals = np.linalg.eigvalsh(A + np.swapaxes(A, -1, -2))
+    nu, mu = 0.5 * vals[..., 0], 0.5 * vals[..., -1]
+    return (float(nu), float(mu)) if mu.ndim == 0 else (nu, mu)
+
+
+def log_norm_mu(A):
+    """Logarithmic norm ``0.5 * lambda_max(A + A^T)``; the largest eigenvalue when ``A`` is symmetric."""
+    return log_norm_range(A)[1]
 
 
 def log_norm_nu(A):
     """Lower logarithmic norm ``0.5 * lambda_min(A + A^T) = -mu(-A)``."""
-    A = _validated_square(A)
-    sym = A + np.swapaxes(A, -1, -2)
-    vals = np.linalg.eigvalsh(sym)
-    out = 0.5 * vals[..., 0]
-    return float(out) if out.ndim == 0 else out
+    return log_norm_range(A)[0]
 
 
 def spectral_norm(A):
@@ -133,8 +132,7 @@ def log_lipschitz_estimate(jac, box, budget=4096, refine_steps=50):
     if not np.all(np.isfinite(J)):
         raise KbstabError("jacobian produced non-finite values on the box")
 
-    mu = log_norm_mu(J)
-    nu = log_norm_nu(J)
+    nu, mu = log_norm_range(J)
 
     def mu_at(x):
         return log_norm_mu(jac(x[None, :])[0])

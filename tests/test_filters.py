@@ -4,6 +4,7 @@ import pytest
 from kbstab import (
     builtin_contractive3d,
     builtin_discrete_linear,
+    builtin_integrated_velocity,
     builtin_linear,
     make_filter_config,
 )
@@ -227,6 +228,23 @@ class TestGrouping:
             err_sq = np.sum((states[p] - x[:, 0]) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
             assert whole.trace_max[p] == np.trace(P[:, 0], axis1=1, axis2=2).max()
+
+    @pytest.mark.parametrize("build, kind", [
+        (builtin_integrated_velocity, "ekf"), (builtin_integrated_velocity, "ukf"),
+        (builtin_contractive3d, "ekf"), (builtin_contractive3d, "ukf"), (builtin_contractive3d, "gh"),
+    ])
+    def test_wide_batch_rows_do_not_depend_on_batch_size(self, build, kind):
+        # the step's products with HtRinv and S are one GEMM over all rows of
+        # the batch, so a path's result must not depend on how many share it
+        model = build()
+        _, states, incr, diverged = simulate_paths(model, 0.01, 0.2, 7, 1000)
+        assert np.all(diverged < 0)
+        config = make_filter_config(kind, model)
+        whole = run_continuous_ensemble(model, config, states, incr, 0.01)
+        assert np.all(whole.diverged < 0)
+        for s in (slice(0, 1), slice(5, 12), slice(100, 124), slice(999, 1000), slice(0, 333)):
+            part = run_continuous_ensemble(model, config, states[s], incr[s], 0.01)
+            assert np.array_equal(part.err_sq, whole.err_sq[s]), s
 
     @pytest.mark.parametrize("kind", ["ekf", "ukf", "gh", "adf"])
     def test_discrete_ensemble_independent_of_grouping(self, kind, discrete_sine, record_filter):

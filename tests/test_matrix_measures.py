@@ -8,6 +8,7 @@ import pytest
 
 import kbstab
 from kbstab import log_lipschitz_estimate, log_norm_mu, log_norm_nu, spectral_norm
+from kbstab.matrix_measures import log_norm_range
 from kbstab.models import builtin_contractive3d, velocity_g_prime
 
 
@@ -47,6 +48,16 @@ class TestLogNorms:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             log_norm_mu(np.ones((2, 3)))
+
+    def test_range_reads_both_ends_of_one_spectrum(self, rng, monkeypatch):
+        A = rng.standard_normal((300, 4, 4))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+        nu, mu = log_norm_range(A)
+        assert calls == [A.shape]
+        assert np.array_equal(nu, log_norm_nu(A)) and np.array_equal(mu, log_norm_mu(A))
+        assert log_norm_range(np.diag([1.0, 3.0])) == (1.0, 3.0)
 
 
 class TestInequalities:

@@ -115,6 +115,12 @@ class TestIntegratedVelocity:
         assert M == pytest.approx(vals[:, 1].max(), abs=1e-6)
         assert N == pytest.approx(vals[:, 0].min(), abs=1e-6)
 
+    def test_slope_matches_its_power_form(self):
+        # the cube is taken as z * z * z; it must stay within a few ulp of z**3's result
+        z = np.linspace(-50, 50, 100001)
+        power_form = 1.0 + ((z**3 + z) * np.cos(z) - (z**2 - 1.0) * np.sin(z)) / (1.0 + z**2) ** 2
+        np.testing.assert_array_max_ulp(velocity_g_prime(z), power_form, maxulp=4)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             builtin_integrated_velocity(a2=0.0)
@@ -245,6 +251,45 @@ class TestContinuousSimulation:
             one_path(model, dt=-0.1, horizon=1.0, seed=0)
         with pytest.raises(ValueError):
             one_path(model, dt=0.3, horizon=1.0, seed=0)  # not a multiple
+
+
+class TestSimulatorArguments:
+    """A bad simulator argument is a ``ValueError`` that names it."""
+
+    def assert_rejected(self, name, value):
+        """Every simulator that takes ``name`` rejects ``value`` for it, naming it."""
+        discrete_model = builtin_discrete_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1))
+        calls = [(simulate_paths, builtin_contractive3d(), dict(dt=0.1, horizon=1.0, seed=0, n_paths=2, first_path=0)),
+                 (simulate_discrete_paths, discrete_model, dict(steps=3, seed=0, n_paths=2, first_path=0))]
+        for call, model, kwargs in calls:
+            if name in kwargs:
+                with pytest.raises(ValueError, match=f"^{name} "):
+                    call(model, **{**kwargs, name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.1, "0.1", True])
+    def test_dt(self, value):
+        self.assert_rejected("dt", value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "1.0"])
+    def test_horizon(self, value):
+        self.assert_rejected("horizon", value)
+
+    @pytest.mark.parametrize("value", [-1, 0, 2.5, 2.0, True, np.nan])
+    def test_n_paths(self, value):
+        self.assert_rejected("n_paths", value)
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, True])
+    def test_steps(self, value):
+        self.assert_rejected("steps", value)
+
+    @pytest.mark.parametrize("value", [-1, 1.0, 0.5, False])
+    def test_first_path(self, value):
+        self.assert_rejected("first_path", value)
+
+    def test_numpy_integers_are_accepted(self):
+        model = builtin_contractive3d()
+        _, states, _, _ = simulate_paths(model, 0.1, 0.2, 0, np.int64(2), first_path=np.int32(3))
+        assert np.array_equal(states, simulate_paths(model, 0.1, 0.2, 0, 2, first_path=3)[1])
 
 
 class TestDiscreteSimulation:
