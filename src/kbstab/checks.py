@@ -1,0 +1,18 @@
+"""Checks of scalar arguments, one rule each for every layer that takes them."""
+
+import math
+import numbers
+
+
+def check_integer(name, value, low=None):
+    """``value`` as an int; a bool, a non-integral number or one below ``low`` is a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
+
+
+def is_finite_real(value):
+    """Whether ``value`` is a finite real number (a bool is not)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)

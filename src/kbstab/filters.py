@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import is_finite_real
 from .functionals import (
     Functional,
     eval_drift_batch,
@@ -243,8 +244,8 @@ def run_continuous_ensemble(model, config, states, increments, dt):
     ``k``. Paths that turn non-finite are frozen and reported, not raised.
     ``dt`` must be positive and finite.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (is_finite_real(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     return _run("cont", model, config, states, increments, dt)
 
 

@@ -18,16 +18,10 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
+from .checks import check_integer, is_finite_real
 from .errors import ExperimentDivergenceError
 from .filters import make_filter_config, run_continuous_ensemble
-from .models import (
-    _finite,
-    builtin_contractive3d,
-    builtin_integrated_velocity,
-    builtin_linear,
-    check_integer,
-    simulate_paths,
-)
+from .models import builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
 from .stability import (
     continuous_concentration_threshold,
     continuous_mse_bound,
@@ -67,7 +61,7 @@ class ExperimentSpec:
         for name, low in (("trajectories", 1), ("workers", 1), ("seed", None)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
         for name in ("dt", "horizon", "checkpoint_every", "average_from", "domination_from"):
-            if not _finite(getattr(self, name)):
+            if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.horizon < self.dt:
             raise ValueError("need dt > 0 and horizon >= dt")
@@ -80,7 +74,7 @@ class ExperimentSpec:
         repeated = [kind for i, kind in enumerate(self.filters) if kind in self.filters[:i]]
         if repeated:
             raise ValueError(f"filters name {repeated[0]!r} more than once: {list(self.filters)!r}")
-        if not (isinstance(self.deltas, (list, tuple)) and all(_finite(d) and d > 0 for d in self.deltas)):
+        if not (isinstance(self.deltas, (list, tuple)) and all(is_finite_real(d) and d > 0 for d in self.deltas)):
             raise ValueError(f"deltas must be a list of positive finite numbers, got {self.deltas!r}")
         object.__setattr__(self, "filters", tuple(self.filters))
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))

@@ -32,30 +32,16 @@ one with ``first_path=p``, bit for bit the row of any batch that holds it.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
+from .checks import check_integer, is_finite_real
 from .quadrature import _check_psd, matrix_sqrt
 
 _ROLE_INIT, _ROLE_STATE, _ROLE_MEAS = 0, 1, 2
-
-
-def check_integer(name, value, low=None):
-    """``value`` as an int; a bool, a non-integral number or one below ``low`` is a ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value!r}")
-    return int(value)
-
-
-def _finite(value):
-    """Whether ``value`` is a finite real number (a bool is not)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _philox_key(*words):
@@ -166,9 +152,9 @@ class DiscreteModel(_Model):
 
 
 def _steps_for(dt, horizon):
-    if not (_finite(dt) and dt > 0):
+    if not (is_finite_real(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not _finite(horizon):
+    if not is_finite_real(horizon):
         raise ValueError(f"horizon must be finite, got {horizon!r}")
     if horizon < dt:
         raise ValueError("horizon must be at least one step")

@@ -95,7 +95,7 @@ class TestKalmanBucyStep:
     def test_bad_dt_rejected(self):
         model = scalar_model()
         config = make_filter_config("ekf", model)
-        for dt in (0.0, -0.01, np.nan, np.inf):
+        for dt in (0.0, -0.01, np.nan, np.inf, True, "0.01"):
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 run_continuous_ensemble(model, config, np.zeros((1, 2, 1)), np.zeros((1, 2, 1)), dt)
 
