@@ -1,0 +1,126 @@
+"""Mutation checks: every planted fault must fail the tests named for it.
+
+    python3 mutation/run.py
+
+Each mutant is a text substitution in one file of the checkout plus the
+test ids that should catch it. The runner first runs every mutant's ids on
+an unchanged copy, which must pass. Then, for each mutant, it copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+makes the substitution (its old text must occur exactly once) and runs the
+ids there with ``pytest -x``. The mutant is killed when a test fails and
+survives when they all pass; any other pytest outcome is an error. The
+exit status is 1 when a mutant survives or errs, or the unchanged copy
+fails, and 0 otherwise.
+
+Plain Python and the test suite's own packages; pytest does not collect
+this directory. Add a mutant here with every test that is meant to catch a
+fault, so a later change that drops the test shows up as a survivor.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = (
+    Mutant(
+        name="tail-block",
+        file="src/kbstab/functionals.py",
+        old="    for start in range(0, B, step):",
+        new="    for start in range(0, B - B % step, step):",
+        tests=("tests/test_filters.py::TestPathBlocks::test_block_boundaries_change_no_bit",
+               "tests/test_filters.py::TestStepCost::test_blocked_step_evaluates_each_point_once"),
+    ),
+    Mutant(
+        name="block-bound-plus-one-path",
+        file="src/kbstab/functionals.py",
+        old="    step = max(1, BLOCK_COORDS // (rule.size * d))",
+        new="    step = max(1, BLOCK_COORDS // (rule.size * d)) + 1",
+        tests=("tests/test_filters.py::TestStepCost::test_blocked_step_evaluates_each_point_once",),
+    ),
+    Mutant(
+        name="root-transposed-in-points-gemm",
+        file="src/kbstab/functionals.py",
+        old="L.reshape(B * d, d) @ rule.points.T",
+        new="np.swapaxes(L, -1, -2).reshape(B * d, d) @ rule.points.T",
+        tests=("tests/test_functionals.py::TestSigmaPoints::test_points_are_the_state_plus_the_root_times_each_node",),
+    ),
+)
+
+
+def copy_checkout(dest):
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def run_tests(tree, tests):
+    """Pytest's exit code for ``tests`` run with ``-x`` in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def apply(mutant, tree):
+    path = tree / mutant.file
+    text = path.read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"old text occurs {count} times in {mutant.file}, not once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def verdict(mutant):
+    with tempfile.TemporaryDirectory(prefix="kbstab-mutant-") as tmp:
+        tree = Path(tmp)
+        copy_checkout(tree)
+        try:
+            apply(mutant, tree)
+        except ValueError as exc:
+            return f"error ({exc})"
+        code = run_tests(tree, mutant.tests)
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit code {code})")
+
+
+def main():
+    start = time.perf_counter()
+    ids = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="kbstab-unmutated-") as tmp:
+        copy_checkout(Path(tmp))
+        code = run_tests(Path(tmp), ids)
+    if code != 0:
+        print(f"unchanged copy: the tests do not pass (pytest exit code {code})")
+        return 1
+    print(f"unchanged copy: {len(ids)} test ids pass ({time.perf_counter() - start:.1f} s)")
+    failed = 0
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        result = verdict(mutant)
+        failed += result != "killed"
+        print(f"{mutant.name}: {result} ({time.perf_counter() - t0:.1f} s)")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,8 +11,10 @@ filter's one functional: ``ekf`` point evaluation, or one sigma-point rule
 (unscented for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for
 ``adf``). The discrete filter predicts ``(L(f), Lam(f) + Q_tuned)`` and
 then updates. The model alone says which time model runs. A rule-based
-step takes both terms from one field evaluation at the points
-``x + L xi``, with no Jacobian, where ``L L^T = P`` is any root.
+step takes both terms from the field values at the points ``x + L xi``,
+with no Jacobian, where ``L L^T = P`` is any root: one field evaluation
+per fixed path block of :mod:`kbstab.functionals`, so one per step unless
+the batch is wide.
 
 ``Q_tuned``, ``P0`` and ``R`` (through the model's cached ``H^T R^{-1}``)
 must pass the one covariance check as positive definite. After every step

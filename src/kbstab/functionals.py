@@ -20,6 +20,15 @@ Jacobian average is the integral the sigma-point path already computes.
 
 All fields must be vectorized: ``g`` maps ``(..., d)`` to ``(..., d)`` and
 ``jac`` maps ``(..., d)`` to ``(..., d, d)``.
+
+The sigma-point layer walks a batch in fixed path blocks of at most
+``BLOCK_COORDS`` point coordinates, so its memory is bounded whatever the
+batch and rule, and a block's arrays stay cache-sized. In each block the
+points are one GEMM over the roots (see :func:`_sigma_points`). The
+reductions over the points stay per-member stacked products: each path's
+result then depends on its own values alone, never on its block or its
+batch, so every block size gives the same bits. A 2-D GEMM contracting
+over the points would give rows that depend on the batch size.
 """
 
 from dataclasses import dataclass
@@ -27,10 +36,15 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import check_integer, is_finite_real
 from .models import philox
 from .quadrature import CubatureRule, _check_psd, _psd_root, check_degree_two_exactness, gauss_hermite_rule
 
 FUNCTIONAL_KINDS = ("ekf", "sigma")
+
+# Most point coordinates (paths x points x d) a sigma-point evaluation holds
+# at once; its points, field values and products stay cache-sized.
+BLOCK_COORDS = 2**17
 
 
 def reference_rule(dim):
@@ -83,8 +97,17 @@ def _as_batch(x, P):
 
 
 def _sigma_points(rule, x, L):
-    """Transformed points ``x + xi L^T`` (B, n, d) for roots ``L L^T = P``."""
-    return x[:, None, :] + rule.points @ np.swapaxes(L, -1, -2)
+    """Transformed points ``x + xi L^T`` (B, n, d) for roots ``L L^T = P``.
+
+    The products ``L xi_i`` of the whole block are one 2-D GEMM over the
+    ``B d`` rows of the roots, contracting over ``d``. Its ``(B, d, n)``
+    result is handed back as a transposed view, so the points keep that
+    layout: the field's ``empty_like`` carries it into the values, and the
+    reductions over the points read each member in it.
+    """
+    B, d = x.shape
+    prod = (L.reshape(B * d, d) @ rule.points.T).reshape(B, d, -1)
+    return x[:, None, :] + np.swapaxes(prod, -1, -2)
 
 
 def _field_at(g, pts):
@@ -98,7 +121,7 @@ def eval_mean_batch(F, g, x, P):
     """Batched mean functional over states ``x`` (B, d) with covariances ``P`` (B, d, d)."""
     if F.kind == "ekf":
         return np.asarray(g(x), dtype=float)
-    return F.rule.weights @ _field_at(g, _sigma_points(F.rule, x, _psd_root(P)[1]))
+    return _eval_sigma(F.rule, g, x, P)[0]
 
 
 def eval_mean(F, g, x, P):
@@ -127,25 +150,52 @@ def eval_drift_batch(F, time, g, x, P, root=None):
 
     Equal to the separate batch functionals, at the cost of one root of
     ``P`` (none if the caller passes its roots ``L L^T = P`` as ``root``)
-    and one field evaluation. No Jacobian is needed, for the ``adf``
-    reference rule either. The continuous (``"cont"``) term is the Stein
-    form ``vals^T (w xi) L^T``, the rule's ``E[J_g(X)] P``; the discrete
-    (``"disc"``) one is the symmetrized weighted covariance of the
+    and one field evaluation per path block. No Jacobian is needed, for the
+    ``adf`` reference rule either. The continuous (``"cont"``) term is the
+    Stein form ``vals^T (w xi) L^T``, the rule's ``E[J_g(X)] P``; the
+    discrete (``"disc"``) one is the symmetrized weighted covariance of the
     propagated points. Returns ``(mean, lam)``.
     """
     if F.kind == "ekf":
         raise ValueError("the ekf functional has no sigma points; evaluate its mean and Riccati terms apart")
     if time not in ("cont", "disc"):
         raise ValueError(f"time must be 'cont' or 'disc', got {time!r}")
-    rule = F.rule
+    return _eval_sigma(F.rule, g, x, P, root, time)
+
+
+def _eval_sigma(rule, g, x, P, root=None, time=None):
+    """Mean, and for ``time`` ``"cont"``/``"disc"`` the Riccati term, of ``rule`` over the batch.
+
+    The batch is walked in blocks of at most ``BLOCK_COORDS`` point
+    coordinates (``block n d``), at least one path each, whose results are
+    written into the preallocated outputs. ``root`` defaults to the guard's
+    root of ``P``. Returns ``(mean, lam)``, ``lam`` ``None`` without ``time``.
+    """
+    if x.ndim != 2:
+        raise ValueError(f"x must be a (paths, dim) batch, got shape {x.shape}")
+    B, d = x.shape
+    if d != rule.dim:
+        raise ValueError(f"x has size {d}, but the rule's points have dim {rule.dim}")
+    if P.shape != (B, d, d):
+        raise ValueError(f"P must have shape {(B, d, d)} to match x, got {P.shape}")
     L = _psd_root(P)[1] if root is None else root
-    vals = _field_at(g, _sigma_points(rule, x, L))
-    mean = rule.weights @ vals
-    if time == "cont":
-        return mean, np.swapaxes(vals, -1, -2) @ (rule.weights[:, None] * rule.points) @ np.swapaxes(L, -1, -2)
-    dev = vals - mean[:, None, :]
-    cov = (np.swapaxes(dev, -1, -2) * rule.weights) @ dev
-    return mean, 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    if L.shape != P.shape:
+        raise ValueError(f"root must have P's shape {P.shape}, got {L.shape}")
+    w = rule.weights
+    step = max(1, BLOCK_COORDS // (rule.size * d))
+    mean = np.empty((B, d))
+    lam = None if time is None else np.empty((B, d, d))
+    for start in range(0, B, step):
+        blk = slice(start, start + step)
+        vals = _field_at(g, _sigma_points(rule, x[blk], L[blk]))
+        mean[blk] = block_mean = w @ vals
+        if time == "cont":
+            lam[blk] = np.swapaxes(vals, -1, -2) @ (w[:, None] * rule.points) @ np.swapaxes(L[blk], -1, -2)
+        elif time == "disc":
+            dev = vals - block_mean[:, None, :]
+            cov = (np.swapaxes(dev, -1, -2) * w) @ dev
+            lam[blk] = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    return mean, lam
 
 
 def eval_riccati_cont(F, g, x, P, jac=None):
@@ -200,10 +250,22 @@ class AssumptionCheckReport:
         return self.passed
 
 
+def _check_sampling(samples, box):
+    """``samples`` as an int of at least 1 and ``box`` as finite floats ``low < high``; else a named ``ValueError``."""
+    samples = check_integer("samples", samples, low=1)
+    try:
+        lo, hi = box
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
+        raise ValueError(f"box must be two finite numbers low < high, got {box!r}")
+    return samples, (float(lo), float(hi))
+
+
 def _sample_inputs(dim, samples, seed, box):
     """Deterministic (x, x_alt, P) triples spanning small and large scales."""
     gen = philox(seed, 0)
-    lo, hi = float(box[0]), float(box[1])
+    lo, hi = box
     width = hi - lo
     x_alt = gen.uniform(lo, hi, size=(samples, dim))
     far = gen.uniform(lo, hi, size=(samples, dim))
@@ -247,11 +309,14 @@ def check_assumption_continuous(F, g, m_g, n_g, samples=10000, seed=0, box=(-5.0
     Verifies ``<x - x~, g(x) - L_{x~,P}(g)> <= m_g ||x - x~||^2 + C tr(P)``
     on random triples, with ``C = 0`` for the point-evaluation functional and
     ``C = m_g - n_g`` for the quadrature-based ones (override via ``c_g``).
+    ``samples`` must be an integer of at least 1 and ``box`` two finite
+    numbers ``(low, high)`` with ``low < high``; the triples are drawn there.
     """
     if not (np.isfinite(m_g) and np.isfinite(n_g) and n_g <= m_g):
         raise ValueError("need finite m_g >= n_g")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
+    samples, box = _check_sampling(samples, box)
     dim = _check_dim(F, dim)
     x, x_alt, P = _sample_inputs(dim, samples, seed, box)
     gx = np.asarray(g(x), dtype=float)
@@ -267,12 +332,14 @@ def check_assumption_discrete(F, g, jf_norm, samples=10000, seed=0, box=(-5.0, 5
     Verifies ``||g(x) - L_{x~,P}(g)||^2 <= jf_norm^2 ||x - x~||^2 + C tr(P)``
     with ``C = 0`` for point evaluation and ``C = jf_norm`` otherwise. The
     default constant follows the stated discrete convention; pass ``c_g`` to
-    test alternatives (for example ``jf_norm ** 2``).
+    test alternatives (for example ``jf_norm ** 2``). ``samples`` and
+    ``box`` are checked as in :func:`check_assumption_continuous`.
     """
     if not np.isfinite(jf_norm) or jf_norm < 0:
         raise ValueError("jf_norm must be finite and nonnegative")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(jf_norm)
+    samples, box = _check_sampling(samples, box)
     dim = _check_dim(F, dim)
     x, x_alt, P = _sample_inputs(dim, samples, seed, box)
     gx = np.asarray(g(x), dtype=float)

@@ -8,6 +8,7 @@ from kbstab import (
     builtin_linear,
     make_filter_config,
 )
+from kbstab import functionals
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.filters import (
     FilterConfig,
@@ -232,10 +233,13 @@ class TestGrouping:
     @pytest.mark.parametrize("build, kind", [
         (builtin_integrated_velocity, "ekf"), (builtin_integrated_velocity, "ukf"),
         (builtin_contractive3d, "ekf"), (builtin_contractive3d, "ukf"), (builtin_contractive3d, "gh"),
+        (builtin_contractive3d, "adf"),
     ])
     def test_wide_batch_rows_do_not_depend_on_batch_size(self, build, kind):
         # the step's products with HtRinv and S are one GEMM over all rows of
-        # the batch, so a path's result must not depend on how many share it
+        # the batch, and the sigma points one GEMM per path block (adf's
+        # 1000-point rule spans 24 blocks here), so a path's result must not
+        # depend on how many share it
         model = build()
         _, states, incr, diverged = simulate_paths(model, 0.01, 0.2, 7, 1000)
         assert np.all(diverged < 0)
@@ -262,6 +266,37 @@ class TestGrouping:
             err_sq = np.sum((states[p] - x[:, 0]) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
             assert whole.trace_max[p] == np.trace(P[:, 0], axis1=1, axis2=2).max()
+
+
+def run_37_paths(kind, time, discrete_sine):
+    """``(config, run)`` for ``kind`` on 37 paths of the fig1 model or the discrete sine model."""
+    if time == "cont":
+        model, _, states, incr = fig1_like_paths(37, horizon=0.2)
+        config = make_filter_config(kind, model)
+        return config, lambda: run_continuous_ensemble(model, config, states, incr, 0.01)
+    model = discrete_sine()
+    _, states, meas = discrete_paths(model, 37, steps=20)
+    config = make_filter_config(kind, model)
+    return config, lambda: run_discrete_ensemble(model, config, states, meas)
+
+
+class TestPathBlocks:
+    """The sigma-point layer walks the batch in blocks of ``functionals.BLOCK_COORDS`` coordinates."""
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_block_boundaries_change_no_bit(self, kind, time, discrete_sine, monkeypatch):
+        config, run = run_37_paths(kind, time, discrete_sine)
+        rule = config.functional.rule
+        nd = rule.size * rule.dim
+        monkeypatch.setattr(functionals, "BLOCK_COORDS", 37 * nd)
+        whole = run()
+        # one path a block; five a block and a tail of two; seven a block and a tail of two
+        for coords in (1, 5 * nd, 7 * nd + 1):
+            monkeypatch.setattr(functionals, "BLOCK_COORDS", coords)
+            blocked = run()
+            for name in ("err_sq", "trace_max", "diverged"):
+                assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (coords, name)
 
 
 class TestFrozenPaths:
@@ -403,6 +438,31 @@ class TestStepCost:
         assert calls["eigh"] == 1
         assert calls["cholesky"] == factored + 1
         assert calls["field"] == 2
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_blocked_step_evaluates_each_point_once(self, kind, time, discrete_sine, monkeypatch, rng):
+        # 37 paths in blocks of five: seven full blocks and a tail of two
+        model = builtin_contractive3d() if time == "cont" else discrete_sine()
+        config = make_filter_config(kind, model)
+        rule = config.functional.rule
+        bound = 5 * rule.size * rule.dim
+        monkeypatch.setattr(functionals, "BLOCK_COORDS", bound)
+        x = rng.uniform(-1.0, 1.0, (37, model.dim_x))
+        G = rng.standard_normal((37, model.dim_x, model.dim_x))
+        P, L = _psd_root(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(model.dim_x))
+        seen, field = [], model.f
+
+        def recording(pts):
+            seen.append(pts)
+            return field(pts)
+
+        model.f = recording
+        HtRinv = model.HtRinv if time == "cont" else None
+        _kb_step_batch(model, config, HtRinv, x, P, L, np.zeros((37, model.dim_y)), 0.01)
+        assert len(seen) == 8
+        assert max(pts.size for pts in seen) <= bound
+        assert np.array_equal(np.concatenate(seen), functionals._sigma_points(rule, x, L))
 
     def run_counted_discrete(self, kind, monkeypatch, model, n_paths=40, steps=30):
         _, states, meas = discrete_paths(model, n_paths, steps)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kbstab import (
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.filters import make_filter_config
 from kbstab.functionals import (
+    _sigma_points,
     eval_drift_batch,
     eval_mean_batch,
     eval_riccati_cont_batch,
@@ -302,6 +304,65 @@ class TestSharedDriftEvaluation:
                 eval_drift_batch(F, time, model.f, x, P)
 
 
+class TestSigmaPoints:
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_points_are_the_state_plus_the_root_times_each_node(self, kind, rng):
+        # Cholesky roots are lower triangular, so L xi and L^T xi differ
+        model = builtin_contractive3d()
+        rule = make_filter_config(kind, model).functional.rule
+        x = rng.uniform(-2.0, 2.0, (12, 3))
+        G = rng.standard_normal((12, 3, 3))
+        L = np.linalg.cholesky(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(3))
+        pts = _sigma_points(rule, x, L)
+        expected = x[:, None, :] + np.einsum("bjk,ik->bij", L, rule.points)
+        assert pts.shape == (12, rule.size, 3)
+        assert np.abs(pts - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_wide_batch_peak_memory_is_bounded(self, rng):
+        # 10,000 inputs x 27 points x 3 coordinates is 6.5 MB per array as one
+        # block; in blocks of BLOCK_COORDS the call peaked at 5.3 MB, against
+        # 19.4 MB unblocked (numpy 2.4)
+        model = builtin_contractive3d()
+        F = Functional("sigma", gauss_hermite_rule(3, 3))
+        x = rng.uniform(-5.0, 5.0, (10000, 3))
+        G = rng.standard_normal((10000, 3, 3))
+        P = G @ np.swapaxes(G, 1, 2)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            eval_mean_batch(F, model.f, x, P)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8e6
+
+
+class TestSigmaArguments:
+    """The sigma evaluators name a root or a state that does not fit."""
+
+    def test_root_of_the_wrong_shape_named(self):
+        F = Functional("sigma", unscented_rule(3))
+        x, P = np.zeros((2, 3)), np.tile(np.eye(3), (2, 1, 1))
+        for root in (np.eye(3), np.tile(np.eye(3), (3, 1, 1))):
+            for time in ("cont", "disc"):
+                with pytest.raises(ValueError, match="root"):
+                    eval_drift_batch(F, time, lambda z: z, x, P, root=root)
+
+    @pytest.mark.parametrize("evaluate, x, P", [
+        (eval_mean, np.zeros(2), np.eye(2)),
+        (eval_mean_batch, np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))),
+        (functools.partial(eval_drift_batch, time="cont"), np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))),
+        (functools.partial(eval_drift_batch, time="disc"), np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))),
+    ])
+    def test_state_of_the_wrong_size_named(self, evaluate, x, P):
+        F = Functional("sigma", unscented_rule(3))
+        with pytest.raises(ValueError, match="x has size 2.*dim 3"):
+            evaluate(F=F, g=lambda z: z, x=x, P=P)
+
+
 class TestRiccatiDiscrete:
     @given(affine_cases())
     def test_affine_gives_APAt(self, case):
@@ -395,6 +456,23 @@ class TestAssumptionChecks:
         for F in all_functionals(2):
             report = check_assumption_discrete(F, g, jf, samples=2000, seed=2, c_g=0.0, dim=2)
             assert report.passed
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.5, True, "10"])
+    def test_bad_samples_named(self, samples):
+        F = Functional("sigma", unscented_rule(1))
+        with pytest.raises(ValueError, match="samples"):
+            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            check_assumption_discrete(F, np.sin, 1.0, samples=samples)
+
+    @pytest.mark.parametrize("box", [(5, -5), (1.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0,), (0, 1, 2), 3,
+                                     ("-5", "5"), (True, 2)])
+    def test_bad_box_named(self, box):
+        F = Functional("sigma", unscented_rule(1))
+        with pytest.raises(ValueError, match="box"):
+            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=10, box=box)
+        with pytest.raises(ValueError, match="box"):
+            check_assumption_discrete(F, np.sin, 1.0, samples=10, box=box)
 
     def test_bad_constants_rejected(self):
         F = Functional("ekf")
