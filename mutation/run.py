@@ -62,6 +62,27 @@ MUTANTS = (
         new="np.swapaxes(L, -1, -2).reshape(B * d, d) @ rule.points.T",
         tests=("tests/test_functionals.py::TestSigmaPoints::test_points_are_the_state_plus_the_root_times_each_node",),
     ),
+    Mutant(
+        name="closed-form-divides-by-pivot",
+        file="src/kbstab/quadrature.py",
+        old="np.multiply(s[:, 2], 1.0 / l00, out=L[:, 2])",
+        new="np.divide(s[:, 2], l00, out=L[:, 2])",
+        tests=("tests/test_quadrature.py::TestClosedFormCholesky::test_factors_equal_lapack_bit_for_bit[2]",),
+    ),
+    Mutant(
+        name="closed-form-zero-pivot-passes",
+        file="src/kbstab/quadrature.py",
+        old="failing |= pivot <= 0.0",
+        new="failing |= pivot < 0.0",
+        tests=("tests/test_quadrature.py::TestClosedFormCholesky::test_failure_set_equals_lapack[2]",),
+    ),
+    Mutant(
+        name="closed-form-for-3x3",
+        file="src/kbstab/quadrature.py",
+        old="    if d > 2:",
+        new="    if d > 3:",
+        tests=("tests/test_filters.py::TestPsdGuard::test_definite_batch_needs_no_eigendecomposition[3]",),
+    ),
 )
 
 

@@ -18,8 +18,9 @@ the batch is wide.
 
 ``Q_tuned``, ``P0`` and ``R`` (through the model's cached ``H^T R^{-1}``)
 must pass the one covariance check as positive definite. After every step
-the covariance is symmetrized and checked with a batched Cholesky
-factorization; a path whose factorization fails has its eigenvalues clamped
+the covariance is symmetrized and checked with a Cholesky factorization
+(in closed form for 1x1 and 2x2 states, one batched LAPACK call from 3x3
+on); a path whose factorization fails has its eigenvalues clamped
 at zero. This guard is a floating-point safeguard the exact-arithmetic
 theory does not need; on well-posed runs it never fires. Its factor, or the
 clamp's eigen-root, is the next step's sigma-point root, so a well-posed

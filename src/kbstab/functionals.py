@@ -250,16 +250,20 @@ class AssumptionCheckReport:
         return self.passed
 
 
-def _check_sampling(samples, box):
-    """``samples`` as an int of at least 1 and ``box`` as finite floats ``low < high``; else a named ``ValueError``."""
+def _check_sampling(samples, seed, box):
+    """``samples`` as an int of at least 1, ``seed`` as an int and ``box`` as finite floats ``low < high``.
+
+    Anything else is a ``ValueError`` naming the argument.
+    """
     samples = check_integer("samples", samples, low=1)
+    seed = check_integer("seed", seed)
     try:
         lo, hi = box
     except (TypeError, ValueError):
         lo = hi = None
     if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
         raise ValueError(f"box must be two finite numbers low < high, got {box!r}")
-    return samples, (float(lo), float(hi))
+    return samples, seed, (float(lo), float(hi))
 
 
 def _sample_inputs(dim, samples, seed, box):
@@ -298,9 +302,10 @@ def _check_dim(F, dim):
         if F.rule is None:
             raise ValueError("pass dim explicitly for the point-evaluation functional")
         return F.rule.dim
+    dim = check_integer("dim", dim, low=1)
     if F.rule is not None and F.rule.dim != dim:
         raise ValueError("dim disagrees with the functional's rule")
-    return int(dim)
+    return dim
 
 
 def check_assumption_continuous(F, g, m_g, n_g, samples=10000, seed=0, box=(-5.0, 5.0), c_g=None, dim=None):
@@ -309,14 +314,15 @@ def check_assumption_continuous(F, g, m_g, n_g, samples=10000, seed=0, box=(-5.0
     Verifies ``<x - x~, g(x) - L_{x~,P}(g)> <= m_g ||x - x~||^2 + C tr(P)``
     on random triples, with ``C = 0`` for the point-evaluation functional and
     ``C = m_g - n_g`` for the quadrature-based ones (override via ``c_g``).
-    ``samples`` must be an integer of at least 1 and ``box`` two finite
+    ``samples`` must be an integer of at least 1, ``seed`` an integer,
+    ``dim`` (if given) an integer of at least 1, and ``box`` two finite
     numbers ``(low, high)`` with ``low < high``; the triples are drawn there.
     """
     if not (np.isfinite(m_g) and np.isfinite(n_g) and n_g <= m_g):
         raise ValueError("need finite m_g >= n_g")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
-    samples, box = _check_sampling(samples, box)
+    samples, seed, box = _check_sampling(samples, seed, box)
     dim = _check_dim(F, dim)
     x, x_alt, P = _sample_inputs(dim, samples, seed, box)
     gx = np.asarray(g(x), dtype=float)
@@ -332,14 +338,14 @@ def check_assumption_discrete(F, g, jf_norm, samples=10000, seed=0, box=(-5.0, 5
     Verifies ``||g(x) - L_{x~,P}(g)||^2 <= jf_norm^2 ||x - x~||^2 + C tr(P)``
     with ``C = 0`` for point evaluation and ``C = jf_norm`` otherwise. The
     default constant follows the stated discrete convention; pass ``c_g`` to
-    test alternatives (for example ``jf_norm ** 2``). ``samples`` and
-    ``box`` are checked as in :func:`check_assumption_continuous`.
+    test alternatives (for example ``jf_norm ** 2``). ``samples``, ``seed``,
+    ``dim`` and ``box`` are checked as in :func:`check_assumption_continuous`.
     """
     if not np.isfinite(jf_norm) or jf_norm < 0:
         raise ValueError("jf_norm must be finite and nonnegative")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(jf_norm)
-    samples, box = _check_sampling(samples, box)
+    samples, seed, box = _check_sampling(samples, seed, box)
     dim = _check_dim(F, dim)
     x, x_alt, P = _sample_inputs(dim, samples, seed, box)
     gx = np.asarray(g(x), dtype=float)

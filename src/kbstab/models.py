@@ -173,10 +173,12 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     lines of the loop differ. Arrays are time-major, ``(n+1, B, d)``, so a
     step reads and writes contiguous rows. While every path is alive and
     finite, rows are written whole after one finiteness check of the batch.
-    ``n_paths`` must be an integer at least 1 and ``first_path`` one at least 0.
+    ``seed`` must be an integer, ``n_paths`` one at least 1 and ``first_path``
+    one at least 0.
     """
     if model.time != time:
         raise ValueError(f"expected a {time!r} model, got a {model.time!r} one")
+    seed = check_integer("seed", seed)
     n_paths = check_integer("n_paths", n_paths, low=1)
     first_path = check_integer("first_path", first_path, low=0)
     B, dx, dy = n_paths, model.dim_x, model.dim_y

@@ -108,24 +108,61 @@ def _clamp_psd(M):
     return 0.5 * (out + np.swapaxes(out, -1, -2)), vecs * np.sqrt(vals)[..., None, :]
 
 
+def _cholesky(sym):
+    """Lower Cholesky factors of a symmetric stack ``(B, d, d)`` and the mask of members that fail.
+
+    A 1x1 or 2x2 stack is factored in closed form by the column recurrence of
+    LAPACK's unblocked ``potf2`` as OpenBLAS runs it: ``l00 = sqrt(s00)``, the
+    column scaled by the pivot's reciprocal, ``l10 = s10 * (1 / l00)``, then
+    ``l11 = sqrt(s11 - l10 l10)``. Cholesky rounds entry by entry, so the same
+    operations in the same order give ``np.linalg.cholesky``'s bits, and a
+    member fails where a pivot is ``<= 0``, where ``potf2`` stops (a NaN pivot
+    does not fail there either). Larger stacks stay on ``np.linalg.cholesky``:
+    from ``d = 3`` on, OpenBLAS fuses the multiply-adds of its dot kernel,
+    which numpy cannot reproduce, and a vectorized loop over ``d`` costs more
+    than LAPACK on narrow batches. Members of a stack that LAPACK rejects are
+    factored one by one. Failing members' factors are undefined.
+    """
+    B, d = sym.shape[:2]
+    if d > 2:
+        try:
+            return np.linalg.cholesky(sym), np.zeros(B, dtype=bool)
+        except np.linalg.LinAlgError:
+            L, failing = np.empty_like(sym), np.zeros(B, dtype=bool)
+        for b, M in enumerate(sym):
+            try:
+                L[b] = np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                failing[b] = True
+        return L, failing
+    s = sym.reshape(B, d * d)
+    L = np.zeros((B, d * d))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l00 = np.sqrt(s[:, 0], out=L[:, 0])
+        failing = s[:, 0] <= 0.0
+        if d == 2:
+            l10 = np.multiply(s[:, 2], 1.0 / l00, out=L[:, 2])
+            pivot = s[:, 3] - l10 * l10
+            np.sqrt(pivot, out=L[:, 3])
+            failing |= pivot <= 0.0
+    return L.reshape(B, d, d), failing
+
+
 def _psd_root(P):
     """Symmetrize a stack of matrices and return it with a root ``L L^T = P`` of each member.
 
-    ``L`` is the Cholesky factor; matrices whose factorization fails are
-    eigen-clamped by :func:`_clamp_psd`, which gives their root. Whether a
-    member is clamped depends on its own matrix alone, never on its batch.
+    ``L`` is the Cholesky factor of :func:`_cholesky`: closed-form for 1x1
+    and 2x2 members, equal to LAPACK's bit for bit, and LAPACK's own from
+    3x3 on, where OpenBLAS's fused multiply-adds cannot be reproduced in
+    numpy. Matrices whose factorization fails are eigen-clamped by
+    :func:`_clamp_psd`, which gives their root.
+    Whether a member is clamped depends on its own matrix alone, never on
+    its batch.
     """
     sym = 0.5 * (P + np.swapaxes(P, -1, -2))
-    try:
-        return sym, np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        L, failing = np.empty_like(sym), []
-    for b, M in enumerate(sym):
-        try:
-            L[b] = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            failing.append(b)
-    sym[failing], L[failing] = _clamp_psd(sym[failing])
+    L, failing = _cholesky(sym)
+    if failing.any():
+        sym[failing], L[failing] = _clamp_psd(sym[failing])
     return sym, L
 
 

@@ -8,7 +8,7 @@ from kbstab import (
     builtin_linear,
     make_filter_config,
 )
-from kbstab import functionals
+from kbstab import functionals, quadrature
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.filters import (
     FilterConfig,
@@ -137,16 +137,23 @@ class TestRunContinuousFilter:
             assert fig1_result.max_trace_P[kind] <= cert.lambda_P + 1e-6
 
 
-def mixed_psd_batch(rng):
-    """An indefinite, a singular PSD and a positive definite 3x3 matrix, slightly asymmetric."""
-    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    indefinite = Q @ np.diag([-0.5, 1.0, 2.0]) @ Q.T
-    V = rng.standard_normal((3, 2))
+def mixed_psd_batch(rng, d=3):
+    """An indefinite, a singular PSD and a positive definite ``d x d`` matrix, slightly asymmetric.
+
+    The singular member's first row and column are zero and the noise spares
+    the diagonals, so every factorization of it stops at its first pivot.
+    """
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    indefinite = Q @ np.diag([-0.5, *range(1, d)]) @ Q.T
+    V = rng.standard_normal((d, d - 1))
+    V[0] = 0.0
     singular = V @ V.T
-    G = rng.standard_normal((3, 3))
-    definite = G @ G.T + 0.1 * np.eye(3)
+    G = rng.standard_normal((d, d))
+    definite = G @ G.T + 0.1 * np.eye(d)
     stack = np.stack([indefinite, singular, definite])
-    return stack + 1e-13 * rng.standard_normal(stack.shape)
+    noise = 1e-13 * rng.standard_normal(stack.shape)
+    noise[:, range(d), range(d)] = 0.0
+    return stack + noise
 
 
 def counting(fn, counter, key):
@@ -157,9 +164,12 @@ def counting(fn, counter, key):
     return wrapped
 
 
+@pytest.mark.parametrize("d", [2, 3])
 class TestPsdGuard:
-    def test_clamps_failing_members_only(self, rng, monkeypatch):
-        P_raw = mixed_psd_batch(rng)
+    """The guard on both factorization paths: closed form for 2x2, LAPACK for 3x3."""
+
+    def test_clamps_failing_members_only(self, d, rng, monkeypatch):
+        P_raw = mixed_psd_batch(rng, d)
         calls = {"eigh": 0}
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
         out, L = _psd_root(P_raw)
@@ -178,8 +188,8 @@ class TestPsdGuard:
         # every member's root reproduces the returned matrix
         assert np.abs(L @ np.swapaxes(L, 1, 2) - out).max() <= 1e-12 * np.abs(out).max()
 
-    def test_member_output_independent_of_batch(self, rng):
-        P_raw = mixed_psd_batch(rng)
+    def test_member_output_independent_of_batch(self, d, rng):
+        P_raw = mixed_psd_batch(rng, d)
         out, L = _psd_root(P_raw)
         for b in range(3):
             alone, root = _psd_root(P_raw[b:b + 1])
@@ -189,11 +199,11 @@ class TestPsdGuard:
         assert np.array_equal(out[::-1], rev)
         assert np.array_equal(L[::-1], rev_L)
 
-    def test_definite_batch_needs_no_eigendecomposition(self, rng, monkeypatch):
+    def test_definite_batch_needs_no_eigendecomposition(self, d, rng, monkeypatch):
         calls = {"eigh": 0}
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
-        G = rng.standard_normal((50, 3, 3))
-        P_raw = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(3)
+        G = rng.standard_normal((50, d, d))
+        P_raw = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(d)
         out, L = _psd_root(P_raw)
         assert calls["eigh"] == 0
         assert np.array_equal(out, 0.5 * (P_raw + np.swapaxes(P_raw, 1, 2)))
@@ -379,14 +389,18 @@ class TestObservationShape:
 class TestStepCost:
     """Decompositions, field and Jacobian evaluations made by the batched filter step.
 
-    A run makes one Cholesky factorization more than it has steps: the
-    initial factor of ``P0``.
+    A run makes one factorization of the guard more than it has steps: the
+    initial factor of ``P0``. ``factor`` counts the guard's factorizations
+    (``quadrature._cholesky``) and ``lapack`` the ``np.linalg.cholesky``
+    calls: one per factorization for the 3-d model, none for the 2-d one,
+    whose covariances are factored in closed form.
     """
 
     def count_calls(self, model, monkeypatch):
-        calls = {"cholesky": 0, "eigh": 0, "field": 0, "jac": 0}
-        for name in ("cholesky", "eigh"):
-            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), calls, name))
+        calls = {"factor": 0, "lapack": 0, "eigh": 0, "field": 0, "jac": 0}
+        monkeypatch.setattr(quadrature, "_cholesky", counting(quadrature._cholesky, calls, "factor"))
+        for key, name in (("lapack", "cholesky"), ("eigh", "eigh")):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), calls, key))
         model.f = counting(model.f, calls, "field")
         model.jac_f = counting(model.jac_f, calls, "jac")
         return calls
@@ -401,7 +415,7 @@ class TestStepCost:
 
     def test_ekf_step_makes_no_eigendecomposition(self, monkeypatch):
         calls, steps = self.run_counted("ekf", monkeypatch)
-        assert calls["cholesky"] == steps + 1
+        assert calls["factor"] == calls["lapack"] == steps + 1
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == steps
@@ -409,7 +423,7 @@ class TestStepCost:
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch):
         calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
-        assert calls["cholesky"] == steps + 1
+        assert calls["factor"] == calls["lapack"] == steps + 1
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == 0
@@ -432,11 +446,11 @@ class TestStepCost:
         assert calls["eigh"] == 1
         assert np.linalg.eigvalsh(P[1])[0] <= 1e-12
         assert np.abs(L @ np.swapaxes(L, 1, 2) - P).max() <= 1e-12
-        factored = calls["cholesky"]
+        factored = calls["factor"]
         x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
         assert not bad.any()
         assert calls["eigh"] == 1
-        assert calls["cholesky"] == factored + 1
+        assert calls["factor"] == factored + 1
         assert calls["field"] == 2
 
     @pytest.mark.parametrize("time", ["cont", "disc"])
@@ -474,7 +488,8 @@ class TestStepCost:
 
     def test_discrete_ekf_step_makes_no_eigendecomposition(self, monkeypatch, discrete_sine):
         calls, steps = self.run_counted_discrete("ekf", monkeypatch, discrete_sine())
-        assert calls["cholesky"] == steps + 1
+        assert calls["factor"] == steps + 1
+        assert calls["lapack"] == 0
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == steps
@@ -483,7 +498,8 @@ class TestStepCost:
     def test_discrete_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch,
                                                                          discrete_sine):
         calls, steps = self.run_counted_discrete(kind, monkeypatch, discrete_sine(), n_paths=8, steps=20)
-        assert calls["cholesky"] == steps + 1
+        assert calls["factor"] == steps + 1
+        assert calls["lapack"] == 0
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == 0

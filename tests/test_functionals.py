@@ -465,6 +465,22 @@ class TestAssumptionChecks:
         with pytest.raises(ValueError, match="samples"):
             check_assumption_discrete(F, np.sin, 1.0, samples=samples)
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, "2"])
+    def test_bad_dim_named(self, dim):
+        F = Functional("ekf")
+        with pytest.raises(ValueError, match="^dim "):
+            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=10, dim=dim)
+        with pytest.raises(ValueError, match="^dim "):
+            check_assumption_discrete(F, np.sin, 1.0, samples=10, dim=dim)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "7", None])
+    def test_bad_seed_named(self, seed):
+        F = Functional("sigma", unscented_rule(1))
+        with pytest.raises(ValueError, match="^seed "):
+            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=10, seed=seed)
+        with pytest.raises(ValueError, match="^seed "):
+            check_assumption_discrete(F, np.sin, 1.0, samples=10, seed=seed)
+
     @pytest.mark.parametrize("box", [(5, -5), (1.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0,), (0, 1, 2), 3,
                                      ("-5", "5"), (True, 2)])
     def test_bad_box_named(self, box):

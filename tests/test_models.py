@@ -274,6 +274,10 @@ class TestSimulatorArguments:
     def test_horizon(self, value):
         self.assert_rejected("horizon", value)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "7", None])
+    def test_seed(self, value):
+        self.assert_rejected("seed", value)
+
     @pytest.mark.parametrize("value", [-1, 0, 2.5, 2.0, True, np.nan])
     def test_n_paths(self, value):
         self.assert_rejected("n_paths", value)
@@ -288,8 +292,8 @@ class TestSimulatorArguments:
 
     def test_numpy_integers_are_accepted(self):
         model = builtin_contractive3d()
-        _, states, _, _ = simulate_paths(model, 0.1, 0.2, 0, np.int64(2), first_path=np.int32(3))
-        assert np.array_equal(states, simulate_paths(model, 0.1, 0.2, 0, 2, first_path=3)[1])
+        _, states, _, _ = simulate_paths(model, 0.1, 0.2, np.uint64(5), np.int64(2), first_path=np.int32(3))
+        assert np.array_equal(states, simulate_paths(model, 0.1, 0.2, 5, 2, first_path=3)[1])
 
 
 class TestDiscreteSimulation:

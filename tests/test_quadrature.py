@@ -9,7 +9,7 @@ from kbstab import (
     unscented_rule,
 )
 from kbstab.errors import IndefiniteMatrixError
-from kbstab.quadrature import CubatureRule
+from kbstab.quadrature import CubatureRule, _cholesky
 
 
 def gaussian_quadratic_mean(C, a, b, x, P):
@@ -117,6 +117,56 @@ class TestMatrixSqrt:
         assert matrix_sqrt(np.diag([1e4, -5e-7]))[1, 1] == 0.0
         with pytest.raises(IndefiniteMatrixError):
             matrix_sqrt(np.diag([1e4, -5e-5]))
+
+
+def lapack_members(stack):
+    """Per-member ``np.linalg.cholesky``: the factors, and the mask of members it rejects."""
+    L, failing = np.zeros_like(stack), np.zeros(len(stack), dtype=bool)
+    for b, M in enumerate(stack):
+        try:
+            L[b] = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            failing[b] = True
+    return L, failing
+
+
+@pytest.mark.parametrize("d", [1, 2])
+class TestClosedFormCholesky:
+    """The guard's closed-form factor of 1x1 and 2x2 stacks is LAPACK's, bit for bit."""
+
+    def test_factors_equal_lapack_bit_for_bit(self, d, rng):
+        # 60,000 SPD members per size, each coordinate scaled by e^U(-20, 20)
+        G = rng.standard_normal((60_000, d, d))
+        scale = np.exp(rng.uniform(-20.0, 20.0, (60_000, d)))
+        P = scale[:, :, None] * (G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(d)) * scale[:, None, :]
+        L, failing = _cholesky(P)
+        assert not failing.any()
+        assert np.array_equal(L, np.linalg.cholesky(P))
+
+    def test_failure_set_equals_lapack(self, d, rng):
+        G = rng.standard_normal((400, d, d))
+        # shifted down by up to 3: a mix of definite and indefinite members
+        shifted = G @ np.swapaxes(G, 1, 2) - rng.uniform(0.0, 3.0, 400)[:, None, None] * np.eye(d)
+        if d == 1:
+            special = [[[0.0]], [[-0.0]], [[-1.0]], [[1e-300]], [[-1e-300]], [[5e-324]]]
+        else:
+            special = [
+                np.zeros((2, 2)),
+                [[1.0, 2.0], [2.0, 4.0]],              # second pivot exactly 0
+                [[1e-300, 0.0], [0.0, 1e-300]],
+                [[1e-300, 1e-300], [1e-300, 2e-300]],
+                [[4e-300, 2e-300], [2e-300, 1e-300]],
+                [[1e-300, 0.0], [0.0, -1e-300]],
+                [[5e-324, 0.0], [0.0, 1.0]],
+            ]
+        stack = np.concatenate([shifted, np.array(special, dtype=float)])
+        L, failing = _cholesky(stack)
+        ref, ref_failing = lapack_members(stack)
+        assert np.array_equal(failing, ref_failing)
+        assert 0 < failing.sum() < len(stack)
+        assert np.array_equal(L[~failing], ref[~failing])
+        # the zero matrix, and -0.0 or the exactly singular member
+        assert failing[400:402].all()
 
 
 class TestExactnessChecker:
