@@ -83,6 +83,20 @@ MUTANTS = (
         new="    if d > 3:",
         tests=("tests/test_filters.py::TestPsdGuard::test_definite_batch_needs_no_eigendecomposition[3]",),
     ),
+    Mutant(
+        name="discrete-set-at-the-continuous-seed",
+        file="src/kbstab/cli.py",
+        old='("disc", check_assumption_discrete, (jf,), seed + 1)',
+        new='("disc", check_assumption_discrete, (jf,), seed)',
+        tests=("tests/test_cli.py::TestValidate::test_assumption_check_details_at_seed_7",),
+    ),
+    Mutant(
+        name="each-check-draws-its-own-set",
+        file="src/kbstab/cli.py",
+        old="check(F, f, *constants, inputs=inputs)",
+        new="check(F, f, *constants, samples=samples, seed=set_seed, dim=dim)",
+        tests=("tests/test_cli.py::TestValidate::test_assumption_checks_draw_each_set_once",),
+    ),
 )
 
 

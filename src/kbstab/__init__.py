@@ -41,7 +41,9 @@ from .quadrature import (
 )
 from .functionals import (
     AssumptionCheckReport,
+    AssumptionInputs,
     Functional,
+    assumption_inputs,
     check_assumption_continuous,
     check_assumption_discrete,
     eval_mean,

@@ -18,7 +18,7 @@ from ._version import __version__
 from .checks import check_integer
 from .errors import CertificateError, ConfigError, ExperimentDivergenceError
 from .filters import make_filter_config
-from .functionals import Functional, check_assumption_continuous, check_assumption_discrete
+from .functionals import Functional, assumption_inputs, check_assumption_continuous, check_assumption_discrete
 from .harness import (
     ExperimentSpec,
     build_model,
@@ -199,6 +199,13 @@ def _matrix_inequality_checks(seed, count=10000, dim=4):
 
 
 def _assumption_checks(seed, samples):
+    """One-sided consistency checks of ``ekf``, ``ut`` and ``gh3`` on two drifts, in both time models.
+
+    Each (drift, time model) pair draws one sample set, the continuous one
+    at ``seed`` and the discrete one at ``seed + 1``, and its three
+    functionals share it. A set is released before the next is drawn, so
+    only one is alive at a time.
+    """
     out = []
     c3 = builtin_contractive3d()
     iv = builtin_integrated_velocity()
@@ -214,15 +221,20 @@ def _assumption_checks(seed, samples):
             ("gh3", Functional("sigma", gauss_hermite_rule(dim, 3))),
         ]
         jf = float(np.max(spectral_norm(jac(philox(seed, 11).uniform(-6, 6, size=(4096, dim))))))
-        for label, F in variants:
-            rep = check_assumption_continuous(F, f, m_g, n_g, samples=samples, seed=seed, dim=dim)
-            out.append(_check(
-                f"assumption.cont[{name},{label}]", rep.passed,
-                f"worst violation {rep.worst_violation:.3e} with C_g={rep.c_g_used:.4g}"))
-            repd = check_assumption_discrete(F, f, jf, samples=samples, seed=seed + 1, dim=dim)
-            out.append(_check(
-                f"assumption.disc[{name},{label}]", repd.passed,
-                f"worst violation {repd.worst_violation:.3e} with C_g={repd.c_g_used:.4g}"))
+        times = [
+            ("cont", check_assumption_continuous, (m_g, n_g), seed),
+            ("disc", check_assumption_discrete, (jf,), seed + 1),
+        ]
+        results = {}
+        for time, check, constants, set_seed in times:
+            inputs = assumption_inputs(dim, samples, set_seed)
+            for label, F in variants:
+                rep = check(F, f, *constants, inputs=inputs)
+                results[time, label] = _check(
+                    f"assumption.{time}[{name},{label}]", rep.passed,
+                    f"worst violation {rep.worst_violation:.3e} with C_g={rep.c_g_used:.4g}")
+            del inputs
+        out += [results[time, label] for label, _ in variants for time in ("cont", "disc")]
     return out
 
 

@@ -250,6 +250,16 @@ class AssumptionCheckReport:
         return self.passed
 
 
+class _Default:
+    """A sampling argument left out: its default without ``inputs``, the inputs' own value with them."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return repr(self.value)
+
+
 def _check_sampling(samples, seed, box):
     """``samples`` as an int of at least 1, ``seed`` as an int and ``box`` as finite floats ``low < high``.
 
@@ -284,6 +294,52 @@ def _sample_inputs(dim, samples, seed, box):
     return x, x_alt, P
 
 
+@dataclass(frozen=True, eq=False)
+class AssumptionInputs:
+    """One drawn set of ``(x, x_alt, P)`` triples, with the ``seed`` and ``box`` it was drawn with.
+
+    It unpacks as ``x, x_alt, P``; ``samples`` and ``dim`` are its shape.
+    Draw it with :func:`assumption_inputs`.
+    """
+
+    x: np.ndarray
+    x_alt: np.ndarray
+    P: np.ndarray
+    seed: int
+    box: tuple
+
+    def __post_init__(self):
+        shapes = [getattr(a, "shape", None) for a in (self.x, self.x_alt, self.P)]
+        n, d = shapes[0] if shapes[0] is not None and len(shapes[0]) == 2 else (0, 0)
+        if min(n, d) == 0 or shapes[1:] != [(n, d), (n, d, d)]:
+            raise ValueError("inputs must hold arrays x and x_alt of shape (samples, dim) and P of shape "
+                             f"(samples, dim, dim), with samples and dim at least 1, got shapes {shapes}")
+
+    @property
+    def samples(self):
+        return self.x.shape[0]
+
+    @property
+    def dim(self):
+        return self.x.shape[1]
+
+    def __iter__(self):
+        return iter((self.x, self.x_alt, self.P))
+
+
+def assumption_inputs(dim, samples=10000, seed=0, box=(-5.0, 5.0)):
+    """The ``(x, x_alt, P)`` triples an assumption check draws for these arguments, as :class:`AssumptionInputs`.
+
+    Pass them as ``inputs`` to several checks of the same ``dim`` to draw
+    the set once. ``samples``, ``seed`` and ``box`` are checked as in
+    :func:`check_assumption_continuous`, and ``dim`` must be an integer of
+    at least 1.
+    """
+    samples, seed, box = _check_sampling(samples, seed, box)
+    dim = check_integer("dim", dim, low=1)
+    return AssumptionInputs(*_sample_inputs(dim, samples, seed, box), seed=seed, box=box)
+
+
 def _report(lhs, rhs, samples, c_g):
     slack = 1e-8 * np.maximum(1.0, np.abs(rhs))
     violation = lhs - rhs
@@ -308,7 +364,34 @@ def _check_dim(F, dim):
     return dim
 
 
-def check_assumption_continuous(F, g, m_g, n_g, samples=10000, seed=0, box=(-5.0, 5.0), c_g=None, dim=None):
+def _check_inputs(F, samples, seed, box, dim, inputs):
+    """The triples of a check: drawn from the sampling arguments, or ``inputs`` where given.
+
+    Sampling arguments passed along with ``inputs`` are checked as without
+    them and must equal the inputs' own; so must the rule's dimension.
+    """
+    if inputs is None:
+        values = [a.value if isinstance(a, _Default) else a for a in (samples, seed, box)]
+        samples, seed, box = _check_sampling(*values)
+        return _sample_inputs(_check_dim(F, dim), samples, seed, box)
+    if not isinstance(inputs, AssumptionInputs):
+        raise ValueError(f"inputs must be drawn by assumption_inputs, got {type(inputs).__name__}")
+    own = (inputs.samples, inputs.seed, inputs.box)
+    given = _check_sampling(*(o if isinstance(a, _Default) else a for a, o in zip((samples, seed, box), own)))
+    if given != own:
+        raise ValueError(f"inputs were drawn with samples, seed, box = {own}, not {given}")
+    if dim is not None and check_integer("dim", dim, low=1) != inputs.dim:
+        raise ValueError(f"inputs have dim {inputs.dim}, not dim={dim}")
+    if F.rule is not None and F.rule.dim != inputs.dim:
+        raise ValueError(f"inputs have dim {inputs.dim}, but the functional's rule has dim {F.rule.dim}")
+    return tuple(inputs)
+
+
+_SAMPLES, _SEED, _BOX = _Default(10000), _Default(0), _Default((-5.0, 5.0))
+
+
+def check_assumption_continuous(F, g, m_g, n_g, samples=_SAMPLES, seed=_SEED, box=_BOX, c_g=None, dim=None,
+                                inputs=None):
     """Sampled check of the continuous one-sided consistency inequality.
 
     Verifies ``<x - x~, g(x) - L_{x~,P}(g)> <= m_g ||x - x~||^2 + C tr(P)``
@@ -317,39 +400,43 @@ def check_assumption_continuous(F, g, m_g, n_g, samples=10000, seed=0, box=(-5.0
     ``samples`` must be an integer of at least 1, ``seed`` an integer,
     ``dim`` (if given) an integer of at least 1, and ``box`` two finite
     numbers ``(low, high)`` with ``low < high``; the triples are drawn there.
+
+    ``inputs``, a set from :func:`assumption_inputs`, replaces the draw, so
+    several checks can share one set; the report equals the self-drawing
+    call's with the set's arguments. ``samples``, ``seed``, ``box`` and
+    ``dim`` may then be left out; any that is passed, and the rule's
+    dimension, must equal the set's, or the ``ValueError`` names ``inputs``.
     """
     if not (np.isfinite(m_g) and np.isfinite(n_g) and n_g <= m_g):
         raise ValueError("need finite m_g >= n_g")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
-    samples, seed, box = _check_sampling(samples, seed, box)
-    dim = _check_dim(F, dim)
-    x, x_alt, P = _sample_inputs(dim, samples, seed, box)
+    x, x_alt, P = _check_inputs(F, samples, seed, box, dim, inputs)
     gx = np.asarray(g(x), dtype=float)
     L = eval_mean_batch(F, g, x_alt, P)
     lhs = np.einsum("bi,bi->b", x - x_alt, gx - L)
     rhs = m_g * np.sum((x - x_alt) ** 2, axis=1) + c_g * np.einsum("bii->b", P)
-    return _report(lhs, rhs, samples, c_g)
+    return _report(lhs, rhs, len(x), c_g)
 
 
-def check_assumption_discrete(F, g, jf_norm, samples=10000, seed=0, box=(-5.0, 5.0), c_g=None, dim=None):
+def check_assumption_discrete(F, g, jf_norm, samples=_SAMPLES, seed=_SEED, box=_BOX, c_g=None, dim=None,
+                              inputs=None):
     """Sampled check of the discrete squared-deviation inequality.
 
     Verifies ``||g(x) - L_{x~,P}(g)||^2 <= jf_norm^2 ||x - x~||^2 + C tr(P)``
     with ``C = 0`` for point evaluation and ``C = jf_norm`` otherwise. The
     default constant follows the stated discrete convention; pass ``c_g`` to
     test alternatives (for example ``jf_norm ** 2``). ``samples``, ``seed``,
-    ``dim`` and ``box`` are checked as in :func:`check_assumption_continuous`.
+    ``dim``, ``box`` and ``inputs`` are checked and used as in
+    :func:`check_assumption_continuous`.
     """
     if not np.isfinite(jf_norm) or jf_norm < 0:
         raise ValueError("jf_norm must be finite and nonnegative")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(jf_norm)
-    samples, seed, box = _check_sampling(samples, seed, box)
-    dim = _check_dim(F, dim)
-    x, x_alt, P = _sample_inputs(dim, samples, seed, box)
+    x, x_alt, P = _check_inputs(F, samples, seed, box, dim, inputs)
     gx = np.asarray(g(x), dtype=float)
     L = eval_mean_batch(F, g, x_alt, P)
     lhs = np.sum((gx - L) ** 2, axis=1)
     rhs = jf_norm**2 * np.sum((x - x_alt) ** 2, axis=1) + c_g * np.einsum("bii->b", P)
-    return _report(lhs, rhs, samples, c_g)
+    return _report(lhs, rhs, len(x), c_g)

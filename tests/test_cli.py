@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -417,6 +418,66 @@ class TestValidate:
             "n=1: 4.97 <= 55.4; n=2: 6.63 <= 105; n=3: 8.43 <= 156; zero-mean n=1: 3 <= 5; "
             "zero-mean n=2: 3.87 <= 10; zero-mean n=3: 4.72 <= 15")
         assert by_name["gronwall.euler_domination"].passed and by_name["gaussian.moment_bound"].passed
+
+    def test_assumption_check_details_at_seed_7(self):
+        # continuous sets are drawn at the seed and discrete ones at seed + 1
+        worst = {
+            "cont[contractive3d,ekf]": "-1.378e-02 with C_g=0",
+            "disc[contractive3d,ekf]": "-1.967e-02 with C_g=0",
+            "cont[contractive3d,ut]": "-4.717e-02 with C_g=3.91",
+            "disc[contractive3d,ut]": "-2.105e-01 with C_g=4.57",
+            "cont[contractive3d,gh3]": "-4.717e-02 with C_g=3.91",
+            "disc[contractive3d,gh3]": "-2.105e-01 with C_g=4.57",
+            "cont[integrated_velocity,ekf]": "-2.292e-04 with C_g=0",
+            "disc[integrated_velocity,ekf]": "-1.149e-04 with C_g=0",
+            "cont[integrated_velocity,ut]": "-5.704e-03 with C_g=2.059",
+            "disc[integrated_velocity,ut]": "-9.831e-03 with C_g=1.871",
+            "cont[integrated_velocity,gh3]": "-5.704e-03 with C_g=2.059",
+            "disc[integrated_velocity,gh3]": "-9.831e-03 with C_g=1.871",
+        }
+        checks = [c for c in validation_suite(seed=7) if c.name.startswith("assumption.")]
+        assert [c.name for c in checks] == [f"assumption.{key}" for key in worst]
+        assert [c.detail for c in checks] == [f"worst violation {value}" for value in worst.values()]
+        assert all(c.passed for c in checks)
+
+    def test_assumption_checks_draw_each_set_once(self, monkeypatch):
+        import kbstab.cli as cli
+        import kbstab.functionals as functionals
+
+        calls = {"draw": 0, "cont": 0, "disc": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(functionals, "_sample_inputs", counting("draw", functionals._sample_inputs))
+        monkeypatch.setattr(cli, "check_assumption_continuous", counting("cont", cli.check_assumption_continuous))
+        monkeypatch.setattr(cli, "check_assumption_discrete", counting("disc", cli.check_assumption_discrete))
+        validation_suite(samples=200)
+        assert calls == {"draw": 4, "cont": 6, "disc": 6}
+        # no set outlives its call
+        validation_suite(samples=200)
+        assert calls == {"draw": 8, "cont": 12, "disc": 12}
+
+    def test_assumption_checks_hold_one_set_at_a_time(self):
+        # peaked at 6.71 MB (numpy 2.4); the bound leaves 4% over it. Keeping
+        # both sets of a drift alive through its checks peaked at 7.91 MB
+        from kbstab.cli import _assumption_checks
+
+        _assumption_checks(7, 10)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _assumption_checks(7, 10000)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 7.0e6
 
     def test_preset_concentration_check_appended(self):
         checks = validation_suite(

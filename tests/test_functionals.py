@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kbstab import (
+    AssumptionInputs,
     Functional,
+    assumption_inputs,
     check_assumption_continuous,
     check_assumption_discrete,
     eval_mean,
@@ -21,6 +23,7 @@ from kbstab import (
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.filters import make_filter_config
 from kbstab.functionals import (
+    _sample_inputs,
     _sigma_points,
     eval_drift_batch,
     eval_mean_batch,
@@ -496,3 +499,75 @@ class TestAssumptionChecks:
             check_assumption_continuous(F, lambda x: x, -1.0, 1.0, dim=1)
         with pytest.raises(ValueError):
             check_assumption_discrete(F, lambda x: x, -0.5, dim=1)
+
+
+def mixed_field(z):
+    return -z + 0.3 * np.sin(z[..., ::-1]) + 0.1 * z**2
+
+
+CHECKS = {"cont": (check_assumption_continuous, (0.5, -1.5)), "disc": (check_assumption_discrete, (1.2,))}
+
+
+class TestSharedInputs:
+    """A set drawn by ``assumption_inputs`` stands in for a check's own draw."""
+
+    def test_set_is_the_checks_own_draw(self):
+        inputs = assumption_inputs(2, samples=50, seed=4, box=(-1, 3))
+        assert (inputs.samples, inputs.dim, inputs.seed, inputs.box) == (50, 2, 4, (-1.0, 3.0))
+        for got, want in zip(inputs, _sample_inputs(2, 50, 4, (-1.0, 3.0))):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(-2**40, 2**40), samples=st.integers(1, 300), dim=st.sampled_from([1, 2, 3]),
+           kind=st.integers(0, 3), time=st.sampled_from(["cont", "disc"]))
+    def test_report_equals_the_self_drawing_call(self, seed, samples, dim, kind, time):
+        F = all_functionals(dim)[kind]
+        check, constants = CHECKS[time]
+        own = check(F, mixed_field, *constants, samples=samples, seed=seed, dim=dim)
+        inputs = assumption_inputs(dim, samples, seed)
+        assert check(F, mixed_field, *constants, inputs=inputs) == own
+        assert check(F, mixed_field, *constants, samples=samples, seed=seed, box=(-5, 5), dim=dim,
+                     inputs=inputs) == own
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    @pytest.mark.parametrize("conflict", [
+        dict(samples=99), dict(seed=4), dict(box=(-5.0, 4.0)), dict(dim=2),
+    ])
+    def test_conflicting_argument_names_inputs(self, time, conflict):
+        check, constants = CHECKS[time]
+        inputs = assumption_inputs(3, samples=100, seed=3)
+        with pytest.raises(ValueError, match="^inputs "):
+            check(Functional("ekf"), mixed_field, *constants, inputs=inputs, **conflict)
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    def test_set_of_another_size_than_the_rule_names_inputs(self, time):
+        check, constants = CHECKS[time]
+        inputs = assumption_inputs(2, samples=100)
+        with pytest.raises(ValueError, match="^inputs have dim 2, but the functional's rule has dim 3"):
+            check(Functional("sigma", unscented_rule(3)), mixed_field, *constants, inputs=inputs)
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    def test_raw_triple_names_inputs(self, time):
+        check, constants = CHECKS[time]
+        with pytest.raises(ValueError, match="^inputs "):
+            check(Functional("ekf"), mixed_field, *constants, inputs=tuple(assumption_inputs(2, samples=10)))
+
+    @pytest.mark.parametrize("shapes", [
+        ((10, 2), (10, 2), (9, 2, 2)),
+        ((10, 2), (10, 3), (10, 2, 2)),
+        ((10,), (10,), (10,)),
+        ((0, 2), (0, 2), (0, 2, 2)),
+    ])
+    def test_mismatched_triple_names_inputs(self, shapes):
+        with pytest.raises(ValueError, match="^inputs "):
+            AssumptionInputs(*map(np.zeros, shapes), seed=0, box=(-5.0, 5.0))
+
+    def test_arguments_checked_as_by_the_checks(self):
+        with pytest.raises(ValueError, match="^samples "):
+            assumption_inputs(2, samples=0)
+        with pytest.raises(ValueError, match="^seed "):
+            assumption_inputs(2, seed=1.5)
+        with pytest.raises(ValueError, match="^box "):
+            assumption_inputs(2, box=(1, 1))
+        with pytest.raises(ValueError, match="^dim "):
+            assumption_inputs(0)
