@@ -94,8 +94,22 @@ MUTANTS = (
         name="each-check-draws-its-own-set",
         file="src/kbstab/cli.py",
         old="check(F, f, *constants, inputs=inputs)",
-        new="check(F, f, *constants, samples=samples, seed=set_seed, dim=dim)",
+        new="check(F, f, *constants, inputs=assumption_inputs(dim, samples, set_seed))",
         tests=("tests/test_cli.py::TestValidate::test_assumption_checks_draw_each_set_once",),
+    ),
+    Mutant(
+        name="certificate-kind-inverted",
+        file="src/kbstab/stability.py",
+        old='config.functional.kind == "ekf"',
+        new='config.functional.kind != "ekf"',
+        tests=("tests/test_stability.py::TestCertificateKindFromConfig::test_consistency_constant_is_zero_exactly_for_ekf",),
+    ),
+    Mutant(
+        name="inputs-rule-dimension-unchecked",
+        file="src/kbstab/functionals.py",
+        old="    if F.rule is not None and F.rule.dim != inputs.dim:",
+        new="    if False:",
+        tests=("tests/test_functionals.py::TestSharedInputs::test_set_of_another_size_than_the_rule_names_inputs",),
     ),
 )
 

@@ -3,12 +3,13 @@
 import numpy as np
 
 
-def pattern_search(objective, x0, lo, hi, steps=50, initial_step=None):
+def pattern_search(objective, x0, lo, hi):
     """Maximize ``objective`` over the box [lo, hi] by coordinate moves.
 
-    Starts from ``x0`` with a per-coordinate step that halves whenever no
-    axis move improves the value. Fully deterministic; ``objective`` must
-    accept a 1-d point and return a scalar.
+    Starts from ``x0`` with a per-coordinate step of an eighth of the box's
+    width, which halves whenever no axis move improves the value, for at
+    most 50 rounds. Fully deterministic; ``objective`` must accept a 1-d
+    point and return a scalar.
 
     Returns ``(best_value, best_point)``.
     """
@@ -16,9 +17,9 @@ def pattern_search(objective, x0, lo, hi, steps=50, initial_step=None):
     hi = np.asarray(hi, dtype=float)
     x = np.clip(np.asarray(x0, dtype=float).copy(), lo, hi)
     width = hi - lo
-    step = width / 8.0 if initial_step is None else np.asarray(initial_step, float)
+    step = width / 8.0
     best = float(objective(x))
-    for _ in range(steps):
+    for _ in range(50):
         improved = False
         for k in range(x.size):
             if width[k] == 0.0:

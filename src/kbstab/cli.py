@@ -97,7 +97,7 @@ def cmd_certify(args):
     code = 0
     for kind, config in configs.items():
         try:
-            cert = certificate_for(model, config, kind)
+            cert = certificate_for(model, config)
         except CertificateError as exc:
             which = f" for filter={kind}" if len(configs) > 1 else ""
             print(f"certificate unavailable{which}: failed hypothesis: {exc.hypothesis}")

@@ -250,32 +250,6 @@ class AssumptionCheckReport:
         return self.passed
 
 
-class _Default:
-    """A sampling argument left out: its default without ``inputs``, the inputs' own value with them."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return repr(self.value)
-
-
-def _check_sampling(samples, seed, box):
-    """``samples`` as an int of at least 1, ``seed`` as an int and ``box`` as finite floats ``low < high``.
-
-    Anything else is a ``ValueError`` naming the argument.
-    """
-    samples = check_integer("samples", samples, low=1)
-    seed = check_integer("seed", seed)
-    try:
-        lo, hi = box
-    except (TypeError, ValueError):
-        lo = hi = None
-    if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
-        raise ValueError(f"box must be two finite numbers low < high, got {box!r}")
-    return samples, seed, (float(lo), float(hi))
-
-
 def _sample_inputs(dim, samples, seed, box):
     """Deterministic (x, x_alt, P) triples spanning small and large scales."""
     gen = philox(seed, 0)
@@ -296,7 +270,7 @@ def _sample_inputs(dim, samples, seed, box):
 
 @dataclass(frozen=True, eq=False)
 class AssumptionInputs:
-    """One drawn set of ``(x, x_alt, P)`` triples, with the ``seed`` and ``box`` it was drawn with.
+    """One drawn set of ``(x, x_alt, P)`` triples; the only input the assumption checks take.
 
     It unpacks as ``x, x_alt, P``; ``samples`` and ``dim`` are its shape.
     Draw it with :func:`assumption_inputs`.
@@ -305,8 +279,6 @@ class AssumptionInputs:
     x: np.ndarray
     x_alt: np.ndarray
     P: np.ndarray
-    seed: int
-    box: tuple
 
     def __post_init__(self):
         shapes = [getattr(a, "shape", None) for a in (self.x, self.x_alt, self.P)]
@@ -328,16 +300,24 @@ class AssumptionInputs:
 
 
 def assumption_inputs(dim, samples=10000, seed=0, box=(-5.0, 5.0)):
-    """The ``(x, x_alt, P)`` triples an assumption check draws for these arguments, as :class:`AssumptionInputs`.
+    """Draw ``samples`` triples ``(x, x_alt, P)`` of size ``dim`` in ``box``, as :class:`AssumptionInputs`.
 
-    Pass them as ``inputs`` to several checks of the same ``dim`` to draw
-    the set once. ``samples``, ``seed`` and ``box`` are checked as in
-    :func:`check_assumption_continuous`, and ``dim`` must be an integer of
-    at least 1.
+    The draw is a function of the arguments alone. Pass the set as
+    ``inputs`` to every check that should see it. ``dim`` and ``samples``
+    must be integers of at least 1, ``seed`` an integer, and ``box`` two
+    finite numbers ``(low, high)`` with ``low < high``; anything else is a
+    ``ValueError`` naming the argument.
     """
-    samples, seed, box = _check_sampling(samples, seed, box)
+    samples = check_integer("samples", samples, low=1)
+    seed = check_integer("seed", seed)
+    try:
+        lo, hi = box
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
+        raise ValueError(f"box must be two finite numbers low < high, got {box!r}")
     dim = check_integer("dim", dim, low=1)
-    return AssumptionInputs(*_sample_inputs(dim, samples, seed, box), seed=seed, box=box)
+    return AssumptionInputs(*_sample_inputs(dim, samples, seed, (float(lo), float(hi))))
 
 
 def _report(lhs, rhs, samples, c_g):
@@ -353,65 +333,31 @@ def _report(lhs, rhs, samples, c_g):
     )
 
 
-def _check_dim(F, dim):
-    if dim is None:
-        if F.rule is None:
-            raise ValueError("pass dim explicitly for the point-evaluation functional")
-        return F.rule.dim
-    dim = check_integer("dim", dim, low=1)
-    if F.rule is not None and F.rule.dim != dim:
-        raise ValueError("dim disagrees with the functional's rule")
-    return dim
-
-
-def _check_inputs(F, samples, seed, box, dim, inputs):
-    """The triples of a check: drawn from the sampling arguments, or ``inputs`` where given.
-
-    Sampling arguments passed along with ``inputs`` are checked as without
-    them and must equal the inputs' own; so must the rule's dimension.
-    """
-    if inputs is None:
-        values = [a.value if isinstance(a, _Default) else a for a in (samples, seed, box)]
-        samples, seed, box = _check_sampling(*values)
-        return _sample_inputs(_check_dim(F, dim), samples, seed, box)
+def _check_inputs(F, inputs):
+    """The triples of ``inputs``, which must be an :class:`AssumptionInputs` of the rule's dimension."""
     if not isinstance(inputs, AssumptionInputs):
         raise ValueError(f"inputs must be drawn by assumption_inputs, got {type(inputs).__name__}")
-    own = (inputs.samples, inputs.seed, inputs.box)
-    given = _check_sampling(*(o if isinstance(a, _Default) else a for a, o in zip((samples, seed, box), own)))
-    if given != own:
-        raise ValueError(f"inputs were drawn with samples, seed, box = {own}, not {given}")
-    if dim is not None and check_integer("dim", dim, low=1) != inputs.dim:
-        raise ValueError(f"inputs have dim {inputs.dim}, not dim={dim}")
     if F.rule is not None and F.rule.dim != inputs.dim:
         raise ValueError(f"inputs have dim {inputs.dim}, but the functional's rule has dim {F.rule.dim}")
     return tuple(inputs)
 
 
-_SAMPLES, _SEED, _BOX = _Default(10000), _Default(0), _Default((-5.0, 5.0))
-
-
-def check_assumption_continuous(F, g, m_g, n_g, samples=_SAMPLES, seed=_SEED, box=_BOX, c_g=None, dim=None,
-                                inputs=None):
+def check_assumption_continuous(F, g, m_g, n_g, inputs, *, c_g=None):
     """Sampled check of the continuous one-sided consistency inequality.
 
     Verifies ``<x - x~, g(x) - L_{x~,P}(g)> <= m_g ||x - x~||^2 + C tr(P)``
-    on random triples, with ``C = 0`` for the point-evaluation functional and
-    ``C = m_g - n_g`` for the quadrature-based ones (override via ``c_g``).
-    ``samples`` must be an integer of at least 1, ``seed`` an integer,
-    ``dim`` (if given) an integer of at least 1, and ``box`` two finite
-    numbers ``(low, high)`` with ``low < high``; the triples are drawn there.
-
-    ``inputs``, a set from :func:`assumption_inputs`, replaces the draw, so
-    several checks can share one set; the report equals the self-drawing
-    call's with the set's arguments. ``samples``, ``seed``, ``box`` and
-    ``dim`` may then be left out; any that is passed, and the rule's
-    dimension, must equal the set's, or the ``ValueError`` names ``inputs``.
+    on the triples ``(x, x~, P)`` of ``inputs``, a set drawn by
+    :func:`assumption_inputs`, with ``C = 0`` for the point-evaluation
+    functional and ``C = m_g - n_g`` for the quadrature-based ones
+    (override via ``c_g``). Several checks may share one set. A set of
+    another type, or of another size than the functional's rule, is a
+    ``ValueError`` naming ``inputs``.
     """
     if not (np.isfinite(m_g) and np.isfinite(n_g) and n_g <= m_g):
         raise ValueError("need finite m_g >= n_g")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
-    x, x_alt, P = _check_inputs(F, samples, seed, box, dim, inputs)
+    x, x_alt, P = _check_inputs(F, inputs)
     gx = np.asarray(g(x), dtype=float)
     L = eval_mean_batch(F, g, x_alt, P)
     lhs = np.einsum("bi,bi->b", x - x_alt, gx - L)
@@ -419,22 +365,20 @@ def check_assumption_continuous(F, g, m_g, n_g, samples=_SAMPLES, seed=_SEED, bo
     return _report(lhs, rhs, len(x), c_g)
 
 
-def check_assumption_discrete(F, g, jf_norm, samples=_SAMPLES, seed=_SEED, box=_BOX, c_g=None, dim=None,
-                              inputs=None):
+def check_assumption_discrete(F, g, jf_norm, inputs, *, c_g=None):
     """Sampled check of the discrete squared-deviation inequality.
 
     Verifies ``||g(x) - L_{x~,P}(g)||^2 <= jf_norm^2 ||x - x~||^2 + C tr(P)``
     with ``C = 0`` for point evaluation and ``C = jf_norm`` otherwise. The
     default constant follows the stated discrete convention; pass ``c_g`` to
-    test alternatives (for example ``jf_norm ** 2``). ``samples``, ``seed``,
-    ``dim``, ``box`` and ``inputs`` are checked and used as in
-    :func:`check_assumption_continuous`.
+    test alternatives (for example ``jf_norm ** 2``). ``inputs`` is taken
+    and checked as in :func:`check_assumption_continuous`.
     """
     if not np.isfinite(jf_norm) or jf_norm < 0:
         raise ValueError("jf_norm must be finite and nonnegative")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(jf_norm)
-    x, x_alt, P = _check_inputs(F, samples, seed, box, dim, inputs)
+    x, x_alt, P = _check_inputs(F, inputs)
     gx = np.asarray(g(x), dtype=float)
     L = eval_mean_batch(F, g, x_alt, P)
     lhs = np.sum((gx - L) ** 2, axis=1)

@@ -154,16 +154,17 @@ class ExperimentResult:
     warnings: list
 
 
-def certificate_for(model, config, kind):
-    """The certificate of ``kind`` on ``model``, as ``certify`` prints it.
+def certificate_for(model, config):
+    """The certificate of the filter of ``config`` on ``model``, as ``certify`` prints it.
 
     Integrated-velocity models get the limiting velocity certificate, every
-    other model the contractive one. Raises :class:`CertificateError` (a
+    other model the contractive one; both read the filter from
+    ``config.functional``. Raises :class:`CertificateError` (a
     :class:`ValueError`) when the model does not meet its hypotheses.
     """
     if model.name == "integrated_velocity":
-        return integrated_velocity_certificate(model, config, kind=kind)
-    return contractive_certificate(model, config, kind)
+        return integrated_velocity_certificate(model, config)
+    return contractive_certificate(model, config)
 
 
 def claim_time(cert, t):
@@ -229,7 +230,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             certs[kind] = certificates[kind]
         elif spec.certificate == "auto":
             try:
-                certs[kind] = certificate_for(model, configs[kind], kind)
+                certs[kind] = certificate_for(model, configs[kind])
             except ValueError as exc:
                 warnings.append(f"no certificate for {kind}: {exc}")
 

@@ -97,7 +97,7 @@ def _sobol_points(dim, budget):
     return sampler.random_base2(m)
 
 
-def log_lipschitz_estimate(jac, box, budget=4096, refine_steps=50):
+def log_lipschitz_estimate(jac, box, budget=4096):
     """Estimate sup/inf of the Jacobian logarithmic norms over a box.
 
     Parameters
@@ -109,8 +109,8 @@ def log_lipschitz_estimate(jac, box, budget=4096, refine_steps=50):
         Per-coordinate interval bounds of the sampling domain.
     budget : int
         Number of low-discrepancy samples (rounded up to a power of two).
-    refine_steps : int
-        Coordinate-search iterations run from each sampled extreme.
+        Each sampled extreme is then refined by up to 50 rounds of
+        coordinate search.
 
     Returns
     -------
@@ -140,8 +140,8 @@ def log_lipschitz_estimate(jac, box, budget=4096, refine_steps=50):
     def neg_nu_at(x):
         return -log_norm_nu(jac(x[None, :])[0])
 
-    m_hat, arg_m = pattern_search(mu_at, pts[np.argmax(mu)], lo, hi, steps=refine_steps)
-    n_neg, arg_n = pattern_search(neg_nu_at, pts[np.argmin(nu)], lo, hi, steps=refine_steps)
+    m_hat, arg_m = pattern_search(mu_at, pts[np.argmax(mu)], lo, hi)
+    n_neg, arg_n = pattern_search(neg_nu_at, pts[np.argmin(nu)], lo, hi)
 
     return LogLipschitzEstimate(
         m_hat=max(m_hat, float(np.max(mu))),

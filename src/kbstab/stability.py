@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_integer, is_finite_real
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
 from .models import philox, velocity_log_lipschitz
@@ -163,8 +164,16 @@ def _resolve_drift_constants(model, m_f=None, n_f=None, box=None, budget=4096):
     return est.m_hat, est.n_hat, "empirical"
 
 
+def _kind(config):
+    """``"ekf"`` for the point-evaluation functional of ``config`` (or no config), else ``"quadrature"``.
+
+    The one place a certificate learns which filter it covers.
+    """
+    return "ekf" if config is None or config.functional.kind == "ekf" else "quadrature"
+
+
 def _consistency_tail(model, kind, lam, lambda_P, M_f, N_f):
-    """``(C_lambda, u, rho)`` of a continuous certificate with rate ``lam``.
+    """``(C_lambda, u, rho)`` of a continuous certificate with rate ``lam`` for :func:`_kind` ``kind``.
 
     The consistency constant ``C_lambda`` is zero for the point-evaluation
     filter and ``max(0, -lam - N(f) + tr(S) lambda_P)`` for the
@@ -182,16 +191,18 @@ def _consistency_tail(model, kind, lam, lambda_P, M_f, N_f):
     return C_lambda, u, rho
 
 
-def contractive_certificate(model, config, kind, m_f=None, n_f=None, box=None, budget=4096):
-    """Certificate for contractive, fully observed models.
+def contractive_certificate(model, config, *, m_f=None, n_f=None, box=None, budget=4096):
+    """Certificate for contractive, fully observed models under the filter of ``config``.
 
     Requires ``M(f) <= -l < 0`` and ``S = H^T R^-1 H = s I``. Then the bounds
     hold from ``T = 0`` with rate ``lam = l`` and trace bound
     ``lambda_P = tr(P0) + tr(Q_tuned) / (2 l)``. The consistency constant is
     zero for the point-evaluation filter and
-    ``-lam - N(f) + tr(S) lambda_P`` for the quadrature-based ones.
+    ``-lam - N(f) + tr(S) lambda_P`` for the quadrature-based ones; which
+    one applies is read from ``config.functional``.
     """
     config.check_dim(model.dim_x)
+    kind = _kind(config)
     M_f, N_f, provenance = _resolve_drift_constants(model, m_f, n_f, box, budget)
     if M_f >= 0:
         raise NotContractiveError(f"drift is not contractive: M(f) = {M_f:.6g} >= 0")
@@ -220,20 +231,26 @@ def contractive_certificate(model, config, kind, m_f=None, n_f=None, box=None, b
         e_T_sq=e_T_sq,
         provenance=provenance,
         asymptotic=False,
-        details={"kind": "ekf" if kind == "ekf" else "quadrature", "s": s, "M_f": M_f,
-                 "N_f": None if N_f is None else float(N_f)},
+        details={"kind": kind, "s": s, "M_f": M_f, "N_f": None if N_f is None else float(N_f)},
     )
 
 
+def _check_time(t):
+    if not is_finite_real(t):
+        raise ValueError(f"t must be a finite number, got {t!r}")
+
+
 def continuous_mse_bound(cert, t):
-    """Mean-square error bound at time ``t >= cert.T``."""
+    """Mean-square error bound at a finite time ``t >= cert.T``."""
+    _check_time(t)
     if t < cert.T:
         raise ValueError(f"bound only holds from the settle time T = {cert.T}")
     return cert.e_T_sq * math.exp(-2.0 * cert.lam * (t - cert.T)) + cert.u / (2.0 * cert.lam)
 
 
 def continuous_concentration_threshold(cert, t, delta):
-    """Squared-error threshold exceeded with probability at most ``exp(-delta)``."""
+    """Squared-error threshold at a finite ``t >= cert.T``, exceeded with probability ``<= exp(-delta)``."""
+    _check_time(t)
     if t < cert.T:
         raise ValueError(f"threshold only holds from the settle time T = {cert.T}")
     if delta <= 0:
@@ -317,11 +334,12 @@ def _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, g_lo):
     return 0.5 * (a + c) + math.sqrt((0.5 * (a - c)) ** 2 + b * b)
 
 
-def integrated_velocity_certificate(model, config=None, kind="ekf"):
+def integrated_velocity_certificate(model, config=None):
     """Certificate for the integrated-velocity model via element-wise bounds.
 
-    The tuned noise ``diag(q1, q2)`` and ``P0`` come from ``config``
-    (``None``: the model's ``Q`` and ``Sigma0``, as in the default config).
+    The filter, the tuned noise ``diag(q1, q2)`` and ``P0`` come from
+    ``config`` (``None``: the ``ekf`` on the model's ``Q`` and ``Sigma0``, as
+    in its default config).
 
     Derivation: the hidden-component variance satisfies a linear comparison
     inequality giving the limit ``C22 = q2 / (2 lg)``. With ``s = h^2 / r``
@@ -367,6 +385,7 @@ def integrated_velocity_certificate(model, config=None, kind="ekf"):
     s = h * h / r
     if config is not None:
         config.check_dim(model.dim_x)
+    kind = _kind(config)
     Qt = model.Q if config is None else config.Q_tuned
     P0 = model.Sigma0 if config is None else config.P0
     q1_t, q2_t = float(Qt[0, 0]), float(Qt[1, 1])
@@ -444,19 +463,22 @@ def _sample_gain_deviation(model, lambda_P_pred, samples, seed):
     return float(np.linalg.svd(M, compute_uv=False)[:, 0].max())
 
 
-def discrete_certificate(model, config, kind, lambda_P_pred, lambda_P_upd,
+def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *,
                          jf_norm=None, c_f=None, lambda_d=None, samples=512, seed=0):
-    """Certificate for the discrete predict/update filter.
+    """Certificate for the discrete predict/update filter of ``config``.
 
     The caller supplies trace bounds for the predictive and updated
     covariances (analytic where available, empirical otherwise). The gain
     deviation ``lambda_d`` defaults to ``max(1, sup ||I - K H||)`` sampled
     over the admissible covariance set, flagged empirical; a value passed
     overrides it with provenance ``user``. Fails when the contraction factor
-    ``lambda_df = ||J_f|| lambda_d`` is not below one. ``config`` must have
-    the model's size, and ``R`` must be positive definite.
+    ``lambda_df = ||J_f|| lambda_d`` is not below one. ``c_f`` defaults to
+    zero for the point-evaluation filter and to ``jf_norm`` for the
+    quadrature-based ones, read from ``config.functional``. ``config`` must
+    have the model's size, and ``R`` must be positive definite.
     """
     config.check_dim(model.dim_x)
+    kind = _kind(config)
     jf_norm = _supplied_or_known(jf_norm, model, "jf_norm", "known_jf_norm")
     if lambda_P_pred <= 0 or lambda_P_upd <= 0:
         raise ValueError("covariance trace bounds must be positive")
@@ -493,9 +515,8 @@ def discrete_certificate(model, config, kind, lambda_P_pred, lambda_P_upd,
 
 
 def discrete_mse_bound(cert, mu0, x0_hat, Sigma0, k):
-    """Mean-square error bound after ``k`` discrete steps."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    """Mean-square error bound after ``k`` discrete steps, an integer of at least 0."""
+    k = check_integer("k", k, low=0)
     gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
     init = float(gap @ gap) + float(np.trace(_check_psd("Sigma0", Sigma0)))
     per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
@@ -503,9 +524,8 @@ def discrete_mse_bound(cert, mu0, x0_hat, Sigma0, k):
 
 
 def discrete_concentration_threshold(cert, mu0, x0_hat, Sigma0, k, delta):
-    """Squared-error threshold with exceedance probability at most ``exp(-delta)``."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    """Squared-error threshold with exceedance probability at most ``exp(-delta)`` after ``k`` steps."""
+    k = check_integer("k", k, low=0)
     if delta <= 0:
         raise ValueError("delta must be positive")
     gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()

@@ -12,6 +12,7 @@ import scipy.linalg
 
 from kbstab import (
     Functional,
+    assumption_inputs,
     builtin_contractive3d,
     builtin_discrete_linear,
     builtin_integrated_velocity,
@@ -77,7 +78,7 @@ class TestCriterion2BoundDomination:
 
 class TestCriterion3VelocityCertificate:
     def test_trace_bound_value(self):
-        cert = integrated_velocity_certificate(builtin_integrated_velocity(), kind="ekf")
+        cert = integrated_velocity_certificate(builtin_integrated_velocity())
         ok = abs(cert.lambda_P - 0.173) <= 0.02
         assert verdict("3a lambda_P", ok,
                        f"lambda_P {cert.lambda_P:.4f} vs 0.173 (+-0.02), "
@@ -92,7 +93,7 @@ class TestCriterion3VelocityCertificate:
         # find nothing above -lambda, and its worst corner must reach it.
         model = builtin_integrated_velocity()
         p = model.params
-        cert = integrated_velocity_certificate(model, kind="ekf")
+        cert = integrated_velocity_certificate(model)
         a1, a2, lg, g_hi = p["a1"], p["a2"], p["lg"], p["sup_gprime"]
         s = p["h"] ** 2 / p["r"]
         c12 = cert.details["C12"]
@@ -207,9 +208,10 @@ class TestCriterion6PropertySuites:
         cases = []
         for name, model, m, n, d in [("contractive3d", c3, c3.known_M_f, c3.known_N_f, 3),
                                      ("velocity", iv, m_iv, n_iv, 2)]:
+            inputs = assumption_inputs(d, samples=10000, seed=0)
             for rule_name, rule in [("ut", unscented_rule(d)), ("gh", gauss_hermite_rule(d, 3))]:
                 F = Functional("sigma", rule)
-                rep = check_assumption_continuous(F, model.f, m, n, samples=10000, seed=0, dim=d)
+                rep = check_assumption_continuous(F, model.f, m, n, inputs)
                 cases.append((f"{name}/{rule_name}", rep.passed, rep.worst_violation))
         ok = all(p for _, p, _ in cases)
         assert verdict("6 consistency", ok,

@@ -411,7 +411,7 @@ class TestAssumptionChecks:
             return np.sin(z)
 
         F = Functional("ekf")
-        report = check_assumption_continuous(F, g, 1.0, -1.0, samples=5000, seed=0, dim=1)
+        report = check_assumption_continuous(F, g, 1.0, -1.0, assumption_inputs(1, samples=5000))
         assert report.c_g_used == 0.0
         assert report.passed
 
@@ -419,7 +419,7 @@ class TestAssumptionChecks:
         model = builtin_contractive3d()
         F = Functional("sigma", unscented_rule(3))
         report = check_assumption_continuous(
-            F, model.f, model.known_M_f, model.known_N_f, samples=10000, seed=0)
+            F, model.f, model.known_M_f, model.known_N_f, assumption_inputs(3, samples=10000))
         assert report.passed
         assert report.sample_count == 10000
 
@@ -430,10 +430,10 @@ class TestAssumptionChecks:
             return -0.4 * np.cos(5.0 * z)
 
         F = Functional("sigma", unscented_rule(1, 2.0))
-        ok = check_assumption_continuous(F, g, 2.0, -2.0, samples=10000, seed=0, box=(-2, 2))
+        inputs = assumption_inputs(1, samples=10000, box=(-2, 2))
+        ok = check_assumption_continuous(F, g, 2.0, -2.0, inputs)
         assert ok.passed
-        low = check_assumption_continuous(
-            F, g, 2.0, -2.0, samples=10000, seed=0, box=(-2, 2), c_g=4.0 / 100)
+        low = check_assumption_continuous(F, g, 2.0, -2.0, inputs, c_g=4.0 / 100)
         assert not low.passed
         assert low.worst_violation > 0
 
@@ -442,63 +442,53 @@ class TestAssumptionChecks:
             return np.tanh(z)
 
         F = Functional("ekf")
-        report = check_assumption_discrete(F, g, 1.0, samples=5000, seed=0, dim=1)
+        report = check_assumption_discrete(F, g, 1.0, assumption_inputs(1, samples=5000))
         assert report.passed and report.c_g_used == 0.0
 
     def test_discrete_ut_on_velocity_drift(self, rng):
         model = builtin_integrated_velocity()
         F = Functional("sigma", unscented_rule(2))
         jf = float(np.max(spectral_norm(model.jac_f(rng.uniform(-8, 8, size=(4096, 2))))))
-        report = check_assumption_discrete(F, model.f, jf, samples=10000, seed=1)
+        report = check_assumption_discrete(F, model.f, jf, assumption_inputs(2, samples=10000, seed=1))
         assert report.passed
 
     def test_discrete_affine_needs_no_trace_term(self, rng):
         A = np.array([[0.3, 0.1], [0.0, -0.4]])
         g = affine_field(A, rng.standard_normal(2))
         jf = float(np.linalg.norm(A, 2))
+        inputs = assumption_inputs(2, samples=2000, seed=2)
         for F in all_functionals(2):
-            report = check_assumption_discrete(F, g, jf, samples=2000, seed=2, c_g=0.0, dim=2)
+            report = check_assumption_discrete(F, g, jf, inputs, c_g=0.0)
             assert report.passed
 
     @pytest.mark.parametrize("samples", [0, -1, 2.5, True, "10"])
     def test_bad_samples_named(self, samples):
-        F = Functional("sigma", unscented_rule(1))
-        with pytest.raises(ValueError, match="samples"):
-            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=samples)
-        with pytest.raises(ValueError, match="samples"):
-            check_assumption_discrete(F, np.sin, 1.0, samples=samples)
+        with pytest.raises(ValueError, match="^samples "):
+            assumption_inputs(1, samples=samples)
 
     @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, True, "2"])
     def test_bad_dim_named(self, dim):
-        F = Functional("ekf")
         with pytest.raises(ValueError, match="^dim "):
-            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=10, dim=dim)
-        with pytest.raises(ValueError, match="^dim "):
-            check_assumption_discrete(F, np.sin, 1.0, samples=10, dim=dim)
+            assumption_inputs(dim, samples=10)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "7", None])
     def test_bad_seed_named(self, seed):
-        F = Functional("sigma", unscented_rule(1))
         with pytest.raises(ValueError, match="^seed "):
-            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=10, seed=seed)
-        with pytest.raises(ValueError, match="^seed "):
-            check_assumption_discrete(F, np.sin, 1.0, samples=10, seed=seed)
+            assumption_inputs(1, samples=10, seed=seed)
 
     @pytest.mark.parametrize("box", [(5, -5), (1.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0,), (0, 1, 2), 3,
                                      ("-5", "5"), (True, 2)])
     def test_bad_box_named(self, box):
-        F = Functional("sigma", unscented_rule(1))
-        with pytest.raises(ValueError, match="box"):
-            check_assumption_continuous(F, np.sin, 1.0, -1.0, samples=10, box=box)
-        with pytest.raises(ValueError, match="box"):
-            check_assumption_discrete(F, np.sin, 1.0, samples=10, box=box)
+        with pytest.raises(ValueError, match="^box "):
+            assumption_inputs(1, samples=10, box=box)
 
     def test_bad_constants_rejected(self):
         F = Functional("ekf")
-        with pytest.raises(ValueError):
-            check_assumption_continuous(F, lambda x: x, -1.0, 1.0, dim=1)
-        with pytest.raises(ValueError):
-            check_assumption_discrete(F, lambda x: x, -0.5, dim=1)
+        inputs = assumption_inputs(1, samples=10)
+        with pytest.raises(ValueError, match="m_g"):
+            check_assumption_continuous(F, lambda x: x, -1.0, 1.0, inputs)
+        with pytest.raises(ValueError, match="jf_norm"):
+            check_assumption_discrete(F, lambda x: x, -0.5, inputs)
 
 
 def mixed_field(z):
@@ -509,35 +499,13 @@ CHECKS = {"cont": (check_assumption_continuous, (0.5, -1.5)), "disc": (check_ass
 
 
 class TestSharedInputs:
-    """A set drawn by ``assumption_inputs`` stands in for a check's own draw."""
+    """A set drawn by ``assumption_inputs`` is the one input of the checks."""
 
     def test_set_is_the_checks_own_draw(self):
         inputs = assumption_inputs(2, samples=50, seed=4, box=(-1, 3))
-        assert (inputs.samples, inputs.dim, inputs.seed, inputs.box) == (50, 2, 4, (-1.0, 3.0))
+        assert (inputs.samples, inputs.dim) == (50, 2)
         for got, want in zip(inputs, _sample_inputs(2, 50, 4, (-1.0, 3.0))):
             assert np.array_equal(got, want)
-
-    @settings(max_examples=40)
-    @given(seed=st.integers(-2**40, 2**40), samples=st.integers(1, 300), dim=st.sampled_from([1, 2, 3]),
-           kind=st.integers(0, 3), time=st.sampled_from(["cont", "disc"]))
-    def test_report_equals_the_self_drawing_call(self, seed, samples, dim, kind, time):
-        F = all_functionals(dim)[kind]
-        check, constants = CHECKS[time]
-        own = check(F, mixed_field, *constants, samples=samples, seed=seed, dim=dim)
-        inputs = assumption_inputs(dim, samples, seed)
-        assert check(F, mixed_field, *constants, inputs=inputs) == own
-        assert check(F, mixed_field, *constants, samples=samples, seed=seed, box=(-5, 5), dim=dim,
-                     inputs=inputs) == own
-
-    @pytest.mark.parametrize("time", ["cont", "disc"])
-    @pytest.mark.parametrize("conflict", [
-        dict(samples=99), dict(seed=4), dict(box=(-5.0, 4.0)), dict(dim=2),
-    ])
-    def test_conflicting_argument_names_inputs(self, time, conflict):
-        check, constants = CHECKS[time]
-        inputs = assumption_inputs(3, samples=100, seed=3)
-        with pytest.raises(ValueError, match="^inputs "):
-            check(Functional("ekf"), mixed_field, *constants, inputs=inputs, **conflict)
 
     @pytest.mark.parametrize("time", ["cont", "disc"])
     def test_set_of_another_size_than_the_rule_names_inputs(self, time):
@@ -545,6 +513,13 @@ class TestSharedInputs:
         inputs = assumption_inputs(2, samples=100)
         with pytest.raises(ValueError, match="^inputs have dim 2, but the functional's rule has dim 3"):
             check(Functional("sigma", unscented_rule(3)), mixed_field, *constants, inputs=inputs)
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    @pytest.mark.parametrize("stale", [dict(samples=10), dict(seed=0), dict(box=(-5.0, 5.0)), dict(dim=2)])
+    def test_checks_take_no_sampling_arguments(self, time, stale):
+        check, constants = CHECKS[time]
+        with pytest.raises(TypeError, match=next(iter(stale))):
+            check(Functional("ekf"), mixed_field, *constants, **stale)
 
     @pytest.mark.parametrize("time", ["cont", "disc"])
     def test_raw_triple_names_inputs(self, time):
@@ -560,7 +535,7 @@ class TestSharedInputs:
     ])
     def test_mismatched_triple_names_inputs(self, shapes):
         with pytest.raises(ValueError, match="^inputs "):
-            AssumptionInputs(*map(np.zeros, shapes), seed=0, box=(-5.0, 5.0))
+            AssumptionInputs(*map(np.zeros, shapes))
 
     def test_arguments_checked_as_by_the_checks(self):
         with pytest.raises(ValueError, match="^samples "):

@@ -125,7 +125,7 @@ class TestValidityWindow:
     def test_settle_time_inside_run(self):
         spec = small_spec(domination_from=0.0)
         model = build_model(spec)
-        contractive = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        contractive = contractive_certificate(model, make_filter_config("ekf", model))
         cert = dataclasses.replace(contractive, T=0.5)
         result = run_experiment(spec, certificates={"ekf": cert})
         curve, times = result.bound_curve["ekf"], result.times
@@ -229,7 +229,7 @@ class TestConcentrationCheck:
                                 Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=np.zeros(1),
                                 Sigma0=0.5 * np.eye(1), name="cubic")
         config = make_filter_config("ekf", model)
-        cert = contractive_certificate(model, config, "ekf", m_f=-1.0, n_f=-1.0)
+        cert = contractive_certificate(model, config, m_f=-1.0, n_f=-1.0)
         spec = small_spec(dt=0.01, horizon=2.3, trajectories=400)
         with pytest.raises(ExperimentDivergenceError) as exc:
             run_experiment(spec, model=model, certificates={"ekf": cert})

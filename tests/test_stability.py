@@ -33,7 +33,7 @@ from kbstab import (
     required_inflation,
 )
 from kbstab.errors import IndefiniteMatrixError, NoCertificateError, NotContractiveError, NotFullyObservedError
-from kbstab.filters import FilterConfig, _kb_step_batch, run_discrete_ensemble
+from kbstab.filters import FILTER_KINDS, FilterConfig, _kb_step_batch, run_discrete_ensemble
 from kbstab.functionals import Functional
 from kbstab.harness import certificate_for
 from kbstab.models import VELOCITY_G_PRIME_MIN, simulate_discrete_paths, simulate_paths
@@ -60,7 +60,7 @@ class TestBeta:
 class TestContractiveCertificate:
     def test_benchmark_trace_bound(self):
         model = builtin_contractive3d()
-        cert = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        cert = contractive_certificate(model, make_filter_config("ekf", model))
         assert cert.lam == pytest.approx(0.5947)
         assert cert.lambda_P == pytest.approx(2.552, abs=1e-3)
         assert cert.C_lambda == 0.0
@@ -69,31 +69,31 @@ class TestContractiveCertificate:
 
     def test_benchmark_quadrature_constant(self):
         model = builtin_contractive3d()
-        cert = contractive_certificate(model, make_filter_config("ukf", model), "ukf")
+        cert = contractive_certificate(model, make_filter_config("ukf", model))
         assert cert.C_lambda == pytest.approx(4.867, abs=1e-3)
 
     def test_initial_error_level(self):
         model = builtin_contractive3d()
-        cert = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        cert = contractive_certificate(model, make_filter_config("ekf", model))
         assert cert.e_T_sq == pytest.approx(0.03)
 
     def test_not_contractive(self):
         model = builtin_integrated_velocity()
         config = make_filter_config("ekf", model)
         with pytest.raises(NotContractiveError):
-            contractive_certificate(model, config, "ekf", m_f=0.33, n_f=-1.7)
+            contractive_certificate(model, config, m_f=0.33, n_f=-1.7)
 
     def test_not_fully_observed(self):
         model = builtin_integrated_velocity()
         config = make_filter_config("ekf", model)
         with pytest.raises(NotFullyObservedError):
-            contractive_certificate(model, config, "ekf", m_f=-0.5, n_f=-1.7)
+            contractive_certificate(model, config, m_f=-0.5, n_f=-1.7)
 
     def test_empirical_provenance_from_sampling(self):
         model = builtin_contractive3d()
         stripped = builtin_contractive3d()
         stripped.known_M_f = stripped.known_N_f = None
-        cert = contractive_certificate(stripped, make_filter_config("ekf", model), "ekf",
+        cert = contractive_certificate(stripped, make_filter_config("ekf", model),
                                        box=[[-6, 6]] * 3, budget=1024)
         assert cert.provenance == "empirical"
         assert cert.lam == pytest.approx(0.5947, abs=0.02)
@@ -108,7 +108,7 @@ class TestCertificateTuningSize:
 
     def test_contractive(self):
         with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 2, not dim_x = 3"):
-            contractive_certificate(builtin_contractive3d(), self.config(2), "ekf")
+            contractive_certificate(builtin_contractive3d(), self.config(2))
 
     def test_integrated_velocity(self):
         with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
@@ -117,7 +117,49 @@ class TestCertificateTuningSize:
     def test_discrete(self):
         model = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
-            discrete_certificate(model, self.config(3), "ekf", lambda_P_pred=1.0, lambda_P_upd=1.0)
+            discrete_certificate(model, self.config(3), lambda_P_pred=1.0, lambda_P_upd=1.0)
+
+
+class TestCertificateKindFromConfig:
+    """Every builder, and ``certificate_for``, reads the filter from ``config.functional``."""
+
+    @staticmethod
+    def models():
+        disc = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        return builtin_contractive3d(), builtin_integrated_velocity(), disc
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_consistency_constant_is_zero_exactly_for_ekf(self, kind):
+        c3, iv, disc = self.models()
+        certs = [contractive_certificate(c3, make_filter_config(kind, c3)),
+                 integrated_velocity_certificate(iv, make_filter_config(kind, iv)),
+                 certificate_for(c3, make_filter_config(kind, c3)),
+                 certificate_for(iv, make_filter_config(kind, iv)),
+                 discrete_certificate(disc, make_filter_config(kind, disc), 1.0, 1.0)]
+        constants = [cert.C_lambda for cert in certs[:4]] + [certs[4].C_f]
+        if kind == "ekf":
+            assert constants == [0.0] * 5
+        else:
+            assert min(constants) > 0.0
+        assert {cert.details["kind"] for cert in certs} == {"ekf" if kind == "ekf" else "quadrature"}
+
+    def test_no_config_is_the_ekf_on_the_model_noise(self):
+        iv = builtin_integrated_velocity()
+        default = integrated_velocity_certificate(iv, make_filter_config("ekf", iv))
+        assert integrated_velocity_certificate(iv) == default
+
+    def test_kind_argument_is_a_type_error(self):
+        c3, iv, disc = self.models()
+        with pytest.raises(TypeError):
+            contractive_certificate(c3, make_filter_config("ukf", c3), "ekf")
+        with pytest.raises(TypeError):
+            contractive_certificate(c3, make_filter_config("ukf", c3), kind="nonsense")
+        with pytest.raises(TypeError):
+            integrated_velocity_certificate(iv, make_filter_config("ukf", iv), "ekf")
+        with pytest.raises(TypeError):
+            certificate_for(c3, make_filter_config("ukf", c3), "ekf")
+        with pytest.raises(TypeError):
+            discrete_certificate(disc, make_filter_config("ukf", disc), "ekf", 1.0, 1.0)
 
 
 class TestContinuousBounds:
@@ -133,14 +175,14 @@ class TestContinuousBounds:
 
     def test_benchmark_asymptotes(self):
         model = builtin_contractive3d()
-        ekf = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        ekf = contractive_certificate(model, make_filter_config("ekf", model))
         assert ekf.mse_asymptote == pytest.approx(4.577, abs=2e-3)
-        ukf = contractive_certificate(model, make_filter_config("ukf", model), "ukf")
+        ukf = contractive_certificate(model, make_filter_config("ukf", model))
         assert ukf.mse_asymptote == pytest.approx(25.45, abs=0.05)
 
     def test_monotone_nonincreasing(self):
         model = builtin_contractive3d()
-        cert = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        cert = contractive_certificate(model, make_filter_config("ekf", model))
         ts = np.linspace(0, 20, 200)
         vals = [continuous_mse_bound(cert, t) for t in ts]
         assert np.all(np.diff(vals) <= 1e-12)
@@ -149,6 +191,14 @@ class TestContinuousBounds:
         cert = self._cert(T=1.0)
         with pytest.raises(ValueError):
             continuous_mse_bound(cert, 0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, True, "1.0", None])
+    def test_time_that_is_not_finite_named(self, t):
+        cert = self._cert()
+        with pytest.raises(ValueError, match="^t must be a finite number"):
+            continuous_mse_bound(cert, t)
+        with pytest.raises(ValueError, match="^t must be a finite number"):
+            continuous_concentration_threshold(cert, t, 1.0)
 
     def test_asymptotic_has_no_transient(self):
         cert = self._cert(T=5.0, C_T=0.0, e_T_sq=0.0, asymptotic=True)
@@ -167,7 +217,7 @@ class TestContinuousBounds:
 
     def test_benchmark_threshold_value(self):
         model = builtin_contractive3d()
-        cert = contractive_certificate(model, make_filter_config("ekf", model), "ekf")
+        cert = contractive_certificate(model, make_filter_config("ekf", model))
         val = continuous_concentration_threshold(cert, 1e9, 3.0)
         assert val == pytest.approx(67.8, abs=0.2)
 
@@ -339,9 +389,9 @@ class TestIntegratedVelocityCertificate:
         # Q_tuned = 4 Q on the default model is the default config of the
         # model with q1 = q2 = 0.2, through the harness's certificate choice
         model = builtin_integrated_velocity()
-        tuned = certificate_for(model, make_filter_config("ekf", model, Q_tuned=4.0 * model.Q), "ekf")
+        tuned = certificate_for(model, make_filter_config("ekf", model, Q_tuned=4.0 * model.Q))
         ref_model = builtin_integrated_velocity(q1=0.2, q2=0.2)
-        ref = certificate_for(ref_model, make_filter_config("ekf", ref_model), "ekf")
+        ref = certificate_for(ref_model, make_filter_config("ekf", ref_model))
         assert (tuned.lam, tuned.lambda_P) == (ref.lam, ref.lambda_P)
         for key in ("C22", "C12", "lambda_12"):
             assert tuned.details[key] == ref.details[key]
@@ -349,7 +399,7 @@ class TestIntegratedVelocityCertificate:
 
     def test_certificate_fields(self):
         model = builtin_integrated_velocity()
-        cert = integrated_velocity_certificate(model, kind="ekf")
+        cert = integrated_velocity_certificate(model)
         assert cert.asymptotic
         assert cert.C_lambda == 0.0
         assert cert.details["C22"] == pytest.approx(0.0597, abs=1e-3)
@@ -452,7 +502,7 @@ class TestDiscreteCertificate:
         model = builtin_discrete_linear(0.8 * np.eye(2), Q=np.eye(2), H=np.zeros((2, 2)),
                                         R=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, "ekf", lambda_P_pred=5.0, lambda_P_upd=5.0)
+        cert = discrete_certificate(model, config, lambda_P_pred=5.0, lambda_P_upd=5.0)
         assert cert.lambda_d == pytest.approx(1.0)
         assert cert.lambda_df == pytest.approx(0.8)
         assert cert.kappa == 0.0
@@ -462,25 +512,25 @@ class TestDiscreteCertificate:
                                         R=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
         config = make_filter_config("ekf", model)
         with pytest.raises(NoCertificateError):
-            discrete_certificate(model, config, "ekf", lambda_P_pred=5.0, lambda_P_upd=5.0)
+            discrete_certificate(model, config, lambda_P_pred=5.0, lambda_P_upd=5.0)
 
     def test_singular_R_named(self):
         model = self._model(d=2, r=0.0)
         with pytest.raises(IndefiniteMatrixError, match="R must be positive definite"):
-            discrete_certificate(model, make_filter_config("ekf", model), "ekf",
+            discrete_certificate(model, make_filter_config("ekf", model),
                                  lambda_P_pred=1.0, lambda_P_upd=1.0)
 
     def test_gain_shrinks_with_measurement_noise(self):
         model = self._model(r=1e6)
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, "ekf", lambda_P_pred=2.0, lambda_P_upd=2.0)
+        cert = discrete_certificate(model, config, lambda_P_pred=2.0, lambda_P_upd=2.0)
         assert cert.kappa == pytest.approx(2.0 * 1e-6, rel=1e-9)
         assert cert.lambda_d == pytest.approx(1.0)
 
     def test_worked_scalar_case(self):
         model = self._model(a=0.5, q=1.0, h=1.0, r=1.0)
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, "ekf", lambda_P_pred=1.0, lambda_P_upd=1.0)
+        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0)
         assert cert.kappa == pytest.approx(1.0)
         assert cert.lambda_d == pytest.approx(1.0)
         assert cert.lambda_df == pytest.approx(0.5)
@@ -490,14 +540,14 @@ class TestDiscreteCertificate:
     def test_quadrature_kind_gets_lipschitz_constant(self):
         model = self._model(a=0.5)
         config = make_filter_config("ukf", model)
-        cert = discrete_certificate(model, config, "ukf", lambda_P_pred=1.0, lambda_P_upd=1.0)
+        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0)
         assert cert.C_f == pytest.approx(0.5)
         assert cert.eta == pytest.approx(1.0 * math.sqrt(0.5 * 1.0))
 
     def test_user_lambda_d_provenance(self):
         model = self._model()
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, "ekf", lambda_P_pred=1.0, lambda_P_upd=1.0,
+        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0,
                                     lambda_d=1.0)
         assert cert.provenance == "user"
 
@@ -532,6 +582,20 @@ class TestDiscreteBounds:
             envelope = cert.lambda_df ** (2 * k) * init + per_step / (1 - cert.lambda_df**2)
             assert closed == pytest.approx(envelope, rel=1e-12)
             assert e <= closed + 1e-12
+
+    @pytest.mark.parametrize("k", [2.5, True, math.nan, 1.0, "3", -1])
+    def test_step_index_that_is_not_a_nonnegative_integer_named(self, k):
+        cert = self._cert()
+        with pytest.raises(ValueError, match="^k must be"):
+            discrete_mse_bound(cert, np.zeros(1), np.zeros(1), np.eye(1), k)
+        with pytest.raises(ValueError, match="^k must be"):
+            discrete_concentration_threshold(cert, np.zeros(1), np.zeros(1), np.eye(1), k, 1.0)
+
+    def test_numpy_step_index_accepted(self):
+        cert = self._cert()
+        args = (cert, np.ones(1), np.zeros(1), np.eye(1))
+        for bound, rest in ((discrete_mse_bound, ()), (discrete_concentration_threshold, (1.0,))):
+            assert bound(*args, np.int64(3), *rest) == bound(*args, 3, *rest)
 
     def test_monotone_in_k(self):
         cert = self._cert(lambda_df=0.7, u_d=0.5)
@@ -582,7 +646,7 @@ class TestDiscreteBoundMonteCarlo:
             p_upd = r * p_pred / (p_pred + r)
             p_pred = a * a * p_upd + q
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, "ekf", lambda_P_pred=p_pred * 1.01,
+        cert = discrete_certificate(model, config, lambda_P_pred=p_pred * 1.01,
                                     lambda_P_upd=p_pred * 1.01, lambda_d=1.0)
 
         steps, n_paths = 30, 200
@@ -620,7 +684,7 @@ def discrete_run(request, discrete_ensemble_paths):
     jf = model.known_jf_norm
     lambda_P_upd = max(np.trace(model.R), np.trace(model.Sigma0))
     lambda_P_pred = jf**2 * lambda_P_upd + np.trace(model.Q)
-    cert = discrete_certificate(model, config, kind, lambda_P_pred=lambda_P_pred,
+    cert = discrete_certificate(model, config, lambda_P_pred=lambda_P_pred,
                                 lambda_P_upd=lambda_P_upd, lambda_d=1.0)
     run = run_discrete_ensemble(model, config, states, meas)
     assert np.all(run.diverged < 0)
