@@ -58,30 +58,52 @@ MUTANTS = (
     Mutant(
         name="root-transposed-in-points-gemm",
         file="src/kbstab/functionals.py",
-        old="L.reshape(B * d, d) @ rule.points.T",
-        new="np.swapaxes(L, -1, -2).reshape(B * d, d) @ rule.points.T",
+        old="rows = np.ascontiguousarray(_batch_first(L))",
+        new="rows = np.ascontiguousarray(L.transpose(2, 1, 0))",
         tests=("tests/test_functionals.py::TestSigmaPoints::test_points_are_the_state_plus_the_root_times_each_node",),
     ),
     Mutant(
-        name="closed-form-divides-by-pivot",
-        file="src/kbstab/quadrature.py",
-        old="np.multiply(s[:, 2], 1.0 / l00, out=L[:, 2])",
-        new="np.divide(s[:, 2], l00, out=L[:, 2])",
-        tests=("tests/test_quadrature.py::TestClosedFormCholesky::test_factors_equal_lapack_bit_for_bit[2]",),
+        name="jacobian-transposed-in-batch-last-JP",
+        file="src/kbstab/functionals.py",
+        old="J = np.ascontiguousarray(_batch_last(np.asarray(jac(x), dtype=float)))",
+        new="J = np.ascontiguousarray(np.asarray(jac(x), dtype=float).transpose(2, 1, 0))",
+        tests=("tests/test_filters.py::TestBatchFirstReference::test_per_path_errors_match_the_batch_first_step",
+               "tests/test_functionals.py::TestRiccatiContinuous::test_affine_gives_AP"),
     ),
     Mutant(
-        name="closed-form-zero-pivot-passes",
+        name="recurrence-divides-by-pivot",
         file="src/kbstab/quadrature.py",
-        old="failing |= pivot <= 0.0",
-        new="failing |= pivot < 0.0",
-        tests=("tests/test_quadrature.py::TestClosedFormCholesky::test_failure_set_equals_lapack[2]",),
+        old="np.multiply(col[1:], np.reciprocal(l_jj), out=L[j + 1:, j])",
+        new="np.divide(col[1:], l_jj, out=L[j + 1:, j])",
+        tests=("tests/test_quadrature.py::TestCholeskyRecurrence::test_factors_equal_lapack_bit_for_bit[2]",),
     ),
     Mutant(
-        name="closed-form-for-3x3",
+        name="recurrence-zero-pivot-passes",
         file="src/kbstab/quadrature.py",
-        old="    if d > 2:",
-        new="    if d > 3:",
-        tests=("tests/test_filters.py::TestPsdGuard::test_definite_batch_needs_no_eigendecomposition[3]",),
+        old="return L, low <= 0.0",
+        new="return L, low < 0.0",
+        tests=("tests/test_quadrature.py::TestCholeskyRecurrence::test_failure_set_equals_lapack[2]",),
+    ),
+    Mutant(
+        name="recurrence-pivot-minimum-keeps-nan",
+        file="src/kbstab/quadrature.py",
+        old="low = np.fmin(low, pivot) if j else pivot",
+        new="low = np.minimum(low, pivot) if j else pivot",
+        tests=("tests/test_quadrature.py::TestCholeskyRecurrence::test_nan_pivot_fails_only_after_a_failed_one[2]",),
+    ),
+    Mutant(
+        name="recurrence-overflow-warns",
+        file="src/kbstab/quadrature.py",
+        old='@np.errstate(over="ignore", invalid="ignore", divide="ignore")',
+        new='@np.errstate(invalid="ignore", divide="ignore")',
+        tests=("tests/test_quadrature.py::TestCholeskyRecurrence::test_overflowing_inner_product_fails_quietly",),
+    ),
+    Mutant(
+        name="recurrence-transposed-index-in-inner-product",
+        file="src/kbstab/quadrature.py",
+        old="acc += L[j:, k] * L[j, k]",
+        new="acc += L[j:, k] * L[k, j]",
+        tests=("tests/test_quadrature.py::TestCholeskyRecurrence::test_factors_within_roundoff_of_lapack[3]",),
     ),
     Mutant(
         name="discrete-set-at-the-continuous-seed",

@@ -239,6 +239,11 @@ def _assumption_checks(seed, samples):
 
 
 def _gronwall_check(seed, count=100):
+    """Euler paths of ``x' = alpha x + beta`` against their Gronwall envelope.
+
+    The envelope is built and compared 20 paths at a time, so its
+    temporaries stay a fifth of the Euler array's size.
+    """
     alpha, beta_c, x0 = philox(seed, 12).uniform([0.1, 0.0, 0.0], [3.0, 2.0, 5.0], size=(count, 3)).T
     alpha = -alpha
     dt, n = 1e-3, 2000
@@ -246,10 +251,14 @@ def _gronwall_check(seed, count=100):
     x[:, 0] = x0
     for k in range(n):
         x[:, k + 1] = x[:, k] + dt * (alpha * x[:, k] + beta_c)
-    env = gronwall_continuous(x0[:, None], alpha[:, None], beta_c[:, None], np.arange(1, n + 1) * dt)
-    gap = x[:, 1:] - env
-    return [_check("gronwall.euler_domination", np.all(gap <= 10 * dt),
-                   f"worst overshoot {gap.max():.2e}")]
+    t = np.arange(1, n + 1) * dt
+    worst = -np.inf
+    for r in range(0, count, 20):
+        blk = slice(r, r + 20)
+        env = gronwall_continuous(x0[blk, None], alpha[blk, None], beta_c[blk, None], t)
+        np.subtract(x[blk, 1:], env, out=env)
+        worst = np.maximum(worst, env.max())
+    return [_check("gronwall.euler_domination", worst <= 10 * dt, f"worst overshoot {worst:.2e}")]
 
 
 def _moment_bound_check(seed, dim=3):

@@ -18,13 +18,14 @@ the batch is wide.
 
 ``Q_tuned``, ``P0`` and ``R`` (through the model's cached ``H^T R^{-1}``)
 must pass the one covariance check as positive definite. After every step
-the covariance is symmetrized and checked with a Cholesky factorization
-(in closed form for 1x1 and 2x2 states, one batched LAPACK call from 3x3
-on); a path whose factorization fails has its eigenvalues clamped
-at zero. This guard is a floating-point safeguard the exact-arithmetic
-theory does not need; on well-posed runs it never fires. Its factor, or the
-clamp's eigen-root, is the next step's sigma-point root, so a well-posed
-step makes one Cholesky factorization and no eigendecomposition.
+the covariance is symmetrized and checked with a Cholesky factorization,
+one batch-last column recurrence for every state size; a path whose
+factorization fails has its eigenvalues clamped at zero. This guard is a
+floating-point safeguard the exact-arithmetic theory does not need; on
+well-posed runs it never fires. Its factor, or the clamp's eigen-root, is
+the next step's sigma-point root, so a well-posed step makes one Cholesky
+factorization and no eigendecomposition, and a continuous one no LAPACK
+call at all.
 
 One batched step serves both time models and one loop runs it. The
 ensemble calls :func:`run_continuous_ensemble` and
@@ -32,8 +33,11 @@ ensemble calls :func:`run_continuous_ensemble` and
 batch of one, and results do not depend on how paths are grouped. The
 loop reads paths time-major, as the simulators store them, and writes the
 squared errors time-major before handing them back as ``(paths, steps + 1)``.
-The step checks finiteness on the whole batch first and looks at single
-paths only when that check fails.
+It stores the covariances, their roots and the gains batch-last,
+``(d, d, paths)``, so the small products of a step run as vector
+operations over a contiguous batch; the states stay ``(paths, d)``, as
+fields index ``x[..., i]``. The step checks finiteness on the whole batch
+first and looks at single paths only when that check fails.
 """
 
 from dataclasses import dataclass
@@ -49,7 +53,16 @@ from .functionals import (
     eval_riccati_disc_batch,
     reference_rule,
 )
-from .quadrature import _check_psd, _psd_root, default_unscented_kappa, gauss_hermite_rule, unscented_rule
+from .quadrature import (
+    _batch_first,
+    _batch_last,
+    _check_psd,
+    _matmul_last,
+    _psd_root,
+    default_unscented_kappa,
+    gauss_hermite_rule,
+    unscented_rule,
+)
 
 FILTER_KINDS = ("ekf", "ukf", "adf", "gh")
 
@@ -111,7 +124,10 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
 
 
 def _drift(model, config, x, P, L=None):
-    """Mean and Riccati terms of one step in the model's time: ``ekf`` point terms, or one rule evaluation."""
+    """Mean and Riccati terms of one step in the model's time: ``ekf`` point terms, or one rule evaluation.
+
+    ``P``, ``L`` and the Riccati term returned are batch-last ``(d, d, B)``.
+    """
     F = config.functional
     if F.kind != "ekf":
         return eval_drift_batch(F, model.time, model.f, x, P, root=L)
@@ -134,38 +150,50 @@ def _update_batch(model, x_pred, P_pred, y):
 def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
     """One filter step over a batch, for either time model.
 
-    A continuous model takes the Euler step on the increments ``obs``; a
-    discrete model predicts and updates on the measurements ``obs`` and
-    ignores ``HtRinv`` and ``dt``; ``L`` roots the sigma points (``None``:
-    root ``P`` here). Returns ``(x_new, P_new, L_new, K, bad)`` where ``K``
-    is the gain applied and ``bad`` flags paths whose step produced
+    ``x`` is ``(B, d)``, since fields index ``x[..., i]``; ``P`` and ``L``
+    are batch-last ``(d, d, B)``. A continuous model takes the Euler step
+    on the increments ``obs``; a discrete model predicts and updates on the
+    measurements ``obs`` and ignores ``HtRinv`` and ``dt``; ``L`` roots the
+    sigma points (``None``: root ``P`` here). Returns ``(x_new, P_new,
+    L_new, K, bad)`` where ``K`` is the gain applied, batch-last
+    ``(d, dim_y, B)``, and ``bad`` flags paths whose step produced
     non-finite values; their outputs are placeholders that callers must
     discard (the PSD guard cannot digest NaNs). ``P_new`` is the symmetrized
     raw update, eigen-clamped at zero only on paths whose Cholesky
     factorization fails, and ``L_new`` the guard's root of it.
 
-    The products of ``P`` with the fixed ``HtRinv`` and ``S`` run as one
-    2-D GEMM over the ``B d`` rows of the batch: a stacked matmul pays
-    per member, and each row's result is the same either way.
+    In the continuous step every product runs over the contiguous batch
+    axis: ``P`` times the fixed ``HtRinv`` is one GEMM per row of ``P``,
+    ``S P`` one GEMM over all its columns, ``P (S P)`` (like ``J P`` in the
+    functional) one einsum, and the gain times the innovation a sum over
+    its columns in order. Each member's result is the same whatever the
+    batch holds.
     """
+    d, _, B = P.shape
     with np.errstate(over="ignore", invalid="ignore"):
         mean, lam = _drift(model, config, x, P, L)
         if model.time == "cont":
-            B, d = P.shape[:2]
-            P_rows = P.reshape(B * d, d)
-            K = (P_rows @ HtRinv).reshape(B, d, -1)
-            innov = obs - (x @ model.H.T) * dt
-            x_new = x + mean * dt + np.einsum("bij,bj->bi", K, innov)
-            PS = (P_rows @ model.S).reshape(B, d, d)
-            Pdot = lam + np.swapaxes(lam, -1, -2) + config.Q_tuned - PS @ P
-            P_raw = P + Pdot * dt
+            K = np.matmul(HtRinv.T, P)
+            innov = (obs - (x @ model.H.T) * dt).T
+            gain = K[:, 0] * innov[0]
+            for m in range(1, len(innov)):
+                gain += K[:, m] * innov[m]
+            x_new = x + mean * dt + gain.T
+            SP = (model.S @ P.reshape(d, d * B)).reshape(d, d, B)
+            P_raw = lam + lam.transpose(1, 0, 2)
+            P_raw += config.Q_tuned[:, :, None]
+            P_raw -= _matmul_last(P, SP)
+            P_raw *= dt
+            P_raw += P
         else:
-            x_new, P_raw, K = _update_batch(model, mean, lam + config.Q_tuned, obs)
+            P_pred = np.ascontiguousarray(_batch_first(lam)) + config.Q_tuned
+            x_new, P_raw, K = _update_batch(model, mean, P_pred, obs)
+            P_raw, K = _batch_last(P_raw), _batch_last(K)
     if np.isfinite(x_new).all() and np.isfinite(P_raw).all():
-        bad = np.zeros(len(x_new), dtype=bool)
+        bad = np.zeros(B, dtype=bool)
     else:
-        bad = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(P_raw).all(axis=(1, 2)))
-        P_raw = np.where(bad[:, None, None], np.eye(P.shape[-1]), P_raw)
+        bad = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(P_raw).all(axis=(0, 1)))
+        P_raw = np.where(bad, np.eye(d)[:, :, None], P_raw)
         x_new = np.where(bad[:, None], 0.0, x_new)
     P_new, L_new = _psd_root(P_raw)
     return x_new, P_new, L_new, K, bad
@@ -189,11 +217,12 @@ def _run(time, model, config, states, obs, dt, record=None):
 
     A path is also frozen when its covariance trace collapses or its true
     state turns non-finite. While every path is alive the step's outputs
-    are taken as they are, with no masked copies. ``L``, the guard's root
-    of ``P``, is carried with it. ``record(k, x, P, K)``, if given, sees
-    the raw outputs of every step. The loop runs time-major: ``states`` and
-    ``obs`` are read as ``(n+1, B, d)``, which is free for the views the
-    simulators return and one copy otherwise.
+    are taken as they are, with no masked copies. ``P`` and ``L``, the
+    guard's root of it, are stored batch-last, ``(d, d, B)``.
+    ``record(k, x, P, K)``, if given, sees the raw outputs of every step,
+    with ``P`` and ``K`` as batch-first views. The loop runs time-major:
+    ``states`` and ``obs`` are read as ``(n+1, B, d)``, which is free for
+    the views the simulators return and one copy otherwise.
     """
     if model.time != time:
         raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
@@ -207,10 +236,10 @@ def _run(time, model, config, states, obs, dt, record=None):
     obs = np.ascontiguousarray(obs.transpose(1, 0, 2))
     HtRinv = model.HtRinv if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
-    P, L = _psd_root(np.tile(config.P0, (B, 1, 1)))
+    P, L = _psd_root(np.broadcast_to(config.P0[:, :, None], (d, d, B)))
     err_sq = np.full((n_plus_1, B), np.nan)
     err_sq[0] = np.sum((states[0] - x) ** 2, axis=1)
-    trace_max = np.einsum("bii->b", P).copy()
+    trace_max = np.einsum("iib->b", P)
     truth_ok = np.isfinite(states).all(axis=2)
     alive = truth_ok[0]
     diverged = np.where(alive, -1, 0)
@@ -221,8 +250,8 @@ def _run(time, model, config, states, obs, dt, record=None):
                 break
             x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs[k], dt)
             if record is not None:
-                record(k, x_new, P_new, K)
-            tr = np.einsum("bii->b", P_new)
+                record(k, x_new, _batch_first(P_new), _batch_first(K))
+            tr = np.einsum("iib->b", P_new)
             ok = alive & ~bad & truth_ok[k] & (tr >= _DEGENERATE_TRACE)
             if ok.all():
                 x, P, L = x_new, P_new, L_new
@@ -232,8 +261,8 @@ def _run(time, model, config, states, obs, dt, record=None):
             diverged[alive & ~ok] = k
             alive = ok
             x = np.where(alive[:, None], x_new, x)
-            P = np.where(alive[:, None, None], P_new, P)
-            L = np.where(alive[:, None, None], L_new, L)
+            P = np.where(alive, P_new, P)
+            L = np.where(alive, L_new, L)
             err_sq[k, alive] = np.sum((states[k, alive] - x[alive]) ** 2, axis=1)
             trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
     return EnsembleRun(err_sq=np.ascontiguousarray(err_sq.T), trace_max=trace_max, diverged=diverged)

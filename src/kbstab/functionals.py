@@ -21,14 +21,23 @@ Jacobian average is the integral the sigma-point path already computes.
 All fields must be vectorized: ``g`` maps ``(..., d)`` to ``(..., d)`` and
 ``jac`` maps ``(..., d)`` to ``(..., d, d)``.
 
+The single-state functionals take ``P`` as ``(d, d)``, or a batch-first
+stack ``(B, d, d)``, and return batch-first. The ``*_batch`` functionals
+are the filter loop's: they take states ``(B, d)`` but covariances and
+roots batch-last, ``(d, d, B)``, as the loop stores them, and return
+their Riccati terms batch-last too.
+
 The sigma-point layer walks a batch in fixed path blocks of at most
 ``BLOCK_COORDS`` point coordinates, so its memory is bounded whatever the
 batch and rule, and a block's arrays stay cache-sized. In each block the
 points are one GEMM over the roots (see :func:`_sigma_points`). The
 reductions over the points stay per-member stacked products: each path's
 result then depends on its own values alone, never on its block or its
-batch, so every block size gives the same bits. A 2-D GEMM contracting
-over the points would give rows that depend on the batch size.
+batch, so every block size gives the same bits. A 2-D GEMM contracting over the points would
+give rows that depend on the batch size, and so would an einsum over them,
+which sums a batch of one in another order. Products of two ``d x d``
+stacks, ``J P`` and the Stein term's ``L^T``, run batch-last
+(:func:`kbstab.quadrature._matmul_last`).
 """
 
 from dataclasses import dataclass
@@ -38,7 +47,16 @@ import numpy as np
 
 from .checks import check_integer, is_finite_real
 from .models import philox
-from .quadrature import CubatureRule, _check_psd, _psd_root, check_degree_two_exactness, gauss_hermite_rule
+from .quadrature import (
+    CubatureRule,
+    _batch_first,
+    _batch_last,
+    _check_psd,
+    _matmul_last,
+    _psd_root,
+    check_degree_two_exactness,
+    gauss_hermite_rule,
+)
 
 FUNCTIONAL_KINDS = ("ekf", "sigma")
 
@@ -85,6 +103,7 @@ class Functional:
 
 
 def _as_batch(x, P):
+    """``x`` as ``(B, d)`` and ``P`` checked and viewed batch-last, with whether the input was one state."""
     x = np.asarray(x, dtype=float)
     P = np.asarray(P, dtype=float)
     single = x.ndim == 1
@@ -93,20 +112,22 @@ def _as_batch(x, P):
         P = P[None, :, :]
     if P.shape != (x.shape[0], x.shape[1], x.shape[1]):
         raise ValueError("P must have shape (d, d) matching x")
-    return x, _check_psd("P", P), single
+    return x, _batch_last(_check_psd("P", P)), single
 
 
 def _sigma_points(rule, x, L):
-    """Transformed points ``x + xi L^T`` (B, n, d) for roots ``L L^T = P``.
+    """Transformed points ``x + xi L^T`` (B, n, d) for batch-last roots ``L`` (d, d, B), ``L L^T = P``.
 
     The products ``L xi_i`` of the whole block are one 2-D GEMM over the
-    ``B d`` rows of the roots, contracting over ``d``. Its ``(B, d, n)``
-    result is handed back as a transposed view, so the points keep that
-    layout: the field's ``empty_like`` carries it into the values, and the
-    reductions over the points read each member in it.
+    ``B d`` rows of the roots, contracting over ``d``; the rows are one
+    small copy of the batch-last roots. The GEMM's ``(B, d, n)`` result is
+    handed back as a transposed view, so the points keep that layout: the
+    field's ``empty_like`` carries it into the values, and the reductions
+    over the points read each member in it.
     """
     B, d = x.shape
-    prod = (L.reshape(B * d, d) @ rule.points.T).reshape(B, d, -1)
+    rows = np.ascontiguousarray(_batch_first(L)).reshape(B * d, d)
+    prod = (rows @ rule.points.T).reshape(B, d, -1)
     return x[:, None, :] + np.swapaxes(prod, -1, -2)
 
 
@@ -118,7 +139,7 @@ def _field_at(g, pts):
 
 
 def eval_mean_batch(F, g, x, P):
-    """Batched mean functional over states ``x`` (B, d) with covariances ``P`` (B, d, d)."""
+    """Batched mean functional over states ``x`` (B, d) with batch-last covariances ``P`` (d, d, B)."""
     if F.kind == "ekf":
         return np.asarray(g(x), dtype=float)
     return _eval_sigma(F.rule, g, x, P)[0]
@@ -138,10 +159,16 @@ def eval_mean(F, g, x, P):
 
 
 def eval_riccati_cont_batch(F, g, x, P, jac=None):
+    """Batched :func:`eval_riccati_cont` over batch-last ``P`` (d, d, B), returned batch-last.
+
+    The ``ekf`` product ``J P`` is one einsum over the contiguous batch, on
+    a batch-last copy of the Jacobians.
+    """
     if F.kind == "ekf":
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
-        return np.asarray(jac(x), dtype=float) @ P
+        J = np.ascontiguousarray(_batch_last(np.asarray(jac(x), dtype=float)))
+        return _matmul_last(J, P)
     return eval_drift_batch(F, "cont", g, x, P)[1]
 
 
@@ -149,12 +176,13 @@ def eval_drift_batch(F, time, g, x, P, root=None):
     """Mean and Riccati term of a ``sigma`` functional in ``time`` from one set of sigma points.
 
     Equal to the separate batch functionals, at the cost of one root of
-    ``P`` (none if the caller passes its roots ``L L^T = P`` as ``root``)
-    and one field evaluation per path block. No Jacobian is needed, for the
-    ``adf`` reference rule either. The continuous (``"cont"``) term is the
-    Stein form ``vals^T (w xi) L^T``, the rule's ``E[J_g(X)] P``; the
-    discrete (``"disc"``) one is the symmetrized weighted covariance of the
-    propagated points. Returns ``(mean, lam)``.
+    the batch-last ``P`` (none if the caller passes its roots
+    ``L L^T = P``, batch-last too, as ``root``) and one field evaluation
+    per path block. No Jacobian is needed, for the ``adf`` reference rule
+    either. The continuous (``"cont"``) term is the Stein form
+    ``vals^T (w xi) L^T``, the rule's ``E[J_g(X)] P``; the discrete
+    (``"disc"``) one is the symmetrized weighted covariance of the
+    propagated points. Returns ``(mean, lam)``, ``lam`` batch-last.
     """
     if F.kind == "ekf":
         raise ValueError("the ekf functional has no sigma points; evaluate its mean and Riccati terms apart")
@@ -168,33 +196,36 @@ def _eval_sigma(rule, g, x, P, root=None, time=None):
 
     The batch is walked in blocks of at most ``BLOCK_COORDS`` point
     coordinates (``block n d``), at least one path each, whose results are
-    written into the preallocated outputs. ``root`` defaults to the guard's
-    root of ``P``. Returns ``(mean, lam)``, ``lam`` ``None`` without ``time``.
+    written into the preallocated outputs. ``P``, ``root`` (by default
+    the guard's root of ``P``) and ``lam`` are batch-last ``(d, d, B)``; the
+    Stein term's final product with ``L^T`` runs batch-last. Returns
+    ``(mean, lam)``, ``lam`` ``None`` without ``time``.
     """
     if x.ndim != 2:
         raise ValueError(f"x must be a (paths, dim) batch, got shape {x.shape}")
     B, d = x.shape
     if d != rule.dim:
         raise ValueError(f"x has size {d}, but the rule's points have dim {rule.dim}")
-    if P.shape != (B, d, d):
-        raise ValueError(f"P must have shape {(B, d, d)} to match x, got {P.shape}")
+    if P.shape != (d, d, B):
+        raise ValueError(f"P must be batch-last with shape {(d, d, B)} to match x, got {P.shape}")
     L = _psd_root(P)[1] if root is None else root
     if L.shape != P.shape:
         raise ValueError(f"root must have P's shape {P.shape}, got {L.shape}")
     w = rule.weights
     step = max(1, BLOCK_COORDS // (rule.size * d))
     mean = np.empty((B, d))
-    lam = None if time is None else np.empty((B, d, d))
+    lam = None if time is None else np.empty((d, d, B))
     for start in range(0, B, step):
         blk = slice(start, start + step)
-        vals = _field_at(g, _sigma_points(rule, x[blk], L[blk]))
+        vals = _field_at(g, _sigma_points(rule, x[blk], L[..., blk]))
         mean[blk] = block_mean = w @ vals
         if time == "cont":
-            lam[blk] = np.swapaxes(vals, -1, -2) @ (w[:, None] * rule.points) @ np.swapaxes(L[blk], -1, -2)
+            stein = np.swapaxes(vals, -1, -2) @ (w[:, None] * rule.points)
+            lam[..., blk] = _matmul_last(_batch_last(stein), L[..., blk].transpose(1, 0, 2))
         elif time == "disc":
             dev = vals - block_mean[:, None, :]
             cov = (np.swapaxes(dev, -1, -2) * w) @ dev
-            lam[blk] = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+            lam[..., blk] = _batch_last(0.5 * (cov + np.swapaxes(cov, -1, -2)))
     return mean, lam
 
 
@@ -209,17 +240,21 @@ def eval_riccati_cont(F, g, x, P, jac=None):
     points. Both coincide with ``A P`` for affine ``g(z) = A z + b``.
     """
     x, P, single = _as_batch(x, P)
-    out = eval_riccati_cont_batch(F, g, x, P, jac=jac)
+    out = _batch_first(eval_riccati_cont_batch(F, g, x, P, jac=jac))
     return out[0] if single else out
 
 
 def eval_riccati_disc_batch(F, g, x, P, jac=None):
+    """Batched :func:`eval_riccati_disc` over batch-last ``P`` (d, d, B), returned batch-last.
+
+    The ``ekf`` products stay stacked matmuls, on one batch-first copy of ``P``.
+    """
     if F.kind == "ekf":
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
         J = np.asarray(jac(x), dtype=float)
-        JPJt = J @ P @ np.swapaxes(J, -1, -2)
-        return 0.5 * (JPJt + np.swapaxes(JPJt, -1, -2))
+        JPJt = J @ np.ascontiguousarray(_batch_first(P)) @ np.swapaxes(J, -1, -2)
+        return _batch_last(0.5 * (JPJt + np.swapaxes(JPJt, -1, -2)))
     return eval_drift_batch(F, "disc", g, x, P)[1]
 
 
@@ -232,7 +267,7 @@ def eval_riccati_disc(F, g, x, P, jac=None):
     (a congruence of ``P``, or positive weights), so it is not clamped.
     """
     x, P, single = _as_batch(x, P)
-    out = eval_riccati_disc_batch(F, g, x, P, jac=jac)
+    out = _batch_first(eval_riccati_disc_batch(F, g, x, P, jac=jac))
     return out[0] if single else out
 
 
@@ -359,7 +394,7 @@ def check_assumption_continuous(F, g, m_g, n_g, inputs, *, c_g=None):
         c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
     x, x_alt, P = _check_inputs(F, inputs)
     gx = np.asarray(g(x), dtype=float)
-    L = eval_mean_batch(F, g, x_alt, P)
+    L = eval_mean_batch(F, g, x_alt, _batch_last(P))
     lhs = np.einsum("bi,bi->b", x - x_alt, gx - L)
     rhs = m_g * np.sum((x - x_alt) ** 2, axis=1) + c_g * np.einsum("bii->b", P)
     return _report(lhs, rhs, len(x), c_g)
@@ -380,7 +415,7 @@ def check_assumption_discrete(F, g, jf_norm, inputs, *, c_g=None):
         c_g = 0.0 if F.kind == "ekf" else float(jf_norm)
     x, x_alt, P = _check_inputs(F, inputs)
     gx = np.asarray(g(x), dtype=float)
-    L = eval_mean_batch(F, g, x_alt, P)
+    L = eval_mean_batch(F, g, x_alt, _batch_last(P))
     lhs = np.sum((gx - L) ** 2, axis=1)
     rhs = jf_norm**2 * np.sum((x - x_alt) ** 2, axis=1) + c_g * np.einsum("bii->b", P)
     return _report(lhs, rhs, len(x), c_g)

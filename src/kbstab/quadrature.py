@@ -7,6 +7,10 @@ property the filter stability theory relies on, for ``N(x, P)`` at the
 points ``x + L xi`` with any root ``L L^T = P`` (:func:`_psd_root`, the filter
 step's guard, which repairs its state). :func:`_check_psd` judges, and rejects,
 every covariance argument the library takes.
+
+The filter loop stores its covariance stacks batch-last, ``(d, d, B)``: the
+guard takes and returns them so, and the helpers beside it turn a stack's
+view between the two layouts and multiply two batch-last stacks.
 """
 
 import itertools
@@ -108,61 +112,84 @@ def _clamp_psd(M):
     return 0.5 * (out + np.swapaxes(out, -1, -2)), vecs * np.sqrt(vals)[..., None, :]
 
 
-def _cholesky(sym):
-    """Lower Cholesky factors of a symmetric stack ``(B, d, d)`` and the mask of members that fail.
+def _batch_last(A):
+    """The ``(d, e, B)`` view of a batch-first stack ``(B, d, e)``."""
+    return A.transpose(1, 2, 0)
 
-    A 1x1 or 2x2 stack is factored in closed form by the column recurrence of
-    LAPACK's unblocked ``potf2`` as OpenBLAS runs it: ``l00 = sqrt(s00)``, the
-    column scaled by the pivot's reciprocal, ``l10 = s10 * (1 / l00)``, then
-    ``l11 = sqrt(s11 - l10 l10)``. Cholesky rounds entry by entry, so the same
-    operations in the same order give ``np.linalg.cholesky``'s bits, and a
-    member fails where a pivot is ``<= 0``, where ``potf2`` stops (a NaN pivot
-    does not fail there either). Larger stacks stay on ``np.linalg.cholesky``:
-    from ``d = 3`` on, OpenBLAS fuses the multiply-adds of its dot kernel,
-    which numpy cannot reproduce, and a vectorized loop over ``d`` costs more
-    than LAPACK on narrow batches. Members of a stack that LAPACK rejects are
-    factored one by one. Failing members' factors are undefined.
+
+def _batch_first(A):
+    """The ``(B, d, e)`` view of a batch-last stack ``(d, e, B)``."""
+    return A.transpose(2, 0, 1)
+
+
+def _matmul_last(A, C):
+    """The products ``A_b C_b`` of two batch-last stacks ``(d, k, B)`` and ``(k, e, B)``, batch-last.
+
+    Both operands are made contiguous first. The einsum then runs its inner
+    loop over the batch and sums over ``k`` in order, so a member's product
+    has the same bits whatever batch it is in. A transposed operand would
+    break that: ``A_b C_b^T`` written as ``ikb,jkb`` sums a batch of one in
+    another order.
     """
-    B, d = sym.shape[:2]
-    if d > 2:
-        try:
-            return np.linalg.cholesky(sym), np.zeros(B, dtype=bool)
-        except np.linalg.LinAlgError:
-            L, failing = np.empty_like(sym), np.zeros(B, dtype=bool)
-        for b, M in enumerate(sym):
-            try:
-                L[b] = np.linalg.cholesky(M)
-            except np.linalg.LinAlgError:
-                failing[b] = True
-        return L, failing
-    s = sym.reshape(B, d * d)
-    L = np.zeros((B, d * d))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l00 = np.sqrt(s[:, 0], out=L[:, 0])
-        failing = s[:, 0] <= 0.0
-        if d == 2:
-            l10 = np.multiply(s[:, 2], 1.0 / l00, out=L[:, 2])
-            pivot = s[:, 3] - l10 * l10
-            np.sqrt(pivot, out=L[:, 3])
-            failing |= pivot <= 0.0
-    return L.reshape(B, d, d), failing
+    return np.einsum("ikb,kjb->ijb", np.ascontiguousarray(A), np.ascontiguousarray(C))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _cholesky(sym):
+    """Lower Cholesky factors of a batch-last symmetric stack ``(d, d, B)`` and the mask of members that fail.
+
+    One column recurrence serves every ``d``: LAPACK's unblocked ``potf2``
+    as OpenBLAS runs it, each step a few vector operations over the
+    contiguous batch. Column ``j`` takes ``s[j:, j] - sum_k l[j:, k] l[j, k]``
+    (``k < j``, summed in order), its pivot's square root as ``l[j, j]``,
+    and the entries below scaled by the pivot's reciprocal,
+    ``l[i, j] = c[i] * (1 / l[j, j])`` (``np.reciprocal``, which rounds as
+    the division does). Only the lower triangle is read. At
+    ``d <= 2`` no inner product has more than one term, so the factors are
+    ``np.linalg.cholesky``'s bit for bit; from ``d = 3`` on, OpenBLAS fuses
+    the multiply-adds of its kernels and the two differ by rounding. A
+    member fails where a pivot is ``<= 0``, where ``potf2`` stops (a NaN
+    pivot does not fail there either, and every later pivot is NaN): the
+    test is made once, on the running ``fmin`` of the pivots, which skips
+    NaNs. An inner product that overflows gives a pivot of ``-inf``, which
+    fails as in LAPACK, with no warning. Failing members' factors are
+    undefined. Each member's factor depends on its own matrix alone.
+    """
+    d, _, B = sym.shape
+    L = np.zeros((d, d, B))
+    for j in range(d):
+        col = sym[j:, j]
+        if j:
+            acc = L[j:, 0] * L[j, 0]
+            for k in range(1, j):
+                acc += L[j:, k] * L[j, k]
+            col = np.subtract(col, acc, out=acc)
+        pivot, l_jj = col[0], L[j, j]
+        low = np.fmin(low, pivot) if j else pivot
+        np.sqrt(pivot, out=l_jj)
+        if j + 1 < d:
+            np.multiply(col[1:], np.reciprocal(l_jj), out=L[j + 1:, j])
+    return L, low <= 0.0
 
 
 def _psd_root(P):
-    """Symmetrize a stack of matrices and return it with a root ``L L^T = P`` of each member.
+    """Symmetrize a batch-last stack ``(d, d, B)`` and return it with a root ``L L^T = P`` of each member.
 
-    ``L`` is the Cholesky factor of :func:`_cholesky`: closed-form for 1x1
-    and 2x2 members, equal to LAPACK's bit for bit, and LAPACK's own from
-    3x3 on, where OpenBLAS's fused multiply-adds cannot be reproduced in
-    numpy. Matrices whose factorization fails are eigen-clamped by
-    :func:`_clamp_psd`, which gives their root.
+    Both outputs are new C-contiguous ``(d, d, B)`` arrays; ``P`` may be a
+    strided view, such as :func:`_batch_last` of a batch-first stack, and
+    is read once, straight into the symmetrized output. ``L`` is
+    the Cholesky factor of :func:`_cholesky`. Matrices whose factorization
+    fails are eigen-clamped by :func:`_clamp_psd`, which gives their root.
     Whether a member is clamped depends on its own matrix alone, never on
     its batch.
     """
-    sym = 0.5 * (P + np.swapaxes(P, -1, -2))
+    sym = np.add(P, P.transpose(1, 0, 2), out=np.empty(P.shape))
+    sym *= 0.5
     L, failing = _cholesky(sym)
     if failing.any():
-        sym[failing], L[failing] = _clamp_psd(sym[failing])
+        clamped, root = _clamp_psd(_batch_first(sym[..., failing]))
+        sym[..., failing] = _batch_last(clamped)
+        L[..., failing] = _batch_last(root)
     return sym, L
 
 

@@ -36,10 +36,11 @@ def one_path(model, dt, horizon, seed):
 
 
 def kb_step(model, config, x, P, dY, dt):
-    """One continuous step of a single state through the batched step."""
-    x_new, P_new, _, _, bad = _kb_step_batch(model, config, model.HtRinv, x[None], P[None], None, dY[None], dt)
+    """One continuous step of a single state through the batched step, whose covariances are batch-last."""
+    x_new, P_new, _, _, bad = _kb_step_batch(model, config, model.HtRinv, x[None], P[:, :, None], None, dY[None],
+                                             dt)
     assert not bad[0]
-    return x_new[0], P_new[0]
+    return x_new[0], P_new[..., 0]
 
 
 class TestKalmanBucyStep:
@@ -164,15 +165,35 @@ def counting(fn, counter, key):
     return wrapped
 
 
+def psd_root_first(P):
+    """The guard on a batch-first stack, its outputs moved back to batch-first."""
+    out, L = _psd_root(np.moveaxis(P, 0, -1))
+    return np.moveaxis(out, -1, 0), np.moveaxis(L, -1, 0)
+
+
+def assert_lapack_factor(L, sym):
+    """``L`` is LAPACK's Cholesky factor of the stack ``sym``.
+
+    Bit for bit up to 2x2, and from 3x3 on within 1e-15 of each member's
+    largest entry, where the recurrence rounds differently from OpenBLAS.
+    """
+    ref = np.linalg.cholesky(sym)
+    if sym.shape[-1] <= 2:
+        assert np.array_equal(L, ref)
+    else:
+        gap = np.abs(L - ref).max(axis=(-2, -1))
+        assert np.all(gap <= 1e-15 * np.abs(ref).max(axis=(-2, -1)))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 class TestPsdGuard:
-    """The guard on both factorization paths: closed form for 2x2, LAPACK for 3x3."""
+    """The guard's one batch-last recurrence: 2x2, where it is LAPACK's bit for bit, and 3x3, where it rounds apart."""
 
     def test_clamps_failing_members_only(self, d, rng, monkeypatch):
         P_raw = mixed_psd_batch(rng, d)
         calls = {"eigh": 0}
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
-        out, L = _psd_root(P_raw)
+        out, L = psd_root_first(P_raw)
         assert calls["eigh"] == 1
         # a matrix rebuilt from clipped eigenpairs is PSD up to a few ulps
         for M in out[:2]:
@@ -184,18 +205,18 @@ class TestPsdGuard:
             assert np.array_equal(L[b], root)
         definite = P_raw[2]
         assert np.array_equal(out[2], 0.5 * (definite + definite.T))
-        assert np.array_equal(L[2], np.linalg.cholesky(out[2]))
+        assert_lapack_factor(L[2], out[2])
         # every member's root reproduces the returned matrix
         assert np.abs(L @ np.swapaxes(L, 1, 2) - out).max() <= 1e-12 * np.abs(out).max()
 
     def test_member_output_independent_of_batch(self, d, rng):
         P_raw = mixed_psd_batch(rng, d)
-        out, L = _psd_root(P_raw)
+        out, L = psd_root_first(P_raw)
         for b in range(3):
-            alone, root = _psd_root(P_raw[b:b + 1])
+            alone, root = psd_root_first(P_raw[b:b + 1])
             assert np.array_equal(out[b], alone[0])
             assert np.array_equal(L[b], root[0])
-        rev, rev_L = _psd_root(P_raw[::-1])
+        rev, rev_L = psd_root_first(P_raw[::-1])
         assert np.array_equal(out[::-1], rev)
         assert np.array_equal(L[::-1], rev_L)
 
@@ -204,10 +225,10 @@ class TestPsdGuard:
         monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh, calls, "eigh"))
         G = rng.standard_normal((50, d, d))
         P_raw = G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(d)
-        out, L = _psd_root(P_raw)
+        out, L = psd_root_first(P_raw)
         assert calls["eigh"] == 0
         assert np.array_equal(out, 0.5 * (P_raw + np.swapaxes(P_raw, 1, 2)))
-        assert np.array_equal(L, np.linalg.cholesky(out))
+        assert_lapack_factor(L, out)
 
 
 def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7):
@@ -276,6 +297,59 @@ class TestGrouping:
             err_sq = np.sum((states[p] - x[:, 0]) ** 2, axis=1)
             assert np.array_equal(whole.err_sq[p], err_sq)
             assert whole.trace_max[p] == np.trace(P[:, 0], axis1=1, axis2=2).max()
+
+
+def batch_first_reference(model, config, states, incr, dt):
+    """Per-path squared errors of the continuous filter, stepped batch-first with stacked matmul and LAPACK.
+
+    ``(B, d, d)`` stacks; ``J P``, ``P S P`` and the Stein term ``vals^T (w
+    xi) L^T`` as stacked matmuls; ``np.linalg.cholesky`` for the sigma-point
+    root. It has no clamp, so it serves well-posed runs only.
+    """
+    B, n_plus_1, d = states.shape
+    F, H = config.functional, model.H
+    x = np.tile(config.x0_hat, (B, 1))
+    P = np.tile(config.P0, (B, 1, 1))
+    err_sq = np.empty((B, n_plus_1))
+    err_sq[:, 0] = np.sum((states[:, 0] - x) ** 2, axis=1)
+    for k in range(1, n_plus_1):
+        if F.kind == "ekf":
+            mean, lam = model.f(x), model.jac_f(x) @ P
+        else:
+            w, xi = F.rule.weights, F.rule.points
+            Lt = np.swapaxes(np.linalg.cholesky(P), 1, 2)
+            vals = model.f(x[:, None, :] + xi @ Lt)
+            mean, lam = w @ vals, np.swapaxes(vals, 1, 2) @ (w[:, None] * xi) @ Lt
+        K = P @ model.HtRinv
+        x = x + mean * dt + np.einsum("bij,bj->bi", K, incr[:, k] - (x @ H.T) * dt)
+        P = P + (lam + np.swapaxes(lam, 1, 2) + config.Q_tuned - P @ model.S @ P) * dt
+        P = 0.5 * (P + np.swapaxes(P, 1, 2))
+        err_sq[:, k] = np.sum((states[:, k] - x) ** 2, axis=1)
+    return err_sq
+
+
+class TestBatchFirstReference:
+    """The batch-last step against a batch-first reference on the benchmark's three ensemble shapes, cut down.
+
+    The two differ only in the rounding of the products and of the 3x3
+    factor, so every path's squared error stays within 1e-12 of the
+    reference, relative.
+    """
+
+    @pytest.mark.parametrize("build, kind, n_paths, steps", [
+        (builtin_contractive3d, "ekf", 60, 150), (builtin_contractive3d, "ukf", 60, 150),
+        (builtin_integrated_velocity, "ekf", 60, 150),
+        (builtin_contractive3d, "gh", 6, 40), (builtin_contractive3d, "adf", 6, 40),
+    ], ids=["fig1-ekf", "fig1-ukf", "fig2-ekf", "quad_narrow-gh", "quad_narrow-adf"])
+    def test_per_path_errors_match_the_batch_first_step(self, build, kind, n_paths, steps):
+        model = build()
+        _, states, incr, diverged = simulate_paths(model, 0.01, steps * 0.01, 7, n_paths)
+        assert np.all(diverged < 0)
+        config = make_filter_config(kind, model)
+        run = run_continuous_ensemble(model, config, states, incr, 0.01)
+        ref = batch_first_reference(model, config, states, incr, 0.01)
+        assert np.all(run.diverged < 0)
+        assert np.all(np.abs(run.err_sq - ref) <= 1e-12 * np.abs(ref))
 
 
 def run_37_paths(kind, time, discrete_sine):
@@ -392,8 +466,7 @@ class TestStepCost:
     A run makes one factorization of the guard more than it has steps: the
     initial factor of ``P0``. ``factor`` counts the guard's factorizations
     (``quadrature._cholesky``) and ``lapack`` the ``np.linalg.cholesky``
-    calls: one per factorization for the 3-d model, none for the 2-d one,
-    whose covariances are factored in closed form.
+    calls: none at any size, as the guard's recurrence runs in numpy.
     """
 
     def count_calls(self, model, monkeypatch):
@@ -415,7 +488,8 @@ class TestStepCost:
 
     def test_ekf_step_makes_no_eigendecomposition(self, monkeypatch):
         calls, steps = self.run_counted("ekf", monkeypatch)
-        assert calls["factor"] == calls["lapack"] == steps + 1
+        assert calls["factor"] == steps + 1
+        assert calls["lapack"] == 0
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == steps
@@ -423,7 +497,8 @@ class TestStepCost:
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch):
         calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
-        assert calls["factor"] == calls["lapack"] == steps + 1
+        assert calls["factor"] == steps + 1
+        assert calls["lapack"] == 0
         assert calls["eigh"] == 0
         assert calls["field"] == steps
         assert calls["jac"] == 0
@@ -436,16 +511,16 @@ class TestStepCost:
         config = make_filter_config(kind, model)
         HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.zeros((3, 3))
-        P = np.tile(0.1 * np.eye(3), (3, 1, 1))
-        P[1] = np.diag([2000.0, 1.0, 1.0])
-        L = np.linalg.cholesky(P)
+        P = np.tile(0.1 * np.eye(3)[:, :, None], (1, 1, 3))
+        P[..., 1] = np.diag([2000.0, 1.0, 1.0])
+        L = np.sqrt(P)  # P is diagonal
         obs = np.zeros((3, 3))
         calls = self.count_calls(model, monkeypatch)
         x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
         assert not bad.any()
         assert calls["eigh"] == 1
-        assert np.linalg.eigvalsh(P[1])[0] <= 1e-12
-        assert np.abs(L @ np.swapaxes(L, 1, 2) - P).max() <= 1e-12
+        assert np.linalg.eigvalsh(P[..., 1])[0] <= 1e-12
+        assert np.abs(np.einsum("ikb,jkb->ijb", L, L) - P).max() <= 1e-12
         factored = calls["factor"]
         x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
         assert not bad.any()
@@ -464,7 +539,7 @@ class TestStepCost:
         monkeypatch.setattr(functionals, "BLOCK_COORDS", bound)
         x = rng.uniform(-1.0, 1.0, (37, model.dim_x))
         G = rng.standard_normal((37, model.dim_x, model.dim_x))
-        P, L = _psd_root(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(model.dim_x))
+        P, L = _psd_root(np.moveaxis(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(model.dim_x), 0, -1))
         seen, field = [], model.f
 
         def recording(pts):
@@ -578,9 +653,9 @@ class TestSingularMeasurementNoise:
 
 
 def predict(model, config, x, P):
-    """Discrete prediction ``(L(f), Lam(f) + Q_tuned)`` of a single state."""
-    mean, lam = _drift(model, config, x[None], P[None])
-    return mean[0], lam[0] + config.Q_tuned
+    """Discrete prediction ``(L(f), Lam(f) + Q_tuned)`` of a single state (``_drift`` is batch-last in ``P``)."""
+    mean, lam = _drift(model, config, x[None], P[:, :, None])
+    return mean[0], lam[..., 0] + config.Q_tuned
 
 
 def update(model, x_pred, P_pred, y):

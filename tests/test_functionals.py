@@ -91,7 +91,7 @@ class TestEvalMean:
         # shared sigma-point evaluation equals the separate evaluators bit for bit
         A, b, x, P = case
         g = affine_field(A, b)
-        xb, Pb = x[None], P[None]
+        xb, Pb = x[None], P[:, :, None]
         for F in all_functionals(len(x)):
             assert np.abs(eval_mean(F, g, x, P) - (A @ x + b)).max() <= 1e-9
             for time, riccati in (("cont", eval_riccati_cont_batch), ("disc", eval_riccati_disc_batch)):
@@ -230,7 +230,7 @@ class TestRiccatiContinuous:
         x = rng.uniform(-1, 1, (1000, 3))
         G = 0.5 * rng.standard_normal((1000, 3, 3))
         P = G @ np.swapaxes(G, 1, 2) + 0.05 * np.eye(3)
-        stein = eval_riccati_cont_batch(sig, model.f, x, P)
+        stein = np.moveaxis(eval_riccati_cont_batch(sig, model.f, x, np.moveaxis(P, 0, -1)), -1, 0)
         gaps = [np.abs(stein[i] - jacobian_average(model.jac_f, oracle_rule, x[i], P[i])).max()
                 for i in range(len(x))]
         assert np.median(gaps) <= 0.08
@@ -269,7 +269,7 @@ def reference_drift(F, g, x, P):
     w, xi = F.rule.weights, F.rule.points
     means, lams = [], []
     for xb, Pb in zip(x, P):
-        root = _psd_root(Pb[None])[1][0]
+        root = _psd_root(Pb[:, :, None])[1][..., 0]
         assert np.abs(root @ root.T - Pb).max() <= 1e-12 * np.abs(Pb).max()
         mean, cross = np.zeros(len(xb)), np.zeros_like(Pb)
         for wi, xii in zip(w, xi):
@@ -288,11 +288,13 @@ class TestSharedDriftEvaluation:
         F = make_filter_config(kind, model).functional
         x = rng.uniform(-2.0, 2.0, (12, 3))
         P = random_psd_batch(rng, 12, 3)
-        mean, lam = eval_drift_batch(F, "cont", model.f, x, P)
-        held = eval_drift_batch(F, "cont", model.f, x, P, root=_psd_root(P)[1])
+        P_last = np.moveaxis(P, 0, -1)
+        mean, lam = eval_drift_batch(F, "cont", model.f, x, P_last)
+        held = eval_drift_batch(F, "cont", model.f, x, P_last, root=_psd_root(P_last)[1])
         assert np.array_equal(mean, held[0]) and np.array_equal(lam, held[1])
-        assert np.abs(mean - eval_mean_batch(F, model.f, x, P)).max() <= 1e-12
-        assert np.abs(lam - eval_riccati_cont_batch(F, model.f, x, P)).max() <= 1e-12
+        assert np.abs(mean - eval_mean_batch(F, model.f, x, P_last)).max() <= 1e-12
+        assert np.abs(lam - eval_riccati_cont_batch(F, model.f, x, P_last)).max() <= 1e-12
+        lam = np.moveaxis(lam, -1, 0)
         ref_mean, ref_lam = reference_drift(F, model.f, x, P)
         assert np.abs(mean - ref_mean).max() <= 1e-12
         assert np.abs(lam - ref_lam).max() <= 1e-12
@@ -301,7 +303,7 @@ class TestSharedDriftEvaluation:
         # the ekf functional has no sigma points to share
         model = builtin_contractive3d()
         F = make_filter_config("ekf", model).functional
-        x, P = np.zeros((1, 3)), np.eye(3)[None]
+        x, P = np.zeros((1, 3)), np.eye(3)[:, :, None]
         for time in ("cont", "disc"):
             with pytest.raises(ValueError):
                 eval_drift_batch(F, time, model.f, x, P)
@@ -316,7 +318,7 @@ class TestSigmaPoints:
         x = rng.uniform(-2.0, 2.0, (12, 3))
         G = rng.standard_normal((12, 3, 3))
         L = np.linalg.cholesky(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(3))
-        pts = _sigma_points(rule, x, L)
+        pts = _sigma_points(rule, x, np.moveaxis(L, 0, -1))
         expected = x[:, None, :] + np.einsum("bjk,ik->bij", L, rule.points)
         assert pts.shape == (12, rule.size, 3)
         assert np.abs(pts - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -335,7 +337,7 @@ class TestSigmaPoints:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            eval_mean_batch(F, model.f, x, P)
+            eval_mean_batch(F, model.f, x, np.moveaxis(P, 0, -1))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not tracing:
@@ -348,17 +350,17 @@ class TestSigmaArguments:
 
     def test_root_of_the_wrong_shape_named(self):
         F = Functional("sigma", unscented_rule(3))
-        x, P = np.zeros((2, 3)), np.tile(np.eye(3), (2, 1, 1))
-        for root in (np.eye(3), np.tile(np.eye(3), (3, 1, 1))):
+        x, P = np.zeros((2, 3)), np.tile(np.eye(3)[:, :, None], (1, 1, 2))
+        for root in (np.eye(3), np.tile(np.eye(3)[:, :, None], (1, 1, 3))):
             for time in ("cont", "disc"):
                 with pytest.raises(ValueError, match="root"):
                     eval_drift_batch(F, time, lambda z: z, x, P, root=root)
 
     @pytest.mark.parametrize("evaluate, x, P", [
         (eval_mean, np.zeros(2), np.eye(2)),
-        (eval_mean_batch, np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))),
-        (functools.partial(eval_drift_batch, time="cont"), np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))),
-        (functools.partial(eval_drift_batch, time="disc"), np.zeros((4, 2)), np.tile(np.eye(2), (4, 1, 1))),
+        (eval_mean_batch, np.zeros((4, 2)), np.tile(np.eye(2)[:, :, None], (1, 1, 4))),
+        (functools.partial(eval_drift_batch, time="cont"), np.zeros((4, 2)), np.tile(np.eye(2)[:, :, None], (1, 1, 4))),
+        (functools.partial(eval_drift_batch, time="disc"), np.zeros((4, 2)), np.tile(np.eye(2)[:, :, None], (1, 1, 4))),
     ])
     def test_state_of_the_wrong_size_named(self, evaluate, x, P):
         F = Functional("sigma", unscented_rule(3))

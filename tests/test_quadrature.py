@@ -130,43 +130,116 @@ def lapack_members(stack):
     return L, failing
 
 
-@pytest.mark.parametrize("d", [1, 2])
-class TestClosedFormCholesky:
-    """The guard's closed-form factor of 1x1 and 2x2 stacks is LAPACK's, bit for bit."""
+def scaled_spd(rng, n, d, shift):
+    """``n`` SPD members ``D (G G^T / d + shift I) D``, ``D`` diagonal with entries ``e^U(-20, 20)``."""
+    G = rng.standard_normal((n, d, d))
+    scale = np.exp(rng.uniform(-20.0, 20.0, (n, d)))
+    return scale[:, :, None] * (G @ np.swapaxes(G, 1, 2) / d + shift * np.eye(d)) * scale[:, None, :]
 
+
+def cholesky_first(stack):
+    """The guard's recurrence on a batch-first stack, its factors moved back to batch-first."""
+    L, failing = _cholesky(np.moveaxis(stack, 0, -1))
+    return np.moveaxis(L, -1, 0), failing
+
+
+def semidefinite_members(d):
+    """Members on which every factorization stops at an exactly zero or negative pivot, or passes exactly."""
+    v = np.arange(1.0, d + 1.0)
+    low_rank = np.zeros((d, d))
+    low_rank[1:, 1:] = np.eye(d - 1) if d > 1 else 0.0
+    return [np.zeros((d, d)), np.outer(v, v), -np.eye(d), np.diag([1.0] * (d - 1) + [0.0]),
+            np.diag([1.0] * (d - 1) + [-1e-300]), low_rank, np.eye(d) * 1e-300]
+
+
+class TestCholeskyRecurrence:
+    """The guard's one batch-last ``potf2`` recurrence, against LAPACK member by member."""
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_factors_equal_lapack_bit_for_bit(self, d, rng):
         # 60,000 SPD members per size, each coordinate scaled by e^U(-20, 20)
-        G = rng.standard_normal((60_000, d, d))
-        scale = np.exp(rng.uniform(-20.0, 20.0, (60_000, d)))
-        P = scale[:, :, None] * (G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(d)) * scale[:, None, :]
-        L, failing = _cholesky(P)
+        P = scaled_spd(rng, 60_000, d, 1e-3)
+        L, failing = cholesky_first(P)
         assert not failing.any()
         assert np.array_equal(L, np.linalg.cholesky(P))
 
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_factors_within_roundoff_of_lapack(self, d, rng):
+        # OpenBLAS fuses multiply-adds from d = 3 on. On members with condition
+        # numbers up to about 11 the gap measured at most 2.2e-16 of sqrt(p_ii),
+        # which bounds row i of the factor; LAPACK's own bits on most entries
+        P = scaled_spd(rng, 20_000, d, 1.0)
+        L, failing = cholesky_first(P)
+        ref = np.linalg.cholesky(P)
+        assert not failing.any()
+        row_scale = np.sqrt(np.diagonal(P, axis1=1, axis2=2))[:, :, None]
+        assert (np.abs(L - ref) / row_scale).max() <= 1e-15
+        assert np.mean(L == ref) >= 0.9
+        assert np.array_equal(np.triu(L, 1), np.zeros_like(L))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_failure_set_equals_lapack(self, d, rng):
         G = rng.standard_normal((400, d, d))
-        # shifted down by up to 3: a mix of definite and indefinite members
-        shifted = G @ np.swapaxes(G, 1, 2) - rng.uniform(0.0, 3.0, 400)[:, None, None] * np.eye(d)
+        eigvals = rng.uniform(0.1, 1.0, (400, d))
+        # a quarter of the members get one eigenvalue of -0.1 to -1: indefinite by a margin
+        eigvals[:100, 0] *= -1.0
+        Q = np.linalg.qr(G)[0]
+        random = (Q * eigvals[:, None, :]) @ np.swapaxes(Q, 1, 2)
+        special = semidefinite_members(d)
         if d == 1:
-            special = [[[0.0]], [[-0.0]], [[-1.0]], [[1e-300]], [[-1e-300]], [[5e-324]]]
-        else:
-            special = [
-                np.zeros((2, 2)),
+            special += [[[-0.0]], [[1e-300]], [[-1e-300]], [[5e-324]]]
+        elif d == 2:
+            special += [
                 [[1.0, 2.0], [2.0, 4.0]],              # second pivot exactly 0
-                [[1e-300, 0.0], [0.0, 1e-300]],
                 [[1e-300, 1e-300], [1e-300, 2e-300]],
                 [[4e-300, 2e-300], [2e-300, 1e-300]],
                 [[1e-300, 0.0], [0.0, -1e-300]],
                 [[5e-324, 0.0], [0.0, 1.0]],
             ]
-        stack = np.concatenate([shifted, np.array(special, dtype=float)])
-        L, failing = _cholesky(stack)
+        stack = np.concatenate([random, np.array(special, dtype=float)])
+        L, failing = cholesky_first(stack)
         ref, ref_failing = lapack_members(stack)
         assert np.array_equal(failing, ref_failing)
-        assert 0 < failing.sum() < len(stack)
-        assert np.array_equal(L[~failing], ref[~failing])
-        # the zero matrix, and -0.0 or the exactly singular member
-        assert failing[400:402].all()
+        assert failing[:100].all() and not failing[100:400].any()
+        # the zero matrix and the negative identity; the rank-one v v^T is exactly singular from d = 2 on
+        assert failing[400] and failing[402] and failing[401] == (d > 1)
+        if d <= 2:
+            assert np.array_equal(L[~failing], ref[~failing])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_pivot_fails_only_after_a_failed_one(self, d):
+        # potf2 stops at the first pivot <= 0; a NaN pivot passes, and every pivot after it is NaN
+        nan = np.nan
+        members = [
+            [[1.0, nan], [nan, 1.0]],    # second pivot NaN: passes
+            [[nan, 0.0], [0.0, -1.0]],   # first pivot NaN, then NaN: passes
+            [[-1.0, nan], [nan, 1.0]],   # negative pivot, then NaN: fails
+            [[1.0, 0.0], [0.0, nan]],    # last pivot NaN: passes
+        ]
+        stack = np.zeros((len(members), d, d))
+        stack[:, :2, :2] = members
+        stack[:, 2:, 2:] = np.eye(d - 2)
+        _, failing = cholesky_first(stack)
+        assert np.array_equal(failing, lapack_members(stack)[1])
+        assert failing.tolist() == [False, False, True, False]
+
+    def test_overflowing_inner_product_fails_quietly(self):
+        # l10 = 1e205, so l10 * l10 overflows and the second pivot is -inf, where LAPACK stops too;
+        # the suite turns warnings into errors, so an overflow warning fails this test
+        stack = np.array([[[1e-10, 1e200], [1e200, 1.0]], [[4.0, 2.0], [2.0, 2.0]]])
+        _, failing = cholesky_first(stack)
+        assert failing.tolist() == [True, False]
+        assert np.array_equal(failing, lapack_members(stack)[1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_member_factor_independent_of_batch(self, d, rng):
+        P = scaled_spd(rng, 1000, d, 1e-3)
+        stack = np.moveaxis(P, 0, -1)
+        whole, failing = _cholesky(stack)
+        assert not failing.any()
+        for s in (slice(0, 1), slice(5, 12), slice(100, 124), slice(0, 333)):
+            part, _ = _cholesky(np.ascontiguousarray(stack[..., s]))
+            assert np.array_equal(part, whole[..., s]), s
 
 
 class TestExactnessChecker:

@@ -245,11 +245,11 @@ class TestInflation:
         _, states, incr, _ = simulate_paths(model, dt=0.01, horizon=10.0, seed=123, n_paths=100)
         HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.tile(config.x0_hat, (100, 1))
-        P = np.tile(config.P0, (100, 1, 1))
+        P = np.tile(config.P0[:, :, None], (1, 1, 100))
         for k in range(1, states.shape[1]):
             x, P, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, incr[:, k], 0.01)
             assert not bad.any()
-        min_eig = np.linalg.eigvalsh(P)[:, 0].min()
+        min_eig = np.linalg.eigvalsh(np.moveaxis(P, -1, 0))[:, 0].min()
         assert floor <= min_eig + 1e-9
 
     @pytest.mark.parametrize("q", [1e-10, 1e-14, 1e-17])
@@ -467,13 +467,13 @@ class TestIntegratedVelocityCertificate:
         _, states, incr, _ = simulate_paths(model, dt=0.01, horizon=10.0, seed=77, n_paths=50)
         HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.tile(config.x0_hat, (50, 1))
-        P = np.tile(config.P0, (50, 1, 1))
+        P = np.tile(config.P0[:, :, None], (1, 1, 50))
         worst = 0.0
         for k in range(1, states.shape[1]):
             x, P, _, _, bad = _kb_step_batch(model, config, HtRinv, x, P, None, incr[:, k], 0.01)
             assert not bad.any()
             if k * 0.01 >= cert.T:
-                worst = max(worst, float(np.einsum("bii->b", P).max()))
+                worst = max(worst, float(np.einsum("iib->b", P).max()))
         assert worst <= cert.lambda_P + 1e-6
 
     def test_negative_cross_covariance_rejected(self):
