@@ -133,6 +133,20 @@ MUTANTS = (
         new="    if False:",
         tests=("tests/test_functionals.py::TestSharedInputs::test_set_of_another_size_than_the_rule_names_inputs",),
     ),
+    Mutant(
+        name="bound-curve-before-claim-time",
+        file="src/kbstab/harness.py",
+        old="continuous_mse_bound(cert, claim_time(cert, times))",
+        new="continuous_mse_bound(cert, times)",
+        tests=("tests/test_harness.py::TestValidityWindow::test_settle_time_inside_run",),
+    ),
+    Mutant(
+        name="exceedance-rows-delta-major",
+        file="src/kbstab/harness.py",
+        old="for i, j in np.ndindex(thr.shape)]",
+        new="for j, i in np.ndindex(thr.shape[::-1])]",
+        tests=("tests/test_harness.py::TestValidityWindow::test_settle_time_inside_run",),
+    ),
 )
 
 

@@ -9,7 +9,7 @@ is one batch on one thread.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +33,8 @@ from .models import builtin_contractive3d, builtin_integrated_velocity, philox, 
 from .quadrature import check_degree_two_exactness, gauss_hermite_rule, unscented_rule
 from .stability import chi_square_moment_bound, gaussian_norm_moment, gronwall_continuous
 
-_CONFIG_KEYS = {
-    "model", "model_params", "filter", "filters", "preset", "trajectories",
-    "dt", "horizon", "seed", "workers", "out", "deltas", "checkpoint_every",
-    "average_from", "domination_from", "certificate",
-}
+# the spec's fields, a single ``filter`` and the export directory ``out``
+_CONFIG_KEYS = {f.name for f in fields(ExperimentSpec)} | {"filter", "out"}
 _VALIDATE_KEYS = {"preset", "seed"}
 
 

@@ -59,7 +59,6 @@ from .quadrature import (
     _check_psd,
     _matmul_last,
     _psd_root,
-    default_unscented_kappa,
     gauss_hermite_rule,
     unscented_rule,
 )
@@ -96,11 +95,12 @@ class FilterConfig:
             raise ValueError(f"x0_hat, Q_tuned and P0 have size {self.x0_hat.size}, not dim_x = {dim}")
 
 
-def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=None, gh_order=3):
+def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None):
     """Build the standard configs: ``ekf``, ``ukf``, ``adf`` or ``gh``.
 
     Defaults tie the filter to the model's own noise level and initial law:
-    ``Q_tuned = Q``, ``x0_hat = mu0``, ``P0 = Sigma0``.
+    ``Q_tuned = Q``, ``x0_hat = mu0``, ``P0 = Sigma0``. The ``ukf`` rule takes
+    the default ``kappa``, the ``gh`` rule three Gauss-Hermite nodes per axis.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r} (choose from {FILTER_KINDS})")
@@ -108,9 +108,9 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None, kappa=No
     if kind == "ekf":
         rule = None
     elif kind == "ukf":
-        rule = unscented_rule(d, default_unscented_kappa(d) if kappa is None else kappa)
+        rule = unscented_rule(d)
     elif kind == "gh":
-        rule = gauss_hermite_rule(d, gh_order)
+        rule = gauss_hermite_rule(d, 3)
     else:
         rule = reference_rule(d)
     config = FilterConfig(

@@ -168,34 +168,29 @@ def certificate_for(model, config):
 
 
 def claim_time(cert, t):
-    """The time whose certificate values stand for a check at time ``t``.
+    """The times whose certificate values stand for checks at ``t``, a time or an array of them.
 
     A certificate claims its bounds from the settle time ``T`` on. Checks
     before ``T`` use the values at ``T``, so no check window is shortened;
     this is the one place that reads ``T``.
     """
-    return max(t, cert.T)
+    return np.maximum(t, cert.T)
 
 
-def _bound_curve(cert, times):
-    if cert is None:
-        return None
-    return np.array([continuous_mse_bound(cert, claim_time(cert, t)) for t in times])
+def _exceedance_rows(kind, cert, err_sq, times, deltas):
+    """Filter ``kind``'s checkpoint-major rows: threshold at ``claim_time(cert, t)``, share meeting it, verdict.
 
-
-def _exceedance_row(cert, err_sq, t, delta):
-    """Threshold at ``claim_time(cert, t)``, the share of ``err_sq`` meeting it, and its verdict.
-
-    The row passes when that share stays within ``exp(-delta)`` plus three
-    binomial standard errors over the ``len(err_sq)`` paths it counts. This
-    is the one place that judges an exceedance.
+    ``err_sq`` has one counted path per row and one checkpoint of ``times`` per
+    column. A row passes when its share is within ``exp(-delta)`` plus three
+    binomial standard errors over ``len(err_sq)`` paths: the one exceedance verdict.
     """
-    thr = continuous_concentration_threshold(cert, claim_time(cert, t), delta)
-    frequency = float((err_sq >= thr).mean())
-    limit = math.exp(-delta)
-    slack = 3.0 * math.sqrt(limit * (1.0 - limit) / len(err_sq))
-    return {"t": float(t), "delta": float(delta), "threshold": float(thr),
-            "frequency": frequency, "limit": limit, "passed": frequency <= limit + slack}
+    thr = continuous_concentration_threshold(cert, claim_time(cert, times)[:, None], deltas)
+    frequency = (err_sq[:, :, None] >= thr).mean(axis=0)
+    limit = np.array([math.exp(-delta) for delta in deltas])  # exported; np.exp may differ in the last bit
+    passed = frequency <= limit + 3.0 * np.sqrt(limit * (1.0 - limit) / len(err_sq))
+    return [{"filter": kind, "t": float(times[i]), "delta": float(deltas[j]), "threshold": float(thr[i, j]),
+             "frequency": float(frequency[i, j]), "limit": float(limit[j]), "passed": bool(passed[i, j])}
+            for i, j in np.ndindex(thr.shape)]
 
 
 def run_experiment(spec, model=None, certificates=None, configs=None):
@@ -249,7 +244,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         alive = run.diverged < 0
         n_alive = int(alive.sum())
         cert = certs[kind]
-        bounds[kind] = _bound_curve(cert, times)
+        bounds[kind] = None if cert is None else continuous_mse_bound(cert, claim_time(cert, times))
         cp_err[kind] = cps
         div_counts[kind] = int((~alive).sum())
         alive_counts[kind] = n_alive
@@ -273,10 +268,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
             continue
         sel = times >= spec.domination_from
         dominates[kind] = bool(np.all(mse[sel] <= bounds[kind][sel] + 3.0 * se[sel]))
-        for i, t in enumerate(cp_times):
-            err_t = cps[alive, i]
-            for delta in spec.deltas:
-                exceedance.append({"filter": kind, **_exceedance_row(cert, err_t, t, delta)})
+        exceedance += _exceedance_rows(kind, cert, cps[alive], cp_times, spec.deltas)
 
     result = ExperimentResult(
         spec=spec,

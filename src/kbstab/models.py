@@ -116,11 +116,11 @@ class _Model:
         S = self.HtRinv @ self.H
         return 0.5 * (S + S.T)
 
-    def s_scalar(self, tol=1e-10):
-        """Return ``s`` if ``S = s I`` to tolerance, else ``None``."""
+    def s_scalar(self):
+        """Return ``s`` if ``S = s I`` to within ``1e-10 max(1, |s|)``, else ``None``."""
         S = self.S
         s = float(np.trace(S)) / self.dim_x
-        if np.abs(S - s * np.eye(self.dim_x)).max() <= tol * max(1.0, abs(s)):
+        if np.abs(S - s * np.eye(self.dim_x)).max() <= 1e-10 * max(1.0, abs(s)):
             return s
         return None
 

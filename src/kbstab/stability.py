@@ -9,7 +9,9 @@ u, rho, C_T)`` under which, for all ``t >= T``,
         <= exp(-delta),
 
 with ``u = tr(Q) + 2 C_lambda lambda_P + tr(S) lambda_P^2`` and
-``beta(delta) = e (sqrt(2 delta) + delta)``. Discrete certificates carry the
+``beta(delta) = e (sqrt(2 delta) + delta)``. Both bounds and ``beta`` take
+arrays of ``t`` and ``delta``, which broadcast; one bad entry is a
+``ValueError`` naming its argument. Discrete certificates carry the
 analogous constants ``(lambda_d, lambda_df, kappa, lambda_P_pred,
 lambda_P_upd, C_f, eta, u_d)``.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_integer, is_finite_real
+from .checks import check_integer
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
 from .models import philox, velocity_log_lipschitz
@@ -33,11 +35,25 @@ from .quadrature import _check_psd
 E = math.e
 
 
+def _finite(name, value):
+    """``value`` as an array; a ``ValueError`` naming ``name`` unless each entry is a finite real (no bool)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return arr
+
+
+def _beta(delta, positive):
+    """:func:`beta` of finite ``delta`` entries, each positive (``positive``) or at least 0."""
+    delta = _finite("delta", delta)
+    if np.any(delta <= 0) if positive else np.any(delta < 0):
+        raise ValueError(f"delta must be {'positive' if positive else 'nonnegative'}")
+    return E * (np.sqrt(2.0 * delta) + delta)
+
+
 def beta(delta):
-    """Concentration shape function ``e (sqrt(2 delta) + delta)``."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    return E * (math.sqrt(2.0 * delta) + delta)
+    """Concentration shape ``e (sqrt(2 delta) + delta)`` of a finite ``delta >= 0`` or an array of them."""
+    return _beta(delta, positive=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,28 +251,22 @@ def contractive_certificate(model, config, *, m_f=None, n_f=None, box=None, budg
     )
 
 
-def _check_time(t):
-    if not is_finite_real(t):
-        raise ValueError(f"t must be a finite number, got {t!r}")
+def _decay(cert, X, t):
+    """``X exp(-2 lam (t - T)) + u / (2 lam)`` at ``t``, a finite time ``>= cert.T`` or an array of them."""
+    t = _finite("t", t)
+    if np.any(t < cert.T):
+        raise ValueError(f"t must be at least the settle time T = {cert.T}")
+    return X * np.exp(-2.0 * cert.lam * (t - cert.T)) + cert.u / (2.0 * cert.lam)
 
 
 def continuous_mse_bound(cert, t):
-    """Mean-square error bound at a finite time ``t >= cert.T``."""
-    _check_time(t)
-    if t < cert.T:
-        raise ValueError(f"bound only holds from the settle time T = {cert.T}")
-    return cert.e_T_sq * math.exp(-2.0 * cert.lam * (t - cert.T)) + cert.u / (2.0 * cert.lam)
+    """Mean-square error bound at ``t``, a finite time ``>= cert.T`` or an array of them."""
+    return _decay(cert, cert.e_T_sq, t)
 
 
 def continuous_concentration_threshold(cert, t, delta):
-    """Squared-error threshold at a finite ``t >= cert.T``, exceeded with probability ``<= exp(-delta)``."""
-    _check_time(t)
-    if t < cert.T:
-        raise ValueError(f"threshold only holds from the settle time T = {cert.T}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    level = cert.C_T * math.exp(-2.0 * cert.lam * (t - cert.T)) + cert.u / (2.0 * cert.lam)
-    return level * beta(delta)
+    """Squared-error threshold at ``t >= cert.T`` exceeded with probability ``<= exp(-delta)``, ``delta > 0``."""
+    return _decay(cert, cert.C_T, t) * _beta(delta, positive=True)
 
 
 def _supplied_or_known(value, model, arg, attr):
@@ -524,14 +534,13 @@ def discrete_mse_bound(cert, mu0, x0_hat, Sigma0, k):
 
 
 def discrete_concentration_threshold(cert, mu0, x0_hat, Sigma0, k, delta):
-    """Squared-error threshold with exceedance probability at most ``exp(-delta)`` after ``k`` steps."""
+    """Squared-error threshold after ``k`` steps, exceeded with probability ``<= exp(-delta)``, ``delta > 0``."""
     k = check_integer("k", k, low=0)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    shape = _beta(delta, positive=True)
     gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
     init = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(_check_psd("Sigma0", Sigma0), 2)))
     tail = (math.sqrt(cert.u_d) + cert.eta) / (1.0 - cert.lambda_df)
-    return 4.0 * beta(delta) * (cert.lambda_df**k * init + tail) ** 2
+    return 4.0 * shape * (cert.lambda_df**k * init + tail) ** 2
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbstab.cli import CheckResult, main, validation_suite
+from kbstab.cli import _CONFIG_KEYS, CheckResult, main, validation_suite
 from kbstab.quadrature import CubatureRule, unscented_rule
 
 
@@ -345,6 +345,11 @@ FUZZ_VALUES = {
 }
 # Always set, so that no preset's 1000 paths over 10 time units can run.
 ALWAYS = ["trajectories", "horizon"]
+
+
+def test_config_keys_are_the_fuzzed_keys():
+    # the accepted keys are derived from ExperimentSpec; the fuzz table names each one
+    assert _CONFIG_KEYS == set(FUZZ_VALUES)
 
 
 @pytest.mark.parametrize("bad_key", [None, *sorted(FUZZ_VALUES)])

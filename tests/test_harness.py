@@ -135,7 +135,8 @@ class TestValidityWindow:
         assert np.array_equal(curve[~before],
                               [continuous_mse_bound(cert, t) for t in times[~before]])
         rows = result.exceedance
-        assert len(rows) == len(result.checkpoint_times) * len(spec.deltas)
+        assert [(row["t"], row["delta"]) for row in rows] == [
+            (t, delta) for t in result.checkpoint_times for delta in spec.deltas]
         assert rows[0]["t"] == 0.0
         for row in rows:
             assert row["threshold"] == continuous_concentration_threshold(

@@ -200,6 +200,64 @@ class TestContinuousBounds:
         with pytest.raises(ValueError, match="^t must be a finite number"):
             continuous_concentration_threshold(cert, t, 1.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, True, "1.0", None, [1.0, math.nan]])
+    @pytest.mark.parametrize("function", ["beta", "continuous", "discrete"])
+    def test_delta_that_is_not_finite_named(self, function, delta):
+        call = {
+            "beta": lambda: beta(delta),
+            "continuous": lambda: continuous_concentration_threshold(self._cert(), 1.0, delta),
+            "discrete": lambda: discrete_concentration_threshold(
+                DiscreteCertificate(lambda_d=1.0, lambda_df=0.5, kappa=1.0, lambda_P_pred=1.0,
+                                    lambda_P_upd=1.0, C_f=0.0, eta=0.0, u_d=2.0, provenance="user"),
+                np.zeros(1), np.zeros(1), np.eye(1), 1, delta),
+        }[function]
+        with pytest.raises(ValueError, match="^delta must be a finite number"):
+            call()
+
+    def _times(self):
+        return np.linspace(0.0, 12.0, 97) ** 1.5
+
+    @pytest.mark.parametrize("bound", ["mse", "threshold"])
+    def test_array_times_equal_scalar_calls(self, bound):
+        cert = self._cert(lam=0.7, T=0.0, u=3.0, C_T=5.0, e_T_sq=2.0)
+        f = {"mse": continuous_mse_bound,
+             "threshold": lambda c, t: continuous_concentration_threshold(c, t, 1.5)}[bound]
+        ts = self._times()
+        values = f(cert, ts)
+        assert values.shape == ts.shape
+        assert np.array_equal(values, [f(cert, float(t)) for t in ts])
+
+    def test_array_values_match_closed_form(self):
+        cert = self._cert(lam=0.7, T=0.4, u=3.0, C_T=5.0, e_T_sq=2.0)
+        ts = cert.T + self._times()
+        mse = continuous_mse_bound(cert, ts)
+        thr = continuous_concentration_threshold(cert, ts, 1.5)
+        for t, m, th in zip(ts, mse, thr):
+            decay = math.exp(-2.0 * 0.7 * (t - 0.4))
+            assert m == pytest.approx(2.0 * decay + 3.0 / 1.4, rel=1e-15, abs=0)
+            shape = math.e * (math.sqrt(3.0) + 1.5)
+            assert th == pytest.approx((5.0 * decay + 3.0 / 1.4) * shape, rel=1e-15, abs=0)
+
+    def test_times_broadcast_against_deltas(self):
+        cert = self._cert(u=2.0)
+        ts = np.linspace(0.0, 3.0, 5)[:, None]
+        deltas = np.array([0.5, 1.0, 2.0])
+        table = continuous_concentration_threshold(cert, ts, deltas)
+        assert table.shape == (5, 3)
+        for i, j in np.ndindex(table.shape):
+            assert table[i, j] == continuous_concentration_threshold(cert, float(ts[i, 0]), float(deltas[j]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
+    @pytest.mark.parametrize("where", [0, 17, -1])
+    def test_one_bad_entry_in_an_array_names_t(self, bad, where):
+        cert = self._cert(T=1.0)
+        ts = cert.T + self._times()
+        ts[where] = bad
+        with pytest.raises(ValueError, match="^t must be"):
+            continuous_mse_bound(cert, ts)
+        with pytest.raises(ValueError, match="^t must be"):
+            continuous_concentration_threshold(cert, ts, 1.0)
+
     def test_asymptotic_has_no_transient(self):
         cert = self._cert(T=5.0, C_T=0.0, e_T_sq=0.0, asymptotic=True)
         for kw in ({"e_T_sq": 0.03}, {"C_T": 0.2}):
