@@ -127,6 +127,27 @@ MUTANTS = (
         tests=("tests/test_stability.py::TestCertificateKindFromConfig::test_consistency_constant_is_zero_exactly_for_ekf",),
     ),
     Mutant(
+        name="initial-gap-without-the-filter-start",
+        file="src/kbstab/stability.py",
+        old="    gap = model.mu0 - config.x0_hat",
+        new="    gap = model.mu0",
+        tests=("tests/test_stability.py::TestDiscreteCertificate::test_initial_error_is_bound_at_build",),
+    ),
+    Mutant(
+        name="initial-root-from-the-trace",
+        file="src/kbstab/stability.py",
+        old="math.sqrt(float(np.linalg.norm(model.Sigma0, 2)))",
+        new="math.sqrt(float(np.trace(model.Sigma0)))",
+        tests=("tests/test_stability.py::TestDiscreteCertificate::test_initial_error_is_bound_at_build",),
+    ),
+    Mutant(
+        name="velocity-tuning-from-the-model",
+        file="src/kbstab/stability.py",
+        old="Qt, P0 = config.Q_tuned, config.P0",
+        new="Qt, P0 = model.Q, config.P0",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::test_tuning_comes_from_the_config",),
+    ),
+    Mutant(
         name="inputs-rule-dimension-unchecked",
         file="src/kbstab/functionals.py",
         old="    if F.rule is not None and F.rule.dim != inputs.dim:",
@@ -146,6 +167,14 @@ MUTANTS = (
         old="for i, j in np.ndindex(thr.shape)]",
         new="for j, i in np.ndindex(thr.shape[::-1])]",
         tests=("tests/test_harness.py::TestValidityWindow::test_settle_time_inside_run",),
+    ),
+    Mutant(
+        name="window-start-without-fallback",
+        file="src/kbstab/harness.py",
+        old="return start if start <= times[-1] else 0.0",
+        new="return start",
+        tests=("tests/test_harness.py::TestValidityWindow::test_window_past_the_horizon_is_the_whole_run",
+               "tests/test_cli.py::TestSimulate::test_summary_line_names_the_window_start_used"),
     ),
 )
 

@@ -17,9 +17,10 @@ import numpy as np
 from ._version import __version__
 from .checks import check_integer
 from .errors import CertificateError, ConfigError, ExperimentDivergenceError
-from .filters import make_filter_config
+from .filters import FILTER_KINDS, make_filter_config
 from .functionals import Functional, assumption_inputs, check_assumption_continuous, check_assumption_discrete
 from .harness import (
+    PRESETS,
     ExperimentSpec,
     build_model,
     certificate_for,
@@ -27,6 +28,7 @@ from .harness import (
     export_result,
     preset_spec,
     run_experiment,
+    window_start,
 )
 from .matrix_measures import log_norm_mu, log_norm_nu, spectral_norm
 from .models import builtin_contractive3d, builtin_integrated_velocity, philox, velocity_log_lipschitz
@@ -126,7 +128,7 @@ def cmd_simulate(args):
         avg = result.time_averaged_mse[kind]
         dom = result.bound_dominates[kind]
         verdict = "no certificate" if dom is None else ("bound holds" if dom else "BOUND VIOLATED")
-        checked = spec.domination_from
+        checked = window_start(spec.domination_from, result.times)
         claimed = checked if dom is None else claim_time(result.certificates[kind], checked)
         if claimed > checked:
             verdict += f", checked from t = {checked:.3g}, claimed from t = {claimed:.3g}"
@@ -345,11 +347,11 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--preset", choices=("fig1", "fig2"), help="pinned benchmark preset")
+        p.add_argument("--preset", choices=tuple(PRESETS), help="pinned benchmark preset")
 
     def add_model(p):
         p.add_argument("--model", help="model name: contractive3d | integrated_velocity | linear")
-        p.add_argument("--filter", action="append", choices=("ekf", "ukf", "adf", "gh"),
+        p.add_argument("--filter", action="append", choices=FILTER_KINDS,
                        help="filter kind (repeatable)")
         p.add_argument("--out", help="output directory")
 

@@ -388,7 +388,7 @@ def check_assumption_continuous(F, g, m_g, n_g, inputs, *, c_g=None):
     another type, or of another size than the functional's rule, is a
     ``ValueError`` naming ``inputs``.
     """
-    if not (np.isfinite(m_g) and np.isfinite(n_g) and n_g <= m_g):
+    if not (is_finite_real(m_g) and is_finite_real(n_g) and n_g <= m_g):
         raise ValueError("need finite m_g >= n_g")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
@@ -409,7 +409,7 @@ def check_assumption_discrete(F, g, jf_norm, inputs, *, c_g=None):
     test alternatives (for example ``jf_norm ** 2``). ``inputs`` is taken
     and checked as in :func:`check_assumption_continuous`.
     """
-    if not np.isfinite(jf_norm) or jf_norm < 0:
+    if not is_finite_real(jf_norm) or jf_norm < 0:
         raise ValueError("jf_norm must be finite and nonnegative")
     if c_g is None:
         c_g = 0.0 if F.kind == "ekf" else float(jf_norm)

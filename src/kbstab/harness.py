@@ -86,27 +86,23 @@ class ExperimentSpec:
         return out
 
 
-def preset_spec(name, **overrides):
-    """Pinned benchmark presets; overrides replace individual fields.
+# Pinned benchmark presets: the fully observed contractive 3-d model under the ekf and ukf, and the
+# integrated velocity model under the ekf, whose limiting certificate is judged from t = 2.
+PRESETS = {
+    "fig1": dict(model="contractive3d", filters=("ekf", "ukf"), dt=0.01, horizon=10.0,
+                 trajectories=1000, seed=1, deltas=(0.5, 1.0, 2.0, 3.0),
+                 checkpoint_every=0.5, average_from=2.0, domination_from=1.0),
+    "fig2": dict(model="integrated_velocity", filters=("ekf",), dt=0.01, horizon=10.0,
+                 trajectories=1000, seed=1, deltas=(0.5, 1.0, 2.0, 3.0),
+                 checkpoint_every=0.5, average_from=2.0, domination_from=2.0),
+}
 
-    ``fig1``: the fully observed contractive 3-d model under the ekf and ukf,
-    1000 paths at step 0.01 over 10 time units. ``fig2``: the integrated
-    velocity model under the ekf with the same budget, with bound domination
-    judged from t = 2 because its certificate is a limiting one.
-    """
-    presets = {
-        "fig1": dict(model="contractive3d", filters=("ekf", "ukf"), dt=0.01, horizon=10.0,
-                     trajectories=1000, seed=1, deltas=(0.5, 1.0, 2.0, 3.0),
-                     checkpoint_every=0.5, average_from=2.0, domination_from=1.0),
-        "fig2": dict(model="integrated_velocity", filters=("ekf",), dt=0.01, horizon=10.0,
-                     trajectories=1000, seed=1, deltas=(0.5, 1.0, 2.0, 3.0),
-                     checkpoint_every=0.5, average_from=2.0, domination_from=2.0),
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r} (available: {sorted(presets)})")
-    cfg = presets[name]
-    cfg.update(overrides)
-    return ExperimentSpec(preset=name, **cfg)
+
+def preset_spec(name, **overrides):
+    """The spec of the :data:`PRESETS` entry ``name``; overrides replace individual fields."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (available: {sorted(PRESETS)})")
+    return ExperimentSpec(preset=name, **{**PRESETS[name], **overrides})
 
 
 def build_model(spec):
@@ -122,6 +118,10 @@ def build_model(spec):
     if problems:
         raise ValueError(f"model_params for {spec.model!r}: {'; '.join(problems)} "
                          f"(accepted: {', '.join(accepted) or 'none'})")
+    for name, value in spec.model_params.items():
+        if isinstance(accepted[name].default, float) and not is_finite_real(value):
+            raise ValueError(f"model_params for {spec.model!r}: {name} must be a finite number, "
+                             f"not {type(value).__name__} {value!r}")
     try:
         return builder(**spec.model_params)
     except TypeError as exc:
@@ -175,6 +175,11 @@ def claim_time(cert, t):
     this is the one place that reads ``T``.
     """
     return np.maximum(t, cert.T)
+
+
+def window_start(start, times):
+    """``start``, or 0 when it lies past the last of ``times``: no average or verdict is over zero times."""
+    return start if start <= times[-1] else 0.0
 
 
 def _exceedance_rows(kind, cert, err_sq, times, deltas):
@@ -259,14 +264,11 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         se = np.sqrt(np.maximum(second - mse**2, 0.0) / n_alive)
         empirical[kind] = mse
         stderr[kind] = se
-        # short runs fall back to the full-horizon average
-        avg_from = spec.average_from if spec.average_from <= times[-1] else 0.0
-        window = times >= avg_from
-        averages[kind] = float(mse[window].mean())
+        averages[kind] = float(mse[times >= window_start(spec.average_from, times)].mean())
         traces[kind] = float(run.trace_max[alive].max())
         if cert is None:
             continue
-        sel = times >= spec.domination_from
+        sel = times >= window_start(spec.domination_from, times)
         dominates[kind] = bool(np.all(mse[sel] <= bounds[kind][sel] + 3.0 * se[sel]))
         exceedance += _exceedance_rows(kind, cert, cps[alive], cp_times, spec.deltas)
 

@@ -323,7 +323,7 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
     nonlinearity :func:`velocity_g`, whose slope bounds are attached for
     certificate construction. Only ``h x1`` is measured.
     """
-    if not all(map(math.isfinite, (a1, a2, q1, q2, h, r))):
+    if not all(map(is_finite_real, (a1, a2, q1, q2, h, r))):
         raise ValueError("a1, a2, q1, q2, h and r must be finite")
     if a2 <= 0 or q1 <= 0 or q2 <= 0 or r <= 0:
         raise ValueError("a2, q1, q2 and r must be positive")

@@ -13,7 +13,9 @@ with ``u = tr(Q) + 2 C_lambda lambda_P + tr(S) lambda_P^2`` and
 arrays of ``t`` and ``delta``, which broadcast; one bad entry is a
 ``ValueError`` naming its argument. Discrete certificates carry the
 analogous constants ``(lambda_d, lambda_df, kappa, lambda_P_pred,
-lambda_P_upd, C_f, eta, u_d)``.
+lambda_P_upd, C_f, eta, u_d)`` and initial error terms ``e0_sq = ||mu0 -
+x0_hat||^2 + tr Sigma0`` and ``e0_root = ||mu0 - x0_hat|| + sqrt(||Sigma0||)``.
+Every builder reads the model and its filter config; every bound only its certificate.
 
 Certificates record provenance: ``analytic`` constants were supplied with
 the model, ``empirical`` ones were estimated by sampling, and ``user``
@@ -132,14 +134,16 @@ class DiscreteCertificate:
     C_f: float
     eta: float
     u_d: float
+    e0_sq: float
+    e0_root: float
     provenance: str
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 <= self.lambda_df < 1.0):
             raise ValueError("lambda_df must lie in [0, 1)")
-        if self.lambda_d < 0 or self.kappa < 0 or self.C_f < 0:
-            raise ValueError("lambda_d, kappa and C_f must be nonnegative")
+        if not all(v >= 0 for v in (self.lambda_d, self.kappa, self.C_f, self.e0_sq, self.e0_root)):
+            raise ValueError("lambda_d, kappa, C_f, e0_sq and e0_root must be nonnegative")
 
     def to_dict(self):
         out = {
@@ -152,6 +156,8 @@ class DiscreteCertificate:
             "C_f": self.C_f,
             "eta": self.eta,
             "u_d": self.u_d,
+            "e0_sq": self.e0_sq,
+            "e0_root": self.e0_root,
             "provenance": self.provenance,
         }
         out.update({k: v for k, v in sorted(self.details.items())})
@@ -181,11 +187,8 @@ def _resolve_drift_constants(model, m_f=None, n_f=None, box=None, budget=4096):
 
 
 def _kind(config):
-    """``"ekf"`` for the point-evaluation functional of ``config`` (or no config), else ``"quadrature"``.
-
-    The one place a certificate learns which filter it covers.
-    """
-    return "ekf" if config is None or config.functional.kind == "ekf" else "quadrature"
+    """The kind a certificate covers: ``"ekf"`` for a point-evaluation ``config.functional``, else ``"quadrature"``."""
+    return "ekf" if config.functional.kind == "ekf" else "quadrature"
 
 
 def _consistency_tail(model, kind, lam, lambda_P, M_f, N_f):
@@ -344,12 +347,11 @@ def _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, g_lo):
     return 0.5 * (a + c) + math.sqrt((0.5 * (a - c)) ** 2 + b * b)
 
 
-def integrated_velocity_certificate(model, config=None):
+def integrated_velocity_certificate(model, config):
     """Certificate for the integrated-velocity model via element-wise bounds.
 
     The filter, the tuned noise ``diag(q1, q2)`` and ``P0`` come from
-    ``config`` (``None``: the ``ekf`` on the model's ``Q`` and ``Sigma0``, as
-    in its default config).
+    ``config``.
 
     Derivation: the hidden-component variance satisfies a linear comparison
     inequality giving the limit ``C22 = q2 / (2 lg)``. With ``s = h^2 / r``
@@ -387,17 +389,14 @@ def integrated_velocity_certificate(model, config=None):
     if model.name != "integrated_velocity":
         raise ValueError("this certificate is specific to the integrated-velocity model")
     p = model.params
-    a1, a2, h, r = p["a1"], p["a2"], p["h"], p["r"]
-    lg = p["lg"]
+    a1, a2, h, r, lg = p["a1"], p["a2"], p["h"], p["r"], p["lg"]
     if lg <= 0:
         raise NoCertificateError("the hidden-component slope must be bounded below by a positive constant",
                                  hypothesis="hidden-component monotonicity")
     s = h * h / r
-    if config is not None:
-        config.check_dim(model.dim_x)
+    config.check_dim(model.dim_x)
     kind = _kind(config)
-    Qt = model.Q if config is None else config.Q_tuned
-    P0 = model.Sigma0 if config is None else config.P0
+    Qt, P0 = config.Q_tuned, config.P0
     q1_t, q2_t = float(Qt[0, 0]), float(Qt[1, 1])
     if np.abs(Qt - np.diag([q1_t, q2_t])).max() > 1e-12:
         raise ValueError("the tuned noise must be diagonal for this certificate")
@@ -454,10 +453,17 @@ def integrated_velocity_certificate(model, config=None):
 # Discrete-time certificates and bounds
 
 
-def _sample_gain_deviation(model, lambda_P_pred, samples, seed):
-    """Empirical sup of ||I - K H|| over PSD predictive covariances with bounded trace."""
-    d = model.dim_x
-    gen = philox(seed, 1)
+def _known_jf_norm(model):
+    """``||J_f||`` as attached to the model, where both discrete builders read it."""
+    if model.known_jf_norm is None:
+        raise ValueError("attach known_jf_norm to the model")
+    return float(model.known_jf_norm)
+
+
+def _sample_gain_deviation(model, lambda_P_pred):
+    """Empirical sup of ||I - K H|| over 512 PSD predictive covariances with bounded trace, drawn at seed 0."""
+    d, samples = model.dim_x, 512
+    gen = philox(0, 1)
     G = gen.standard_normal((samples, d, d))
     P = G @ np.swapaxes(G, 1, 2)
     tr = np.einsum("bii->b", P)
@@ -473,31 +479,27 @@ def _sample_gain_deviation(model, lambda_P_pred, samples, seed):
     return float(np.linalg.svd(M, compute_uv=False)[:, 0].max())
 
 
-def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *,
-                         jf_norm=None, c_f=None, lambda_d=None, samples=512, seed=0):
-    """Certificate for the discrete predict/update filter of ``config``.
+def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *, lambda_d=None):
+    """Certificate for the discrete predict/update filter of ``config`` on ``model``.
 
     The caller supplies trace bounds for the predictive and updated
     covariances (analytic where available, empirical otherwise). The gain
     deviation ``lambda_d`` defaults to ``max(1, sup ||I - K H||)`` sampled
     over the admissible covariance set, flagged empirical; a value passed
     overrides it with provenance ``user``. Fails when the contraction factor
-    ``lambda_df = ||J_f|| lambda_d`` is not below one. ``c_f`` defaults to
-    zero for the point-evaluation filter and to ``jf_norm`` for the
-    quadrature-based ones, read from ``config.functional``. ``config`` must
-    have the model's size, and ``R`` must be positive definite.
+    ``lambda_df = ||J_f|| lambda_d``, with the model's ``known_jf_norm``, is
+    not below one. ``C_f`` is zero for the point-evaluation filter and
+    ``||J_f||`` for the quadrature-based ones, read from ``config.functional``.
+    ``e0_sq`` and ``e0_root`` bind the model's ``mu0`` and ``Sigma0`` and the config's ``x0_hat``.
+    ``config`` must have the model's size, and ``R`` must be positive definite.
     """
     config.check_dim(model.dim_x)
     kind = _kind(config)
-    jf_norm = _supplied_or_known(jf_norm, model, "jf_norm", "known_jf_norm")
+    jf_norm = _known_jf_norm(model)
     if lambda_P_pred <= 0 or lambda_P_upd <= 0:
         raise ValueError("covariance trace bounds must be positive")
-    if lambda_d is None:
-        lambda_d = max(1.0, _sample_gain_deviation(model, lambda_P_pred, samples, seed))
-        provenance = "empirical"
-    else:
-        lambda_d = float(lambda_d)
-        provenance = "user"
+    provenance = "empirical" if lambda_d is None else "user"
+    lambda_d = max(1.0, _sample_gain_deviation(model, lambda_P_pred)) if lambda_d is None else float(lambda_d)
     lambda_df = jf_norm * lambda_d
     if lambda_df >= 1.0:
         raise NoCertificateError(
@@ -506,10 +508,12 @@ def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *,
         )
     R_inv_norm = float(np.linalg.norm(np.linalg.inv(_check_psd("R", model.R, definite=True)), 2))
     kappa = lambda_P_pred * float(np.linalg.norm(model.H, 2)) * R_inv_norm
-    if c_f is None:
-        c_f = 0.0 if kind == "ekf" else jf_norm
+    c_f = 0.0 if kind == "ekf" else jf_norm
     eta = lambda_d * math.sqrt(c_f * lambda_P_upd)
     u_d = lambda_d**2 * float(np.trace(model.Q)) + kappa**2 * float(np.trace(model.R))
+    gap = model.mu0 - config.x0_hat
+    e0_sq = float(gap @ gap) + float(np.trace(model.Sigma0))
+    e0_root = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(model.Sigma0, 2)))
     return DiscreteCertificate(
         lambda_d=lambda_d,
         lambda_df=lambda_df,
@@ -519,28 +523,26 @@ def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *,
         C_f=float(c_f),
         eta=eta,
         u_d=u_d,
+        e0_sq=e0_sq,
+        e0_root=e0_root,
         provenance=provenance,
         details={"kind": kind, "jf_norm": jf_norm},
     )
 
 
-def discrete_mse_bound(cert, mu0, x0_hat, Sigma0, k):
+def discrete_mse_bound(cert, k):
     """Mean-square error bound after ``k`` discrete steps, an integer of at least 0."""
     k = check_integer("k", k, low=0)
-    gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
-    init = float(gap @ gap) + float(np.trace(_check_psd("Sigma0", Sigma0)))
     per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
-    return cert.lambda_df ** (2 * k) * init + per_step / (1.0 - cert.lambda_df**2)
+    return cert.lambda_df ** (2 * k) * cert.e0_sq + per_step / (1.0 - cert.lambda_df**2)
 
 
-def discrete_concentration_threshold(cert, mu0, x0_hat, Sigma0, k, delta):
+def discrete_concentration_threshold(cert, k, delta):
     """Squared-error threshold after ``k`` steps, exceeded with probability ``<= exp(-delta)``, ``delta > 0``."""
     k = check_integer("k", k, low=0)
     shape = _beta(delta, positive=True)
-    gap = np.asarray(mu0, dtype=float).ravel() - np.asarray(x0_hat, dtype=float).ravel()
-    init = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(_check_psd("Sigma0", Sigma0), 2)))
     tail = (math.sqrt(cert.u_d) + cert.eta) / (1.0 - cert.lambda_df)
-    return 4.0 * shape * (cert.lambda_df**k * init + tail) ** 2
+    return 4.0 * shape * (cert.lambda_df**k * cert.e0_root + tail) ** 2
 
 
 @dataclass(frozen=True)
@@ -556,13 +558,13 @@ class NaiveComparison:
     filter_wins: bool
 
 
-def naive_vs_filter(model, c_f=0.0):
-    """Compare the filter's asymptotic bound with using scaled measurements directly.
+def naive_vs_filter(model):
+    """Compare the ``ekf``'s asymptotic bound with using scaled measurements directly.
 
     Requires ``H = h I`` and ``R = r I``; then rescaled measurements are
     unbiased state estimates with mean-square error ``d_y r / h^2``, and the
-    filter's asymptotic bound is
-    ``(lambda_d^2 [tr(Q) + C_f lambda_P_upd] + kappa^2 d_y r) / (1 - lambda_df^2)``.
+    filter's asymptotic bound, with ``C_f = 0``, is
+    ``(lambda_d^2 tr(Q) + kappa^2 d_y r) / (1 - lambda_df^2)``.
     The trace bound comes from the contraction recursion
     ``tr(P_pred) <= ||J_f||^2 tr(P_upd) + tr(Q)`` with ``tr(P_upd) <=
     tr(P_pred)``, valid for the point-evaluation filter, so this comparison
@@ -570,26 +572,20 @@ def naive_vs_filter(model, c_f=0.0):
     """
     d = model.dim_x
     H, R = model.H, model.R
-    h = float(H[0, 0])
-    r = float(R[0, 0])
+    h, r = float(H[0, 0]), float(R[0, 0])
     if model.dim_y != d or np.abs(H - h * np.eye(d)).max() > 1e-12 or h == 0:
         raise ValueError("naive comparison needs H = h I with h nonzero")
     if np.abs(R - r * np.eye(d)).max() > 1e-12 or r <= 0:
         raise ValueError("naive comparison needs R = r I with r positive")
-    jf = model.known_jf_norm
-    if jf is None:
-        raise ValueError("attach known_jf_norm to the model")
+    jf = _known_jf_norm(model)
     if jf >= 1.0:
         raise NoCertificateError("trace recursion needs ||J_f|| < 1", hypothesis="drift contraction")
     tr_Q = float(np.trace(model.Q))
     lambda_P_pred = tr_Q / (1.0 - jf**2)
-    lambda_P_upd = lambda_P_pred
-    # With H = h I the gain deviation ||I - K H|| never exceeds one.
-    lambda_d = 1.0
-    lambda_df = jf * lambda_d
+    lambda_d, lambda_df = 1.0, jf  # with H = h I the gain deviation ||I - K H|| never exceeds one
     kappa = h / (h * h + r / lambda_P_pred)
     naive = d * r / (h * h)
-    bound = (lambda_d**2 * (tr_Q + c_f * lambda_P_upd) + kappa**2 * d * r) / (1.0 - lambda_df**2)
+    bound = (lambda_d**2 * tr_Q + kappa**2 * d * r) / (1.0 - lambda_df**2)
     return NaiveComparison(
         naive_mse=naive,
         filter_bound=bound,

@@ -78,7 +78,8 @@ class TestCriterion2BoundDomination:
 
 class TestCriterion3VelocityCertificate:
     def test_trace_bound_value(self):
-        cert = integrated_velocity_certificate(builtin_integrated_velocity())
+        model = builtin_integrated_velocity()
+        cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
         ok = abs(cert.lambda_P - 0.173) <= 0.02
         assert verdict("3a lambda_P", ok,
                        f"lambda_P {cert.lambda_P:.4f} vs 0.173 (+-0.02), "
@@ -93,7 +94,7 @@ class TestCriterion3VelocityCertificate:
         # find nothing above -lambda, and its worst corner must reach it.
         model = builtin_integrated_velocity()
         p = model.params
-        cert = integrated_velocity_certificate(model)
+        cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
         a1, a2, lg, g_hi = p["a1"], p["a2"], p["lg"], p["sup_gprime"]
         s = p["h"] ** 2 / p["r"]
         c12 = cert.details["C12"]
@@ -288,9 +289,9 @@ class TestCriterion8MeasurementComparison:
             return builtin_discrete_linear(0.5 * np.eye(1), Q=q * np.eye(1), H=np.eye(1),
                                            R=r * np.eye(1), mu0=np.zeros(1), Sigma0=np.eye(1))
 
-        low_ok = all(naive_vs_filter(model(q, r), c_f=0.0).filter_wins
+        low_ok = all(naive_vs_filter(model(q, r)).filter_wins
                      for q in (1e-4, 1e-3, 0.01) for r in (10.0, 30.0, 100.0))
-        high_ok = all(not naive_vs_filter(model(q, r), c_f=0.0).filter_wins
+        high_ok = all(not naive_vs_filter(model(q, r)).filter_wins
                       for q in (100.0, 300.0, 1000.0) for r in (10.0, 30.0, 100.0))
         ok = low_ok and high_ok
         assert verdict("8 naive-comparison", ok,

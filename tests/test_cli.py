@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbstab.cli import _CONFIG_KEYS, CheckResult, main, validation_suite
+from kbstab.cli import _CONFIG_KEYS, CheckResult, build_parser, main, validation_suite
+from kbstab.filters import FILTER_KINDS
+from kbstab.harness import PRESETS
 from kbstab.quadrature import CubatureRule, unscented_rule
 
 
@@ -123,6 +125,14 @@ class TestSimulate:
         assert code == 0
         assert "bound holds, checked from t = 1, claimed from t = 7.71," in out
 
+    def test_summary_line_names_the_window_start_used(self, capsys):
+        # domination_from = 1 lies past the horizon, so the whole run is checked
+        code = main(["simulate", "--model", "integrated_velocity", "--filter", "ekf",
+                     "--trajectories", "5", "--dt", "0.05", "--horizon", "0.5", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "checked from t = 0, claimed from t = 7.71," in out
+
     def test_divergence_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -177,6 +187,7 @@ class TestModelParams:
         ("integrated_velocity", [1], ["[1]"]),
         ("integrated_velocity", None, ["None"]),
         ("integrated_velocity", {"a1": "x"}, ["'integrated_velocity'", "not str"]),
+        ("integrated_velocity", {"a1": True}, ["'integrated_velocity'", "a1", "not bool"]),
     ])
     def test_keys_named(self, command, model, params, named, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -345,6 +356,21 @@ FUZZ_VALUES = {
 }
 # Always set, so that no preset's 1000 paths over 10 time units can run.
 ALWAYS = ["trajectories", "horizon"]
+
+
+def test_choices_are_the_library_tables():
+    # --preset and --filter offer exactly the preset table and the filter kinds
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    offered = {}
+    for command, sub in commands.items():
+        for action in sub._actions:
+            for option in ("--preset", "--filter"):
+                if option in action.option_strings:
+                    offered[command, option] = tuple(action.choices)
+    assert offered == {("certify", "--preset"): tuple(PRESETS), ("certify", "--filter"): FILTER_KINDS,
+                       ("simulate", "--preset"): tuple(PRESETS), ("simulate", "--filter"): FILTER_KINDS,
+                       ("validate", "--preset"): tuple(PRESETS)}
 
 
 def test_config_keys_are_the_fuzzed_keys():

@@ -492,6 +492,22 @@ class TestAssumptionChecks:
         with pytest.raises(ValueError, match="jf_norm"):
             check_assumption_discrete(F, lambda x: x, -0.5, inputs)
 
+    @pytest.mark.parametrize("bad", [True, False, "1", np.nan, np.array([1.0])])
+    @pytest.mark.parametrize("constant", ["m_g", "n_g", "jf_norm"])
+    def test_constant_that_is_no_finite_real_named(self, constant, bad):
+        # a bool or a string is no constant: the check's own ValueError, not
+        # a run with m_g = 1 or numpy's TypeError
+        F = Functional("ekf")
+        inputs = assumption_inputs(1, samples=10)
+        call, message = {
+            "m_g": (lambda: check_assumption_continuous(F, lambda x: x, bad, -1.0, inputs), "need finite m_g >= n_g"),
+            "n_g": (lambda: check_assumption_continuous(F, lambda x: x, 2.0, bad, inputs), "need finite m_g >= n_g"),
+            "jf_norm": (lambda: check_assumption_discrete(F, lambda x: x, bad, inputs),
+                        "jf_norm must be finite and nonnegative"),
+        }[constant]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 def mixed_field(z):
     return -z + 0.3 * np.sin(z[..., ::-1]) + 0.1 * z**2

@@ -159,6 +159,18 @@ class TestValidityWindow:
         assert holds(cert.T) and not holds(spec.domination_from)
         assert result.bound_dominates["ekf"] is False
 
+    def test_window_past_the_horizon_is_the_whole_run(self):
+        # a planted bound of 5e-13 that every path's error exceeds: with both
+        # windows starting after the last time, the verdict still sees them
+        spec = small_spec(trajectories=20, horizon=1.0, domination_from=50.0, average_from=50.0)
+        cert = ContinuousCertificate(lam=1.0, lambda_P=10.0, T=0.0, C_lambda=0.0, u=1e-12,
+                                     rho=-1.0, C_T=0.0, e_T_sq=0.0, provenance="user")
+        result = run_experiment(spec, certificates={"ekf": cert})
+        assert result.bound_dominates["ekf"] is False
+        assert result.time_averaged_mse["ekf"] == float(result.empirical_mse["ekf"].mean())
+        assert harness.window_start(50.0, result.times) == 0.0
+        assert harness.window_start(0.5, result.times) == 0.5
+
 
 class TestWorkers:
     def test_worker_count_does_not_change_results(self, tmp_path):

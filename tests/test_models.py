@@ -134,15 +134,25 @@ class TestIntegratedVelocity:
             with pytest.raises(ValueError, match="A must be finite"):
                 builtin_linear([[bad]], Q=np.eye(1), H=np.eye(1), R=np.eye(1))
 
+    @pytest.mark.parametrize("bad", [True, "1"])
+    @pytest.mark.parametrize("name", ["a1", "a2", "q1", "q2", "h", "r"])
+    def test_parameter_that_is_no_real_number_named(self, name, bad):
+        with pytest.raises(ValueError, match="^a1, a2, q1, q2, h and r must be finite$"):
+            builtin_integrated_velocity(**{name: bad})
+
 
 class TestModelValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError):
             builtin_linear(np.eye(2), Q=np.array([[1.0, 0.2], [0.0, 1.0]]), H=np.eye(2), R=np.eye(2))
 
-    def test_indefinite_covariance_rejected(self):
-        with pytest.raises(IndefiniteMatrixError, match="Q must be positive semidefinite"):
-            builtin_linear(np.eye(2), Q=np.diag([1.0, -1.0]), H=np.eye(2), R=np.eye(2))
+    @pytest.mark.parametrize("build", [builtin_linear, builtin_discrete_linear], ids=["cont", "disc"])
+    @pytest.mark.parametrize("name", ["Q", "Sigma0"])
+    def test_indefinite_covariance_rejected(self, name, build):
+        # the model checks Sigma0 once; the bounds that read it trust it
+        law = {"Q": np.eye(2), "Sigma0": np.eye(2), name: np.diag([1.0, -1.0])}
+        with pytest.raises(IndefiniteMatrixError, match=f"{name} must be positive semidefinite"):
+            build(0.5 * np.eye(2), H=np.eye(2), R=np.eye(2), **law)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_mean_rejected(self, bad):

@@ -143,11 +143,6 @@ class TestCertificateKindFromConfig:
             assert min(constants) > 0.0
         assert {cert.details["kind"] for cert in certs} == {"ekf" if kind == "ekf" else "quadrature"}
 
-    def test_no_config_is_the_ekf_on_the_model_noise(self):
-        iv = builtin_integrated_velocity()
-        default = integrated_velocity_certificate(iv, make_filter_config("ekf", iv))
-        assert integrated_velocity_certificate(iv) == default
-
     def test_kind_argument_is_a_type_error(self):
         c3, iv, disc = self.models()
         with pytest.raises(TypeError):
@@ -207,9 +202,9 @@ class TestContinuousBounds:
             "beta": lambda: beta(delta),
             "continuous": lambda: continuous_concentration_threshold(self._cert(), 1.0, delta),
             "discrete": lambda: discrete_concentration_threshold(
-                DiscreteCertificate(lambda_d=1.0, lambda_df=0.5, kappa=1.0, lambda_P_pred=1.0,
-                                    lambda_P_upd=1.0, C_f=0.0, eta=0.0, u_d=2.0, provenance="user"),
-                np.zeros(1), np.zeros(1), np.eye(1), 1, delta),
+                DiscreteCertificate(lambda_d=1.0, lambda_df=0.5, kappa=1.0, lambda_P_pred=1.0, lambda_P_upd=1.0,
+                                    C_f=0.0, eta=0.0, u_d=2.0, e0_sq=1.0, e0_root=1.0, provenance="user"),
+                1, delta),
         }[function]
         with pytest.raises(ValueError, match="^delta must be a finite number"):
             call()
@@ -422,7 +417,8 @@ class TestIntegratedVelocityCertificate:
         # 2000-point sweep up to lambda_12 beats it, and where the best rate is
         # attained no point of the whole range does
         p = data.draw(velocity_params(attained))
-        cert = integrated_velocity_certificate(builtin_integrated_velocity(**p))
+        model = builtin_integrated_velocity(**p)
+        cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
         a1, a2, lg = p["a1"], p["a2"], VELOCITY_G_PRIME_MIN
         s = p["h"] ** 2 / p["r"]
         sigma = math.sqrt(s * p["q1"] + a1 * a1)
@@ -453,11 +449,11 @@ class TestIntegratedVelocityCertificate:
         assert (tuned.lam, tuned.lambda_P) == (ref.lam, ref.lambda_P)
         for key in ("C22", "C12", "lambda_12"):
             assert tuned.details[key] == ref.details[key]
-        assert tuned.lambda_P > integrated_velocity_certificate(model).lambda_P
+        assert tuned.lambda_P > certificate_for(model, make_filter_config("ekf", model)).lambda_P
 
     def test_certificate_fields(self):
         model = builtin_integrated_velocity()
-        cert = integrated_velocity_certificate(model)
+        cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
         assert cert.asymptotic
         assert cert.C_lambda == 0.0
         assert cert.details["C22"] == pytest.approx(0.0597, abs=1e-3)
@@ -471,7 +467,7 @@ class TestIntegratedVelocityCertificate:
         for kwargs in ({}, {"a1": -0.5}, {"a2": 0.5}):
             model = builtin_integrated_velocity(**kwargs)
             p = model.params
-            cert = integrated_velocity_certificate(model)
+            cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
             assert p["h"] ** 2 / p["r"] * cert.details["C12"] <= 2.0 * p["a2"]
             assert cert.lam == pytest.approx(velocity_corner_rate(p), abs=1e-8)
 
@@ -512,7 +508,7 @@ class TestIntegratedVelocityCertificate:
         model = builtin_integrated_velocity()
         tracemalloc.start()
         try:
-            integrated_velocity_certificate(model)
+            integrated_velocity_certificate(model, make_filter_config("ekf", model))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,8 +516,8 @@ class TestIntegratedVelocityCertificate:
 
     def test_trace_bound_holds_on_simulation(self):
         model = builtin_integrated_velocity()
-        cert = integrated_velocity_certificate(model)
         config = make_filter_config("ekf", model)
+        cert = integrated_velocity_certificate(model, config)
         _, states, incr, _ = simulate_paths(model, dt=0.01, horizon=10.0, seed=77, n_paths=50)
         HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.tile(config.x0_hat, (50, 1))
@@ -544,11 +540,12 @@ class TestIntegratedVelocityCertificate:
     def test_weak_feedback_yields_no_certificate(self):
         model = builtin_integrated_velocity(a2=10.0, r=5.0)
         with pytest.raises(NoCertificateError):
-            integrated_velocity_certificate(model)
+            integrated_velocity_certificate(model, make_filter_config("ekf", model))
 
     def test_wrong_model_rejected(self):
         with pytest.raises(ValueError):
-            integrated_velocity_certificate(builtin_contractive3d())
+            c3 = builtin_contractive3d()
+            integrated_velocity_certificate(c3, make_filter_config("ekf", c3))
 
 
 class TestDiscreteCertificate:
@@ -609,34 +606,60 @@ class TestDiscreteCertificate:
                                     lambda_d=1.0)
         assert cert.provenance == "user"
 
+    def test_initial_error_is_bound_at_build(self):
+        # mu0 - x0_hat = (0.75, -2.5) and Sigma0 = diag(1, 3): tr Sigma0 = 4
+        # but ||Sigma0|| = 3, and the gap is taken against the config's start
+        model = builtin_discrete_linear(0.7 * np.eye(2), Q=0.1 * np.eye(2), H=np.eye(2), R=0.5 * np.eye(2),
+                                        mu0=np.array([1.0, -2.0]), Sigma0=np.diag([1.0, 3.0]))
+        config = make_filter_config("ekf", model, x0_hat=np.array([0.25, 0.5]))
+        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0, lambda_d=1.0)
+        e0_sq = 0.75**2 + 2.5**2 + (1.0 + 3.0)
+        e0_root = math.sqrt(0.75**2 + 2.5**2) + math.sqrt(3.0)
+        assert cert.e0_sq == pytest.approx(e0_sq, rel=1e-15)
+        assert cert.e0_root == pytest.approx(e0_root, rel=1e-15)
+        assert (cert.to_dict()["e0_sq"], cert.to_dict()["e0_root"]) == (cert.e0_sq, cert.e0_root)
+        per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
+        assert discrete_mse_bound(cert, 0) == pytest.approx(e0_sq + per_step / (1.0 - 0.7**2), rel=1e-14)
+        tail = (math.sqrt(cert.u_d) + cert.eta) / (1.0 - 0.7)
+        assert discrete_concentration_threshold(cert, 0, 2.0) == pytest.approx(
+            4.0 * beta(2.0) * (e0_root + tail) ** 2, rel=1e-14)
+
 
 class TestDiscreteBounds:
     def _cert(self, **kw):
-        base = dict(lambda_d=1.0, lambda_df=0.5, kappa=1.0, lambda_P_pred=1.0,
-                    lambda_P_upd=1.0, C_f=0.0, eta=0.0, u_d=2.0, provenance="user")
+        # e0_sq and e0_root default to the law mu0 = x0_hat, Sigma0 = 1
+        base = dict(lambda_d=1.0, lambda_df=0.5, kappa=1.0, lambda_P_pred=1.0, lambda_P_upd=1.0,
+                    C_f=0.0, eta=0.0, u_d=2.0, e0_sq=1.0, e0_root=1.0, provenance="user")
         base.update(kw)
         return DiscreteCertificate(**base)
 
+    @pytest.mark.parametrize("value", [-1e-12, math.nan])
+    @pytest.mark.parametrize("field", ["lambda_d", "e0_sq", "e0_root"])
+    def test_negative_constant_rejected(self, field, value):
+        with pytest.raises(ValueError, match="C_f, e0_sq and e0_root must be nonnegative"):
+            self._cert(**{field: value})
+
     def test_memoryless_case(self):
-        cert = self._cert(lambda_df=0.0, u_d=3.0)
-        val = discrete_mse_bound(cert, np.zeros(1), np.zeros(1), np.zeros((1, 1)), k=5)
+        cert = self._cert(lambda_df=0.0, u_d=3.0, e0_sq=0.0, e0_root=0.0)
+        val = discrete_mse_bound(cert, k=5)
         assert val == pytest.approx(3.0)
 
     def test_initial_value(self):
-        cert = self._cert(u_d=0.0)
-        val = discrete_mse_bound(cert, np.array([1.0]), np.array([0.0]), 2.0 * np.eye(1), k=0)
+        # mu0 - x0_hat = 1, Sigma0 = 2
+        cert = self._cert(u_d=0.0, e0_sq=1.0 + 2.0)
+        val = discrete_mse_bound(cert, k=0)
         assert val == pytest.approx(1.0 + 2.0)
 
     def test_matches_recursion_oracle(self):
-        cert = self._cert(lambda_df=0.6, u_d=1.3, C_f=0.4, lambda_d=1.1, lambda_P_upd=2.0)
         mu0, x0, S0 = np.array([1.0, 0.0]), np.array([0.0, 0.0]), 0.5 * np.eye(2)
         init = float((mu0 - x0) @ (mu0 - x0) + np.trace(S0))
+        cert = self._cert(lambda_df=0.6, u_d=1.3, C_f=0.4, lambda_d=1.1, lambda_P_upd=2.0, e0_sq=init)
         e = init
         per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
         for k in range(11):
             if k > 0:
                 e = cert.lambda_df**2 * e + per_step
-            closed = discrete_mse_bound(cert, mu0, x0, S0, k)
+            closed = discrete_mse_bound(cert, k)
             envelope = cert.lambda_df ** (2 * k) * init + per_step / (1 - cert.lambda_df**2)
             assert closed == pytest.approx(envelope, rel=1e-12)
             assert e <= closed + 1e-12
@@ -645,47 +668,34 @@ class TestDiscreteBounds:
     def test_step_index_that_is_not_a_nonnegative_integer_named(self, k):
         cert = self._cert()
         with pytest.raises(ValueError, match="^k must be"):
-            discrete_mse_bound(cert, np.zeros(1), np.zeros(1), np.eye(1), k)
+            discrete_mse_bound(cert, k)
         with pytest.raises(ValueError, match="^k must be"):
-            discrete_concentration_threshold(cert, np.zeros(1), np.zeros(1), np.eye(1), k, 1.0)
+            discrete_concentration_threshold(cert, k, 1.0)
 
     def test_numpy_step_index_accepted(self):
-        cert = self._cert()
-        args = (cert, np.ones(1), np.zeros(1), np.eye(1))
+        cert = self._cert(e0_sq=2.0, e0_root=2.0)
         for bound, rest in ((discrete_mse_bound, ()), (discrete_concentration_threshold, (1.0,))):
-            assert bound(*args, np.int64(3), *rest) == bound(*args, 3, *rest)
+            assert bound(cert, np.int64(3), *rest) == bound(cert, 3, *rest)
 
     def test_monotone_in_k(self):
-        cert = self._cert(lambda_df=0.7, u_d=0.5)
-        vals = [discrete_mse_bound(cert, np.array([2.0]), np.zeros(1), np.eye(1), k)
-                for k in range(50)]
+        cert = self._cert(lambda_df=0.7, u_d=0.5, e0_sq=5.0, e0_root=3.0)
+        vals = [discrete_mse_bound(cert, k) for k in range(50)]
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_threshold_vanishes_with_delta(self):
         cert = self._cert()
-        val = discrete_concentration_threshold(cert, np.zeros(1), np.zeros(1), np.eye(1),
-                                               k=3, delta=1e-14)
+        val = discrete_concentration_threshold(cert, k=3, delta=1e-14)
         assert val <= 1e-4
 
     def test_threshold_long_run(self):
-        cert = self._cert(lambda_df=0.5, u_d=4.0, eta=1.0)
-        val = discrete_concentration_threshold(cert, np.ones(1), np.zeros(1), np.eye(1),
-                                               k=10**6, delta=2.0)
+        cert = self._cert(lambda_df=0.5, u_d=4.0, eta=1.0, e0_sq=2.0, e0_root=2.0)
+        val = discrete_concentration_threshold(cert, k=10**6, delta=2.0)
         expected = 4.0 * beta(2.0) * ((math.sqrt(4.0) + 1.0) / 0.5) ** 2
         assert val == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("bound", [
-        lambda cert, S0: discrete_mse_bound(cert, np.zeros(1), np.zeros(1), S0, k=1),
-        lambda cert, S0: discrete_concentration_threshold(cert, np.zeros(1), np.zeros(1), S0, k=1, delta=1.0),
-    ], ids=["mse", "threshold"])
-    def test_indefinite_initial_covariance_rejected(self, bound):
-        with pytest.raises(IndefiniteMatrixError, match="Sigma0 must be positive semidefinite"):
-            bound(self._cert(), np.array([[-5.0]]))
-
     def test_worked_case_value(self):
         cert = self._cert(lambda_df=0.5, u_d=2.0)
-        val = discrete_concentration_threshold(cert, np.zeros(1), np.zeros(1), np.eye(1),
-                                               k=10, delta=2.0)
+        val = discrete_concentration_threshold(cert, k=10, delta=2.0)
         init = 0.0 + 1.0
         expected = 4.0 * beta(2.0) * (0.5**10 * init + math.sqrt(2.0) / 0.5) ** 2
         assert val == pytest.approx(expected, rel=1e-12)
@@ -713,7 +723,7 @@ class TestDiscreteBoundMonteCarlo:
         emp = err_sq.mean(axis=0)
         se = err_sq.std(axis=0, ddof=1) / np.sqrt(n_paths)
         for k in range(steps + 1):
-            bound = discrete_mse_bound(cert, model.mu0, config.x0_hat, model.Sigma0, k)
+            bound = discrete_mse_bound(cert, k)
             assert emp[k] <= bound + 3.0 * se[k], k
 
 
@@ -746,7 +756,7 @@ def discrete_run(request, discrete_ensemble_paths):
                                 lambda_P_upd=lambda_P_upd, lambda_d=1.0)
     run = run_discrete_ensemble(model, config, states, meas)
     assert np.all(run.diverged < 0)
-    return model, config, cert, run
+    return cert, run
 
 
 class TestDiscreteCertificateEnsemble:
@@ -769,24 +779,23 @@ class TestDiscreteCertificateEnsemble:
     """
 
     def test_trace_stays_under_update_bound(self, discrete_run):
-        _, _, cert, run = discrete_run
+        cert, run = discrete_run
         assert run.trace_max.max() <= cert.lambda_P_upd
 
     def test_bound_dominates_mse(self, discrete_run):
-        model, config, cert, run = discrete_run
+        cert, run = discrete_run
         n = run.err_sq.shape[0]
         mse = run.err_sq.mean(axis=0)
         se = run.err_sq.std(axis=0, ddof=1) / math.sqrt(n)
         for k in range(run.err_sq.shape[1]):
-            bound = discrete_mse_bound(cert, model.mu0, config.x0_hat, model.Sigma0, k)
+            bound = discrete_mse_bound(cert, k)
             assert mse[k] <= bound + 3.0 * se[k], k
 
     def test_exceedance_within_concentration_limit(self, discrete_run):
-        model, config, cert, run = discrete_run
+        cert, run = discrete_run
         n = run.err_sq.shape[0]
         for k, delta in itertools.product((10, 50), (0.5, 1.0, 2.0, 3.0)):
-            thr = discrete_concentration_threshold(cert, model.mu0, config.x0_hat, model.Sigma0,
-                                                   k, delta)
+            thr = discrete_concentration_threshold(cert, k, delta)
             frequency = float((run.err_sq[:, k] >= thr).mean())
             limit = math.exp(-delta)
             assert frequency <= limit + 3.0 * math.sqrt(limit * (1.0 - limit) / n), (k, delta)
@@ -806,13 +815,13 @@ class TestNaiveComparison:
     def test_filter_wins_in_low_noise_regime(self):
         for q in (1e-4, 1e-3, 0.01):
             for r in (10.0, 100.0, 1000.0):
-                report = naive_vs_filter(self._model(q=q, r=r), c_f=0.0)
+                report = naive_vs_filter(self._model(q=q, r=r))
                 assert report.filter_wins, (q, r)
 
     def test_naive_wins_under_huge_process_noise(self):
         for q in (100.0, 1000.0):
             for r in (10.0, 100.0):
-                report = naive_vs_filter(self._model(q=q, r=r), c_f=0.0)
+                report = naive_vs_filter(self._model(q=q, r=r))
                 assert not report.filter_wins, (q, r)
 
     def test_requires_isotropic_structure(self):
