@@ -56,6 +56,14 @@ MUTANTS = (
         tests=("tests/test_filters.py::TestStepCost::test_blocked_step_evaluates_each_point_once",),
     ),
     Mutant(
+        name="block-bound-above-mmap-threshold",
+        file="src/kbstab/functionals.py",
+        old="BLOCK_COORDS = 15 * 1024",
+        new="BLOCK_COORDS = 2**17",
+        tests=("tests/test_filters.py::TestStepCost::test_block_arrays_stay_below_the_mmap_threshold",
+               "tests/test_filters.py::TestStepCost::test_warm_adf_run_takes_no_page_faults"),
+    ),
+    Mutant(
         name="root-transposed-in-points-gemm",
         file="src/kbstab/functionals.py",
         old="rows = np.ascontiguousarray(_batch_first(L))",
@@ -125,6 +133,13 @@ MUTANTS = (
         old='config.functional.kind == "ekf"',
         new='config.functional.kind != "ekf"',
         tests=("tests/test_stability.py::TestCertificateKindFromConfig::test_consistency_constant_is_zero_exactly_for_ekf",),
+    ),
+    Mutant(
+        name="certificate-noise-unchecked",
+        file="src/kbstab/stability.py",
+        old='for name in ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq"):',
+        new='for name in ("lam", "lambda_P", "T", "C_lambda", "rho", "C_T", "e_T_sq"):',
+        tests=("tests/test_stability.py::TestContinuousBounds::test_constant_that_is_not_finite_named",),
     ),
     Mutant(
         name="initial-gap-without-the-filter-start",

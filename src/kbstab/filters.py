@@ -13,8 +13,10 @@ filter's one functional: ``ekf`` point evaluation, or one sigma-point rule
 then updates. The model alone says which time model runs. A rule-based
 step takes both terms from the field values at the points ``x + L xi``,
 with no Jacobian, where ``L L^T = P`` is any root: one field evaluation
-per fixed path block of :mod:`kbstab.functionals`, so one per step unless
-the batch is wide.
+per fixed path block of :mod:`kbstab.functionals`. A block holds at most
+``functionals.BLOCK_COORDS`` point coordinates, so a step makes one
+evaluation for a narrow rule on a narrow batch and several for a wide rule
+(``adf`` in 3-d: five paths a block) or a wide batch.
 
 ``Q_tuned``, ``P0`` and ``R`` (through the model's cached ``H^T R^{-1}``)
 must pass the one covariance check as positive definite. After every step

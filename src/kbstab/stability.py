@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_integer
+from .checks import check_integer, is_finite_real
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
 from .models import philox, velocity_log_lipschitz
@@ -85,10 +85,13 @@ class ContinuousCertificate:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq"):
+            if not is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
         if not (self.lam > 0 and self.lambda_P > 0 and self.T >= 0):
             raise ValueError("need lam > 0, lambda_P > 0, T >= 0")
-        if self.C_lambda < 0 or self.C_T < 0 or self.e_T_sq < 0:
-            raise ValueError("C_lambda, C_T and e_T_sq must be nonnegative")
+        if self.C_lambda < 0 or self.u < 0 or self.C_T < 0 or self.e_T_sq < 0:
+            raise ValueError("C_lambda, u, C_T and e_T_sq must be nonnegative")
         if self.asymptotic and (self.C_T or self.e_T_sq):
             raise ValueError("an asymptotic certificate has C_T = e_T_sq = 0")
 

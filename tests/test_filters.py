@@ -1,6 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kbstab
 from kbstab import (
     builtin_contractive3d,
     builtin_discrete_linear,
@@ -269,7 +277,7 @@ class TestGrouping:
     def test_wide_batch_rows_do_not_depend_on_batch_size(self, build, kind):
         # the step's products with HtRinv and S are one GEMM over all rows of
         # the batch, and the sigma points one GEMM per path block (adf's
-        # 1000-point rule spans 24 blocks here), so a path's result must not
+        # 1000-point rule spans 200 blocks here), so a path's result must not
         # depend on how many share it
         model = build()
         _, states, incr, diverged = simulate_paths(model, 0.01, 0.2, 7, 1000)
@@ -494,13 +502,17 @@ class TestStepCost:
         assert calls["field"] == steps
         assert calls["jac"] == steps
 
-    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
-    def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind, blocks", [("ukf", 1), ("gh", 1), ("adf", 2)], ids=["ukf", "gh", "adf"])
+    def test_rule_step_makes_one_root_and_one_field_evaluation(self, kind, blocks, monkeypatch):
+        # one evaluation per path block: adf's 1000 points in 3-d take five
+        # paths a block, so 8 paths are two
+        rule = make_filter_config(kind, builtin_contractive3d()).functional.rule
+        assert -(-8 // (functionals.BLOCK_COORDS // (rule.size * rule.dim))) == blocks
         calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
         assert calls["factor"] == steps + 1
         assert calls["lapack"] == 0
         assert calls["eigh"] == 0
-        assert calls["field"] == steps
+        assert calls["field"] == blocks * steps
         assert calls["jac"] == 0
 
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
@@ -528,6 +540,24 @@ class TestStepCost:
         assert calls["factor"] == factored + 1
         assert calls["field"] == 2
 
+    @staticmethod
+    def step_points(model, config, n_paths, rng):
+        """``(seen, x, L)``: the points arrays one step of ``n_paths`` random states ``x`` hands to the field."""
+        d = model.dim_x
+        x = rng.uniform(-1.0, 1.0, (n_paths, d))
+        G = rng.standard_normal((n_paths, d, d))
+        P, L = _psd_root(np.moveaxis(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(d), 0, -1))
+        seen, field = [], model.f
+
+        def recording(pts):
+            seen.append(pts)
+            return field(pts)
+
+        model.f = recording
+        HtRinv = model.HtRinv if model.time == "cont" else None
+        _kb_step_batch(model, config, HtRinv, x, P, L, np.zeros((n_paths, model.dim_y)), 0.01)
+        return seen, x, L
+
     @pytest.mark.parametrize("time", ["cont", "disc"])
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_blocked_step_evaluates_each_point_once(self, kind, time, discrete_sine, monkeypatch, rng):
@@ -537,21 +567,46 @@ class TestStepCost:
         rule = config.functional.rule
         bound = 5 * rule.size * rule.dim
         monkeypatch.setattr(functionals, "BLOCK_COORDS", bound)
-        x = rng.uniform(-1.0, 1.0, (37, model.dim_x))
-        G = rng.standard_normal((37, model.dim_x, model.dim_x))
-        P, L = _psd_root(np.moveaxis(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(model.dim_x), 0, -1))
-        seen, field = [], model.f
-
-        def recording(pts):
-            seen.append(pts)
-            return field(pts)
-
-        model.f = recording
-        HtRinv = model.HtRinv if time == "cont" else None
-        _kb_step_batch(model, config, HtRinv, x, P, L, np.zeros((37, model.dim_y)), 0.01)
+        seen, x, L = self.step_points(model, config, 37, rng)
         assert len(seen) == 8
         assert max(pts.size for pts in seen) <= bound
         assert np.array_equal(np.concatenate(seen), functionals._sigma_points(rule, x, L))
+
+    @pytest.mark.parametrize("n_paths", [24, 1000])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_block_arrays_stay_below_the_mmap_threshold(self, dim, n_paths, rng):
+        # glibc serves an allocation of 128 KiB or more by a fresh mmap and
+        # unmaps it on free, so a block array that large faults its pages in
+        # again on every step
+        model = builtin_linear(-np.eye(dim), Q=np.eye(dim), H=np.eye(dim), R=np.eye(dim))
+        for kind in ("ukf", "gh", "adf"):
+            seen, _, _ = self.step_points(model, make_filter_config(kind, model), n_paths, rng)
+            assert max(pts.nbytes for pts in seen) < 2**17, kind
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the 128 KiB mmap threshold is glibc's")
+    def test_warm_adf_run_takes_no_page_faults(self):
+        # a fresh process, as the benchmark runs it, with the allocator's
+        # default thresholds; kbstab is imported from this copy of the code
+        script = textwrap.dedent("""
+            import resource
+            from kbstab import builtin_contractive3d, make_filter_config
+            from kbstab.filters import run_continuous_ensemble
+            from kbstab.models import simulate_paths
+
+            model = builtin_contractive3d()
+            _, states, incr, _ = simulate_paths(model, 0.01, 0.5, 7, 24)
+            config = make_filter_config("adf", model)
+            run_continuous_ensemble(model, config, states, incr, 0.01)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_continuous_ensemble(model, config, states, incr, 0.01)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(kbstab.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        # 50 steps of 24 paths: about 14,800 faults with 576 KB block arrays
+        assert int(out.stdout) < 200
 
     def run_counted_discrete(self, kind, monkeypatch, model, n_paths=40, steps=30):
         _, states, meas = discrete_paths(model, n_paths, steps)

@@ -259,6 +259,18 @@ class TestContinuousBounds:
             with pytest.raises(ValueError):
                 dataclasses.replace(cert, **kw)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None])
+    @pytest.mark.parametrize("field", ["lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq"])
+    def test_constant_that_is_not_finite_named(self, field, value):
+        # a NaN constant would make every bound NaN, and every comparison with it pass
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+            self._cert(**{field: value})
+
+    def test_negative_noise_rejected_and_negative_rho_kept(self):
+        with pytest.raises(ValueError, match="C_lambda, u, C_T and e_T_sq must be nonnegative"):
+            self._cert(u=-1e-12)
+        assert self._cert(rho=-3.0).rho == -3.0
+
     def test_threshold_vanishes_with_delta(self):
         cert = self._cert(u=2.0)
         assert continuous_concentration_threshold(cert, 1.0, 1e-12) <= 1e-5
