@@ -191,6 +191,44 @@ MUTANTS = (
         tests=("tests/test_harness.py::TestValidityWindow::test_window_past_the_horizon_is_the_whole_run",
                "tests/test_cli.py::TestSimulate::test_summary_line_names_the_window_start_used"),
     ),
+    Mutant(
+        name="dead-row-keeps-noise",
+        file="src/kbstab/models.py",
+        old="            states[k + 1] = np.where(ok[:, None], xn, np.nan)\n"
+            "            meas[k + 1] = np.where(ok[:, None], yn, 0.0)\n",
+        new="            states[k + 1, ok] = xn[ok]\n"
+            "            meas[k + 1, ok] = yn[ok]\n",
+        tests=("tests/test_models.py::TestContinuousSimulation::test_paths_diverging_at_different_steps",
+               "tests/test_models.py::TestDiscreteSimulation::test_measurement_overflow_freezes_its_path_for_good"),
+    ),
+    Mutant(
+        name="alive-shortcut-always",
+        file="src/kbstab/harness.py",
+        old="err_alive = err if n_alive == len(err) else err[alive]",
+        new="err_alive = err",
+        tests=("tests/test_harness.py::TestConcentrationCheck::test_rows_count_only_paths_that_never_diverged",),
+    ),
+    Mutant(
+        name="err-sq-transposed-copy",
+        file="src/kbstab/filters.py",
+        old="return EnsembleRun(err_sq=err_sq,",
+        new="return EnsembleRun(err_sq=np.ascontiguousarray(err_sq.T).T,",
+        tests=("tests/test_harness.py::TestPeakMemory::test_fig2_benchmark_run_holds_the_record_and_one_error_history",),
+    ),
+    Mutant(
+        name="masked-copy-always",
+        file="src/kbstab/harness.py",
+        old="err_alive = err if n_alive == len(err) else err[alive]",
+        new="err_alive = err[alive]",
+        tests=("tests/test_harness.py::TestPeakMemory::test_fig2_benchmark_run_holds_the_record_and_one_error_history",),
+    ),
+    Mutant(
+        name="squares-into-a-new-history",
+        file="src/kbstab/harness.py",
+        old="np.square(err_alive, out=err_alive)",
+        new="(err_alive**2)",
+        tests=("tests/test_harness.py::TestPeakMemory::test_fig2_benchmark_run_holds_the_record_and_one_error_history",),
+    ),
 )
 
 

@@ -34,7 +34,8 @@ ensemble calls :func:`run_continuous_ensemble` and
 :func:`run_discrete_ensemble` are the only entry points; one path is a
 batch of one, and results do not depend on how paths are grouped. The
 loop reads paths time-major, as the simulators store them, and writes the
-squared errors time-major before handing them back as ``(paths, steps + 1)``.
+squared errors one column per step straight into the ``(paths, steps + 1)``
+array it returns, with no transposed copy.
 It stores the covariances, their roots and the gains batch-last,
 ``(d, d, paths)``, so the small products of a step run as vector
 operations over a contiguous batch; the states stay ``(paths, d)``, as
@@ -224,7 +225,10 @@ def _run(time, model, config, states, obs, dt, record=None):
     ``record(k, x, P, K)``, if given, sees the raw outputs of every step,
     with ``P`` and ``K`` as batch-first views. The loop runs time-major:
     ``states`` and ``obs`` are read as ``(n+1, B, d)``, which is free for
-    the views the simulators return and one copy otherwise.
+    the views the simulators return and one copy otherwise. The squared
+    errors are written one column per step straight into the C-contiguous
+    ``(B, n+1)`` array that is returned; the harness's reductions rely on
+    that layout for their bits.
     """
     if model.time != time:
         raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
@@ -239,10 +243,11 @@ def _run(time, model, config, states, obs, dt, record=None):
     HtRinv = model.HtRinv if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P, L = _psd_root(np.broadcast_to(config.P0[:, :, None], (d, d, B)))
-    err_sq = np.full((n_plus_1, B), np.nan)
-    err_sq[0] = np.sum((states[0] - x) ** 2, axis=1)
-    trace_max = np.einsum("iib->b", P)
+    # the mask first, so its full-size temporary is gone before err_sq exists
     truth_ok = np.isfinite(states).all(axis=2)
+    err_sq = np.full((B, n_plus_1), np.nan)
+    err_sq[:, 0] = np.sum((states[0] - x) ** 2, axis=1)
+    trace_max = np.einsum("iib->b", P)
     alive = truth_ok[0]
     diverged = np.where(alive, -1, 0)
     # a finite estimate far from the truth has a squared error of inf, not a warning
@@ -257,7 +262,7 @@ def _run(time, model, config, states, obs, dt, record=None):
             ok = alive & ~bad & truth_ok[k] & (tr >= _DEGENERATE_TRACE)
             if ok.all():
                 x, P, L = x_new, P_new, L_new
-                err_sq[k] = np.sum((states[k] - x) ** 2, axis=1)
+                err_sq[:, k] = np.sum((states[k] - x) ** 2, axis=1)
                 np.maximum(trace_max, tr, out=trace_max)
                 continue
             diverged[alive & ~ok] = k
@@ -265,9 +270,9 @@ def _run(time, model, config, states, obs, dt, record=None):
             x = np.where(alive[:, None], x_new, x)
             P = np.where(alive, P_new, P)
             L = np.where(alive, L_new, L)
-            err_sq[k, alive] = np.sum((states[k, alive] - x[alive]) ** 2, axis=1)
+            err_sq[alive, k] = np.sum((states[k, alive] - x[alive]) ** 2, axis=1)
             trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
-    return EnsembleRun(err_sq=np.ascontiguousarray(err_sq.T), trace_max=trace_max, diverged=diverged)
+    return EnsembleRun(err_sq=err_sq, trace_max=trace_max, diverged=diverged)
 
 
 def run_continuous_ensemble(model, config, states, increments, dt):

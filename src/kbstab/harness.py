@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -198,13 +199,57 @@ def _exceedance_rows(kind, cert, err_sq, times, deltas):
             for i, j in np.ndindex(thr.shape)]
 
 
+def _physical_memory():
+    """The machine's physical memory in bytes, or None where ``os.sysconf`` does not report it (Windows)."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        return os.sysconf("SC_PAGE_SIZE") * pages if pages > 0 else None
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _filter_moments(model, config, states, incr, dt, cp_idx):
+    """Run one filter on the record and reduce its error history before the next filter runs.
+
+    Returns the mask of paths that never diverged, the errors at the
+    checkpoint columns ``cp_idx`` (every path), and over the paths that never
+    diverged the mean squared error, its standard error and the largest
+    ``trace P``; the last three are NaN when every path diverged. Only the
+    record and this filter's history are alive at once, whatever the number
+    of filters.
+    """
+    run = run_continuous_ensemble(model, config, states, incr, dt)
+    err = run.err_sq
+    cps = err[:, cp_idx]
+    # the loop freezes a path whose simulated truth turns non-finite, so
+    # a path that died in simulation has diverged for every filter
+    alive = run.diverged < 0
+    n_alive = int(alive.sum())
+    if n_alive == 0:
+        nan = np.full(err.shape[1], np.nan)
+        return alive, cps, nan, nan.copy(), float("nan")
+    # err itself when no path diverged: the same array and C layout, so the
+    # same bits, and no second history beside the record
+    err_alive = err if n_alive == len(err) else err[alive]
+    mse = err_alive.mean(axis=0)
+    # squared in place: the same bits as err_alive**2, and no further history
+    second = np.square(err_alive, out=err_alive).mean(axis=0)
+    se = np.sqrt(np.maximum(second - mse**2, 0.0) / n_alive)
+    return alive, cps, mse, se, float(run.trace_max[alive].max())
+
+
 def run_experiment(spec, model=None, certificates=None, configs=None):
     """Run the Monte Carlo experiment described by ``spec``.
 
     Per trajectory: simulate the model, run every requested filter on the
-    same measurement record, and record squared estimation errors. Raises
+    same measurement record, and record squared estimation errors. Each
+    filter's error history is reduced before the next filter runs, so the
+    record and one history are the most that is alive at once. Raises
     :class:`ExperimentDivergenceError` (with the result attached) when more
-    than one percent of paths diverge for any filter.
+    than one percent of paths diverge for any filter. Before it simulates, it
+    raises a ``ValueError`` naming the size when the record and one error
+    history, ``8 (n+1) B (dim_x + dim_y + 1)`` bytes, would exceed the
+    machine's physical memory (checked where ``os.sysconf`` reports it).
 
     ``model``, ``certificates`` and ``configs`` override the spec-derived
     defaults for library callers; the CLI always goes through the spec.
@@ -212,6 +257,11 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
     model = build_model(spec) if model is None else model
     warnings = []
     n_steps = int(round(spec.horizon / spec.dt))
+    held = 8 * (n_steps + 1) * spec.trajectories * (model.dim_x + model.dim_y + 1)
+    physical = _physical_memory()
+    if physical is not None and held > physical:
+        raise ValueError(f"the run would hold {held / 1e9:.4g} GB at once (the simulated record and one "
+                         f"error history), more than the {physical / 1e9:.4g} GB of physical memory")
     times = np.arange(n_steps + 1) * spec.dt
 
     cp_stride = int(round(spec.checkpoint_every / spec.dt))
@@ -235,37 +285,23 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
                 warnings.append(f"no certificate for {kind}: {exc}")
 
     _, states, incr, _ = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
-
     empirical, stderr, bounds, averages, traces = {}, {}, {}, {}, {}
     cp_err, div_counts, alive_counts = {}, {}, {}
     dominates = dict.fromkeys(spec.filters)
     exceedance = []
     for kind in spec.filters:
-        run = run_continuous_ensemble(model, configs[kind], states, incr, spec.dt)
-        err = run.err_sq
-        cps = err[:, cp_idx]
-        # the loop freezes a path whose simulated truth turns non-finite, so
-        # a path that died in simulation has diverged for every filter
-        alive = run.diverged < 0
-        n_alive = int(alive.sum())
+        alive, cps, mse, se, traces[kind] = _filter_moments(model, configs[kind], states, incr, spec.dt, cp_idx)
         cert = certs[kind]
         bounds[kind] = None if cert is None else continuous_mse_bound(cert, claim_time(cert, times))
         cp_err[kind] = cps
         div_counts[kind] = int((~alive).sum())
-        alive_counts[kind] = n_alive
-        if n_alive == 0:
-            empirical[kind] = np.full(times.shape, np.nan)
-            stderr[kind] = np.full(times.shape, np.nan)
-            averages[kind] = float("nan")
-            traces[kind] = float("nan")
-            continue
-        mse = err[alive].mean(axis=0)
-        second = (err[alive] ** 2).mean(axis=0)
-        se = np.sqrt(np.maximum(second - mse**2, 0.0) / n_alive)
+        alive_counts[kind] = int(alive.sum())
         empirical[kind] = mse
         stderr[kind] = se
+        if not alive.any():
+            averages[kind] = float("nan")
+            continue
         averages[kind] = float(mse[times >= window_start(spec.average_from, times)].mean())
-        traces[kind] = float(run.trace_max[alive].max())
         if cert is None:
             continue
         sel = times >= window_start(spec.domination_from, times)

@@ -25,6 +25,9 @@ it for each stream, which gives the same numbers as a fresh generator.
 The loop keeps its paths time-major, ``(steps + 1, paths, dim)``, so each
 step reads and writes contiguous rows, and checks a step's finiteness on the
 whole batch first, looking at single paths only when that check fails. The
+noise is drawn into the record itself: rows ``1..`` hold each step's state
+and measurement noise until that step overwrites them, so a simulation
+allocates no full-size array besides the one record it returns. The
 batch simulators :func:`simulate_paths` and :func:`simulate_discrete_paths`
 are the only entry points; they return the usual ``(paths, steps + 1, dim)``
 shape, as transposed views of that storage. One path ``p`` is the batch of
@@ -171,8 +174,13 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     measurement increments; a discrete model iterates its recursion and
     records ``Y_k = H X_k + R^{1/2} V_k``. Only the state and measurement
     lines of the loop differ. Arrays are time-major, ``(n+1, B, d)``, so a
-    step reads and writes contiguous rows. While every path is alive and
-    finite, rows are written whole after one finiteness check of the batch.
+    step reads and writes contiguous rows. Row ``k + 1`` of ``states`` and
+    of ``meas`` holds step ``k``'s noise until the step reads it and
+    overwrites it with the new state and measurement; no other full-size
+    array is made. While every path is alive and finite, rows are written
+    whole after one finiteness check of the batch; otherwise a dead path's
+    entries of the row are set to NaN (state) and 0 (measurement), so no
+    raw noise is left behind.
     ``seed`` must be an integer, ``n_paths`` one at least 1 and ``first_path``
     one at least 0.
     """
@@ -183,24 +191,21 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     first_path = check_integer("first_path", first_path, low=0)
     B, dx, dy = n_paths, model.dim_x, model.dim_y
     scale = math.sqrt(dt) if time == "cont" else 1.0
-    x0 = np.empty((B, dx))
-    wq = np.empty((n, B, dx))
-    vr = np.empty((n, B, dy))
+    states = np.empty((n + 1, B, dx))
+    meas = np.empty((n + 1, B, dy))
     # noise roots once per batch; each path draws from its own three streams,
-    # all through one generator re-keyed per stream
+    # all through one generator re-keyed per stream, into the rows its steps overwrite
     sqrt_sigma0, sqrt_q, sqrt_r = matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
     gen = philox(seed, 0)
     for p in range(B):
         stream = (first_path + p) * 4
-        x0[p] = model.mu0 + sqrt_sigma0 @ _rekey(gen, seed, stream + _ROLE_INIT).standard_normal(dx)
-        wq[:, p] = scale * _rekey(gen, seed, stream + _ROLE_STATE).standard_normal((n, dx)) @ sqrt_q
-        vr[:, p] = scale * _rekey(gen, seed, stream + _ROLE_MEAS).standard_normal((n, dy)) @ sqrt_r
+        states[0, p] = model.mu0 + sqrt_sigma0 @ _rekey(gen, seed, stream + _ROLE_INIT).standard_normal(dx)
+        states[1:, p] = scale * _rekey(gen, seed, stream + _ROLE_STATE).standard_normal((n, dx)) @ sqrt_q
+        meas[1:, p] = scale * _rekey(gen, seed, stream + _ROLE_MEAS).standard_normal((n, dy)) @ sqrt_r
+    meas[0] = 0.0
 
-    states = np.full((n + 1, B, dx), np.nan)
-    meas = np.zeros((n + 1, B, dy))
     diverged = np.full(B, -1, dtype=int)
-    states[0] = x0
-    alive = np.isfinite(x0).all(axis=1)
+    alive = np.isfinite(states[0]).all(axis=1)
     diverged[~alive] = 0
     every = alive.all()
     Ht = model.H.T
@@ -208,11 +213,11 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
         for k in range(n):
             xk = states[k]
             if time == "cont":
-                xn = xk + np.asarray(model.f(xk), dtype=float) * dt + wq[k]
-                yn = xk @ Ht * dt + vr[k]
+                xn = xk + np.asarray(model.f(xk), dtype=float) * dt + states[k + 1]
+                yn = xk @ Ht * dt + meas[k + 1]
             else:
-                xn = np.asarray(model.f(xk), dtype=float) + wq[k]
-                yn = xn @ Ht + vr[k]
+                xn = np.asarray(model.f(xk), dtype=float) + states[k + 1]
+                yn = xn @ Ht + meas[k + 1]
             if every and np.isfinite(xn).all() and np.isfinite(yn).all():
                 states[k + 1] = xn
                 meas[k + 1] = yn
@@ -221,8 +226,8 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
             diverged[alive & ~ok] = k + 1
             alive = ok
             every = False
-            states[k + 1, ok] = xn[ok]
-            meas[k + 1, ok] = yn[ok]
+            states[k + 1] = np.where(ok[:, None], xn, np.nan)
+            meas[k + 1] = np.where(ok[:, None], yn, 0.0)
     return states.transpose(1, 0, 2), meas.transpose(1, 0, 2), diverged
 
 

@@ -2,6 +2,7 @@
 session-scoped and reused by every test that needs them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,26 @@ def record_filter():
         return (run, *map(np.stack, zip(*rows)))
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """Measures a call's memory: ``traced_peak(fn, *args)`` is the most bytes
+    ``fn(*args)`` held at once beyond what was held before it, as
+    ``tracemalloc`` sees them (Python objects and numpy arrays)."""
+    def measure(fn, *args, **kwargs):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return measure
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -141,6 +140,19 @@ class TestSimulate:
             "trajectories": 5, "dt": 0.5, "horizon": 200.0, "seed": 2,
         }))
         assert main(["simulate", "--config", str(cfg)]) == 3
+
+    def test_run_larger_than_memory_is_config_error(self, capsys, traced_peak):
+        # a billion paths over 100,000 steps would hold 8 x 100,001 x 1e9 x
+        # (2 + 1 + 1) bytes; the preflight refuses before anything large exists
+        codes = []
+        argv = ["simulate", "--preset", "fig2", "--trajectories", "1000000000", "--horizon", "1000"]
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [1]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: the run would hold 3.2e+06 GB at once")
+        assert "physical memory" in captured.err
+        assert captured.out == ""
+        assert peak <= 1e6
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -492,23 +504,13 @@ class TestValidate:
         validation_suite(samples=200)
         assert calls == {"draw": 8, "cont": 12, "disc": 12}
 
-    def test_assumption_checks_hold_one_set_at_a_time(self):
+    def test_assumption_checks_hold_one_set_at_a_time(self, traced_peak):
         # peaked at 6.71 MB (numpy 2.4); the bound leaves 4% over it. Keeping
         # both sets of a drift alive through its checks peaked at 7.91 MB
         from kbstab.cli import _assumption_checks
 
         _assumption_checks(7, 10)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            _assumption_checks(7, 10000)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= 7.0e6
+        assert traced_peak(_assumption_checks, 7, 10000) <= 7.0e6
 
     def test_preset_concentration_check_appended(self):
         checks = validation_suite(

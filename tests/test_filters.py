@@ -193,6 +193,19 @@ def assert_lapack_factor(L, sym):
         assert np.all(gap <= 1e-15 * np.abs(ref).max(axis=(-2, -1)))
 
 
+class TestErrorLayout:
+    def test_errors_are_path_major_and_c_contiguous(self, discrete_sine):
+        # the harness's reduction bits depend on this layout
+        model = builtin_contractive3d()
+        _, states, incr, _ = simulate_paths(model, dt=0.05, horizon=1.0, seed=2, n_paths=7)
+        run = run_continuous_ensemble(model, make_filter_config("ekf", model), states, incr, 0.05)
+        assert run.err_sq.shape == (7, 21) and run.err_sq.flags.c_contiguous
+        model = discrete_sine()
+        _, states, meas, _ = simulate_discrete_paths(model, steps=12, seed=2, n_paths=5)
+        run = run_discrete_ensemble(model, make_filter_config("ukf", model), states, meas)
+        assert run.err_sq.shape == (5, 13) and run.err_sq.flags.c_contiguous
+
+
 @pytest.mark.parametrize("d", [2, 3])
 class TestPsdGuard:
     """The guard's one batch-last recurrence: 2x2, where it is LAPACK's bit for bit, and 3x3, where it rounds apart."""

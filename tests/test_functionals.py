@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,7 +322,7 @@ class TestSigmaPoints:
         assert pts.shape == (12, rule.size, 3)
         assert np.abs(pts - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_wide_batch_peak_memory_is_bounded(self, rng):
+    def test_wide_batch_peak_memory_is_bounded(self, rng, traced_peak):
         # 10,000 inputs x 27 points x 3 coordinates is 6.5 MB per array as one
         # block; in blocks of BLOCK_COORDS the call peaked at 1.8 MB, against
         # 19.4 MB unblocked (numpy 2.4)
@@ -332,17 +331,7 @@ class TestSigmaPoints:
         x = rng.uniform(-5.0, 5.0, (10000, 3))
         G = rng.standard_normal((10000, 3, 3))
         P = G @ np.swapaxes(G, 1, 2)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            eval_mean_batch(F, model.f, x, np.moveaxis(P, 0, -1))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= 8e6
+        assert traced_peak(eval_mean_batch, F, model.f, x, np.moveaxis(P, 0, -1)) <= 8e6
 
 
 class TestSigmaArguments:

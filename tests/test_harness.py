@@ -214,6 +214,47 @@ class TestWorkers:
         assert calls == {"simulate": 1, "ensemble": ["ekf", "sigma"], "threads": 0}
 
 
+class TestPeakMemory:
+    def test_fig2_benchmark_run_holds_the_record_and_one_error_history(self, traced_peak):
+        # 1000 paths x 400 steps: the record (9.62 MB), one err_sq history
+        # (3.21 MB) and the truth mask peaked at 13.63 MB (numpy 2.4). A
+        # transposed copy of err_sq, a masked copy of it or a squared copy
+        # beside the record reaches 16.2-16.8 MB; noise buffers beside the
+        # record reached 19.33 MB
+        spec = preset_spec("fig2", trajectories=1000, horizon=4.0, seed=7)
+        run_experiment(dataclasses.replace(spec, trajectories=10))
+        assert traced_peak(run_experiment, spec) <= 14.5e6
+
+    def test_a_second_filter_adds_no_error_history(self, traced_peak):
+        # ekf then ukf on the same record peaked at 13.80 MB (numpy 2.4): the
+        # first history is reduced and freed before the second exists. Running
+        # every filter before reducing any held both, 16.93 MB
+        spec = preset_spec("fig2", trajectories=1000, horizon=4.0, seed=7, filters=("ekf", "ukf"))
+        run_experiment(dataclasses.replace(spec, trajectories=10))
+        assert traced_peak(run_experiment, spec) <= 14.5e6
+
+    def test_runs_where_physical_memory_is_not_reported(self, monkeypatch):
+        # no os.sysconf (Windows): the preflight is skipped, the run goes on
+        monkeypatch.delattr(harness.os, "sysconf")
+        spec = small_spec()
+        assert run_experiment(spec).alive_counts == {kind: spec.trajectories for kind in spec.filters}
+
+    def test_reductions_equal_those_over_a_masked_copy(self):
+        # with no path diverged the harness reduces err_sq itself; a masked
+        # copy has the same C layout, so every bit agrees
+        spec = small_spec(filters=("ekf", "ukf"))
+        result = run_experiment(spec)
+        model = build_model(spec)
+        _, states, incr, _ = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
+        for kind in spec.filters:
+            run = run_continuous_ensemble(model, make_filter_config(kind, model), states, incr, spec.dt)
+            err = run.err_sq[run.diverged < 0]
+            assert len(err) == spec.trajectories
+            assert result.empirical_mse[kind].tobytes() == err.mean(axis=0).tobytes()
+            se = np.sqrt(np.maximum((err**2).mean(axis=0) - err.mean(axis=0) ** 2, 0.0) / len(err))
+            assert result.mse_stderr[kind].tobytes() == se.tobytes()
+
+
 class TestConcentrationCheck:
     """Every exceedance row carries its verdict, counted over the paths that never diverged."""
 

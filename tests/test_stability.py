@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -515,16 +514,10 @@ class TestIntegratedVelocityCertificate:
         # the P12 = C12 end is the maximum in a good share of the boxes
         assert far_end >= 30
 
-    def test_certificate_allocates_little(self):
+    def test_certificate_allocates_little(self, traced_peak):
         # the supremum is closed-form: no dense box grid may come back
         model = builtin_integrated_velocity()
-        tracemalloc.start()
-        try:
-            integrated_velocity_certificate(model, make_filter_config("ekf", model))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced_peak(lambda: integrated_velocity_certificate(model, make_filter_config("ekf", model))) < 2**20
 
     def test_trace_bound_holds_on_simulation(self):
         model = builtin_integrated_velocity()
