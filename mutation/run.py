@@ -156,6 +156,34 @@ MUTANTS = (
         tests=("tests/test_stability.py::TestDiscreteCertificate::test_initial_error_is_bound_at_build",),
     ),
     Mutant(
+        name="discrete-trace-bound-without-P0",
+        file="src/kbstab/stability.py",
+        old="lambda_P_upd = max(float(np.trace(config.P0)), cap)",
+        new="lambda_P_upd = cap",
+        tests=("tests/test_stability.py::TestDiscreteCertificateEnsemble::test_trace_stays_under_update_bound[linear-ekf]",),
+    ),
+    Mutant(
+        name="discrete-trace-cap-per-axis",
+        file="src/kbstab/stability.py",
+        old="cap = min(model.dim_x / s, cap)",
+        new="cap = min(1 / s, cap)",
+        tests=("tests/test_stability.py::TestDiscreteTraceBounds::test_linear_models",),
+    ),
+    Mutant(
+        name="discrete-prediction-linear-in-jf",
+        file="src/kbstab/stability.py",
+        old="lambda_P_pred = jf_norm**2 * lambda_P_upd + tr_Qt",
+        new="lambda_P_pred = jf_norm * lambda_P_upd + tr_Qt",
+        tests=("tests/test_stability.py::TestDiscreteCertificate::test_worked_scalar_case",),
+    ),
+    Mutant(
+        name="velocity-box-drops-far-end",
+        file="src/kbstab/stability.py",
+        old="b = 0.5 * max(a2, s * c12 - a2)",
+        new="b = 0.5 * a2",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::test_box_supremum_matches_eigvalsh_search",),
+    ),
+    Mutant(
         name="velocity-tuning-from-the-model",
         file="src/kbstab/stability.py",
         old="Qt, P0 = config.Q_tuned, config.P0",
@@ -190,6 +218,14 @@ MUTANTS = (
         new="return start",
         tests=("tests/test_harness.py::TestValidityWindow::test_window_past_the_horizon_is_the_whole_run",
                "tests/test_cli.py::TestSimulate::test_summary_line_names_the_window_start_used"),
+    ),
+    Mutant(
+        name="divergence-step-off-by-one",
+        file="src/kbstab/filters.py",
+        old="diverged[alive & ~ok] = k\n",
+        new="diverged[alive & ~ok] = k + 1\n",
+        tests=("tests/test_filters.py::TestFrozenPaths::test_dead_truth_freezes_only_its_path[ekf]",
+               "tests/test_filters.py::TestKalmanBucyStep::test_covariance_collapse_detected"),
     ),
     Mutant(
         name="dead-row-keeps-noise",

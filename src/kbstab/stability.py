@@ -16,10 +16,12 @@ analogous constants ``(lambda_d, lambda_df, kappa, lambda_P_pred,
 lambda_P_upd, C_f, eta, u_d)`` and initial error terms ``e0_sq = ||mu0 -
 x0_hat||^2 + tr Sigma0`` and ``e0_root = ||mu0 - x0_hat|| + sqrt(||Sigma0||)``.
 Every builder reads the model and its filter config; every bound only its certificate.
+A discrete certificate derives all its constants, for ``S = s I`` and
+``||J_f|| < 1`` (:func:`discrete_certificate`).
 
 Certificates record provenance: ``analytic`` constants were supplied with
-the model, ``empirical`` ones were estimated by sampling, and ``user``
-values are accepted at the caller's risk.
+the model or derived from it, ``empirical`` ones were estimated by sampling,
+and ``user`` values are accepted at the caller's risk.
 """
 
 import json
@@ -31,7 +33,8 @@ import numpy as np
 from .checks import check_integer, is_finite_real
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .matrix_measures import log_lipschitz_estimate
-from .models import philox, velocity_log_lipschitz
+from .filters import make_filter_config
+from .models import velocity_log_lipschitz
 from .quadrature import _check_psd
 
 E = math.e
@@ -143,10 +146,19 @@ class DiscreteCertificate:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 <= self.lambda_df < 1.0):
+        for name in ("lambda_d", "lambda_df", "kappa", "lambda_P_pred", "lambda_P_upd", "C_f", "eta", "u_d",
+                     "e0_sq", "e0_root"):
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        if self.lambda_df >= 1.0:
             raise ValueError("lambda_df must lie in [0, 1)")
-        if not all(v >= 0 for v in (self.lambda_d, self.kappa, self.C_f, self.e0_sq, self.e0_root)):
-            raise ValueError("lambda_d, kappa, C_f, e0_sq and e0_root must be nonnegative")
+
+    @property
+    def mse_asymptote(self):
+        return (self.u_d + self.lambda_d**2 * self.C_f * self.lambda_P_upd) / (1.0 - self.lambda_df**2)
 
     def to_dict(self):
         out = {
@@ -456,59 +468,55 @@ def integrated_velocity_certificate(model, config):
 # Discrete-time certificates and bounds
 
 
-def _known_jf_norm(model):
-    """``||J_f||`` as attached to the model, where both discrete builders read it."""
-    if model.known_jf_norm is None:
-        raise ValueError("attach known_jf_norm to the model")
-    return float(model.known_jf_norm)
-
-
-def _sample_gain_deviation(model, lambda_P_pred):
-    """Empirical sup of ||I - K H|| over 512 PSD predictive covariances with bounded trace, drawn at seed 0."""
-    d, samples = model.dim_x, 512
-    gen = philox(0, 1)
-    G = gen.standard_normal((samples, d, d))
-    P = G @ np.swapaxes(G, 1, 2)
-    tr = np.einsum("bii->b", P)
-    target = gen.uniform(0.0, lambda_P_pred, size=samples)
-    P *= (target / np.maximum(tr, 1e-300))[:, None, None]
-    iso = np.stack([t / d * np.eye(d) for t in (lambda_P_pred, 0.5 * lambda_P_pred, 1e-6)])
-    P = np.concatenate([P, iso])
-    H, R = model.H, model.R
-    HP = np.einsum("ij,bjk->bik", H, P)
-    innov = np.einsum("bij,jk->bik", HP, H.T) + R
-    K = np.swapaxes(np.linalg.solve(innov, HP), 1, 2)
-    M = np.eye(d) - K @ H
-    return float(np.linalg.svd(M, compute_uv=False)[:, 0].max())
-
-
-def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *, lambda_d=None):
+def discrete_certificate(model, config):
     """Certificate for the discrete predict/update filter of ``config`` on ``model``.
 
-    The caller supplies trace bounds for the predictive and updated
-    covariances (analytic where available, empirical otherwise). The gain
-    deviation ``lambda_d`` defaults to ``max(1, sup ||I - K H||)`` sampled
-    over the admissible covariance set, flagged empirical; a value passed
-    overrides it with provenance ``user``. Fails when the contraction factor
-    ``lambda_df = ||J_f|| lambda_d``, with the model's ``known_jf_norm``, is
-    not below one. ``C_f`` is zero for the point-evaluation filter and
-    ``||J_f||`` for the quadrature-based ones, read from ``config.functional``.
-    ``e0_sq`` and ``e0_root`` bind the model's ``mu0`` and ``Sigma0`` and the config's ``x0_hat``.
-    ``config`` must have the model's size, and ``R`` must be positive definite.
+    Hypotheses: ``S = H^T R^-1 H = s I`` with ``s >= 0`` (else
+    :class:`NotFullyObservedError`), ``R`` positive definite, and the
+    model's ``known_jf_norm`` ``||J_f|| < 1`` (else
+    :class:`NoCertificateError`). ``config`` must have the model's size.
+    Every constant is then derived, with ``d = dim_x`` and ``Q~``, ``P0``
+    the config's:
+
+    * ``I - K H = (I + s P_pred)^-1`` is symmetric with eigenvalues in
+      ``(0, 1]``, so ``lambda_d = 1`` and ``lambda_df = ||J_f||``.
+    * The update gives ``P_upd = (P_pred^-1 + s I)^-1 <= P_pred``, and
+      ``P_upd <= I / s`` when ``s > 0``.
+    * ``ekf`` predicts ``J P J^T + Q~``, with ``tr(J P J^T) <= ||J_f||^2 tr P``.
+      A rule (positive weights, degree-two exact) predicts the weighted
+      covariance of the propagated points plus ``Q~``; its trace is at most
+      the weighted mean of ``||f(x_i) - f(x)||^2 <= ||J_f||^2 ||x_i - x||^2``,
+      which is ``||J_f||^2 tr P``. So ``tr P_pred <= ||J_f||^2 tr P_upd + tr Q~``.
+    * From ``P_upd = P0``, induction on both gives
+      ``lambda_P_upd = max(tr P0, min(d / s, tr Q~ / (1 - ||J_f||^2)))``,
+      where the ``min`` drops ``d / s`` when ``s = 0``, and
+      ``lambda_P_pred = ||J_f||^2 lambda_P_upd + tr Q~``.
+
+    ``kappa = lambda_P_pred ||H|| ||R^-1||`` bounds the gain. ``C_f`` is zero
+    for the point-evaluation filter and ``||J_f||`` for the quadrature-based
+    ones, read from ``config.functional``. ``e0_sq`` and ``e0_root`` bind
+    the model's ``mu0`` and ``Sigma0`` and the config's ``x0_hat``.
     """
     config.check_dim(model.dim_x)
     kind = _kind(config)
-    jf_norm = _known_jf_norm(model)
-    if lambda_P_pred <= 0 or lambda_P_upd <= 0:
-        raise ValueError("covariance trace bounds must be positive")
-    provenance = "empirical" if lambda_d is None else "user"
-    lambda_d = max(1.0, _sample_gain_deviation(model, lambda_P_pred)) if lambda_d is None else float(lambda_d)
-    lambda_df = jf_norm * lambda_d
-    if lambda_df >= 1.0:
+    s = model.s_scalar()
+    if s is None or s < 0:
+        raise NotFullyObservedError("S = H^T R^-1 H is not a nonnegative multiple of the identity")
+    if model.known_jf_norm is None:
+        raise ValueError("attach known_jf_norm to the model")
+    jf_norm = float(model.known_jf_norm)
+    if jf_norm >= 1.0:
         raise NoCertificateError(
-            f"lambda_df = ||J_f|| lambda_d = {lambda_df:.6g} >= 1: error recursion is not a contraction",
+            f"lambda_df = ||J_f|| lambda_d = {jf_norm:.6g} >= 1: error recursion is not a contraction",
             hypothesis="lambda_df < 1",
         )
+    lambda_d, lambda_df = 1.0, jf_norm
+    tr_Qt = float(np.trace(config.Q_tuned))
+    cap = tr_Qt / (1.0 - jf_norm**2)
+    if s > 0:
+        cap = min(model.dim_x / s, cap)
+    lambda_P_upd = max(float(np.trace(config.P0)), cap)
+    lambda_P_pred = jf_norm**2 * lambda_P_upd + tr_Qt
     R_inv_norm = float(np.linalg.norm(np.linalg.inv(_check_psd("R", model.R, definite=True)), 2))
     kappa = lambda_P_pred * float(np.linalg.norm(model.H, 2)) * R_inv_norm
     c_f = 0.0 if kind == "ekf" else jf_norm
@@ -521,14 +529,14 @@ def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *, lambda_d
         lambda_d=lambda_d,
         lambda_df=lambda_df,
         kappa=kappa,
-        lambda_P_pred=float(lambda_P_pred),
-        lambda_P_upd=float(lambda_P_upd),
-        C_f=float(c_f),
+        lambda_P_pred=lambda_P_pred,
+        lambda_P_upd=lambda_P_upd,
+        C_f=c_f,
         eta=eta,
         u_d=u_d,
         e0_sq=e0_sq,
         e0_root=e0_root,
-        provenance=provenance,
+        provenance="analytic",
         details={"kind": kind, "jf_norm": jf_norm},
     )
 
@@ -536,8 +544,7 @@ def discrete_certificate(model, config, lambda_P_pred, lambda_P_upd, *, lambda_d
 def discrete_mse_bound(cert, k):
     """Mean-square error bound after ``k`` discrete steps, an integer of at least 0."""
     k = check_integer("k", k, low=0)
-    per_step = cert.u_d + cert.lambda_d**2 * cert.C_f * cert.lambda_P_upd
-    return cert.lambda_df ** (2 * k) * cert.e0_sq + per_step / (1.0 - cert.lambda_df**2)
+    return cert.lambda_df ** (2 * k) * cert.e0_sq + cert.mse_asymptote
 
 
 def discrete_concentration_threshold(cert, k, delta):
@@ -554,24 +561,17 @@ class NaiveComparison:
 
     naive_mse: float
     filter_bound: float
-    lambda_d: float
-    lambda_df: float
-    kappa: float
-    lambda_P_pred: float
     filter_wins: bool
+    certificate: DiscreteCertificate
 
 
 def naive_vs_filter(model):
     """Compare the ``ekf``'s asymptotic bound with using scaled measurements directly.
 
     Requires ``H = h I`` and ``R = r I``; then rescaled measurements are
-    unbiased state estimates with mean-square error ``d_y r / h^2``, and the
-    filter's asymptotic bound, with ``C_f = 0``, is
-    ``(lambda_d^2 tr(Q) + kappa^2 d_y r) / (1 - lambda_df^2)``.
-    The trace bound comes from the contraction recursion
-    ``tr(P_pred) <= ||J_f||^2 tr(P_upd) + tr(Q)`` with ``tr(P_upd) <=
-    tr(P_pred)``, valid for the point-evaluation filter, so this comparison
-    requires ``||J_f|| < 1``.
+    unbiased state estimates with mean-square error ``d_y r / h^2``. The
+    filter's bound is the ``mse_asymptote`` of :func:`discrete_certificate`
+    for the ``ekf`` at the model's own tuning, so ``||J_f|| < 1`` is needed.
     """
     d = model.dim_x
     H, R = model.H, model.R
@@ -580,24 +580,10 @@ def naive_vs_filter(model):
         raise ValueError("naive comparison needs H = h I with h nonzero")
     if np.abs(R - r * np.eye(d)).max() > 1e-12 or r <= 0:
         raise ValueError("naive comparison needs R = r I with r positive")
-    jf = _known_jf_norm(model)
-    if jf >= 1.0:
-        raise NoCertificateError("trace recursion needs ||J_f|| < 1", hypothesis="drift contraction")
-    tr_Q = float(np.trace(model.Q))
-    lambda_P_pred = tr_Q / (1.0 - jf**2)
-    lambda_d, lambda_df = 1.0, jf  # with H = h I the gain deviation ||I - K H|| never exceeds one
-    kappa = h / (h * h + r / lambda_P_pred)
+    cert = discrete_certificate(model, make_filter_config("ekf", model))
     naive = d * r / (h * h)
-    bound = (lambda_d**2 * tr_Q + kappa**2 * d * r) / (1.0 - lambda_df**2)
-    return NaiveComparison(
-        naive_mse=naive,
-        filter_bound=bound,
-        lambda_d=lambda_d,
-        lambda_df=lambda_df,
-        kappa=kappa,
-        lambda_P_pred=lambda_P_pred,
-        filter_wins=bool(bound < naive),
-    )
+    bound = cert.mse_asymptote
+    return NaiveComparison(naive_mse=naive, filter_bound=bound, filter_wins=bool(bound < naive), certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import warnings
@@ -31,6 +32,7 @@ from kbstab import (
     naive_vs_filter,
     required_inflation,
 )
+from kbstab import filters
 from kbstab.errors import IndefiniteMatrixError, NoCertificateError, NotContractiveError, NotFullyObservedError
 from kbstab.filters import FILTER_KINDS, FilterConfig, _kb_step_batch, run_discrete_ensemble
 from kbstab.functionals import Functional
@@ -116,7 +118,7 @@ class TestCertificateTuningSize:
     def test_discrete(self):
         model = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
         with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
-            discrete_certificate(model, self.config(3), lambda_P_pred=1.0, lambda_P_upd=1.0)
+            discrete_certificate(model, self.config(3))
 
 
 class TestCertificateKindFromConfig:
@@ -134,7 +136,7 @@ class TestCertificateKindFromConfig:
                  integrated_velocity_certificate(iv, make_filter_config(kind, iv)),
                  certificate_for(c3, make_filter_config(kind, c3)),
                  certificate_for(iv, make_filter_config(kind, iv)),
-                 discrete_certificate(disc, make_filter_config(kind, disc), 1.0, 1.0)]
+                 discrete_certificate(disc, make_filter_config(kind, disc))]
         constants = [cert.C_lambda for cert in certs[:4]] + [certs[4].C_f]
         if kind == "ekf":
             assert constants == [0.0] * 5
@@ -153,7 +155,7 @@ class TestCertificateKindFromConfig:
         with pytest.raises(TypeError):
             certificate_for(c3, make_filter_config("ukf", c3), "ekf")
         with pytest.raises(TypeError):
-            discrete_certificate(disc, make_filter_config("ukf", disc), "ekf", 1.0, 1.0)
+            discrete_certificate(disc, make_filter_config("ukf", disc), "ekf")
 
 
 class TestContinuousBounds:
@@ -558,58 +560,72 @@ class TestDiscreteCertificate:
         return builtin_discrete_linear(a * np.eye(d), Q=q * np.eye(d), H=h * np.eye(d),
                                        R=r * np.eye(d), mu0=np.zeros(d), Sigma0=np.eye(d))
 
+    def test_takes_only_the_model_and_its_config(self):
+        assert str(inspect.signature(discrete_certificate)) == "(model, config)"
+
     def test_no_measurements_contraction_case(self):
+        # s = 0: no d/s cap, so lambda_P_upd = max(tr P0, tr Q / (1 - 0.8^2))
         model = builtin_discrete_linear(0.8 * np.eye(2), Q=np.eye(2), H=np.zeros((2, 2)),
                                         R=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, lambda_P_pred=5.0, lambda_P_upd=5.0)
-        assert cert.lambda_d == pytest.approx(1.0)
+        cert = discrete_certificate(model, config)
+        assert cert.lambda_d == 1.0
         assert cert.lambda_df == pytest.approx(0.8)
         assert cert.kappa == 0.0
+        assert cert.lambda_P_upd == pytest.approx(2.0 / 0.36, rel=1e-14)
 
     def test_expanding_map_has_no_certificate(self):
         model = builtin_discrete_linear(1.1 * np.eye(2), Q=np.eye(2), H=np.zeros((2, 2)),
                                         R=np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2))
         config = make_filter_config("ekf", model)
-        with pytest.raises(NoCertificateError):
-            discrete_certificate(model, config, lambda_P_pred=5.0, lambda_P_upd=5.0)
+        with pytest.raises(NoCertificateError) as err:
+            discrete_certificate(model, config)
+        assert err.value.hypothesis == "lambda_df < 1"
+
+    def test_unknown_drift_norm_named(self):
+        model = dataclasses.replace(self._model(), known_jf_norm=None)
+        with pytest.raises(ValueError, match="known_jf_norm"):
+            discrete_certificate(model, make_filter_config("ekf", model))
 
     def test_singular_R_named(self):
         model = self._model(d=2, r=0.0)
         with pytest.raises(IndefiniteMatrixError, match="R must be positive definite"):
-            discrete_certificate(model, make_filter_config("ekf", model),
-                                 lambda_P_pred=1.0, lambda_P_upd=1.0)
+            discrete_certificate(model, make_filter_config("ekf", model))
 
     def test_gain_shrinks_with_measurement_noise(self):
+        # s = 1e-6: the cap is tr Q / (1 - 0.5^2) = 4/3, above tr P0 = 1
         model = self._model(r=1e6)
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, lambda_P_pred=2.0, lambda_P_upd=2.0)
-        assert cert.kappa == pytest.approx(2.0 * 1e-6, rel=1e-9)
-        assert cert.lambda_d == pytest.approx(1.0)
+        cert = discrete_certificate(model, config)
+        assert cert.lambda_P_upd == cert.lambda_P_pred == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert cert.kappa == pytest.approx(4.0 / 3.0 * 1e-6, rel=1e-9)
+        assert cert.lambda_d == 1.0
 
     def test_worked_scalar_case(self):
+        # s = 1, tr P0 = 1: lambda_P_upd = max(1, min(1, 1 / 0.75)) = 1, and
+        # lambda_P_pred = 0.25 + 1; every value is exact in binary
         model = self._model(a=0.5, q=1.0, h=1.0, r=1.0)
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0)
-        assert cert.kappa == pytest.approx(1.0)
-        assert cert.lambda_d == pytest.approx(1.0)
-        assert cert.lambda_df == pytest.approx(0.5)
+        cert = discrete_certificate(model, config)
+        assert cert.lambda_P_upd == 1.0
+        assert cert.lambda_P_pred == cert.kappa == 1.25
+        assert cert.lambda_d == 1.0
+        assert cert.lambda_df == 0.5
         assert cert.eta == 0.0
-        assert cert.u_d == pytest.approx(1.0 * 1.0 + 1.0 * 1.0)
+        assert cert.u_d == 2.5625
+        assert cert.mse_asymptote == 2.5625 / 0.75
 
     def test_quadrature_kind_gets_lipschitz_constant(self):
         model = self._model(a=0.5)
         config = make_filter_config("ukf", model)
-        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0)
+        cert = discrete_certificate(model, config)
         assert cert.C_f == pytest.approx(0.5)
         assert cert.eta == pytest.approx(1.0 * math.sqrt(0.5 * 1.0))
 
-    def test_user_lambda_d_provenance(self):
+    def test_derived_constants_are_analytic(self):
         model = self._model()
-        config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0,
-                                    lambda_d=1.0)
-        assert cert.provenance == "user"
+        cert = discrete_certificate(model, make_filter_config("ekf", model))
+        assert cert.provenance == "analytic"
 
     def test_initial_error_is_bound_at_build(self):
         # mu0 - x0_hat = (0.75, -2.5) and Sigma0 = diag(1, 3): tr Sigma0 = 4
@@ -617,7 +633,7 @@ class TestDiscreteCertificate:
         model = builtin_discrete_linear(0.7 * np.eye(2), Q=0.1 * np.eye(2), H=np.eye(2), R=0.5 * np.eye(2),
                                         mu0=np.array([1.0, -2.0]), Sigma0=np.diag([1.0, 3.0]))
         config = make_filter_config("ekf", model, x0_hat=np.array([0.25, 0.5]))
-        cert = discrete_certificate(model, config, lambda_P_pred=1.0, lambda_P_upd=1.0, lambda_d=1.0)
+        cert = discrete_certificate(model, config)
         e0_sq = 0.75**2 + 2.5**2 + (1.0 + 3.0)
         e0_root = math.sqrt(0.75**2 + 2.5**2) + math.sqrt(3.0)
         assert cert.e0_sq == pytest.approx(e0_sq, rel=1e-15)
@@ -638,11 +654,30 @@ class TestDiscreteBounds:
         base.update(kw)
         return DiscreteCertificate(**base)
 
+    FIELDS = ["lambda_d", "lambda_df", "kappa", "lambda_P_pred", "lambda_P_upd", "C_f", "eta", "u_d",
+              "e0_sq", "e0_root"]
+
     @pytest.mark.parametrize("value", [-1e-12, math.nan])
-    @pytest.mark.parametrize("field", ["lambda_d", "e0_sq", "e0_root"])
+    @pytest.mark.parametrize("field", FIELDS)
     def test_negative_constant_rejected(self, field, value):
-        with pytest.raises(ValueError, match="C_f, e0_sq and e0_root must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             self._cert(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1.0", None])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_constant_that_is_not_finite_named(self, field, value):
+        # a NaN u_d made both bounds NaN; a negative one a negative bound
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+            self._cert(**{field: value})
+
+    def test_contraction_factor_below_one(self):
+        with pytest.raises(ValueError, match=r"^lambda_df must lie in \[0, 1\)"):
+            self._cert(lambda_df=1.0)
+
+    def test_asymptote_is_the_long_run_bound(self):
+        cert = self._cert(lambda_df=0.6, u_d=1.3, C_f=0.4, lambda_d=1.1, lambda_P_upd=2.0)
+        assert cert.mse_asymptote == (1.3 + 1.1**2 * 0.4 * 2.0) / (1.0 - 0.6**2)
+        assert discrete_mse_bound(cert, 10**6) == cert.mse_asymptote
 
     def test_memoryless_case(self):
         cert = self._cert(lambda_df=0.0, u_d=3.0, e0_sq=0.0, e0_root=0.0)
@@ -708,23 +743,21 @@ class TestDiscreteBounds:
 
 class TestDiscreteBoundMonteCarlo:
     def test_bound_dominates_empirical_error(self):
-        # scalar contraction with exact covariance trace bounds from the
-        # fixed point of the filter recursion
+        # s = 1, tr P0 = 0.5 above the cap 0.1 / 0.75: lambda_P_upd = 0.5 and
+        # lambda_P_pred = 0.25 * 0.5 + 0.1, which the first prediction attains
         a, q, r = 0.5, 0.1, 1.0
         model = builtin_discrete_linear(a * np.eye(1), Q=q * np.eye(1), H=np.eye(1),
                                         R=r * np.eye(1), mu0=np.zeros(1),
                                         Sigma0=0.5 * np.eye(1))
-        p_pred = 0.5 + q
-        for _ in range(200):
-            p_upd = r * p_pred / (p_pred + r)
-            p_pred = a * a * p_upd + q
         config = make_filter_config("ekf", model)
-        cert = discrete_certificate(model, config, lambda_P_pred=p_pred * 1.01,
-                                    lambda_P_upd=p_pred * 1.01, lambda_d=1.0)
+        cert = discrete_certificate(model, config)
+        assert (cert.lambda_P_upd, cert.lambda_P_pred) == (0.5, 0.225)
 
         steps, n_paths = 30, 200
         _, states, meas, _ = simulate_discrete_paths(model, steps, seed=42, n_paths=n_paths)
-        err_sq = run_discrete_ensemble(model, config, states, meas).err_sq
+        run = run_discrete_ensemble(model, config, states, meas)
+        assert run.trace_max.max() <= cert.lambda_P_upd
+        err_sq = run.err_sq
         emp = err_sq.mean(axis=0)
         se = err_sq.std(axis=0, ddof=1) / np.sqrt(n_paths)
         for k in range(steps + 1):
@@ -750,15 +783,11 @@ def discrete_ensemble_paths(discrete_sine):
 @pytest.fixture(scope="module", params=list(itertools.product(["linear", "sine"], ["ekf", "ukf", "gh"])),
                 ids=lambda p: "-".join(p))
 def discrete_run(request, discrete_ensemble_paths):
-    """Certificate and ensemble run of one model and filter kind (see the class docstring)."""
+    """Certificate and ensemble run of one model and filter kind."""
     name, kind = request.param
     model, states, meas = discrete_ensemble_paths[name]
     config = make_filter_config(kind, model)
-    jf = model.known_jf_norm
-    lambda_P_upd = max(np.trace(model.R), np.trace(model.Sigma0))
-    lambda_P_pred = jf**2 * lambda_P_upd + np.trace(model.Q)
-    cert = discrete_certificate(model, config, lambda_P_pred=lambda_P_pred,
-                                lambda_P_upd=lambda_P_upd, lambda_d=1.0)
+    cert = discrete_certificate(model, config)
     run = run_discrete_ensemble(model, config, states, meas)
     assert np.all(run.diverged < 0)
     return cert, run
@@ -768,20 +797,17 @@ class TestDiscreteCertificateEnsemble:
     """The discrete certificate against 2000 filtered paths of 50 steps.
 
     Both models have ``H = I``, ``R = 0.5 I``, ``Q = 0.1 I``, ``Sigma0 = I``
-    and ``||J_f|| <= jf = 0.7``. Trace bounds, for every variant:
-
-    * The update gives ``P_upd = (P_pred^-1 + R^-1)^-1 <= R`` when
-      ``H = I``, and ``P_0 = Sigma0``, so
-      ``lambda_P_upd = max(tr R, tr Sigma0) = 2``.
-    * ``ekf`` predicts ``J P J^T + Q``, with ``tr(J P J^T) <= jf^2 tr P``.
-      A rule with positive weights predicts the weighted covariance of the
-      propagated points plus ``Q``. Its trace is at most the weighted mean
-      of ``||f(x_i) - f(x)||^2 <= jf^2 ||x_i - x||^2``, and by degree-two
-      exactness that mean is ``jf^2 tr P``. Hence
-      ``lambda_P_pred = jf^2 lambda_P_upd + tr Q``.
-    * ``I - K = R (P_pred + R)^-1`` has norm at most 1 for ``R = r I``, so
-      ``lambda_d = 1`` and ``lambda_df = jf``.
+    and ``||J_f|| <= 0.7``. So ``s = 2`` and the cap ``min(d/s, tr Q / (1 -
+    0.49)) = 0.392`` lies below ``tr P0 = 2``: :func:`discrete_certificate`
+    gives ``lambda_P_upd = 2`` and ``lambda_P_pred = 0.49 * 2 + 0.2``, for
+    every variant.
     """
+
+    def test_trace_bounds_take_the_initial_trace(self, discrete_run):
+        cert, _ = discrete_run
+        jf = cert.details["jf_norm"]
+        assert (cert.lambda_d, cert.lambda_df) == (1.0, jf)
+        assert (cert.lambda_P_upd, cert.lambda_P_pred) == (2.0, jf**2 * 2.0 + 0.2)
 
     def test_trace_stays_under_update_bound(self, discrete_run):
         cert, run = discrete_run
@@ -806,6 +832,88 @@ class TestDiscreteCertificateEnsemble:
             assert frequency <= limit + 3.0 * math.sqrt(limit * (1.0 - limit) / n), (k, delta)
 
 
+@st.composite
+def isotropic_discrete_models(draw, min_dim=1, observations=("none", "identity", "rotation")):
+    """Linear discrete models with ``S = s I``, ``||A|| < 1`` and random positive definite ``Q``, ``R``, ``Sigma0``.
+
+    ``H`` is zero, ``h I`` (with ``R = r I``) or ``h L U``, where ``L L^T = R``
+    and ``U`` is orthogonal, so that ``S = h^2 U^T U = h^2 I``.
+    """
+    d = draw(st.integers(min_dim, 3))
+    observe = draw(st.sampled_from(observations))
+    jf, h = draw(st.floats(0.0, 0.95)), draw(st.floats(0.1, 3.0))
+    q, sigma0 = 10.0 ** draw(st.floats(-2.0, 1.0)), 10.0 ** draw(st.floats(-2.0, 0.3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def spd(scale):
+        G = gen.uniform(-1.0, 1.0, (d, d))
+        return scale * (G @ G.T + 0.1 * np.eye(d))
+
+    G = gen.uniform(-1.0, 1.0, (d, d))
+    A = jf * G / np.linalg.norm(G, 2)
+    R = spd(1.0)
+    if observe == "none":
+        H = np.zeros((d, d))
+    elif observe == "identity":
+        H, R = h * np.eye(d), R[0, 0] * np.eye(d)
+    else:
+        H = h * np.linalg.cholesky(R) @ np.linalg.qr(gen.standard_normal((d, d)))[0]
+    return builtin_discrete_linear(A, Q=spd(q), H=H, R=R, mu0=np.zeros(d), Sigma0=spd(sigma0))
+
+
+class TestDiscreteTraceBounds:
+    """Every step of ``ekf``, ``ukf`` and ``gh`` stays within the constants of :func:`discrete_certificate`.
+
+    ``SLACK`` is roundoff only: over 9000 runs of random models like these
+    the largest excess measured was one ulp (``tr P / lambda_P - 1 =
+    2.2e-16``, at ``P0`` when ``lambda_P_upd = tr P0``), and ``||I - K H||``
+    never exceeded 1. The bounds allow four ulps.
+    """
+
+    SLACK = 4.0 * np.finfo(float).eps
+
+    def check_every_step(self, model, steps=12):
+        update = filters._update_batch
+        seen = []
+
+        def spy(model, x_pred, P_pred, y):
+            x, P, K = update(model, x_pred, P_pred, y)
+            seen.append((P_pred, P, K))
+            return x, P, K
+
+        _, states, meas, _ = simulate_discrete_paths(model, steps, seed=5, n_paths=4)
+        for kind in ("ekf", "ukf", "gh"):
+            config = make_filter_config(kind, model)
+            cert = discrete_certificate(model, config)
+            seen.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(filters, "_update_batch", spy)
+                run = run_discrete_ensemble(model, config, states, meas)
+            assert np.all(run.diverged < 0) and len(seen) == steps
+            P_pred, P_upd, K = (np.stack(steps_of) for steps_of in zip(*seen))
+            assert np.trace(P_upd, axis1=-2, axis2=-1).max() <= cert.lambda_P_upd * (1.0 + self.SLACK), kind
+            assert run.trace_max.max() <= cert.lambda_P_upd * (1.0 + self.SLACK), kind
+            assert np.trace(P_pred, axis1=-2, axis2=-1).max() <= cert.lambda_P_pred * (1.0 + self.SLACK), kind
+            deviation = np.linalg.norm(np.eye(model.dim_x) - K @ model.H, 2, axis=(-2, -1))
+            assert deviation.max() <= cert.lambda_d * (1.0 + self.SLACK), kind
+
+    @given(isotropic_discrete_models())
+    def test_linear_models(self, model):
+        self.check_every_step(model)
+
+    def test_discrete_sine(self, discrete_sine):
+        self.check_every_step(discrete_sine())
+
+    @given(isotropic_discrete_models(min_dim=2, observations=("identity", "rotation")), st.floats(1.1, 3.0))
+    def test_stretched_observation_rejected(self, model, stretch):
+        H = model.H.copy()
+        H[0] *= stretch
+        skewed = builtin_discrete_linear(model.params["A"], Q=model.Q, H=H, R=model.R, mu0=model.mu0,
+                                         Sigma0=model.Sigma0)
+        with pytest.raises(NotFullyObservedError):
+            discrete_certificate(skewed, make_filter_config("ekf", skewed))
+
+
 class TestNaiveComparison:
     def _model(self, jf=0.5, q=0.01, h=1.0, r=10.0, d=1):
         return builtin_discrete_linear(jf * np.eye(d), Q=(q / d) * np.eye(d),
@@ -816,6 +924,15 @@ class TestNaiveComparison:
         model = self._model(h=1.0, r=4.0, d=2, q=0.02)
         report = naive_vs_filter(model)
         assert report.naive_mse == pytest.approx(8.0)
+
+    def test_filter_bound_is_the_certificate_asymptote(self):
+        # s = 0.01 caps lambda_P_upd at d/s = 100: lambda_P_pred = kappa r = 125,
+        # u_d = 100 + 1.25^2 100 = 256.25 and the bound 256.25 / 0.75
+        report = naive_vs_filter(self._model(q=100.0, r=100.0))
+        cert = report.certificate
+        assert (cert.lambda_P_upd, cert.lambda_P_pred, cert.C_f) == (100.0, 125.0, 0.0)
+        assert report.filter_bound == cert.mse_asymptote == pytest.approx(256.25 / 0.75, rel=1e-14)
+        assert report.naive_mse == 100.0 and not report.filter_wins
 
     def test_filter_wins_in_low_noise_regime(self):
         for q in (1e-4, 1e-3, 0.01):
