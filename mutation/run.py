@@ -191,6 +191,35 @@ MUTANTS = (
         tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::test_tuning_comes_from_the_config",),
     ),
     Mutant(
+        name="consistency-tail-reads-M-for-N",
+        file="src/kbstab/stability.py",
+        old='-lam - _drift_constant(model, "known_N_f")',
+        new='-lam - _drift_constant(model, "known_M_f")',
+        tests=("tests/test_stability.py::TestContractiveCertificate::test_benchmark_quadrature_constant",),
+    ),
+    Mutant(
+        name="velocity-M-at-the-steep-slope-end",
+        file="src/kbstab/models.py",
+        old='M = max(eig(lo, "max"), eig(hi, "max"))',
+        new='M = eig(hi, "max")',
+        tests=("tests/test_models.py::TestIntegratedVelocity::test_log_lipschitz_closed_form",
+               "tests/test_stability.py::TestContractiveCertificate::test_not_contractive"),
+    ),
+    Mutant(
+        name="attached-constant-accepts-bool",
+        file="src/kbstab/models.py",
+        old="if value is not None and not is_finite_real(value):",
+        new="if value is not None and not is_finite_real(value) and not isinstance(value, bool):",
+        tests=("tests/test_models.py::TestModelValidation::test_attached_drift_constant_checked",),
+    ),
+    Mutant(
+        name="run-skips-the-config-size-check",
+        file="src/kbstab/filters.py",
+        old="    config.check_dim(model.dim_x)\n    B, n_plus_1, d = states.shape",
+        new="    B, n_plus_1, d = states.shape",
+        tests=("tests/test_filters.py::TestFilterConfig::test_run_rejects_a_config_of_another_size",),
+    ),
+    Mutant(
         name="inputs-rule-dimension-unchecked",
         file="src/kbstab/functionals.py",
         old="    if F.rule is not None and F.rule.dim != inputs.dim:",

@@ -31,7 +31,7 @@ from .harness import (
     window_start,
 )
 from .matrix_measures import log_norm_mu, log_norm_nu, spectral_norm
-from .models import builtin_contractive3d, builtin_integrated_velocity, philox, velocity_log_lipschitz
+from .models import builtin_contractive3d, builtin_integrated_velocity, philox
 from .quadrature import check_degree_two_exactness, gauss_hermite_rule, unscented_rule
 from .stability import chi_square_moment_bound, gaussian_norm_moment, gronwall_continuous
 
@@ -206,14 +206,8 @@ def _assumption_checks(seed, samples):
     only one is alive at a time.
     """
     out = []
-    c3 = builtin_contractive3d()
-    iv = builtin_integrated_velocity()
-    m_iv, n_iv = velocity_log_lipschitz(iv)
-    drifts = [
-        ("contractive3d", c3.f, c3.jac_f, 3, c3.known_M_f, c3.known_N_f),
-        ("integrated_velocity", iv.f, iv.jac_f, 2, m_iv, n_iv),
-    ]
-    for name, f, jac, dim, m_g, n_g in drifts:
+    for model in (builtin_contractive3d(), builtin_integrated_velocity()):
+        name, f, jac, dim = model.name, model.f, model.jac_f, model.dim_x
         variants = [
             ("ekf", Functional("ekf")),
             ("ut", Functional("sigma", unscented_rule(dim))),
@@ -221,7 +215,7 @@ def _assumption_checks(seed, samples):
         ]
         jf = float(np.max(spectral_norm(jac(philox(seed, 11).uniform(-6, 6, size=(4096, dim))))))
         times = [
-            ("cont", check_assumption_continuous, (m_g, n_g), seed),
+            ("cont", check_assumption_continuous, (model.known_M_f, model.known_N_f), seed),
             ("disc", check_assumption_discrete, (jf,), seed + 1),
         ]
         results = {}

@@ -232,6 +232,7 @@ def _run(time, model, config, states, obs, dt, record=None):
     """
     if model.time != time:
         raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
+    config.check_dim(model.dim_x)
     B, n_plus_1, d = states.shape
     if d != model.dim_x:
         raise ValueError("path dimension does not match the model")

@@ -61,8 +61,8 @@ class LogLipschitzEstimate:
     ``m_hat`` under-approximates the true supremum of ``mu`` over the
     Jacobian and ``n_hat`` over-approximates the true infimum of ``nu``,
     because both are inner (sampled) approximations: refining the sample can
-    only raise ``m_hat`` and lower ``n_hat``. Certificates built from these
-    values should be labelled empirical.
+    only raise ``m_hat`` and lower ``n_hat``. A certificate built on them,
+    by attaching them to a model, is not proved.
     """
 
     m_hat: float

@@ -74,12 +74,19 @@ def _rekey(gen, seed, stream):
     return gen
 
 
+def _check_constant(name, value):
+    """A ``ValueError`` naming ``name`` unless ``value`` is ``None`` or a finite real (a bool is not)."""
+    if value is not None and not is_finite_real(value):
+        raise ValueError(f"{name} must be None or a finite real number, got {value!r}")
+
+
 @dataclass(kw_only=True)
 class _Model:
     """Fields and checks shared by both time models; ``time`` names the kind.
 
-    ``known_jf_norm`` holds an externally supplied Lipschitz constant of the
-    drift; certificates use it with analytic provenance when present.
+    ``known_jf_norm`` is a Lipschitz constant ``||J_f|| <= known_jf_norm`` of
+    the drift, ``None`` or a finite real at least 0. It is the only source of
+    that constant for the discrete certificate; a model without one has none.
     """
 
     dim_x: int
@@ -107,6 +114,9 @@ class _Model:
         self.mu0 = np.asarray(self.mu0, dtype=float).reshape(self.dim_x)
         if not np.all(np.isfinite(self.mu0)):
             raise ValueError("mu0 must be finite")
+        _check_constant("known_jf_norm", self.known_jf_norm)
+        if self.known_jf_norm is not None and self.known_jf_norm < 0:
+            raise ValueError(f"known_jf_norm must be nonnegative, got {self.known_jf_norm!r}")
 
     @cached_property
     def HtRinv(self):
@@ -132,8 +142,11 @@ class _Model:
 class ContinuousModel(_Model):
     """Continuous-time diffusion model with linear measurements.
 
-    ``known_M_f`` / ``known_N_f`` hold externally supplied log-Lipschitz
-    constants of the drift, used like ``known_jf_norm``.
+    ``known_M_f`` / ``known_N_f`` are the drift's log-Lipschitz constants
+    ``M(f) = sup mu(J_f)`` and ``N(f) = inf nu(J_f)``, each ``None`` or a
+    finite real, with ``N(f) <= M(f)``. They are the only source of those
+    constants for the continuous certificates; a custom model gets them with
+    ``dataclasses.replace``.
     """
 
     time = "cont"
@@ -142,6 +155,8 @@ class ContinuousModel(_Model):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_constant("known_M_f", self.known_M_f)
+        _check_constant("known_N_f", self.known_N_f)
         if self.known_M_f is not None and self.known_N_f is not None:
             if self.known_N_f > self.known_M_f:
                 raise ValueError("known_N_f must not exceed known_M_f")
@@ -320,13 +335,28 @@ VELOCITY_G_PRIME_MIN = 0.4187731864747842
 VELOCITY_G_PRIME_MAX = 1.5812268135252158
 
 
+def _velocity_log_lipschitz(a1, a2):
+    """Closed-form (M, N) of the integrated-velocity drift: its symmetric Jacobian's extreme eigenvalues over ``g'``."""
+    lo, hi = VELOCITY_G_PRIME_MIN, VELOCITY_G_PRIME_MAX
+
+    def eig(gp, which):
+        half = 0.5 * (a1 - gp)
+        rad = np.sqrt((0.5 * (a1 + gp)) ** 2 + 0.25 * a2**2)
+        return half + rad if which == "max" else half - rad
+
+    M = max(eig(lo, "max"), eig(hi, "max"))
+    N = min(eig(lo, "min"), eig(hi, "min"))
+    return float(M), float(N)
+
+
 def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05):
     """Two-dimensional partially observed model: measured position, hidden velocity.
 
     The first component integrates the second (plus optional feedback
     ``a1 x1``); the hidden component relaxes through the strictly increasing
-    nonlinearity :func:`velocity_g`, whose slope bounds are attached for
-    certificate construction. Only ``h x1`` is measured.
+    nonlinearity :func:`velocity_g`. Its slope bounds and the drift's
+    closed-form ``M(f)``, ``N(f)`` are attached for certificate
+    construction. Only ``h x1`` is measured.
     """
     if not all(map(is_finite_real, (a1, a2, q1, q2, h, r))):
         raise ValueError("a1, a2, q1, q2, h and r must be finite")
@@ -348,6 +378,7 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
         J[..., 1, 1] = -velocity_g_prime(x[..., 1])
         return J
 
+    M_f, N_f = _velocity_log_lipschitz(a1, a2)
     return ContinuousModel(
         dim_x=2,
         dim_y=1,
@@ -358,26 +389,12 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
         R=np.array([[r]]),
         mu0=np.zeros(2),
         Sigma0=0.01 * np.eye(2),
+        known_M_f=M_f,
+        known_N_f=N_f,
         name="integrated_velocity",
         params={"a1": a1, "a2": a2, "q1": q1, "q2": q2, "h": h, "r": r,
                 "lg": VELOCITY_G_PRIME_MIN, "sup_gprime": VELOCITY_G_PRIME_MAX},
     )
-
-
-def velocity_log_lipschitz(model):
-    """Closed-form (M, N) of the integrated-velocity drift from its slope bounds."""
-    p = model.params
-    a1, a2 = p["a1"], p["a2"]
-    lo, hi = p["lg"], p["sup_gprime"]
-
-    def eig(gp, which):
-        half = 0.5 * (a1 - gp)
-        rad = np.sqrt((0.5 * (a1 + gp)) ** 2 + 0.25 * a2**2)
-        return half + rad if which == "max" else half - rad
-
-    M = max(eig(lo, "max"), eig(hi, "max"))
-    N = min(eig(lo, "min"), eig(hi, "min"))
-    return float(M), float(N)
 
 
 def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):

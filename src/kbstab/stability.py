@@ -19,9 +19,11 @@ Every builder reads the model and its filter config; every bound only its certif
 A discrete certificate derives all its constants, for ``S = s I`` and
 ``||J_f|| < 1`` (:func:`discrete_certificate`).
 
-Certificates record provenance: ``analytic`` constants were supplied with
-the model or derived from it, ``empirical`` ones were estimated by sampling,
-and ``user`` values are accepted at the caller's risk.
+The drift constants ``M(f)``, ``N(f)`` and ``||J_f||`` come only from the
+model's ``known_M_f``, ``known_N_f`` and ``known_jf_norm``; a builder that
+needs one the model lacks raises a ``ValueError`` naming the field. So every
+builder records ``analytic`` provenance; the field stays for certificates
+built by hand.
 """
 
 import json
@@ -32,9 +34,7 @@ import numpy as np
 
 from .checks import check_integer, is_finite_real
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
-from .matrix_measures import log_lipschitz_estimate
 from .filters import make_filter_config
-from .models import velocity_log_lipschitz
 from .quadrature import _check_psd
 
 E = math.e
@@ -186,19 +186,12 @@ class DiscreteCertificate:
 # Continuous-time certificates and bounds
 
 
-def _resolve_drift_constants(model, m_f=None, n_f=None, box=None, budget=4096):
-    """(M, N, provenance) for the drift, preferring supplied over sampled values."""
-    if m_f is not None:
-        return float(m_f), None if n_f is None else float(n_f), "user"
-    if model.known_M_f is not None:
-        return float(model.known_M_f), model.known_N_f, "analytic"
-    if box is None:
-        raise ValueError(
-            "no drift constants available: supply m_f/n_f, attach known_M_f to the "
-            "model, or pass a sampling box"
-        )
-    est = log_lipschitz_estimate(model.jac_f, box, budget=budget)
-    return est.m_hat, est.n_hat, "empirical"
+def _drift_constant(model, attr):
+    """The drift constant the model attaches as ``attr``, as a float; a ``ValueError`` naming ``attr`` if none."""
+    value = getattr(model, attr, None)
+    if value is None:
+        raise ValueError(f"attach {attr} to the model")
+    return float(value)
 
 
 def _kind(config):
@@ -206,38 +199,38 @@ def _kind(config):
     return "ekf" if config.functional.kind == "ekf" else "quadrature"
 
 
-def _consistency_tail(model, kind, lam, lambda_P, M_f, N_f):
+def _consistency_tail(model, kind, lam, lambda_P):
     """``(C_lambda, u, rho)`` of a continuous certificate with rate ``lam`` for :func:`_kind` ``kind``.
 
     The consistency constant ``C_lambda`` is zero for the point-evaluation
     filter and ``max(0, -lam - N(f) + tr(S) lambda_P)`` for the
-    quadrature-based ones; ``rho = M(f) + ||S|| lambda_P``.
+    quadrature-based ones, which alone need the model's ``known_N_f``;
+    ``rho = M(f) + ||S|| lambda_P``.
     """
     tr_S = float(np.trace(model.S))
     if kind == "ekf":
         C_lambda = 0.0
-    elif N_f is None:
-        raise ValueError("quadrature-based certificate needs N(f); none available")
     else:
-        C_lambda = max(0.0, -lam - float(N_f) + tr_S * lambda_P)
+        C_lambda = max(0.0, -lam - _drift_constant(model, "known_N_f") + tr_S * lambda_P)
     u = float(np.trace(model.Q)) + 2.0 * C_lambda * lambda_P + tr_S * lambda_P**2
-    rho = M_f + float(np.linalg.norm(model.S, 2)) * lambda_P
+    rho = _drift_constant(model, "known_M_f") + float(np.linalg.norm(model.S, 2)) * lambda_P
     return C_lambda, u, rho
 
 
-def contractive_certificate(model, config, *, m_f=None, n_f=None, box=None, budget=4096):
+def contractive_certificate(model, config):
     """Certificate for contractive, fully observed models under the filter of ``config``.
 
-    Requires ``M(f) <= -l < 0`` and ``S = H^T R^-1 H = s I``. Then the bounds
-    hold from ``T = 0`` with rate ``lam = l`` and trace bound
-    ``lambda_P = tr(P0) + tr(Q_tuned) / (2 l)``. The consistency constant is
-    zero for the point-evaluation filter and
-    ``-lam - N(f) + tr(S) lambda_P`` for the quadrature-based ones; which
-    one applies is read from ``config.functional``.
+    Requires the model's ``known_M_f`` ``M(f) <= -l < 0`` and
+    ``S = H^T R^-1 H = s I``. Then the bounds hold from ``T = 0`` with rate
+    ``lam = l`` and trace bound ``lambda_P = tr(P0) + tr(Q_tuned) / (2 l)``.
+    The consistency constant is zero for the point-evaluation filter and
+    ``-lam - N(f) + tr(S) lambda_P`` for the quadrature-based ones, which
+    also need the model's ``known_N_f``; which one applies is read from
+    ``config.functional``.
     """
     config.check_dim(model.dim_x)
     kind = _kind(config)
-    M_f, N_f, provenance = _resolve_drift_constants(model, m_f, n_f, box, budget)
+    M_f = _drift_constant(model, "known_M_f")
     if M_f >= 0:
         raise NotContractiveError(f"drift is not contractive: M(f) = {M_f:.6g} >= 0")
     s = model.s_scalar()
@@ -248,7 +241,7 @@ def contractive_certificate(model, config, *, m_f=None, n_f=None, box=None, budg
     tr_P0 = float(np.trace(config.P0))
     tr_Qt = float(np.trace(config.Q_tuned))
     lambda_P = tr_P0 + tr_Qt / (2.0 * lam)
-    C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P, M_f, N_f)
+    C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P)
     d = model.dim_x
     mean_gap = model.mu0 - config.x0_hat
     e_T_sq = float(mean_gap @ mean_gap + np.trace(model.Sigma0))
@@ -263,9 +256,9 @@ def contractive_certificate(model, config, *, m_f=None, n_f=None, box=None, budg
         rho=rho,
         C_T=C_T,
         e_T_sq=e_T_sq,
-        provenance=provenance,
+        provenance="analytic",
         asymptotic=False,
-        details={"kind": kind, "s": s, "M_f": M_f, "N_f": None if N_f is None else float(N_f)},
+        details={"kind": kind, "s": s, "M_f": model.known_M_f, "N_f": model.known_N_f},
     )
 
 
@@ -287,15 +280,7 @@ def continuous_concentration_threshold(cert, t, delta):
     return _decay(cert, cert.C_T, t) * _beta(delta, positive=True)
 
 
-def _supplied_or_known(value, model, arg, attr):
-    """``value`` if given, else the model's ``attr``, as a float."""
-    value = getattr(model, attr) if value is None else value
-    if value is None:
-        raise ValueError(f"need {arg}: pass it or attach {attr} to the model")
-    return float(value)
-
-
-def inflation_mineig_bound(model, Q_tuned, n_f=None):
+def inflation_mineig_bound(model, Q_tuned):
     """Limiting lower bound on the smallest covariance eigenvalue.
 
     For fully observed models, inflating the tuned noise floor pushes the
@@ -303,13 +288,14 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
 
         (q/d) / (sqrt(q s/d + N(f)^2) - N(f)) = (sqrt(q s/d + N(f)^2) + N(f)) / s,
 
-    ``q = lambda_min(Q~)``, ``s = lambda_max(S)``; the second form is used
+    ``q = lambda_min(Q~)``, ``s = lambda_max(S)``, ``N(f)`` the model's
+    ``known_N_f``; the second form is used
     when ``N(f) > 0``, where the first cancels. If ``s = 0`` and
     ``N(f) >= 0`` the floor is unbounded and :class:`ValueError` is raised.
     This is the long-run limit; transient terms with model-dependent
     prefactors are dropped, so treat the value as asymptotic.
     """
-    n_f = _supplied_or_known(n_f, model, "n_f", "known_N_f")
+    n_f = _drift_constant(model, "known_N_f")
     d = model.dim_x
     Q_tuned = np.asarray(Q_tuned, dtype=float)
     if Q_tuned.shape != (d, d):
@@ -324,7 +310,7 @@ def inflation_mineig_bound(model, Q_tuned, n_f=None):
     return (q_min / d) / (root - n_f)
 
 
-def required_inflation(model, target_lambda, m_f=None, n_f=None):
+def required_inflation(model, target_lambda):
     """Smallest isotropic tuned noise ``q I`` inducing the contraction target.
 
     With ``Q~ = q I`` and ``S = s I``, :func:`inflation_mineig_bound`
@@ -333,8 +319,9 @@ def required_inflation(model, target_lambda, m_f=None, n_f=None):
     ``q >= d t (s t - 2 N(f))``, so the least such ``q`` is
     ``d t max(0, s t - 2 N(f))``; returns the matrix ``q I``. When the drift
     is already contractive enough the requirement is vacuous and ``q = 0``.
+    ``M(f)`` and ``N(f)`` are the model's ``known_M_f`` and ``known_N_f``.
     """
-    m_f = _supplied_or_known(m_f, model, "m_f", "known_M_f")
+    m_f = _drift_constant(model, "known_M_f")
     s = model.s_scalar()
     if s is None or s <= 0:
         raise NotFullyObservedError("required_inflation needs S = s I with s > 0")
@@ -342,7 +329,7 @@ def required_inflation(model, target_lambda, m_f=None, n_f=None):
     target = (m_f + float(target_lambda)) / s
     if target <= 0:
         return np.zeros((d, d))
-    n_f = _supplied_or_known(n_f, model, "n_f", "known_N_f")
+    n_f = _drift_constant(model, "known_N_f")
     return d * target * max(0.0, s * target - 2.0 * n_f) * np.eye(d)
 
 
@@ -437,8 +424,7 @@ def integrated_velocity_certificate(model, config):
     p11_up = (a1 + math.sqrt(s * (q1_t + 2.0 * a2 * c12) + a1 * a1)) / s
     lambda_P = p11_up + c22
 
-    M_f, N_f = velocity_log_lipschitz(model)
-    C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P, M_f, N_f)
+    C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P)
     settle = math.log(100.0) / min(2.0 * lg, lam12)
     return ContinuousCertificate(
         lam=lam,
@@ -458,8 +444,8 @@ def integrated_velocity_certificate(model, config):
             "C12": c12,
             "P11_interval": (p11_lo, p11_up),
             "s": s,
-            "M_f": M_f,
-            "N_f": N_f,
+            "M_f": model.known_M_f,
+            "N_f": model.known_N_f,
         },
     )
 
@@ -502,9 +488,7 @@ def discrete_certificate(model, config):
     s = model.s_scalar()
     if s is None or s < 0:
         raise NotFullyObservedError("S = H^T R^-1 H is not a nonnegative multiple of the identity")
-    if model.known_jf_norm is None:
-        raise ValueError("attach known_jf_norm to the model")
-    jf_norm = float(model.known_jf_norm)
+    jf_norm = _drift_constant(model, "known_jf_norm")
     if jf_norm >= 1.0:
         raise NoCertificateError(
             f"lambda_df = ||J_f|| lambda_d = {jf_norm:.6g} >= 1: error recursion is not a contraction",

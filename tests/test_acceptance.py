@@ -35,7 +35,7 @@ from kbstab import (
     unscented_rule,
     check_degree_two_exactness,
 )
-from kbstab.models import velocity_g_prime, velocity_log_lipschitz
+from kbstab.models import velocity_g_prime
 
 
 def verdict(tag, passed, detail):
@@ -203,16 +203,13 @@ class TestCriterion6PropertySuites:
         assert verdict("6 exactness", ok, f"worst moment residual {worst:.2e}")
 
     def test_consistency_inequality_all_drifts_and_rules(self):
-        c3 = builtin_contractive3d()
-        iv = builtin_integrated_velocity()
-        m_iv, n_iv = velocity_log_lipschitz(iv)
         cases = []
-        for name, model, m, n, d in [("contractive3d", c3, c3.known_M_f, c3.known_N_f, 3),
-                                     ("velocity", iv, m_iv, n_iv, 2)]:
+        for name, model in [("contractive3d", builtin_contractive3d()), ("velocity", builtin_integrated_velocity())]:
+            d = model.dim_x
             inputs = assumption_inputs(d, samples=10000, seed=0)
             for rule_name, rule in [("ut", unscented_rule(d)), ("gh", gauss_hermite_rule(d, 3))]:
                 F = Functional("sigma", rule)
-                rep = check_assumption_continuous(F, model.f, m, n, inputs)
+                rep = check_assumption_continuous(F, model.f, model.known_M_f, model.known_N_f, inputs)
                 cases.append((f"{name}/{rule_name}", rep.passed, rep.worst_violation))
         ok = all(p for _, p, _ in cases)
         assert verdict("6 consistency", ok,

@@ -27,6 +27,7 @@ from kbstab.filters import (
     run_discrete_ensemble,
 )
 from kbstab.functionals import Functional
+from kbstab.harness import ExperimentSpec, run_experiment
 from kbstab.models import simulate_discrete_paths, simulate_paths
 from kbstab.quadrature import _clamp_psd, _psd_root
 
@@ -690,6 +691,22 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 2, not dim_x = 3"):
             make_filter_config("ukf", builtin_contractive3d(), Q_tuned=np.eye(2), x0_hat=np.zeros(2),
                                P0=np.eye(2))
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_run_rejects_a_config_of_another_size(self, d):
+        config = FilterConfig(functional=Functional("ekf"), Q_tuned=np.eye(d), x0_hat=np.zeros(d), P0=np.eye(d))
+        message = f"x0_hat, Q_tuned and P0 have size {d}, not dim_x = 3"
+        continuous = builtin_contractive3d()
+        _, states, incr, _ = simulate_paths(continuous, 0.02, 0.1, 0, 5)
+        with pytest.raises(ValueError, match=message):
+            run_continuous_ensemble(continuous, config, states, incr, 0.02)
+        discrete = builtin_discrete_linear(0.5 * np.eye(3), Q=np.eye(3), H=np.eye(3), R=np.eye(3))
+        _, states, meas, _ = simulate_discrete_paths(discrete, 5, 0, 5)
+        with pytest.raises(ValueError, match=message):
+            run_discrete_ensemble(discrete, config, states, meas)
+        spec = ExperimentSpec(dt=0.02, horizon=0.2, trajectories=5, checkpoint_every=0.1)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(spec, configs={"ekf": config})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tuning_rejected(self, bad):

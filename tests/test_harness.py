@@ -281,9 +281,9 @@ class TestConcentrationCheck:
         # checkpoint (t = 2) and must not be counted there either
         model = ContinuousModel(dim_x=1, dim_y=1, f=lambda x: x**3, jac_f=lambda x: 3 * x[..., None] ** 2,
                                 Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=np.zeros(1),
-                                Sigma0=0.5 * np.eye(1), name="cubic")
+                                Sigma0=0.5 * np.eye(1), known_M_f=-1.0, known_N_f=-1.0, name="cubic")
         config = make_filter_config("ekf", model)
-        cert = contractive_certificate(model, config, m_f=-1.0, n_f=-1.0)
+        cert = contractive_certificate(model, config)
         spec = small_spec(dt=0.01, horizon=2.3, trajectories=400)
         with pytest.raises(ExperimentDivergenceError) as exc:
             run_experiment(spec, model=model, certificates={"ekf": cert})

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from kbstab import (
     velocity_g_prime,
 )
 from kbstab.errors import IndefiniteMatrixError
-from kbstab.models import _rekey, philox, velocity_log_lipschitz
+from kbstab.models import _rekey, philox
 from kbstab.quadrature import matrix_sqrt
 
 
@@ -102,18 +103,20 @@ class TestIntegratedVelocity:
             J = central_difference_jacobian(model.f, x)
             assert np.abs(model.jac_f(x) - J).max() <= 1e-5 * max(1.0, np.abs(J).max())
 
-    def test_log_lipschitz_closed_form(self):
-        model = builtin_integrated_velocity()
-        M, N = velocity_log_lipschitz(model)
+    @pytest.mark.parametrize("a1, a2", [(0.0, 1.0)] + [
+        (float(a1), float(a2)) for a1, a2 in np.random.default_rng(5).uniform([-3.0, 0.05], [3.0, 4.0], (6, 2))])
+    def test_log_lipschitz_closed_form(self, a1, a2):
+        model = builtin_integrated_velocity(a1=a1, a2=a2)
         # oracle: dense sweep over the slope range
         gs = np.linspace(model.params["lg"], model.params["sup_gprime"], 2001)
         J = np.zeros((gs.size, 2, 2))
-        J[:, 0, 1] = 1.0
+        J[:, 0, 0] = a1
+        J[:, 0, 1] = a2
         J[:, 1, 1] = -gs
         sym = 0.5 * (J + np.swapaxes(J, 1, 2))
         vals = np.linalg.eigvalsh(sym)
-        assert M == pytest.approx(vals[:, 1].max(), abs=1e-6)
-        assert N == pytest.approx(vals[:, 0].min(), abs=1e-6)
+        assert model.known_M_f == pytest.approx(vals[:, 1].max(), abs=1e-6)
+        assert model.known_N_f == pytest.approx(vals[:, 0].min(), abs=1e-6)
 
     def test_slope_matches_its_power_form(self):
         # the cube is taken as z * z * z; it must stay within a few ulp of z**3's result
@@ -160,6 +163,16 @@ class TestModelValidation:
             builtin_linear(np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2), mu0=[0.0, bad])
         with pytest.raises(ValueError, match="mu0 must be finite"):
             builtin_discrete_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=[bad])
+
+    @pytest.mark.parametrize("field, bad", [
+        *((field, bad) for field in ("known_M_f", "known_N_f", "known_jf_norm")
+          for bad in (True, "0.5", np.nan, np.inf, -np.inf)),
+        ("known_jf_norm", -0.5),
+    ])
+    def test_attached_drift_constant_checked(self, field, bad):
+        model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(model, **{field: bad})
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

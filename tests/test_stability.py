@@ -79,25 +79,30 @@ class TestContractiveCertificate:
         assert cert.e_T_sq == pytest.approx(0.03)
 
     def test_not_contractive(self):
+        # the velocity drift's own M(f) = 0.333 is positive
         model = builtin_integrated_velocity()
+        assert model.known_M_f == pytest.approx(0.333, abs=1e-3)
         config = make_filter_config("ekf", model)
         with pytest.raises(NotContractiveError):
-            contractive_certificate(model, config, m_f=0.33, n_f=-1.7)
+            contractive_certificate(model, config)
 
     def test_not_fully_observed(self):
-        model = builtin_integrated_velocity()
+        model = builtin_linear(-np.eye(2), Q=np.eye(2), H=[[1.0, 0.0]], R=np.eye(1))
+        assert model.known_M_f == -1.0
         config = make_filter_config("ekf", model)
         with pytest.raises(NotFullyObservedError):
-            contractive_certificate(model, config, m_f=-0.5, n_f=-1.7)
+            contractive_certificate(model, config)
 
-    def test_empirical_provenance_from_sampling(self):
-        model = builtin_contractive3d()
-        stripped = builtin_contractive3d()
-        stripped.known_M_f = stripped.known_N_f = None
-        cert = contractive_certificate(stripped, make_filter_config("ekf", model),
-                                       box=[[-6, 6]] * 3, budget=1024)
-        assert cert.provenance == "empirical"
-        assert cert.lam == pytest.approx(0.5947, abs=0.02)
+    @pytest.mark.parametrize("kind, field", [("ekf", "known_M_f"), ("ukf", "known_M_f"), ("ukf", "known_N_f")])
+    def test_missing_drift_constant_named(self, kind, field):
+        model = dataclasses.replace(builtin_contractive3d(), **{field: None})
+        with pytest.raises(ValueError, match=f"attach {field} to the model"):
+            contractive_certificate(model, make_filter_config(kind, model))
+
+    def test_point_evaluation_needs_no_N(self):
+        model = dataclasses.replace(builtin_contractive3d(), known_N_f=None)
+        cert = contractive_certificate(model, make_filter_config("ekf", model))
+        assert cert.C_lambda == 0.0 and cert.details["N_f"] is None
 
 
 class TestCertificateTuningSize:
@@ -344,18 +349,18 @@ class TestInflation:
         with pytest.raises(ValueError, match=r"Q_tuned must have shape \(3, 3\)"):
             inflation_mineig_bound(builtin_contractive3d(), Q_tuned)
 
-    def test_drift_constants_passed_or_attached(self):
+    def test_drift_constants_come_from_the_model(self):
         bare = dataclasses.replace(builtin_contractive3d(), known_M_f=None, known_N_f=None)
-        with pytest.raises(ValueError, match="need n_f"):
+        with pytest.raises(ValueError, match="attach known_N_f to the model"):
             inflation_mineig_bound(bare, np.eye(3))
-        with pytest.raises(ValueError, match="need m_f"):
+        with pytest.raises(ValueError, match="attach known_M_f to the model"):
             required_inflation(bare, target_lambda=1.0)
-        with pytest.raises(ValueError, match="need n_f"):
-            required_inflation(bare, target_lambda=1.0, m_f=0.5)
+        with pytest.raises(ValueError, match="attach known_N_f to the model"):
+            required_inflation(dataclasses.replace(bare, known_M_f=0.5), target_lambda=1.0)
         model = builtin_contractive3d()
-        assert inflation_mineig_bound(bare, np.eye(3), n_f=model.known_N_f) == inflation_mineig_bound(model, np.eye(3))
-        assert np.array_equal(required_inflation(bare, 1.0, m_f=model.known_M_f, n_f=model.known_N_f),
-                              required_inflation(model, 1.0))
+        attached = dataclasses.replace(bare, known_M_f=model.known_M_f, known_N_f=model.known_N_f)
+        assert inflation_mineig_bound(attached, np.eye(3)) == inflation_mineig_bound(model, np.eye(3))
+        assert np.array_equal(required_inflation(attached, 1.0), required_inflation(model, 1.0))
 
     def test_required_inflation_vacuous(self):
         model = builtin_contractive3d()
@@ -396,8 +401,8 @@ class TestInflation:
         assert min(signs.values()) >= 5
 
     def test_required_inflation_self_consistent(self):
-        model = builtin_contractive3d()
-        q = required_inflation(model, target_lambda=1.0, m_f=0.5)
+        model = dataclasses.replace(builtin_contractive3d(), known_M_f=0.5)
+        q = required_inflation(model, target_lambda=1.0)
         target = (0.5 + 1.0) / model.s_scalar()
         achieved = inflation_mineig_bound(model, q)
         assert achieved >= target * (1 - 1e-6)
@@ -561,7 +566,10 @@ class TestDiscreteCertificate:
                                        R=r * np.eye(d), mu0=np.zeros(d), Sigma0=np.eye(d))
 
     def test_takes_only_the_model_and_its_config(self):
-        assert str(inspect.signature(discrete_certificate)) == "(model, config)"
+        for builder in (contractive_certificate, integrated_velocity_certificate, discrete_certificate):
+            assert str(inspect.signature(builder)) == "(model, config)"
+        assert str(inspect.signature(inflation_mineig_bound)) == "(model, Q_tuned)"
+        assert str(inspect.signature(required_inflation)) == "(model, target_lambda)"
 
     def test_no_measurements_contraction_case(self):
         # s = 0: no d/s cap, so lambda_P_upd = max(tr P0, tr Q / (1 - 0.8^2))
