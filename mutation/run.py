@@ -294,6 +294,48 @@ MUTANTS = (
         new="(err_alive**2)",
         tests=("tests/test_harness.py::TestPeakMemory::test_fig2_benchmark_run_holds_the_record_and_one_error_history",),
     ),
+    Mutant(
+        name="gaussian-term-covariance-C-for-C-G-inverse",
+        file="src/kbstab/models.py",
+        old="v11, v13 = (c11 * g33 - c13 * g13) / det, (c13 * g11 - c11 * g13) / det",
+        new="v11, v13 = c11, c13",
+        tests=("tests/test_models.py::TestGaussianDrift::test_matches_gauss_hermite_40_at_small_covariances",),
+    ),
+    Mutant(
+        name="faddeeva-derivative-drops-its-constant",
+        file="src/kbstab/models.py",
+        old="(-2.0 * zeta * wz + 2j / _SQRT_PI)",
+        new="(-2.0 * zeta * wz)",
+        tests=("tests/test_models.py::TestGaussianDrift::test_matches_gauss_hermite_40_at_small_covariances",),
+    ),
+    Mutant(
+        name="weideman-16-terms",
+        file="src/kbstab/models.py",
+        old="_WEIDEMAN_N = 40",
+        new="_WEIDEMAN_N = 16",
+        tests=("tests/test_models.py::TestGaussianDrift::test_faddeeva_matches_scipy",),
+    ),
+    Mutant(
+        name="moment-series-only-at-zero-variance",
+        file="src/kbstab/models.py",
+        old="far = s * s <= 1e-3 * (1.0 + m * m)",
+        new="far = s == 0.0",
+        tests=("tests/test_models.py::TestGaussianDrift::test_tiny_variance_of_x3_beside_large_ones",),
+    ),
+    Mutant(
+        name="adf-ignores-the-closed-form",
+        file="src/kbstab/filters.py",
+        old='getattr(model, "gaussian_drift", None) is not None',
+        new='getattr(model, "gaussian_drift", None) is None',
+        tests=("tests/test_filters.py::TestStepCost::test_adf_step_on_the_closed_form_evaluates_no_field",),
+    ),
+    Mutant(
+        name="experiment-simulates-before-the-config-size-check",
+        file="src/kbstab/harness.py",
+        old="    for config in configs.values():\n        config.check_dim(model.dim_x)\n",
+        new="",
+        tests=("tests/test_harness.py::TestRunExperiment::test_config_of_another_size_rejected_before_simulating",),
+    ),
 )
 
 

@@ -5,12 +5,13 @@ certificates: time-uniform mean-square error bounds and exponential
 concentration thresholds, in continuous and discrete time, validated by
 seeded Monte Carlo experiments.
 
-Each filter is one functional of two kinds, point evaluation (``ekf``) or
-sigma-point expectations (``ukf``, ``gh``), which gives both its mean and
-its covariance term in either time model. The assumed-density filter
-``adf`` is the sigma-point kind on a high-order Gauss-Hermite reference
-rule: by Stein's identity its Jacobian average is a sum of field values
-at the sigma points.
+Each filter is one functional, point evaluation (``ekf``) or sigma-point
+expectations (``ukf``, ``gh``), which gives both its mean and its
+covariance term in either time model. The assumed-density filter ``adf``
+takes exact Gaussian expectations: in closed form where the model gives
+them (``contractive3d`` does), else from a high-order Gauss-Hermite
+reference rule, where by Stein's identity its Jacobian average is a sum of
+field values at the sigma points.
 """
 
 from ._version import __version__

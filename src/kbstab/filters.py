@@ -9,14 +9,16 @@ same explicit Euler step as the simulated paths,
 where the mean term ``L`` and the Riccati term ``Lam`` come from the
 filter's one functional: ``ekf`` point evaluation, or one sigma-point rule
 (unscented for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for
-``adf``). The discrete filter predicts ``(L(f), Lam(f) + Q_tuned)`` and
-then updates. The model alone says which time model runs. A rule-based
-step takes both terms from the field values at the points ``x + L xi``,
-with no Jacobian, where ``L L^T = P`` is any root: one field evaluation
-per fixed path block of :mod:`kbstab.functionals`. A block holds at most
+``adf``). On a continuous model with a ``gaussian_drift``, ``adf`` takes
+the exact terms from it instead, with no field evaluation. The discrete
+filter predicts ``(L(f), Lam(f) + Q_tuned)`` and then updates. The model
+alone says which time model runs. A rule-based step takes both terms from
+the field values at the points ``x + L xi``, with no Jacobian, where
+``L L^T = P`` is any root: one field evaluation per fixed path block of
+:mod:`kbstab.functionals`. A block holds at most
 ``functionals.BLOCK_COORDS`` point coordinates, so a step makes one
 evaluation for a narrow rule on a narrow batch and several for a wide rule
-(``adf`` in 3-d: five paths a block) or a wide batch.
+(``adf``'s rule in 3-d: five paths a block) or a wide batch.
 
 ``Q_tuned``, ``P0`` and ``R`` (through the model's cached ``H^T R^{-1}``)
 must pass the one covariance check as positive definite. After every step
@@ -117,7 +119,7 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None):
     else:
         rule = reference_rule(d)
     config = FilterConfig(
-        functional=Functional("ekf" if rule is None else "sigma", rule),
+        functional=Functional("sigma" if kind in ("ukf", "gh") else kind, rule),
         Q_tuned=model.Q if Q_tuned is None else Q_tuned,
         x0_hat=model.mu0 if x0_hat is None else x0_hat,
         P0=model.Sigma0 if P0 is None else P0,
@@ -129,9 +131,13 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None):
 def _drift(model, config, x, P, L=None):
     """Mean and Riccati terms of one step in the model's time: ``ekf`` point terms, or one rule evaluation.
 
-    ``P``, ``L`` and the Riccati term returned are batch-last ``(d, d, B)``.
+    The ``adf`` functional takes the exact terms of a continuous model's
+    ``gaussian_drift`` where it has one, and its rule otherwise. ``P``,
+    ``L`` and the Riccati term returned are batch-last ``(d, d, B)``.
     """
     F = config.functional
+    if F.kind == "adf" and getattr(model, "gaussian_drift", None) is not None:
+        return model.gaussian_drift(x, P)
     if F.kind != "ekf":
         return eval_drift_batch(F, model.time, model.f, x, P, root=L)
     riccati = eval_riccati_cont_batch if model.time == "cont" else eval_riccati_disc_batch

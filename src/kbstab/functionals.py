@@ -4,7 +4,7 @@ Every filter in this library is defined by one parametrized linear
 functional, a :class:`Functional`. It gives both the drift estimate (the
 mean term) and the covariance propagation (the Riccati term), in
 continuous and in discrete time; which time model runs is the model's
-choice, not the functional's. Two kinds are provided:
+choice, not the functional's. Three kinds are provided:
 
 * ``ekf``: point evaluation ``g(x)`` and Jacobian-based propagation.
 * ``sigma``: Gaussian expectations over a sigma-point rule at ``x + L xi``
@@ -12,11 +12,11 @@ choice, not the functional's. Two kinds are provided:
   eigen-root where it fails. For ``X ~ N(m, P)`` Stein's identity gives
   ``E[J_g(X)] P = E[g(X) (X - m)^T]``, so the covariance term is computed
   from field values alone, at the same points as the mean.
-
-The Gaussian assumed-density filter is the ``sigma`` kind on the fixed
-high-order Gauss-Hermite rule of :func:`reference_rule`: exact Gaussian
-integrals are rarely available in closed form, and by Stein's identity its
-Jacobian average is the integral the sigma-point path already computes.
+* ``adf``: the Gaussian assumed-density filter, whose terms are the exact
+  Gaussian expectations. Every evaluator here runs it as ``sigma`` on the
+  fixed high-order Gauss-Hermite rule of :func:`reference_rule`. The filter
+  step takes a continuous model's closed-form ``gaussian_drift`` in place
+  of that rule where the model has one, as ``contractive3d`` does.
 
 All fields must be vectorized: ``g`` maps ``(..., d)`` to ``(..., d)`` and
 ``jac`` maps ``(..., d)`` to ``(..., d, d)``.
@@ -62,7 +62,7 @@ from .quadrature import (
     gauss_hermite_rule,
 )
 
-FUNCTIONAL_KINDS = ("ekf", "sigma")
+FUNCTIONAL_KINDS = ("ekf", "sigma", "adf")
 
 # Most point coordinates (paths x points x d) a sigma-point evaluation holds
 # at once. At 120 KiB of float64 every block array stays below glibc's
@@ -86,11 +86,12 @@ def reference_rule(dim):
 
 @dataclass(frozen=True)
 class Functional:
-    """One filter's expectation rule: ``ekf`` takes no rule, ``sigma`` an admissible one.
+    """One filter's expectation rule: ``ekf`` takes no rule, ``sigma`` and ``adf`` an admissible one.
 
     The same functional gives the mean and the Riccati term in either time
     model. An admissible rule is exact to degree two and has no negative
-    weights.
+    weights. The evaluators here run ``adf`` as ``sigma``; the kind tells
+    the filter step to take a model's ``gaussian_drift`` in its place.
     """
 
     kind: str
@@ -102,7 +103,7 @@ class Functional:
         if self.kind == "ekf" and self.rule is not None:
             raise ValueError("ekf functional takes no rule")
         if self.kind != "ekf" and self.rule is None:
-            raise ValueError("sigma functional requires a rule")
+            raise ValueError(f"{self.kind} functional requires a rule")
         if self.rule is not None:
             if not check_degree_two_exactness(self.rule, tol=1e-8).passed:
                 raise ValueError("rule fails the degree-two exactness check")

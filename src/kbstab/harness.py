@@ -274,6 +274,8 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         configs = {kind: make_filter_config(kind, model) for kind in spec.filters}
     elif set(configs) != set(spec.filters):
         raise ValueError("configs must cover exactly the spec's filter kinds")
+    for config in configs.values():
+        config.check_dim(model.dim_x)
     certs = dict.fromkeys(spec.filters)
     for kind in spec.filters:
         if certificates and kind in certificates:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import platform
 import subprocess
@@ -253,8 +254,13 @@ class TestPsdGuard:
         assert_lapack_factor(L, out)
 
 
-def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7):
-    model = builtin_contractive3d()
+def rule_path_contractive3d():
+    """The fig1 model without its ``gaussian_drift``, so that ``adf`` runs its reference rule on it."""
+    return dataclasses.replace(builtin_contractive3d(), gaussian_drift=None)
+
+
+def fig1_like_paths(n_paths, horizon, dt=0.01, seed=7, build=builtin_contractive3d):
+    model = build()
     times, states, incr, diverged = simulate_paths(model, dt, horizon, seed, n_paths)
     assert np.all(diverged < 0)
     return model, times, states, incr
@@ -290,8 +296,8 @@ class TestGrouping:
     ])
     def test_wide_batch_rows_do_not_depend_on_batch_size(self, build, kind):
         # the step's products with HtRinv and S are one GEMM over all rows of
-        # the batch, and the sigma points one GEMM per path block (adf's
-        # 1000-point rule spans 200 blocks here), so a path's result must not
+        # the batch, the sigma points one GEMM per path block, and adf's
+        # closed form a Vandermonde sum per path, so a path's result must not
         # depend on how many share it
         model = build()
         _, states, incr, diverged = simulate_paths(model, 0.01, 0.2, 7, 1000)
@@ -361,7 +367,7 @@ class TestBatchFirstReference:
     @pytest.mark.parametrize("build, kind, n_paths, steps", [
         (builtin_contractive3d, "ekf", 60, 150), (builtin_contractive3d, "ukf", 60, 150),
         (builtin_integrated_velocity, "ekf", 60, 150),
-        (builtin_contractive3d, "gh", 6, 40), (builtin_contractive3d, "adf", 6, 40),
+        (builtin_contractive3d, "gh", 6, 40), (rule_path_contractive3d, "adf", 6, 40),
     ], ids=["fig1-ekf", "fig1-ukf", "fig2-ekf", "quad_narrow-gh", "quad_narrow-adf"])
     def test_per_path_errors_match_the_batch_first_step(self, build, kind, n_paths, steps):
         model = build()
@@ -375,9 +381,9 @@ class TestBatchFirstReference:
 
 
 def run_37_paths(kind, time, discrete_sine):
-    """``(config, run)`` for ``kind`` on 37 paths of the fig1 model or the discrete sine model."""
+    """``(config, run)`` for ``kind`` on 37 paths of the fig1 model (on its rule path) or the discrete sine model."""
     if time == "cont":
-        model, _, states, incr = fig1_like_paths(37, horizon=0.2)
+        model, _, states, incr = fig1_like_paths(37, horizon=0.2, build=rule_path_contractive3d)
         config = make_filter_config(kind, model)
         return config, lambda: run_continuous_ensemble(model, config, states, incr, 0.01)
     model = discrete_sine()
@@ -500,8 +506,8 @@ class TestStepCost:
         model.jac_f = counting(model.jac_f, calls, "jac")
         return calls
 
-    def run_counted(self, kind, monkeypatch, n_paths=40, steps=100):
-        model, _, states, incr = fig1_like_paths(n_paths, horizon=steps * 0.01)
+    def run_counted(self, kind, monkeypatch, n_paths=40, steps=100, build=builtin_contractive3d):
+        model, _, states, incr = fig1_like_paths(n_paths, horizon=steps * 0.01, build=build)
         calls = self.count_calls(model, monkeypatch)
         config = make_filter_config(kind, model)
         run = run_continuous_ensemble(model, config, states, incr, 0.01)
@@ -522,18 +528,27 @@ class TestStepCost:
         # paths a block, so 8 paths are two
         rule = make_filter_config(kind, builtin_contractive3d()).functional.rule
         assert -(-8 // (functionals.BLOCK_COORDS // (rule.size * rule.dim))) == blocks
-        calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20)
+        calls, steps = self.run_counted(kind, monkeypatch, n_paths=8, steps=20, build=rule_path_contractive3d)
         assert calls["factor"] == steps + 1
         assert calls["lapack"] == 0
         assert calls["eigh"] == 0
         assert calls["field"] == blocks * steps
         assert calls["jac"] == 0
 
+    def test_adf_step_on_the_closed_form_evaluates_no_field(self, monkeypatch):
+        # contractive3d's gaussian_drift gives adf its terms; the guard still factors once a step
+        calls, steps = self.run_counted("adf", monkeypatch, n_paths=8, steps=20)
+        assert calls["factor"] == steps + 1
+        assert calls["lapack"] == 0
+        assert calls["eigh"] == 0
+        assert calls["field"] == 0
+        assert calls["jac"] == 0
+
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_clamped_path_carries_its_eigen_root(self, kind, monkeypatch):
         # path 1 starts far out along x1, where -P S P dt outweighs P: its
         # Euler update is indefinite there and the guard clamps it
-        model = builtin_contractive3d()
+        model = rule_path_contractive3d()
         config = make_filter_config(kind, model)
         HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.zeros((3, 3))
@@ -576,7 +591,7 @@ class TestStepCost:
     @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
     def test_blocked_step_evaluates_each_point_once(self, kind, time, discrete_sine, monkeypatch, rng):
         # 37 paths in blocks of five: seven full blocks and a tail of two
-        model = builtin_contractive3d() if time == "cont" else discrete_sine()
+        model = rule_path_contractive3d() if time == "cont" else discrete_sine()
         config = make_filter_config(kind, model)
         rule = config.functional.rule
         bound = 5 * rule.size * rule.dim
@@ -600,14 +615,16 @@ class TestStepCost:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the 128 KiB mmap threshold is glibc's")
     def test_warm_adf_run_takes_no_page_faults(self):
         # a fresh process, as the benchmark runs it, with the allocator's
-        # default thresholds; kbstab is imported from this copy of the code
+        # default thresholds; kbstab is imported from this copy of the code.
+        # The model drops its gaussian_drift, so adf runs its 1000-point rule
         script = textwrap.dedent("""
+            import dataclasses
             import resource
             from kbstab import builtin_contractive3d, make_filter_config
             from kbstab.filters import run_continuous_ensemble
             from kbstab.models import simulate_paths
 
-            model = builtin_contractive3d()
+            model = dataclasses.replace(builtin_contractive3d(), gaussian_drift=None)
             _, states, incr, _ = simulate_paths(model, 0.01, 0.5, 7, 24)
             config = make_filter_config("adf", model)
             run_continuous_ensemble(model, config, states, incr, 0.01)

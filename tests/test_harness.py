@@ -45,6 +45,15 @@ class TestRunExperiment:
             assert np.all(result.empirical_mse[kind] >= 0)
         assert result.divergence_counts == {"ekf": 0, "ukf": 0}
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_config_of_another_size_rejected_before_simulating(self, d, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "simulate_paths", lambda *args, **kwargs: calls.append(args))
+        config = make_filter_config("ukf", builtin_linear(-np.eye(d), Q=np.eye(d), H=np.eye(d), R=np.eye(d)))
+        with pytest.raises(ValueError, match=f"x0_hat, Q_tuned and P0 have size {d}, not dim_x = 3"):
+            run_experiment(small_spec(filters=("ukf",)), configs={"ukf": config})
+        assert calls == []
+
     def test_error_decay_with_offset_initialization(self):
         # nearly noiseless model: the filter pulls a wrong initial guess onto
         # the true trajectory, so the squared error decays from the offset

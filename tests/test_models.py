@@ -7,17 +7,20 @@ import pytest
 from kbstab import (
     ContinuousModel,
     DiscreteModel,
+    Functional,
     builtin_contractive3d,
     builtin_discrete_linear,
     builtin_integrated_velocity,
     builtin_linear,
+    gauss_hermite_rule,
     simulate_discrete_paths,
     simulate_paths,
     velocity_g,
     velocity_g_prime,
 )
 from kbstab.errors import IndefiniteMatrixError
-from kbstab.models import _rekey, philox
+from kbstab.functionals import eval_drift_batch
+from kbstab.models import _faddeeva, _rekey, philox
 from kbstab.quadrature import matrix_sqrt
 
 
@@ -77,6 +80,66 @@ class TestContractive3d:
             J = central_difference_jacobian(model.f, x)
             scale = max(1.0, np.abs(J).max())
             assert np.abs(model.jac_f(x) - J).max() <= 1e-5 * scale
+
+
+def small_covariances(rng, n):
+    """``n`` draws per trace in ``(0, 1e-8, 1e-4, 1e-2, 0.1)``, batch-last; every
+    fourth is singular along ``x1`` and every fourth (offset one) has ``P33 = 0``."""
+    G = rng.standard_normal((5 * n, 3, 3))
+    P = G @ np.swapaxes(G, 1, 2)
+    P *= np.repeat([0.0, 1e-8, 1e-4, 1e-2, 0.1], n)[:, None, None] / np.trace(P, axis1=1, axis2=2)[:, None, None]
+    P[::4, 0, :] = P[::4, :, 0] = 0.0
+    P[1::4, 2, :] = P[1::4, :, 2] = 0.0
+    return np.moveaxis(P, 0, -1).copy()
+
+
+class TestGaussianDrift:
+    """contractive3d's exact Gaussian moments, the ``adf`` filter's terms on it."""
+
+    def test_faddeeva_matches_scipy(self, rng):
+        # the arguments the rational term takes, zeta = (i - m) / (s sqrt 2);
+        # the largest relative error measured is 1.3e-14
+        wofz = pytest.importorskip("scipy.special").wofz
+        m = rng.uniform(-50.0, 50.0, 20000)
+        s = np.exp(rng.uniform(np.log(1e-4), np.log(20.0), 20000))
+        zeta = (1j - m) / (s * np.sqrt(2.0))
+        exact = wofz(zeta)
+        assert (np.abs(_faddeeva(zeta) - exact) / np.abs(exact)).max() <= 1e-13
+
+    def test_matches_gauss_hermite_40_at_small_covariances(self, rng):
+        # GH40 is exact to roundoff at these scales, and at P = 0 it gives the
+        # point values; the largest gaps measured are 9.8e-15 (mean) and
+        # 8.0e-16 (Riccati term)
+        model = builtin_contractive3d()
+        x = rng.uniform(-3.0, 3.0, (40, 3))
+        P = small_covariances(rng, 8)
+        mean, lam = model.gaussian_drift(x, P)
+        ref_mean, ref_lam = eval_drift_batch(Functional("sigma", gauss_hermite_rule(3, 40)), "cont", model.f, x, P)
+        assert np.abs(mean - ref_mean).max() <= 1e-12
+        assert np.abs(lam - ref_lam).max() <= 1e-12
+
+    def test_tiny_variance_of_x3_beside_large_ones(self, rng):
+        # P33 = 1e-12 puts zeta near 7e5, where w' = -2 zeta w + 2i/sqrt(pi)
+        # cancels: it is 2.6e-11 off in the Riccati term; the moment series
+        # that takes over there is 1.1e-15 off
+        model = builtin_contractive3d()
+        x = rng.uniform(-3.0, 3.0, (12, 3))
+        P = np.tile(np.diag([0.1, 0.1, 1e-12])[:, :, None], (1, 1, 12))
+        P[0, 2] = P[2, 0] = 1e-7
+        mean, lam = model.gaussian_drift(x, P)
+        ref_mean, ref_lam = eval_drift_batch(Functional("sigma", gauss_hermite_rule(3, 40)), "cont", model.f, x, P)
+        assert np.abs(mean - ref_mean).max() <= 1e-12
+        assert np.abs(lam - ref_lam).max() <= 1e-12
+
+    def test_each_path_from_its_own_inputs(self, rng):
+        # one batch mixes the series (P33 = 0, 1e-8) and the Faddeeva function
+        model = builtin_contractive3d()
+        x = rng.uniform(-3.0, 3.0, (40, 3))
+        P = small_covariances(rng, 8)
+        mean, lam = model.gaussian_drift(x, P)
+        for b in range(40):
+            one_mean, one_lam = model.gaussian_drift(x[b:b + 1], P[..., b:b + 1].copy())
+            assert np.array_equal(one_mean[0], mean[b]) and np.array_equal(one_lam[..., 0], lam[..., b]), b
 
 
 class TestIntegratedVelocity:
