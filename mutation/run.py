@@ -137,9 +137,23 @@ MUTANTS = (
     Mutant(
         name="certificate-noise-unchecked",
         file="src/kbstab/stability.py",
-        old='for name in ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq"):',
-        new='for name in ("lam", "lambda_P", "T", "C_lambda", "rho", "C_T", "e_T_sq"):',
+        old='_constants = ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq")',
+        new='_constants = ("lam", "lambda_P", "T", "C_lambda", "rho", "C_T", "e_T_sq")',
         tests=("tests/test_stability.py::TestContinuousBounds::test_constant_that_is_not_finite_named",),
+    ),
+    Mutant(
+        name="export-drops-the-asymptote",
+        file="src/kbstab/stability.py",
+        old='self._constants + ("mse_asymptote", "provenance") + self._flags',
+        new='self._constants + ("provenance",) + self._flags',
+        tests=("tests/test_cli.py::TestCertify::test_preset_output_is_pinned",),
+    ),
+    Mutant(
+        name="inflation-floor-from-the-model-noise",
+        file="src/kbstab/stability.py",
+        old="q_min = float(np.linalg.eigvalsh(config.Q_tuned)[0])",
+        new="q_min = float(np.linalg.eigvalsh(model.Q)[0])",
+        tests=("tests/test_stability.py::TestInflation::test_closed_form_when_drift_neutral",),
     ),
     Mutant(
         name="initial-gap-without-the-filter-start",
@@ -247,6 +261,13 @@ MUTANTS = (
         new="return start",
         tests=("tests/test_harness.py::TestValidityWindow::test_window_past_the_horizon_is_the_whole_run",
                "tests/test_cli.py::TestSimulate::test_summary_line_names_the_window_start_used"),
+    ),
+    Mutant(
+        name="step-rule-tolerance-loosened",
+        file="src/kbstab/models.py",
+        old="if abs(n * dt - span) > 1e-9 * max(1.0, span):",
+        new="if abs(n * dt - span) > 1e-3 * max(1.0, span):",
+        tests=("tests/test_harness.py::TestWholeSteps::test_span_off_a_multiple_rejected",),
     ),
     Mutant(
         name="divergence-step-off-by-one",

@@ -18,7 +18,7 @@ from ._version import __version__
 from .checks import check_integer
 from .errors import CertificateError, ConfigError, ExperimentDivergenceError
 from .filters import FILTER_KINDS, make_filter_config
-from .functionals import Functional, assumption_inputs, check_assumption_continuous, check_assumption_discrete
+from .functionals import assumption_inputs, check_assumption_continuous, check_assumption_discrete
 from .harness import (
     PRESETS,
     ExperimentSpec,
@@ -198,7 +198,10 @@ def _matrix_inequality_checks(seed, count=10000, dim=4):
 
 
 def _assumption_checks(seed, samples):
-    """One-sided consistency checks of ``ekf``, ``ut`` and ``gh3`` on two drifts, in both time models.
+    """One-sided consistency checks of the ``ekf``, ``ukf`` and ``gh`` functionals on two drifts, in both time models.
+
+    Each functional is the one :func:`make_filter_config` builds for the
+    drift's model; the checks are labelled ``ekf``, ``ut`` and ``gh3``.
 
     Each (drift, time model) pair draws one sample set, the continuous one
     at ``seed`` and the discrete one at ``seed + 1``, and its three
@@ -208,11 +211,8 @@ def _assumption_checks(seed, samples):
     out = []
     for model in (builtin_contractive3d(), builtin_integrated_velocity()):
         name, f, jac, dim = model.name, model.f, model.jac_f, model.dim_x
-        variants = [
-            ("ekf", Functional("ekf")),
-            ("ut", Functional("sigma", unscented_rule(dim))),
-            ("gh3", Functional("sigma", gauss_hermite_rule(dim, 3))),
-        ]
+        variants = [(label, make_filter_config(kind, model).functional)
+                    for label, kind in (("ekf", "ekf"), ("ut", "ukf"), ("gh3", "gh"))]
         jf = float(np.max(spectral_norm(jac(philox(seed, 11).uniform(-6, 6, size=(4096, dim))))))
         times = [
             ("cont", check_assumption_continuous, (model.known_M_f, model.known_N_f), seed),

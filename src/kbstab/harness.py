@@ -22,7 +22,7 @@ from ._version import __version__
 from .checks import check_integer, is_finite_real
 from .errors import ExperimentDivergenceError
 from .filters import make_filter_config, run_continuous_ensemble
-from .models import builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
+from .models import _steps_for, builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
 from .stability import (
     continuous_concentration_threshold,
     continuous_mse_bound,
@@ -38,7 +38,8 @@ class ExperimentSpec:
     """Declarative description of a Monte Carlo experiment.
 
     ``workers`` is validated (at least 1) but has no effect: every run is
-    one batch on the calling thread.
+    one batch on the calling thread. ``horizon`` and ``checkpoint_every``
+    must each be a whole number of steps of ``dt``, by the simulator's rule.
     """
 
     model: str = "contractive3d"
@@ -64,10 +65,8 @@ class ExperimentSpec:
         for name in ("dt", "horizon", "checkpoint_every", "average_from", "domination_from"):
             if not is_finite_real(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.dt <= 0 or self.horizon < self.dt:
-            raise ValueError("need dt > 0 and horizon >= dt")
-        if self.checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
+        for name in ("horizon", "checkpoint_every"):
+            _steps_for(self.dt, getattr(self, name), name)
         if self.certificate not in ("auto", "none"):
             raise ValueError("certificate must be 'auto' or 'none'")
         if isinstance(self.filters, str) or not self.filters:
@@ -256,7 +255,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
     """
     model = build_model(spec) if model is None else model
     warnings = []
-    n_steps = int(round(spec.horizon / spec.dt))
+    n_steps = _steps_for(spec.dt, spec.horizon, "horizon")
     held = 8 * (n_steps + 1) * spec.trajectories * (model.dim_x + model.dim_y + 1)
     physical = _physical_memory()
     if physical is not None and held > physical:
@@ -264,10 +263,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
                          f"error history), more than the {physical / 1e9:.4g} GB of physical memory")
     times = np.arange(n_steps + 1) * spec.dt
 
-    cp_stride = int(round(spec.checkpoint_every / spec.dt))
-    if abs(cp_stride * spec.dt - spec.checkpoint_every) > 1e-9:
-        raise ValueError("checkpoint_every must be a multiple of dt")
-    cp_idx = np.arange(0, n_steps + 1, cp_stride)
+    cp_idx = np.arange(0, n_steps + 1, _steps_for(spec.dt, spec.checkpoint_every, "checkpoint_every"))
     cp_times = times[cp_idx]
 
     if configs is None:

@@ -4,8 +4,11 @@ The logarithmic norm ``mu(A) = 0.5 * lambda_max(A + A^T)`` measures the
 one-sided growth rate of ``x' = A x``; its counterpart
 ``nu(A) = 0.5 * lambda_min(A + A^T) = -mu(-A)`` measures the contraction
 rate. For a differentiable vector field the extremes of these quantities
-over the Jacobian give one-sided Lipschitz constants used by the stability
-certificates.
+over the Jacobian are its one-sided Lipschitz constants ``M(f)`` and
+``N(f)``. The stability certificates read them only from the model's
+attached ``known_M_f`` and ``known_N_f``; :func:`log_lipschitz_estimate`
+samples them over a box, which can only under-approximate ``sup mu``, so
+it serves to check attached values, not to certify.
 """
 
 from dataclasses import dataclass

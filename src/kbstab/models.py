@@ -177,16 +177,17 @@ class DiscreteModel(_Model):
     time = "disc"
 
 
-def _steps_for(dt, horizon):
+def _steps_for(dt, span, name):
+    """Steps of ``dt`` in ``span``, a whole number of at least 1 up to ``1e-9 max(1, span)``; errors name ``name``."""
     if not (is_finite_real(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not is_finite_real(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon!r}")
-    if horizon < dt:
-        raise ValueError("horizon must be at least one step")
-    n = int(round(horizon / dt))
-    if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be an integer multiple of dt")
+    if not is_finite_real(span):
+        raise ValueError(f"{name} must be finite, got {span!r}")
+    if span < dt:
+        raise ValueError(f"{name} must be at least one step")
+    n = int(round(span / dt))
+    if abs(n * dt - span) > 1e-9 * max(1.0, span):
+        raise ValueError(f"{name} must be an integer multiple of dt")
     return n
 
 
@@ -264,7 +265,7 @@ def simulate_paths(model, dt, horizon, seed, n_paths, first_path=0):
     at NaN from that step on instead of raising, so ensemble callers can
     account for them explicitly.
     """
-    n = _steps_for(dt, horizon)
+    n = _steps_for(dt, horizon, "horizon")
     states, incr, diverged = _simulate(model, "cont", n, dt, seed, n_paths, first_path)
     return np.arange(n + 1) * dt, states, incr, diverged
 
@@ -441,7 +442,8 @@ def velocity_g_prime(z):
 
 # Extremes of velocity_g_prime over the real line (attained near |z| = 0.494).
 VELOCITY_G_PRIME_MIN = 0.4187731864747842
-VELOCITY_G_PRIME_MAX = 1.5812268135252158
+# g' - 1 is odd, so the maximum mirrors the minimum about 1.
+VELOCITY_G_PRIME_MAX = 2.0 - VELOCITY_G_PRIME_MIN
 
 
 def _velocity_log_lipschitz(a1, a2):

@@ -37,9 +37,6 @@ from .errors import NoCertificateError, NotContractiveError, NotFullyObservedErr
 from .filters import make_filter_config
 from .quadrature import _check_psd
 
-E = math.e
-
-
 def _finite(name, value):
     """``value`` as an array; a ``ValueError`` naming ``name`` unless each entry is a finite real (no bool)."""
     arr = np.asarray(value)
@@ -53,7 +50,7 @@ def _beta(delta, positive):
     delta = _finite("delta", delta)
     if np.any(delta <= 0) if positive else np.any(delta < 0):
         raise ValueError(f"delta must be {'positive' if positive else 'nonnegative'}")
-    return E * (np.sqrt(2.0 * delta) + delta)
+    return math.e * (np.sqrt(2.0 * delta) + delta)
 
 
 def beta(delta):
@@ -65,8 +62,39 @@ def beta(delta):
 # Certificate containers
 
 
+class _Certificate:
+    """The constant check and the export both certificate types share.
+
+    A subclass names its ``_type`` and lists its constants in export order
+    in ``_constants``: each must be a finite real number (no bool), and the
+    dict gives them, then ``mse_asymptote``, ``provenance``, the ``_flags``
+    and the sorted ``details``. The field ``lam`` is exported as ``lambda``.
+    """
+
+    _flags = ()
+
+    def __post_init__(self):
+        for name in self._constants:
+            value = getattr(self, name)
+            if not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+    def to_dict(self):
+        out = {"type": self._type}
+        for name in self._constants + ("mse_asymptote", "provenance") + self._flags:
+            out["lambda" if name == "lam" else name] = getattr(self, name)
+        out.update(sorted(self.details.items()))
+        return out
+
+    def format_text(self):
+        return "\n".join(f"{k:<16} {v}" for k, v in self.to_dict().items())
+
+    def to_json(self):
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
 @dataclass(frozen=True)
-class ContinuousCertificate:
+class ContinuousCertificate(_Certificate):
     """Constants of the continuous-time mean-square / concentration bounds.
 
     ``asymptotic`` marks certificates whose constants are limiting values
@@ -87,10 +115,12 @@ class ContinuousCertificate:
     asymptotic: bool = False
     details: dict = field(default_factory=dict)
 
+    _type = "continuous"
+    _constants = ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq")
+    _flags = ("asymptotic",)
+
     def __post_init__(self):
-        for name in ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq"):
-            if not is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
+        super().__post_init__()
         if not (self.lam > 0 and self.lambda_P > 0 and self.T >= 0):
             raise ValueError("need lam > 0, lambda_P > 0, T >= 0")
         if self.C_lambda < 0 or self.u < 0 or self.C_T < 0 or self.e_T_sq < 0:
@@ -102,34 +132,9 @@ class ContinuousCertificate:
     def mse_asymptote(self):
         return self.u / (2.0 * self.lam)
 
-    def to_dict(self):
-        out = {
-            "type": "continuous",
-            "lambda": self.lam,
-            "lambda_P": self.lambda_P,
-            "T": self.T,
-            "C_lambda": self.C_lambda,
-            "u": self.u,
-            "rho": self.rho,
-            "C_T": self.C_T,
-            "e_T_sq": self.e_T_sq,
-            "mse_asymptote": self.mse_asymptote,
-            "provenance": self.provenance,
-            "asymptotic": self.asymptotic,
-        }
-        out.update({k: v for k, v in sorted(self.details.items())})
-        return out
-
-    def format_text(self):
-        lines = [f"{k:<16} {v}" for k, v in self.to_dict().items()]
-        return "\n".join(lines)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 @dataclass(frozen=True)
-class DiscreteCertificate:
+class DiscreteCertificate(_Certificate):
     """Constants of the discrete-time mean-square / concentration bounds."""
 
     lambda_d: float
@@ -145,12 +150,14 @@ class DiscreteCertificate:
     provenance: str
     details: dict = field(default_factory=dict)
 
+    _type = "discrete"
+    _constants = ("lambda_d", "lambda_df", "kappa", "lambda_P_pred", "lambda_P_upd", "C_f", "eta", "u_d",
+                  "e0_sq", "e0_root")
+
     def __post_init__(self):
-        for name in ("lambda_d", "lambda_df", "kappa", "lambda_P_pred", "lambda_P_upd", "C_f", "eta", "u_d",
-                     "e0_sq", "e0_root"):
+        super().__post_init__()
+        for name in self._constants:
             value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
         if self.lambda_df >= 1.0:
@@ -159,27 +166,6 @@ class DiscreteCertificate:
     @property
     def mse_asymptote(self):
         return (self.u_d + self.lambda_d**2 * self.C_f * self.lambda_P_upd) / (1.0 - self.lambda_df**2)
-
-    def to_dict(self):
-        out = {
-            "type": "discrete",
-            "lambda_d": self.lambda_d,
-            "lambda_df": self.lambda_df,
-            "kappa": self.kappa,
-            "lambda_P_pred": self.lambda_P_pred,
-            "lambda_P_upd": self.lambda_P_upd,
-            "C_f": self.C_f,
-            "eta": self.eta,
-            "u_d": self.u_d,
-            "e0_sq": self.e0_sq,
-            "e0_root": self.e0_root,
-            "provenance": self.provenance,
-        }
-        out.update({k: v for k, v in sorted(self.details.items())})
-        return out
-
-    def format_text(self):
-        return "\n".join(f"{k:<16} {v}" for k, v in self.to_dict().items())
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +180,9 @@ def _drift_constant(model, attr):
     return float(value)
 
 
-def _kind(config):
-    """The kind a certificate covers: ``"ekf"`` for a point-evaluation ``config.functional``, else ``"quadrature"``."""
+def _kind(model, config):
+    """The kind a ``config`` of the model's size covers: ``"ekf"`` for a point-evaluation functional, else ``"quadrature"``."""
+    config.check_dim(model.dim_x)
     return "ekf" if config.functional.kind == "ekf" else "quadrature"
 
 
@@ -217,6 +204,12 @@ def _consistency_tail(model, kind, lam, lambda_P):
     return C_lambda, u, rho
 
 
+def _initial_error(model, config):
+    """``(gap, e0_sq)``: the start's mean error ``gap = mu0 - x0_hat`` and ``e0_sq = ||gap||^2 + tr Sigma0``."""
+    gap = model.mu0 - config.x0_hat
+    return gap, float(gap @ gap) + float(np.trace(model.Sigma0))
+
+
 def contractive_certificate(model, config):
     """Certificate for contractive, fully observed models under the filter of ``config``.
 
@@ -228,8 +221,7 @@ def contractive_certificate(model, config):
     also need the model's ``known_N_f``; which one applies is read from
     ``config.functional``.
     """
-    config.check_dim(model.dim_x)
-    kind = _kind(config)
+    kind = _kind(model, config)
     M_f = _drift_constant(model, "known_M_f")
     if M_f >= 0:
         raise NotContractiveError(f"drift is not contractive: M(f) = {M_f:.6g} >= 0")
@@ -242,11 +234,9 @@ def contractive_certificate(model, config):
     tr_Qt = float(np.trace(config.Q_tuned))
     lambda_P = tr_P0 + tr_Qt / (2.0 * lam)
     C_lambda, u, rho = _consistency_tail(model, kind, lam, lambda_P)
-    d = model.dim_x
-    mean_gap = model.mu0 - config.x0_hat
-    e_T_sq = float(mean_gap @ mean_gap + np.trace(model.Sigma0))
+    gap, e_T_sq = _initial_error(model, config)
     # T = 0, so the pre-settle moment-growth factor is not needed.
-    C_T = 4.0 * (float(mean_gap @ mean_gap) + float(np.linalg.norm(model.Sigma0, 2)) * (d + 2))
+    C_T = 4.0 * (float(gap @ gap) + float(np.linalg.norm(model.Sigma0, 2)) * (model.dim_x + 2))
     return ContinuousCertificate(
         lam=lam,
         lambda_P=lambda_P,
@@ -280,7 +270,7 @@ def continuous_concentration_threshold(cert, t, delta):
     return _decay(cert, cert.C_T, t) * _beta(delta, positive=True)
 
 
-def inflation_mineig_bound(model, Q_tuned):
+def inflation_mineig_bound(model, config):
     """Limiting lower bound on the smallest covariance eigenvalue.
 
     For fully observed models, inflating the tuned noise floor pushes the
@@ -288,19 +278,17 @@ def inflation_mineig_bound(model, Q_tuned):
 
         (q/d) / (sqrt(q s/d + N(f)^2) - N(f)) = (sqrt(q s/d + N(f)^2) + N(f)) / s,
 
-    ``q = lambda_min(Q~)``, ``s = lambda_max(S)``, ``N(f)`` the model's
-    ``known_N_f``; the second form is used
+    ``q = lambda_min(Q~)`` of ``config.Q_tuned``, ``s = lambda_max(S)``,
+    ``N(f)`` the model's ``known_N_f``; the second form is used
     when ``N(f) > 0``, where the first cancels. If ``s = 0`` and
     ``N(f) >= 0`` the floor is unbounded and :class:`ValueError` is raised.
     This is the long-run limit; transient terms with model-dependent
     prefactors are dropped, so treat the value as asymptotic.
     """
-    n_f = _drift_constant(model, "known_N_f")
     d = model.dim_x
-    Q_tuned = np.asarray(Q_tuned, dtype=float)
-    if Q_tuned.shape != (d, d):
-        raise ValueError(f"Q_tuned must have shape {(d, d)} like the model, got {Q_tuned.shape}")
-    q_min = float(np.linalg.eigvalsh(_check_psd("Q_tuned", Q_tuned, definite=True))[0])
+    config.check_dim(d)
+    n_f = _drift_constant(model, "known_N_f")
+    q_min = float(np.linalg.eigvalsh(config.Q_tuned)[0])
     s_max = float(np.linalg.eigvalsh(model.S)[-1])
     if s_max <= 0 and n_f >= 0:
         raise ValueError("the eigenvalue floor is unbounded: S = 0 (no observation) and N(f) >= 0")
@@ -396,8 +384,7 @@ def integrated_velocity_certificate(model, config):
         raise NoCertificateError("the hidden-component slope must be bounded below by a positive constant",
                                  hypothesis="hidden-component monotonicity")
     s = h * h / r
-    config.check_dim(model.dim_x)
-    kind = _kind(config)
+    kind = _kind(model, config)
     Qt, P0 = config.Q_tuned, config.P0
     q1_t, q2_t = float(Qt[0, 0]), float(Qt[1, 1])
     if np.abs(Qt - np.diag([q1_t, q2_t])).max() > 1e-12:
@@ -483,8 +470,7 @@ def discrete_certificate(model, config):
     ones, read from ``config.functional``. ``e0_sq`` and ``e0_root`` bind
     the model's ``mu0`` and ``Sigma0`` and the config's ``x0_hat``.
     """
-    config.check_dim(model.dim_x)
-    kind = _kind(config)
+    kind = _kind(model, config)
     s = model.s_scalar()
     if s is None or s < 0:
         raise NotFullyObservedError("S = H^T R^-1 H is not a nonnegative multiple of the identity")
@@ -506,8 +492,7 @@ def discrete_certificate(model, config):
     c_f = 0.0 if kind == "ekf" else jf_norm
     eta = lambda_d * math.sqrt(c_f * lambda_P_upd)
     u_d = lambda_d**2 * float(np.trace(model.Q)) + kappa**2 * float(np.trace(model.R))
-    gap = model.mu0 - config.x0_hat
-    e0_sq = float(gap @ gap) + float(np.trace(model.Sigma0))
+    gap, e0_sq = _initial_error(model, config)
     e0_root = float(np.linalg.norm(gap)) + math.sqrt(float(np.linalg.norm(model.Sigma0, 2)))
     return DiscreteCertificate(
         lambda_d=lambda_d,
@@ -571,33 +556,25 @@ def naive_vs_filter(model):
 
 
 # ---------------------------------------------------------------------------
-# Inequality utilities used inside the bound derivations
+# Inequality utilities: no builder calls them; the validate suite checks them
 
 
 def gronwall_continuous(x0, alpha, beta_const, t):
-    """Envelope for ``x' <= alpha x + beta``: ``x0 e^{at} - (1 - e^{at}) b/a``.
+    """Envelope for ``x' <= alpha x + beta``: ``x0 e^{at} + (e^{at} - 1) b/a``.
 
     At ``alpha = 0`` the limit ``x0 + beta t`` is returned. The arguments
-    broadcast against each other; with array arguments the limit is taken
-    cell by cell and an array is returned, otherwise a float.
+    broadcast against each other and the limit is taken cell by cell; the
+    result is a float when every argument is a scalar or 0-d, else an array.
     """
-    scalar = (int, float, np.number)
-    if (isinstance(x0, scalar) and isinstance(alpha, scalar)
-            and isinstance(beta_const, scalar) and isinstance(t, scalar)):
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        if alpha == 0.0:
-            return x0 + beta_const * t
-        eat = math.exp(alpha * t)
-        return x0 * eat - (1.0 - eat) * beta_const / alpha
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
     x0, alpha, beta_const, t = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                                      for v in (x0, alpha, beta_const, t)))
-    zero = alpha == 0.0
     eat = np.exp(alpha * t)
-    ramp = np.divide((eat - 1.0) * beta_const, alpha, out=beta_const * t, where=~zero)
-    return x0 * eat + ramp
+    # asarray: a product of 0-d arrays is a numpy scalar, which cannot be an out argument
+    ramp = np.divide((eat - 1.0) * beta_const, alpha, out=np.asarray(beta_const * t), where=alpha != 0.0)
+    env = x0 * eat + ramp
+    return float(env) if env.ndim == 0 else env
 
 
 def _gaussian_law(m, P):

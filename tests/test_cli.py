@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,8 +15,24 @@ from kbstab.filters import FILTER_KINDS
 from kbstab.harness import PRESETS
 from kbstab.quadrature import CubatureRule, unscented_rule
 
+DATA = Path(__file__).parent / "data"
+# a number standing alone: not the 3 of contractive3d or the 12 of lambda_12
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]?\d+)?(?![\w.])")
+
 
 class TestCertify:
+    @pytest.mark.parametrize("preset", ["fig1", "fig2"])
+    def test_preset_output_is_pinned(self, preset, capsys):
+        # data/certify_<preset>.txt holds the stdout of `certify --preset <preset>`: the keys,
+        # their order and the text between numbers must match exactly, and each number to 1e-12
+        # relative, since rho and u go through LAPACK
+        assert main(["certify", "--preset", preset]) == 0
+        out = capsys.readouterr().out
+        pinned = (DATA / f"certify_{preset}.txt").read_text()
+        assert NUMBER.split(out) == NUMBER.split(pinned)
+        got, want = ([float(x) for x in NUMBER.findall(text)] for text in (out, pinned))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_contractive_ekf(self, capsys):
         code = main(["certify", "--model", "contractive3d", "--filter", "ekf"])
         out = capsys.readouterr().out
@@ -269,11 +286,13 @@ class TestRunValues:
     @pytest.mark.parametrize("config, field", [
         ({"horizon": math.inf}, "horizon"),
         ({"horizon": math.nan}, "horizon"),
+        ({"horizon": 1.005}, "horizon"),
         ({"dt": math.inf}, "dt"),
         ({"dt": -math.inf}, "dt"),
         ({"checkpoint_every": 0}, "checkpoint_every"),
         ({"checkpoint_every": -0.5}, "checkpoint_every"),
         ({"checkpoint_every": math.inf}, "checkpoint_every"),
+        ({"checkpoint_every": 0.015}, "checkpoint_every"),
         ({"deltas": [1.0, 0.0]}, "deltas"),
         ({"deltas": [-1.0]}, "deltas"),
         ({"trajectories": 2.5}, "trajectories"),

@@ -128,6 +128,29 @@ class TestRunExperiment:
         assert np.log(2.0) - slack <= np.log(ratio) <= np.log(2.0) + slack
 
 
+class TestWholeSteps:
+    """The spec takes its horizon and checkpoint spacing as whole numbers of steps, by the simulator's one rule."""
+
+    @pytest.mark.parametrize("offset", [1e-7, -1e-7])
+    @pytest.mark.parametrize("name, span", [("horizon", 2.0), ("checkpoint_every", 0.5)])
+    def test_span_off_a_multiple_rejected(self, name, span, offset):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer multiple of dt"):
+            small_spec(**{name: span + offset})
+        if name == "horizon":
+            with pytest.raises(ValueError, match="^horizon must be an integer multiple of dt"):
+                simulate_paths(build_model(small_spec()), 0.02, span + offset, 0, 1)
+
+    @pytest.mark.parametrize("name", ["horizon", "checkpoint_every"])
+    def test_span_below_one_step_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least one step"):
+            small_spec(**{name: 0.01})
+
+    def test_rounded_multiples_accepted(self):
+        # 0.3 / 0.1 = 2.9999999999999996 and 3 * 0.1 = 0.30000000000000004
+        result = run_experiment(small_spec(dt=0.1, horizon=0.3, checkpoint_every=0.3, trajectories=2))
+        assert list(result.checkpoint_times) == [0.0, 0.30000000000000004]
+
+
 class TestValidityWindow:
     """Before its settle time ``T`` a certificate's values at ``T`` stand in."""
 

@@ -145,9 +145,10 @@ class TestLogLipschitzEstimate:
 
 def test_import_loads_no_scipy():
     # scipy.stats costs about a second to import and scipy.special 0.2 s;
-    # only the box= path of log_lipschitz_estimate needs scipy (the Faddeeva
-    # function of contractive3d's closed form is computed in numpy), so
-    # importing the package must not load it
+    # only log_lipschitz_estimate needs scipy, for its quasi-random points
+    # (no certificate calls it, and the Faddeeva function of contractive3d's
+    # closed form is computed in numpy), so importing the package must not
+    # load it
     src = str(Path(kbstab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, kbstab, kbstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

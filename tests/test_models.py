@@ -159,6 +159,11 @@ class TestIntegratedVelocity:
         assert g.min() >= 0.419 - 1e-3
         assert g.max() <= 1.581 + 1e-3
 
+    def test_slope_minus_one_is_odd(self):
+        # so VELOCITY_G_PRIME_MAX = 2 - VELOCITY_G_PRIME_MIN, each attained at the other's -z
+        z = np.concatenate([np.linspace(-50.0, 50.0, 20001), np.linspace(0.48, 0.51, 3001)])
+        np.testing.assert_allclose(velocity_g_prime(z) + velocity_g_prime(-z), 2.0, rtol=0, atol=1e-15)
+
     def test_jacobian_against_finite_differences(self, rng):
         model = builtin_integrated_velocity()
         for _ in range(100):

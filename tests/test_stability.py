@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import itertools
+import json
 import math
 import warnings
 
@@ -293,26 +294,30 @@ class TestContinuousBounds:
         assert val == pytest.approx(67.8, abs=0.2)
 
 
+def inflation_floor(model, Q_tuned):
+    """:func:`inflation_mineig_bound` of the model under an ``ekf`` config tuned with ``Q_tuned``."""
+    return inflation_mineig_bound(model, make_filter_config("ekf", model, Q_tuned=Q_tuned))
+
+
 class TestInflation:
     def test_closed_form_when_drift_neutral(self):
         for q, s, d in [(4.0, 1.0, 1), (2.0, 0.5, 3), (9.0, 2.0, 2)]:
             model = builtin_linear(np.zeros((d, d)), Q=np.eye(d), H=np.eye(d),
                                    R=(1.0 / s) * np.eye(d), mu0=np.zeros(d), Sigma0=np.eye(d))
-            val = inflation_mineig_bound(model, q * np.eye(d))
+            val = inflation_floor(model, q * np.eye(d))
             assert val == pytest.approx(math.sqrt(q / (d * s)), rel=1e-12)
 
     def test_worked_substitution(self):
         model = builtin_linear(np.zeros((1, 1)), Q=np.eye(1), H=np.eye(1), R=np.eye(1),
                                mu0=np.zeros(1), Sigma0=np.eye(1))
-        assert inflation_mineig_bound(model, 4.0 * np.eye(1)) == pytest.approx(2.0)
+        assert inflation_floor(model, 4.0 * np.eye(1)) == pytest.approx(2.0)
 
     def test_bound_holds_along_simulated_runs(self):
         # Monte Carlo oracle: the asymptotic floor must undercut the smallest
         # covariance eigenvalue observed at the end of inflated filter runs
         model = builtin_contractive3d()
-        Q_tuned = 25.0 * np.eye(3)
-        floor = inflation_mineig_bound(model, Q_tuned)
-        config = make_filter_config("ekf", model, Q_tuned=Q_tuned)
+        config = make_filter_config("ekf", model, Q_tuned=25.0 * np.eye(3))
+        floor = inflation_mineig_bound(model, config)
         _, states, incr, _ = simulate_paths(model, dt=0.01, horizon=10.0, seed=123, n_paths=100)
         HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.tile(config.x0_hat, (100, 1))
@@ -328,38 +333,35 @@ class TestInflation:
         # N = s = d = 1: the floor is 1 + sqrt(1 + q), also where q is far
         # below the roundoff of N^2
         model = builtin_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1))
-        floor = inflation_mineig_bound(model, q * np.eye(1))
+        floor = inflation_floor(model, q * np.eye(1))
         assert floor == pytest.approx(1.0 + math.sqrt(1.0 + q), rel=1e-15)
 
     def test_unobserved_expanding_drift_rejected(self):
         for a in (0.0, 1.0):
             model = builtin_linear(a * np.eye(1), Q=np.eye(1), H=np.zeros((1, 1)), R=np.eye(1))
             with pytest.raises(ValueError, match="unbounded"):
-                inflation_mineig_bound(model, np.eye(1))
+                inflation_floor(model, np.eye(1))
         contracting = builtin_linear(-np.eye(1), Q=np.eye(1), H=np.zeros((1, 1)), R=np.eye(1))
-        assert inflation_mineig_bound(contracting, 4.0 * np.eye(1)) == pytest.approx(2.0, rel=1e-15)
+        assert inflation_floor(contracting, 4.0 * np.eye(1)) == pytest.approx(2.0, rel=1e-15)
 
-    def test_asymmetric_tuning_rejected(self):
-        model = builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
-        with pytest.raises(ValueError, match="Q_tuned must be symmetric"):
-            inflation_mineig_bound(model, [[1.0, 0.5], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("Q_tuned", [np.eye(2), np.eye(4), np.ones(3)])
-    def test_wrong_size_tuning_rejected(self, Q_tuned):
-        with pytest.raises(ValueError, match=r"Q_tuned must have shape \(3, 3\)"):
-            inflation_mineig_bound(builtin_contractive3d(), Q_tuned)
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_wrong_size_tuning_rejected(self, d):
+        # the tuning's own checks (shape, symmetry, definiteness) are FilterConfig's
+        other = builtin_linear(-np.eye(d), Q=np.eye(d), H=np.eye(d), R=np.eye(d))
+        with pytest.raises(ValueError, match=f"x0_hat, Q_tuned and P0 have size {d}, not dim_x = 3"):
+            inflation_mineig_bound(builtin_contractive3d(), make_filter_config("ekf", other))
 
     def test_drift_constants_come_from_the_model(self):
         bare = dataclasses.replace(builtin_contractive3d(), known_M_f=None, known_N_f=None)
         with pytest.raises(ValueError, match="attach known_N_f to the model"):
-            inflation_mineig_bound(bare, np.eye(3))
+            inflation_floor(bare, np.eye(3))
         with pytest.raises(ValueError, match="attach known_M_f to the model"):
             required_inflation(bare, target_lambda=1.0)
         with pytest.raises(ValueError, match="attach known_N_f to the model"):
             required_inflation(dataclasses.replace(bare, known_M_f=0.5), target_lambda=1.0)
         model = builtin_contractive3d()
         attached = dataclasses.replace(bare, known_M_f=model.known_M_f, known_N_f=model.known_N_f)
-        assert inflation_mineig_bound(attached, np.eye(3)) == inflation_mineig_bound(model, np.eye(3))
+        assert inflation_floor(attached, np.eye(3)) == inflation_floor(model, np.eye(3))
         assert np.array_equal(required_inflation(attached, 1.0), required_inflation(model, 1.0))
 
     def test_required_inflation_vacuous(self):
@@ -397,14 +399,14 @@ class TestInflation:
             assert q[0, 0] > 0.0
             assert np.array_equal(q, q[0, 0] * np.eye(d))
             target = (M + target_lambda) / s
-            assert inflation_mineig_bound(model, q) == pytest.approx(target, rel=1e-12)
+            assert inflation_floor(model, q) == pytest.approx(target, rel=1e-12)
         assert min(signs.values()) >= 5
 
     def test_required_inflation_self_consistent(self):
         model = dataclasses.replace(builtin_contractive3d(), known_M_f=0.5)
         q = required_inflation(model, target_lambda=1.0)
         target = (0.5 + 1.0) / model.s_scalar()
-        achieved = inflation_mineig_bound(model, q)
+        achieved = inflation_floor(model, q)
         assert achieved >= target * (1 - 1e-6)
         assert achieved <= target * (1 + 1e-4)
 
@@ -568,7 +570,7 @@ class TestDiscreteCertificate:
     def test_takes_only_the_model_and_its_config(self):
         for builder in (contractive_certificate, integrated_velocity_certificate, discrete_certificate):
             assert str(inspect.signature(builder)) == "(model, config)"
-        assert str(inspect.signature(inflation_mineig_bound)) == "(model, Q_tuned)"
+        assert str(inspect.signature(inflation_mineig_bound)) == "(model, config)"
         assert str(inspect.signature(required_inflation)) == "(model, target_lambda)"
 
     def test_no_measurements_contraction_case(self):
@@ -747,6 +749,18 @@ class TestDiscreteBounds:
         init = 0.0 + 1.0
         expected = 4.0 * beta(2.0) * (0.5**10 * init + math.sqrt(2.0) / 0.5) ** 2
         assert val == pytest.approx(expected, rel=1e-12)
+
+
+class TestDiscreteExport:
+    def test_asymptote_follows_the_initial_error(self):
+        model = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
+        cert = discrete_certificate(model, make_filter_config("ukf", model))
+        out = cert.to_dict()
+        assert list(out) == ["type", "lambda_d", "lambda_df", "kappa", "lambda_P_pred", "lambda_P_upd", "C_f",
+                             "eta", "u_d", "e0_sq", "e0_root", "mse_asymptote", "provenance", "jf_norm", "kind"]
+        assert (out["type"], out["mse_asymptote"], out["kind"]) == ("discrete", cert.mse_asymptote, "quadrature")
+        assert cert.format_text() == "\n".join(f"{k:<16} {v}" for k, v in out.items())
+        assert cert.to_json() == json.dumps(out, sort_keys=True, indent=2)
 
 
 class TestDiscreteBoundMonteCarlo:
@@ -983,9 +997,16 @@ class TestGronwall:
             warnings.simplefilter("error")
             env = gronwall_continuous(x0, alpha, b, t)
         assert env.shape == (40, 31)
-        scalar = np.array([[gronwall_continuous(float(x0[i, 0]), float(alpha[i, 0]), float(b[i, 0]), float(tj))
+
+        def reference(x0, a, b, t):
+            if a == 0.0:
+                return x0 + b * t
+            eat = math.exp(a * t)
+            return x0 * eat - (1.0 - eat) * b / a
+
+        scalar = np.array([[reference(float(x0[i, 0]), float(alpha[i, 0]), float(b[i, 0]), float(tj))
                             for tj in t] for i in range(40)])
-        # The two paths differ only where np.exp and math.exp round e^{alpha t}
+        # The two differ only where np.exp and math.exp round e^{alpha t}
         # differently, by an error of at most 1e-15 of the terms the formula adds.
         eat = np.exp(alpha * t)
         scale = eat * (x0 + np.divide(b, np.abs(alpha), out=b * t, where=alpha != 0))
@@ -994,8 +1015,16 @@ class TestGronwall:
 
     def test_scalar_call_returns_a_float(self):
         assert type(gronwall_continuous(1.0, -0.5, 2.0, 0.3)) is float
-        assert gronwall_continuous(1.0, -0.5, 2.0, 0.3) == 1.0 * math.exp(-0.15) - (
-            1.0 - math.exp(-0.15)) * 2.0 / -0.5
+        eat = np.exp(-0.5 * 0.3)
+        assert gronwall_continuous(1.0, -0.5, 2.0, 0.3) == 1.0 * eat + (eat - 1.0) * 2.0 / -0.5
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
+    def test_zero_dimensional_arguments_give_a_float(self, alpha):
+        args = (1.0, alpha, 2.0, 0.3)
+        for wrap in (np.float64, np.array):
+            env = gronwall_continuous(*map(wrap, args))
+            assert type(env) is float
+            assert env == gronwall_continuous(*args)
 
     @pytest.mark.parametrize("t", [-1e-12, [0.0, 1.0, -2.0], np.array([[1.0], [-0.5]])])
     def test_negative_time_rejected(self, t):
