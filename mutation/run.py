@@ -278,6 +278,41 @@ MUTANTS = (
                "tests/test_filters.py::TestKalmanBucyStep::test_covariance_collapse_detected"),
     ),
     Mutant(
+        name="partial-noise-chunk-dropped",
+        file="src/kbstab/models.py",
+        old="    for start in range(0, B, step):",
+        new="    for start in range(0, B - B % step, step):",
+        tests=("tests/test_models.py::TestStreamContract::test_rows_come_from_fresh_keyed_streams",),
+    ),
+    Mutant(
+        name="state-noise-keyed-by-the-measurement-role",
+        file="src/kbstab/models.py",
+        old="for j, (key_init, key_state, key_meas) in enumerate(",
+        new="for j, (key_init, key_meas, key_state) in enumerate(",
+        tests=("tests/test_models.py::TestStreamContract::test_rows_come_from_fresh_keyed_streams",),
+    ),
+    Mutant(
+        name="error-sum-skips-the-last-coordinate",
+        file="src/kbstab/filters.py",
+        old="    for i in range(1, sq.shape[1]):",
+        new="    for i in range(1, sq.shape[1] - 1):",
+        tests=("tests/test_filters.py::TestSquaredErrors::test_error_is_the_numpy_sum_of_squares",),
+    ),
+    Mutant(
+        name="truth-row-flag-always-true",
+        file="src/kbstab/filters.py",
+        old="    row_ok = np.isfinite(states).all(axis=(1, 2))",
+        new="    row_ok = np.full(n_plus_1, True)",
+        tests=("tests/test_filters.py::TestFrozenPaths::test_dead_truth_freezes_only_its_path[ekf]",),
+    ),
+    Mutant(
+        name="export-number-one-ulp-up",
+        file="src/kbstab/harness.py",
+        old="    return repr(float(x))",
+        new="    return repr(float(np.nextafter(x, np.inf)))",
+        tests=("tests/test_pinned_outputs.py::test_experiment_exports_are_pinned",),
+    ),
+    Mutant(
         name="dead-row-keeps-noise",
         file="src/kbstab/models.py",
         old="            states[k + 1] = np.where(ok[:, None], xn, np.nan)\n"

@@ -42,7 +42,11 @@ It stores the covariances, their roots and the gains batch-last,
 ``(d, d, paths)``, so the small products of a step run as vector
 operations over a contiguous batch; the states stay ``(paths, d)``, as
 fields index ``x[..., i]``. The step checks finiteness on the whole batch
-first and looks at single paths only when that check fails.
+first and looks at single paths only when that check fails. The loop
+likewise makes one whole-batch test per step, on one flag per row of the
+truth, and builds per-path masks only once a path dies. A squared error
+adds its ``d`` coordinates in order, so a path's bits never depend on its
+batch; for ``d <= 7`` that is what ``np.sum`` does.
 """
 
 from dataclasses import dataclass
@@ -221,6 +225,19 @@ class EnsembleRun:
     diverged: np.ndarray
 
 
+def _err_sq(truth, x):
+    """Squared errors of the rows of ``x`` against ``truth``, ``(B, d)`` each, summed over coordinates in order.
+
+    One path's sum never depends on the batch. For ``d <= 7`` its bits are
+    those of ``np.sum(..., axis=-1)``, which sums pairwise from 8 terms on.
+    """
+    sq = (truth - x) ** 2
+    out = sq[:, 0].copy()
+    for i in range(1, sq.shape[1]):
+        out += sq[:, i]
+    return out
+
+
 def _run(time, model, config, states, obs, dt, record=None):
     """The time-step loop of both time models (see :func:`run_continuous_ensemble`).
 
@@ -250,12 +267,14 @@ def _run(time, model, config, states, obs, dt, record=None):
     HtRinv = model.HtRinv if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P, L = _psd_root(np.broadcast_to(config.P0[:, :, None], (d, d, B)))
-    # the mask first, so its full-size temporary is gone before err_sq exists
-    truth_ok = np.isfinite(states).all(axis=2)
+    # one flag per row first, so the full-size temporary of the check is gone before err_sq
+    # exists; a row's per-path mask is built only where a truth in it is non-finite
+    row_ok = np.isfinite(states).all(axis=(1, 2))
     err_sq = np.full((B, n_plus_1), np.nan)
-    err_sq[:, 0] = np.sum((states[0] - x) ** 2, axis=1)
+    err_sq[:, 0] = _err_sq(states[0], x)
     trace_max = np.einsum("iib->b", P)
-    alive = truth_ok[0]
+    alive = np.isfinite(states[0]).all(axis=1)
+    every = bool(alive.all())
     diverged = np.where(alive, -1, 0)
     # a finite estimate far from the truth has a squared error of inf, not a warning
     with np.errstate(over="ignore"):
@@ -266,18 +285,21 @@ def _run(time, model, config, states, obs, dt, record=None):
             if record is not None:
                 record(k, x_new, _batch_first(P_new), _batch_first(K))
             tr = np.einsum("iib->b", P_new)
-            ok = alive & ~bad & truth_ok[k] & (tr >= _DEGENERATE_TRACE)
-            if ok.all():
+            # one whole-batch test: every path alive, every truth finite, no path flagged
+            if every and row_ok[k] and not bad.any() and tr.min() >= _DEGENERATE_TRACE:
                 x, P, L = x_new, P_new, L_new
-                err_sq[:, k] = np.sum((states[k] - x) ** 2, axis=1)
+                err_sq[:, k] = _err_sq(states[k], x)
                 np.maximum(trace_max, tr, out=trace_max)
                 continue
+            truth_ok = row_ok[k] or np.isfinite(states[k]).all(axis=1)
+            ok = alive & ~bad & truth_ok & (tr >= _DEGENERATE_TRACE)
             diverged[alive & ~ok] = k
             alive = ok
+            every = False
             x = np.where(alive[:, None], x_new, x)
             P = np.where(alive, P_new, P)
             L = np.where(alive, L_new, L)
-            err_sq[alive, k] = np.sum((states[k, alive] - x[alive]) ** 2, axis=1)
+            err_sq[alive, k] = _err_sq(states[k, alive], x[alive])
             trace_max[alive] = np.maximum(trace_max[alive], tr[alive])
     return EnsembleRun(err_sq=err_sq, trace_max=trace_max, diverged=diverged)
 

@@ -19,19 +19,22 @@ All drift and Jacobian callables must be vectorized over leading batch
 dimensions. Randomness comes from counter-based Philox streams keyed by
 ``(seed, path index, role)`` so that any subset of paths can be generated in
 any order, or in parallel, with bit-identical results. :func:`philox` builds
-every seeded generator of the package; a simulation builds one and re-keys
-it for each stream, which gives the same numbers as a fresh generator.
+every seeded generator of the package; a simulation builds one, takes the
+keys of all its streams from one table, and re-keys the generator for each
+stream, which gives the same numbers as a fresh generator.
 
 The loop keeps its paths time-major, ``(steps + 1, paths, dim)``, so each
 step reads and writes contiguous rows, and checks a step's finiteness on the
 whole batch first, looking at single paths only when that check fails. The
-noise is drawn into the record itself: rows ``1..`` hold each step's state
-and measurement noise until that step overwrites them, so a simulation
-allocates no full-size array besides the one record it returns. The
-batch simulators :func:`simulate_paths` and :func:`simulate_discrete_paths`
-are the only entry points; they return the usual ``(paths, steps + 1, dim)``
-shape, as transposed views of that storage. One path ``p`` is the batch of
-one with ``first_path=p``, bit for bit the row of any batch that holds it.
+noise is drawn a chunk of paths at a time into two small buffers, scaled and
+transformed there with one stacked product, and written into the record
+itself: rows ``1..`` hold each step's state and measurement noise until that
+step overwrites them, so a simulation allocates no full-size array besides
+the one record it returns. The batch simulators :func:`simulate_paths` and
+:func:`simulate_discrete_paths` are the only entry points; they return the
+usual ``(paths, steps + 1, dim)`` shape, as transposed views of that
+storage. One path ``p`` is the batch of one with ``first_path=p``, bit for
+bit the row of any batch that holds it.
 """
 
 import math
@@ -43,8 +46,6 @@ import numpy as np
 
 from .checks import check_integer, is_finite_real
 from .quadrature import _check_psd, _matmul_last, matrix_sqrt
-
-_ROLE_INIT, _ROLE_STATE, _ROLE_MEAS = 0, 1, 2
 
 
 def _philox_key(*words):
@@ -61,17 +62,42 @@ def philox(*words):
     return np.random.Generator(np.random.Philox(key=_philox_key(*words)))
 
 
-def _rekey(gen, seed, stream):
-    """Move the Philox generator ``gen`` to the start of the stream of ``philox(seed, stream)``.
+def _stream_keys(seed, first_path, n_paths):
+    """The Philox keys of every stream of a batch, ``(n_paths, 3, 2)`` ``uint64``.
+
+    Row ``[p, role]`` is the key of ``philox(seed, 4 (first_path + p) +
+    role)``: role 0 keys path ``p``'s initial state, 1 its state noise and 2
+    its measurement noise. The table is one array operation; ``uint64``
+    arithmetic wraps, so each word is taken mod ``2**64`` as in
+    :func:`_philox_key`.
+    """
+    keys = np.empty((n_paths, 3, 2), dtype=np.uint64)
+    keys[..., 0] = _philox_key(seed)
+    base = np.uint64(4 * first_path % 2**64)
+    keys[..., 1] = base + (np.arange(n_paths, dtype=np.uint64)[:, None] * np.uint64(4)
+                           + np.arange(3, dtype=np.uint64))
+    return keys
+
+
+def _rekeyer(gen):
+    """A function ``rekey(key)`` that moves the Philox generator ``gen`` to the start of the stream keyed ``key``.
 
     A Philox stream is a pure function of its key and counter, so setting
     the key, a zero counter and an empty buffer yields the numbers a fresh
-    generator would, without building one.
+    generator would, without building one. The state dict is built once and
+    reused, so a re-key only swaps its key; ``key`` is a pair of words in
+    ``[0, 2**64)``, fastest as a list of ints.
     """
-    gen.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": [0, 0, 0, 0], "key": _philox_key(seed, stream)},
-                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gen
+    bit_generator = gen.bit_generator
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def rekey(key):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        return gen
+
+    return rekey
 
 
 def _check_constant(name, value):
@@ -201,12 +227,22 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     step reads and writes contiguous rows. Row ``k + 1`` of ``states`` and
     of ``meas`` holds step ``k``'s noise until the step reads it and
     overwrites it with the new state and measurement; no other full-size
-    array is made. While every path is alive and finite, rows are written
-    whole after one finiteness check of the batch; otherwise a dead path's
-    entries of the row are set to NaN (state) and 0 (measurement), so no
-    raw noise is left behind.
-    ``seed`` must be an integer, ``n_paths`` one at least 1 and ``first_path``
-    one at least 0.
+    array is made.
+
+    The noise comes a chunk of at most ``max(1, B // 64)`` paths at a time,
+    so its buffers stay a small share of the record. Each path of a chunk
+    takes its three keys from the :func:`_stream_keys` table and draws its
+    state and measurement normals into the chunk's two buffers. The chunk
+    is scaled in place, multiplied by the noise roots in one stacked
+    product, which makes the same BLAS call for each path as a path on its
+    own, and written into the record with one slice assignment each. The
+    initial states are one stacked product too.
+
+    While every path is alive and finite, rows are written whole after one
+    finiteness check of the batch; otherwise a dead path's entries of the
+    row are set to NaN (state) and 0 (measurement), so no raw noise is left
+    behind. ``seed`` must be an integer, ``n_paths`` one at least 1 and
+    ``first_path`` one at least 0.
     """
     if model.time != time:
         raise ValueError(f"expected a {time!r} model, got a {model.time!r} one")
@@ -217,15 +253,27 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     scale = math.sqrt(dt) if time == "cont" else 1.0
     states = np.empty((n + 1, B, dx))
     meas = np.empty((n + 1, B, dy))
-    # noise roots once per batch; each path draws from its own three streams,
-    # all through one generator re-keyed per stream, into the rows its steps overwrite
+    # noise roots once per batch; each path draws from its own three streams, all through
+    # one generator re-keyed per stream, into the buffers of its chunk
     sqrt_sigma0, sqrt_q, sqrt_r = matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
-    gen = philox(seed, 0)
-    for p in range(B):
-        stream = (first_path + p) * 4
-        states[0, p] = model.mu0 + sqrt_sigma0 @ _rekey(gen, seed, stream + _ROLE_INIT).standard_normal(dx)
-        states[1:, p] = scale * _rekey(gen, seed, stream + _ROLE_STATE).standard_normal((n, dx)) @ sqrt_q
-        meas[1:, p] = scale * _rekey(gen, seed, stream + _ROLE_MEAS).standard_normal((n, dy)) @ sqrt_r
+    keys = _stream_keys(seed, first_path, B)
+    rekey = _rekeyer(philox(seed, 0))
+    step = max(1, B // 64)
+    z0, zx, zy = np.empty((B, dx)), np.empty((step, n, dx)), np.empty((step, n, dy))
+    for start in range(0, B, step):
+        m = min(step, B - start)
+        # Python ints re-key fastest; a list of the whole table would outgrow the chunk buffers
+        for j, (key_init, key_state, key_meas) in enumerate(keys[start:start + m].tolist()):
+            rekey(key_init).standard_normal(out=z0[start + j])
+            rekey(key_state).standard_normal(out=zx[j])
+            rekey(key_meas).standard_normal(out=zy[j])
+        # the scaling and the product of a path on its own, then into the rows its steps overwrite
+        wx, wy = zx[:m], zy[:m]
+        wx *= scale
+        wy *= scale
+        states[1:, start:start + m] = (wx @ sqrt_q).transpose(1, 0, 2)
+        meas[1:, start:start + m] = (wy @ sqrt_r).transpose(1, 0, 2)
+    states[0] = model.mu0 + (sqrt_sigma0 @ z0[:, :, None])[:, :, 0]
     meas[0] = 0.0
 
     diverged = np.full(B, -1, dtype=int)

@@ -2,22 +2,18 @@ import contextlib
 import io
 import json
 import math
-import re
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pins import DATA, same_numbers
 
 from kbstab.cli import _CONFIG_KEYS, CheckResult, build_parser, main, validation_suite
 from kbstab.filters import FILTER_KINDS
 from kbstab.harness import PRESETS
 from kbstab.quadrature import CubatureRule, unscented_rule
-
-DATA = Path(__file__).parent / "data"
-# a number standing alone: not the 3 of contractive3d or the 12 of lambda_12
-NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]?\d+)?(?![\w.])")
 
 
 class TestCertify:
@@ -29,9 +25,7 @@ class TestCertify:
         assert main(["certify", "--preset", preset]) == 0
         out = capsys.readouterr().out
         pinned = (DATA / f"certify_{preset}.txt").read_text()
-        assert NUMBER.split(out) == NUMBER.split(pinned)
-        got, want = ([float(x) for x in NUMBER.findall(text)] for text in (out, pinned))
-        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert same_numbers(out, pinned)
 
     def test_contractive_ekf(self, capsys):
         code = main(["certify", "--model", "contractive3d", "--filter", "ekf"])

@@ -327,6 +327,49 @@ class TestGrouping:
             assert whole.trace_max[p] == np.trace(P[:, 0], axis1=1, axis2=2).max()
 
 
+def linear_paths(d, n_paths, steps=6, dt=0.05, seed=3):
+    """A stable fully observed linear model of size ``d`` with full noise covariances, and its paths."""
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((d, d))
+    model = builtin_linear(-np.eye(d) + 0.2 * M, Q=M @ M.T / d + 0.5 * np.eye(d), H=np.eye(d), R=np.eye(d),
+                           Sigma0=np.eye(d))
+    _, states, incr, diverged = simulate_paths(model, dt, steps * dt, seed, n_paths)
+    assert np.all(diverged < 0)
+    return model, states, incr
+
+
+class TestSquaredErrors:
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n_paths", [1, 7, 1000])
+    def test_error_is_the_numpy_sum_of_squares(self, d, n_paths, record_filter):
+        # below 8 coordinates numpy adds in order, as the loop does: row 0, the
+        # whole-batch steps and, once the last path's truth dies at step 3 of a
+        # batch of several, the masked ones
+        model, states, incr = linear_paths(d, n_paths)
+        if n_paths > 1:
+            states = states.copy()
+            states[-1, 3:] = np.nan
+        run, x, _, _ = record_filter(model, make_filter_config("ekf", model), states, incr, 0.05)
+        assert run.diverged[-1] == (3 if n_paths > 1 else -1)
+        x = x.transpose(1, 0, 2)
+        np.testing.assert_array_equal(run.err_sq, np.sum((states - x) ** 2, axis=-1))
+
+    def test_eight_coordinates_keep_each_path_its_batch_of_one(self):
+        # from 8 terms on numpy sums pairwise, and the loop still adds in order,
+        # so a path's error is the same in any batch, whole-batch steps or not
+        model, states, incr = linear_paths(8, 5)
+        states = states.copy()
+        states[2, 4:] = np.nan
+        config = make_filter_config("ekf", model)
+        whole = run_continuous_ensemble(model, config, states, incr, 0.05)
+        assert whole.diverged.tolist() == [-1, -1, 4, -1, -1]
+        for p in range(5):
+            alone = run_continuous_ensemble(model, config, states[p:p + 1], incr[p:p + 1], 0.05)
+            for name in ("err_sq", "trace_max", "diverged"):
+                assert np.array_equal(getattr(whole, name)[p], getattr(alone, name)[0],
+                                      equal_nan=name != "diverged"), (p, name)
+
+
 def batch_first_reference(model, config, states, incr, dt):
     """Per-path squared errors of the continuous filter, stepped batch-first with stacked matmul and LAPACK.
 

@@ -20,7 +20,7 @@ from kbstab import (
 )
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.functionals import eval_drift_batch
-from kbstab.models import _faddeeva, _rekey, philox
+from kbstab.models import _faddeeva, _philox_key, _rekeyer, philox
 from kbstab.quadrature import matrix_sqrt
 
 
@@ -436,6 +436,10 @@ class TestDiscreteSimulation:
         assert sorted(set(diverged[diverged >= 0].tolist())) == [8, 9]
         assert_rows_are_single_runs(batch, lambda p: one_discrete_path(model, steps=15, seed=2, path_index=p))
 
+
+SIGMA0_FULL = np.array([[1.0, 0.4, -0.2], [0.4, 0.8, 0.3], [-0.2, 0.3, 0.6]])
+
+
 class TestStreamContract:
     """Path ``p`` of a batch starting at ``first_path`` draws from the stream
     ``philox(seed, 4 (first_path + p) + role)``: role 0 its initial state,
@@ -444,16 +448,21 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 + 1])
     @pytest.mark.parametrize("first_path", [0, 5])
-    def test_rows_come_from_fresh_keyed_streams(self, seed, first_path):
+    @pytest.mark.parametrize("paths, n, Sigma0", [
+        (3, 5, np.diag([0.5, 1.0, 2.0])),
+        # 200 paths draw in 66 chunks of 3 and a last one of 2, 130 in 65 chunks of 2;
+        # the initial states' stacked product meets a full root of Sigma0
+        (200, 5, SIGMA0_FULL), (3, 1, SIGMA0_FULL), (130, 1, SIGMA0_FULL),
+    ], ids=["3x5-diag", "200x5-full", "3x1-full", "130x1-full"])
+    def test_rows_come_from_fresh_keyed_streams(self, seed, first_path, paths, n, Sigma0):
         # zero drift and H = 0 leave the noise rows readable from the paths;
         # dim 3 leaves words in the generator's buffer after each draw
         Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 0.5]])
-        R, Sigma0, mu0 = np.array([[0.3]]), np.diag([0.5, 1.0, 2.0]), np.array([0.5, -1.0, 2.0])
+        R, mu0 = np.array([[0.3]]), np.array([0.5, -1.0, 2.0])
         zero, H = np.zeros((3, 3)), np.zeros((1, 3))
         cont = builtin_linear(zero, Q=Q, H=H, R=R, mu0=mu0, Sigma0=Sigma0)
         disc = builtin_discrete_linear(zero, Q=Q, H=H, R=R, mu0=mu0, Sigma0=Sigma0)
         sqrt_q, sqrt_r, sqrt_s0 = matrix_sqrt(Q), matrix_sqrt(R), matrix_sqrt(Sigma0)
-        n, paths = 5, 3
         # two simulations in a row, each over several streams
         _, xc, yc, _ = simulate_paths(cont, dt=0.25, horizon=n * 0.25, seed=seed, n_paths=paths,
                                       first_path=first_path)
@@ -477,7 +486,7 @@ class TestStreamContract:
         state = gen.bit_generator.state
         assert state["state"]["counter"][0] > 0 and state["buffer_pos"] < 4 and state["has_uint32"] == 1
         fresh = philox(9, 2)
-        _rekey(gen, 9, 2)
+        _rekeyer(gen)(_philox_key(9, 2).tolist())
         np.testing.assert_array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
                                       fresh.integers(0, 2**32, size=5, dtype=np.uint32))
         np.testing.assert_array_equal(gen.standard_normal(7), fresh.standard_normal(7))
