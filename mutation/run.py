@@ -146,7 +146,7 @@ MUTANTS = (
         file="src/kbstab/stability.py",
         old='self._constants + ("mse_asymptote", "provenance") + self._flags',
         new='self._constants + ("provenance",) + self._flags',
-        tests=("tests/test_cli.py::TestCertify::test_preset_output_is_pinned",),
+        tests=("tests/test_pinned_outputs.py::test_certify_report_is_pinned",),
     ),
     Mutant(
         name="inflation-floor-from-the-model-noise",
@@ -391,6 +391,55 @@ MUTANTS = (
         old="    for config in configs.values():\n        config.check_dim(model.dim_x)\n",
         new="",
         tests=("tests/test_harness.py::TestRunExperiment::test_config_of_another_size_rejected_before_simulating",),
+    ),
+    Mutant(
+        name="velocity-certificate-r-at-the-builder-default",
+        file="src/kbstab/stability.py",
+        old="h, r = float(model.H[0, 0]), float(model.R[0, 0])",
+        new="h, r = float(model.H[0, 0]), 0.05",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::test_certificate_reads_the_model_it_certifies",),
+    ),
+    Mutant(
+        name="velocity-slope-bound-at-the-steep-end",
+        file="src/kbstab/stability.py",
+        old="    lg = VELOCITY_G_PRIME_MIN\n",
+        new="    lg = 2.0 - VELOCITY_G_PRIME_MIN  # VELOCITY_G_PRIME_MAX\n",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::test_rate_is_box_worst_case",),
+    ),
+    Mutant(
+        name="continuous-gain-without-the-inverse-noise",
+        file="src/kbstab/filters.py",
+        old="K = np.matmul(model.HtRinv.T, P)",
+        new="K = np.matmul(model.H, P)",
+        tests=("tests/test_filters.py::TestBatchFirstReference::test_per_path_errors_match_the_batch_first_step",),
+    ),
+    Mutant(
+        name="discrete-noise-term-without-tr-Q",
+        file="src/kbstab/stability.py",
+        old="u_d = lambda_d**2 * float(np.trace(model.Q)) + kappa**2",
+        new="u_d = kappa**2",
+        tests=("tests/test_stability.py::TestDiscreteErrorLaw::test_bound_holds_at_every_step",),
+    ),
+    Mutant(
+        name="contraction-rate-one-ulp-up",
+        file="src/kbstab/stability.py",
+        old="    lam = -M_f\n",
+        new="    lam = math.nextafter(-M_f, math.inf)\n",
+        tests=("tests/test_pinned_outputs.py::test_certify_report_is_pinned",),
+    ),
+    Mutant(
+        name="mse-bound-on-the-gronwall-envelope",
+        file="src/kbstab/stability.py",
+        old="    return X * np.exp(-2.0 * cert.lam * (t - cert.T)) + cert.u / (2.0 * cert.lam)",
+        new="    return gronwall_continuous(X, -2.0 * cert.lam, cert.u, t - cert.T)",
+        tests=("tests/test_pinned_outputs.py::test_experiment_exports_are_pinned[fig2]",),
+    ),
+    Mutant(
+        name="checkpoint-grid-at-zero-unnamed",
+        file="src/kbstab/harness.py",
+        old="    if len(cp_idx) == 1:",
+        new="    if False:",
+        tests=("tests/test_cli.py::TestSimulate::test_checkpoint_grid_with_no_time_after_zero_is_named",),
     ),
 )
 

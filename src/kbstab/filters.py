@@ -160,14 +160,14 @@ def _update_batch(model, x_pred, P_pred, y):
     return x, (np.eye(model.dim_x) - K @ H) @ P_pred, K
 
 
-def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
+def _kb_step_batch(model, config, x, P, L, obs, dt):
     """One filter step over a batch, for either time model.
 
     ``x`` is ``(B, d)``, since fields index ``x[..., i]``; ``P`` and ``L``
     are batch-last ``(d, d, B)``. A continuous model takes the Euler step
     on the increments ``obs``; a discrete model predicts and updates on the
-    measurements ``obs`` and ignores ``HtRinv`` and ``dt``; ``L`` roots the
-    sigma points (``None``: root ``P`` here). Returns ``(x_new, P_new,
+    measurements ``obs`` and ignores ``dt``. ``L`` roots the sigma points
+    (``None``: root ``P`` here). Returns ``(x_new, P_new,
     L_new, K, bad)`` where ``K`` is the gain applied, batch-last
     ``(d, dim_y, B)``, and ``bad`` flags paths whose step produced
     non-finite values; their outputs are placeholders that callers must
@@ -176,17 +176,18 @@ def _kb_step_batch(model, config, HtRinv, x, P, L, obs, dt):
     factorization fails, and ``L_new`` the guard's root of it.
 
     In the continuous step every product runs over the contiguous batch
-    axis: ``P`` times the fixed ``HtRinv`` is one GEMM per row of ``P``,
-    ``S P`` one GEMM over all its columns, ``P (S P)`` (like ``J P`` in the
-    functional) one einsum, and the gain times the innovation a sum over
-    its columns in order. Each member's result is the same whatever the
-    batch holds.
+    axis: ``P`` times the model's cached ``HtRinv`` is one GEMM per row of
+    ``P``, ``S P`` one GEMM over all its columns, ``P (S P)`` (like ``J P``
+    in the functional) one einsum, and the gain times the innovation a sum
+    over its columns in order. Each member's result is the same whatever
+    the batch holds. The step reads ``H``, ``R`` and ``S`` from the model
+    alone.
     """
     d, _, B = P.shape
     with np.errstate(over="ignore", invalid="ignore"):
         mean, lam = _drift(model, config, x, P, L)
         if model.time == "cont":
-            K = np.matmul(HtRinv.T, P)
+            K = np.matmul(model.HtRinv.T, P)
             innov = (obs - (x @ model.H.T) * dt).T
             gain = K[:, 0] * innov[0]
             for m in range(1, len(innov)):
@@ -264,7 +265,6 @@ def _run(time, model, config, states, obs, dt, record=None):
         raise ValueError(f"{name} must have shape {(B, n_plus_1, model.dim_y)} to match states, got {obs.shape}")
     states = np.ascontiguousarray(states.transpose(1, 0, 2))
     obs = np.ascontiguousarray(obs.transpose(1, 0, 2))
-    HtRinv = model.HtRinv if time == "cont" else None
     x = np.tile(config.x0_hat, (B, 1))
     P, L = _psd_root(np.broadcast_to(config.P0[:, :, None], (d, d, B)))
     # one flag per row first, so the full-size temporary of the check is gone before err_sq
@@ -281,7 +281,7 @@ def _run(time, model, config, states, obs, dt, record=None):
         for k in range(1, n_plus_1):
             if not alive.any():
                 break
-            x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs[k], dt)
+            x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, x, P, L, obs[k], dt)
             if record is not None:
                 record(k, x_new, _batch_first(P_new), _batch_first(K))
             tr = np.einsum("iib->b", P_new)

@@ -146,7 +146,6 @@ class ExperimentResult:
     max_trace_P: dict
     exceedance: list
     checkpoint_times: np.ndarray
-    checkpoint_err_sq: dict
     certificates: dict
     divergence_counts: dict
     alive_counts: dict
@@ -249,6 +248,9 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
     raises a ``ValueError`` naming the size when the record and one error
     history, ``8 (n+1) B (dim_x + dim_y + 1)`` bytes, would exceed the
     machine's physical memory (checked where ``os.sysconf`` reports it).
+    When ``checkpoint_every`` exceeds the horizon, the checkpoint grid holds
+    only ``t = 0``, where the error is the initial law's; the run goes on
+    and ``warnings`` says so.
 
     ``model``, ``certificates`` and ``configs`` override the spec-derived
     defaults for library callers; the CLI always goes through the spec.
@@ -265,6 +267,9 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
 
     cp_idx = np.arange(0, n_steps + 1, _steps_for(spec.dt, spec.checkpoint_every, "checkpoint_every"))
     cp_times = times[cp_idx]
+    if len(cp_idx) == 1:
+        warnings.append(f"checkpoint_every = {spec.checkpoint_every:g} exceeds the horizon {spec.horizon:g}: "
+                        "concentration is checked only at t = 0, on the initial law")
 
     if configs is None:
         configs = {kind: make_filter_config(kind, model) for kind in spec.filters}
@@ -284,14 +289,13 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
 
     _, states, incr, _ = simulate_paths(model, spec.dt, spec.horizon, spec.seed, spec.trajectories)
     empirical, stderr, bounds, averages, traces = {}, {}, {}, {}, {}
-    cp_err, div_counts, alive_counts = {}, {}, {}
+    div_counts, alive_counts = {}, {}
     dominates = dict.fromkeys(spec.filters)
     exceedance = []
     for kind in spec.filters:
         alive, cps, mse, se, traces[kind] = _filter_moments(model, configs[kind], states, incr, spec.dt, cp_idx)
         cert = certs[kind]
         bounds[kind] = None if cert is None else continuous_mse_bound(cert, claim_time(cert, times))
-        cp_err[kind] = cps
         div_counts[kind] = int((~alive).sum())
         alive_counts[kind] = int(alive.sum())
         empirical[kind] = mse
@@ -316,7 +320,6 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
         max_trace_P=traces,
         exceedance=exceedance,
         checkpoint_times=cp_times,
-        checkpoint_err_sq=cp_err,
         certificates=certs,
         divergence_counts=div_counts,
         alive_counts=alive_counts,

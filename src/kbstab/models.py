@@ -13,7 +13,8 @@ one loop that branches on it only for the state and measurement lines.
 
 ``Q``, ``R`` and ``Sigma0`` must pass :func:`~kbstab.quadrature._check_psd`
 (so ``R = 0`` simulates noiseless measurements); ``R`` must also be positive
-definite where the cached ``HtRinv = H^T R^{-1}``, used by ``S`` and every gain, is formed.
+definite where the cached ``HtRinv = H^T R^{-1}``, read by ``S`` and the
+continuous gain, is formed.
 
 All drift and Jacobian callables must be vectorized over leading batch
 dimensions. Randomness comes from counter-based Philox streams keyed by
@@ -38,7 +39,7 @@ bit the row of any batch that holds it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Optional
 
@@ -126,7 +127,6 @@ class _Model:
     Sigma0: np.ndarray
     known_jf_norm: Optional[float] = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, dim in (("Q", self.dim_x), ("R", self.dim_y), ("Sigma0", self.dim_x)):
@@ -146,7 +146,7 @@ class _Model:
 
     @cached_property
     def HtRinv(self):
-        """``H^T R^{-1}`` (cached), the one place ``R`` is inverted; ``R`` must be positive definite."""
+        """``H^T R^{-1}`` (cached), read by ``S`` and the continuous gain; ``R`` must be positive definite."""
         return np.linalg.solve(_check_psd("R", self.R, definite=True), self.H).T
 
     @cached_property
@@ -513,9 +513,12 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
 
     The first component integrates the second (plus optional feedback
     ``a1 x1``); the hidden component relaxes through the strictly increasing
-    nonlinearity :func:`velocity_g`. Its slope bounds and the drift's
-    closed-form ``M(f)``, ``N(f)`` are attached for certificate
-    construction. Only ``h x1`` is measured.
+    nonlinearity :func:`velocity_g`, whose slope lies in
+    ``[VELOCITY_G_PRIME_MIN, VELOCITY_G_PRIME_MAX]``. The drift's
+    closed-form ``M(f)``, ``N(f)`` are attached as ``known_M_f`` and
+    ``known_N_f``. Only ``h x1`` is measured. The velocity certificate
+    reads ``h``, ``r``, ``a1`` and ``a2`` back from ``H``, ``R`` and the
+    drift's Jacobian.
     """
     if not all(map(is_finite_real, (a1, a2, q1, q2, h, r))):
         raise ValueError("a1, a2, q1, q2, h and r must be finite")
@@ -551,8 +554,6 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
         known_M_f=M_f,
         known_N_f=N_f,
         name="integrated_velocity",
-        params={"a1": a1, "a2": a2, "q1": q1, "q2": q2, "h": h, "r": r,
-                "lg": VELOCITY_G_PRIME_MIN, "sup_gprime": VELOCITY_G_PRIME_MAX},
     )
 
 
@@ -572,7 +573,7 @@ def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):
 
     return cls(dim_x=d, dim_y=H.shape[0], f=f, jac_f=jac, Q=Q, H=H, R=R,
                mu0=np.zeros(d) if mu0 is None else mu0, Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
-               known_jf_norm=float(np.linalg.norm(A, 2)), name=name, params={"A": A}, **known)
+               known_jf_norm=float(np.linalg.norm(A, 2)), name=name, **known)
 
 
 def builtin_linear(A, Q, H, R, mu0=None, Sigma0=None):

@@ -35,6 +35,7 @@ import numpy as np
 from .checks import check_integer, is_finite_real
 from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
 from .filters import make_filter_config
+from .models import VELOCITY_G_PRIME_MIN
 from .quadrature import _check_psd
 
 def _finite(name, value):
@@ -253,7 +254,16 @@ def contractive_certificate(model, config):
 
 
 def _decay(cert, X, t):
-    """``X exp(-2 lam (t - T)) + u / (2 lam)`` at ``t``, a finite time ``>= cert.T`` or an array of them."""
+    """``X exp(-2 lam (t - T)) + u / (2 lam)`` at ``t``, a finite time ``>= cert.T`` or an array of them.
+
+    It keeps the whole level ``u / (2 lam)`` at every time, not Gronwall's
+    envelope ``gronwall_continuous(X, -2 lam, u, t - T)``, which is smaller
+    by ``exp(-2 lam (t - T)) u / (2 lam)``. An asymptotic certificate has
+    ``e_T_sq = C_T = 0`` and claims only the limiting level from ``T`` on:
+    the envelope would bound its mean-square error at ``T`` by 0 (fig2's,
+    for one). A tighter form for the certificates that hold from ``T = 0``
+    waits for the exact error law of continuous linear models to judge it.
+    """
     t = _finite("t", t)
     if np.any(t < cert.T):
         raise ValueError(f"t must be at least the settle time T = {cert.T}")
@@ -341,7 +351,12 @@ def integrated_velocity_certificate(model, config):
     """Certificate for the integrated-velocity model via element-wise bounds.
 
     The filter, the tuned noise ``diag(q1, q2)`` and ``P0`` come from
-    ``config``.
+    ``config``. The model's own fields give the rest: ``h`` and ``r`` are
+    ``H[0, 0]`` and ``R[0, 0]``, ``a1`` and ``a2`` the first row of the
+    drift's Jacobian, which is constant, and ``S`` enters ``u`` and ``rho``.
+    The slope bound is ``lg = inf g' = VELOCITY_G_PRIME_MIN``. So a model
+    changed with ``dataclasses.replace`` gets the certificate of the model
+    built with the same arguments.
 
     Derivation: the hidden-component variance satisfies a linear comparison
     inequality giving the limit ``C22 = q2 / (2 lg)``. With ``s = h^2 / r``
@@ -378,11 +393,9 @@ def integrated_velocity_certificate(model, config):
     """
     if model.name != "integrated_velocity":
         raise ValueError("this certificate is specific to the integrated-velocity model")
-    p = model.params
-    a1, a2, h, r, lg = p["a1"], p["a2"], p["h"], p["r"], p["lg"]
-    if lg <= 0:
-        raise NoCertificateError("the hidden-component slope must be bounded below by a positive constant",
-                                 hypothesis="hidden-component monotonicity")
+    h, r = float(model.H[0, 0]), float(model.R[0, 0])
+    a1, a2 = (float(v) for v in model.jac_f(np.zeros(2))[0])
+    lg = VELOCITY_G_PRIME_MIN
     s = h * h / r
     kind = _kind(model, config)
     Qt, P0 = config.Q_tuned, config.P0
@@ -487,7 +500,8 @@ def discrete_certificate(model, config):
         cap = min(model.dim_x / s, cap)
     lambda_P_upd = max(float(np.trace(config.P0)), cap)
     lambda_P_pred = jf_norm**2 * lambda_P_upd + tr_Qt
-    R_inv_norm = float(np.linalg.norm(np.linalg.inv(_check_psd("R", model.R, definite=True)), 2))
+    # s_scalar has checked R through HtRinv
+    R_inv_norm = float(np.linalg.norm(np.linalg.inv(model.R), 2))
     kappa = lambda_P_pred * float(np.linalg.norm(model.H, 2)) * R_inv_norm
     c_f = 0.0 if kind == "ekf" else jf_norm
     eta = lambda_d * math.sqrt(c_f * lambda_P_upd)

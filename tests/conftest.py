@@ -1,6 +1,7 @@
 """Shared fixtures. The benchmark Monte Carlo runs are expensive, so they are
 session-scoped and reused by every test that needs them."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kbstab import DiscreteModel, export_result, preset_spec, run_experiment
+from kbstab import DiscreteModel, builtin_integrated_velocity, export_result, preset_spec, run_experiment
 from kbstab.filters import _run
+from kbstab.models import VELOCITY_G_PRIME_MIN
 
 # Every property test draws the same examples on every run.
 settings.register_profile("kbstab", derandomize=True, deadline=None)
@@ -105,13 +107,16 @@ def velocity_corner_rate():
     ``A``, with ``C`` and with ``|B|``, so when ``s C12 <= 2 a2`` the
     supremum of ``mu(J - P S)`` over the certificate's box sits at
     ``P11 = p11_lo``, ``P12 = 0``, ``g' = lg`` (see
-    ``integrated_velocity_certificate``). Computed here from the model's
-    parameters alone, so both tests of the rate check one formula.
+    ``integrated_velocity_certificate``). Computed here from the builder's
+    keyword arguments, its defaults filled in, and ``lg =
+    VELOCITY_G_PRIME_MIN``, so both tests of the rate check one formula.
     """
-    def rate(params):
-        s = params["h"] ** 2 / params["r"]
-        sigma = math.sqrt(s * params["q1"] + params["a1"] ** 2)
-        lg = params["lg"]
-        return 0.5 * (sigma + lg) - math.sqrt((0.5 * (sigma - lg)) ** 2 + 0.25 * params["a2"] ** 2)
+    def rate(**kwargs):
+        bound = inspect.signature(builtin_integrated_velocity).bind(**kwargs)
+        bound.apply_defaults()
+        p, lg = bound.arguments, VELOCITY_G_PRIME_MIN
+        s = p["h"] ** 2 / p["r"]
+        sigma = math.sqrt(s * p["q1"] + p["a1"] ** 2)
+        return 0.5 * (sigma + lg) - math.sqrt((0.5 * (sigma - lg)) ** 2 + 0.25 * p["a2"] ** 2)
 
     return rate

@@ -35,7 +35,7 @@ from kbstab import (
     unscented_rule,
     check_degree_two_exactness,
 )
-from kbstab.models import velocity_g_prime
+from kbstab.models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN, velocity_g_prime
 
 
 def verdict(tag, passed, detail):
@@ -92,15 +92,15 @@ class TestCriterion3VelocityCertificate:
         # supremum sits at the corner P11 = p11_lo, P12 = 0, g' = lg, where
         # the rate has a closed form. An eigvalsh search of the same box must
         # find nothing above -lambda, and its worst corner must reach it.
-        model = builtin_integrated_velocity()
-        p = model.params
+        args = dict(a1=0.0, a2=1.0, q1=0.05, h=1.0, r=0.05)  # the builder's defaults, spelled out
+        model = builtin_integrated_velocity(**args)
         cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
-        a1, a2, lg, g_hi = p["a1"], p["a2"], p["lg"], p["sup_gprime"]
-        s = p["h"] ** 2 / p["r"]
+        a1, a2, lg, g_hi = args["a1"], args["a2"], VELOCITY_G_PRIME_MIN, VELOCITY_G_PRIME_MAX
+        s = args["h"] ** 2 / args["r"]
         c12 = cert.details["C12"]
         p11_lo, p11_up = cert.details["P11_interval"]
         corner_case = s * c12 <= 2.0 * a2
-        lam_star = velocity_corner_rate(p)
+        lam_star = velocity_corner_rate(**args)
 
         def box_mu(points):
             P11, P12, G = points.T
@@ -180,7 +180,7 @@ class TestCriterion5LinearOracle:
         assert verdict("5 variants", ok, f"worst pairwise estimate gap {worst:.2e}")
 
     def test_riccati_converges_to_algebraic_solution(self, linear_model, record_filter):
-        A = linear_model.params["A"]
+        A = linear_model.jac_f(np.zeros(3))  # the linear drift's Jacobian is A everywhere
         # independent steady-state solve
         P_inf = scipy.linalg.solve_continuous_are(A.T, linear_model.H.T, linear_model.Q,
                                                   linear_model.R)

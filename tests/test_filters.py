@@ -47,8 +47,7 @@ def one_path(model, dt, horizon, seed):
 
 def kb_step(model, config, x, P, dY, dt):
     """One continuous step of a single state through the batched step, whose covariances are batch-last."""
-    x_new, P_new, _, _, bad = _kb_step_batch(model, config, model.HtRinv, x[None], P[:, :, None], None, dY[None],
-                                             dt)
+    x_new, P_new, _, _, bad = _kb_step_batch(model, config, x[None], P[:, :, None], None, dY[None], dt)
     assert not bad[0]
     return x_new[0], P_new[..., 0]
 
@@ -593,20 +592,19 @@ class TestStepCost:
         # Euler update is indefinite there and the guard clamps it
         model = rule_path_contractive3d()
         config = make_filter_config(kind, model)
-        HtRinv = np.linalg.solve(model.R, model.H).T
         x = np.zeros((3, 3))
         P = np.tile(0.1 * np.eye(3)[:, :, None], (1, 1, 3))
         P[..., 1] = np.diag([2000.0, 1.0, 1.0])
         L = np.sqrt(P)  # P is diagonal
         obs = np.zeros((3, 3))
         calls = self.count_calls(model, monkeypatch)
-        x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
+        x, P, L, _, bad = _kb_step_batch(model, config, x, P, L, obs, 0.01)
         assert not bad.any()
         assert calls["eigh"] == 1
         assert np.linalg.eigvalsh(P[..., 1])[0] <= 1e-12
         assert np.abs(np.einsum("ikb,jkb->ijb", L, L) - P).max() <= 1e-12
         factored = calls["factor"]
-        x, P, L, _, bad = _kb_step_batch(model, config, HtRinv, x, P, L, obs, 0.01)
+        x, P, L, _, bad = _kb_step_batch(model, config, x, P, L, obs, 0.01)
         assert not bad.any()
         assert calls["eigh"] == 1
         assert calls["factor"] == factored + 1
@@ -626,8 +624,7 @@ class TestStepCost:
             return field(pts)
 
         model.f = recording
-        HtRinv = model.HtRinv if model.time == "cont" else None
-        _kb_step_batch(model, config, HtRinv, x, P, L, np.zeros((n_paths, model.dim_y)), 0.01)
+        _kb_step_batch(model, config, x, P, L, np.zeros((n_paths, model.dim_y)), 0.01)
         return seen, x, L
 
     @pytest.mark.parametrize("time", ["cont", "disc"])

@@ -20,7 +20,7 @@ from kbstab import (
 )
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.functionals import eval_drift_batch
-from kbstab.models import _faddeeva, _philox_key, _rekeyer, philox
+from kbstab.models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN, _faddeeva, _philox_key, _rekeyer, philox
 from kbstab.quadrature import matrix_sqrt
 
 
@@ -176,7 +176,7 @@ class TestIntegratedVelocity:
     def test_log_lipschitz_closed_form(self, a1, a2):
         model = builtin_integrated_velocity(a1=a1, a2=a2)
         # oracle: dense sweep over the slope range
-        gs = np.linspace(model.params["lg"], model.params["sup_gprime"], 2001)
+        gs = np.linspace(VELOCITY_G_PRIME_MIN, VELOCITY_G_PRIME_MAX, 2001)
         J = np.zeros((gs.size, 2, 2))
         J[:, 0, 0] = a1
         J[:, 0, 1] = a2

@@ -39,6 +39,11 @@ def test_experiment_exports_are_pinned(case, request, assert_pinned):
         assert_pinned(text, f"exports/{case}/{name}")
 
 
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_certify_report_is_pinned(preset, assert_pinned):
+    assert_pinned(stdout_of(["certify", "--preset", preset]), f"certify_{preset}.txt")
+
+
 def test_validate_report_is_pinned(assert_pinned):
     assert_pinned(stdout_of(["validate", "--seed", "7"]), "validate_seed7.json")
 
