@@ -66,9 +66,16 @@ MUTANTS = (
     Mutant(
         name="root-transposed-in-points-gemm",
         file="src/kbstab/functionals.py",
-        old="rows = np.ascontiguousarray(_batch_first(L))",
-        new="rows = np.ascontiguousarray(L.transpose(2, 1, 0))",
+        old="rows = np.ascontiguousarray(L.transpose(0, 2, 1))",
+        new="rows = np.ascontiguousarray(L.transpose(1, 2, 0))",
         tests=("tests/test_functionals.py::TestSigmaPoints::test_points_are_the_state_plus_the_root_times_each_node",),
+    ),
+    Mutant(
+        name="points-handed-over-path-major",
+        file="src/kbstab/functionals.py",
+        old="    return pts.transpose(1, 2, 0)",
+        new="    return np.swapaxes(np.ascontiguousarray(pts.transpose(1, 0, 2)), -1, -2)",
+        tests=("tests/test_filters.py::TestStepCost::test_field_reads_each_coordinate_contiguously[ukf-cont]",),
     ),
     Mutant(
         name="jacobian-transposed-in-batch-last-JP",
@@ -398,6 +405,29 @@ MUTANTS = (
         old="h, r = float(model.H[0, 0]), float(model.R[0, 0])",
         new="h, r = float(model.H[0, 0]), 0.05",
         tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::test_certificate_reads_the_model_it_certifies",),
+    ),
+    Mutant(
+        name="velocity-certificate-takes-any-observation",
+        file="src/kbstab/stability.py",
+        old="    if model.H.shape != (1, 2) or model.H[0, 1] != 0 or model.H[0, 0] == 0:",
+        new="    if False:",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::"
+               "test_model_that_does_not_measure_the_position_rejected[both-components]",),
+    ),
+    Mutant(
+        name="velocity-certificate-takes-any-noise-size",
+        file="src/kbstab/stability.py",
+        old="    if model.R.shape != (1, 1):",
+        new="    if False:",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::"
+               "test_model_that_does_not_measure_the_position_rejected[two-measurements]",),
+    ),
+    Mutant(
+        name="assigned-noise-keeps-the-cached-inverse",
+        file="src/kbstab/models.py",
+        old='            self.__dict__.pop("HtRinv", None)\n',
+        new="",
+        tests=("tests/test_models.py::TestIntegratedVelocity::test_assigned_field_drops_the_cached_rate[R]",),
     ),
     Mutant(
         name="velocity-slope-bound-at-the-steep-end",

@@ -34,10 +34,15 @@ mmap threshold: the allocator then reuses heap memory for it on each step
 instead of mapping fresh pages and returning them to the OS. A rule whose
 single path exceeds the bound (``adf`` at ``d = 5``) is still one path a
 block, and its arrays are still mapped. In each block the
-points are one GEMM over the roots (see :func:`_sigma_points`). The
-reductions over the points stay per-member stacked products: each path's
-result then depends on its own values alone, never on its block or its
-batch, so every block size gives the same bits. A 2-D GEMM contracting over the points would
+points are one GEMM over the roots (see :func:`_sigma_points`), stored
+coordinate-major, ``(d, B, n)``, and handed to the field as a ``(B, n,
+d)`` view: each coordinate the field reads is then one contiguous run of
+``B n`` numbers, so its ufuncs loop over the whole block at once instead
+of over runs of ``n`` (7 for the ``ukf`` in 3-d), and its values inherit
+the layout. The reductions over the points stay per-member stacked
+products, whatever the layout: each path's result then depends on its own
+values alone, never on its block or its batch, so every block size gives
+the same bits. A 2-D GEMM contracting over the points would
 give rows that depend on the batch size, and so would an einsum over them,
 which sums a batch of one in another order. Products of two ``d x d``
 stacks, ``J P`` and the Stein term's ``L^T``, run batch-last
@@ -127,17 +132,22 @@ def _as_batch(x, P):
 def _sigma_points(rule, x, L):
     """Transformed points ``x + xi L^T`` (B, n, d) for batch-last roots ``L`` (d, d, B), ``L L^T = P``.
 
-    The products ``L xi_i`` of the whole block are one 2-D GEMM over the
-    ``B d`` rows of the roots, contracting over ``d``; the rows are one
-    small copy of the batch-last roots. The GEMM's ``(B, d, n)`` result is
-    handed back as a transposed view, so the points keep that layout: the
-    field's ``empty_like`` carries it into the values, and the reductions
-    over the points read each member in it.
+    The points are stored coordinate-major, ``(d, B, n)``, and handed back
+    as a transposed view: each coordinate ``pts[..., i]`` a field reads is
+    one contiguous run of ``B n`` numbers, where a path-major layout gives
+    it runs of only ``n``. The products ``L xi_i`` of the whole block are
+    one 2-D GEMM over the ``d B`` rows of the roots taken coordinate by
+    coordinate, one small copy of the batch-last roots, contracting over
+    ``d``. The state is added into the GEMM's result in place, so that
+    result is the points. The field's ``empty_like`` carries the layout
+    into the values, and the reductions over the points read each member
+    in it.
     """
     B, d = x.shape
-    rows = np.ascontiguousarray(_batch_first(L)).reshape(B * d, d)
-    prod = (rows @ rule.points.T).reshape(B, d, -1)
-    return x[:, None, :] + np.swapaxes(prod, -1, -2)
+    rows = np.ascontiguousarray(L.transpose(0, 2, 1)).reshape(d * B, d)
+    pts = (rows @ rule.points.T).reshape(d, B, -1)
+    pts += x.T[:, :, None]
+    return pts.transpose(1, 2, 0)
 
 
 def _field_at(g, pts):
@@ -205,7 +215,11 @@ def _eval_sigma(rule, g, x, P, root=None, time=None):
 
     The batch is walked in blocks of at most ``BLOCK_COORDS`` point
     coordinates (``block n d``), at least one path each, whose results are
-    written into the preallocated outputs. ``P``, ``root`` (by default
+    written into the preallocated outputs. A block's points and field
+    values are coordinate-major (see :func:`_sigma_points`); the weighted
+    sums, the Stein product and the discrete covariance still reduce each
+    member on its own, so a path's bits depend neither on its block nor on
+    the layout's strides. ``P``, ``root`` (by default
     the guard's root of ``P``) and ``lam`` are batch-last ``(d, d, B)``; the
     Stein term's final product with ``L^T`` runs batch-last. Returns
     ``(mean, lam)``, ``lam`` ``None`` without ``time``.

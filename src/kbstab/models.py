@@ -144,6 +144,13 @@ class _Model:
         if self.known_jf_norm is not None and self.known_jf_norm < 0:
             raise ValueError(f"known_jf_norm must be nonnegative, got {self.known_jf_norm!r}")
 
+    def __setattr__(self, name, value):
+        # HtRinv and S are cached from H and R: setting either drops them
+        super().__setattr__(name, value)
+        if name in ("H", "R"):
+            self.__dict__.pop("HtRinv", None)
+            self.__dict__.pop("S", None)
+
     @cached_property
     def HtRinv(self):
         """``H^T R^{-1}`` (cached), read by ``S`` and the continuous gain; ``R`` must be positive definite."""

@@ -356,7 +356,9 @@ def integrated_velocity_certificate(model, config):
     drift's Jacobian, which is constant, and ``S`` enters ``u`` and ``rho``.
     The slope bound is ``lg = inf g' = VELOCITY_G_PRIME_MIN``. So a model
     changed with ``dataclasses.replace`` gets the certificate of the model
-    built with the same arguments.
+    built with the same arguments. A model whose ``R`` is not 1x1, or whose
+    ``H`` is not ``[[h, 0]]`` with ``h != 0``, measures something other
+    than the position, and gets a ``ValueError`` naming that field.
 
     Derivation: the hidden-component variance satisfies a linear comparison
     inequality giving the limit ``C22 = q2 / (2 lg)``. With ``s = h^2 / r``
@@ -393,6 +395,10 @@ def integrated_velocity_certificate(model, config):
     """
     if model.name != "integrated_velocity":
         raise ValueError("this certificate is specific to the integrated-velocity model")
+    if model.R.shape != (1, 1):
+        raise ValueError(f"R must be 1x1 for this certificate, got shape {model.R.shape}")
+    if model.H.shape != (1, 2) or model.H[0, 1] != 0 or model.H[0, 0] == 0:
+        raise ValueError(f"H must be [[h, 0]] with h != 0 for this certificate, got {model.H.tolist()}")
     h, r = float(model.H[0, 0]), float(model.R[0, 0])
     a1, a2 = (float(v) for v in model.jac_f(np.zeros(2))[0])
     lg = VELOCITY_G_PRIME_MIN

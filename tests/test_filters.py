@@ -641,6 +641,19 @@ class TestStepCost:
         assert max(pts.size for pts in seen) <= bound
         assert np.array_equal(np.concatenate(seen), functionals._sigma_points(rule, x, L))
 
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    @pytest.mark.parametrize("kind", ["ukf", "gh", "adf"])
+    def test_field_reads_each_coordinate_contiguously(self, kind, time, discrete_sine, rng):
+        # the points are stored coordinate-major, so each coordinate a field
+        # reads is one run over the block's paths and points, not runs of n
+        model = rule_path_contractive3d() if time == "cont" else discrete_sine()
+        config = make_filter_config(kind, model)
+        seen, x, L = self.step_points(model, config, 37, rng)
+        for pts in seen:
+            assert pts.shape[0] > 1
+            assert all(pts[..., i].flags.c_contiguous for i in range(model.dim_x))
+        assert np.array_equal(np.concatenate(seen), functionals._sigma_points(config.functional.rule, x, L))
+
     @pytest.mark.parametrize("n_paths", [24, 1000])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_block_arrays_stay_below_the_mmap_threshold(self, dim, n_paths, rng):

@@ -153,6 +153,19 @@ class TestIntegratedVelocity:
         assert model.S[1, 1] == pytest.approx(0.0)
         assert model.s_scalar() is None
 
+    @pytest.mark.parametrize("name, value, args", [
+        ("R", [[0.5]], {"r": 0.5}),
+        ("H", [[2.0, 0.0]], {"h": 2.0}),
+    ], ids=["R", "H"])
+    def test_assigned_field_drops_the_cached_rate(self, name, value, args):
+        # HtRinv and S are cached on first use; assigning H or R afterwards must not leave them stale
+        model = builtin_integrated_velocity()
+        model.S, model.HtRinv
+        setattr(model, name, np.array(value))
+        fresh = builtin_integrated_velocity(**args)
+        assert np.array_equal(model.S, fresh.S)
+        assert np.array_equal(model.HtRinv, fresh.HtRinv)
+
     def test_slope_bounds_bracket_sampled_slopes(self, rng):
         z = rng.uniform(-50, 50, 100000)
         g = velocity_g_prime(z)

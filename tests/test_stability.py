@@ -494,6 +494,19 @@ class TestIntegratedVelocityCertificate:
             assert isinstance(want, dict) == certified
             assert outcome(replaced, kind) == want
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"H": np.array([[1.0, 1.0]])}, "H"),
+        ({"H": np.array([[0.0, 1.0]])}, "H"),
+        ({"H": np.array([[0.0, 0.0]])}, "H"),
+        ({"dim_y": 2, "H": np.eye(2), "R": 0.05 * np.eye(2)}, "R"),
+    ], ids=["both-components", "velocity", "nothing", "two-measurements"])
+    def test_model_that_does_not_measure_the_position_rejected(self, changes, field):
+        # the certificate's bounds hold only for H = [[h, 0]], h != 0, and a
+        # 1x1 R; without the check, H = [[1, 1]] gets the default model's rate
+        model = dataclasses.replace(builtin_integrated_velocity(), **changes)
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            integrated_velocity_certificate(model, make_filter_config("ekf", model))
+
     def test_certificate_fields(self):
         model = builtin_integrated_velocity()
         cert = integrated_velocity_certificate(model, make_filter_config("ekf", model))
