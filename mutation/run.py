@@ -471,6 +471,35 @@ MUTANTS = (
         new="    if False:",
         tests=("tests/test_cli.py::TestSimulate::test_checkpoint_grid_with_no_time_after_zero_is_named",),
     ),
+    Mutant(
+        name="velocity-certificate-ignores-the-second-row",
+        file="src/kbstab/stability.py",
+        old="    second_row_ok = np.all(J[:, 1, 0] == 0) and np.all(",
+        new="    second_row_ok = True or np.all(J[:, 1, 0] == 0) and np.all(",
+        tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::"
+               "test_certificate_checks_the_drift_it_certifies[exploding-velocity]",),
+    ),
+    Mutant(
+        name="matrix-checks-keep-the-last-chunk",
+        file="src/kbstab/cli.py",
+        old="        ok &= [sub, sandwich, trace_ok, mu_vs_norm]",
+        new="        ok = np.array([sub, sandwich, trace_ok, mu_vs_norm])",
+        tests=("tests/test_cli.py::TestMatrixChecks::test_a_violation_in_one_chunk_fails_the_check[first]",),
+    ),
+    Mutant(
+        name="matrix-checks-skip-the-last-chunk",
+        file="src/kbstab/cli.py",
+        old="    for start in range(0, count, MATRIX_CHECK_CHUNK):",
+        new="    for start in range(0, count - MATRIX_CHECK_CHUNK, MATRIX_CHECK_CHUNK):",
+        tests=("tests/test_cli.py::TestMatrixChecks::test_a_violation_in_one_chunk_fails_the_check[last]",),
+    ),
+    Mutant(
+        name="spectral-norm-without-the-rescale",
+        file="src/kbstab/matrix_measures.py",
+        old="    s[s == 0] = 1.0",
+        new="    s[...] = 1.0",
+        tests=("tests/test_matrix_measures.py::TestSpectralNorm::test_matches_the_svd_at_every_scale",),
+    ),
 )
 
 

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import check_integer, is_finite_real
-from .errors import NoCertificateError, NotContractiveError, NotFullyObservedError
+from .errors import CertificateError, NoCertificateError, NotContractiveError, NotFullyObservedError
 from .filters import make_filter_config
-from .models import VELOCITY_G_PRIME_MIN
+from .models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN
 from .quadrature import _check_psd
 
 def _finite(name, value):
@@ -347,6 +347,11 @@ def _velocity_box_sup_mu(a1, a2, s, p11_lo, c12, g_lo):
     return 0.5 * (a + c) + math.sqrt((0.5 * (a - c)) ** 2 + b * b)
 
 
+# States at which the velocity certificate checks its drift's Jacobian: both
+# coordinates over [-10, 10] in steps of 0.5, the origin included.
+_VELOCITY_GRID = np.stack(np.meshgrid(*2 * [np.linspace(-10.0, 10.0, 41)]), axis=-1).reshape(-1, 2)
+
+
 def integrated_velocity_certificate(model, config):
     """Certificate for the integrated-velocity model via element-wise bounds.
 
@@ -358,7 +363,14 @@ def integrated_velocity_certificate(model, config):
     changed with ``dataclasses.replace`` gets the certificate of the model
     built with the same arguments. A model whose ``R`` is not 1x1, or whose
     ``H`` is not ``[[h, 0]]`` with ``h != 0``, measures something other
-    than the position, and gets a ``ValueError`` naming that field.
+    than the position, and gets a ``ValueError`` naming that field. The
+    drift must be the velocity drift: on the states of ``_VELOCITY_GRID``
+    its Jacobian must be ``[[a1, a2], [0, -g']]`` with the first row equal
+    to the one at the origin and ``g'`` in ``[VELOCITY_G_PRIME_MIN,
+    VELOCITY_G_PRIME_MAX]``, else a :class:`CertificateError` names the
+    hypothesis "velocity drift structure". A grid is a sample, not a proof,
+    but it turns away a drift whose velocity does not relax, such as
+    ``x2' = 5 x2``, which the first row alone would certify.
 
     Derivation: the hidden-component variance satisfies a linear comparison
     inequality giving the limit ``C22 = q2 / (2 lg)``. With ``s = h^2 / r``
@@ -401,6 +413,17 @@ def integrated_velocity_certificate(model, config):
         raise ValueError(f"H must be [[h, 0]] with h != 0 for this certificate, got {model.H.tolist()}")
     h, r = float(model.H[0, 0]), float(model.R[0, 0])
     a1, a2 = (float(v) for v in model.jac_f(np.zeros(2))[0])
+    J = model.jac_f(_VELOCITY_GRID)
+    slope = -J[:, 1, 1]
+    first_row_ok = np.all(J[:, 0] == (a1, a2))
+    second_row_ok = np.all(J[:, 1, 0] == 0) and np.all(
+        (slope >= VELOCITY_G_PRIME_MIN) & (slope <= VELOCITY_G_PRIME_MAX))
+    if not (first_row_ok and second_row_ok):
+        raise CertificateError(
+            "the drift's Jacobian is not [[a1, a2], [0, -g'(x2)]] with a constant first row and "
+            f"g' in [{VELOCITY_G_PRIME_MIN:.4f}, {VELOCITY_G_PRIME_MAX:.4f}] on the check grid",
+            hypothesis="velocity drift structure",
+        )
     lg = VELOCITY_G_PRIME_MIN
     s = h * h / r
     kind = _kind(model, config)

@@ -5,13 +5,16 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbstab import cli
 from kbstab.cli import _CONFIG_KEYS, CheckResult, build_parser, main, validation_suite
 from kbstab.filters import FILTER_KINDS
 from kbstab.harness import PRESETS
+from kbstab.models import philox
 from kbstab.quadrature import CubatureRule, unscented_rule
 
 
@@ -535,6 +538,17 @@ class TestValidate:
         assert "concentration[fig1,ukf]" in names
         assert all(c.passed for c in checks if c.name.startswith("concentration"))
 
+    def test_lone_checkpoint_is_judged_once(self):
+        # horizon 0.2 under fig1's checkpoint_every of 0.5 leaves t = 0 as the only
+        # checkpoint; it is both the mid-horizon and the final one, and its rows
+        # count once: one cell per delta of the preset's grid (4), not 8
+        checks = validation_suite(seed=3, preset="fig1", preset_overrides=dict(horizon=0.2, trajectories=40))
+        concentration = [c for c in checks if c.name.startswith("concentration")]
+        assert [c.name for c in concentration] == ["concentration[fig1,ekf]", "concentration[fig1,ukf]"]
+        assert len(PRESETS["fig1"]["deltas"]) == 4
+        for c in concentration:
+            assert c.detail.endswith(" over 4 cells"), c.detail
+
     def test_unknown_preset_is_config_error(self, capsys, monkeypatch, tmp_path):
         import kbstab.cli as cli
 
@@ -593,3 +607,43 @@ class TestValidate:
         assert main(["validate"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert not report["all_pass"]
+
+
+class TestMatrixChecks:
+    """``cli._matrix_inequality_checks`` walks its draws in chunks of ``MATRIX_CHECK_CHUNK``."""
+
+    NAMES = ["lognorm.subadditivity", "lognorm.quadratic_sandwich", "lognorm.trace_inequality",
+             "lognorm.mu_below_spectral"]
+
+    @staticmethod
+    def chunk_count():
+        return -(-10000 // cli.MATRIX_CHECK_CHUNK)
+
+    def test_chunks_take_every_draw_once_in_order(self, monkeypatch):
+        seen = []
+        norm = cli.spectral_norm
+        monkeypatch.setattr(cli, "spectral_norm", lambda A: seen.append(A.copy()) or norm(A))
+        checks = cli._matrix_inequality_checks(5)
+        assert [c.name for c in checks] == self.NAMES and all(c.passed for c in checks)
+        assert len(seen) == self.chunk_count() > 1
+        assert all(len(A) <= cli.MATRIX_CHECK_CHUNK for A in seen)
+        assert np.array_equal(np.concatenate(seen), philox(5, 10).standard_normal((10000, 4, 4)))
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_a_violation_in_one_chunk_fails_the_check(self, monkeypatch, where):
+        # the norm under-reports on one matrix of one chunk; the check must see it
+        target = 0 if where == "first" else self.chunk_count() - 1
+        calls = []
+        norm = cli.spectral_norm
+
+        def planted(A):
+            out = norm(A)
+            if len(calls) == target:
+                out[len(out) // 2] = -1.0
+            calls.append(len(A))
+            return out
+
+        monkeypatch.setattr(cli, "spectral_norm", planted)
+        verdicts = {c.name: c.passed for c in cli._matrix_inequality_checks(5)}
+        assert len(calls) == self.chunk_count()
+        assert verdicts == {name: name != "lognorm.mu_below_spectral" for name in self.NAMES}

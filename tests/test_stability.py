@@ -35,11 +35,24 @@ from kbstab import (
     required_inflation,
 )
 from kbstab import filters
-from kbstab.errors import IndefiniteMatrixError, NoCertificateError, NotContractiveError, NotFullyObservedError
+from kbstab.errors import (
+    CertificateError,
+    IndefiniteMatrixError,
+    NoCertificateError,
+    NotContractiveError,
+    NotFullyObservedError,
+)
 from kbstab.filters import FILTER_KINDS, FilterConfig, _kb_step_batch, run_discrete_ensemble
 from kbstab.functionals import Functional
 from kbstab.harness import certificate_for
-from kbstab.models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN, simulate_discrete_paths, simulate_paths
+from kbstab.models import (
+    VELOCITY_G_PRIME_MAX,
+    VELOCITY_G_PRIME_MIN,
+    simulate_discrete_paths,
+    simulate_paths,
+    velocity_g,
+    velocity_g_prime,
+)
 from kbstab.stability import DiscreteCertificate, _velocity_box_sup_mu
 
 
@@ -506,6 +519,49 @@ class TestIntegratedVelocityCertificate:
         model = dataclasses.replace(builtin_integrated_velocity(), **changes)
         with pytest.raises(ValueError, match=f"^{field} must be"):
             integrated_velocity_certificate(model, make_filter_config("ekf", model))
+
+    @pytest.mark.parametrize("case", ["velocity-drift", "exploding-velocity", "velocity-reads-position",
+                                      "position-feedback-varies"])
+    def test_certificate_checks_the_drift_it_certifies(self, case):
+        # the certificate reads a1, a2 from the Jacobian's first row at the origin and
+        # assumes x2' = -g(x2) with g' in [VELOCITY_G_PRIME_MIN, MAX]; without its grid
+        # check, x2' = 5 x2, whose paths blow up, got the default model's rate
+        def f(x):
+            x1, x2 = x[..., 0], x[..., 1]
+            out = np.stack([x2, -velocity_g(x2)], axis=-1)
+            if case == "exploding-velocity":
+                out[..., 1] = 5.0 * x2
+            elif case == "velocity-reads-position":
+                out[..., 1] -= 0.5 * x1
+            elif case == "position-feedback-varies":
+                out[..., 0] += 0.05 * x1 * x1
+            return out
+
+        def jac(x):
+            J = np.zeros(x.shape[:-1] + (2, 2))
+            J[..., 0, 1] = 1.0
+            J[..., 1, 1] = -velocity_g_prime(x[..., 1])
+            if case == "exploding-velocity":
+                J[..., 1, 1] = 5.0
+            elif case == "velocity-reads-position":
+                J[..., 1, 0] = -0.5
+            elif case == "position-feedback-varies":
+                J[..., 0, 0] = 0.1 * x[..., 0]
+            return J
+
+        default = builtin_integrated_velocity()
+        constants = {"known_M_f": 5.1, "known_N_f": -0.1} if case == "exploding-velocity" else {}
+        model = dataclasses.replace(default, f=f, jac_f=jac, **constants)
+        for kind in ("ekf", "ukf"):
+            config = make_filter_config(kind, model)
+            if case == "velocity-drift":
+                # the builder's drift, rebuilt by hand, gets the builder's certificate
+                want = certificate_for(default, make_filter_config(kind, default))
+                assert certificate_for(model, config).to_dict() == want.to_dict()
+                continue
+            with pytest.raises(CertificateError) as caught:
+                certificate_for(model, config)
+            assert caught.value.hypothesis == "velocity drift structure"
 
     def test_certificate_fields(self):
         model = builtin_integrated_velocity()
