@@ -80,8 +80,8 @@ MUTANTS = (
     Mutant(
         name="jacobian-transposed-in-batch-last-JP",
         file="src/kbstab/functionals.py",
-        old="J = np.ascontiguousarray(_batch_last(np.asarray(jac(x), dtype=float)))",
-        new="J = np.ascontiguousarray(np.asarray(jac(x), dtype=float).transpose(2, 1, 0))",
+        old="J = np.ascontiguousarray(_batch_last(check_field(\"jac_f\", jac(x), x.shape + x.shape[-1:])))",
+        new="J = np.ascontiguousarray(check_field(\"jac_f\", jac(x), x.shape + x.shape[-1:]).transpose(2, 1, 0))",
         tests=("tests/test_filters.py::TestBatchFirstReference::test_per_path_errors_match_the_batch_first_step",
                "tests/test_functionals.py::TestRiccatiContinuous::test_affine_gives_AP"),
     ),
@@ -322,10 +322,9 @@ MUTANTS = (
     Mutant(
         name="dead-row-keeps-noise",
         file="src/kbstab/models.py",
-        old="            states[k + 1] = np.where(ok[:, None], xn, np.nan)\n"
-            "            meas[k + 1] = np.where(ok[:, None], yn, 0.0)\n",
-        new="            states[k + 1, ok] = xn[ok]\n"
-            "            meas[k + 1, ok] = yn[ok]\n",
+        old="            xn[dead] = np.nan\n"
+            "            yn[dead] = 0.0\n",
+        new="",
         tests=("tests/test_models.py::TestContinuousSimulation::test_paths_diverging_at_different_steps",
                "tests/test_models.py::TestDiscreteSimulation::test_measurement_overflow_freezes_its_path_for_good"),
     ),
@@ -499,6 +498,36 @@ MUTANTS = (
         old="    s[s == 0] = 1.0",
         new="    s[...] = 1.0",
         tests=("tests/test_matrix_measures.py::TestSpectralNorm::test_matches_the_svd_at_every_scale",),
+    ),
+    Mutant(
+        name="measurement-rows-with-the-state-width",
+        file="src/kbstab/models.py",
+        old="    rows_x, rows_y = _rows(states, dx), _rows(meas, dy)",
+        new="    rows_x, rows_y = _rows(states, dx), _rows(meas, dx)",
+        tests=("tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[cont-1-2-7]",
+               "tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[disc-2-1-7]"),
+    ),
+    Mutant(
+        name="euler-step-adds-the-drift-twice",
+        file="src/kbstab/models.py",
+        old="                xn += drift\n",
+        new="                xn += drift\n                xn += drift\n",
+        tests=("tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[cont-2-1-7]",),
+    ),
+    Mutant(
+        name="dead-path-measurement-left-unzeroed",
+        file="src/kbstab/models.py",
+        old="            yn[dead] = 0.0\n",
+        new="",
+        tests=("tests/test_simulation_reference.py::test_state_overflow_freezes_the_same_paths[cont-7-1-1]",
+               "tests/test_models.py::TestContinuousSimulation::test_paths_diverging_at_different_steps"),
+    ),
+    Mutant(
+        name="velocity-slope-reuses-the-square-for-the-cube",
+        file="src/kbstab/models.py",
+        old="    num = sq * z\n",
+        new="    num = sq * sq\n",
+        tests=("tests/test_models.py::TestBuiltinFieldsInPlace::test_slope_functions_match_their_formulas[g_prime]",),
     ),
 )
 

@@ -1,7 +1,9 @@
-"""Checks of scalar arguments, one rule each for every layer that takes them."""
+"""Checks of scalar arguments and field outputs, one rule each for every layer that takes them."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 def check_integer(name, value, low=None):
@@ -16,3 +18,11 @@ def check_integer(name, value, low=None):
 def is_finite_real(value):
     """Whether ``value`` is a finite real number (a bool is not)."""
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def check_field(name, values, shape):
+    """``values`` as a float array; a ``ValueError`` naming the field ``name`` unless it has ``shape``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} returned shape {values.shape} where {shape} was expected (fields must be vectorized)")
+    return values

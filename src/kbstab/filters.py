@@ -160,6 +160,22 @@ def _update_batch(model, x_pred, P_pred, y):
     return x, (np.eye(model.dim_x) - K @ H) @ P_pred, K
 
 
+def _gain_times_innovation(model, K, x, obs, dt):
+    """``K (dY - H x dt)`` of the continuous step, ``(d, B)``: the gain's columns times the innovation's, summed in order.
+
+    The innovation is built in one buffer, and it and the partial sums are
+    gone when the step goes on to the covariance and its guard.
+    """
+    innov = x @ model.H.T
+    innov *= dt
+    np.subtract(obs, innov, out=innov)
+    innov = innov.T
+    gain = K[:, 0] * innov[0]
+    for m in range(1, len(innov)):
+        gain += K[:, m] * innov[m]
+    return gain
+
+
 def _kb_step_batch(model, config, x, P, L, obs, dt):
     """One filter step over a batch, for either time model.
 
@@ -188,15 +204,12 @@ def _kb_step_batch(model, config, x, P, L, obs, dt):
         mean, lam = _drift(model, config, x, P, L)
         if model.time == "cont":
             K = np.matmul(model.HtRinv.T, P)
-            innov = (obs - (x @ model.H.T) * dt).T
-            gain = K[:, 0] * innov[0]
-            for m in range(1, len(innov)):
-                gain += K[:, m] * innov[m]
-            x_new = x + mean * dt + gain.T
-            SP = (model.S @ P.reshape(d, d * B)).reshape(d, d, B)
+            x_new = mean * dt
+            x_new += x
+            x_new += _gain_times_innovation(model, K, x, obs, dt).T
             P_raw = lam + lam.transpose(1, 0, 2)
             P_raw += config.Q_tuned[:, :, None]
-            P_raw -= _matmul_last(P, SP)
+            P_raw -= _matmul_last(P, (model.S @ P.reshape(d, d * B)).reshape(d, d, B))
             P_raw *= dt
             P_raw += P
         else:
@@ -232,8 +245,10 @@ def _err_sq(truth, x):
     One path's sum never depends on the batch. For ``d <= 7`` its bits are
     those of ``np.sum(..., axis=-1)``, which sums pairwise from 8 terms on.
     """
-    sq = (truth - x) ** 2
-    out = sq[:, 0].copy()
+    sq = truth - x
+    sq *= sq
+    # the sum builds in the first column of the temporary
+    out = sq[:, 0]
     for i in range(1, sq.shape[1]):
         out += sq[:, i]
     return out

@@ -19,7 +19,8 @@ choice, not the functional's. Three kinds are provided:
   of that rule where the model has one, as ``contractive3d`` does.
 
 All fields must be vectorized: ``g`` maps ``(..., d)`` to ``(..., d)`` and
-``jac`` maps ``(..., d)`` to ``(..., d, d)``.
+``jac`` maps ``(..., d)`` to ``(..., d, d)``. Any other output shape is a
+``ValueError`` naming the field (:func:`kbstab.checks.check_field`).
 
 The single-state functionals take ``P`` as ``(d, d)``, or a batch-first
 stack ``(B, d, d)``, and return batch-first. The ``*_batch`` functionals
@@ -54,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import check_integer, is_finite_real
+from .checks import check_field, check_integer, is_finite_real
 from .models import philox
 from .quadrature import (
     CubatureRule,
@@ -151,16 +152,14 @@ def _sigma_points(rule, x, L):
 
 
 def _field_at(g, pts):
-    vals = np.asarray(g(pts), dtype=float)
-    if vals.shape != pts.shape:
-        raise ValueError("field returned an unexpected shape (fields must be vectorized)")
-    return vals
+    """The field's values at the points; the points are freed once it returns, before the block's reductions."""
+    return check_field("f", g(pts), pts.shape)
 
 
 def eval_mean_batch(F, g, x, P):
     """Batched mean functional over states ``x`` (B, d) with batch-last covariances ``P`` (d, d, B)."""
     if F.kind == "ekf":
-        return np.asarray(g(x), dtype=float)
+        return check_field("f", g(x), x.shape)
     return _eval_sigma(F.rule, g, x, P)[0]
 
 
@@ -186,7 +185,7 @@ def eval_riccati_cont_batch(F, g, x, P, jac=None):
     if F.kind == "ekf":
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
-        J = np.ascontiguousarray(_batch_last(np.asarray(jac(x), dtype=float)))
+        J = np.ascontiguousarray(_batch_last(check_field("jac_f", jac(x), x.shape + x.shape[-1:])))
         return _matmul_last(J, P)
     return eval_drift_batch(F, "cont", g, x, P)[1]
 
@@ -275,7 +274,7 @@ def eval_riccati_disc_batch(F, g, x, P, jac=None):
     if F.kind == "ekf":
         if jac is None:
             raise ValueError("ekf riccati functional requires the Jacobian")
-        J = np.asarray(jac(x), dtype=float)
+        J = check_field("jac_f", jac(x), x.shape + x.shape[-1:])
         JPJt = J @ np.ascontiguousarray(_batch_first(P)) @ np.swapaxes(J, -1, -2)
         return _batch_last(0.5 * (JPJt + np.swapaxes(JPJt, -1, -2)))
     return eval_drift_batch(F, "disc", g, x, P)[1]

@@ -17,21 +17,26 @@ definite where the cached ``HtRinv = H^T R^{-1}``, read by ``S`` and the
 continuous gain, is formed.
 
 All drift and Jacobian callables must be vectorized over leading batch
-dimensions. Randomness comes from counter-based Philox streams keyed by
-``(seed, path index, role)`` so that any subset of paths can be generated in
-any order, or in parallel, with bit-identical results. :func:`philox` builds
-every seeded generator of the package; a simulation builds one, takes the
-keys of all its streams from one table, and re-keys the generator for each
-stream, which gives the same numbers as a fresh generator.
+dimensions; the simulators and the filters check the shape of what they
+return and name the field that breaks it. The built-in fields compute each
+square and exponential once and accumulate in place, with the bits of
+their written formulas. Randomness comes from counter-based Philox streams
+keyed by ``(seed, path index, role)`` so that any subset of paths can be
+generated in any order, or in parallel, with bit-identical results.
+:func:`philox` builds every seeded generator of the package; a simulation
+builds one, takes the keys of all its streams from one table, and re-keys
+the generator for each stream, which gives the same numbers as a fresh
+generator.
 
 The loop keeps its paths time-major, ``(steps + 1, paths, dim)``, so each
 step reads and writes contiguous rows, and checks a step's finiteness on the
 whole batch first, looking at single paths only when that check fails. The
 noise is drawn a chunk of paths at a time into two small buffers, scaled and
-transformed there with one stacked product, and written into the record
-itself: rows ``1..`` hold each step's state and measurement noise until that
-step overwrites them, so a simulation allocates no full-size array besides
-the one record it returns. The batch simulators :func:`simulate_paths` and
+transformed there with one stacked product, and copied into the record
+itself as raw rows of ``dim`` doubles: rows ``1..`` hold each step's state
+and measurement noise, and the step adds its drift and measurement terms to
+them in place, so a simulation allocates no full-size array besides the one
+record it returns. The batch simulators :func:`simulate_paths` and
 :func:`simulate_discrete_paths` are the only entry points; they return the
 usual ``(paths, steps + 1, dim)`` shape, as transposed views of that
 storage. One path ``p`` is the batch of one with ``first_path=p``, bit for
@@ -45,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .checks import check_integer, is_finite_real
+from .checks import check_field, check_integer, is_finite_real
 from .quadrature import _check_psd, _matmul_last, matrix_sqrt
 
 
@@ -224,6 +229,16 @@ def _steps_for(dt, span, name):
     return n
 
 
+def _rows(a, d):
+    """``a``, float64 ``(..., d)`` with a contiguous last axis, viewed as ``(...)`` raw records of ``d`` doubles.
+
+    A copy between two such views moves one whole ``d``-double row per
+    element, with the same bytes as the float copy; numpy's float copy
+    loop would run only ``d`` elements long per row.
+    """
+    return a.view(np.dtype((np.void, 8 * d)))[..., 0]
+
+
 def _simulate(model, time, n, dt, seed, n_paths, first_path):
     """The simulation loop of both time models: ``(states, measurements, diverged)``.
 
@@ -232,9 +247,12 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     records ``Y_k = H X_k + R^{1/2} V_k``. Only the state and measurement
     lines of the loop differ. Arrays are time-major, ``(n+1, B, d)``, so a
     step reads and writes contiguous rows. Row ``k + 1`` of ``states`` and
-    of ``meas`` holds step ``k``'s noise until the step reads it and
-    overwrites it with the new state and measurement; no other full-size
-    array is made.
+    of ``meas`` holds step ``k``'s noise, and the step adds its drift and
+    measurement terms to it in place: the record is written where it
+    lies, and no other full-size array is made. IEEE addition and
+    multiplication commute, so ``noise + (f(x) dt + x)`` has the bits of
+    ``x + f(x) dt + noise``. The drift's output must have the state's
+    shape; anything else is a ``ValueError`` naming ``f``.
 
     The noise comes a chunk of at most ``max(1, B // 64)`` paths at a time,
     so its buffers stay a small share of the record. Each path of a chunk
@@ -242,13 +260,14 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     state and measurement normals into the chunk's two buffers. The chunk
     is scaled in place, multiplied by the noise roots in one stacked
     product, which makes the same BLAS call for each path as a path on its
-    own, and written into the record with one slice assignment each. The
-    initial states are one stacked product too.
+    own, and written into the record through raw-row views (see
+    :func:`_rows`), one slice assignment each. The initial states are one
+    stacked product too.
 
-    While every path is alive and finite, rows are written whole after one
-    finiteness check of the batch; otherwise a dead path's entries of the
-    row are set to NaN (state) and 0 (measurement), so no raw noise is left
-    behind. ``seed`` must be an integer, ``n_paths`` one at least 1 and
+    While every path is alive and finite, a step is checked once on the
+    whole batch; otherwise a dead path's entries of the row are set to NaN
+    (state) and 0 (measurement), in place, so no raw noise is left behind.
+    ``seed`` must be an integer, ``n_paths`` one at least 1 and
     ``first_path`` one at least 0.
     """
     if model.time != time:
@@ -260,6 +279,7 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     scale = math.sqrt(dt) if time == "cont" else 1.0
     states = np.empty((n + 1, B, dx))
     meas = np.empty((n + 1, B, dy))
+    rows_x, rows_y = _rows(states, dx), _rows(meas, dy)
     # noise roots once per batch; each path draws from its own three streams, all through
     # one generator re-keyed per stream, into the buffers of its chunk
     sqrt_sigma0, sqrt_q, sqrt_r = matrix_sqrt(model.Sigma0), matrix_sqrt(model.Q), matrix_sqrt(model.R)
@@ -278,8 +298,8 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
         wx, wy = zx[:m], zy[:m]
         wx *= scale
         wy *= scale
-        states[1:, start:start + m] = (wx @ sqrt_q).transpose(1, 0, 2)
-        meas[1:, start:start + m] = (wy @ sqrt_r).transpose(1, 0, 2)
+        rows_x[1:, start:start + m] = _rows(wx @ sqrt_q, dx).T
+        rows_y[1:, start:start + m] = _rows(wy @ sqrt_r, dy).T
     states[0] = model.mu0 + (sqrt_sigma0 @ z0[:, :, None])[:, :, 0]
     meas[0] = 0.0
 
@@ -290,23 +310,24 @@ def _simulate(model, time, n, dt, seed, n_paths, first_path):
     Ht = model.H.T
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            xk = states[k]
+            xk, xn, yn = states[k], states[k + 1], meas[k + 1]
             if time == "cont":
-                xn = xk + np.asarray(model.f(xk), dtype=float) * dt + states[k + 1]
-                yn = xk @ Ht * dt + meas[k + 1]
+                drift = check_field("f", model.f(xk), xk.shape) * dt
+                drift += xk
+                xn += drift
+                yn += (xk @ Ht) * dt
             else:
-                xn = np.asarray(model.f(xk), dtype=float) + states[k + 1]
-                yn = xn @ Ht + meas[k + 1]
+                xn += check_field("f", model.f(xk), xk.shape)
+                yn += xn @ Ht
             if every and np.isfinite(xn).all() and np.isfinite(yn).all():
-                states[k + 1] = xn
-                meas[k + 1] = yn
                 continue
             ok = alive & np.isfinite(xn).all(axis=1) & np.isfinite(yn).all(axis=1)
             diverged[alive & ~ok] = k + 1
             alive = ok
             every = False
-            states[k + 1] = np.where(ok[:, None], xn, np.nan)
-            meas[k + 1] = np.where(ok[:, None], yn, 0.0)
+            dead = ~ok
+            xn[dead] = np.nan
+            yn[dead] = 0.0
     return states.transpose(1, 0, 2), meas.transpose(1, 0, 2), diverged
 
 
@@ -336,24 +357,64 @@ def simulate_discrete_paths(model, steps, seed, n_paths, first_path=0):
 # Built-in models
 
 
+# The built-in fields compute each square and exponential once and accumulate
+# in place in their output slots (arrays even for one state, where the
+# coordinates themselves are 0-d and give scalars). Each expression keeps the
+# operands of its written form: z * z stands for z**2, and IEEE addition and
+# multiplication commute, so the values are bit for bit those of
+#   f = (-x3 (1 + 1/(1 + x3^2)) - 3 x1,  -x1 - x2 - x3,  x1^2 exp(-x1^2 - x3^2) - x1 - 2 x3).
+
+
 def _contractive3d_f(x):
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    s1, s3 = x1 * x1, x3 * x3
     out = np.empty_like(x)
-    out[..., 0] = -x3 * (1.0 + 1.0 / (1.0 + x3**2)) - 3.0 * x1
-    out[..., 1] = -x1 - x2 - x3
-    out[..., 2] = x1**2 * np.exp(-(x1**2) - x3**2) - x1 - 2.0 * x3
+    o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+    np.add(s3, 1.0, out=o0)
+    np.divide(1.0, o0, out=o0)
+    o0 += 1.0
+    o0 *= -x3
+    o0 -= 3.0 * x1
+    np.negative(x1, out=o1)
+    o1 -= x2
+    o1 -= x3
+    np.negative(s1, out=o2)
+    o2 -= s3
+    np.exp(o2, out=o2)
+    o2 *= s1
+    o2 -= x1
+    o2 -= 2.0 * x3
     return out
 
 
 def _contractive3d_jac(x):
+    """The Jacobian of :func:`_contractive3d_f`, constant but for three entries.
+
+    ``J[0, 2] = -1 - (1 - x3^2) / (1 + x3^2)^2``, ``J[2, 0] = 2 x1 (1 - x1^2)
+    e - 1`` and ``J[2, 2] = -2 x1^2 x3 e - 2``, with ``e = exp(-x1^2 - x3^2)``.
+    """
     x1, x3 = x[..., 0], x[..., 2]
+    s1, s3 = x1 * x1, x3 * x3
     J = np.zeros(x.shape[:-1] + (3, 3))
     J[..., 0, 0] = -3.0
-    J[..., 0, 2] = -1.0 - (1.0 - x3**2) / (1.0 + x3**2) ** 2
     J[..., 1, :] = -1.0
-    e = np.exp(-(x1**2) - x3**2)
-    J[..., 2, 0] = 2.0 * x1 * (1.0 - x1**2) * e - 1.0
-    J[..., 2, 2] = -2.0 * x1**2 * x3 * e - 2.0
+    j02, j20, j22 = J[..., 0, 2], J[..., 2, 0], J[..., 2, 2]
+    den = s3 + 1.0
+    den *= den
+    np.subtract(1.0, s3, out=j02)
+    j02 /= den
+    np.subtract(-1.0, j02, out=j02)
+    e = -s1
+    e -= s3
+    e = np.exp(e)
+    np.multiply(x1, 2.0, out=j20)
+    j20 *= 1.0 - s1
+    j20 *= e
+    j20 -= 1.0
+    np.multiply(s1, -2.0, out=j22)
+    j22 *= x3
+    j22 *= e
+    j22 -= 2.0
     return J
 
 
@@ -483,16 +544,39 @@ def builtin_contractive3d():
 
 
 def velocity_g(z):
-    """Monotone scalar nonlinearity of the integrated-velocity benchmark."""
+    """Monotone scalar nonlinearity of the integrated-velocity benchmark, ``z (1 + sin z / (1 + z^2))``.
+
+    Computed in place on its own temporaries, bit for bit the written form.
+    """
     z = np.asarray(z, dtype=float)
-    return z * (1.0 + np.sin(z) / (1.0 + z**2))
+    den = z * z
+    den += 1.0
+    g = np.sin(z)
+    g /= den
+    g += 1.0
+    g *= z
+    return g
 
 
 def velocity_g_prime(z):
-    """Derivative of :func:`velocity_g`; bounded in ``[0.4188, 1.5812]``."""
+    """Derivative of :func:`velocity_g`, ``1 + ((z^3 + z) cos z - (z^2 - 1) sin z) / (1 + z^2)^2``; bounded in ``[0.4188, 1.5812]``.
+
+    The square is taken once and the cube as ``z * z * z``, not ``z**3``,
+    which numpy hands to libm pow, several times slower.
+    """
     z = np.asarray(z, dtype=float)
-    # z * z * z, not z**3: numpy hands a cube to libm pow, several times slower
-    return 1.0 + ((z * z * z + z) * np.cos(z) - (z**2 - 1.0) * np.sin(z)) / (1.0 + z**2) ** 2
+    sq = z * z
+    num = sq * z
+    num += z
+    num *= np.cos(z)
+    tail = sq - 1.0
+    tail *= np.sin(z)
+    num -= tail
+    den = sq + 1.0
+    den *= den
+    num /= den
+    num += 1.0
+    return num
 
 
 # Extremes of velocity_g_prime over the real line (attained near |z| = 0.494).
@@ -536,15 +620,17 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
 
     def f(x):
         out = np.empty_like(x)
-        out[..., 0] = a1 * x[..., 0] + a2 * x[..., 1]
-        out[..., 1] = -velocity_g(x[..., 1])
+        o0 = out[..., 0]
+        np.multiply(x[..., 0], a1, out=o0)
+        o0 += a2 * x[..., 1]
+        np.negative(velocity_g(x[..., 1]), out=out[..., 1])
         return out
 
     def jac(x):
         J = np.zeros(x.shape[:-1] + (2, 2))
         J[..., 0, 0] = a1
         J[..., 0, 1] = a2
-        J[..., 1, 1] = -velocity_g_prime(x[..., 1])
+        np.negative(velocity_g_prime(x[..., 1]), out=J[..., 1, 1])
         return J
 
     M_f, N_f = _velocity_log_lipschitz(a1, a2)

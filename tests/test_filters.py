@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -528,6 +529,31 @@ class TestObservationShape:
         bad = {"short": incr[:, :-1], "mis-sized": incr[..., :2], "mis-batched": incr[:3]}[cut]
         with pytest.raises(ValueError, match=r"increments must have shape \(4, 11, 3\) to match states"):
             run_continuous_ensemble(model, make_filter_config("ekf", model), states, bad, 0.02)
+
+
+class TestFieldShape:
+    """A field that is not vectorized over the batch is a ``ValueError`` naming it, in both
+    time models and for point and sigma-point functionals alike; its output is never
+    broadcast over the paths."""
+
+    @pytest.mark.parametrize("kind, field, returned, expected", [
+        ("ekf", "f", "(2,)", "(5, 2)"),
+        ("ekf", "jac_f", "(2, 2)", "(5, 2, 2)"),
+        ("ukf", "f", "(5, 2)", "(5, 5, 2)"),
+    ], ids=["ekf-f", "ekf-jac_f", "ukf-f"])
+    @pytest.mark.parametrize("build", [builtin_linear, builtin_discrete_linear], ids=["cont", "disc"])
+    def test_unvectorized_field_named(self, build, kind, field, returned, expected):
+        model = build(-0.5 * np.eye(2), Q=0.1 * np.eye(2), H=np.eye(2), R=np.eye(2))
+        bad = {"f": lambda x: -x.mean(axis=0), "jac_f": lambda x: -0.5 * np.eye(2)}[field]
+        model = dataclasses.replace(model, **{field: bad})
+        states, obs = np.zeros((5, 4, 2)), np.zeros((5, 4, 2))
+        config = make_filter_config(kind, model)
+        message = rf"^{field} returned shape {re.escape(returned)} where {re.escape(expected)} was expected"
+        with pytest.raises(ValueError, match=message):
+            if model.time == "cont":
+                run_continuous_ensemble(model, config, states, obs, 0.1)
+            else:
+                run_discrete_ensemble(model, config, states, obs)
 
 
 class TestStepCost:

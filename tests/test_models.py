@@ -20,7 +20,16 @@ from kbstab import (
 )
 from kbstab.errors import IndefiniteMatrixError
 from kbstab.functionals import eval_drift_batch
-from kbstab.models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN, _faddeeva, _philox_key, _rekeyer, philox
+from kbstab.models import (
+    VELOCITY_G_PRIME_MAX,
+    VELOCITY_G_PRIME_MIN,
+    _contractive3d_f,
+    _contractive3d_jac,
+    _faddeeva,
+    _philox_key,
+    _rekeyer,
+    philox,
+)
 from kbstab.quadrature import matrix_sqrt
 
 
@@ -223,6 +232,93 @@ class TestIntegratedVelocity:
     def test_parameter_that_is_no_real_number_named(self, name, bad):
         with pytest.raises(ValueError, match="^a1, a2, q1, q2, h and r must be finite$"):
             builtin_integrated_velocity(**{name: bad})
+
+
+def written_contractive3d_f(x):
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([-x3 * (1.0 + 1.0 / (1.0 + x3**2)) - 3.0 * x1,
+                     -x1 - x2 - x3,
+                     x1**2 * np.exp(-(x1**2) - x3**2) - x1 - 2.0 * x3], axis=-1)
+
+
+def written_contractive3d_jac(x):
+    x1, x3 = x[..., 0], x[..., 2]
+    J = np.zeros(x.shape[:-1] + (3, 3))
+    J[..., 0, 0] = -3.0
+    J[..., 0, 2] = -1.0 - (1.0 - x3**2) / (1.0 + x3**2) ** 2
+    J[..., 1, :] = -1.0
+    e = np.exp(-(x1**2) - x3**2)
+    J[..., 2, 0] = 2.0 * x1 * (1.0 - x1**2) * e - 1.0
+    J[..., 2, 2] = -2.0 * x1**2 * x3 * e - 2.0
+    return J
+
+
+def written_g(z):
+    return z * (1.0 + np.sin(z) / (1.0 + z**2))
+
+
+def written_g_prime(z):
+    return 1.0 + ((z * z * z + z) * np.cos(z) - (z**2 - 1.0) * np.sin(z)) / (1.0 + z**2) ** 2
+
+
+def written_velocity_f(a1, a2):
+    return lambda x: np.stack([a1 * x[..., 0] + a2 * x[..., 1], -written_g(x[..., 1])], axis=-1)
+
+
+def written_velocity_jac(a1, a2):
+    def jac(x):
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 0] = a1
+        J[..., 0, 1] = a2
+        J[..., 1, 1] = -written_g_prime(x[..., 1])
+        return J
+
+    return jac
+
+
+def field_inputs(d):
+    """One state ``(d,)``, a batch ``(B, d)`` and a coordinate-major ``(B, n, d)`` view, with zeros of both signs."""
+    rng = np.random.default_rng(d)
+    batch = rng.uniform(-6.0, 6.0, (40, d))
+    batch[:4] = [[0.0], [-0.0], [1e-9], [-40.0]]
+    coordinate_major = rng.uniform(-6.0, 6.0, (d, 8, 5)).transpose(1, 2, 0)
+    return [("state", batch[7]), ("zero state", np.zeros(d)), ("batch", batch), ("coordinate-major", coordinate_major)]
+
+
+def assert_same_bits(got, want, label=""):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64, label
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), label
+
+
+class TestBuiltinFieldsInPlace:
+    """Each built-in field and Jacobian, computed in place, has the bits of its written formula."""
+
+    FIELDS = {
+        "contractive3d f": (3, _contractive3d_f, written_contractive3d_f),
+        "contractive3d jac": (3, _contractive3d_jac, written_contractive3d_jac),
+        "velocity f": (2, builtin_integrated_velocity().f, written_velocity_f(0.0, 1.0)),
+        "velocity jac": (2, builtin_integrated_velocity().jac_f, written_velocity_jac(0.0, 1.0)),
+        "velocity f, a1 a2": (2, builtin_integrated_velocity(a1=-0.7, a2=2.3).f, written_velocity_f(-0.7, 2.3)),
+        "velocity jac, a1 a2": (2, builtin_integrated_velocity(a1=-0.7, a2=2.3).jac_f,
+                                written_velocity_jac(-0.7, 2.3)),
+    }
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_field_matches_its_formula(self, name):
+        d, field, written = self.FIELDS[name]
+        for shape, x in field_inputs(d):
+            assert_same_bits(field(x), written(x), shape)
+
+    @pytest.mark.parametrize("g, written", [(velocity_g, written_g), (velocity_g_prime, written_g_prime)],
+                             ids=["g", "g_prime"])
+    def test_slope_functions_match_their_formulas(self, g, written):
+        z = np.concatenate([[0.0, -0.0, 1e-9, 0.494, -0.494, 1e3], np.linspace(-50.0, 50.0, 2001)])
+        assert_same_bits(g(z), written(z))
+        # a strided view, and 0-d arguments, which give scalars the steps cannot write into
+        assert_same_bits(g(z[::3]), written(z[::3]))
+        for value in (0.0, -1.5, np.float64(2.0), np.array(0.3)):
+            assert_same_bits(g(value), written(np.asarray(value, dtype=float)))
 
 
 class TestModelValidation:
@@ -448,6 +544,22 @@ class TestDiscreteSimulation:
         diverged = batch[3]
         assert sorted(set(diverged[diverged >= 0].tolist())) == [8, 9]
         assert_rows_are_single_runs(batch, lambda p: one_discrete_path(model, steps=15, seed=2, path_index=p))
+
+
+class TestDriftShape:
+    """A drift that is not vectorized over the batch is a ``ValueError`` naming ``f``; its
+    output is never broadcast over the paths."""
+
+    @pytest.mark.parametrize("n_paths", [1, 5])
+    @pytest.mark.parametrize("build", [builtin_linear, builtin_discrete_linear], ids=["cont", "disc"])
+    def test_unvectorized_drift_named(self, build, n_paths):
+        model = dataclasses.replace(build(-0.5 * np.eye(2), Q=0.1 * np.eye(2), H=np.eye(2), R=np.eye(2)),
+                                    f=lambda x: -x.mean(axis=0))
+        with pytest.raises(ValueError, match=rf"^f returned shape \(2,\) where \({n_paths}, 2\) was expected"):
+            if model.time == "cont":
+                simulate_paths(model, dt=0.1, horizon=0.5, seed=0, n_paths=n_paths)
+            else:
+                simulate_discrete_paths(model, steps=5, seed=0, n_paths=n_paths)
 
 
 SIGMA0_FULL = np.array([[1.0, 0.4, -0.2], [0.4, 0.8, 0.3], [-0.2, 0.3, 0.6]])
