@@ -78,6 +78,13 @@ MUTANTS = (
         tests=("tests/test_filters.py::TestStepCost::test_field_reads_each_coordinate_contiguously[ukf-cont]",),
     ),
     Mutant(
+        name="sigma-points-held-through-the-reductions",
+        file="src/kbstab/functionals.py",
+        old="        vals = _field_at(g, _sigma_points(rule, x[blk], L[..., blk]))\n",
+        new="        pts = _sigma_points(rule, x[blk], L[..., blk])\n        vals = _field_at(g, pts)\n",
+        tests=("tests/test_functionals.py::TestSigmaPoints::test_ukf_step_holds_few_block_arrays",),
+    ),
+    Mutant(
         name="jacobian-transposed-in-batch-last-JP",
         file="src/kbstab/functionals.py",
         old="J = np.ascontiguousarray(_batch_last(check_field(\"jac_f\", jac(x), x.shape + x.shape[-1:])))",
@@ -225,6 +232,13 @@ MUTANTS = (
         new='M = eig(hi, "max")',
         tests=("tests/test_models.py::TestIntegratedVelocity::test_log_lipschitz_closed_form",
                "tests/test_stability.py::TestContractiveCertificate::test_not_contractive"),
+    ),
+    Mutant(
+        name="contractive3d-M-off-by-0.05",
+        file="src/kbstab/models.py",
+        old="known_M_f=-0.5947,",
+        new="known_M_f=-0.6447,",
+        tests=("tests/test_acceptance.py::TestCriterion4LogLipschitzReproduction::test_drift_constants",),
     ),
     Mutant(
         name="attached-constant-accepts-bool",

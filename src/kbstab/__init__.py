@@ -26,8 +26,6 @@ from .errors import (
     NotFullyObservedError,
 )
 from .matrix_measures import (
-    LogLipschitzEstimate,
-    log_lipschitz_estimate,
     log_norm_mu,
     log_norm_nu,
     spectral_norm,

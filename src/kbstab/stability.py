@@ -608,11 +608,14 @@ def gronwall_continuous(x0, alpha, beta_const, t):
     At ``alpha = 0`` the limit ``x0 + beta t`` is returned. The arguments
     broadcast against each other and the limit is taken cell by cell; the
     result is a float when every argument is a scalar or 0-d, else an array.
+    Each argument must be finite and ``t`` nonnegative, else a
+    ``ValueError`` names it.
     """
-    if np.any(np.asarray(t) < 0):
+    x0, alpha, beta_const, t = (_finite(name, v).astype(float, copy=False) for name, v in
+                                (("x0", x0), ("alpha", alpha), ("beta_const", beta_const), ("t", t)))
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
-    x0, alpha, beta_const, t = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                                     for v in (x0, alpha, beta_const, t)))
+    x0, alpha, beta_const, t = np.broadcast_arrays(x0, alpha, beta_const, t)
     eat = np.exp(alpha * t)
     # asarray: a product of 0-d arrays is a numpy scalar, which cannot be an out argument
     ramp = np.divide((eat - 1.0) * beta_const, alpha, out=np.asarray(beta_const * t), where=alpha != 0.0)
@@ -638,8 +641,7 @@ def gaussian_norm_moment(m, P, n):
     with ``mu_0 = 1``: ``mu_1 = kappa_1``, ``mu_2 = kappa_2 + kappa_1^2``,
     ``mu_3 = kappa_3 + 3 kappa_2 kappa_1 + kappa_1^3``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_integer("n", n, low=1)
     m, P = _gaussian_law(m, P)
     kappa, Pj = [], np.eye(P.shape[0])
     for j in range(1, n + 1):
@@ -658,8 +660,7 @@ def chi_square_moment_bound(m, P, n):
     ``||P|| (d+2) n`` when the mean is zero, otherwise
     ``4 (||m||^2 + ||P|| (d+2) n)``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = check_integer("n", n, low=1)
     m, P = _gaussian_law(m, P)
     d = P.shape[0]
     p_norm = float(np.linalg.norm(P, 2))

@@ -343,6 +343,31 @@ class TestSigmaPoints:
         P = G @ np.swapaxes(G, 1, 2)
         assert traced_peak(eval_mean_batch, F, model.f, x, np.moveaxis(P, 0, -1)) <= 8e6
 
+    @staticmethod
+    def drift_step_peak(traced_peak, rng, kind, B):
+        """Peak bytes of one continuous drift evaluation on contractive3d beyond its outputs."""
+        model = builtin_contractive3d()
+        F = make_filter_config(kind, model).functional
+        x = rng.uniform(-2.0, 2.0, (B, 3))
+        P = np.moveaxis(random_psd_batch(rng, B, 3), 0, -1)
+        peak = traced_peak(eval_drift_batch, F, "cont", model.f, x, P, root=_psd_root(P)[1])
+        return peak - 8 * (B * 3 + 9 * B)
+
+    def test_ukf_step_holds_few_block_arrays(self, rng, traced_peak):
+        # fig1's 500 paths are one block of the 7-point rule, whose arrays
+        # are 8 B n d = 84,000 bytes. Beyond the outputs the step peaked at
+        # 3.32 of them (numpy 2.4); holding the block's points through the
+        # reductions raised it to 4.32
+        assert self.drift_step_peak(traced_peak, rng, "ukf", 500) <= 3.75 * 8 * 500 * 7 * 3
+
+    def test_adf_step_peak_is_independent_of_the_batch(self, rng, traced_peak):
+        # the reference rule's 1000 points take 5 paths a block, so the peak
+        # beyond the outputs is one block's: 482,856 bytes at 24 paths and
+        # 483,048 at 500 (numpy 2.4)
+        narrow = self.drift_step_peak(traced_peak, rng, "adf", 24)
+        wide = self.drift_step_peak(traced_peak, rng, "adf", 500)
+        assert abs(wide - narrow) <= 0.01 * narrow
+
 
 class TestSigmaArguments:
     """The sigma evaluators name a root or a state that does not fit."""

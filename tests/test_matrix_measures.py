@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,8 @@ import numpy as np
 import pytest
 
 import kbstab
-from kbstab import log_lipschitz_estimate, log_norm_mu, log_norm_nu, spectral_norm
+from kbstab import log_norm_mu, log_norm_nu, spectral_norm
 from kbstab.matrix_measures import log_norm_range
-from kbstab.models import builtin_contractive3d, velocity_g_prime
 
 
 class TestLogNorms:
@@ -133,63 +134,31 @@ class TestSpectralNorm:
         assert np.array_equal(spectral_norm(mixed), [0.0, 4.0])
 
 
-class TestLogLipschitzEstimate:
-    def test_linear_field_is_exact(self):
-        A = np.array([[-1.0, 2.0], [0.5, -3.0]])
-
-        def jac(x):
-            return np.broadcast_to(A, x.shape[:-1] + (2, 2))
-
-        est = log_lipschitz_estimate(jac, [[-1, 1], [-1, 1]], budget=64)
-        assert est.m_hat == pytest.approx(log_norm_mu(A), abs=1e-12)
-        assert est.n_hat == pytest.approx(log_norm_nu(A), abs=1e-12)
-
-    def test_contractive3d_constants(self):
-        model = builtin_contractive3d()
-        est = log_lipschitz_estimate(model.jac_f, [[-6, 6]] * 3, budget=4096)
-        assert est.m_hat == pytest.approx(-0.5947, abs=0.02)
-        assert est.n_hat == pytest.approx(-4.5046, abs=0.02)
-
-    def test_velocity_slope_extremes(self):
-        def jac(x):
-            return velocity_g_prime(x[..., 0])[..., None, None]
-
-        est = log_lipschitz_estimate(jac, [[-20, 20]], budget=4096)
-        assert est.m_hat == pytest.approx(1.581, abs=0.01)
-        assert est.n_hat == pytest.approx(0.419, abs=0.01)
-
-    def test_refinement_monotone_in_budget(self):
-        model = builtin_contractive3d()
-        small = log_lipschitz_estimate(model.jac_f, [[-6, 6]] * 3, budget=256)
-        large = log_lipschitz_estimate(model.jac_f, [[-6, 6]] * 3, budget=4096)
-        assert large.m_hat >= small.m_hat - 1e-9
-        assert large.n_hat <= small.n_hat + 1e-9
-        assert small.n_hat <= small.m_hat
-
-    def test_empty_box_rejected(self):
-        model = builtin_contractive3d()
-        with pytest.raises(ValueError):
-            log_lipschitz_estimate(model.jac_f, [[1, 1], [0, 1], [0, 1]], budget=16)
-
-    def test_nonfinite_jacobian_rejected(self):
-        def jac(x):
-            J = np.zeros(x.shape[:-1] + (1, 1))
-            with np.errstate(divide="ignore"):
-                J[..., 0, 0] = 1.0 / x[..., 0]
-            return J
-
-        with pytest.raises(Exception):
-            log_lipschitz_estimate(jac, [[-1, 1]], budget=16)
-
-
 def test_import_loads_no_scipy():
-    # scipy.stats costs about a second to import and scipy.special 0.2 s;
-    # only log_lipschitz_estimate needs scipy, for its quasi-random points
-    # (no certificate calls it, and the Faddeeva function of contractive3d's
-    # closed form is computed in numpy), so importing the package must not
-    # load it
-    src = str(Path(kbstab.__file__).resolve().parents[1])
+    # kbstab runs on numpy alone: scipy.special costs about 0.2 s to import
+    # and scipy.stats about a second, and the Faddeeva function of
+    # contractive3d's closed form is computed in numpy. No module imports
+    # scipy, importing the package and its CLI loads none, and numpy is the
+    # one runtime dependency; scipy is a test extra, for the reference
+    # solutions some tests compare against
+    package = Path(kbstab.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
+
+    src = str(package.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, kbstab, kbstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

@@ -1167,6 +1167,14 @@ class TestGronwall:
         with pytest.raises(ValueError, match="t must be nonnegative"):
             gronwall_continuous(1.0, -1.0, 1.0, np.min(t))
 
+    @pytest.mark.parametrize("position, name", enumerate(["x0", "alpha", "beta_const", "t"]))
+    @pytest.mark.parametrize("bad", [np.nan, [1.0, np.inf], True, "1.0"])
+    def test_nonfinite_argument_named(self, position, name, bad):
+        args = [1.0, -0.5, 2.0, 0.3]
+        args[position] = bad
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            gronwall_continuous(*args)
+
     def test_euler_trajectories_stay_below_envelope(self, rng):
         # 100 trajectories stepped together; row i draws alpha, b, x0 as one scalar loop would
         dt, n = 1e-3, 2000
@@ -1240,6 +1248,13 @@ class TestMomentUtilities:
     def test_gaussian_norm_moment_domain(self):
         with pytest.raises(ValueError):
             gaussian_norm_moment(0, np.eye(2), 0)
+
+    @pytest.mark.parametrize("moment", [gaussian_norm_moment, chi_square_moment_bound])
+    @pytest.mark.parametrize("n, message", [(0, "at least 1"), (-2, "at least 1"), (1.5, "an integer"),
+                                            (2.0, "an integer"), (True, "an integer"), ("2", "an integer")])
+    def test_moment_order_named(self, moment, n, message):
+        with pytest.raises(ValueError, match=f"n must be {message}"):
+            moment(0, np.eye(2), n)
 
     @given(gaussian_laws(), st.integers(1, 3))
     def test_chi_square_bound_dominates_exact_moment(self, law, n):
