@@ -242,10 +242,27 @@ MUTANTS = (
     ),
     Mutant(
         name="attached-constant-accepts-bool",
+        file="src/kbstab/checks.py",
+        old='if arr.dtype.kind not in "iuf" or',
+        new='if arr.dtype.kind not in "biuf" or',
+        tests=("tests/test_models.py::TestModelValidation::test_attached_drift_constant_checked",
+               "tests/test_stability.py::TestContinuousBounds::test_time_that_is_not_finite_named"),
+    ),
+    Mutant(
+        name="model-aliases-the-callers-H",
         file="src/kbstab/models.py",
-        old="if value is not None and not is_finite_real(value):",
-        new="if value is not None and not is_finite_real(value) and not isinstance(value, bool):",
-        tests=("tests/test_models.py::TestModelValidation::test_attached_drift_constant_checked",),
+        old='H = read_only(check_finite("H", self.H))',
+        new='H = check_finite("H", self.H).astype(float, copy=False)',
+        tests=("tests/test_models.py::TestModelsAreValues::test_callers_arrays_are_copied[cont]",
+               "tests/test_models.py::TestModelsAreValues::test_arrays_are_read_only[velocity-H]"),
+    ),
+    Mutant(
+        name="dim-y-from-the-wrong-axis",
+        file="src/kbstab/models.py",
+        old="dim_y, dim_x = H.shape\n",
+        new="dim_y, dim_x = H.shape[1], H.shape[1]\n",
+        tests=("tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[cont-2-1-7]",
+               "tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[disc-1-2-7]"),
     ),
     Mutant(
         name="run-skips-the-config-size-check",
@@ -434,13 +451,6 @@ MUTANTS = (
         new="    if False:",
         tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::"
                "test_model_that_does_not_measure_the_position_rejected[two-measurements]",),
-    ),
-    Mutant(
-        name="assigned-noise-keeps-the-cached-inverse",
-        file="src/kbstab/models.py",
-        old='            self.__dict__.pop("HtRinv", None)\n',
-        new="",
-        tests=("tests/test_models.py::TestIntegratedVelocity::test_assigned_field_drops_the_cached_rate[R]",),
     ),
     Mutant(
         name="velocity-slope-bound-at-the-steep-end",

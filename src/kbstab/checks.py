@@ -1,4 +1,4 @@
-"""Checks of scalar arguments and field outputs, one rule each for every layer that takes them."""
+"""Checks of arguments and field outputs, one rule each for every layer that takes them."""
 
 import math
 import numbers
@@ -18,6 +18,21 @@ def check_integer(name, value, low=None):
 def is_finite_real(value):
     """Whether ``value`` is a finite real number (a bool is not)."""
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def check_finite(name, value):
+    """``value`` as an array; a ``ValueError`` naming ``name`` unless each entry is a finite real (no bool)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return arr
+
+
+def read_only(values):
+    """A read-only float64 copy of ``values``, in the same memory order."""
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def check_field(name, values, shape):

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import is_finite_real
+from .checks import check_finite, is_finite_real, read_only
 from .functionals import (
     Functional,
     eval_drift_batch,
@@ -79,7 +79,7 @@ _DEGENERATE_TRACE = 1e-14
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Filter variant plus tuning of one size: the functional, finite ``x0_hat``, positive definite ``Q_tuned``, ``P0``."""
+    """Filter variant plus tuning of one size, kept as read-only copies: finite ``x0_hat``, positive definite ``Q_tuned``, ``P0``."""
 
     functional: Functional
     Q_tuned: np.ndarray
@@ -87,15 +87,12 @@ class FilterConfig:
     P0: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q_tuned, dtype=float)
-        P0 = np.asarray(self.P0, dtype=float)
-        x0 = np.asarray(self.x0_hat, dtype=float).ravel()
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0_hat must be finite")
-        for name, M in (("Q_tuned", Q), ("P0", P0)):
+        x0 = read_only(check_finite("x0_hat", self.x0_hat).ravel())
+        for name in ("Q_tuned", "P0"):
+            M = np.asarray(getattr(self, name), dtype=float)
             if M.shape != (x0.size, x0.size):
                 raise ValueError(f"{name} must have shape {(x0.size, x0.size)} like x0_hat, got {M.shape}")
-            object.__setattr__(self, name, _check_psd(name, M, definite=True))
+            object.__setattr__(self, name, read_only(_check_psd(name, M, definite=True)))
         object.__setattr__(self, "x0_hat", x0)
 
     def check_dim(self, dim):

@@ -7,9 +7,10 @@ measurements,
 
 simulated by Euler-Maruyama. Discrete models follow the analogous recursion
 ``X_k = f(X_{k-1}) + Q^{1/2} W_k``, ``Y_k = H X_k + R^{1/2} V_k``. Both
-are keyword-only dataclasses on one base, told apart by their class
+are frozen keyword-only dataclasses on one base, told apart by their class
 attribute ``time`` (``"cont"`` or ``"disc"``), and both are simulated by
 one loop that branches on it only for the state and measurement lines.
+A model is sized by ``H`` and holds read-only copies (see ``_Model``).
 
 ``Q``, ``R`` and ``Sigma0`` must pass :func:`~kbstab.quadrature._check_psd`
 (so ``R = 0`` simulates noiseless measurements); ``R`` must also be positive
@@ -44,13 +45,13 @@ bit the row of any batch that holds it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .checks import check_field, check_integer, is_finite_real
+from .checks import check_field, check_finite, check_integer, is_finite_real, read_only
 from .quadrature import _check_psd, _matmul_last, matrix_sqrt
 
 
@@ -106,23 +107,20 @@ def _rekeyer(gen):
     return rekey
 
 
-def _check_constant(name, value):
-    """A ``ValueError`` naming ``name`` unless ``value`` is ``None`` or a finite real (a bool is not)."""
-    if value is not None and not is_finite_real(value):
-        raise ValueError(f"{name} must be None or a finite real number, got {value!r}")
-
-
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class _Model:
     """Fields and checks shared by both time models; ``time`` names the kind.
+
+    A model is a frozen value: ``dim_y, dim_x = H.shape``, which ``Q``, ``R``,
+    ``Sigma0`` and ``mu0`` must match, and its matrices, like the cached
+    ``HtRinv`` and ``S``, are read-only copies. ``dataclasses.replace``
+    builds a changed model, with its sizes and cache derived afresh.
 
     ``known_jf_norm`` is a Lipschitz constant ``||J_f|| <= known_jf_norm`` of
     the drift, ``None`` or a finite real at least 0. It is the only source of
     that constant for the discrete certificate; a model without one has none.
     """
 
-    dim_x: int
-    dim_y: int
     f: Callable
     jac_f: Callable
     Q: np.ndarray
@@ -132,40 +130,42 @@ class _Model:
     Sigma0: np.ndarray
     known_jf_norm: Optional[float] = None
     name: str = "custom"
+    dim_x: int = field(init=False)
+    dim_y: int = field(init=False)
 
     def __post_init__(self):
-        for name, dim in (("Q", self.dim_x), ("R", self.dim_y), ("Sigma0", self.dim_x)):
+        H = read_only(check_finite("H", self.H))
+        if H.ndim != 2:
+            raise ValueError(f"H must be a matrix (dim_y, dim_x), got shape {H.shape}")
+        dim_y, dim_x = H.shape
+        mu0 = check_finite("mu0", self.mu0)
+        if mu0.size != dim_x:
+            raise ValueError(f"mu0 must have {dim_x} entries to match H, got shape {mu0.shape}")
+        facts = {"H": H, "mu0": read_only(mu0.reshape(dim_x)), "dim_x": dim_x, "dim_y": dim_y}
+        for name, dim in (("Q", dim_x), ("R", dim_y), ("Sigma0", dim_x)):
             M = np.asarray(getattr(self, name), dtype=float)
             if M.shape != (dim, dim):
-                raise ValueError(f"{name} must have shape {(dim, dim)}")
-            setattr(self, name, _check_psd(name, M))
-        self.H = np.asarray(self.H, dtype=float)
-        if self.H.shape != (self.dim_y, self.dim_x):
-            raise ValueError(f"H must have shape {(self.dim_y, self.dim_x)}")
-        self.mu0 = np.asarray(self.mu0, dtype=float).reshape(self.dim_x)
-        if not np.all(np.isfinite(self.mu0)):
-            raise ValueError("mu0 must be finite")
-        _check_constant("known_jf_norm", self.known_jf_norm)
+                raise ValueError(f"{name} must have shape {(dim, dim)} to match H, got {M.shape}")
+            facts[name] = read_only(_check_psd(name, M))
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)
+        for name in ("known_jf_norm", "known_M_f", "known_N_f"):
+            value = getattr(self, name, None)
+            if value is not None and check_finite(name, value).ndim:
+                raise ValueError(f"{name} must be None or a number, got {value!r}")
         if self.known_jf_norm is not None and self.known_jf_norm < 0:
             raise ValueError(f"known_jf_norm must be nonnegative, got {self.known_jf_norm!r}")
-
-    def __setattr__(self, name, value):
-        # HtRinv and S are cached from H and R: setting either drops them
-        super().__setattr__(name, value)
-        if name in ("H", "R"):
-            self.__dict__.pop("HtRinv", None)
-            self.__dict__.pop("S", None)
 
     @cached_property
     def HtRinv(self):
         """``H^T R^{-1}`` (cached), read by ``S`` and the continuous gain; ``R`` must be positive definite."""
-        return np.linalg.solve(_check_psd("R", self.R, definite=True), self.H).T
+        return read_only(np.linalg.solve(_check_psd("R", self.R, definite=True), self.H).T)
 
     @cached_property
     def S(self):
         """Information-rate matrix ``H^T R^{-1} H`` (cached)."""
         S = self.HtRinv @ self.H
-        return 0.5 * (S + S.T)
+        return read_only(0.5 * (S + S.T))
 
     def s_scalar(self):
         """Return ``s`` if ``S = s I`` to within ``1e-10 max(1, |s|)``, else ``None``."""
@@ -176,7 +176,7 @@ class _Model:
         return None
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class ContinuousModel(_Model):
     """Continuous-time diffusion model with linear measurements.
 
@@ -184,7 +184,7 @@ class ContinuousModel(_Model):
     ``M(f) = sup mu(J_f)`` and ``N(f) = inf nu(J_f)``, each ``None`` or a
     finite real, with ``N(f) <= M(f)``. They are the only source of those
     constants for the continuous certificates; a custom model gets them with
-    ``dataclasses.replace``.
+    ``dataclasses.replace``, which builds a new model (models are frozen).
 
     ``gaussian_drift(x, P)``, if given, returns the exact Gaussian moments
     ``(E[f(X)], E[J_f(X)] P)`` for ``X ~ N(x_b, P_b)`` over states ``x``
@@ -201,14 +201,12 @@ class ContinuousModel(_Model):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_constant("known_M_f", self.known_M_f)
-        _check_constant("known_N_f", self.known_N_f)
         if self.known_M_f is not None and self.known_N_f is not None:
             if self.known_N_f > self.known_M_f:
                 raise ValueError("known_N_f must not exceed known_M_f")
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, frozen=True)
 class DiscreteModel(_Model):
     """Discrete-time recursion with per-step Gaussian noise."""
 
@@ -527,8 +525,6 @@ def builtin_contractive3d():
     constants are sharp to the printed digits.
     """
     return ContinuousModel(
-        dim_x=3,
-        dim_y=3,
         f=_contractive3d_f,
         jac_f=_contractive3d_jac,
         Q=np.eye(3),
@@ -635,8 +631,6 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
 
     M_f, N_f = _velocity_log_lipschitz(a1, a2)
     return ContinuousModel(
-        dim_x=2,
-        dim_y=1,
         f=f,
         jac_f=jac,
         Q=np.diag([q1, q2]),
@@ -651,12 +645,9 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
 
 
 def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):
-    """A ``cls`` model with drift ``A x``; ``known`` adds exact drift constants."""
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A must be finite")
-    d = A.shape[0]
-    H = np.asarray(H, dtype=float)
+    """A ``cls`` model with drift ``A x``, ``A`` a read-only copy; ``known`` adds exact drift constants."""
+    A = read_only(check_finite("A", A))
+    d = len(A)
 
     def f(x):
         return x @ A.T
@@ -664,9 +655,12 @@ def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):
     def jac(x):
         return np.broadcast_to(A, x.shape[:-1] + A.shape).copy()
 
-    return cls(dim_x=d, dim_y=H.shape[0], f=f, jac_f=jac, Q=Q, H=H, R=R,
-               mu0=np.zeros(d) if mu0 is None else mu0, Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
-               known_jf_norm=float(np.linalg.norm(A, 2)), name=name, **known)
+    model = cls(f=f, jac_f=jac, Q=Q, H=H, R=R,
+                mu0=np.zeros(d) if mu0 is None else mu0, Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
+                known_jf_norm=float(np.linalg.norm(A, 2)), name=name, **known)
+    if A.shape != (model.dim_x, model.dim_x):
+        raise ValueError(f"A must have shape {(model.dim_x, model.dim_x)} to match H, got {A.shape}")
+    return model
 
 
 def builtin_linear(A, Q, H, R, mu0=None, Sigma0=None):

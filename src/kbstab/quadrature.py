@@ -14,11 +14,12 @@ view between the two layouts and multiply two batch-last stacks.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from .checks import check_finite, read_only
 from .errors import IndefiniteMatrixError
 
 MAX_RULE_POINTS = 10**6
@@ -26,23 +27,20 @@ MAX_RULE_POINTS = 10**6
 
 @dataclass(frozen=True)
 class CubatureRule:
-    """Unit sigma-points ``points`` (n, dim) with weights ``weights`` (n,)."""
+    """Finite unit sigma-points ``points`` (n, dim) and weights ``weights`` (n,), kept as read-only copies; ``dim`` is derived."""
 
-    dim: int
     points: np.ndarray
     weights: np.ndarray
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if points.shape != (weights.size, self.dim):
+        points = read_only(check_finite("points", self.points))
+        weights = read_only(check_finite("weights", self.weights).ravel())
+        if points.ndim != 2 or len(points) != weights.size:
             raise ValueError("points must have shape (len(weights), dim)")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
-            raise ValueError("rule entries must be finite")
-        points.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "dim", points.shape[1])
 
     @property
     def size(self):
@@ -77,7 +75,7 @@ def unscented_rule(dim, kappa=None):
     eye = np.eye(dim)
     points = np.vstack([np.zeros((1, dim)), scale * eye, -scale * eye])
     weights = np.concatenate([[kappa / (dim + kappa)], np.full(2 * dim, 0.5 / (dim + kappa))])
-    return CubatureRule(dim=dim, points=points, weights=weights)
+    return CubatureRule(points=points, weights=weights)
 
 
 def gauss_hermite_rule(dim, order):
@@ -97,7 +95,7 @@ def gauss_hermite_rule(dim, order):
     idx = np.array(list(itertools.product(range(order), repeat=dim)))
     points = nodes[idx]
     w = np.prod(weights[idx], axis=1)
-    return CubatureRule(dim=dim, points=points.reshape(-1, dim), weights=w)
+    return CubatureRule(points=points, weights=w)
 
 
 def _clamp_psd(M):

@@ -32,23 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_integer, is_finite_real
+from .checks import check_finite, check_integer, is_finite_real
 from .errors import CertificateError, NoCertificateError, NotContractiveError, NotFullyObservedError
 from .filters import make_filter_config
 from .models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN
 from .quadrature import _check_psd
 
-def _finite(name, value):
-    """``value`` as an array; a ``ValueError`` naming ``name`` unless each entry is a finite real (no bool)."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return arr
-
 
 def _beta(delta, positive):
     """:func:`beta` of finite ``delta`` entries, each positive (``positive``) or at least 0."""
-    delta = _finite("delta", delta)
+    delta = check_finite("delta", delta)
     if np.any(delta <= 0) if positive else np.any(delta < 0):
         raise ValueError(f"delta must be {'positive' if positive else 'nonnegative'}")
     return math.e * (np.sqrt(2.0 * delta) + delta)
@@ -264,7 +257,7 @@ def _decay(cert, X, t):
     for one). A tighter form for the certificates that hold from ``T = 0``
     waits for the exact error law of continuous linear models to judge it.
     """
-    t = _finite("t", t)
+    t = check_finite("t", t)
     if np.any(t < cert.T):
         raise ValueError(f"t must be at least the settle time T = {cert.T}")
     return X * np.exp(-2.0 * cert.lam * (t - cert.T)) + cert.u / (2.0 * cert.lam)
@@ -611,7 +604,7 @@ def gronwall_continuous(x0, alpha, beta_const, t):
     Each argument must be finite and ``t`` nonnegative, else a
     ``ValueError`` names it.
     """
-    x0, alpha, beta_const, t = (_finite(name, v).astype(float, copy=False) for name, v in
+    x0, alpha, beta_const, t = (check_finite(name, v).astype(float, copy=False) for name, v in
                                 (("x0", x0), ("alpha", alpha), ("beta_const", beta_const), ("t", t)))
     if np.any(t < 0):
         raise ValueError("t must be nonnegative")

@@ -49,7 +49,7 @@ def discrete_sine():
         def jac(x):
             return (0.5 + 0.2 * np.cos(x))[..., :, None] * np.eye(2)
 
-        return DiscreteModel(dim_x=2, dim_y=2, f=f, jac_f=jac, Q=0.1 * np.eye(2), H=np.eye(2),
+        return DiscreteModel(f=f, jac_f=jac, Q=0.1 * np.eye(2), H=np.eye(2),
                              R=0.5 * np.eye(2), mu0=np.zeros(2), Sigma0=np.eye(2),
                              known_jf_norm=0.7, name="discrete_sine")
 

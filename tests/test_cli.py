@@ -333,7 +333,7 @@ class TestRunValues:
         for command in ("simulate", "certify"):
             assert main([command, "--config", str(cfg)]) == 1
             captured = capsys.readouterr()
-            assert captured.err.startswith("config error: mu0 must be finite")
+            assert captured.err.startswith("config error: mu0 must be a finite number")
             assert captured.out == ""
 
     def test_singular_measurement_noise_named_alike(self, capsys, tmp_path):
@@ -459,7 +459,7 @@ class TestSeeds:
 class TestValidate:
     def test_corrupted_rule_fails_suite(self):
         rule = unscented_rule(2)
-        bad = CubatureRule(dim=2, points=rule.points, weights=rule.weights * 1.1)
+        bad = CubatureRule(points=rule.points, weights=rule.weights * 1.1)
         checks = validation_suite(samples=500, rules=[("ok", rule), ("bad", bad)])
         by_name = {c.name: c for c in checks}
         assert not by_name["exactness[bad]"].passed

@@ -86,9 +86,10 @@ class TestKalmanBucyStep:
 
     def test_no_measurements_reduces_to_open_loop(self):
         model = builtin_contractive3d()
-        open_loop = builtin_linear(np.zeros((3, 3)), Q=model.Q, H=np.zeros((3, 3)),
-                                   R=np.eye(3), mu0=model.mu0, Sigma0=model.Sigma0)
-        open_loop.f, open_loop.jac_f = model.f, model.jac_f
+        open_loop = dataclasses.replace(
+            builtin_linear(np.zeros((3, 3)), Q=model.Q, H=np.zeros((3, 3)), R=np.eye(3), mu0=model.mu0,
+                           Sigma0=model.Sigma0),
+            f=model.f, jac_f=model.jac_f)
         config = make_filter_config("ekf", open_loop)
         x = np.array([0.4, -0.1, 0.2])
         P = 0.5 * np.eye(3)
@@ -566,17 +567,18 @@ class TestStepCost:
     """
 
     def count_calls(self, model, monkeypatch):
+        """``(counted, calls)``: ``model`` with counting field and Jacobian, and the tally they share."""
         calls = {"factor": 0, "lapack": 0, "eigh": 0, "field": 0, "jac": 0}
         monkeypatch.setattr(quadrature, "_cholesky", counting(quadrature._cholesky, calls, "factor"))
         for key, name in (("lapack", "cholesky"), ("eigh", "eigh")):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), calls, key))
-        model.f = counting(model.f, calls, "field")
-        model.jac_f = counting(model.jac_f, calls, "jac")
-        return calls
+        counted = dataclasses.replace(model, f=counting(model.f, calls, "field"),
+                                      jac_f=counting(model.jac_f, calls, "jac"))
+        return counted, calls
 
     def run_counted(self, kind, monkeypatch, n_paths=40, steps=100, build=builtin_contractive3d):
         model, _, states, incr = fig1_like_paths(n_paths, horizon=steps * 0.01, build=build)
-        calls = self.count_calls(model, monkeypatch)
+        model, calls = self.count_calls(model, monkeypatch)
         config = make_filter_config(kind, model)
         run = run_continuous_ensemble(model, config, states, incr, 0.01)
         assert np.all(run.diverged < 0)
@@ -623,7 +625,7 @@ class TestStepCost:
         P[..., 1] = np.diag([2000.0, 1.0, 1.0])
         L = np.sqrt(P)  # P is diagonal
         obs = np.zeros((3, 3))
-        calls = self.count_calls(model, monkeypatch)
+        model, calls = self.count_calls(model, monkeypatch)
         x, P, L, _, bad = _kb_step_batch(model, config, x, P, L, obs, 0.01)
         assert not bad.any()
         assert calls["eigh"] == 1
@@ -643,14 +645,14 @@ class TestStepCost:
         x = rng.uniform(-1.0, 1.0, (n_paths, d))
         G = rng.standard_normal((n_paths, d, d))
         P, L = _psd_root(np.moveaxis(G @ np.swapaxes(G, 1, 2) + 0.1 * np.eye(d), 0, -1))
-        seen, field = [], model.f
+        seen = []
 
         def recording(pts):
             seen.append(pts)
-            return field(pts)
+            return model.f(pts)
 
-        model.f = recording
-        _kb_step_batch(model, config, x, P, L, np.zeros((n_paths, model.dim_y)), 0.01)
+        recorded = dataclasses.replace(model, f=recording)
+        _kb_step_batch(recorded, config, x, P, L, np.zeros((n_paths, model.dim_y)), 0.01)
         return seen, x, L
 
     @pytest.mark.parametrize("time", ["cont", "disc"])
@@ -720,7 +722,7 @@ class TestStepCost:
 
     def run_counted_discrete(self, kind, monkeypatch, model, n_paths=40, steps=30):
         _, states, meas = discrete_paths(model, n_paths, steps)
-        calls = self.count_calls(model, monkeypatch)
+        model, calls = self.count_calls(model, monkeypatch)
         config = make_filter_config(kind, model)
         run = run_discrete_ensemble(model, config, states, meas)
         assert np.all(run.diverged < 0)
@@ -746,6 +748,19 @@ class TestStepCost:
 
 
 class TestFilterConfig:
+    def test_tuning_is_a_read_only_copy(self):
+        # editing the caller's arrays after the build leaves the config as built
+        x0, Q, P0 = np.ones(2), np.eye(2), 2.0 * np.eye(2)
+        config = FilterConfig(functional=Functional("ekf"), Q_tuned=Q, x0_hat=x0, P0=P0)
+        for array in (x0, Q, P0):
+            array[0, ...] = 5.0
+        assert np.array_equal(config.x0_hat, np.ones(2))
+        assert np.array_equal(config.Q_tuned, np.eye(2))
+        assert np.array_equal(config.P0, 2.0 * np.eye(2))
+        for name in ("x0_hat", "Q_tuned", "P0"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(config, name).flat[0] = 1.0
+
     def test_indefinite_tuning_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig(functional=Functional("ekf"), Q_tuned=np.diag([1.0, 0.0]),
@@ -806,7 +821,7 @@ class TestFilterConfig:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_tuning_rejected(self, bad):
-        with pytest.raises(ValueError, match="x0_hat must be finite"):
+        with pytest.raises(ValueError, match="x0_hat must be a finite number"):
             make_filter_config("ekf", builtin_contractive3d(), x0_hat=[0.0, bad, 0.0])
         for field in ("Q_tuned", "P0"):
             M = np.eye(2)

@@ -311,7 +311,7 @@ class TestConcentrationCheck:
     def test_rows_count_only_paths_that_never_diverged(self):
         # a cubic drift blows most paths up; 6 of them diverge after the last
         # checkpoint (t = 2) and must not be counted there either
-        model = ContinuousModel(dim_x=1, dim_y=1, f=lambda x: x**3, jac_f=lambda x: 3 * x[..., None] ** 2,
+        model = ContinuousModel(f=lambda x: x**3, jac_f=lambda x: 3 * x[..., None] ** 2,
                                 Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=np.zeros(1),
                                 Sigma0=0.5 * np.eye(1), known_M_f=-1.0, known_N_f=-1.0, name="cubic")
         config = make_filter_config("ekf", model)

@@ -162,18 +162,19 @@ class TestIntegratedVelocity:
         assert model.S[1, 1] == pytest.approx(0.0)
         assert model.s_scalar() is None
 
-    @pytest.mark.parametrize("name, value, args", [
-        ("R", [[0.5]], {"r": 0.5}),
-        ("H", [[2.0, 0.0]], {"h": 2.0}),
-    ], ids=["R", "H"])
-    def test_assigned_field_drops_the_cached_rate(self, name, value, args):
-        # HtRinv and S are cached on first use; assigning H or R afterwards must not leave them stale
+    @pytest.mark.parametrize("changes, args", [
+        ({"R": [[0.5]]}, {"r": 0.5}),
+        ({"H": [[2.0, 0.0]]}, {"h": 2.0}),
+        ({"H": [[2.0, 0.0]], "R": [[0.5]]}, {"h": 2.0, "r": 0.5}),
+    ], ids=["R", "H", "H-and-R"])
+    def test_replaced_field_gets_the_fresh_cache(self, changes, args):
+        # HtRinv and S are cached on first use; a replaced model derives them afresh
         model = builtin_integrated_velocity()
         model.S, model.HtRinv
-        setattr(model, name, np.array(value))
+        replaced = dataclasses.replace(model, **changes)
         fresh = builtin_integrated_velocity(**args)
-        assert np.array_equal(model.S, fresh.S)
-        assert np.array_equal(model.HtRinv, fresh.HtRinv)
+        assert np.array_equal(replaced.S, fresh.S)
+        assert np.array_equal(replaced.HtRinv, fresh.HtRinv)
 
     def test_slope_bounds_bracket_sampled_slopes(self, rng):
         z = rng.uniform(-50, 50, 100000)
@@ -224,7 +225,7 @@ class TestIntegratedVelocity:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="must be finite"):
                 builtin_integrated_velocity(a1=bad)
-            with pytest.raises(ValueError, match="A must be finite"):
+            with pytest.raises(ValueError, match="A must be a finite number"):
                 builtin_linear([[bad]], Q=np.eye(1), H=np.eye(1), R=np.eye(1))
 
     @pytest.mark.parametrize("bad", [True, "1"])
@@ -336,9 +337,9 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_initial_mean_rejected(self, bad):
-        with pytest.raises(ValueError, match="mu0 must be finite"):
+        with pytest.raises(ValueError, match="mu0 must be a finite number"):
             builtin_linear(np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2), mu0=[0.0, bad])
-        with pytest.raises(ValueError, match="mu0 must be finite"):
+        with pytest.raises(ValueError, match="mu0 must be a finite number"):
             builtin_discrete_linear(np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=[bad])
 
     @pytest.mark.parametrize("field, bad", [
@@ -351,11 +352,24 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(model, **{field: bad})
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuousModel(dim_x=2, dim_y=1, f=lambda x: x, jac_f=lambda x: x,
-                            Q=np.eye(2), H=np.eye(2), R=np.eye(1), mu0=np.zeros(2),
-                            Sigma0=np.eye(2))
+    @pytest.mark.parametrize("name, value", [
+        ("H", np.ones(2)),
+        ("Q", np.eye(3)),
+        ("R", np.eye(2)),
+        ("Sigma0", np.eye(1)),
+        ("mu0", np.zeros(3)),
+    ])
+    def test_shape_mismatch_rejected(self, name, value):
+        # the sizes come from H, (dim_y, dim_x) = (1, 2) here; each field that does not match it is named
+        fields = dict(f=lambda x: x, jac_f=lambda x: x, Q=np.eye(2), H=np.eye(1, 2), R=np.eye(1),
+                      mu0=np.zeros(2), Sigma0=np.eye(2))
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            ContinuousModel(**{**fields, name: value})
+
+    def test_drift_matrix_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="^A must have shape"):
+            builtin_linear(-np.eye(3), Q=np.eye(2), H=np.eye(2), R=np.eye(2), mu0=np.zeros(2),
+                           Sigma0=np.eye(2))
 
     def test_fields_are_keyword_only(self):
         with pytest.raises(TypeError):
@@ -373,6 +387,67 @@ class TestModelValidation:
             simulate_paths(discrete, dt=0.1, horizon=1.0, seed=0, n_paths=2)
         with pytest.raises(ValueError):
             simulate_discrete_paths(builtin_contractive3d(), steps=3, seed=0, n_paths=2)
+
+
+class TestModelsAreValues:
+    """A model is a frozen value: its sizes come from ``H`` and its arrays are read-only copies."""
+
+    BUILDS = {
+        "contractive3d": builtin_contractive3d,
+        "velocity": builtin_integrated_velocity,
+        "linear": lambda: builtin_linear(-np.eye(2), Q=np.eye(2), H=np.eye(1, 2), R=np.eye(1)),
+        "discrete": lambda: builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2)),
+    }
+    ARRAYS = ("Q", "H", "R", "mu0", "Sigma0", "HtRinv", "S")
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_sizes_come_from_H(self, build):
+        model = build()
+        assert (model.dim_y, model.dim_x) == model.H.shape
+        assert [field.name for field in dataclasses.fields(model) if not field.init] == ["dim_x", "dim_y"]
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_every_field_is_frozen(self, build):
+        model = build()
+        for field in dataclasses.fields(model):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, field.name, getattr(model, field.name))
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_arrays_are_read_only(self, build, name):
+        # an in-place edit, such as m.S; m.R[0, 0] = 0.5, would leave the cached S of the old R
+        model = build()
+        model.S
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name).flat[0] = 0.5
+        fresh = build()
+        for field in self.ARRAYS:
+            assert np.array_equal(getattr(model, field), getattr(fresh, field)), field
+
+    @pytest.mark.parametrize("build", [builtin_linear, builtin_discrete_linear], ids=["cont", "disc"])
+    def test_callers_arrays_are_copied(self, build):
+        A, Q, H, R, mu0, Sigma0 = -np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.ones(2), np.eye(2)
+        model = build(A, Q, H, R, mu0=mu0, Sigma0=Sigma0)
+        want = build(A.copy(), Q.copy(), H.copy(), R.copy(), mu0=mu0.copy(), Sigma0=Sigma0.copy())
+        model.S, model.HtRinv
+        x = np.array([[0.3, -0.7]])
+        for array in (A, Q, H, R, mu0, Sigma0):
+            array[0, ...] = 3.0
+        for name in self.ARRAYS:
+            assert np.array_equal(getattr(model, name), getattr(want, name)), name
+        assert np.array_equal(model.f(x), want.f(x))
+        assert np.array_equal(model.jac_f(x), want.jac_f(x))
+
+    def test_replace_derives_new_sizes(self):
+        # one measured component of contractive3d: (dim_y, dim_x) = (1, 3), and S from the new H and R
+        model = builtin_contractive3d()
+        model.S, model.HtRinv
+        replaced = dataclasses.replace(model, H=np.eye(1, 3), R=[[8.0]])
+        assert (replaced.dim_x, replaced.dim_y) == (3, 1)
+        assert np.array_equal(replaced.HtRinv, np.eye(3, 1) / 8.0)
+        assert np.array_equal(replaced.S, np.diag([1.0 / 8.0, 0.0, 0.0]))
+        assert (model.dim_y, model.S[1, 1]) == (3, 1.0 / 8.0)
 
 
 class TestContinuousSimulation:
@@ -437,7 +512,7 @@ class TestContinuousSimulation:
     def test_paths_diverging_at_different_steps(self):
         # x' = x - x^3 under Euler steps of 0.1: paths started far out
         # overflow, each at its own step, and the rest settle
-        model = ContinuousModel(dim_x=1, dim_y=1, f=lambda x: x - x**3, jac_f=lambda x: (1 - 3 * x**2)[..., None],
+        model = ContinuousModel(f=lambda x: x - x**3, jac_f=lambda x: (1 - 3 * x**2)[..., None],
                                 Q=np.eye(1), H=np.eye(1), R=np.eye(1), mu0=np.zeros(1), Sigma0=25.0 * np.eye(1))
         batch = simulate_paths(model, dt=0.1, horizon=2.0, seed=3, n_paths=12)
         diverged = batch[3]
@@ -537,7 +612,7 @@ class TestDiscreteSimulation:
         # negative paths grow tenfold a step until H x overflows while the
         # state is still finite; fmin maps the frozen NaN state to a finite
         # value, which must not bring the path back
-        model = DiscreteModel(dim_x=1, dim_y=1, f=lambda x: np.fmin(10.0 * x, 1e4),
+        model = DiscreteModel(f=lambda x: np.fmin(10.0 * x, 1e4),
                               jac_f=lambda x: np.where(10.0 * x < 1e4, 10.0, 0.0)[..., None],
                               Q=np.eye(1), H=1e300 * np.eye(1), R=np.eye(1), mu0=np.zeros(1), Sigma0=np.eye(1))
         batch = simulate_discrete_paths(model, steps=15, seed=2, n_paths=10)

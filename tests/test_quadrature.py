@@ -245,7 +245,7 @@ class TestCholeskyRecurrence:
 class TestExactnessChecker:
     def test_scaled_weights_fail(self):
         rule = unscented_rule(2)
-        bad = CubatureRule(dim=2, points=rule.points, weights=rule.weights * 1.1)
+        bad = CubatureRule(points=rule.points, weights=rule.weights * 1.1)
         report = check_degree_two_exactness(bad)
         assert not report.passed
         assert report.weight_sum_residual == pytest.approx(0.1)
@@ -253,8 +253,28 @@ class TestExactnessChecker:
     def test_gh_2x4_passes(self):
         assert check_degree_two_exactness(gauss_hermite_rule(2, 4)).passed
 
+    def test_rule_is_a_read_only_copy_sized_by_its_points(self):
+        points, weights = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
+        rule = CubatureRule(points=points, weights=weights)
+        assert rule.dim == 1
+        points[0, 0] = 2.0
+        assert points.flags.writeable and rule.points[0, 0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rule.weights[0] = 1.0
+
+    @pytest.mark.parametrize("name", ["points", "weights"])
+    def test_non_finite_entry_named(self, name):
+        fields = {"points": [[1.0], [-1.0]], "weights": [0.5, 0.5]}
+        fields[name][1] = np.nan if name == "weights" else [np.inf]
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            CubatureRule(**fields)
+
+    def test_points_that_are_no_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"^points must have shape \(len\(weights\), dim\)"):
+            CubatureRule(points=[1.0, -1.0], weights=[0.5, 0.5])
+
     def test_reports_negative_weights(self):
-        rule = CubatureRule(dim=1, points=[[1.0], [-1.0], [0.0]], weights=[0.75, 0.75, -0.5])
+        rule = CubatureRule(points=[[1.0], [-1.0], [0.0]], weights=[0.75, 0.75, -0.5])
         report = check_degree_two_exactness(rule)
         assert report.negative_weight_count == 1
         assert report.min_weight == pytest.approx(-0.5)

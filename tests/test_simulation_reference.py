@@ -99,7 +99,7 @@ def random_model(time, dx, dy, f=None, H_scale=1.0, Q_scale=1.0, Sigma0=None, se
         def f(x):
             return x @ A.T + 0.4 * np.sin(x)
     cls = ContinuousModel if time == "cont" else DiscreteModel
-    return cls(dim_x=dx, dim_y=dy, f=f, jac_f=lambda x: np.broadcast_to(A, x.shape + (dx,)).copy(),
+    return cls(f=f, jac_f=lambda x: np.broadcast_to(A, x.shape + (dx,)).copy(),
                Q=Q_scale * spd(rng, dx, 0.05), H=H / np.abs(H).max() * H_scale, R=spd(rng, dy, 0.1),
                mu0=rng.standard_normal(dx), Sigma0=spd(rng, dx, 0.0) if Sigma0 is None else Sigma0)
 

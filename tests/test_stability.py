@@ -384,9 +384,9 @@ class TestInflation:
 
     def test_required_inflation_closed_form(self):
         # M = 1, target 1, s = 1, N = 0, d = 1: floor sqrt(q) >= 2 gives q = 4
-        model = builtin_linear(np.zeros((1, 1)), Q=np.eye(1), H=np.eye(1), R=np.eye(1),
-                               mu0=np.zeros(1), Sigma0=np.eye(1))
-        model.known_M_f, model.known_N_f = 1.0, 0.0
+        model = dataclasses.replace(builtin_linear(np.zeros((1, 1)), Q=np.eye(1), H=np.eye(1), R=np.eye(1),
+                                                   mu0=np.zeros(1), Sigma0=np.eye(1)),
+                                    known_M_f=1.0, known_N_f=0.0)
         q = required_inflation(model, target_lambda=1.0)
         assert q[0, 0] == pytest.approx(4.0, rel=1e-12)
 
@@ -511,7 +511,7 @@ class TestIntegratedVelocityCertificate:
         ({"H": np.array([[1.0, 1.0]])}, "H"),
         ({"H": np.array([[0.0, 1.0]])}, "H"),
         ({"H": np.array([[0.0, 0.0]])}, "H"),
-        ({"dim_y": 2, "H": np.eye(2), "R": 0.05 * np.eye(2)}, "R"),
+        ({"H": np.eye(2), "R": 0.05 * np.eye(2)}, "R"),
     ], ids=["both-components", "velocity", "nothing", "two-measurements"])
     def test_model_that_does_not_measure_the_position_rejected(self, changes, field):
         # the certificate's bounds hold only for H = [[h, 0]], h != 0, and a
