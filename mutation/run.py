@@ -8,8 +8,10 @@ an unchanged copy, which must pass. Then, for each mutant, it copies
 ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
 makes the substitution (its old text must occur exactly once) and runs the
 ids there with ``pytest -x``. The mutant is killed when a test fails and
-survives when they all pass; any other pytest outcome is an error. The
-exit status is 1 when a mutant survives or errs, or the unchanged copy
+survives when they all pass; any other pytest outcome is an error.
+Pytest runs with plain asserts: a verdict reads only the exit code, and
+rewriting the asserts of some 80 plugin modules took most of each start.
+The exit status is 1 when a mutant survives or errs, or the unchanged copy
 fails, and 0 otherwise.
 
 Plain Python and the test suite's own packages; pytest does not collect
@@ -243,10 +245,26 @@ MUTANTS = (
     Mutant(
         name="attached-constant-accepts-bool",
         file="src/kbstab/checks.py",
+        old="if isinstance(value, bool) or not isinstance(value, numbers.Real)",
+        new="if not isinstance(value, numbers.Real)",
+        tests=("tests/test_models.py::TestModelValidation::test_attached_drift_constant_checked",
+               "tests/test_stability.py::TestContinuousBounds::test_constant_that_is_not_finite_named"),
+    ),
+    Mutant(
+        name="finite-check-accepts-bool",
+        file="src/kbstab/checks.py",
         old='if arr.dtype.kind not in "iuf" or',
         new='if arr.dtype.kind not in "biuf" or',
-        tests=("tests/test_models.py::TestModelValidation::test_attached_drift_constant_checked",
-               "tests/test_stability.py::TestContinuousBounds::test_time_that_is_not_finite_named"),
+        tests=("tests/test_stability.py::TestContinuousBounds::test_time_that_is_not_finite_named",
+               "tests/test_arguments.py::test_bad_argument_named[make_filter_config-P0-bool]"),
+    ),
+    Mutant(
+        name="rule-builder-takes-a-bool-dim",
+        file="src/kbstab/checks.py",
+        old="if isinstance(value, bool) or not isinstance(value, numbers.Integral)",
+        new="if not isinstance(value, numbers.Integral)",
+        tests=("tests/test_arguments.py::test_bad_argument_named[gauss_hermite_rule-dim-True]",
+               "tests/test_arguments.py::test_bad_argument_named[unscented_rule-dim-True]"),
     ),
     Mutant(
         name="model-aliases-the-callers-H",
@@ -262,7 +280,8 @@ MUTANTS = (
         old="dim_y, dim_x = H.shape\n",
         new="dim_y, dim_x = H.shape[1], H.shape[1]\n",
         tests=("tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[cont-2-1-7]",
-               "tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[disc-1-2-7]"),
+               "tests/test_simulation_reference.py::test_record_matches_the_out_of_place_loop[disc-1-2-7]",
+               "tests/test_models.py::TestModelsAreValues::test_sizes_come_from_H[linear]"),
     ),
     Mutant(
         name="run-skips-the-config-size-check",
@@ -566,9 +585,9 @@ def copy_checkout(dest):
 
 
 def run_tests(tree, tests):
-    """Pytest's exit code for ``tests`` run with ``-x`` in ``tree``."""
+    """Pytest's exit code for ``tests`` run with ``-x`` and plain asserts in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain", *tests]
     return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 

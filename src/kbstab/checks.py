@@ -1,4 +1,12 @@
-"""Checks of arguments and field outputs, one rule each for every layer that takes them."""
+"""Checks of arguments and field outputs, one rule each for every layer that takes them.
+
+Every number, size and matrix the API takes goes through one of the rules
+here, so a bad one raises ``ValueError("<name> must be ...")`` naming its
+argument: a number that is no finite real (NaN, an infinity, a bool, text,
+``None``) reads ``<name> must be a finite number, got ...``, an integer
+that is none ``<name> must be an integer, got ...``, and a value out of
+range ``<name> must be at least ...`` or ``greater than ...``.
+"""
 
 import math
 import numbers
@@ -15,16 +23,32 @@ def check_integer(name, value, low=None):
     return int(value)
 
 
-def is_finite_real(value):
-    """Whether ``value`` is a finite real number (a bool is not)."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+def check_number(name, value, low=None, strict=False):
+    """``value`` as a float; a ``ValueError`` naming ``name`` unless it is one finite real at least ``low``.
+
+    A bool, an array, text and ``None`` are no number. With ``strict`` the
+    value must lie above ``low``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if low is not None and (value <= low if strict else value < low):
+        raise ValueError(f"{name} must be {'greater than' if strict else 'at least'} {low}, got {value!r}")
+    return float(value)
 
 
 def check_finite(name, value):
-    """``value`` as an array; a ``ValueError`` naming ``name`` unless each entry is a finite real (no bool)."""
+    """``value`` as an array, not copied; a ``ValueError`` naming ``name`` unless each entry is a finite real (no bool)."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return arr
+
+
+def check_square(name, value):
+    """``value`` as a float array, a float64 one not copied: a square matrix or a stack, entries as :func:`check_finite` allows."""
+    arr = np.asarray(check_finite(name, value), dtype=float)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {arr.shape}")
     return arr
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_finite, is_finite_real, read_only
+from .checks import check_finite, check_number, read_only
 from .functionals import (
     Functional,
     eval_drift_batch,
@@ -77,7 +77,7 @@ FILTER_KINDS = ("ekf", "ukf", "adf", "gh")
 _DEGENERATE_TRACE = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterConfig:
     """Filter variant plus tuning of one size, kept as read-only copies: finite ``x0_hat``, positive definite ``Q_tuned``, ``P0``."""
 
@@ -89,10 +89,10 @@ class FilterConfig:
     def __post_init__(self):
         x0 = read_only(check_finite("x0_hat", self.x0_hat).ravel())
         for name in ("Q_tuned", "P0"):
-            M = np.asarray(getattr(self, name), dtype=float)
+            M = _check_psd(name, getattr(self, name), definite=True)
             if M.shape != (x0.size, x0.size):
                 raise ValueError(f"{name} must have shape {(x0.size, x0.size)} like x0_hat, got {M.shape}")
-            object.__setattr__(self, name, read_only(_check_psd(name, M, definite=True)))
+            object.__setattr__(self, name, read_only(M))
         object.__setattr__(self, "x0_hat", x0)
 
     def check_dim(self, dim):
@@ -322,10 +322,9 @@ def run_continuous_ensemble(model, config, states, increments, dt):
     ``states`` (B, n+1, d) are the true states used only to record errors;
     ``increments`` row ``k >= 1`` is consumed to advance from ``k-1`` to
     ``k``. Paths that turn non-finite are frozen and reported, not raised.
-    ``dt`` must be positive and finite.
+    ``dt`` must be a finite number greater than 0.
     """
-    if not (is_finite_real(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    check_number("dt", dt, low=0, strict=True)
     return _run("cont", model, config, states, increments, dt)
 
 

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import check_field, check_integer, is_finite_real
+from .checks import check_field, check_finite, check_integer, check_number
 from .models import philox
 from .quadrature import (
     CubatureRule,
@@ -90,7 +90,7 @@ def reference_rule(dim):
     return gauss_hermite_rule(dim, order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Functional:
     """One filter's expectation rule: ``ekf`` takes no rule, ``sigma`` and ``adf`` an admissible one.
 
@@ -119,15 +119,15 @@ class Functional:
 
 def _as_batch(x, P):
     """``x`` as ``(B, d)`` and ``P`` checked and viewed batch-last, with whether the input was one state."""
-    x = np.asarray(x, dtype=float)
-    P = np.asarray(P, dtype=float)
+    x = np.asarray(check_finite("x", x), dtype=float)
+    P = _check_psd("P", P)
     single = x.ndim == 1
     if single:
         x = x[None, :]
         P = P[None, :, :]
     if P.shape != (x.shape[0], x.shape[1], x.shape[1]):
         raise ValueError("P must have shape (d, d) matching x")
-    return x, _batch_last(_check_psd("P", P)), single
+    return x, _batch_last(P), single
 
 
 def _sigma_points(rule, x, L):
@@ -368,13 +368,13 @@ def assumption_inputs(dim, samples=10000, seed=0, box=(-5.0, 5.0)):
     samples = check_integer("samples", samples, low=1)
     seed = check_integer("seed", seed)
     try:
-        lo, hi = box
+        lo, hi = (check_number("box", value) for value in box)
     except (TypeError, ValueError):
         lo = hi = None
-    if not (is_finite_real(lo) and is_finite_real(hi) and lo < hi):
+    if lo is None or not lo < hi:
         raise ValueError(f"box must be two finite numbers low < high, got {box!r}")
     dim = check_integer("dim", dim, low=1)
-    return AssumptionInputs(*_sample_inputs(dim, samples, seed, (float(lo), float(hi))))
+    return AssumptionInputs(*_sample_inputs(dim, samples, seed, (lo, hi)))
 
 
 def _report(lhs, rhs, samples, c_g):
@@ -410,10 +410,10 @@ def check_assumption_continuous(F, g, m_g, n_g, inputs, *, c_g=None):
     another type, or of another size than the functional's rule, is a
     ``ValueError`` naming ``inputs``.
     """
-    if not (is_finite_real(m_g) and is_finite_real(n_g) and n_g <= m_g):
-        raise ValueError("need finite m_g >= n_g")
-    if c_g is None:
-        c_g = 0.0 if F.kind == "ekf" else float(m_g - n_g)
+    m_g, n_g = check_number("m_g", m_g), check_number("n_g", n_g)
+    if n_g > m_g:
+        raise ValueError(f"n_g must be at most m_g = {m_g!r}, got {n_g!r}")
+    c_g = (0.0 if F.kind == "ekf" else m_g - n_g) if c_g is None else check_number("c_g", c_g)
     x, x_alt, P = _check_inputs(F, inputs)
     gx = np.asarray(g(x), dtype=float)
     L = eval_mean_batch(F, g, x_alt, _batch_last(P))
@@ -431,10 +431,8 @@ def check_assumption_discrete(F, g, jf_norm, inputs, *, c_g=None):
     test alternatives (for example ``jf_norm ** 2``). ``inputs`` is taken
     and checked as in :func:`check_assumption_continuous`.
     """
-    if not is_finite_real(jf_norm) or jf_norm < 0:
-        raise ValueError("jf_norm must be finite and nonnegative")
-    if c_g is None:
-        c_g = 0.0 if F.kind == "ekf" else float(jf_norm)
+    jf_norm = check_number("jf_norm", jf_norm, low=0)
+    c_g = (0.0 if F.kind == "ekf" else jf_norm) if c_g is None else check_number("c_g", c_g)
     x, x_alt, P = _check_inputs(F, inputs)
     gx = np.asarray(g(x), dtype=float)
     L = eval_mean_batch(F, g, x_alt, _batch_last(P))

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .checks import check_integer, is_finite_real
+from .checks import check_integer, check_number
 from .errors import ExperimentDivergenceError
 from .filters import make_filter_config, run_continuous_ensemble
 from .models import _steps_for, builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
@@ -62,11 +62,10 @@ class ExperimentSpec:
             raise ValueError(f"model_params must be an object of keyword arguments, got {self.model_params!r}")
         for name, low in (("trajectories", 1), ("workers", 1), ("seed", None)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
-        for name in ("dt", "horizon", "checkpoint_every", "average_from", "domination_from"):
-            if not is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in ("horizon", "checkpoint_every"):
             _steps_for(self.dt, getattr(self, name), name)
+        for name in ("average_from", "domination_from"):
+            check_number(name, getattr(self, name))
         if self.certificate not in ("auto", "none"):
             raise ValueError("certificate must be 'auto' or 'none'")
         if isinstance(self.filters, str) or not self.filters:
@@ -74,10 +73,10 @@ class ExperimentSpec:
         repeated = [kind for i, kind in enumerate(self.filters) if kind in self.filters[:i]]
         if repeated:
             raise ValueError(f"filters name {repeated[0]!r} more than once: {list(self.filters)!r}")
-        if not (isinstance(self.deltas, (list, tuple)) and all(is_finite_real(d) and d > 0 for d in self.deltas)):
+        if not isinstance(self.deltas, (list, tuple)):
             raise ValueError(f"deltas must be a list of positive finite numbers, got {self.deltas!r}")
         object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        object.__setattr__(self, "deltas", tuple(check_number("deltas", d, low=0, strict=True) for d in self.deltas))
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -106,7 +105,7 @@ def preset_spec(name, **overrides):
 
 
 def build_model(spec):
-    """Instantiate the spec's model by name; a ``ValueError`` names ``model_params`` when a key is missing or unknown or a value has the wrong type."""
+    """Instantiate the spec's model by name; a ``ValueError`` names ``model_params`` when a key is missing or unknown or the builder rejects a value."""
     builder = {"contractive3d": builtin_contractive3d, "integrated_velocity": builtin_integrated_velocity,
                "linear": builtin_linear}.get(spec.model)
     if builder is None:
@@ -118,13 +117,9 @@ def build_model(spec):
     if problems:
         raise ValueError(f"model_params for {spec.model!r}: {'; '.join(problems)} "
                          f"(accepted: {', '.join(accepted) or 'none'})")
-    for name, value in spec.model_params.items():
-        if isinstance(accepted[name].default, float) and not is_finite_real(value):
-            raise ValueError(f"model_params for {spec.model!r}: {name} must be a finite number, "
-                             f"not {type(value).__name__} {value!r}")
     try:
         return builder(**spec.model_params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model_params for {spec.model!r}: {exc}") from exc
 
 

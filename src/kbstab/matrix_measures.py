@@ -18,14 +18,7 @@ SVD the relative error stayed below 1.6e-15.
 
 import numpy as np
 
-
-def _validated_square(A):
-    A = np.asarray(A, dtype=float)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
+from .checks import check_square
 
 
 def log_norm_range(A):
@@ -34,7 +27,7 @@ def log_norm_range(A):
     Accepts stacked matrices with shape ``(..., d, d)`` and returns arrays
     with matching leading dimensions (floats for one matrix).
     """
-    A = _validated_square(A)
+    A = check_square("A", A)
     vals = np.linalg.eigvalsh(A + np.swapaxes(A, -1, -2))
     nu, mu = 0.5 * vals[..., 0], 0.5 * vals[..., -1]
     return (float(nu), float(mu)) if mu.ndim == 0 else (nu, mu)
@@ -69,7 +62,7 @@ def spectral_norm(A):
     Accepts one matrix or a stack ``(..., d, d)``, returning a float or an
     array of the leading shape.
     """
-    A = _validated_square(A)
+    A = check_square("A", A)
     s = np.max(np.abs(A), axis=(-2, -1), keepdims=True)
     s[s == 0] = 1.0
     G = A / s

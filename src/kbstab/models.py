@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .checks import check_field, check_finite, check_integer, is_finite_real, read_only
+from .checks import check_field, check_finite, check_integer, check_number, check_square, read_only
 from .quadrature import _check_psd, _matmul_last, matrix_sqrt
 
 
@@ -107,7 +107,7 @@ def _rekeyer(gen):
     return rekey
 
 
-@dataclass(kw_only=True, frozen=True)
+@dataclass(kw_only=True, frozen=True, eq=False)
 class _Model:
     """Fields and checks shared by both time models; ``time`` names the kind.
 
@@ -143,18 +143,16 @@ class _Model:
             raise ValueError(f"mu0 must have {dim_x} entries to match H, got shape {mu0.shape}")
         facts = {"H": H, "mu0": read_only(mu0.reshape(dim_x)), "dim_x": dim_x, "dim_y": dim_y}
         for name, dim in (("Q", dim_x), ("R", dim_y), ("Sigma0", dim_x)):
-            M = np.asarray(getattr(self, name), dtype=float)
+            M = _check_psd(name, getattr(self, name))
             if M.shape != (dim, dim):
                 raise ValueError(f"{name} must have shape {(dim, dim)} to match H, got {M.shape}")
-            facts[name] = read_only(_check_psd(name, M))
+            facts[name] = read_only(M)
         for name, value in facts.items():
             object.__setattr__(self, name, value)
-        for name in ("known_jf_norm", "known_M_f", "known_N_f"):
+        for name, low in (("known_jf_norm", 0), ("known_M_f", None), ("known_N_f", None)):
             value = getattr(self, name, None)
-            if value is not None and check_finite(name, value).ndim:
-                raise ValueError(f"{name} must be None or a number, got {value!r}")
-        if self.known_jf_norm is not None and self.known_jf_norm < 0:
-            raise ValueError(f"known_jf_norm must be nonnegative, got {self.known_jf_norm!r}")
+            if value is not None:
+                check_number(name, value, low)
 
     @cached_property
     def HtRinv(self):
@@ -176,7 +174,7 @@ class _Model:
         return None
 
 
-@dataclass(kw_only=True, frozen=True)
+@dataclass(kw_only=True, frozen=True, eq=False)
 class ContinuousModel(_Model):
     """Continuous-time diffusion model with linear measurements.
 
@@ -206,7 +204,7 @@ class ContinuousModel(_Model):
                 raise ValueError("known_N_f must not exceed known_M_f")
 
 
-@dataclass(kw_only=True, frozen=True)
+@dataclass(kw_only=True, frozen=True, eq=False)
 class DiscreteModel(_Model):
     """Discrete-time recursion with per-step Gaussian noise."""
 
@@ -215,10 +213,8 @@ class DiscreteModel(_Model):
 
 def _steps_for(dt, span, name):
     """Steps of ``dt`` in ``span``, a whole number of at least 1 up to ``1e-9 max(1, span)``; errors name ``name``."""
-    if not (is_finite_real(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not is_finite_real(span):
-        raise ValueError(f"{name} must be finite, got {span!r}")
+    dt = check_number("dt", dt, low=0, strict=True)
+    span = check_number(name, span)
     if span < dt:
         raise ValueError(f"{name} must be at least one step")
     n = int(round(span / dt))
@@ -607,10 +603,9 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
     reads ``h``, ``r``, ``a1`` and ``a2`` back from ``H``, ``R`` and the
     drift's Jacobian.
     """
-    if not all(map(is_finite_real, (a1, a2, q1, q2, h, r))):
-        raise ValueError("a1, a2, q1, q2, h and r must be finite")
-    if a2 <= 0 or q1 <= 0 or q2 <= 0 or r <= 0:
-        raise ValueError("a2, q1, q2 and r must be positive")
+    a1, h = check_number("a1", a1), check_number("h", h)
+    a2, q1, q2, r = (check_number(name, value, low=0, strict=True)
+                     for name, value in (("a2", a2), ("q1", q1), ("q2", q2), ("r", r)))
     if h == 0:
         raise ValueError("h must be nonzero")
 
@@ -669,7 +664,7 @@ def builtin_linear(A, Q, H, R, mu0=None, Sigma0=None):
     The log-Lipschitz constants are exact for linear drifts and attached
     automatically.
     """
-    A = np.asarray(A, dtype=float)
+    A = check_square("A", A)
     vals = np.linalg.eigvalsh(0.5 * (A + A.T))
     return _linear_model(ContinuousModel, A, Q, H, R, mu0, Sigma0, "linear",
                          known_M_f=float(vals[-1]), known_N_f=float(vals[0]))

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .checks import check_finite, read_only
+from .checks import check_finite, check_integer, check_number, check_square, read_only
 from .errors import IndefiniteMatrixError
 
 MAX_RULE_POINTS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubatureRule:
     """Finite unit sigma-points ``points`` (n, dim) and weights ``weights`` (n,), kept as read-only copies; ``dim`` is derived."""
 
@@ -64,13 +64,8 @@ def unscented_rule(dim, kappa=None):
     ``kappa >= 0`` so that every weight is nonnegative, a condition the
     stability constants depend on.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if kappa is None:
-        kappa = default_unscented_kappa(dim)
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative (negative weights are not allowed)")
+    dim = check_integer("dim", dim, low=1)
+    kappa = default_unscented_kappa(dim) if kappa is None else check_number("kappa", kappa, low=0)
     scale = np.sqrt(dim + kappa)
     eye = np.eye(dim)
     points = np.vstack([np.zeros((1, dim)), scale * eye, -scale * eye])
@@ -84,10 +79,8 @@ def gauss_hermite_rule(dim, order):
     ``order`` nodes per axis, hence ``order ** dim`` points with positive
     weights; exact for polynomials up to total degree ``2 order - 1``.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if order < 2:
-        raise ValueError("order must be at least 2")
+    dim = check_integer("dim", dim, low=1)
+    order = check_integer("order", order, low=2)
     if order**dim > MAX_RULE_POINTS:
         raise ValueError(f"rule would have {order**dim} points (limit {MAX_RULE_POINTS})")
     nodes, weights = hermegauss(order)
@@ -194,12 +187,11 @@ def _psd_root(P):
 def _check_psd(name, M, definite=False):
     """The symmetrized ``M``, a square matrix or a stack, each finite, symmetric and PSD, naming ``name``.
 
-    The library's one covariance check. Per matrix, with ``s = max(1, max |M_ij|)``, asymmetry up to
-    ``1e-10 s`` and eigenvalues down to ``-1e-10 s`` (above zero with ``definite``) are allowed.
+    The library's one covariance check, on top of :func:`~kbstab.checks.check_square`. Per
+    matrix, with ``s = max(1, max |M_ij|)``, asymmetry up to ``1e-10 s`` and eigenvalues down to
+    ``-1e-10 s`` (above zero with ``definite``) are allowed.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} must be finite")
+    M = check_square(name, M)
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
     if np.any(np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValueError(f"{name} must be symmetric")
@@ -214,13 +206,13 @@ def _check_psd(name, M, definite=False):
 def matrix_sqrt(P):
     """Symmetric positive-semidefinite square root via eigendecomposition.
 
-    ``P`` must pass :func:`_check_psd`; its eigenvalues in ``[-1e-10 s, 0)``
-    are rounding noise and clamped to zero.
+    ``P`` must be one matrix that passes :func:`_check_psd`; its eigenvalues
+    in ``[-1e-10 s, 0)`` are rounding noise and clamped to zero.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("expected a single square matrix")
-    vals, vecs = np.linalg.eigh(_check_psd("matrix", P))
+    P = _check_psd("P", P)
+    if P.ndim != 2:
+        raise ValueError(f"P must be a single square matrix, got shape {P.shape}")
+    vals, vecs = np.linalg.eigh(P)
     S = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (S + S.T)
 
@@ -246,8 +238,12 @@ def check_degree_two_exactness(rule, tol=1e-10):
 
     Checks that weights sum to one, the weighted mean of the points is zero
     and their weighted second moment is the identity. Negative weights are
-    reported but do not fail the moment check on their own.
+    reported but do not fail the moment check on their own. ``tol`` is a
+    finite number at least 0.
     """
+    if not isinstance(rule, CubatureRule):
+        raise ValueError(f"rule must be a CubatureRule, got {type(rule).__name__}")
+    tol = check_number("tol", tol, low=0)
     w, xi = rule.weights, rule.points
     wsum = abs(float(w.sum()) - 1.0)
     mean = float(np.abs(w @ xi).max())

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_finite, check_integer, is_finite_real
+from .checks import check_finite, check_integer, check_number
 from .errors import CertificateError, NoCertificateError, NotContractiveError, NotFullyObservedError
 from .filters import make_filter_config
 from .models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN
@@ -60,7 +60,7 @@ class _Certificate:
     """The constant check and the export both certificate types share.
 
     A subclass names its ``_type`` and lists its constants in export order
-    in ``_constants``: each must be a finite real number (no bool), and the
+    in ``_constants``: each must pass :func:`~kbstab.checks.check_number`, and the
     dict gives them, then ``mse_asymptote``, ``provenance``, the ``_flags``
     and the sorted ``details``. The field ``lam`` is exported as ``lambda``.
     """
@@ -69,9 +69,7 @@ class _Certificate:
 
     def __post_init__(self):
         for name in self._constants:
-            value = getattr(self, name)
-            if not is_finite_real(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            check_number(name, getattr(self, name))
 
     def to_dict(self):
         out = {"type": self._type}
@@ -317,7 +315,7 @@ def required_inflation(model, target_lambda):
     if s is None or s <= 0:
         raise NotFullyObservedError("required_inflation needs S = s I with s > 0")
     d = model.dim_x
-    target = (m_f + float(target_lambda)) / s
+    target = (m_f + check_number("target_lambda", target_lambda)) / s
     if target <= 0:
         return np.zeros((d, d))
     n_f = _drift_constant(model, "known_N_f")
@@ -601,8 +599,8 @@ def gronwall_continuous(x0, alpha, beta_const, t):
     At ``alpha = 0`` the limit ``x0 + beta t`` is returned. The arguments
     broadcast against each other and the limit is taken cell by cell; the
     result is a float when every argument is a scalar or 0-d, else an array.
-    Each argument must be finite and ``t`` nonnegative, else a
-    ``ValueError`` names it.
+    Each entry of each argument must be a finite number and ``t`` nonnegative,
+    else a ``ValueError`` names it.
     """
     x0, alpha, beta_const, t = (check_finite(name, v).astype(float, copy=False) for name, v in
                                 (("x0", x0), ("alpha", alpha), ("beta_const", beta_const), ("t", t)))
@@ -619,7 +617,7 @@ def gronwall_continuous(x0, alpha, beta_const, t):
 def _gaussian_law(m, P):
     """Mean vector and covariance matrix of ``N(m, P)``; ``m = 0`` means the zero vector."""
     P = _check_psd("P", np.atleast_2d(P))
-    m = np.zeros(P.shape[0]) if np.isscalar(m) and m == 0 else np.asarray(m, dtype=float).ravel()
+    m = np.zeros(P.shape[0]) if np.isscalar(m) and m == 0 else np.asarray(check_finite("m", m), dtype=float).ravel()
     if m.size != P.shape[0]:
         raise ValueError(f"m must have size {P.shape[0]} like P, got {m.size}")
     return m, P

@@ -213,8 +213,8 @@ class TestModelParams:
         ("contractive3d", {"q": 1.0}, ["unknown q"]),
         ("integrated_velocity", [1], ["[1]"]),
         ("integrated_velocity", None, ["None"]),
-        ("integrated_velocity", {"a1": "x"}, ["'integrated_velocity'", "not str"]),
-        ("integrated_velocity", {"a1": True}, ["'integrated_velocity'", "a1", "not bool"]),
+        ("integrated_velocity", {"a1": "x"}, ["'integrated_velocity': a1 must be a finite number, got 'x'"]),
+        ("integrated_velocity", {"a1": True}, ["'integrated_velocity': a1 must be a finite number, got True"]),
     ])
     def test_keys_named(self, command, model, params, named, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -333,7 +333,7 @@ class TestRunValues:
         for command in ("simulate", "certify"):
             assert main([command, "--config", str(cfg)]) == 1
             captured = capsys.readouterr()
-            assert captured.err.startswith("config error: mu0 must be a finite number")
+            assert captured.err.startswith("config error: model_params for 'linear': mu0 must be a finite number")
             assert captured.out == ""
 
     def test_singular_measurement_noise_named_alike(self, capsys, tmp_path):

@@ -108,8 +108,9 @@ class TestKalmanBucyStep:
     def test_bad_dt_rejected(self):
         model = scalar_model()
         config = make_filter_config("ekf", model)
-        for dt in (0.0, -0.01, np.nan, np.inf, True, "0.01"):
-            with pytest.raises(ValueError, match="dt must be positive and finite"):
+        for dt, message in ((0.0, "greater than 0"), (-0.01, "greater than 0"), (np.nan, "a finite number"),
+                            (np.inf, "a finite number"), (True, "a finite number"), ("0.01", "a finite number")):
+            with pytest.raises(ValueError, match=f"^dt must be {message}, got {re.escape(repr(dt))}$"):
                 run_continuous_ensemble(model, config, np.zeros((1, 2, 1)), np.zeros((1, 2, 1)), dt)
 
 
@@ -826,7 +827,7 @@ class TestFilterConfig:
         for field in ("Q_tuned", "P0"):
             M = np.eye(2)
             M[0, 1] = M[1, 0] = bad
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite number, got "):
                 FilterConfig(functional=Functional("ekf"), **{"Q_tuned": np.eye(2), "P0": np.eye(2),
                                                                field: M}, x0_hat=np.zeros(2))
 

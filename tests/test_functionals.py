@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestCovarianceArgument:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariance_rejected(self, evaluate, bad):
         F = Functional("sigma", unscented_rule(2))
-        with pytest.raises(ValueError, match="P must be finite"):
+        with pytest.raises(ValueError, match="^P must be a finite number, got "):
             evaluate(F, lambda x: x, np.zeros(2), np.diag([1.0, bad]))
 
     def test_stack_members_judged_each_on_its_own_scale(self):
@@ -523,13 +524,12 @@ class TestAssumptionChecks:
         # a run with m_g = 1 or numpy's TypeError
         F = Functional("ekf")
         inputs = assumption_inputs(1, samples=10)
-        call, message = {
-            "m_g": (lambda: check_assumption_continuous(F, lambda x: x, bad, -1.0, inputs), "need finite m_g >= n_g"),
-            "n_g": (lambda: check_assumption_continuous(F, lambda x: x, 2.0, bad, inputs), "need finite m_g >= n_g"),
-            "jf_norm": (lambda: check_assumption_discrete(F, lambda x: x, bad, inputs),
-                        "jf_norm must be finite and nonnegative"),
+        call = {
+            "m_g": lambda: check_assumption_continuous(F, lambda x: x, bad, -1.0, inputs),
+            "n_g": lambda: check_assumption_continuous(F, lambda x: x, 2.0, bad, inputs),
+            "jf_norm": lambda: check_assumption_discrete(F, lambda x: x, bad, inputs),
         }[constant]
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{constant} must be a finite number, got {re.escape(repr(bad))}$"):
             call()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -13,8 +14,10 @@ from kbstab import (
     builtin_integrated_velocity,
     builtin_linear,
     gauss_hermite_rule,
+    make_filter_config,
     simulate_discrete_paths,
     simulate_paths,
+    unscented_rule,
     velocity_g,
     velocity_g_prime,
 )
@@ -223,7 +226,7 @@ class TestIntegratedVelocity:
         with pytest.raises(ValueError):
             builtin_integrated_velocity(r=-1.0)
         for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="^a1 must be a finite number, got "):
                 builtin_integrated_velocity(a1=bad)
             with pytest.raises(ValueError, match="A must be a finite number"):
                 builtin_linear([[bad]], Q=np.eye(1), H=np.eye(1), R=np.eye(1))
@@ -231,7 +234,7 @@ class TestIntegratedVelocity:
     @pytest.mark.parametrize("bad", [True, "1"])
     @pytest.mark.parametrize("name", ["a1", "a2", "q1", "q2", "h", "r"])
     def test_parameter_that_is_no_real_number_named(self, name, bad):
-        with pytest.raises(ValueError, match="^a1, a2, q1, q2, h and r must be finite$"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {re.escape(repr(bad))}$"):
             builtin_integrated_velocity(**{name: bad})
 
 
@@ -295,19 +298,22 @@ def assert_same_bits(got, want, label=""):
 class TestBuiltinFieldsInPlace:
     """Each built-in field and Jacobian, computed in place, has the bits of its written formula."""
 
+    # each case builds its model in the test, so a fault in model construction fails these
+    # cases, not the collection of the whole module
     FIELDS = {
-        "contractive3d f": (3, _contractive3d_f, written_contractive3d_f),
-        "contractive3d jac": (3, _contractive3d_jac, written_contractive3d_jac),
-        "velocity f": (2, builtin_integrated_velocity().f, written_velocity_f(0.0, 1.0)),
-        "velocity jac": (2, builtin_integrated_velocity().jac_f, written_velocity_jac(0.0, 1.0)),
-        "velocity f, a1 a2": (2, builtin_integrated_velocity(a1=-0.7, a2=2.3).f, written_velocity_f(-0.7, 2.3)),
-        "velocity jac, a1 a2": (2, builtin_integrated_velocity(a1=-0.7, a2=2.3).jac_f,
-                                written_velocity_jac(-0.7, 2.3)),
+        "contractive3d f": lambda: (3, _contractive3d_f, written_contractive3d_f),
+        "contractive3d jac": lambda: (3, _contractive3d_jac, written_contractive3d_jac),
+        "velocity f": lambda: (2, builtin_integrated_velocity().f, written_velocity_f(0.0, 1.0)),
+        "velocity jac": lambda: (2, builtin_integrated_velocity().jac_f, written_velocity_jac(0.0, 1.0)),
+        "velocity f, a1 a2": lambda: (2, builtin_integrated_velocity(a1=-0.7, a2=2.3).f,
+                                      written_velocity_f(-0.7, 2.3)),
+        "velocity jac, a1 a2": lambda: (2, builtin_integrated_velocity(a1=-0.7, a2=2.3).jac_f,
+                                        written_velocity_jac(-0.7, 2.3)),
     }
 
     @pytest.mark.parametrize("name", FIELDS)
     def test_field_matches_its_formula(self, name):
-        d, field, written = self.FIELDS[name]
+        d, field, written = self.FIELDS[name]()
         for shape, x in field_inputs(d):
             assert_same_bits(field(x), written(x), shape)
 
@@ -448,6 +454,23 @@ class TestModelsAreValues:
         assert np.array_equal(replaced.HtRinv, np.eye(3, 1) / 8.0)
         assert np.array_equal(replaced.S, np.diag([1.0 / 8.0, 0.0, 0.0]))
         assert (model.dim_y, model.S[1, 1]) == (3, 1.0 / 8.0)
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_equality_is_identity(self, build):
+        # the generated __eq__ compared array fields as tuples and raised "truth value ... is ambiguous"
+        model, twin = build(), build()
+        assert model == model and model != twin
+        assert model in [twin, model] and twin not in [model]
+        assert {model: 1, twin: 2}[model] == 1
+
+    def test_rule_config_and_functional_are_keys(self):
+        model = builtin_contractive3d()
+        values = [unscented_rule(2), unscented_rule(2), make_filter_config("ukf", model),
+                  make_filter_config("ukf", model), Functional("ekf"), Functional("ekf")]
+        table = {value: i for i, value in enumerate(values)}
+        assert [table[value] for value in values] == list(range(len(values)))
+        for value, twin in zip(values[::2], values[1::2]):
+            assert value == value and value != twin
 
 
 class TestContinuousSimulation:

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -284,7 +285,7 @@ class TestContinuousBounds:
     @pytest.mark.parametrize("field", ["lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq"])
     def test_constant_that_is_not_finite_named(self, field, value):
         # a NaN constant would make every bound NaN, and every comparison with it pass
-        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {re.escape(repr(value))}$"):
             self._cert(**{field: value})
 
     def test_negative_noise_rejected_and_negative_rho_kept(self):
@@ -767,7 +768,7 @@ class TestDiscreteBounds:
     @pytest.mark.parametrize("field", FIELDS)
     def test_constant_that_is_not_finite_named(self, field, value):
         # a NaN u_d made both bounds NaN; a negative one a negative bound
-        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {re.escape(repr(value))}$"):
             self._cert(**{field: value})
 
     def test_contraction_factor_below_one(self):
