@@ -435,6 +435,27 @@ MUTANTS = (
         tests=("tests/test_models.py::TestGaussianDrift::test_tiny_variance_of_x3_beside_large_ones",),
     ),
     Mutant(
+        name="faddeeva-shortcut-taken-with-a-far-path",
+        file="src/kbstab/models.py",
+        old="    if not far.any():\n        return _faddeeva_moments(c, s)",
+        new="    if True:\n        return _faddeeva_moments(c, s)",
+        tests=("tests/test_models.py::TestGaussianDrift::test_tiny_variance_of_x3_beside_large_ones",),
+    ),
+    Mutant(
+        name="loop-error-state-without-invalid",
+        file="src/kbstab/filters.py",
+        old='    with np.errstate(over="ignore", invalid="ignore"):\n        for k in range(1, n_plus_1):',
+        new='    with np.errstate(over="ignore"):\n        for k in range(1, n_plus_1):',
+        tests=("tests/test_filters.py::TestErrorState::test_overflowing_field_diverges_its_path_quietly[cont]",),
+    ),
+    Mutant(
+        name="index-grid-without-copy",
+        file="src/kbstab/quadrature.py",
+        old="np.indices((order,) * dim).reshape(dim, -1).T.copy()",
+        new="np.indices((order,) * dim).reshape(dim, -1).T",
+        tests=("tests/test_pinned_outputs.py::test_validate_report_is_pinned",),
+    ),
+    Mutant(
         name="adf-ignores-the-closed-form",
         file="src/kbstab/filters.py",
         old='getattr(model, "gaussian_drift", None) is not None',

@@ -44,7 +44,11 @@ operations over a contiguous batch; the states stay ``(paths, d)``, as
 fields index ``x[..., i]``. The step checks finiteness on the whole batch
 first and looks at single paths only when that check fails. The loop
 likewise makes one whole-batch test per step, on one flag per row of the
-truth, and builds per-path masks only once a path dies. A squared error
+truth, and builds per-path masks only once a path dies. It enters one
+error state for all its steps, in which overflow and invalid operations
+only flag a path as diverged, with no warning; the step enters none of its
+own and runs under its caller's. Division by zero keeps numpy's setting,
+so a field that divides by zero still warns. A squared error
 adds its ``d`` coordinates in order, so a path's bits never depend on its
 batch; for ``d <= 7`` that is what ``np.sum`` does.
 """
@@ -195,24 +199,28 @@ def _kb_step_batch(model, config, x, P, L, obs, dt):
     over its columns in order. Each member's result is the same whatever
     the batch holds. The step reads ``H``, ``R`` and ``S`` from the model
     alone.
+
+    The step runs under its caller's error state and sets none of its own:
+    the ensemble loop ignores overflow and invalid operations, which the
+    finiteness check turns into ``bad`` paths, while a direct caller sees
+    numpy's warnings as it has set them.
     """
     d, _, B = P.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, lam = _drift(model, config, x, P, L)
-        if model.time == "cont":
-            K = np.matmul(model.HtRinv.T, P)
-            x_new = mean * dt
-            x_new += x
-            x_new += _gain_times_innovation(model, K, x, obs, dt).T
-            P_raw = lam + lam.transpose(1, 0, 2)
-            P_raw += config.Q_tuned[:, :, None]
-            P_raw -= _matmul_last(P, (model.S @ P.reshape(d, d * B)).reshape(d, d, B))
-            P_raw *= dt
-            P_raw += P
-        else:
-            P_pred = np.ascontiguousarray(_batch_first(lam)) + config.Q_tuned
-            x_new, P_raw, K = _update_batch(model, mean, P_pred, obs)
-            P_raw, K = _batch_last(P_raw), _batch_last(K)
+    mean, lam = _drift(model, config, x, P, L)
+    if model.time == "cont":
+        K = np.matmul(model.HtRinv.T, P)
+        x_new = mean * dt
+        x_new += x
+        x_new += _gain_times_innovation(model, K, x, obs, dt).T
+        P_raw = lam + lam.transpose(1, 0, 2)
+        P_raw += config.Q_tuned[:, :, None]
+        P_raw -= _matmul_last(P, (model.S @ P.reshape(d, d * B)).reshape(d, d, B))
+        P_raw *= dt
+        P_raw += P
+    else:
+        P_pred = np.ascontiguousarray(_batch_first(lam)) + config.Q_tuned
+        x_new, P_raw, K = _update_batch(model, mean, P_pred, obs)
+        P_raw, K = _batch_last(P_raw), _batch_last(K)
     if np.isfinite(x_new).all() and np.isfinite(P_raw).all():
         bad = np.zeros(B, dtype=bool)
     else:
@@ -256,7 +264,8 @@ def _run(time, model, config, states, obs, dt, record=None):
 
     A path is also frozen when its covariance trace collapses or its true
     state turns non-finite. While every path is alive the step's outputs
-    are taken as they are, with no masked copies. ``P`` and ``L``, the
+    are taken as they are, with no masked copies, and the loop does not
+    test whether any path is left. ``P`` and ``L``, the
     guard's root of it, are stored batch-last, ``(d, d, B)``.
     ``record(k, x, P, K)``, if given, sees the raw outputs of every step,
     with ``P`` and ``K`` as batch-first views. The loop runs time-major:
@@ -288,10 +297,11 @@ def _run(time, model, config, states, obs, dt, record=None):
     alive = np.isfinite(states[0]).all(axis=1)
     every = bool(alive.all())
     diverged = np.where(alive, -1, 0)
-    # a finite estimate far from the truth has a squared error of inf, not a warning
-    with np.errstate(over="ignore"):
+    # one error state for the whole loop: a step that overflows, or a finite estimate far from
+    # the truth, flags its path (or gives a squared error of inf) with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_plus_1):
-            if not alive.any():
+            if not every and not alive.any():
                 break
             x_new, P_new, L_new, K, bad = _kb_step_batch(model, config, x, P, L, obs[k], dt)
             if record is not None:

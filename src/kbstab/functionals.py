@@ -213,8 +213,9 @@ def _eval_sigma(rule, g, x, P, root=None, time=None):
     """Mean, and for ``time`` ``"cont"``/``"disc"`` the Riccati term, of ``rule`` over the batch.
 
     The batch is walked in blocks of at most ``BLOCK_COORDS`` point
-    coordinates (``block n d``), at least one path each, whose results are
-    written into the preallocated outputs. A block's points and field
+    coordinates (``block n d``), at least one path each, whose mean and
+    Stein term are written straight into the preallocated outputs, with
+    no copy. A block's points and field
     values are coordinate-major (see :func:`_sigma_points`); the weighted
     sums, the Stein product and the discrete covariance still reduce each
     member on its own, so a path's bits depend neither on its block nor on
@@ -240,10 +241,10 @@ def _eval_sigma(rule, g, x, P, root=None, time=None):
     for start in range(0, B, step):
         blk = slice(start, start + step)
         vals = _field_at(g, _sigma_points(rule, x[blk], L[..., blk]))
-        mean[blk] = block_mean = w @ vals
+        block_mean = np.matmul(w, vals, out=mean[blk])
         if time == "cont":
             stein = np.swapaxes(vals, -1, -2) @ (w[:, None] * rule.points)
-            lam[..., blk] = _matmul_last(_batch_last(stein), L[..., blk].transpose(1, 0, 2))
+            _matmul_last(_batch_last(stein), L[..., blk].transpose(1, 0, 2), out=lam[..., blk])
         elif time == "disc":
             dev = vals - block_mean[:, None, :]
             cov = (np.swapaxes(dev, -1, -2) * w) @ dev

@@ -433,12 +433,29 @@ def _faddeeva(z):
     Weideman's rational approximation ("Computation of the complex error
     function", SIAM J. Numer. Anal. 31, 1994) with 40 terms: within 1.3e-14
     relative of ``scipy.special.wofz``. The polynomial is summed per row of
-    a Vandermonde matrix, so each value depends on its own argument alone.
+    a Vandermonde matrix, so each value depends on its own argument alone;
+    its rows are filled in place by the running product ``np.vander``
+    takes, and weighted in place.
     """
     L, a = _weideman_coefficients()
-    u = 1.0 / (L - 1j * z)
-    p = (np.vander((L + 1j * z) * u, len(a), increasing=True) * a).sum(axis=1)
+    iz = 1j * z
+    u = 1.0 / (L - iz)
+    powers = np.empty((len(z), len(a)), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = ((L + iz) * u)[:, None]
+    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
+    powers *= a
+    p = powers.sum(axis=1)
     return u * (2.0 * p * u + 1.0 / _SQRT_PI)
+
+
+def _faddeeva_moments(c, s):
+    """The two moments of :func:`_rational_moments` through the Faddeeva function, for ``c = i - m`` and ``s > 0``."""
+    zeta = c / (s * math.sqrt(2.0))
+    wz = _faddeeva(zeta)
+    first = (-1j * math.sqrt(math.pi / 2.0)) * wz / s
+    second = (0.5j * _SQRT_PI) * (-2.0 * zeta * wz + 2j / _SQRT_PI) / (s * s)
+    return first, second
 
 
 def _rational_moments(m, s):
@@ -450,30 +467,28 @@ def _rational_moments(m, s):
     -2 zeta w(zeta) + 2i / sqrt(pi)``. That difference cancels as ``s``
     shrinks, so where ``s^2 <= 1e-3 |i - m|^2`` (``s = 0`` included) the
     moment series ``sum_k (2k-1)!! s^2k (i - m)^-(2k+1)`` takes over, with
-    eight terms, and its derivative.
+    eight terms, and its derivative. The paths are gathered and scattered by
+    branch only when some path takes the series.
     """
     c = 1j - m
     far = s * s <= 1e-3 * (1.0 + m * m)
+    if not far.any():
+        return _faddeeva_moments(c, s)
     first = np.empty(len(m), dtype=complex)
     second = np.empty(len(m), dtype=complex)
     near = ~far
     if near.any():
-        sn = s[near]
-        zeta = c[near] / (sn * math.sqrt(2.0))
-        wz = _faddeeva(zeta)
-        first[near] = (-1j * math.sqrt(math.pi / 2.0)) * wz / sn
-        second[near] = (0.5j * _SQRT_PI) * (-2.0 * zeta * wz + 2j / _SQRT_PI) / (sn * sn)
-    if far.any():
-        cf = c[far]
-        t = s[far] ** 2 / (cf * cf)
-        term = np.ones_like(cf)
-        series, slope = term, term
-        for k in range(1, 8):
-            term = term * ((2 * k - 1) * t)
-            series = series + term
-            slope = slope + (2 * k + 1) * term
-        first[far] = series / cf
-        second[far] = slope / (cf * cf)
+        first[near], second[near] = _faddeeva_moments(c[near], s[near])
+    cf = c[far]
+    t = s[far] ** 2 / (cf * cf)
+    term = np.ones_like(cf)
+    series, slope = term, term
+    for k in range(1, 8):
+        term = term * ((2 * k - 1) * t)
+        series = series + term
+        slope = slope + (2 * k + 1) * term
+    first[far] = series / cf
+    second[far] = slope / (cf * cf)
     return first, second
 
 
@@ -501,14 +516,15 @@ def _contractive3d_gaussian_drift(x, P):
     n1, n3 = (g33 * x1 - g13 * x3) / det, (g11 * x3 - g13 * x1) / det
     v11, v13 = (c11 * g33 - c13 * g13) / det, (c13 * g11 - c11 * g13) / det
     k = np.exp(-(x1 * n1 + x3 * n3)) / np.sqrt(det)
+    sq1, k2 = n1 * n1, 2.0 * k
     mean = np.empty_like(x)
     mean[:, 0] = first.real - x3 - 3.0 * x1
     mean[:, 1] = -x1 - x2 - x3
-    mean[:, 2] = k * (n1 * n1 + v11) - x1 - 2.0 * x3
+    mean[:, 2] = k * (sq1 + v11) - x1 - 2.0 * x3
     J = np.repeat(_CONTRACTIVE3D_LINEAR[:, :, None], len(x), axis=2)
     J[0, 2] += second.real
-    J[2, 0] += 2.0 * k * (n1 - n1 * n1 * n1 - 3.0 * n1 * v11)
-    J[2, 2] -= 2.0 * k * (n1 * n1 * n3 + v11 * n3 + 2.0 * v13 * n1)
+    J[2, 0] += k2 * (n1 - sq1 * n1 - 3.0 * n1 * v11)
+    J[2, 2] -= k2 * (sq1 * n3 + v11 * n3 + 2.0 * v13 * n1)
     return mean, _matmul_last(J, P)
 
 

@@ -13,7 +13,6 @@ guard takes and returns them so, and the helpers beside it turn a stack's
 view between the two layouts and multiply two batch-last stacks.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +84,8 @@ def gauss_hermite_rule(dim, order):
         raise ValueError(f"rule would have {order**dim} points (limit {MAX_RULE_POINTS})")
     nodes, weights = hermegauss(order)
     weights = weights / np.sqrt(2.0 * np.pi)
-    idx = np.array(list(itertools.product(range(order), repeat=dim)))
+    # the index grid in itertools.product's order, C-ordered like the array that built it
+    idx = np.indices((order,) * dim).reshape(dim, -1).T.copy()
     points = nodes[idx]
     w = np.prod(weights[idx], axis=1)
     return CubatureRule(points=points, weights=w)
@@ -113,16 +113,18 @@ def _batch_first(A):
     return A.transpose(2, 0, 1)
 
 
-def _matmul_last(A, C):
+def _matmul_last(A, C, out=None):
     """The products ``A_b C_b`` of two batch-last stacks ``(d, k, B)`` and ``(k, e, B)``, batch-last.
 
     Both operands are made contiguous first. The einsum then runs its inner
     loop over the batch and sums over ``k`` in order, so a member's product
     has the same bits whatever batch it is in. A transposed operand would
     break that: ``A_b C_b^T`` written as ``ikb,jkb`` sums a batch of one in
-    another order.
+    another order. ``out``, if given, is a ``(d, e, B)`` array or view whose
+    batch axis is its innermost, such as a block of a larger batch-last
+    stack; the products are written into it.
     """
-    return np.einsum("ikb,kjb->ijb", np.ascontiguousarray(A), np.ascontiguousarray(C))
+    return np.einsum("ikb,kjb->ijb", np.ascontiguousarray(A), np.ascontiguousarray(C), out=out)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

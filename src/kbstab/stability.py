@@ -60,16 +60,22 @@ class _Certificate:
     """The constant check and the export both certificate types share.
 
     A subclass names its ``_type`` and lists its constants in export order
-    in ``_constants``: each must pass :func:`~kbstab.checks.check_number`, and the
-    dict gives them, then ``mse_asymptote``, ``provenance``, the ``_flags``
-    and the sorted ``details``. The field ``lam`` is exported as ``lambda``.
+    in ``_constants``: each must pass :func:`~kbstab.checks.check_number`, at
+    least 0 if it is named in ``_nonnegative`` and above 0 if in
+    ``_positive``, and the dict gives them, then ``mse_asymptote``,
+    ``provenance``, the ``_flags`` and the sorted ``details``. The field
+    ``lam`` is exported as ``lambda``.
     """
 
     _flags = ()
+    _nonnegative = ()
+    _positive = ()
 
     def __post_init__(self):
         for name in self._constants:
-            check_number(name, getattr(self, name))
+            strict = name in self._positive
+            low = 0 if strict or name in self._nonnegative else None
+            check_number(name, getattr(self, name), low=low, strict=strict)
 
     def to_dict(self):
         out = {"type": self._type}
@@ -110,13 +116,11 @@ class ContinuousCertificate(_Certificate):
     _type = "continuous"
     _constants = ("lam", "lambda_P", "T", "C_lambda", "u", "rho", "C_T", "e_T_sq")
     _flags = ("asymptotic",)
+    _nonnegative = ("T", "C_lambda", "u", "C_T", "e_T_sq")
+    _positive = ("lam", "lambda_P")
 
     def __post_init__(self):
         super().__post_init__()
-        if not (self.lam > 0 and self.lambda_P > 0 and self.T >= 0):
-            raise ValueError("need lam > 0, lambda_P > 0, T >= 0")
-        if self.C_lambda < 0 or self.u < 0 or self.C_T < 0 or self.e_T_sq < 0:
-            raise ValueError("C_lambda, u, C_T and e_T_sq must be nonnegative")
         if self.asymptotic and (self.C_T or self.e_T_sq):
             raise ValueError("an asymptotic certificate has C_T = e_T_sq = 0")
 
@@ -145,13 +149,10 @@ class DiscreteCertificate(_Certificate):
     _type = "discrete"
     _constants = ("lambda_d", "lambda_df", "kappa", "lambda_P_pred", "lambda_P_upd", "C_f", "eta", "u_d",
                   "e0_sq", "e0_root")
+    _nonnegative = _constants
 
     def __post_init__(self):
         super().__post_init__()
-        for name in self._constants:
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
         if self.lambda_df >= 1.0:
             raise ValueError("lambda_df must lie in [0, 1)")
 

@@ -494,6 +494,85 @@ class TestFrozenPaths:
                                       equal_nan=name != "diverged"), (p, name)
 
 
+class TestErrorState:
+    """The loop holds one numpy error state over all its steps and hands the caller's back."""
+
+    # a caller's state unlike numpy's default in every entry the loop sets, and in divide
+    CALLER = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+
+    @staticmethod
+    def spiked(time, field):
+        """A 1-d model whose drift is its linear one plus ``field``, four zero truths, and path 2 kicked at step 3.
+
+        The kick, an increment or measurement of 1e3, throws path 2's
+        estimate to several hundred; the other paths stay at 0.
+        """
+        eye = np.eye(1)
+        if time == "cont":
+            base = builtin_linear(-eye, Q=eye, H=eye, R=eye, mu0=np.zeros(1), Sigma0=eye)
+        else:
+            base = builtin_discrete_linear(0.5 * eye, Q=eye, H=eye, R=eye, mu0=np.zeros(1), Sigma0=eye)
+        model = dataclasses.replace(base, f=lambda x: base.f(x) + field(x))
+        states = np.zeros((4, 9, 1))
+        obs = np.zeros((4, 9, 1))
+        obs[2, 3] = 1e3
+        return model, states, obs
+
+    @staticmethod
+    def run(model, states, obs):
+        config = make_filter_config("ekf", model)
+        if model.time == "cont":
+            return run_continuous_ensemble(model, config, states, obs, 0.01)
+        return run_discrete_ensemble(model, config, states, obs)
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    def test_overflowing_field_diverges_its_path_quietly(self, time):
+        # exp(x^2) overflows on path 2 once it is kicked, and inf - inf is invalid;
+        # the suite turns warnings into errors, so a warning of either fails here
+        def overflowing(x):
+            e = np.exp(x * x)
+            return e - e
+
+        before = np.geterr()
+        run = self.run(*self.spiked(time, overflowing))
+        assert np.geterr() == before
+        assert run.diverged.tolist() == [-1, -1, 4, -1]
+        assert np.all(np.isfinite(run.err_sq[:, :4])) and np.all(np.isnan(run.err_sq[2, 4:]))
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    def test_state_restored_after_a_normal_return(self, time):
+        with np.errstate(**self.CALLER):
+            run = self.run(*self.spiked(time, np.zeros_like))
+            assert np.geterr() == self.CALLER
+        assert run.diverged.tolist() == [-1, -1, -1, -1]
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    def test_state_restored_after_a_field_raises_mid_loop(self, time):
+        calls = []
+
+        def failing(x):
+            calls.append(x)
+            if len(calls) == 3:
+                raise RuntimeError("field failed")
+            return np.zeros_like(x)
+
+        with np.errstate(**self.CALLER):
+            with pytest.raises(RuntimeError, match="^field failed$"):
+                self.run(*self.spiked(time, failing))
+            assert np.geterr() == self.CALLER
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("time", ["cont", "disc"])
+    def test_field_that_divides_by_zero_still_warns(self, time):
+        # the estimates start at 0, where 1 / x divides by zero; arctan(inf) is finite
+        def dividing(x):
+            return 0.0 * np.arctan(1.0 / x)
+
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            run = self.run(*self.spiked(time, dividing))
+        assert run.diverged.tolist() == [-1, -1, -1, -1]
+
+
 class TestTimeMajorInputs:
     """The loop reads paths time-major: the simulators' views are used as they
     are, other layouts are copied once, and the output does not depend on which."""

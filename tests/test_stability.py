@@ -289,9 +289,22 @@ class TestContinuousBounds:
             self._cert(**{field: value})
 
     def test_negative_noise_rejected_and_negative_rho_kept(self):
-        with pytest.raises(ValueError, match="C_lambda, u, C_T and e_T_sq must be nonnegative"):
+        with pytest.raises(ValueError, match=r"^u must be at least 0, got -1e-12$"):
             self._cert(u=-1e-12)
         assert self._cert(rho=-3.0).rho == -3.0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", 0.0, "lam must be greater than 0, got 0.0"),
+        ("lambda_P", -1e-12, "lambda_P must be greater than 0, got -1e-12"),
+        ("T", -1e-12, "T must be at least 0, got -1e-12"),
+        ("C_lambda", -1e-12, "C_lambda must be at least 0, got -1e-12"),
+        ("u", -2.5, "u must be at least 0, got -2.5"),
+        ("C_T", -1e-12, "C_T must be at least 0, got -1e-12"),
+        ("e_T_sq", -1e-12, "e_T_sq must be at least 0, got -1e-12"),
+    ])
+    def test_constant_out_of_range_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self._cert(**{field: value})
 
     def test_threshold_vanishes_with_delta(self):
         cert = self._cert(u=2.0)
