@@ -269,8 +269,8 @@ MUTANTS = (
     Mutant(
         name="model-aliases-the-callers-H",
         file="src/kbstab/models.py",
-        old='H = read_only(check_finite("H", self.H))',
-        new='H = check_finite("H", self.H).astype(float, copy=False)',
+        old='H = read_only(check_shape("H", check_finite("H", self.H), (None, None)))',
+        new='H = check_shape("H", check_finite("H", self.H), (None, None)).astype(float, copy=False)',
         tests=("tests/test_models.py::TestModelsAreValues::test_callers_arrays_are_copied[cont]",
                "tests/test_models.py::TestModelsAreValues::test_arrays_are_read_only[velocity-H]"),
     ),
@@ -286,15 +286,32 @@ MUTANTS = (
     Mutant(
         name="run-skips-the-config-size-check",
         file="src/kbstab/filters.py",
-        old="    config.check_dim(model.dim_x)\n    B, n_plus_1, d = states.shape",
-        new="    B, n_plus_1, d = states.shape",
+        old="    check_shape(\"x0_hat\", config.x0_hat, (d,))\n    states = check_shape(",
+        new="    states = check_shape(",
         tests=("tests/test_filters.py::TestFilterConfig::test_run_rejects_a_config_of_another_size",),
+    ),
+    Mutant(
+        name="gaussian-drift-output-unchecked",
+        file="src/kbstab/filters.py",
+        old="        return check_field(\"gaussian_drift\", mean, x.shape), check_field(\"gaussian_drift\", lam, P.shape)",
+        new="        return mean, lam",
+        tests=("tests/test_filters.py::TestFieldShape::test_gaussian_drift_in_the_wrong_layout_named[mean-2]",
+               "tests/test_filters.py::TestFieldShape::test_gaussian_drift_in_the_wrong_layout_named[lam-4]"),
+    ),
+    Mutant(
+        name="states-checked-against-dim-y",
+        file="src/kbstab/filters.py",
+        old="check_shape(\"states\", states, (None, None, d))",
+        new="check_shape(\"states\", states, (None, None, model.dim_y))",
+        tests=("tests/test_filters.py::TestGrouping::"
+               "test_wide_batch_rows_do_not_depend_on_batch_size[builtin_integrated_velocity-ekf]",
+               "tests/test_arguments.py::test_bad_shape_named[run_continuous_ensemble-states-wrong-d]"),
     ),
     Mutant(
         name="inputs-rule-dimension-unchecked",
         file="src/kbstab/functionals.py",
-        old="    if F.rule is not None and F.rule.dim != inputs.dim:",
-        new="    if False:",
+        old="    if F.rule is not None:\n        check_shape(\"inputs\"",
+        new="    if False:\n        check_shape(\"inputs\"",
         tests=("tests/test_functionals.py::TestSharedInputs::test_set_of_another_size_than_the_rule_names_inputs",),
     ),
     Mutant(
@@ -465,7 +482,7 @@ MUTANTS = (
     Mutant(
         name="experiment-simulates-before-the-config-size-check",
         file="src/kbstab/harness.py",
-        old="    for config in configs.values():\n        config.check_dim(model.dim_x)\n",
+        old="    for config in configs.values():\n        check_shape(\"x0_hat\", config.x0_hat, (model.dim_x,))\n",
         new="",
         tests=("tests/test_harness.py::TestRunExperiment::test_config_of_another_size_rejected_before_simulating",),
     ),
@@ -479,7 +496,7 @@ MUTANTS = (
     Mutant(
         name="velocity-certificate-takes-any-observation",
         file="src/kbstab/stability.py",
-        old="    if model.H.shape != (1, 2) or model.H[0, 1] != 0 or model.H[0, 0] == 0:",
+        old="    if model.H[0, 1] != 0 or model.H[0, 0] == 0:",
         new="    if False:",
         tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::"
                "test_model_that_does_not_measure_the_position_rejected[both-components]",),
@@ -487,8 +504,8 @@ MUTANTS = (
     Mutant(
         name="velocity-certificate-takes-any-noise-size",
         file="src/kbstab/stability.py",
-        old="    if model.R.shape != (1, 1):",
-        new="    if False:",
+        old="    check_shape(\"R\", model.R, (1, 1))\n",
+        new="",
         tests=("tests/test_stability.py::TestIntegratedVelocityCertificate::"
                "test_model_that_does_not_measure_the_position_rejected[two-measurements]",),
     ),

@@ -1,11 +1,12 @@
 """Checks of arguments and field outputs, one rule each for every layer that takes them.
 
-Every number, size and matrix the API takes goes through one of the rules
-here, so a bad one raises ``ValueError("<name> must be ...")`` naming its
-argument: a number that is no finite real (NaN, an infinity, a bool, text,
-``None``) reads ``<name> must be a finite number, got ...``, an integer
-that is none ``<name> must be an integer, got ...``, and a value out of
-range ``<name> must be at least ...`` or ``greater than ...``.
+Every number, size, array shape and matrix the API takes goes through one
+of the rules here, so a bad one raises ``ValueError("<name> must ...")``
+naming its argument: a number that is no finite real (NaN, an infinity, a
+bool, text, ``None``) reads ``<name> must be a finite number, got ...``, an
+integer that is none ``<name> must be an integer, got ...``, a value out of
+range ``<name> must be at least ...`` or ``greater than ...``, and an array
+of another shape ``<name> must have shape ..., got ...``.
 """
 
 import math
@@ -49,6 +50,15 @@ def check_square(name, value):
     arr = np.asarray(check_finite(name, value), dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {arr.shape}")
+    return arr
+
+
+def check_shape(name, value, shape):
+    """``value`` as an array, not copied; a ``ValueError`` naming ``name`` unless it has ``shape``, where ``None`` matches any length."""
+    arr = np.asarray(value)
+    if arr.shape != shape and (arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))):
+        want = ", ".join("any" if n is None else str(n) for n in shape)
+        raise ValueError(f"{name} must have shape ({want}{',' * (len(shape) == 1)}), got {arr.shape}")
     return arr
 
 

@@ -10,7 +10,8 @@ where the mean term ``L`` and the Riccati term ``Lam`` come from the
 filter's one functional: ``ekf`` point evaluation, or one sigma-point rule
 (unscented for ``ukf``, Gauss-Hermite for ``gh``, the reference rule for
 ``adf``). On a continuous model with a ``gaussian_drift``, ``adf`` takes
-the exact terms from it instead, with no field evaluation. The discrete
+the exact terms from it instead, with no field evaluation; both are
+checked to have the batch's shapes. The discrete
 filter predicts ``(L(f), Lam(f) + Q_tuned)`` and then updates. The model
 alone says which time model runs. A rule-based step takes both terms from
 the field values at the points ``x + L xi``, with no Jacobian, where
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_finite, check_number, read_only
+from .checks import check_field, check_finite, check_number, check_shape, read_only
 from .functionals import (
     Functional,
     eval_drift_batch,
@@ -94,15 +95,8 @@ class FilterConfig:
         x0 = read_only(check_finite("x0_hat", self.x0_hat).ravel())
         for name in ("Q_tuned", "P0"):
             M = _check_psd(name, getattr(self, name), definite=True)
-            if M.shape != (x0.size, x0.size):
-                raise ValueError(f"{name} must have shape {(x0.size, x0.size)} like x0_hat, got {M.shape}")
-            object.__setattr__(self, name, read_only(M))
+            object.__setattr__(self, name, read_only(check_shape(name, M, (x0.size, x0.size))))
         object.__setattr__(self, "x0_hat", x0)
-
-    def check_dim(self, dim):
-        """Raise a ``ValueError`` naming the fields unless the tuning has the model size ``dim``."""
-        if self.x0_hat.size != dim:
-            raise ValueError(f"x0_hat, Q_tuned and P0 have size {self.x0_hat.size}, not dim_x = {dim}")
 
 
 def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None):
@@ -123,26 +117,30 @@ def make_filter_config(kind, model, Q_tuned=None, x0_hat=None, P0=None):
         rule = gauss_hermite_rule(d, 3)
     else:
         rule = reference_rule(d)
-    config = FilterConfig(
+    if x0_hat is not None:
+        # x0_hat sizes the config, so it is the one held to the model's size
+        x0_hat = check_shape("x0_hat", check_finite("x0_hat", x0_hat).ravel(), (d,))
+    return FilterConfig(
         functional=Functional("sigma" if kind in ("ukf", "gh") else kind, rule),
         Q_tuned=model.Q if Q_tuned is None else Q_tuned,
         x0_hat=model.mu0 if x0_hat is None else x0_hat,
         P0=model.Sigma0 if P0 is None else P0,
     )
-    config.check_dim(d)
-    return config
 
 
 def _drift(model, config, x, P, L=None):
     """Mean and Riccati terms of one step in the model's time: ``ekf`` point terms, or one rule evaluation.
 
     The ``adf`` functional takes the exact terms of a continuous model's
-    ``gaussian_drift`` where it has one, and its rule otherwise. ``P``,
-    ``L`` and the Riccati term returned are batch-last ``(d, d, B)``.
+    ``gaussian_drift`` where it has one, and its rule otherwise; its mean
+    must be ``(B, d)`` and its Riccati term ``(d, d, B)``, else a
+    ``ValueError`` names ``gaussian_drift``. ``P``, ``L`` and the Riccati
+    term returned are batch-last ``(d, d, B)``.
     """
     F = config.functional
     if F.kind == "adf" and getattr(model, "gaussian_drift", None) is not None:
-        return model.gaussian_drift(x, P)
+        mean, lam = model.gaussian_drift(x, P)
+        return check_field("gaussian_drift", mean, x.shape), check_field("gaussian_drift", lam, P.shape)
     if F.kind != "ekf":
         return eval_drift_batch(F, model.time, model.f, x, P, root=L)
     riccati = eval_riccati_cont_batch if model.time == "cont" else eval_riccati_disc_batch
@@ -277,13 +275,11 @@ def _run(time, model, config, states, obs, dt, record=None):
     """
     if model.time != time:
         raise ValueError(f"need a {time!r} model, got a {model.time!r} one")
-    config.check_dim(model.dim_x)
-    B, n_plus_1, d = states.shape
-    if d != model.dim_x:
-        raise ValueError("path dimension does not match the model")
-    if obs.shape != (B, n_plus_1, model.dim_y):
-        name = "increments" if time == "cont" else "measurements"
-        raise ValueError(f"{name} must have shape {(B, n_plus_1, model.dim_y)} to match states, got {obs.shape}")
+    d = model.dim_x
+    check_shape("x0_hat", config.x0_hat, (d,))
+    states = check_shape("states", states, (None, None, d))
+    B, n_plus_1, _ = states.shape
+    obs = check_shape("increments" if time == "cont" else "measurements", obs, (B, n_plus_1, model.dim_y))
     states = np.ascontiguousarray(states.transpose(1, 0, 2))
     obs = np.ascontiguousarray(obs.transpose(1, 0, 2))
     x = np.tile(config.x0_hat, (B, 1))
@@ -332,7 +328,9 @@ def run_continuous_ensemble(model, config, states, increments, dt):
     ``states`` (B, n+1, d) are the true states used only to record errors;
     ``increments`` row ``k >= 1`` is consumed to advance from ``k-1`` to
     ``k``. Paths that turn non-finite are frozen and reported, not raised.
-    ``dt`` must be a finite number greater than 0.
+    ``dt`` must be a finite number greater than 0, ``states`` have
+    ``d = dim_x`` and ``increments`` be ``(B, n+1, dim_y)``, and the
+    config the model's size, else a ``ValueError`` names the argument.
     """
     check_number("dt", dt, low=0, strict=True)
     return _run("cont", model, config, states, increments, dt)

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import check_field, check_finite, check_integer, check_number
+from .checks import check_field, check_finite, check_integer, check_number, check_shape
 from .models import philox
 from .quadrature import (
     CubatureRule,
@@ -118,15 +118,17 @@ class Functional:
 
 
 def _as_batch(x, P):
-    """``x`` as ``(B, d)`` and ``P`` checked and viewed batch-last, with whether the input was one state."""
+    """``x`` as ``(B, d)`` and ``P`` checked and viewed batch-last, with whether the input was one state.
+
+    One state ``x`` ``(d,)`` takes one ``P`` ``(d, d)``, a batch ``(B, d)`` a stack ``(B, d, d)``.
+    """
     x = np.asarray(check_finite("x", x), dtype=float)
-    P = _check_psd("P", P)
-    single = x.ndim == 1
+    single = x.ndim < 2
+    x = check_shape("x", x, (None,) if single else (None, None))
+    d = x.shape[-1]
+    P = check_shape("P", _check_psd("P", P), (d, d) if single else (len(x), d, d))
     if single:
-        x = x[None, :]
-        P = P[None, :, :]
-    if P.shape != (x.shape[0], x.shape[1], x.shape[1]):
-        raise ValueError("P must have shape (d, d) matching x")
+        x, P = x[None], P[None]
     return x, _batch_last(P), single
 
 
@@ -221,20 +223,16 @@ def _eval_sigma(rule, g, x, P, root=None, time=None):
     member on its own, so a path's bits depend neither on its block nor on
     the layout's strides. ``P``, ``root`` (by default
     the guard's root of ``P``) and ``lam`` are batch-last ``(d, d, B)``; the
-    Stein term's final product with ``L^T`` runs batch-last. Returns
+    Stein term's final product with ``L^T`` runs batch-last, and its
+    weights ``w xi`` are formed once, before the blocks. Returns
     ``(mean, lam)``, ``lam`` ``None`` without ``time``.
     """
-    if x.ndim != 2:
-        raise ValueError(f"x must be a (paths, dim) batch, got shape {x.shape}")
+    x = check_shape("x", x, (None, rule.dim))
     B, d = x.shape
-    if d != rule.dim:
-        raise ValueError(f"x has size {d}, but the rule's points have dim {rule.dim}")
-    if P.shape != (d, d, B):
-        raise ValueError(f"P must be batch-last with shape {(d, d, B)} to match x, got {P.shape}")
-    L = _psd_root(P)[1] if root is None else root
-    if L.shape != P.shape:
-        raise ValueError(f"root must have P's shape {P.shape}, got {L.shape}")
+    P = check_shape("P", P, (d, d, B))
+    L = _psd_root(P)[1] if root is None else check_shape("root", root, P.shape)
     w = rule.weights
+    stein_w = w[:, None] * rule.points if time == "cont" else None
     step = max(1, BLOCK_COORDS // (rule.size * d))
     mean = np.empty((B, d))
     lam = None if time is None else np.empty((d, d, B))
@@ -243,7 +241,7 @@ def _eval_sigma(rule, g, x, P, root=None, time=None):
         vals = _field_at(g, _sigma_points(rule, x[blk], L[..., blk]))
         block_mean = np.matmul(w, vals, out=mean[blk])
         if time == "cont":
-            stein = np.swapaxes(vals, -1, -2) @ (w[:, None] * rule.points)
+            stein = np.swapaxes(vals, -1, -2) @ stein_w
             _matmul_last(_batch_last(stein), L[..., blk].transpose(1, 0, 2), out=lam[..., blk])
         elif time == "disc":
             dev = vals - block_mean[:, None, :]
@@ -339,11 +337,11 @@ class AssumptionInputs:
     P: np.ndarray
 
     def __post_init__(self):
-        shapes = [getattr(a, "shape", None) for a in (self.x, self.x_alt, self.P)]
-        n, d = shapes[0] if shapes[0] is not None and len(shapes[0]) == 2 else (0, 0)
-        if min(n, d) == 0 or shapes[1:] != [(n, d), (n, d, d)]:
-            raise ValueError("inputs must hold arrays x and x_alt of shape (samples, dim) and P of shape "
-                             f"(samples, dim, dim), with samples and dim at least 1, got shapes {shapes}")
+        n, d = check_shape("x", self.x, (None, None)).shape
+        check_integer("samples", n, low=1)
+        check_integer("dim", d, low=1)
+        for name, shape in (("x", (n, d)), ("x_alt", (n, d)), ("P", (n, d, d))):
+            object.__setattr__(self, name, check_shape(name, getattr(self, name), shape))
 
     @property
     def samples(self):
@@ -395,8 +393,8 @@ def _check_inputs(F, inputs):
     """The triples of ``inputs``, which must be an :class:`AssumptionInputs` of the rule's dimension."""
     if not isinstance(inputs, AssumptionInputs):
         raise ValueError(f"inputs must be drawn by assumption_inputs, got {type(inputs).__name__}")
-    if F.rule is not None and F.rule.dim != inputs.dim:
-        raise ValueError(f"inputs have dim {inputs.dim}, but the functional's rule has dim {F.rule.dim}")
+    if F.rule is not None:
+        check_shape("inputs", inputs.x, (None, F.rule.dim))
     return tuple(inputs)
 
 

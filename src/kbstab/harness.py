@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._version import __version__
-from .checks import check_integer, check_number
+from .checks import check_integer, check_number, check_shape
 from .errors import ExperimentDivergenceError
 from .filters import make_filter_config, run_continuous_ensemble
 from .models import _steps_for, builtin_contractive3d, builtin_integrated_velocity, builtin_linear, simulate_paths
@@ -271,7 +271,7 @@ def run_experiment(spec, model=None, certificates=None, configs=None):
     elif set(configs) != set(spec.filters):
         raise ValueError("configs must cover exactly the spec's filter kinds")
     for config in configs.values():
-        config.check_dim(model.dim_x)
+        check_shape("x0_hat", config.x0_hat, (model.dim_x,))
     certs = dict.fromkeys(spec.filters)
     for kind in spec.filters:
         if certificates and kind in certificates:

@@ -51,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .checks import check_field, check_finite, check_integer, check_number, check_square, read_only
+from .checks import check_field, check_finite, check_integer, check_number, check_shape, check_square, read_only
 from .quadrature import _check_psd, _matmul_last, matrix_sqrt
 
 
@@ -134,19 +134,12 @@ class _Model:
     dim_y: int = field(init=False)
 
     def __post_init__(self):
-        H = read_only(check_finite("H", self.H))
-        if H.ndim != 2:
-            raise ValueError(f"H must be a matrix (dim_y, dim_x), got shape {H.shape}")
+        H = read_only(check_shape("H", check_finite("H", self.H), (None, None)))
         dim_y, dim_x = H.shape
-        mu0 = check_finite("mu0", self.mu0)
-        if mu0.size != dim_x:
-            raise ValueError(f"mu0 must have {dim_x} entries to match H, got shape {mu0.shape}")
-        facts = {"H": H, "mu0": read_only(mu0.reshape(dim_x)), "dim_x": dim_x, "dim_y": dim_y}
+        mu0 = check_shape("mu0", check_finite("mu0", self.mu0).ravel(), (dim_x,))
+        facts = {"H": H, "mu0": read_only(mu0), "dim_x": dim_x, "dim_y": dim_y}
         for name, dim in (("Q", dim_x), ("R", dim_y), ("Sigma0", dim_x)):
-            M = _check_psd(name, getattr(self, name))
-            if M.shape != (dim, dim):
-                raise ValueError(f"{name} must have shape {(dim, dim)} to match H, got {M.shape}")
-            facts[name] = read_only(M)
+            facts[name] = read_only(check_shape(name, _check_psd(name, getattr(self, name)), (dim, dim)))
         for name, value in facts.items():
             object.__setattr__(self, name, value)
         for name, low in (("known_jf_norm", 0), ("known_M_f", None), ("known_N_f", None)):
@@ -189,7 +182,8 @@ class ContinuousModel(_Model):
     ``(B, d)`` and batch-last covariances ``P`` ``(d, d, B)``: the mean
     ``(B, d)``, the Riccati term batch-last ``(d, d, B)``, each path's
     values from its own inputs alone. The assumed-density (``adf``) filter
-    takes its terms from it in place of its reference rule.
+    takes its terms from it in place of its reference rule, and an output of
+    another shape is a ``ValueError`` naming ``gaussian_drift``.
     """
 
     time = "cont"
@@ -657,8 +651,8 @@ def builtin_integrated_velocity(a1=0.0, a2=1.0, q1=0.05, q2=0.05, h=1.0, r=0.05)
 
 def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):
     """A ``cls`` model with drift ``A x``, ``A`` a read-only copy; ``known`` adds exact drift constants."""
-    A = read_only(check_finite("A", A))
-    d = len(A)
+    A = read_only(check_square("A", A))
+    d = A.shape[-1]
 
     def f(x):
         return x @ A.T
@@ -669,8 +663,7 @@ def _linear_model(cls, A, Q, H, R, mu0, Sigma0, name, **known):
     model = cls(f=f, jac_f=jac, Q=Q, H=H, R=R,
                 mu0=np.zeros(d) if mu0 is None else mu0, Sigma0=np.eye(d) if Sigma0 is None else Sigma0,
                 known_jf_norm=float(np.linalg.norm(A, 2)), name=name, **known)
-    if A.shape != (model.dim_x, model.dim_x):
-        raise ValueError(f"A must have shape {(model.dim_x, model.dim_x)} to match H, got {A.shape}")
+    check_shape("A", A, (model.dim_x, model.dim_x))
     return model
 
 

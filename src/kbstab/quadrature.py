@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .checks import check_finite, check_integer, check_number, check_square, read_only
+from .checks import check_finite, check_integer, check_number, check_shape, check_square, read_only
 from .errors import IndefiniteMatrixError
 
 MAX_RULE_POINTS = 10**6
@@ -33,10 +33,8 @@ class CubatureRule:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        points = read_only(check_finite("points", self.points))
         weights = read_only(check_finite("weights", self.weights).ravel())
-        if points.ndim != 2 or len(points) != weights.size:
-            raise ValueError("points must have shape (len(weights), dim)")
+        points = read_only(check_shape("points", check_finite("points", self.points), (weights.size, None)))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "dim", points.shape[1])
@@ -211,9 +209,7 @@ def matrix_sqrt(P):
     ``P`` must be one matrix that passes :func:`_check_psd`; its eigenvalues
     in ``[-1e-10 s, 0)`` are rounding noise and clamped to zero.
     """
-    P = _check_psd("P", P)
-    if P.ndim != 2:
-        raise ValueError(f"P must be a single square matrix, got shape {P.shape}")
+    P = check_shape("P", _check_psd("P", P), (None, None))
     vals, vecs = np.linalg.eigh(P)
     S = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return 0.5 * (S + S.T)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import check_finite, check_integer, check_number
+from .checks import check_field, check_finite, check_integer, check_number, check_shape
 from .errors import CertificateError, NoCertificateError, NotContractiveError, NotFullyObservedError
 from .filters import make_filter_config
 from .models import VELOCITY_G_PRIME_MAX, VELOCITY_G_PRIME_MIN
@@ -175,7 +175,7 @@ def _drift_constant(model, attr):
 
 def _kind(model, config):
     """The kind a ``config`` of the model's size covers: ``"ekf"`` for a point-evaluation functional, else ``"quadrature"``."""
-    config.check_dim(model.dim_x)
+    check_shape("x0_hat", config.x0_hat, (model.dim_x,))
     return "ekf" if config.functional.kind == "ekf" else "quadrature"
 
 
@@ -288,7 +288,7 @@ def inflation_mineig_bound(model, config):
     prefactors are dropped, so treat the value as asymptotic.
     """
     d = model.dim_x
-    config.check_dim(d)
+    check_shape("x0_hat", config.x0_hat, (d,))
     n_f = _drift_constant(model, "known_N_f")
     q_min = float(np.linalg.eigvalsh(config.Q_tuned)[0])
     s_max = float(np.linalg.eigvalsh(model.S)[-1])
@@ -399,13 +399,13 @@ def integrated_velocity_certificate(model, config):
     """
     if model.name != "integrated_velocity":
         raise ValueError("this certificate is specific to the integrated-velocity model")
-    if model.R.shape != (1, 1):
-        raise ValueError(f"R must be 1x1 for this certificate, got shape {model.R.shape}")
-    if model.H.shape != (1, 2) or model.H[0, 1] != 0 or model.H[0, 0] == 0:
+    check_shape("R", model.R, (1, 1))
+    check_shape("H", model.H, (1, 2))
+    if model.H[0, 1] != 0 or model.H[0, 0] == 0:
         raise ValueError(f"H must be [[h, 0]] with h != 0 for this certificate, got {model.H.tolist()}")
     h, r = float(model.H[0, 0]), float(model.R[0, 0])
-    a1, a2 = (float(v) for v in model.jac_f(np.zeros(2))[0])
-    J = model.jac_f(_VELOCITY_GRID)
+    a1, a2 = (float(v) for v in check_field("jac_f", model.jac_f(np.zeros(2)), (2, 2))[0])
+    J = check_field("jac_f", model.jac_f(_VELOCITY_GRID), _VELOCITY_GRID.shape + (2,))
     slope = -J[:, 1, 1]
     first_row_ok = np.all(J[:, 0] == (a1, a2))
     second_row_ok = np.all(J[:, 1, 0] == 0) and np.all(
@@ -617,11 +617,9 @@ def gronwall_continuous(x0, alpha, beta_const, t):
 
 def _gaussian_law(m, P):
     """Mean vector and covariance matrix of ``N(m, P)``; ``m = 0`` means the zero vector."""
-    P = _check_psd("P", np.atleast_2d(P))
-    m = np.zeros(P.shape[0]) if np.isscalar(m) and m == 0 else np.asarray(check_finite("m", m), dtype=float).ravel()
-    if m.size != P.shape[0]:
-        raise ValueError(f"m must have size {P.shape[0]} like P, got {m.size}")
-    return m, P
+    P = check_shape("P", _check_psd("P", np.atleast_2d(P)), (None, None))
+    m = np.zeros(len(P)) if np.isscalar(m) and m == 0 else np.asarray(check_finite("m", m), dtype=float).ravel()
+    return check_shape("m", m, (len(P),)), P
 
 
 def gaussian_norm_moment(m, P, n):

@@ -1,10 +1,14 @@
-"""One table of bad arguments: every public entry point names the number, size or matrix it rejects.
+"""Two tables of bad arguments: every public entry point names the number, size, shape or matrix it rejects.
 
 Each argument is fed NaN, both infinities, ``True``, ``"1"`` and ``None`` (and
 ``2.5`` where an integer belongs; a matrix gets them as one entry, or as a
 bool matrix). The entry point must raise a ``ValueError`` whose message
-starts with the argument's name, by the rules of :mod:`kbstab.checks`.
+starts with the argument's name, by the rules of :mod:`kbstab.checks`. Each
+array the API sizes is also fed one of another shape, and the message must
+read ``<name> must have shape ..., got ...``.
 """
+
+import dataclasses
 
 import math
 import re
@@ -13,6 +17,8 @@ import numpy as np
 import pytest
 
 from kbstab import (
+    AssumptionInputs,
+    CubatureRule,
     ExperimentSpec,
     Functional,
     assumption_inputs,
@@ -23,23 +29,28 @@ from kbstab import (
     check_assumption_continuous,
     check_assumption_discrete,
     check_degree_two_exactness,
+    contractive_certificate,
     eval_mean,
     eval_riccati_cont,
     eval_riccati_disc,
     chi_square_moment_bound,
     gauss_hermite_rule,
     gaussian_norm_moment,
+    integrated_velocity_certificate,
     log_norm_mu,
     log_norm_nu,
     make_filter_config,
     matrix_sqrt,
     required_inflation,
     run_continuous_ensemble,
+    run_discrete_ensemble,
+    run_experiment,
     simulate_discrete_paths,
     simulate_paths,
     spectral_norm,
     unscented_rule,
 )
+from kbstab.functionals import eval_drift_batch, eval_mean_batch
 from kbstab.matrix_measures import log_norm_range
 
 NUMBER = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "True": True, "'1'": "1", "None": None}
@@ -85,10 +96,9 @@ def discrete_paths(**change):
     return simulate_discrete_paths(model, **{"steps": 2, "seed": 0, "n_paths": 1, **change})
 
 
-def continuous_run(dt):
+def continuous_run(dt=0.1, states=np.zeros((1, 2, 2)), increments=np.zeros((1, 2, 1)), config=None):
     model = builtin_integrated_velocity()
-    return run_continuous_ensemble(model, make_filter_config("ekf", model), np.zeros((1, 2, 2)),
-                                   np.zeros((1, 2, 1)), dt)
+    return run_continuous_ensemble(model, config or make_filter_config("ekf", model), states, increments, dt)
 
 
 def single_pair(evaluate, **change):
@@ -169,3 +179,96 @@ CASES = [
 def test_bad_argument_named(name, value, says, call):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {re.escape(says)}"):
         call(value)
+
+
+def batch_pair(evaluate, x=np.zeros((4, 2)), P=np.tile(np.eye(2)[:, :, None], (1, 1, 4)), **kwargs):
+    return evaluate(Functional("sigma", unscented_rule(2)), g=lambda z: z, x=x, P=P, **kwargs)
+
+
+def velocity_certificate(**change):
+    model = dataclasses.replace(builtin_integrated_velocity(), **change)
+    return integrated_velocity_certificate(model, make_filter_config("ekf", model))
+
+
+def triple(**change):
+    return AssumptionInputs(**{"x": np.zeros((10, 2)), "x_alt": np.zeros((10, 2)), "P": np.zeros((10, 2, 2)), **change})
+
+
+SMALL = builtin_discrete_linear(0.5 * np.eye(1), Q=np.eye(1), H=np.eye(1), R=np.eye(1))
+SIZE_3 = make_filter_config("ekf", builtin_contractive3d())
+EVALUATORS = {"eval_mean": eval_mean, "eval_riccati_cont": eval_riccati_cont, "eval_riccati_disc": eval_riccati_disc}
+
+# (id, argument, what the message says after "<argument> must have shape ", call)
+SHAPE_CASES = [
+    *((f"{build.__name__}-{name}", name, says, lambda build=build, name=name, value=value: linear(build, name, value))
+      for build in (builtin_linear, builtin_discrete_linear)
+      for name, value, says in (("H", np.ones(2), "(any, any), got (2,)"), ("mu0", np.zeros(3), "(2,), got (3,)"),
+                                ("Q", np.eye(3), "(2, 2), got (3, 3)"), ("R", np.eye(1), "(2, 2), got (1, 1)"),
+                                ("Sigma0", np.eye(3), "(2, 2), got (3, 3)"), ("A", np.eye(3), "(2, 2), got (3, 3)"))),
+    *((f"make_filter_config-{name}", name, says, lambda name=name, value=value: tuned(name, value))
+      for name, value, says in (("Q_tuned", np.eye(2), "(3, 3), got (2, 2)"), ("P0", np.eye(4), "(3, 3), got (4, 4)"),
+                                ("x0_hat", np.zeros(2), "(3,), got (2,)"))),
+    ("run_continuous_ensemble-states-2d", "states", "(any, any, 2), got (2, 2)",
+     lambda: continuous_run(states=np.zeros((2, 2)))),
+    ("run_continuous_ensemble-states-wrong-d", "states", "(any, any, 2), got (1, 2, 3)",
+     lambda: continuous_run(states=np.zeros((1, 2, 3)))),
+    ("run_continuous_ensemble-increments", "increments", "(1, 2, 1), got (1, 2, 2)",
+     lambda: continuous_run(increments=np.zeros((1, 2, 2)))),
+    ("run_continuous_ensemble-x0_hat", "x0_hat", "(2,), got (3,)", lambda: continuous_run(config=SIZE_3)),
+    ("run_discrete_ensemble-measurements", "measurements", "(1, 3, 1), got (1, 2, 1)",
+     lambda: run_discrete_ensemble(SMALL, make_filter_config("ekf", SMALL), np.zeros((1, 3, 1)), np.zeros((1, 2, 1)))),
+    ("run_experiment-x0_hat", "x0_hat", "(3,), got (2,)",
+     lambda: run_experiment(small_spec(filters=("ekf",)), configs={"ekf": make_filter_config("ekf", linear(
+         builtin_linear, "A", -0.5 * np.eye(2)))})),
+    *((f"{label}-x-0d", "x", "(any,), got ()", lambda evaluate=evaluate: single_pair(evaluate, x=np.float64(0.0)))
+      for label, evaluate in EVALUATORS.items()),
+    *((f"{label}-x-3d", "x", "(any, any), got (1, 1, 2)",
+       lambda evaluate=evaluate: single_pair(evaluate, x=np.zeros((1, 1, 2)), P=np.eye(2)[None]))
+      for label, evaluate in EVALUATORS.items()),
+    *((f"{label}-x-of-another-size", "x", "(any, 2), got (1, 3)",
+       lambda evaluate=evaluate: single_pair(evaluate, x=np.zeros(3), P=np.eye(3)))
+      for label, evaluate in EVALUATORS.items()),
+    *((f"{label}-P-single", "P", "(2, 2), got (3, 3)", lambda evaluate=evaluate: single_pair(evaluate, P=np.eye(3)))
+      for label, evaluate in EVALUATORS.items()),
+    *((f"{label}-P-of-a-batch", "P", "(4, 2, 2), got (2, 2)",
+       lambda evaluate=evaluate: single_pair(evaluate, x=np.zeros((4, 2))))
+      for label, evaluate in EVALUATORS.items()),
+    ("eval_mean_batch-P", "P", "(2, 2, 4), got (2, 2, 3)",
+     lambda: batch_pair(eval_mean_batch, P=np.tile(np.eye(2)[:, :, None], (1, 1, 3)))),
+    ("eval_drift_batch-root", "root", "(2, 2, 4), got (2, 2, 3)",
+     lambda: batch_pair(eval_drift_batch, time="cont", root=np.tile(np.eye(2)[:, :, None], (1, 1, 3)))),
+    ("AssumptionInputs-x", "x", "(any, any), got (10,)", lambda: triple(x=np.zeros(10))),
+    ("AssumptionInputs-x_alt", "x_alt", "(10, 2), got (10, 3)", lambda: triple(x_alt=np.zeros((10, 3)))),
+    ("AssumptionInputs-P", "P", "(10, 2, 2), got (9, 2, 2)", lambda: triple(P=np.zeros((9, 2, 2)))),
+    ("check_assumption_continuous-inputs", "inputs", "(any, 3), got (10, 1)",
+     lambda: check_assumption_continuous(Functional("sigma", unscented_rule(3)), lambda x: x, 1.0, -1.0,
+                                         inputs=assumption_inputs(1, samples=10))),
+    ("CubatureRule-points", "points", "(2, any), got (2,)",
+     lambda: CubatureRule(points=[1.0, -1.0], weights=[0.5, 0.5])),
+    ("matrix_sqrt-P", "P", "(any, any), got (2, 2, 2)", lambda: matrix_sqrt(np.stack([np.eye(2)] * 2))),
+    ("contractive_certificate-x0_hat", "x0_hat", "(3,), got (2,)",
+     lambda: contractive_certificate(builtin_contractive3d(), make_filter_config("ekf", linear(
+         builtin_linear, "A", -0.5 * np.eye(2))))),
+    ("integrated_velocity_certificate-R", "R", "(1, 1), got (2, 2)",
+     lambda: velocity_certificate(H=np.eye(2), R=np.eye(2))),
+    ("integrated_velocity_certificate-H", "H", "(1, 2), got (1, 3)",
+     lambda: velocity_certificate(H=np.ones((1, 3)), Q=np.eye(3), mu0=np.zeros(3), Sigma0=np.eye(3))),
+    *((f"{moment.__name__}-{name}", name, says, lambda moment=moment, change=change: moment_of(moment, **change))
+      for moment in (gaussian_norm_moment, chi_square_moment_bound)
+      for name, change, says in (("m", {"m": np.ones(3)}, "(2,), got (3,)"),
+                                 ("P", {"P": np.stack([np.eye(2)] * 2)}, "(any, any), got (2, 2, 2)"))),
+]
+
+
+@pytest.mark.parametrize("name, says, call", [pytest.param(*case[1:], id=case[0]) for case in SHAPE_CASES])
+def test_bad_shape_named(name, says, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must have shape {re.escape(says)}$"):
+        call()
+
+
+def test_any_shape_of_the_right_size_accepted():
+    # a mean or initial estimate is read as a flat vector, so a row of the right size is one
+    model = linear(builtin_linear, "mu0", np.zeros((1, 2)))
+    assert model.mu0.shape == (2,)
+    assert make_filter_config("ekf", model, x0_hat=np.zeros((2, 1))).x0_hat.shape == (2,)
+    assert moment_of(gaussian_norm_moment, m=np.ones((1, 2))) == moment_of(gaussian_norm_moment)

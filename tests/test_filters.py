@@ -608,7 +608,7 @@ class TestObservationShape:
     def test_named_shape_error(self, cut):
         model, _, states, incr = fig1_like_paths(4, horizon=0.2, dt=0.02)
         bad = {"short": incr[:, :-1], "mis-sized": incr[..., :2], "mis-batched": incr[:3]}[cut]
-        with pytest.raises(ValueError, match=r"increments must have shape \(4, 11, 3\) to match states"):
+        with pytest.raises(ValueError, match=r"^increments must have shape \(4, 11, 3\), got"):
             run_continuous_ensemble(model, make_filter_config("ekf", model), states, bad, 0.02)
 
 
@@ -635,6 +635,26 @@ class TestFieldShape:
                 run_continuous_ensemble(model, config, states, obs, 0.1)
             else:
                 run_discrete_ensemble(model, config, states, obs)
+
+    @pytest.mark.parametrize("n_paths", [2, 4])
+    @pytest.mark.parametrize("swapped, returned, expected", [
+        ("mean", "(3, {B})", "({B}, 3)"),
+        ("lam", "({B}, 3, 3)", "(3, 3, {B})"),
+    ], ids=["mean", "lam"])
+    def test_gaussian_drift_in_the_wrong_layout_named(self, n_paths, swapped, returned, expected):
+        # a batch-first Riccati term or a coordinate-major mean; with as many paths as
+        # coordinates the shapes agree, so only other batch sizes can show the layout
+        model = builtin_contractive3d()
+
+        def drift(x, P):
+            mean, lam = model.gaussian_drift(x, P)
+            return (mean.T, lam) if swapped == "mean" else (mean, lam.transpose(2, 0, 1))
+
+        swapped_model = dataclasses.replace(model, gaussian_drift=drift)
+        _, states, incr, _ = simulate_paths(model, 0.02, 0.1, 0, n_paths)
+        returned, expected = (re.escape(text.format(B=n_paths)) for text in (returned, expected))
+        with pytest.raises(ValueError, match=rf"^gaussian_drift returned shape {returned} where {expected} was"):
+            run_continuous_ensemble(swapped_model, make_filter_config("adf", model), states, incr, 0.02)
 
 
 class TestStepCost:
@@ -879,14 +899,14 @@ class TestFilterConfig:
             make_filter_config("ekf", builtin_contractive3d(), **{field: value})
 
     def test_consistent_tuning_of_the_wrong_model_size_rejected(self):
-        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 2, not dim_x = 3"):
+        with pytest.raises(ValueError, match=r"^x0_hat must have shape \(3,\), got \(2,\)"):
             make_filter_config("ukf", builtin_contractive3d(), Q_tuned=np.eye(2), x0_hat=np.zeros(2),
                                P0=np.eye(2))
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_run_rejects_a_config_of_another_size(self, d):
         config = FilterConfig(functional=Functional("ekf"), Q_tuned=np.eye(d), x0_hat=np.zeros(d), P0=np.eye(d))
-        message = f"x0_hat, Q_tuned and P0 have size {d}, not dim_x = 3"
+        message = rf"^x0_hat must have shape \(3,\), got \({d},\)"
         continuous = builtin_contractive3d()
         _, states, incr, _ = simulate_paths(continuous, 0.02, 0.1, 0, 5)
         with pytest.raises(ValueError, match=message):

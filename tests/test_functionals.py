@@ -389,7 +389,7 @@ class TestSigmaArguments:
     ])
     def test_state_of_the_wrong_size_named(self, evaluate, x, P):
         F = Functional("sigma", unscented_rule(3))
-        with pytest.raises(ValueError, match="x has size 2.*dim 3"):
+        with pytest.raises(ValueError, match=r"^x must have shape \(any, 3\), got \(\d, 2\)"):
             evaluate(F=F, g=lambda z: z, x=x, P=P)
 
 
@@ -553,7 +553,7 @@ class TestSharedInputs:
     def test_set_of_another_size_than_the_rule_names_inputs(self, time):
         check, constants = CHECKS[time]
         inputs = assumption_inputs(2, samples=100)
-        with pytest.raises(ValueError, match="^inputs have dim 2, but the functional's rule has dim 3"):
+        with pytest.raises(ValueError, match=r"^inputs must have shape \(any, 3\), got \(100, 2\)"):
             check(Functional("sigma", unscented_rule(3)), mixed_field, *constants, inputs=inputs)
 
     @pytest.mark.parametrize("time", ["cont", "disc"])
@@ -569,14 +569,17 @@ class TestSharedInputs:
         with pytest.raises(ValueError, match="^inputs "):
             check(Functional("ekf"), mixed_field, *constants, inputs=tuple(assumption_inputs(2, samples=10)))
 
-    @pytest.mark.parametrize("shapes", [
-        ((10, 2), (10, 2), (9, 2, 2)),
-        ((10, 2), (10, 3), (10, 2, 2)),
-        ((10,), (10,), (10,)),
-        ((0, 2), (0, 2), (0, 2, 2)),
-    ])
+    MISMATCHED = {
+        ((10, 2), (10, 2), (9, 2, 2)): r"P must have shape \(10, 2, 2\), got \(9, 2, 2\)",
+        ((10, 2), (10, 3), (10, 2, 2)): r"x_alt must have shape \(10, 2\), got \(10, 3\)",
+        ((10,), (10,), (10,)): r"x must have shape \(any, any\), got \(10,\)",
+        ((0, 2), (0, 2), (0, 2, 2)): "samples must be at least 1, got 0",
+    }
+
+    @pytest.mark.parametrize("shapes", list(MISMATCHED))
     def test_mismatched_triple_names_inputs(self, shapes):
-        with pytest.raises(ValueError, match="^inputs "):
+        # the set's arrays are named as its fields, like a model's
+        with pytest.raises(ValueError, match=f"^{self.MISMATCHED[shapes]}"):
             AssumptionInputs(*map(np.zeros, shapes))
 
     def test_arguments_checked_as_by_the_checks(self):

@@ -51,7 +51,7 @@ class TestRunExperiment:
         calls = []
         monkeypatch.setattr(harness, "simulate_paths", lambda *args, **kwargs: calls.append(args))
         config = make_filter_config("ukf", builtin_linear(-np.eye(d), Q=np.eye(d), H=np.eye(d), R=np.eye(d)))
-        with pytest.raises(ValueError, match=f"x0_hat, Q_tuned and P0 have size {d}, not dim_x = 3"):
+        with pytest.raises(ValueError, match=rf"^x0_hat must have shape \(3,\), got \({d},\)"):
             run_experiment(small_spec(filters=("ukf",)), configs={"ukf": config})
         assert calls == []
 

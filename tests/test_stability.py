@@ -129,16 +129,16 @@ class TestCertificateTuningSize:
         return FilterConfig(functional=Functional("ekf"), Q_tuned=np.eye(d), x0_hat=np.zeros(d), P0=np.eye(d))
 
     def test_contractive(self):
-        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 2, not dim_x = 3"):
+        with pytest.raises(ValueError, match=r"^x0_hat must have shape \(3,\), got \(2,\)"):
             contractive_certificate(builtin_contractive3d(), self.config(2))
 
     def test_integrated_velocity(self):
-        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
+        with pytest.raises(ValueError, match=r"^x0_hat must have shape \(2,\), got \(3,\)"):
             integrated_velocity_certificate(builtin_integrated_velocity(), self.config(3))
 
     def test_discrete(self):
         model = builtin_discrete_linear(0.5 * np.eye(2), Q=np.eye(2), H=np.eye(2), R=np.eye(2))
-        with pytest.raises(ValueError, match="x0_hat, Q_tuned and P0 have size 3, not dim_x = 2"):
+        with pytest.raises(ValueError, match=r"^x0_hat must have shape \(2,\), got \(3,\)"):
             discrete_certificate(model, self.config(3))
 
 
@@ -375,7 +375,7 @@ class TestInflation:
     def test_wrong_size_tuning_rejected(self, d):
         # the tuning's own checks (shape, symmetry, definiteness) are FilterConfig's
         other = builtin_linear(-np.eye(d), Q=np.eye(d), H=np.eye(d), R=np.eye(d))
-        with pytest.raises(ValueError, match=f"x0_hat, Q_tuned and P0 have size {d}, not dim_x = 3"):
+        with pytest.raises(ValueError, match=rf"^x0_hat must have shape \(3,\), got \({d},\)"):
             inflation_mineig_bound(builtin_contractive3d(), make_filter_config("ekf", other))
 
     def test_drift_constants_come_from_the_model(self):
@@ -521,18 +521,25 @@ class TestIntegratedVelocityCertificate:
             assert isinstance(want, dict) == certified
             assert outcome(replaced, kind) == want
 
-    @pytest.mark.parametrize("changes, field", [
-        ({"H": np.array([[1.0, 1.0]])}, "H"),
-        ({"H": np.array([[0.0, 1.0]])}, "H"),
-        ({"H": np.array([[0.0, 0.0]])}, "H"),
-        ({"H": np.eye(2), "R": 0.05 * np.eye(2)}, "R"),
+    @pytest.mark.parametrize("changes, says", [
+        ({"H": np.array([[1.0, 1.0]])}, r"H must be \[\[h, 0\]\]"),
+        ({"H": np.array([[0.0, 1.0]])}, r"H must be \[\[h, 0\]\]"),
+        ({"H": np.array([[0.0, 0.0]])}, r"H must be \[\[h, 0\]\]"),
+        ({"H": np.eye(2), "R": 0.05 * np.eye(2)}, r"R must have shape \(1, 1\), got \(2, 2\)"),
     ], ids=["both-components", "velocity", "nothing", "two-measurements"])
-    def test_model_that_does_not_measure_the_position_rejected(self, changes, field):
+    def test_model_that_does_not_measure_the_position_rejected(self, changes, says):
         # the certificate's bounds hold only for H = [[h, 0]], h != 0, and a
         # 1x1 R; without the check, H = [[1, 1]] gets the default model's rate
         model = dataclasses.replace(builtin_integrated_velocity(), **changes)
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError, match=f"^{says}"):
             integrated_velocity_certificate(model, make_filter_config("ekf", model))
+
+    def test_unvectorized_jacobian_named(self):
+        # a Jacobian flattened to (..., 4) is named, not unpacked as if it were 2 x 2
+        model = builtin_integrated_velocity()
+        flat = dataclasses.replace(model, jac_f=lambda x: model.jac_f(x).reshape(x.shape[:-1] + (4,)))
+        with pytest.raises(ValueError, match=r"^jac_f returned shape \(4,\) where \(2, 2\) was expected"):
+            integrated_velocity_certificate(flat, make_filter_config("ekf", flat))
 
     @pytest.mark.parametrize("case", ["velocity-drift", "exploding-velocity", "velocity-reads-position",
                                       "position-feedback-varies"])
@@ -1256,7 +1263,7 @@ class TestMomentUtilities:
     @pytest.mark.parametrize("moment", [gaussian_norm_moment, chi_square_moment_bound])
     @pytest.mark.parametrize("m", [np.ones(2), np.zeros(2), np.ones(4)])
     def test_mean_of_the_wrong_size_rejected(self, moment, m):
-        with pytest.raises(ValueError, match="m must have size 3 like P"):
+        with pytest.raises(ValueError, match=r"^m must have shape \(3,\), got"):
             moment(m, np.eye(3), 1)
 
     def test_gaussian_norm_moment_domain(self):
